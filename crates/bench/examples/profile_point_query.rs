@@ -44,8 +44,10 @@ fn main() {
     let poly = summary.polynomial();
     let ss = poly.size_stats();
     println!(
-        "components: {}  terms: {}  constrained_factors: {}  delta_factors: {}",
+        "components: {} ({} tree, {} closure)  terms: {}  constrained_factors: {}  delta_factors: {}",
         poly.num_components(),
+        ss.tree_components,
+        ss.closure_components,
         ss.num_terms,
         ss.constrained_factors,
         ss.delta_factors
@@ -69,8 +71,8 @@ fn main() {
     time("eval_masked_with(point)", || {
         black_box(poly.eval_masked_with(a, &mask, &mut s));
     });
-    time("eval_masked_legacy_with(point)", || {
-        black_box(poly.eval_masked_legacy_with(a, &mask, &mut s));
+    time("eval_with_attr_derivatives_with(origin)", || {
+        black_box(poly.eval_with_attr_derivatives_with(a, &mask, d.origin.0, &mut s));
     });
     time("mask_build(point)", || {
         black_box(Mask::from_predicate(&point, &sizes).unwrap());

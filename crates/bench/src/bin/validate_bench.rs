@@ -10,14 +10,18 @@
 //! artifacts fail the build.
 //!
 //! With `--min-speedup`, the validator additionally enforces the
-//! **regression gate**: every floor listed in the schema's
-//! `speedup_floors` (entries of a group's `speedup` object) and
-//! `metric_floors` (entries of a group's `metrics` object) must be met by
-//! the recorded value — a speedup that decays below its checked-in floor
-//! fails the build, not just a malformed artifact. Floors are deliberately
-//! looser than the recorded steady-state numbers so fast-mode CI noise
-//! passes while a genuine regression (e.g. the arena falling back to the
-//! legacy kernel's speed) does not.
+//! **regression gate**: every bound listed in the schema's
+//! `speedup_floors` (entries of a group's `speedup` object),
+//! `metric_floors` and `metric_ceilings` (entries of a group's `metrics`
+//! object) must be met by the recorded value — a speedup that decays below
+//! its checked-in floor, or an absolute latency that rises above its
+//! checked-in ceiling, fails the build, not just a malformed artifact.
+//! Ceilings are the preferred form: a ratio against a retained baseline
+//! moves whenever the baseline does, an absolute nanosecond bound does not.
+//! Bounds are deliberately looser than the recorded steady-state numbers so
+//! fast-mode CI noise passes while a genuine regression (e.g. the flights
+//! model falling back from the tree kernel to the 150k-term closure) does
+//! not.
 
 use entropydb_bench::jsonv::{parse, Json};
 use std::process::ExitCode;
@@ -38,44 +42,56 @@ fn str_list(v: Option<&Json>) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// Checks the floors of one kind (`speedup_floors` over the `speedup`
-/// object, `metric_floors` over `metrics`) for one artifact.
-fn check_floors(
+/// The regression bounds `--min-speedup` enforces: the schema key listing
+/// them, the artifact object they apply to, and whether they are ceilings
+/// (value at or below the bound) or floors (at or above it).
+const BOUND_KINDS: [(&str, &str, bool); 3] = [
+    ("speedup_floors", "speedup", false),
+    ("metric_floors", "metrics", false),
+    ("metric_ceilings", "metrics", true),
+];
+
+/// Checks the bounds of one kind for one artifact; returns how many held.
+fn check_bounds(
     path: &str,
     groups: &Json,
     rules: &Json,
-    floors_key: &str,
-    value_key: &str,
+    (schema_key, value_key, ceiling): (&str, &str, bool),
 ) -> std::result::Result<usize, String> {
-    let Some(floor_groups) = rules.get(floors_key).and_then(Json::members) else {
+    let Some(bound_groups) = rules.get(schema_key).and_then(Json::members) else {
         return Ok(0);
     };
+    let (what, relation) = if ceiling {
+        ("ceiling", "<=")
+    } else {
+        ("floor", ">=")
+    };
     let mut checked = 0usize;
-    for (group, floors) in floor_groups {
+    for (group, bounds) in bound_groups {
         let Some(values) = groups.get(group).and_then(|g| g.get(value_key)) else {
             return Err(format!("{path}: group {group:?} lacks {value_key:?}"));
         };
-        let Some(floors) = floors.members() else {
+        let Some(bounds) = bounds.members() else {
             return Err(format!(
-                "schema {floors_key} for {group:?} is not an object"
+                "schema {schema_key} for {group:?} is not an object"
             ));
         };
-        for (name, floor) in floors {
-            let Json::Num(floor) = floor else {
-                return Err(format!("schema floor {group:?}.{name:?} is not numeric"));
+        for (name, bound) in bounds {
+            let Json::Num(bound) = bound else {
+                return Err(format!("schema {what} {group:?}.{name:?} is not numeric"));
             };
             let Some(Json::Num(got)) = values.get(name) else {
                 return Err(format!(
                     "{path}: group {group:?} records no numeric {value_key} entry {name:?}"
                 ));
             };
-            if got < floor {
+            if (ceiling && got > bound) || (!ceiling && got < bound) {
                 return Err(format!(
-                    "{path}: {group:?} {value_key} {name:?} = {got} fell below \
-                     the checked-in floor {floor} — performance regression"
+                    "{path}: {group:?} {value_key} {name:?} = {got} broke \
+                     the checked-in {what} {bound} — performance regression"
                 ));
             }
-            println!("validate_bench: floor ok {path}: {group}/{name} = {got} >= {floor}");
+            println!("validate_bench: {what} ok {path}: {group}/{name} = {got} {relation} {bound}");
             checked += 1;
         }
     }
@@ -177,17 +193,15 @@ fn main() -> ExitCode {
             }
         }
         if gate_speedups {
-            let outcome =
-                check_floors(&path, groups, rules, "speedup_floors", "speedup").and_then(|a| {
-                    check_floors(&path, groups, rules, "metric_floors", "metrics").map(|b| a + b)
-                });
-            match outcome {
-                Ok(n) => {
-                    if n > 0 {
-                        println!("validate_bench: {n} floors met for {path}");
-                    }
+            let mut met = 0usize;
+            for kind in BOUND_KINDS {
+                match check_bounds(&path, groups, rules, kind) {
+                    Ok(n) => met += n,
+                    Err(msg) => return fail(msg),
                 }
-                Err(msg) => return fail(msg),
+            }
+            if met > 0 {
+                println!("validate_bench: {met} bounds met for {path}");
             }
         }
         println!("validate_bench: ok {path}");

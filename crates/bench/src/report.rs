@@ -54,6 +54,18 @@ impl Report {
     }
 }
 
+/// Mean per-call nanoseconds over an explicit timing loop. The absolute
+/// `metric_ceilings` of `bench_schema.json` are recorded with this instead
+/// of the sampled medians, so they stay stable under `ENTROPYDB_BENCH_FAST`
+/// (where the sampling loop shrinks to a handful of cold calls).
+pub fn mean_call_ns(iters: usize, mut call: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        call();
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
 /// Nearest-rank percentile of `samples` (unsorted, in any order): the
 /// smallest sample with at least `q`% of the distribution at or below it.
 /// With few samples the tail percentiles degrade toward the max — still

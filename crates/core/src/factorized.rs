@@ -20,16 +20,40 @@
 //! and derivative passes lift through the product rule. Every variable
 //! still has degree ≤ 1, so the solver's closed-form updates are unchanged.
 //!
+//! ## Two query kernels, chosen per component at build
+//!
+//! The three query entry points ([`FactorizedPolynomial::eval_masked_with`],
+//! [`FactorizedPolynomial::eval_masked_many_with`],
+//! [`FactorizedPolynomial::eval_with_attr_derivatives_with`]) evaluate each
+//! component with one of two kernels:
+//!
+//! * **tree** (`crate::tree`) — a leaf-to-root sum-product pass costing
+//!   `O(Σ|dom| + #rectangles)`: one prefix sum and one scan per attribute
+//!   pair plus one multiply-add per rectangle. A component qualifies when
+//!   all its statistics are 2-D, its attribute-pair graph is acyclic, its
+//!   same-pair rectangles are pairwise disjoint, and the pass touches
+//!   fewer cells than the closure has terms and slab cells.
+//! * **closure** ([`CompressedPolynomial`]) — the Theorem 4.1 term walk,
+//!   `O(#terms · factors)`, for everything else: a cycle of pairs, a
+//!   statistic on three or more attributes, overlapping same-pair
+//!   rectangles, no statistics at all, or a closure so small (a wide star
+//!   with one rectangle per pair) that walking it is the cheaper pass.
+//!
+//! The choice is structural and fixed when the polynomial is built; there
+//! is no switch. [`FactorizedPolynomial::size_stats`] reports how many
+//! components landed on each kernel. The closure is still built for every
+//! component — the solver and the `δ` sweep API run on it.
+//!
 //! ## Scratch reuse and parallelism
 //!
 //! Evaluation never materializes per-component assignments or masks: each
 //! component's kernel reads the *global* assignment and mask directly
-//! through its attribute mapping, filling a per-component [`EvalScratch`]
-//! held in a reusable [`FactorizedScratch`]. Steady-state evaluation is
-//! allocation-free, and components — which are fully independent — are
-//! evaluated in parallel (see [`crate::par`]) once the model is large
-//! enough for threads to pay off. Chunking is deterministic, so parallel
-//! and serial evaluation produce bitwise identical results.
+//! through its attribute mapping, filling that component's buffers in a
+//! reusable [`FactorizedScratch`]. Steady-state evaluation is
+//! allocation-free, and closure components — which are fully independent —
+//! are evaluated in parallel (see [`crate::par`]) once enough term work
+//! would actually overlap. Chunking is deterministic, so parallel and
+//! serial evaluation produce bitwise identical results.
 
 use crate::assignment::{Mask, VarAssignment};
 use crate::error::{ModelError, Result};
@@ -38,12 +62,14 @@ use crate::par;
 use crate::polynomial::Var;
 use crate::polynomial::{CompressedPolynomial, EvalScratch, PolynomialSizeStats, MAX_FUSED_LANES};
 use crate::statistics::MultiDimStatistic;
+use crate::tree::{TreeKernel, TreeScratch};
 
-/// Minimum combined term count before component-parallel evaluation is
-/// worth dispatching to the worker pool. With the persistent pool
-/// (`crate::par`) dispatch costs a queue push + condvar signal instead of a
-/// per-call thread spawn, so fan-out pays off at far finer granularity than
-/// the old spawn-per-call threshold (4096).
+/// Minimum overlappable term count (see `FactorizedPolynomial::par_terms`)
+/// before component-parallel evaluation is worth dispatching to the worker
+/// pool. With the persistent pool (`crate::par`) dispatch costs a queue
+/// push + condvar signal instead of a per-call thread spawn, so fan-out
+/// pays off at far finer granularity than the old spawn-per-call threshold
+/// (4096).
 const PAR_MIN_TERMS: usize = 512;
 
 /// One independent attribute group and its polynomial.
@@ -56,6 +82,9 @@ pub(crate) struct Component {
     /// `j` is `multis[j]` globally.
     pub(crate) multis: Vec<usize>,
     pub(crate) poly: CompressedPolynomial,
+    /// The message-passing query kernel, when the component qualifies (see
+    /// `crate::tree`); `None` keeps query evaluation on `poly`.
+    tree: Option<TreeKernel>,
 }
 
 /// The product-of-components polynomial used by the solver and the summary.
@@ -68,14 +97,26 @@ pub struct FactorizedPolynomial {
     attr_home: Vec<(usize, usize)>,
     /// Per global multi statistic: (component, local multi index).
     multi_home: Vec<(usize, usize)>,
-    /// Total compressed terms across components (parallelism threshold).
+    /// Total compressed terms across components.
     total_terms: usize,
+    /// Closure-evaluated terms that can overlap with the largest closure
+    /// component when components fan out: the closure terms minus that
+    /// largest component's. Tree components and one-term siblings add
+    /// nothing here, so they never cause a pool hand-off.
+    par_terms: usize,
+}
+
+/// One component's kernel buffers: the closure's or the tree's.
+#[derive(Debug, Clone)]
+enum KernelScratch {
+    Closure(Box<EvalScratch>),
+    Tree(TreeScratch),
 }
 
 /// Per-component evaluation state inside a [`FactorizedScratch`].
 #[derive(Debug, Clone)]
 struct CompScratch {
-    eval: EvalScratch,
+    kernel: KernelScratch,
     /// The component's multi values, gathered from the global assignment.
     local_multi: Vec<f64>,
     /// The component's value from the last evaluation pass.
@@ -84,8 +125,8 @@ struct CompScratch {
     val_many: Vec<f64>,
 }
 
-/// Reusable workspace for evaluating a [`FactorizedPolynomial`]: one
-/// [`EvalScratch`] per component plus a global derivative buffer. Steady-
+/// Reusable workspace for evaluating a [`FactorizedPolynomial`]: one set of
+/// kernel buffers per component plus a global derivative buffer. Steady-
 /// state evaluation against a warmed scratch performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct FactorizedScratch {
@@ -187,8 +228,17 @@ impl FactorizedPolynomial {
             .zip(comp_multi_ids)
             .map(|((attrs, stats_c), multis)| {
                 let local_sizes: Vec<usize> = attrs.iter().map(|&a| domain_sizes[a]).collect();
+                let poly = CompressedPolynomial::build_with_cap(&local_sizes, &stats_c, cap)?;
+                // Both kernels' work counted in touched cells: the closure
+                // fills one prefix slab and walks its terms. A qualifying
+                // tree whose pass is no smaller than that (few rectangles
+                // over wide domains) stays on the closure.
+                let closure_cells = poly.num_terms() + local_sizes.iter().sum::<usize>();
+                let tree = TreeKernel::build(&local_sizes, &stats_c)
+                    .filter(|tree| tree.pass_cells() < closure_cells);
                 Ok(Component {
-                    poly: CompressedPolynomial::build_with_cap(&local_sizes, &stats_c, cap)?,
+                    poly,
+                    tree,
                     attrs,
                     multis,
                 })
@@ -196,6 +246,13 @@ impl FactorizedPolynomial {
             .collect::<Result<Vec<_>>>()?;
 
         let total_terms = components.iter().map(|c| c.poly.num_terms()).sum();
+        let closure_terms = || {
+            components
+                .iter()
+                .filter(|c| c.tree.is_none())
+                .map(|c| c.poly.num_terms())
+        };
+        let par_terms = closure_terms().sum::<usize>() - closure_terms().max().unwrap_or(0);
         Ok(FactorizedPolynomial {
             domain_sizes: domain_sizes.to_vec(),
             num_multi: stats.len(),
@@ -203,6 +260,7 @@ impl FactorizedPolynomial {
             attr_home,
             multi_home,
             total_terms,
+            par_terms,
         })
     }
 
@@ -238,7 +296,10 @@ impl FactorizedPolynomial {
     /// Aggregated size statistics. `uncompressed_monomials` is the full
     /// (unfactorized) `∏ N_i`; the other counters sum over components, so
     /// the ratio reflects the combined compression + factorization win.
+    /// `tree_components` / `closure_components` count the components each
+    /// query kernel answers.
     pub fn size_stats(&self) -> PolynomialSizeStats {
+        let tree_components = self.components.iter().filter(|c| c.tree.is_some()).count();
         let mut agg = PolynomialSizeStats {
             num_terms: 0,
             constrained_factors: 0,
@@ -247,6 +308,8 @@ impl FactorizedPolynomial {
                 .domain_sizes
                 .iter()
                 .fold(1u128, |acc, &n| acc.saturating_mul(n as u128)),
+            tree_components,
+            closure_components: self.components.len() - tree_components,
         };
         for c in &self.components {
             let s = c.poly.size_stats();
@@ -278,7 +341,10 @@ impl FactorizedPolynomial {
                 .components
                 .iter()
                 .map(|c| CompScratch {
-                    eval: c.poly.make_scratch(),
+                    kernel: match &c.tree {
+                        Some(tree) => KernelScratch::Tree(tree.make_scratch()),
+                        None => KernelScratch::Closure(Box::new(c.poly.make_scratch())),
+                    },
                     local_multi: vec![0.0; c.multis.len()],
                     val: 0.0,
                     val_many: vec![0.0; MAX_FUSED_LANES],
@@ -288,23 +354,50 @@ impl FactorizedPolynomial {
         }
     }
 
-    /// Whether component-level parallelism is worth spawning threads for.
+    /// Whether component-level parallelism is worth a pool hand-off: only
+    /// when enough closure term work would actually run concurrently.
     #[inline]
     fn use_par(&self) -> bool {
-        self.components.len() > 1 && self.total_terms >= PAR_MIN_TERMS && par::max_threads() > 1
+        self.par_terms >= PAR_MIN_TERMS && par::max_threads() > 1
     }
 
-    /// Fills one component's scratch from the global assignment and mask
-    /// (no local assignment/mask materialization) and evaluates it.
-    fn eval_component(c: &Component, a: &VarAssignment, mask: &Mask, cs: &mut CompScratch) -> f64 {
+    /// Evaluates one component under `mask`, reading the global assignment
+    /// and mask through the component's attribute mapping (no local
+    /// assignment/mask materialization). With `derivs_of` naming a local
+    /// attribute, the pass also leaves every `dP_c/dα` of that attribute in
+    /// the component's kernel buffers.
+    fn eval_component(
+        c: &Component,
+        a: &VarAssignment,
+        mask: &Mask,
+        derivs_of: Option<usize>,
+        cs: &mut CompScratch,
+    ) -> f64 {
         for (slot, &g) in cs.local_multi.iter_mut().zip(&c.multis) {
             *slot = a.multi[g];
         }
-        c.poly.fill_scratch_with(&mut cs.eval, |li| {
+        let get = |li: usize| {
             let g = c.attrs[li];
             (a.one_dim[g].as_slice(), mask.attr_weights(g))
-        });
-        c.poly.eval_prefilled(&cs.local_multi, &mut cs.eval)
+        };
+        match (&c.tree, &mut cs.kernel) {
+            (Some(tree), KernelScratch::Tree(ts)) => {
+                tree.pass(derivs_of.unwrap_or(0), &cs.local_multi, get, ts)
+            }
+            (None, KernelScratch::Closure(eval)) => {
+                c.poly.fill_scratch_with(eval, get);
+                match derivs_of {
+                    Some(li) => {
+                        let (vals, weights) = get(li);
+                        c.poly
+                            .derivs_prefilled(&cs.local_multi, vals, weights, li, eval)
+                            .0
+                    }
+                    None => c.poly.eval_prefilled(&cs.local_multi, eval),
+                }
+            }
+            _ => unreachable!("scratch was made for another polynomial"),
+        }
     }
 
     /// Evaluates `P = ∏ P_c` (convenience wrapper; allocates a scratch).
@@ -335,23 +428,25 @@ impl FactorizedPolynomial {
         if self.use_par() {
             par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
                 for (off, cs) in chunk.iter_mut().enumerate() {
-                    cs.val = Self::eval_component(&components[base + off], a, mask, cs);
+                    cs.val = Self::eval_component(&components[base + off], a, mask, None, cs);
                 }
             });
         } else {
             for (c, cs) in components.iter().zip(&mut fs.comps) {
-                cs.val = Self::eval_component(c, a, mask, cs);
+                cs.val = Self::eval_component(c, a, mask, None, cs);
             }
         }
         fs.comps.iter().map(|cs| cs.val).product()
     }
 
     /// Fused multi-mask evaluation: `out[i] = P[masked by masks[i]]`, with
-    /// each component traversed **once** per [`MAX_FUSED_LANES`]-wide chunk
-    /// of masks instead of once per mask. Per mask the result is
-    /// bitwise-identical to [`FactorizedPolynomial::eval_masked_with`] —
-    /// each lane runs the identical per-component kernel sequence and the
-    /// identical component-order product fold.
+    /// each closure component traversed **once** per
+    /// [`MAX_FUSED_LANES`]-wide chunk of masks instead of once per mask (a
+    /// tree component has no term metadata to amortize and simply runs its
+    /// scalar pass per mask). Per mask the result is bitwise-identical to
+    /// [`FactorizedPolynomial::eval_masked_with`] — each lane runs the
+    /// identical per-component kernel sequence and the identical
+    /// component-order product fold.
     pub fn eval_masked_many_with(
         &self,
         a: &VarAssignment,
@@ -370,21 +465,21 @@ impl FactorizedPolynomial {
             let lanes = mchunk.len();
             let run = |base: usize, cs: &mut CompScratch| {
                 let c = &components[base];
+                let KernelScratch::Closure(eval) = &mut cs.kernel else {
+                    for (b, mask) in mchunk.iter().enumerate() {
+                        cs.val_many[b] = Self::eval_component(c, a, mask, None, cs);
+                    }
+                    return;
+                };
                 for (slot, &g) in cs.local_multi.iter_mut().zip(&c.multis) {
                     *slot = a.multi[g];
                 }
-                c.poly.fill_scratch_many_with(&mut cs.eval, lanes, |li, b| {
+                c.poly.fill_scratch_many_with(eval, lanes, |li, b| {
                     let g = c.attrs[li];
                     (a.one_dim[g].as_slice(), mchunk[b].attr_weights(g))
                 });
-                let CompScratch {
-                    eval,
-                    local_multi,
-                    val_many,
-                    ..
-                } = cs;
                 c.poly
-                    .eval_prefilled_many(local_multi, lanes, eval, &mut val_many[..lanes]);
+                    .eval_prefilled_many(&cs.local_multi, lanes, eval, &mut cs.val_many[..lanes]);
             };
             if self.use_par() {
                 par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
@@ -403,43 +498,6 @@ impl FactorizedPolynomial {
         }
     }
 
-    /// The pre-vectorization masked-eval path, lifted through the component
-    /// product — the `legacy-bench` A/B baseline (see
-    /// [`CompressedPolynomial::eval_prefilled_legacy`]).
-    #[cfg(any(test, feature = "legacy-bench"))]
-    pub fn eval_masked_legacy_with(
-        &self,
-        a: &VarAssignment,
-        mask: &Mask,
-        fs: &mut FactorizedScratch,
-    ) -> f64 {
-        debug_assert!(self.check_shape(a).is_ok());
-        let components = &self.components;
-        let run = |base: usize, cs: &mut CompScratch| {
-            let c = &components[base];
-            for (slot, &g) in cs.local_multi.iter_mut().zip(&c.multis) {
-                *slot = a.multi[g];
-            }
-            c.poly.fill_scratch_with(&mut cs.eval, |li| {
-                let g = c.attrs[li];
-                (a.one_dim[g].as_slice(), mask.attr_weights(g))
-            });
-            cs.val = c.poly.eval_prefilled_legacy(&cs.local_multi, &mut cs.eval);
-        };
-        if self.use_par() {
-            par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
-                for (off, cs) in chunk.iter_mut().enumerate() {
-                    run(base + off, cs);
-                }
-            });
-        } else {
-            for (ci, cs) in fs.comps.iter_mut().enumerate() {
-                run(ci, cs);
-            }
-        }
-        fs.comps.iter().map(|cs| cs.val).product()
-    }
-
     /// Fused pass: `(P, dP/dα_{attr,v} for all v)` under `mask` (convenience
     /// wrapper; allocates a scratch and an output vector).
     pub fn eval_with_attr_derivatives(
@@ -454,9 +512,10 @@ impl FactorizedPolynomial {
     }
 
     /// Allocation-free fused evaluation + derivative pass. The product rule
-    /// lifts the component pass: `dP/dα = (∏_{c'≠c} P_{c'}) · dP_c/dα`.
-    /// Components run in parallel when the model is large enough; the
-    /// derivative slice borrows the scratch.
+    /// lifts the component pass: `dP/dα = (∏_{c'≠c} P_{c'}) · dP_c/dα`. A
+    /// tree component roots its pass at `attr`, so the derivatives cost the
+    /// same single pass as a plain evaluation. The derivative slice borrows
+    /// the scratch.
     pub fn eval_with_attr_derivatives_with<'s>(
         &self,
         a: &VarAssignment,
@@ -469,32 +528,8 @@ impl FactorizedPolynomial {
         let (home, local_attr) = self.attr_home[attr];
         let components = &self.components;
         let run = |base: usize, cs: &mut CompScratch| {
-            let c = &components[base];
-            if base == home {
-                let CompScratch {
-                    eval,
-                    local_multi,
-                    val,
-                    ..
-                } = cs;
-                for (slot, &g) in local_multi.iter_mut().zip(&c.multis) {
-                    *slot = a.multi[g];
-                }
-                c.poly.fill_scratch_with(eval, |li| {
-                    let g = c.attrs[li];
-                    (a.one_dim[g].as_slice(), mask.attr_weights(g))
-                });
-                let (p, _) = c.poly.derivs_prefilled(
-                    local_multi,
-                    &a.one_dim[attr],
-                    mask.attr_weights(attr),
-                    local_attr,
-                    eval,
-                );
-                *val = p;
-            } else {
-                cs.val = Self::eval_component(c, a, mask, cs);
-            }
+            let derivs_of = (base == home).then_some(local_attr);
+            cs.val = Self::eval_component(&components[base], a, mask, derivs_of, cs);
         };
         if self.use_par() {
             par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
@@ -516,7 +551,10 @@ impl FactorizedPolynomial {
             }
         }
         let n_attr = self.domain_sizes[attr];
-        let home_derivs = comps[home].eval.derivs_slice(n_attr);
+        let home_derivs = match &comps[home].kernel {
+            KernelScratch::Closure(eval) => eval.derivs_slice(n_attr),
+            KernelScratch::Tree(ts) => ts.derivs_slice(n_attr),
+        };
         for (out, &d) in derivs[..n_attr].iter_mut().zip(home_derivs) {
             *out = d * others;
         }
@@ -734,6 +772,30 @@ mod tests {
         asn.multi[j] = 3.3;
         f.apply_multi_update(&mut sweep, j, asn.multi[j] - old, local_pd);
         assert!((f.sweep_value(&sweep) - f.eval(&asn)).abs() < 1e-10 * f.eval(&asn).abs().max(1.0));
+    }
+
+    #[test]
+    fn pool_hand_off_counts_only_overlappable_closure_terms() {
+        // Ten same-pair rectangles sharing cell (0, 0): a 2^10-term closure.
+        let heavy = |x: usize| (0..10).map(move |i| rect(x, (0, 2), x + 1, (0, i)));
+        // Disjoint same-pair rectangles: a tree component.
+        let tree = |x: usize| (0..10).map(move |i| rect(x, (i, i), x + 1, (0, 5)));
+        let sizes = [10, 10, 10, 10, 4];
+        let build =
+            |stats: Vec<MultiDimStatistic>| FactorizedPolynomial::build(&sizes, &stats).unwrap();
+
+        // One big closure next to trivial siblings: nothing to overlap.
+        let lone = build(heavy(0).collect());
+        assert_eq!(lone.num_terms(), 1024 + 3);
+        assert_eq!(lone.par_terms, 3);
+        // A tree sibling adds no closure work either.
+        let beside_tree = build(heavy(0).chain(tree(2)).collect());
+        assert_eq!(beside_tree.size_stats().tree_components, 1);
+        assert_eq!(beside_tree.par_terms, 1);
+        // Two big closures do overlap.
+        let pair = build(heavy(0).chain(heavy(2)).collect());
+        assert_eq!(pair.par_terms, 1024 + 1);
+        assert!(pair.par_terms >= PAR_MIN_TERMS && lone.par_terms < PAR_MIN_TERMS);
     }
 
     #[test]

@@ -67,6 +67,18 @@
 //! to fan out, a handful of per-pass dispatch allocations is noise against
 //! the term work.
 //!
+//! ## Cost model, and the kernel that sidesteps it
+//!
+//! Every evaluation here walks all terms: `O(#terms · factors)`, and the
+//! term count is the number of *compatible statistic subsets* — 150 043
+//! for the 900 rectangles of the Ent1&2&3 flights summary. The solver needs
+//! this form (its `δ` updates read per-term products). Queries do not: a
+//! component that is a tree of disjoint 2-D rectangles is answered by the
+//! message-passing kernel in `crate::tree` in `O(Σ|dom| + #rectangles)`,
+//! selected per component by [`crate::factorized`]. The closure remains the
+//! query kernel for every other shape, and the oracle the tree kernel is
+//! tested against.
+//!
 //! Because every variable has degree ≤ 1 in `P` (monomials are multilinear),
 //! evaluation under a [`Mask`] plus *all* derivatives with respect to one
 //! attribute's variables can be fused into a single pass
@@ -138,6 +150,14 @@ pub struct PolynomialSizeStats {
     /// Monomials of the equivalent uncompressed sum-of-products form
     /// (`∏ N_i`), saturating.
     pub uncompressed_monomials: u128,
+    /// Components whose queries the tree message-passing kernel answers
+    /// (`crate::tree`) — always 0 for a bare [`CompressedPolynomial`].
+    pub tree_components: usize,
+    /// Components whose queries walk the closure's terms. A model that
+    /// should be all-tree showing a large closure component here means a
+    /// statistic choice (a cycle of pairs, a 3-D statistic) put it on the
+    /// far slower kernel.
+    pub closure_components: usize,
 }
 
 /// A term under construction: a compatible set of statistics and the
@@ -520,6 +540,8 @@ impl CompressedPolynomial {
                 .domain_sizes
                 .iter()
                 .fold(1u128, |acc, &n| acc.saturating_mul(n as u128)),
+            tree_components: 0,
+            closure_components: 1,
         }
     }
 
@@ -609,9 +631,9 @@ impl CompressedPolynomial {
 
     /// Computes one prefix row from values and optional weights; returns the
     /// row total. Shared by the full fill and the incremental refill so both
-    /// produce bitwise-identical rows.
+    /// produce bitwise-identical rows (and by the tree kernel's leaves).
     #[inline]
-    fn fill_row(row: &mut [f64], vals: &[f64], weights: Option<&[f64]>) -> f64 {
+    pub(crate) fn fill_row(row: &mut [f64], vals: &[f64], weights: Option<&[f64]>) -> f64 {
         let mut acc = 0.0;
         row[0] = 0.0;
         match weights {
@@ -907,70 +929,6 @@ impl CompressedPolynomial {
         self.ensure_delta_products(multi, s);
         self.compute_set_products(s, None);
         self.sum_terms(s)
-    }
-
-    /// The pre-vectorization masked-eval kernel, retained verbatim as the
-    /// A/B baseline for the `legacy-bench` benchmarks: a single-accumulator
-    /// term walk with per-term zero early-outs and a data-dependent inner
-    /// factor loop. Same blocked reduction structure as `sum_terms`, so
-    /// the comparison isolates the kernel shape, not the parallel split.
-    #[cfg(any(test, feature = "legacy-bench"))]
-    pub fn eval_masked_legacy_with(
-        &self,
-        a: &VarAssignment,
-        mask: &Mask,
-        s: &mut EvalScratch,
-    ) -> f64 {
-        self.fill_scratch(s, a, mask);
-        self.eval_prefilled_legacy(&a.multi, s)
-    }
-
-    /// Legacy term sum against an already-filled scratch (see
-    /// [`CompressedPolynomial::eval_masked_legacy_with`]).
-    #[cfg(any(test, feature = "legacy-bench"))]
-    pub fn eval_prefilled_legacy(&self, multi: &[f64], s: &mut EvalScratch) -> f64 {
-        self.ensure_delta_products(multi, s);
-        self.compute_set_products(s, None);
-        self.compute_factor_diffs(s);
-        let EvalScratch {
-            set_comp,
-            dprod,
-            fdiff,
-            block_sums,
-            ..
-        } = s;
-        let (set_comp, dprod, fdiff): (&[f64], &[f64], &[f64]) = (set_comp, dprod, fdiff);
-        let sum_range = |range: std::ops::Range<usize>| -> f64 {
-            let mut p = 0.0;
-            for t in range {
-                let mut prod = dprod[t];
-                if prod == 0.0 {
-                    continue;
-                }
-                prod *= set_comp[self.term_attrset[t] as usize];
-                if prod == 0.0 {
-                    continue;
-                }
-                let lo = self.constr_offsets[t] as usize;
-                let hi = self.constr_offsets[t + 1] as usize;
-                for &d in &fdiff[lo..hi] {
-                    prod *= d;
-                }
-                p += prod;
-            }
-            p
-        };
-        let n = self.num_terms();
-        if n < PAR_MIN_TERMS {
-            return sum_range(0..n);
-        }
-        par::for_each_chunk_mut(block_sums, 1, |base, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let b = base + off;
-                *slot = sum_range(b * TERM_BLOCK..((b + 1) * TERM_BLOCK).min(n));
-            }
-        });
-        block_sums.iter().sum()
     }
 
     /// Fills the lane-major fused slab for `lanes` masks: `get(i, b)`

@@ -1,0 +1,462 @@
+//! Tree message-passing kernel: `P[mask]` in `O(Σ|dom| + #rectangles)`.
+//!
+//! A component whose statistics are all 2-D rectangles is a pairwise Markov
+//! random field over its attributes: every attribute pair `{X, Y}` that
+//! carries statistics contributes the edge potential
+//!
+//! ```text
+//! ψ_XY(x, y) = ∏_{rect j ∋ (x, y)} δ_j
+//! ```
+//!
+//! and the component polynomial is `Σ_tuples ∏_i α_i·w_i · ∏_edges ψ`. The
+//! closure of Theorem 4.1 ([`crate::polynomial`]) expands that product into
+//! one term per compatible statistic subset — 150 043 terms for the
+//! 900-rectangle Ent1&2&3 flights summary. But when
+//!
+//! 1. every statistic is 2-D,
+//! 2. the attribute-pair graph is acyclic (every configuration the paper
+//!    evaluates — Ent1&2, Ent3&4, Ent1&2&3 — is a forest of pairs), and
+//! 3. same-pair rectangles are pairwise disjoint (Sec. 4.1, third
+//!    assumption), so at most one rectangle covers a cell and
+//!    `ψ_XY(x, y) = 1 + Σ_j (δ_j − 1)·[x ∈ I_j]·[y ∈ J_j]`,
+//!
+//! the sum over tuples is an exact leaf-to-root sum-product pass. For a
+//! child `X` with parent `Y`, with `b_X(x) = α_x · w_x · ∏ child messages`
+//! and `F_X` its prefix sum,
+//!
+//! ```text
+//! m_{X→Y}(y) = F_X.total + Σ_{rect j ∋ y} (δ_j − 1) · (F_X[hi_j + 1] − F_X[lo_j])
+//! ```
+//!
+//! which is one prefix sum over `X`'s domain, one difference-array update
+//! per rectangle, and one scan over `Y`'s domain. Rooting the pass at
+//! attribute `g` yields `P = Σ_v α_{g,v} · ∂P/∂α_{g,v}` *and* every
+//! `∂P/∂α_{g,v} = w_v · ∏ messages into g` at once, so a group-by costs the
+//! same single pass as a point query.
+//!
+//! [`TreeKernel::build`] checks all three conditions (unlike
+//! [`crate::statistics::Statistics`], [`crate::factorized`] accepts raw,
+//! possibly overlapping statistics) and returns `None` when any fails; the
+//! component then keeps the closure kernel and answers exactly as before.
+//! The tuple-enumerating [`crate::naive`] polynomial and the closure itself
+//! are the parity oracles (`crates/core/tests/tree_kernel.rs`).
+//!
+//! The pass is not free where the closure is small: every edge costs a
+//! prefix sum over the sender and a scan over the receiver, so a 48-leaf
+//! star with one rectangle per edge (a 48-term closure) is answered 2.5×
+//! faster by the closure. [`crate::factorized`] therefore compares
+//! [`TreeKernel::pass_cells`] with the closure's size and keeps the closure
+//! when it is the smaller of the two.
+
+use crate::polynomial::CompressedPolynomial;
+use crate::statistics::MultiDimStatistic;
+
+/// One message `child → parent` of a rooted pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    child: u32,
+    parent: u32,
+    edge: u32,
+    /// The child is the edge's lower-indexed attribute (`u`); otherwise the
+    /// rectangle ranges are read swapped.
+    child_is_u: bool,
+    /// The child has no children of its own in this rooting, so its belief
+    /// is `α·w` alone.
+    leaf: bool,
+    /// First message into the parent: assigns the parent's message product
+    /// instead of multiplying into it.
+    first: bool,
+}
+
+/// The message-passing evaluator of one tree-shaped component (see the
+/// module docs). Attribute and statistic indices are component-local.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TreeKernel {
+    domain_sizes: Vec<usize>,
+    /// Attribute → row start in the message-product slab (`Σ N_i` cells).
+    row_starts: Vec<usize>,
+    /// Edge → its rectangles' slice of the arrays below.
+    rect_offsets: Vec<usize>,
+    /// Per rectangle, grouped by edge `(u, v)` with `u < v`: the half-open
+    /// code range `[lo, end)` on each endpoint and the statistic's index.
+    u_lo: Vec<u32>,
+    u_end: Vec<u32>,
+    v_lo: Vec<u32>,
+    v_end: Vec<u32>,
+    rect_multi: Vec<u32>,
+    /// Root-major schedules: root `r`'s messages, children before parents,
+    /// are `steps[r·(k−1) .. (r+1)·(k−1)]` for `k` attributes.
+    steps: Vec<Step>,
+    /// Cells one pass touches: both endpoint domains of every edge (the
+    /// sender's prefix sum, the receiver's difference array and scan) plus
+    /// one per rectangle.
+    pass_cells: usize,
+}
+
+/// Reusable buffers for [`TreeKernel::pass`]; steady-state passes allocate
+/// nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct TreeScratch {
+    /// Per attribute row: the product of the messages received so far.
+    mprod: Vec<f64>,
+    /// Prefix sum `F_X` of the sending attribute's belief.
+    prefix: Vec<f64>,
+    /// Difference array over the receiving attribute's domain.
+    diff: Vec<f64>,
+    /// `∂P/∂α_{root,v}` of the last pass.
+    derivs: Vec<f64>,
+}
+
+impl TreeScratch {
+    /// The first `n` root derivatives of the last pass.
+    pub(crate) fn derivs_slice(&self, n: usize) -> &[f64] {
+        &self.derivs[..n]
+    }
+}
+
+impl TreeKernel {
+    /// Builds the kernel when the statistics qualify (module docs: all 2-D,
+    /// acyclic and connected pair graph, disjoint same-pair rectangles) and
+    /// `None` otherwise. Statistics must already be validated against
+    /// `domain_sizes`.
+    pub(crate) fn build(domain_sizes: &[usize], stats: &[MultiDimStatistic]) -> Option<Self> {
+        let k = domain_sizes.len();
+        if stats.is_empty() || stats.iter().any(|s| s.clauses().len() != 2) {
+            return None;
+        }
+        // Rectangles grouped by attribute pair; clauses are sorted by
+        // attribute, so `u < v`.
+        let mut order: Vec<usize> = (0..stats.len()).collect();
+        let pair = |j: usize| {
+            let c = stats[j].clauses();
+            (c[0].attr.0, c[1].attr.0)
+        };
+        order.sort_by_key(|&j| pair(j));
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut rect_offsets = vec![0usize];
+        for (pos, &j) in order.iter().enumerate() {
+            if edges.last() != Some(&pair(j)) {
+                if pos > 0 {
+                    rect_offsets.push(pos);
+                }
+                edges.push(pair(j));
+            }
+        }
+        rect_offsets.push(order.len());
+
+        // A connected graph on k vertices is a tree iff it has k − 1 edges;
+        // union-find rejects the cycle (or the disconnected remainder).
+        if edges.len() + 1 != k {
+            return None;
+        }
+        let mut parent: Vec<usize> = (0..k).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        for &(u, v) in &edges {
+            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+            if ru == rv {
+                return None;
+            }
+            parent[ru] = rv;
+        }
+
+        // Same-pair rectangles share both attributes, so two of them
+        // intersect iff both clause ranges do.
+        let overlap = |a: usize, b: usize| {
+            let mut ranges = stats[a].clauses().iter().zip(stats[b].clauses());
+            ranges.all(|(p, q)| p.lo <= q.hi && q.lo <= p.hi)
+        };
+        for e in 0..edges.len() {
+            let rects = &order[rect_offsets[e]..rect_offsets[e + 1]];
+            for (i, &a) in rects.iter().enumerate() {
+                if rects[i + 1..].iter().any(|&b| overlap(a, b)) {
+                    return None;
+                }
+            }
+        }
+
+        let clause = |side: usize| move |&j: &usize| stats[j].clauses()[side];
+        let u_lo = order.iter().map(clause(0)).map(|c| c.lo).collect();
+        let u_end = order.iter().map(clause(0)).map(|c| c.hi + 1).collect();
+        let v_lo = order.iter().map(clause(1)).map(|c| c.lo).collect();
+        let v_end = order.iter().map(clause(1)).map(|c| c.hi + 1).collect();
+        let rect_multi = order.iter().map(|&j| j as u32).collect();
+
+        let mut adjacent: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            adjacent[u].push((v, e));
+            adjacent[v].push((u, e));
+        }
+        let mut steps = Vec::with_capacity(k * (k - 1));
+        for root in 0..k {
+            // Depth-first discovery lists parents before children; the
+            // reversed list sends every message after the ones it needs.
+            let mut found: Vec<(usize, usize, usize)> = Vec::with_capacity(k - 1);
+            let mut stack = vec![(root, usize::MAX)];
+            while let Some((node, from)) = stack.pop() {
+                for &(next, e) in &adjacent[node] {
+                    if next != from {
+                        found.push((next, node, e));
+                        stack.push((next, node));
+                    }
+                }
+            }
+            let mut received = vec![false; k];
+            for &(child, parent, e) in found.iter().rev() {
+                steps.push(Step {
+                    child: child as u32,
+                    parent: parent as u32,
+                    edge: e as u32,
+                    child_is_u: edges[e].0 == child,
+                    leaf: adjacent[child].len() == 1,
+                    first: !std::mem::replace(&mut received[parent], true),
+                });
+            }
+        }
+
+        let mut row_starts = Vec::with_capacity(k + 1);
+        let mut acc = 0usize;
+        for &n in domain_sizes {
+            row_starts.push(acc);
+            acc += n;
+        }
+        row_starts.push(acc);
+
+        let pass_cells = edges
+            .iter()
+            .map(|&(u, v)| domain_sizes[u] + domain_sizes[v])
+            .sum::<usize>()
+            + stats.len();
+
+        Some(TreeKernel {
+            pass_cells,
+            domain_sizes: domain_sizes.to_vec(),
+            row_starts,
+            rect_offsets,
+            u_lo,
+            u_end,
+            v_lo,
+            v_end,
+            rect_multi,
+            steps,
+        })
+    }
+
+    /// The pass's cost in touched cells, `Σ_edges (N_u + N_v) + #rectangles`
+    /// — what [`crate::factorized`] weighs against the closure's term count.
+    pub(crate) fn pass_cells(&self) -> usize {
+        self.pass_cells
+    }
+
+    /// Allocates the buffers [`TreeKernel::pass`] needs for this kernel.
+    pub(crate) fn make_scratch(&self) -> TreeScratch {
+        let max_domain = self.domain_sizes.iter().copied().max().unwrap_or(0);
+        TreeScratch {
+            mprod: vec![0.0; *self.row_starts.last().expect("non-empty")],
+            prefix: vec![0.0; max_domain + 1],
+            diff: vec![0.0; max_domain + 1],
+            derivs: vec![0.0; max_domain],
+        }
+    }
+
+    /// One leaf-to-root pass rooted at attribute `root`: returns `P[mask]`
+    /// and leaves `∂P/∂α_{root,v}` (raw variable, mask weight multiplied
+    /// in — the contract of
+    /// [`crate::polynomial::CompressedPolynomial::derivs_prefilled`]) in the
+    /// scratch. `get(i)` returns attribute `i`'s variable values and
+    /// optional mask weights; `multi` holds the component's `δ` values.
+    pub(crate) fn pass<'a>(
+        &self,
+        root: usize,
+        multi: &[f64],
+        get: impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
+        s: &mut TreeScratch,
+    ) -> f64 {
+        let per_root = self.domain_sizes.len() - 1;
+        for step in &self.steps[root * per_root..(root + 1) * per_root] {
+            let (x, y) = (step.child as usize, step.parent as usize);
+            let (nx, ny) = (self.domain_sizes[x], self.domain_sizes[y]);
+            let (vals, weights) = get(x);
+            debug_assert_eq!(vals.len(), nx);
+
+            // F_X: prefix sum of the child's belief α·w·∏(messages into X).
+            let prefix = &mut s.prefix[..nx + 1];
+            let received = &s.mprod[self.row_starts[x]..self.row_starts[x] + nx];
+            let total = if step.leaf {
+                CompressedPolynomial::fill_row(prefix, vals, weights)
+            } else {
+                let mut acc = 0.0;
+                prefix[0] = 0.0;
+                match weights {
+                    Some(w) => {
+                        for ((slot, &mv), (&wv, &xv)) in
+                            prefix[1..].iter_mut().zip(received).zip(w.iter().zip(vals))
+                        {
+                            acc += wv * xv * mv;
+                            *slot = acc;
+                        }
+                    }
+                    None => {
+                        for ((slot, &mv), &xv) in prefix[1..].iter_mut().zip(received).zip(vals) {
+                            acc += xv * mv;
+                            *slot = acc;
+                        }
+                    }
+                }
+                acc
+            };
+
+            // Every rectangle adds (δ − 1)·F_X[its x-range] over its y-range.
+            let diff = &mut s.diff[..ny + 1];
+            diff.fill(0.0);
+            let r =
+                self.rect_offsets[step.edge as usize]..self.rect_offsets[step.edge as usize + 1];
+            let (x_lo, x_end, y_lo, y_end) = if step.child_is_u {
+                (&self.u_lo, &self.u_end, &self.v_lo, &self.v_end)
+            } else {
+                (&self.v_lo, &self.v_end, &self.u_lo, &self.u_end)
+            };
+            for ((((&xl, &xe), &yl), &ye), &j) in x_lo[r.clone()]
+                .iter()
+                .zip(&x_end[r.clone()])
+                .zip(&y_lo[r.clone()])
+                .zip(&y_end[r.clone()])
+                .zip(&self.rect_multi[r])
+            {
+                let c = (multi[j as usize] - 1.0) * (prefix[xe as usize] - prefix[xl as usize]);
+                diff[yl as usize] += c;
+                diff[ye as usize] -= c;
+            }
+
+            let into = &mut s.mprod[self.row_starts[y]..self.row_starts[y] + ny];
+            let mut acc = 0.0;
+            if step.first {
+                for (slot, &d) in into.iter_mut().zip(diff.iter()) {
+                    acc += d;
+                    *slot = total + acc;
+                }
+            } else {
+                for (slot, &d) in into.iter_mut().zip(diff.iter()) {
+                    acc += d;
+                    *slot *= total + acc;
+                }
+            }
+        }
+
+        let n = self.domain_sizes[root];
+        let (vals, weights) = get(root);
+        let received = &s.mprod[self.row_starts[root]..self.row_starts[root] + n];
+        let derivs = &mut s.derivs[..n];
+        match weights {
+            Some(w) => {
+                for ((d, &mv), &wv) in derivs.iter_mut().zip(received).zip(w) {
+                    *d = wv * mv;
+                }
+            }
+            None => derivs.copy_from_slice(received),
+        }
+        derivs.iter().zip(vals).map(|(&d, &xv)| xv * d).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::assignment::{Mask, VarAssignment};
+    use crate::naive::NaivePolynomial;
+    use crate::polynomial::Var;
+    use entropydb_storage::{AttrId, Predicate};
+
+    fn rect(ax: usize, x: (u32, u32), ay: usize, y: (u32, u32)) -> MultiDimStatistic {
+        MultiDimStatistic::rect2d(AttrId(ax), x, AttrId(ay), y).unwrap()
+    }
+
+    /// A chain 0–1–2 with a second edge 1–3: every attribute is a leaf, an
+    /// inner node or the hub under some rooting.
+    fn setup() -> (Vec<usize>, Vec<MultiDimStatistic>, VarAssignment) {
+        let sizes = vec![3, 4, 2, 3];
+        let stats = vec![
+            rect(0, (0, 1), 1, (1, 2)),
+            rect(1, (0, 1), 2, (1, 1)),
+            rect(0, (2, 2), 1, (0, 3)),
+            rect(1, (2, 3), 3, (0, 1)),
+            rect(1, (0, 0), 3, (2, 2)),
+        ];
+        let mut asn = VarAssignment::ones(&sizes, stats.len());
+        for (i, vs) in asn.one_dim.iter_mut().enumerate() {
+            for (v, x) in vs.iter_mut().enumerate() {
+                *x = 0.05 + 0.13 * ((i + 2) * (v + 1)) as f64;
+            }
+        }
+        asn.multi = vec![0.4, 1.8, 2.5, 0.0, 3.1];
+        (sizes, stats, asn)
+    }
+
+    #[test]
+    fn every_rooting_matches_naive_value_and_derivatives() {
+        let (sizes, stats, asn) = setup();
+        let tree = TreeKernel::build(&sizes, &stats).expect("qualifies");
+        let naive = NaivePolynomial::build(&sizes, &stats).unwrap();
+        let pred = Predicate::new().between(AttrId(1), 1, 3).eq(AttrId(3), 0);
+        for mask in [
+            Mask::identity(sizes.len()),
+            Mask::from_predicate(&pred, &sizes).unwrap(),
+        ] {
+            let expected = naive.eval_masked(&asn, &mask);
+            let mut s = tree.make_scratch();
+            for (root, &n) in sizes.iter().enumerate() {
+                let p = tree.pass(
+                    root,
+                    &asn.multi,
+                    |i| (asn.one_dim[i].as_slice(), mask.attr_weights(i)),
+                    &mut s,
+                );
+                assert!((p - expected).abs() < 1e-12 * expected.abs(), "root {root}");
+                for (code, &d) in s.derivs_slice(n).iter().enumerate() {
+                    let var = Var::OneDim {
+                        attr: root,
+                        code: code as u32,
+                    };
+                    let want = naive.derivative(&asn, &mask, var);
+                    assert!(
+                        (d - want).abs() < 1e-12 * want.abs().max(1e-12),
+                        "root {root} code {code}: {d} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn disqualified_shapes_are_rejected() {
+        // No statistics, a triangle, a 3-D statistic, overlapping same-pair
+        // rectangles, and a pair graph that leaves an attribute unreached.
+        assert!(TreeKernel::build(&[3], &[]).is_none());
+        let triangle = vec![
+            rect(0, (0, 0), 1, (0, 0)),
+            rect(1, (1, 1), 2, (0, 0)),
+            rect(0, (1, 1), 2, (1, 1)),
+        ];
+        assert!(TreeKernel::build(&[2, 2, 2], &triangle).is_none());
+        let three_d = MultiDimStatistic::new(
+            (0..3)
+                .map(|i| crate::statistics::RangeClause {
+                    attr: AttrId(i),
+                    lo: 0,
+                    hi: 0,
+                })
+                .collect(),
+        )
+        .unwrap();
+        assert!(TreeKernel::build(&[2, 2, 2], &[three_d]).is_none());
+        let overlapping = vec![rect(0, (0, 1), 1, (0, 1)), rect(0, (1, 2), 1, (1, 2))];
+        assert!(TreeKernel::build(&[3, 3], &overlapping).is_none());
+        assert!(TreeKernel::build(&[3, 3, 3], &[rect(0, (0, 1), 1, (0, 1))]).is_none());
+        assert!(TreeKernel::build(&[3, 3], &[rect(0, (0, 1), 1, (0, 1))]).is_some());
+    }
+}

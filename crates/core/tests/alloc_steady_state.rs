@@ -17,16 +17,21 @@ use entropydb_core::prelude::*;
 use entropydb_core::statistics::RangeClause;
 use entropydb_storage::{AttrId, Predicate};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper counting every allocation and reallocation.
+/// System allocator wrapper counting every allocation and reallocation of
+/// the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per thread: the harness runs these tests on parallel threads, and a
+    // shared counter would charge one test with another's allocations.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,9 +49,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static COUNTER: CountingAllocator = CountingAllocator;
 
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn model() -> (Vec<usize>, Vec<MultiDimStatistic>, VarAssignment, Mask) {
@@ -227,6 +232,64 @@ fn warmed_fused_path_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state fused evaluation must not allocate, saw {allocs} allocations"
+    );
+}
+
+/// The tree message-passing kernel keeps the same contract: a star of two
+/// rectangle grids (one tree component) plus a free attribute, warmed
+/// once, then every query entry point — scalar, rooted derivative pass on
+/// hub, leaves and the free attribute, fused-many — allocates nothing.
+#[test]
+fn warmed_tree_kernel_allocates_nothing() {
+    let sizes = vec![12usize, 9, 7, 5];
+    let mut stats = Vec::new();
+    for (leaf, xs, ys) in [
+        (1, vec![(0, 3), (4, 7), (8, 11)], [(0, 2), (3, 5), (6, 8)]),
+        (2, vec![(0, 5), (6, 11)], [(0, 1), (2, 4), (5, 6)]),
+    ] {
+        for &x in &xs {
+            for &y in &ys {
+                stats.push(MultiDimStatistic::rect2d(AttrId(0), x, AttrId(leaf), y).unwrap());
+            }
+        }
+    }
+    let (_, _, mut a, mask) = model();
+    a.multi = (0..stats.len()).map(|j| (j % 4) as f64 * 0.7).collect();
+    let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
+    let kernels = fact.size_stats();
+    assert_eq!(
+        (kernels.tree_components, kernels.closure_components),
+        (1, 1)
+    );
+    let mut fscratch = fact.make_scratch();
+    let identity = Mask::identity(sizes.len());
+    let masks: Vec<Mask> = (0..entropydb_core::polynomial::MAX_FUSED_LANES + 3)
+        .map(|i| [&identity, &mask][i % 2].clone())
+        .collect();
+    let mut out = vec![0.0; masks.len()];
+
+    // Warm-up sizes the free attribute's closure buffers (fused lanes).
+    fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
+
+    let mut sink = 0.0;
+    let allocs = allocations_during(|| {
+        for _ in 0..16 {
+            for m in [&identity, &mask] {
+                sink += fact.eval_masked_with(&a, m, &mut fscratch);
+                for attr in 0..sizes.len() {
+                    sink += fact
+                        .eval_with_attr_derivatives_with(&a, m, attr, &mut fscratch)
+                        .0;
+                }
+            }
+            fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
+            sink += out.iter().sum::<f64>();
+        }
+    });
+    assert!(sink.is_finite());
+    assert_eq!(
+        allocs, 0,
+        "steady-state tree evaluation must not allocate, saw {allocs} allocations"
     );
 }
 

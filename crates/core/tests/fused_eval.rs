@@ -104,10 +104,6 @@ fn random_table(g: &mut StdRng) -> Table {
     t
 }
 
-fn close(x: f64, y: f64) -> bool {
-    (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0)
-}
-
 /// Builds a summary over `stats`, falling back to the 1D-only model when a
 /// random statistic happens to be degenerate (covers every row).
 fn build_summary(table: &Table, stats: Vec<MultiDimStatistic>) -> MaxEntSummary {
@@ -178,39 +174,6 @@ fn fused_kernel_bitwise_matches_sequential_across_threads() {
                 }
             }
         }
-    }
-}
-
-/// The retained legacy (branching, single-accumulator) kernel agrees with
-/// the vectorized kernel to relative 1e-9 — same polynomial, different
-/// summation order.
-#[test]
-fn legacy_kernel_agrees_with_vectorized() {
-    let mut g = StdRng::seed_from_u64(72);
-    for _ in 0..64 {
-        let m = g.gen_range(2..5);
-        let sizes: Vec<usize> = (0..m).map(|_| g.gen_range(1..6)).collect();
-        let stats: Vec<MultiDimStatistic> = (0..g.gen_range(0..5))
-            .map(|_| random_stat(&mut g, &sizes))
-            .collect();
-        let assignment = VarAssignment {
-            one_dim: sizes
-                .iter()
-                .map(|&n| (0..n).map(|_| g.gen_range(0.0..2.0)).collect())
-                .collect(),
-            multi: (0..stats.len()).map(|_| g.gen_range(0.0..3.0)).collect(),
-        };
-        let comp = CompressedPolynomial::build(&sizes, &stats).unwrap();
-        let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
-        let mask = Mask::from_predicate(&random_predicate(&mut g, &sizes), &sizes).unwrap();
-        let mut cs = comp.make_scratch();
-        let mut fs = fact.make_scratch();
-        let new_c = comp.eval_masked_with(&assignment, &mask, &mut cs);
-        let old_c = comp.eval_masked_legacy_with(&assignment, &mask, &mut cs);
-        assert!(close(new_c, old_c), "{new_c} vs {old_c}");
-        let new_f = fact.eval_masked_with(&assignment, &mask, &mut fs);
-        let old_f = fact.eval_masked_legacy_with(&assignment, &mask, &mut fs);
-        assert!(close(new_f, old_f), "{new_f} vs {old_f}");
     }
 }
 

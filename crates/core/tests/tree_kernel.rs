@@ -1,0 +1,400 @@
+//! Property suite for the tree message-passing query kernel.
+//!
+//! `FactorizedPolynomial` answers a component with the sum-product pass of
+//! `crates/core/src/tree.rs` when the component's statistics are all 2-D,
+//! its attribute-pair graph is acyclic and its same-pair rectangles are
+//! disjoint, and with the Theorem 4.1 closure otherwise. Two oracles pin
+//! the tree pass down: the closure itself (a *flat* `CompressedPolynomial`
+//! over every attribute, which never takes the tree path) and the
+//! tuple-enumerating `NaivePolynomial`.
+//!
+//! Besides shape, the kernel choice weighs cost: a qualifying tree whose
+//! pass would touch more cells than its (tiny) closure stays on the
+//! closure. The random models therefore assert parity for whichever kernel
+//! answered and that the tree kernel answered most of them; the selection
+//! rule itself is pinned on hand-built models.
+//!
+//! Tolerances: against the naive oracle, the `1e-9` bound the other
+//! property suites use. Against the closure, `1e-12` relative to the sum of
+//! the closure's term magnitudes under the same mask (`P` with every
+//! `δ − 1` replaced by `|δ − 1|`): with `δ < 1` the inclusion/exclusion
+//! terms cancel, and no summation order can promise more than that scale
+//! times machine epsilon. With every `δ ≥ 1` it is plain relative error.
+
+use entropydb_core::assignment::{Mask, VarAssignment};
+use entropydb_core::naive::NaivePolynomial;
+use entropydb_core::polynomial::{CompressedPolynomial, Var, MAX_FUSED_LANES};
+use entropydb_core::prelude::*;
+use entropydb_storage::{AttrId, Predicate};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Star,
+    Chain,
+    Forest,
+}
+
+struct Model {
+    sizes: Vec<usize>,
+    stats: Vec<MultiDimStatistic>,
+    assignment: VarAssignment,
+    /// Connected components of the pair graph that carry statistics.
+    trees: usize,
+    /// Attributes no statistic touches.
+    isolated: usize,
+}
+
+/// A random partition of `0..n` into consecutive inclusive intervals.
+fn intervals(g: &mut StdRng, n: usize) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    let mut lo = 0;
+    while lo < n {
+        let hi = g.gen_range(lo..n);
+        out.push((lo as u32, hi as u32));
+        lo = hi + 1;
+    }
+    out
+}
+
+/// Pairwise-disjoint rectangles on `(x, y)`: a random subset (never empty)
+/// of the cells of a random grid.
+fn disjoint_rects(g: &mut StdRng, sizes: &[usize], x: usize, y: usize) -> Vec<MultiDimStatistic> {
+    let (xs, ys) = (intervals(g, sizes[x]), intervals(g, sizes[y]));
+    let mut cells: Vec<((u32, u32), (u32, u32))> = Vec::new();
+    for &ix in &xs {
+        for &iy in &ys {
+            cells.push((ix, iy));
+        }
+    }
+    let keep = g.gen_range(0..cells.len());
+    cells
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i == keep || g.gen_range(0..4) > 0)
+        .map(|(_, &(ix, iy))| MultiDimStatistic::rect2d(AttrId(x), ix, AttrId(y), iy).unwrap())
+        .collect()
+}
+
+fn random_model(g: &mut StdRng, shape: Shape) -> Model {
+    let m = g.gen_range(2..7);
+    // Size-1 domains included; the tuple space stays small for the oracle.
+    let sizes: Vec<usize> = (0..m).map(|_| g.gen_range(1..5)).collect();
+    let edges: Vec<(usize, usize)> = match shape {
+        Shape::Star => {
+            let hub = g.gen_range(0..m);
+            (0..m).filter(|&i| i != hub).map(|i| (hub, i)).collect()
+        }
+        Shape::Chain => (1..m).map(|i| (i - 1, i)).collect(),
+        // Each attribute attaches to an earlier one or stays detached:
+        // several trees of several edges, plus isolated attributes.
+        Shape::Forest => {
+            let mut edges = Vec::new();
+            for i in 1..m {
+                if g.gen_range(0..3) > 0 {
+                    edges.push((g.gen_range(0..i), i));
+                }
+            }
+            edges
+        }
+    };
+    let mut stats = Vec::new();
+    for &(x, y) in &edges {
+        stats.extend(disjoint_rects(g, &sizes, x, y));
+    }
+    // Interleave the pairs so same-pair rectangles are not contiguous.
+    for i in (1..stats.len()).rev() {
+        stats.swap(i, g.gen_range(0..i + 1));
+    }
+
+    let touched = |i: usize| edges.iter().any(|&(x, y)| x == i || y == i);
+    let isolated = (0..m).filter(|&i| !touched(i)).count();
+    // A forest on `v` vertices with `e` edges has `v − e` trees.
+    let trees = (m - isolated) - edges.len();
+
+    let one_dim = sizes
+        .iter()
+        .map(|&n| {
+            (0..n)
+                .map(|_| match g.gen_range(0..6) {
+                    0 => 0.0,
+                    _ => g.gen_range(0.0..2.0),
+                })
+                .collect()
+        })
+        .collect();
+    let multi = (0..stats.len())
+        .map(|_| match g.gen_range(0..6) {
+            0 => 0.0, // a ZERO statistic
+            1 => 1.0,
+            _ => g.gen_range(0.0..3.0),
+        })
+        .collect();
+    Model {
+        sizes,
+        stats,
+        assignment: VarAssignment { one_dim, multi },
+        trees,
+        isolated,
+    }
+}
+
+/// COUNT masks, a SUM-weighted mask, a fully masked attribute, identity.
+fn random_masks(g: &mut StdRng, sizes: &[usize]) -> Vec<Mask> {
+    let m = sizes.len();
+    let mut masks = vec![Mask::identity(m)];
+    for _ in 0..4 {
+        let mut p = Predicate::new();
+        for _ in 0..g.gen_range(1..4) {
+            let attr = g.gen_range(0..m);
+            let n = sizes[attr] as u32;
+            let (a, b) = (g.gen_range(0..n), g.gen_range(0..n));
+            p = p.between(AttrId(attr), a.min(b), a.max(b));
+        }
+        masks.push(Mask::from_predicate(&p, sizes).unwrap());
+    }
+    let attr = g.gen_range(0..m);
+    let values: Vec<f64> = (0..sizes[attr]).map(|_| g.gen_range(0.0..50.0)).collect();
+    masks.push(masks[1].clone().scale_attr(AttrId(attr), &values).unwrap());
+    let attr = g.gen_range(0..m);
+    masks.push(
+        masks[2]
+            .clone()
+            .scale_attr(AttrId(attr), &vec![0.0; sizes[attr]])
+            .unwrap(),
+    );
+    masks
+}
+
+/// The assignment whose closure terms are the magnitudes of `a`'s terms.
+fn magnitudes(a: &VarAssignment) -> VarAssignment {
+    VarAssignment {
+        one_dim: a.one_dim.clone(),
+        multi: a.multi.iter().map(|d| 1.0 + (d - 1.0).abs()).collect(),
+    }
+}
+
+fn close_naive(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// Checks one model against both oracles; returns how many of its
+/// components the tree kernel answered.
+fn check_model(g: &mut StdRng, model: &Model) -> usize {
+    let Model {
+        sizes,
+        stats,
+        assignment: a,
+        ..
+    } = model;
+    let fact = FactorizedPolynomial::build(sizes, stats).unwrap();
+    let kernels = fact.size_stats();
+    assert!(kernels.tree_components <= model.trees, "{stats:?}");
+    assert_eq!(
+        kernels.tree_components + kernels.closure_components,
+        model.trees + model.isolated,
+        "{stats:?}"
+    );
+
+    let flat = CompressedPolynomial::build(sizes, stats).unwrap();
+    let naive = NaivePolynomial::build(sizes, stats).unwrap();
+    let scale = magnitudes(a);
+    let mut fs = fact.make_scratch();
+    let mut cs = flat.make_scratch();
+    let masks = random_masks(g, sizes);
+
+    for mask in &masks {
+        let tree = fact.eval_masked_with(a, mask, &mut fs);
+        let closure = flat.eval_masked_with(a, mask, &mut cs);
+        let bound = 1e-12 * flat.eval_masked_with(&scale, mask, &mut cs);
+        assert!(
+            (tree - closure).abs() <= bound,
+            "P: tree {tree} vs closure {closure} (bound {bound})"
+        );
+        assert!(close_naive(tree, naive.eval_masked(a, mask)));
+
+        // Group-by on every attribute: a leaf, an inner node or hub, or an
+        // isolated attribute, depending on the shape.
+        for attr in 0..sizes.len() {
+            let (p, derivs) = fact.eval_with_attr_derivatives_with(a, mask, attr, &mut fs);
+            let (p_closure, d_closure) = flat.eval_with_attr_derivatives(a, mask, attr);
+            let (p_scale, d_scale) = flat.eval_with_attr_derivatives(&scale, mask, attr);
+            assert!(
+                (p - p_closure).abs() <= 1e-12 * p_scale,
+                "{p} vs {p_closure}"
+            );
+            for (code, &d) in derivs.iter().enumerate() {
+                assert!(
+                    (d - d_closure[code]).abs() <= 1e-12 * d_scale[code],
+                    "attr {attr} code {code}: tree {d} vs closure {}",
+                    d_closure[code]
+                );
+                let var = Var::OneDim {
+                    attr,
+                    code: code as u32,
+                };
+                assert!(close_naive(d, naive.derivative(a, mask, var)));
+            }
+        }
+    }
+
+    // Fused-many == scalar, bit for bit, across the lane boundary.
+    let many: Vec<Mask> = (0..MAX_FUSED_LANES + 3)
+        .map(|i| masks[i % masks.len()].clone())
+        .collect();
+    let mut out = vec![0.0; many.len()];
+    fact.eval_masked_many_with(a, &many, &mut fs, &mut out);
+    for (mask, &fused) in many.iter().zip(&out) {
+        let scalar = fact.eval_masked_with(a, mask, &mut fs);
+        assert_eq!(fused.to_bits(), scalar.to_bits());
+    }
+    kernels.tree_components
+}
+
+#[test]
+fn stars_chains_and_forests_match_closure_and_naive() {
+    let mut g = StdRng::seed_from_u64(0x7EE);
+    for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+        let (mut trees, mut on_tree_kernel) = (0, 0);
+        for _ in 0..64 {
+            let model = random_model(&mut g, shape);
+            trees += model.trees;
+            on_tree_kernel += check_model(&mut g, &model);
+        }
+        eprintln!("{shape:?}: {on_tree_kernel} of {trees} trees on the tree kernel");
+        assert!(
+            2 * on_tree_kernel > trees,
+            "{shape:?}: {on_tree_kernel}/{trees}"
+        );
+    }
+}
+
+/// Every attribute of the model in one connected component, so the
+/// factorized polynomial holds exactly the flat closure: the fallback must
+/// return the closure's answers bit for bit on all three entry points.
+fn assert_closure_fallback(sizes: &[usize], stats: &[MultiDimStatistic]) {
+    let fact = FactorizedPolynomial::build(sizes, stats).unwrap();
+    assert_eq!(fact.num_components(), 1);
+    let kernels = fact.size_stats();
+    assert_eq!(
+        (kernels.tree_components, kernels.closure_components),
+        (0, 1)
+    );
+
+    let flat = CompressedPolynomial::build(sizes, stats).unwrap();
+    let mut g = StdRng::seed_from_u64(0xFA11);
+    let a = VarAssignment {
+        one_dim: sizes
+            .iter()
+            .map(|&n| (0..n).map(|_| g.gen_range(0.0..2.0)).collect())
+            .collect(),
+        multi: (0..stats.len()).map(|_| g.gen_range(0.0..3.0)).collect(),
+    };
+    let masks = random_masks(&mut g, sizes);
+    let (mut fs, mut cs) = (fact.make_scratch(), flat.make_scratch());
+    for mask in &masks {
+        assert_eq!(
+            fact.eval_masked_with(&a, mask, &mut fs).to_bits(),
+            flat.eval_masked_with(&a, mask, &mut cs).to_bits()
+        );
+        for attr in 0..sizes.len() {
+            let (p, derivs) = fact.eval_with_attr_derivatives_with(&a, mask, attr, &mut fs);
+            let (p_flat, d_flat) = flat.eval_with_attr_derivatives_with(&a, mask, attr, &mut cs);
+            assert_eq!(p.to_bits(), p_flat.to_bits());
+            assert_eq!(derivs, d_flat);
+        }
+    }
+    let (mut out, mut out_flat) = (vec![0.0; masks.len()], vec![0.0; masks.len()]);
+    fact.eval_masked_many_with(&a, &masks, &mut fs, &mut out);
+    flat.eval_masked_many_with(&a, &masks, &mut cs, &mut out_flat);
+    assert_eq!(out, out_flat);
+}
+
+#[test]
+fn triangle_three_d_overlap_and_sparse_star_fall_back_to_the_closure() {
+    let rect = |x: usize, xr: (u32, u32), y: usize, yr: (u32, u32)| {
+        MultiDimStatistic::rect2d(AttrId(x), xr, AttrId(y), yr).unwrap()
+    };
+    // A cycle of three pairs.
+    assert_closure_fallback(
+        &[3, 4, 3],
+        &[
+            rect(0, (0, 1), 1, (1, 2)),
+            rect(1, (0, 2), 2, (0, 0)),
+            rect(0, (1, 2), 2, (1, 2)),
+        ],
+    );
+    // One statistic on three attributes among 2-D ones.
+    let three_d = MultiDimStatistic::new(
+        (0..3)
+            .map(|i| RangeClause {
+                attr: AttrId(i),
+                lo: 0,
+                hi: 1,
+            })
+            .collect(),
+    )
+    .unwrap();
+    assert_closure_fallback(&[3, 3, 2], &[rect(0, (1, 2), 1, (0, 0)), three_d]);
+    // Same-pair rectangles sharing the cell (1, 1): `Statistics` rejects
+    // these, `FactorizedPolynomial::build` does not.
+    assert_closure_fallback(
+        &[3, 3],
+        &[rect(0, (0, 1), 1, (0, 1)), rect(0, (1, 2), 1, (1, 2))],
+    );
+    // A qualifying star, but one rectangle per pair on distinct hub values:
+    // a 5-term closure against a pass over four 8 + 8 cell edges.
+    let sparse_star: Vec<MultiDimStatistic> = (1..5)
+        .map(|leaf| rect(0, (leaf as u32, leaf as u32), leaf, (0, 3)))
+        .collect();
+    assert_closure_fallback(&[8, 8, 8, 8, 8], &sparse_star);
+}
+
+/// A tree component and a cyclic component side by side: each takes its own
+/// kernel and the product still matches the oracle.
+#[test]
+fn mixed_model_uses_both_kernels() {
+    let rect = |x: usize, xr: (u32, u32), y: usize, yr: (u32, u32)| {
+        MultiDimStatistic::rect2d(AttrId(x), xr, AttrId(y), yr).unwrap()
+    };
+    let sizes = vec![3, 3, 2, 3, 2];
+    let stats = vec![
+        rect(0, (0, 1), 1, (1, 2)),
+        rect(2, (0, 0), 3, (0, 1)),
+        rect(3, (1, 2), 4, (0, 0)),
+        rect(2, (1, 1), 4, (1, 1)),
+        rect(0, (2, 2), 1, (0, 0)),
+    ];
+    let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
+    let kernels = fact.size_stats();
+    assert_eq!(
+        (kernels.tree_components, kernels.closure_components),
+        (1, 1)
+    );
+    let naive = NaivePolynomial::build(&sizes, &stats).unwrap();
+    let mut g = StdRng::seed_from_u64(0x313);
+    let a = VarAssignment {
+        one_dim: sizes
+            .iter()
+            .map(|&n| (0..n).map(|_| g.gen_range(0.0..2.0)).collect())
+            .collect(),
+        multi: vec![0.3, 2.2, 0.0, 1.7, 2.9],
+    };
+    for mask in random_masks(&mut g, &sizes) {
+        assert!(close_naive(
+            fact.eval_masked(&a, &mask),
+            naive.eval_masked(&a, &mask)
+        ));
+        for attr in 0..sizes.len() {
+            let (_, derivs) = fact.eval_with_attr_derivatives(&a, &mask, attr);
+            for (code, &d) in derivs.iter().enumerate() {
+                let var = Var::OneDim {
+                    attr,
+                    code: code as u32,
+                };
+                assert!(close_naive(d, naive.derivative(&a, &mask, var)));
+            }
+        }
+    }
+}

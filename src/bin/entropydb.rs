@@ -12,6 +12,7 @@
 //! The CSV is re-read at query time to recover the value dictionaries (the
 //! summary file stores only the model).
 
+use entropydb::core::polynomial::PolynomialSizeStats;
 use entropydb::core::selection::heuristics::select_pair_statistics;
 use entropydb::core::selection::{choose_pairs, PairStrategy};
 use entropydb::prelude::*;
@@ -88,9 +89,11 @@ fn summarize(args: &[String]) -> Result<ExitCode> {
     eprintln!("solving the MaxEnt model...");
     let summary = MaxEntSummary::build(table, stats, &SolverConfig::default())?;
     let report = summary.solver_report();
+    let size = summary.size_stats();
     eprintln!(
-        "  {report}, {} polynomial terms",
-        summary.size_stats().num_terms
+        "  {report}, {} polynomial terms, {}",
+        size.num_terms,
+        query_kernels(&size)
     );
     entropydb::core::serialize::save_file(&summary, Path::new(&out)).map_err(|e| {
         ModelError::Parse {
@@ -249,8 +252,19 @@ fn info(args: &[String]) -> Result<ExitCode> {
         s.num_terms,
         s.uncompressed_monomials as f64
     );
+    println!("{}", query_kernels(&s));
     println!("solver: {}", summary.solver_report());
     Ok(ExitCode::SUCCESS)
+}
+
+/// Which kernel answers queries on each component. A closure component
+/// that holds most of the terms is the one to look at when queries are
+/// slow: a cycle of attribute pairs or a 3-D statistic put it there.
+fn query_kernels(s: &PolynomialSizeStats) -> String {
+    format!(
+        "query kernels: {} tree + {} closure components",
+        s.tree_components, s.closure_components
+    )
 }
 
 fn main() -> ExitCode {

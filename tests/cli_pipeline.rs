@@ -49,6 +49,10 @@ fn csv_to_summary_to_query_pipeline() {
         );
     }
     let summary = MaxEntSummary::build(table, stats, &SolverConfig::default()).expect("builds");
+    // Two pairs sharing `distance` form a star: the whole model is one
+    // component on the message-passing kernel (what `entropydb info` prints).
+    let size = summary.size_stats();
+    assert_eq!((size.tree_components, size.closure_components), (1, 0));
 
     // Textual BETWEEN query over the binned numeric column.
     let range = parse_predicate("distance BETWEEN 300 AND 800", &dataset).expect("parses");
