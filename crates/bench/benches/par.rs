@@ -1,17 +1,16 @@
-//! Pool-overhead benchmarks: the persistent worker pool in
-//! `entropydb_core::par` against the retained spawn-per-call scoped-thread
-//! baseline (`entropydb_bench::legacy::scoped_spawn_map`).
+//! Pool-overhead benchmark: the fixed cost of one parallel call through
+//! the persistent worker pool in `entropydb_core::par`.
 //!
 //! The workload is deliberately small — the kind of fan-out (a handful of
-//! group-by cells, a small predicate batch) that the old implementation had
-//! to run serially because a thread spawn per call cost more than the work.
-//! The pool dispatches the same chunks through a persistent job queue, so
-//! the fixed cost per parallel call drops from thread-spawn to
-//! queue-push + condvar-signal. `BENCH_par.json` records the speedup
-//! against the spawn baseline.
+//! group-by cells, a small predicate batch) where a thread spawn per call
+//! would cost more than the work. The pool dispatches the chunks through a
+//! persistent job queue, so the fixed cost per parallel call is a
+//! queue-push + condvar-signal. `BENCH_par.json` records the per-call
+//! nanoseconds (`persistent_pool_ns`, gated as an absolute ceiling in
+//! `bench_schema.json`) beside the serial reference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use entropydb_bench::legacy::scoped_spawn_map;
+use entropydb_bench::report::mean_call_ns;
 use entropydb_core::par;
 use std::hint::black_box;
 
@@ -31,18 +30,14 @@ fn bench_pool_overhead(c: &mut Criterion) {
     par::set_max_threads(THREADS);
     let items: Vec<usize> = (0..ITEMS).collect();
 
-    // The two dispatchers must agree before their costs are compared.
+    // The pool must agree with the serial loop before its cost is recorded.
     let expected: Vec<u64> = items.iter().map(|&i| work(i)).collect();
     assert_eq!(par::map(&items, 1, |_, &i| work(i)), expected);
-    assert_eq!(
-        scoped_spawn_map(&items, 1, THREADS, |_, &i| work(i)),
-        expected
-    );
 
-    let mut g = c.benchmark_group("pool_overhead");
-    g.bench_function("legacy_spawn_per_call", |b| {
-        b.iter(|| scoped_spawn_map(black_box(&items), 1, THREADS, |_, &i| work(i)))
+    let pool_ns = mean_call_ns(5_000, || {
+        black_box(par::map(black_box(&items), 1, |_, &i| work(i)));
     });
+    let mut g = c.benchmark_group("pool_overhead");
     g.bench_function("persistent_pool", |b| {
         b.iter(|| par::map(black_box(&items), 1, |_, &i| work(i)))
     });
@@ -55,6 +50,7 @@ fn bench_pool_overhead(c: &mut Criterion) {
         })
     });
     g.finish();
+    c.record_metric("pool_overhead", "persistent_pool_ns", pool_ns);
     par::set_max_threads(0);
 }
 

@@ -1,18 +1,20 @@
 //! Polynomial-evaluation benchmarks (paper Sec. 4.1 compression claim, plus
 //! this repo's arena-kernel refactor).
 //!
-//! Three layers of comparison:
+//! Three groups:
 //!
 //! 1. naive one-monomial-per-tuple (Eq. 5) vs the compressed form
-//!    (Theorem 4.1) — the paper's compression claim;
-//! 2. the retained pre-refactor nested-`Vec` kernel (`legacy`) vs the
-//!    current CSR-arena kernel with scratch reuse — the refactor's win,
-//!    tracked via the `speedup` entries of `BENCH_polynomial.json`;
-//! 3. the batched derivative pass vs per-variable derivatives — the
-//!    solver's key optimization.
+//!    (Theorem 4.1) — the paper's compression claim, the `speedup` entries
+//!    of `BENCH_polynomial.json`;
+//! 2. the batched derivative pass vs per-variable derivatives — the
+//!    solver's key optimization;
+//! 3. the 50-cell group-by through the factorized kernel.
+//!
+//! Groups 2 and 3 are gated as absolute per-call nanoseconds
+//! (`metric_ceilings` in `bench_schema.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use entropydb_bench::legacy::{LegacyFactorized, LegacyPolynomial};
+use entropydb_bench::report::mean_call_ns;
 use entropydb_core::assignment::{Mask, VarAssignment};
 use entropydb_core::naive::NaivePolynomial;
 use entropydb_core::polynomial::CompressedPolynomial;
@@ -122,7 +124,6 @@ fn group_by_setup() -> (Vec<usize>, Vec<MultiDimStatistic>) {
 fn bench_eval(c: &mut Criterion) {
     let (sizes, stats, a) = setup();
     let naive = NaivePolynomial::build(&sizes, &stats).expect("naive builds");
-    let legacy = LegacyPolynomial::build(&sizes, &stats);
     let flat = CompressedPolynomial::build(&sizes, &stats).expect("flat builds");
     let fact = FactorizedPolynomial::build(&sizes, &stats).expect("factorized builds");
     let mask = Mask::identity(sizes.len());
@@ -132,9 +133,6 @@ fn bench_eval(c: &mut Criterion) {
     let mut g = c.benchmark_group("polynomial_eval");
     g.bench_function(format!("naive({}_monomials)", naive.num_monomials()), |b| {
         b.iter(|| naive.eval(black_box(&a)))
-    });
-    g.bench_function(format!("legacy({}_terms)", legacy.num_terms()), |b| {
-        b.iter(|| legacy.eval_masked(black_box(&a), &mask))
     });
     g.bench_function(format!("arena({}_terms)", flat.num_terms()), |b| {
         b.iter(|| flat.eval_masked_with(black_box(&a), &mask, &mut scratch))
@@ -146,47 +144,36 @@ fn bench_eval(c: &mut Criterion) {
     g.finish();
 }
 
-/// The batched-derivative sweep: one fused pass per attribute, legacy
-/// nested-Vec kernel vs the arena kernel with a reused scratch — the first
-/// acceptance benchmark of the arena refactor.
+/// The batched-derivative sweep: one fused pass per attribute on the arena
+/// kernel with a reused scratch.
 fn bench_derivative_sweep(c: &mut Criterion) {
     let (sizes, stats, a) = setup();
-    let legacy = LegacyPolynomial::build(&sizes, &stats);
     let flat = CompressedPolynomial::build(&sizes, &stats).expect("flat builds");
     let mask = Mask::identity(sizes.len());
     let mut scratch = flat.make_scratch();
 
+    // The arena API separates the prefix-slab fill from the derivative
+    // pass, so a sweep over every attribute under one assignment/mask fills
+    // once.
+    let mut batched_pass = || {
+        let a = black_box(&a);
+        flat.fill_scratch(&mut scratch, a, &mask);
+        let mut total = 0.0;
+        for attr in 0..sizes.len() {
+            total += flat
+                .derivs_prefilled(&a.multi, &a.one_dim[attr], None, attr, &mut scratch)
+                .0;
+        }
+        total
+    };
+    let batched_ns = mean_call_ns(20_000, || {
+        black_box(batched_pass());
+    });
+
     let mut g = c.benchmark_group("derivative_sweep");
-    g.bench_function("legacy_batched_pass", |b| {
-        b.iter(|| {
-            let mut total = 0.0;
-            for attr in 0..sizes.len() {
-                total += legacy
-                    .eval_with_attr_derivatives(black_box(&a), &mask, attr)
-                    .0;
-            }
-            total
-        })
-    });
-    g.bench_function("arena_batched_pass", |b| {
-        b.iter(|| {
-            // The arena API separates the prefix-slab fill from the
-            // derivative pass, so a sweep over every attribute under one
-            // assignment/mask fills once — the nested-Vec baseline rebuilds
-            // its prefix sums inside every call by construction.
-            let a = black_box(&a);
-            flat.fill_scratch(&mut scratch, a, &mask);
-            let mut total = 0.0;
-            for attr in 0..sizes.len() {
-                total += flat
-                    .derivs_prefilled(&a.multi, &a.one_dim[attr], None, attr, &mut scratch)
-                    .0;
-            }
-            total
-        })
-    });
+    g.bench_function("arena_batched_pass", |b| b.iter(&mut batched_pass));
     // The unbatched shape, kept measured so the cost of NOT batching stays
-    // visible in BENCH_polynomial.json (0.198× the batched pass at last
+    // visible in BENCH_polynomial.json (≈ 12× the batched pass at last
     // measurement): one full attribute pass per code, reading out a single
     // derivative each time. This is exactly what the old per-variable
     // `derivative` shim did before it was retired; all callers now route
@@ -203,11 +190,11 @@ fn bench_derivative_sweep(c: &mut Criterion) {
         })
     });
     g.finish();
+    c.record_metric("derivative_sweep", "arena_batched_pass_ns", batched_ns);
 }
 
 /// 50-cell `estimate_group_by`: the full summary query path (masked fused
-/// pass over all components) against the pre-refactor implementation — the
-/// second acceptance benchmark of the arena refactor.
+/// pass over all components).
 fn bench_group_by(c: &mut Criterion) {
     let (sizes, stats) = group_by_setup();
     // A synthetic solved state is enough: the kernels only read it.
@@ -220,7 +207,6 @@ fn bench_group_by(c: &mut Criterion) {
     for (j, d) in a.multi.iter_mut().enumerate() {
         *d = 0.6 + (j % 7) as f64 * 0.2;
     }
-    let legacy = LegacyFactorized::build(&sizes, &stats);
     let fact = FactorizedPolynomial::build(&sizes, &stats).expect("factorized builds");
     let mut fscratch = fact.make_scratch();
     let pred = Predicate::new()
@@ -229,22 +215,23 @@ fn bench_group_by(c: &mut Criterion) {
     let mask = Mask::from_predicate(&pred, &sizes).expect("mask");
     let p_full = fact.eval(&a);
 
+    let mut group_by = || {
+        let (_, derivs) =
+            fact.eval_with_attr_derivatives_with(black_box(&a), &mask, 0, &mut fscratch);
+        derivs
+            .iter()
+            .enumerate()
+            .map(|(v, &d)| (a.one_dim[0][v] * d / p_full).clamp(0.0, 1.0))
+            .sum::<f64>()
+    };
+    let group_by_ns = mean_call_ns(100_000, || {
+        black_box(group_by());
+    });
+
     let mut g = c.benchmark_group("group_by_50_cells");
-    g.bench_function("legacy", |b| {
-        b.iter(|| legacy.group_by(black_box(&a), &mask, 0, p_full))
-    });
-    g.bench_function("arena_scratch", |b| {
-        b.iter(|| {
-            let (_, derivs) =
-                fact.eval_with_attr_derivatives_with(black_box(&a), &mask, 0, &mut fscratch);
-            derivs
-                .iter()
-                .enumerate()
-                .map(|(v, &d)| (a.one_dim[0][v] * d / p_full).clamp(0.0, 1.0))
-                .sum::<f64>()
-        })
-    });
+    g.bench_function("arena_scratch", |b| b.iter(&mut group_by));
     g.finish();
+    c.record_metric("group_by_50_cells", "arena_scratch_ns", group_by_ns);
 }
 
 criterion_group! {

@@ -4,17 +4,15 @@
 //! is a *round*, the unit `b.iter` times.
 //!
 //! `BENCH_server.json` records group `server_soak`: round latency
-//! (median/p50/p99) on the event-driven reactor core vs the retained
-//! thread-per-connection baseline (`legacy_thread_per_conn`) at 256
-//! clients x 8 pipelined requests, the per-core throughput side-channels
-//! (`*_req_per_s`), and the soak shape. The `reactor` speedup is
-//! floor-gated in `bench_schema.json`: the event loop must stay at least
-//! 2x the thread-per-connection core under this load.
+//! (median/p50/p99) of the served path at 256 clients x 8 pipelined
+//! requests, the throughput side-channel (`reactor_req_per_s`), and the
+//! soak shape. The throughput is floor-gated in `bench_schema.json`
+//! (`metric_floors`) as an absolute requests-per-second figure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::plan::QueryRequest;
-use entropydb_server::{demo, serve, serve_threaded, ServerConfig};
+use entropydb_server::{demo, serve};
 use entropydb_storage::{AttrId, Predicate};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -80,44 +78,27 @@ fn bench_server_soak(c: &mut Criterion) {
         QueryRequest::count(Predicate::new().eq(AttrId(0), 1)).encode()
     );
 
-    let reactor = serve(QueryEngine::new(summary.clone()), "127.0.0.1:0").expect("serve reactor");
-    let threaded = serve_threaded(
-        QueryEngine::new(summary),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .expect("serve threaded");
-    let mut reactor_fleet = Fleet::connect(reactor.local_addr(), &query);
-    let mut threaded_fleet = Fleet::connect(threaded.local_addr(), &query);
+    let server = serve(QueryEngine::new(summary), "127.0.0.1:0").expect("serve");
+    let mut fleet = Fleet::connect(server.local_addr(), &query);
 
     let mut g = c.benchmark_group("server_soak");
-    g.bench_function("legacy_thread_per_conn", |b| {
-        b.iter(|| threaded_fleet.round())
-    });
-    g.bench_function("reactor", |b| b.iter(|| reactor_fleet.round()));
+    g.bench_function("reactor", |b| b.iter(|| fleet.round()));
     g.finish();
 
-    // Throughput side-channels, measured once over a fixed round budget so
+    // Throughput side-channel, measured once over a fixed round budget so
     // the artifact carries req/s alongside ns/round.
     let rounds = if fast_mode() { 3 } else { 40 };
-    let req_per_s = |fleet: &mut Fleet| {
-        let t = Instant::now();
-        for _ in 0..rounds {
-            fleet.round();
-        }
-        (rounds * CLIENTS * PIPELINE) as f64 / t.elapsed().as_secs_f64()
-    };
-    let legacy_rps = req_per_s(&mut threaded_fleet);
-    let reactor_rps = req_per_s(&mut reactor_fleet);
+    let t = Instant::now();
+    for _ in 0..rounds {
+        fleet.round();
+    }
+    let req_per_s = (rounds * CLIENTS * PIPELINE) as f64 / t.elapsed().as_secs_f64();
     c.record_metric("server_soak", "soak_clients", CLIENTS as f64);
     c.record_metric("server_soak", "pipeline_depth", PIPELINE as f64);
-    c.record_metric("server_soak", "legacy_req_per_s", legacy_rps);
-    c.record_metric("server_soak", "reactor_req_per_s", reactor_rps);
+    c.record_metric("server_soak", "reactor_req_per_s", req_per_s);
 
-    drop(reactor_fleet);
-    drop(threaded_fleet);
-    reactor.shutdown();
-    threaded.shutdown();
+    drop(fleet);
+    server.shutdown();
 }
 
 criterion_group! {

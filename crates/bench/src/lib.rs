@@ -21,7 +21,6 @@
 pub mod common;
 pub mod experiments;
 pub mod jsonv;
-pub mod legacy;
 pub mod report;
 
 pub use common::{Method, Scale};

@@ -12,14 +12,14 @@
 //!   control line so a soak run can prove the cache is working.
 //! * [`ServerCounters`] / [`ServerStatsSnapshot`]: the serving side's
 //!   operational counters (live sessions, accepted / shed connections,
-//!   wire bytes, dispatch-queue depth), maintained by both server cores
+//!   wire bytes, dispatch-queue depth), maintained by both I/O drivers
 //!   and surfaced through the `stats server` session command and the
 //!   gateway control channel's `status` line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free operational counters of a query server (either core:
-/// event-driven reactor or the retained thread-per-connection baseline).
+/// Lock-free operational counters of a query server (either I/O driver:
+/// the epoll reactor or the blocking thread-per-connection fallback).
 /// All updates are `Relaxed`: the counters are observability, never
 /// control flow, so cross-counter consistency is not required.
 #[derive(Debug, Default)]

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! entropydb-serve <summary> [--addr HOST:PORT] [--idle-timeout SECS]
-//!                 [--max-sessions N] [--core reactor|threaded]
-//!                 [--reactor-threads N] [--dispatch-threads N]
-//!                 [--max-queue-depth N] [--max-in-flight N]
-//!                 [--live] [--delta-threshold ROWS]
+//!                 [--max-sessions N] [--reactor-threads N]
+//!                 [--dispatch-threads N] [--max-queue-depth N]
+//!                 [--max-in-flight N] [--live] [--delta-threshold ROWS]
 //! ```
 //!
 //! `<summary>` is any of the persistence layouts of
@@ -20,10 +19,11 @@
 //! `--max-sessions N` sheds connections over the cap with a typed `busy`
 //! line instead of admitting them. See `ServerConfig`.
 //!
-//! `--core` picks the server core: the event-driven epoll `reactor`
-//! (default on Linux) or the retained `threaded` thread-per-connection
-//! baseline. The remaining flags tune the reactor's thread counts and
-//! admission control (0 = auto / unbounded); see `ReactorConfig`.
+//! `--reactor-threads` / `--dispatch-threads` size the epoll driver's
+//! thread pools (Linux; 0 = auto) and `--max-queue-depth` /
+//! `--max-in-flight` set the admission caps (every target; 0 =
+//! unbounded); see `ReactorConfig`. Any other `--flag` is rejected with
+//! the usage text and exit code 2.
 //!
 //! `--live` serves a sharded directory as a **mutable** live summary:
 //! `a1` wire appends stage rows into a delta shard that a background
@@ -39,43 +39,31 @@
 
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::serialize;
-use entropydb_server::{serve_threaded, serve_tuned, ReactorConfig, ServerConfig, ServerHandle};
+use entropydb_server::{serve_tuned, ReactorConfig, ServerConfig};
 use std::io::BufRead;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Which server core to run; `Reactor` falls back to the threaded core on
-/// non-Linux targets (see `serve_tuned`).
-#[derive(Clone, Copy)]
-enum Core {
-    Reactor,
-    Threaded,
-}
-
-fn start<B>(
-    engine: QueryEngine<B>,
-    addr: &str,
-    config: ServerConfig,
-    core: Core,
-    tuning: ReactorConfig,
-) -> std::io::Result<ServerHandle>
-where
-    B: SummaryBackend + 'static,
-{
-    match core {
-        Core::Reactor => serve_tuned(engine, addr, config, tuning),
-        Core::Threaded => serve_threaded(engine, addr, config),
-    }
-}
+/// The flags that take a value; `--live` is the only switch.
+const VALUE_FLAGS: [&str; 8] = [
+    "--addr",
+    "--idle-timeout",
+    "--max-sessions",
+    "--reactor-threads",
+    "--dispatch-threads",
+    "--max-queue-depth",
+    "--max-in-flight",
+    "--delta-threshold",
+];
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: entropydb-serve <summary file or sharded dir> [--addr HOST:PORT]\n\
          \x20                    [--idle-timeout SECS] [--max-sessions N]\n\
-         \x20                    [--core reactor|threaded] [--reactor-threads N]\n\
-         \x20                    [--dispatch-threads N] [--max-queue-depth N]\n\
-         \x20                    [--max-in-flight N] [--live] [--delta-threshold ROWS]"
+         \x20                    [--reactor-threads N] [--dispatch-threads N]\n\
+         \x20                    [--max-queue-depth N] [--max-in-flight N]\n\
+         \x20                    [--live] [--delta-threshold ROWS]"
     );
     ExitCode::from(2)
 }
@@ -84,6 +72,20 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The first `--flag` this binary does not define (values of known flags
+/// are skipped, so `--addr --x` names no unknown flag).
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with("--") && arg != "--live" {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 fn wait_for_quit() {
@@ -102,6 +104,10 @@ fn main() -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
+    if let Some(flag) = unknown_flag(&args) {
+        eprintln!("error: unknown flag {flag}");
+        return usage();
+    }
     let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4141".to_string());
     let mut config = ServerConfig::default();
     if let Some(raw) = flag(&args, "--idle-timeout") {
@@ -122,14 +128,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    let core = match flag(&args, "--core").as_deref() {
-        None | Some("reactor") => Core::Reactor,
-        Some("threaded") => Core::Threaded,
-        Some(other) => {
-            eprintln!("error: unknown --core value {other:?} (want reactor or threaded)");
-            return usage();
-        }
-    };
     let mut tuning = ReactorConfig::default();
     for (name, slot) in [
         ("--reactor-threads", &mut tuning.reactor_threads),
@@ -181,13 +179,7 @@ fn main() -> ExitCode {
                     summary.n(),
                     summary.epoch()
                 );
-                start(
-                    QueryEngine::new(summary),
-                    addr.as_str(),
-                    config,
-                    core,
-                    tuning,
-                )
+                serve_tuned(QueryEngine::new(summary), addr.as_str(), config, tuning)
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -202,13 +194,7 @@ fn main() -> ExitCode {
                     sharded.num_shards(),
                     sharded.n()
                 );
-                start(
-                    QueryEngine::new(sharded),
-                    addr.as_str(),
-                    config,
-                    core,
-                    tuning,
-                )
+                serve_tuned(QueryEngine::new(sharded), addr.as_str(), config, tuning)
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -227,13 +213,7 @@ fn main() -> ExitCode {
                         sharded.num_shards(),
                         sharded.n()
                     );
-                    start(
-                        QueryEngine::new(sharded),
-                        addr.as_str(),
-                        config,
-                        core,
-                        tuning,
-                    )
+                    serve_tuned(QueryEngine::new(sharded), addr.as_str(), config, tuning)
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -244,13 +224,7 @@ fn main() -> ExitCode {
             match serialize::load_file(path) {
                 Ok(summary) => {
                     eprintln!("loaded summary: n = {}", summary.n());
-                    start(
-                        QueryEngine::new(summary),
-                        addr.as_str(),
-                        config,
-                        core,
-                        tuning,
-                    )
+                    serve_tuned(QueryEngine::new(summary), addr.as_str(), config, tuning)
                 }
                 Err(e) => {
                     eprintln!("error: {e}");

@@ -4,16 +4,17 @@
 //! "interactive data exploration" front-end of the paper, serving a
 //! [`QueryEngine`](entropydb_core::engine::QueryEngine) to remote clients.
 //!
-//! On Linux, [`serve`] runs an **event-driven core**: an in-tree epoll
-//! reactor multiplexes thousands of connections over O(cores) event-loop
-//! threads, sessions decode the line protocol incrementally over partial
-//! reads, pipelined requests coalesce into engine batches on a persistent
-//! compute pool, and responses flush via interest-driven writes — a slow
-//! reader never parks a compute thread. Admission control (global
+//! The wire protocol has one implementation — an incremental decoder
+//! (`session.rs`, bytes → work) and one executor (work → reply bytes) —
+//! behind two I/O drivers chosen by target alone. On Linux, [`serve`]
+//! runs the **epoll driver**: an in-tree reactor multiplexes thousands of
+//! connections over O(cores) event-loop threads, pipelined requests
+//! coalesce into engine batches on a persistent compute pool, and
+//! responses flush via interest-driven writes — a slow reader never parks
+//! a compute thread. Elsewhere a **blocking driver** runs the same decoder
+//! and executor on one thread per connection. Admission control (global
 //! queue-depth caps, per-connection in-flight limits, typed `busy`
-//! shedding) is tunable via [`ReactorConfig`] / [`serve_tuned`]. The
-//! retained thread-per-connection core ([`serve_threaded`]) speaks the
-//! identical wire protocol and serves as the measured baseline.
+//! shedding) is tunable via [`ReactorConfig`] / [`serve_tuned`].
 //!
 //! The protocol is line-oriented text over TCP, built directly on the query
 //! IR's wire encoding (`entropydb_core::plan`): a client sends one encoded
@@ -73,6 +74,11 @@
 //! scatter/gather gateway), and `examples/repl.rs` for an interactive
 //! client.
 
+// The unit tests share `tests/common/mod.rs` with the integration suites,
+// and that file names this crate from outside.
+#[cfg(test)]
+extern crate self as entropydb_server;
+
 mod client;
 pub mod demo;
 pub mod fault;
@@ -92,8 +98,10 @@ pub use protocol::{
     encode_append_outcome, encode_ingest_stats, encode_server_stats, MAX_APPEND_ROWS, MAX_BATCH,
     MAX_SAMPLE_ROWS,
 };
-pub use remote::{FailoverConfig, FailoverConfigBuilder, RemoteShard, RemoteShardedSummary, Replica};
+pub use remote::{
+    FailoverConfig, FailoverConfigBuilder, RemoteShard, RemoteShardedSummary, Replica,
+};
 pub use server::{
-    serve, serve_threaded, serve_tuned, serve_with, ReactorConfig, ReactorConfigBuilder,
-    ServerConfig, ServerConfigBuilder, ServerHandle,
+    serve, serve_tuned, serve_with, ReactorConfig, ReactorConfigBuilder, ServerConfig,
+    ServerConfigBuilder, ServerHandle,
 };

@@ -1,5 +1,8 @@
-//! The event-driven server core: an in-tree epoll reactor multiplexing
-//! thousands of connections over O(cores) threads.
+//! The epoll I/O driver: an in-tree reactor multiplexing thousands of
+//! connections over O(cores) threads. It moves bytes and schedules work;
+//! the protocol itself is `session.rs` (bytes → `Work`) and
+//! `server.rs::execute_work` (`Work` → reply bytes), shared with the
+//! blocking driver.
 //!
 //! Layout: `reactor_threads` event loops each own a set of sessions (the
 //! first also owns the listening socket), reading into per-session
@@ -21,11 +24,8 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::server::{
-    busy_at_capacity, encode_outcome, execute_batch_lines, execute_run, ingest_stats_line, lock,
-    server_stats_line, stats_line,
-};
-use crate::session::{DecodePolicy, ReplyKind, Session, SessionState, Work};
+use crate::server::{busy_at_capacity, encode_outcome, execute_work, lock};
+use crate::session::{DecodePolicy, Session, SessionState, Work};
 use crate::ServerConfig;
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::metrics::ServerCounters;
@@ -77,7 +77,7 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 /// How long a shed connection may linger (sinking its in-flight request)
-/// before being closed — same budget as the threaded core's drain.
+/// before being closed — same budget as the blocking driver's drain.
 const SHED_LINGER: Duration = Duration::from_millis(500);
 
 /// Event-loop tick: idle/linger sweeps and the shutdown re-check run at
@@ -170,7 +170,7 @@ impl Inner {
     }
 }
 
-/// The reactor core's running state: joined (and sessions force-closed)
+/// The epoll driver's running state: joined (and sessions force-closed)
 /// on shutdown.
 pub(crate) struct ReactorHandle {
     inner: Arc<Inner>,
@@ -186,6 +186,10 @@ impl ReactorHandle {
         for mailbox in &self.inner.mailboxes {
             eventfd_signal(mailbox.wake.as_raw_fd());
         }
+        // Take the queue lock once before notifying: a worker that saw
+        // `stop == false` under the lock has parked by the time we get it,
+        // so the wake-up cannot fall between its check and its wait.
+        drop(lock(&self.inner.dispatcher.queue));
         self.inner.dispatcher.ready.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -193,14 +197,15 @@ impl ReactorHandle {
     }
 }
 
-/// Resolved thread counts for one reactor core (see `ReactorConfig`).
+/// Resolved thread counts and caps for the epoll driver (see
+/// `ReactorConfig`).
 pub(crate) struct ReactorTuning {
     pub reactor_threads: usize,
     pub dispatch_threads: usize,
     pub policy: DecodePolicy,
 }
 
-/// Starts the event-driven core on an already-bound listener.
+/// Starts the epoll driver on an already-bound listener.
 pub(crate) fn spawn<B>(
     engine: Arc<QueryEngine<B>>,
     listener: TcpListener,
@@ -274,27 +279,6 @@ where
         threads.push(std::thread::spawn(move || worker_loop(inner, engine)));
     }
     Ok(ReactorHandle { inner, threads })
-}
-
-/// Executes one decoded work unit into its encoded reply. Runs on a
-/// compute worker with no locks held.
-fn execute_work<B: SummaryBackend>(
-    engine: &QueryEngine<B>,
-    counters: &ServerCounters,
-    work: &Work,
-) -> String {
-    match work {
-        Work::Run(lines) => execute_run(engine, lines),
-        Work::Batch(lines) => execute_batch_lines(engine, lines),
-        Work::Reply(ReplyKind::Ping) => "pong\n".to_string(),
-        Work::Reply(ReplyKind::Schema) => {
-            crate::protocol::encode_schema(engine.schema(), engine.n())
-        }
-        Work::Reply(ReplyKind::CacheStats) => stats_line(engine),
-        Work::Reply(ReplyKind::ServerStats) => server_stats_line(&counters.snapshot()),
-        Work::Reply(ReplyKind::IngestStats) => ingest_stats_line(engine),
-        Work::Reply(ReplyKind::Raw(reply)) => reply.clone(),
-    }
 }
 
 fn worker_loop<B: SummaryBackend>(inner: Arc<Inner>, engine: Arc<QueryEngine<B>>) {
@@ -726,13 +710,8 @@ fn finalize_locked(inner: &Inner, session: &Session, st: &mut SessionState) {
         st.counted_active = false;
         inner.counters.session_ended();
     }
-    // Un-book work that will never execute; an in-flight job's weight is
-    // returned by the worker itself.
-    let abandoned: usize = st.pending.drain(..).map(|w| w.weight()).sum();
-    if abandoned > 0 {
-        inner.counters.dispatch_completed(abandoned as u64);
-    }
-    st.in_flight = 0;
+    // An in-flight job's weight is returned by the worker itself.
+    st.abandon_pending(&inner.counters);
     st.read_buf = Vec::new();
     st.write_buf = Vec::new();
     st.write_pos = 0;
@@ -749,9 +728,9 @@ fn sweep(inner: &Inner, epfd: &OwnedFd, sessions: &mut HashMap<u64, Arc<Session>
             continue;
         }
         if let Some(timeout) = inner.idle_timeout {
-            // Mirrors the threaded core's per-read deadline: only a session
-            // that is *waiting on the client* can idle out — never one with
-            // queued work, an executing job, or an unflushed reply.
+            // Only a session that is *waiting on the client* can idle out —
+            // never one with queued work, an executing job, or an unflushed
+            // reply.
             if !st.sink_reads
                 && !st.close_after_flush
                 && st.pending.is_empty()

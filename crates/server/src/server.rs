@@ -1,37 +1,48 @@
 //! The TCP server front door: configuration, the public `serve*` entry
-//! points, and the two interchangeable cores behind them.
+//! points, the executor that turns decoded work into reply bytes, and the
+//! blocking I/O driver.
 //!
-//! * The **event-driven core** (`reactor.rs`, Linux): an in-tree epoll
-//!   reactor multiplexing thousands of connections over O(cores)
-//!   threads, with pipelined sessions, admission control, and
-//!   flush-then-close load shedding. [`serve`] and [`serve_with`] use it
-//!   by default on Linux.
-//! * The **thread-per-connection core** (this file): one blocking session
-//!   thread per client. Retained as the portability fallback and as the
-//!   measured baseline for `benches/server.rs`; reachable explicitly via
-//!   [`serve_threaded`].
+//! The line protocol has exactly one implementation: `session.rs` decodes
+//! bytes into `Work` units and [`execute_work`] answers them. Two I/O
+//! drivers feed that pair, chosen by target alone:
 //!
-//! Both cores speak the identical line protocol, honor the same
-//! [`ServerConfig`] semantics (idle-timeout reaping, `max_sessions` busy
-//! shedding), and maintain the same [`ServerCounters`] observability
-//! surface (`stats server` line, [`ServerHandle::stats`]).
+//! * the **epoll driver** (`reactor.rs`, Linux): an in-tree reactor
+//!   multiplexing thousands of connections over O(cores) threads, with
+//!   pipelined sessions and flush-then-close load shedding;
+//! * the **blocking driver** (this file, every other target): an accept
+//!   thread plus one thread per connection looping `read → pump →
+//!   execute_work → write_all`. Linux compiles it for tests only, so the
+//!   suite drives both.
+//!
+//! Both honor the same [`ServerConfig`] semantics (idle-timeout reaping,
+//! `max_sessions` busy shedding), the same decoder admission caps
+//! ([`ReactorConfig`]), and maintain the same [`ServerCounters`]
+//! observability surface (`stats server` line, [`ServerHandle::stats`]).
 
 use crate::protocol::{
     decode_append, encode_append_outcome, encode_ingest_stats, encode_schema, encode_server_stats,
-    MAX_BATCH, MAX_LINE_BYTES, MAX_SAMPLE_ROWS,
+    MAX_BATCH, MAX_SAMPLE_ROWS,
 };
+use crate::session::{DecodePolicy, ReplyKind, Work};
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::error::{ModelError, RemoteDetail, Result};
 use entropydb_core::metrics::{ServerCounters, ServerStatsSnapshot};
 use entropydb_core::plan::{QueryRequest, QueryResponse};
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
-use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Duration;
+#[cfg(any(not(target_os = "linux"), test))]
+use {
+    crate::session::SessionState,
+    std::collections::HashMap,
+    std::io::{Read, Write},
+    std::net::{Shutdown, TcpStream},
+    std::sync::atomic::{AtomicBool, AtomicU64, Ordering},
+    std::thread::JoinHandle,
+    std::time::Instant,
+};
 
 /// Serving-policy knobs of one server instance.
 #[derive(Debug, Clone, Default)]
@@ -103,7 +114,8 @@ impl ServerConfigBuilder {
     }
 }
 
-/// Tuning knobs of the event-driven core (see [`serve_tuned`]). Separate
+/// Tuning knobs of the serving path (see [`serve_tuned`]): the epoll
+/// driver's thread counts and the decoder's admission caps. Separate
 /// from [`ServerConfig`] so the serving-policy surface — and every
 /// exhaustive `ServerConfig` literal in existing code — stays unchanged.
 #[derive(Debug, Clone)]
@@ -165,6 +177,21 @@ impl ReactorConfig {
         Ok(())
     }
 
+    /// The decoder admission caps (`0` = cap disabled) — the part of the
+    /// tuning both I/O drivers honor.
+    fn policy(&self) -> DecodePolicy {
+        let nz = |v: usize| if v == 0 { usize::MAX } else { v };
+        DecodePolicy {
+            max_queue_depth: if self.max_queue_depth == 0 {
+                u64::MAX
+            } else {
+                self.max_queue_depth as u64
+            },
+            max_in_flight: nz(self.max_in_flight_per_conn),
+            max_write_buffer: nz(self.max_write_buffer),
+        }
+    }
+
     #[cfg(target_os = "linux")]
     fn resolve(&self) -> crate::reactor::ReactorTuning {
         let cores = std::thread::available_parallelism()
@@ -174,15 +201,7 @@ impl ReactorConfig {
         crate::reactor::ReactorTuning {
             reactor_threads: nz(self.reactor_threads, cores.clamp(1, 4)),
             dispatch_threads: nz(self.dispatch_threads, cores.max(2)),
-            policy: crate::session::DecodePolicy {
-                max_queue_depth: if self.max_queue_depth == 0 {
-                    u64::MAX
-                } else {
-                    self.max_queue_depth as u64
-                },
-                max_in_flight: nz(self.max_in_flight_per_conn, usize::MAX),
-                max_write_buffer: nz(self.max_write_buffer, usize::MAX),
-            },
+            policy: self.policy(),
         }
     }
 }
@@ -245,7 +264,7 @@ pub(crate) fn busy_at_capacity(cap: usize) -> ModelError {
 }
 
 /// The one-line `stats` reply (gather-side cache counters).
-pub(crate) fn stats_line<B: SummaryBackend>(engine: &QueryEngine<B>) -> String {
+fn stats_line<B: SummaryBackend>(engine: &QueryEngine<B>) -> String {
     match engine.cache_stats() {
         Some(s) => format!(
             "stats cache {} {} {} {}\n",
@@ -255,40 +274,20 @@ pub(crate) fn stats_line<B: SummaryBackend>(engine: &QueryEngine<B>) -> String {
     }
 }
 
-/// The one-line `stats server` reply (serving-side counters).
-pub(crate) fn server_stats_line(snapshot: &ServerStatsSnapshot) -> String {
-    encode_server_stats(snapshot)
-}
-
-/// The one-line `stats ingest` reply (streaming-ingest counters; `stats
-/// ingest none` from backends without a live delta shard).
-pub(crate) fn ingest_stats_line<B: SummaryBackend>(engine: &QueryEngine<B>) -> String {
-    encode_ingest_stats(engine.ingest_stats().as_ref())
-}
-
-/// A running server (either core). Dropping the handle shuts the server
+/// A running server (either driver). Dropping the handle shuts the server
 /// down (prefer calling [`ServerHandle::shutdown`] explicitly).
 pub struct ServerHandle {
     addr: SocketAddr,
     counters: Arc<ServerCounters>,
-    core: Core,
+    driver: Driver,
 }
 
-enum Core {
-    Threaded(ThreadedHandle),
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::ReactorHandle),
-}
-
-impl Core {
-    fn shutdown_inner(&mut self) {
-        match self {
-            Core::Threaded(h) => h.shutdown_inner(),
-            #[cfg(target_os = "linux")]
-            Core::Reactor(h) => h.shutdown_inner(),
-        }
-    }
-}
+/// The I/O driver behind a [`ServerHandle`]: the target picks it, nothing
+/// else does.
+#[cfg(target_os = "linux")]
+type Driver = crate::reactor::ReactorHandle;
+#[cfg(not(target_os = "linux"))]
+type Driver = BlockingHandle;
 
 impl ServerHandle {
     /// The address the server is listening on.
@@ -317,13 +316,13 @@ impl ServerHandle {
     /// Stops accepting, disconnects every session, and joins all server
     /// threads. Returns once every server thread has exited.
     pub fn shutdown(mut self) {
-        self.core.shutdown_inner();
+        self.driver.shutdown_inner();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.core.shutdown_inner();
+        self.driver.shutdown_inner();
     }
 }
 
@@ -339,12 +338,12 @@ impl std::fmt::Debug for ServerHandle {
 /// Starts serving `engine` on `addr` (use port 0 for an ephemeral port;
 /// the bound address is available via [`ServerHandle::local_addr`]).
 ///
-/// On Linux this runs the event-driven reactor core: O(cores) event-loop
-/// threads multiplex the connections, pipelined requests coalesce into
-/// engine batches on a persistent compute pool, and responses flush via
-/// interest-driven writes so a slow reader never parks a compute thread.
-/// Elsewhere it falls back to the thread-per-connection core. Both speak
-/// the identical wire protocol.
+/// On Linux the epoll driver runs: O(cores) event-loop threads multiplex
+/// the connections, pipelined requests coalesce into engine batches on a
+/// persistent compute pool, and responses flush via interest-driven writes
+/// so a slow reader never parks a compute thread. Elsewhere the blocking
+/// driver runs one thread per connection. Both feed the same decoder and
+/// executor, so the wire protocol is one implementation.
 pub fn serve<B>(engine: QueryEngine<B>, addr: impl ToSocketAddrs) -> io::Result<ServerHandle>
 where
     B: SummaryBackend + 'static,
@@ -365,10 +364,12 @@ where
     serve_tuned(engine, addr, config, ReactorConfig::default())
 }
 
-/// [`serve_with`] with explicit reactor tuning (thread counts, admission
-/// control, backpressure thresholds). See [`ReactorConfig`]. On non-Linux
-/// targets the tuning is ignored and the thread-per-connection core runs
-/// instead.
+/// [`serve_with`] with explicit tuning (thread counts, admission control,
+/// backpressure thresholds). See [`ReactorConfig`]. The admission caps
+/// (`max_queue_depth`, `max_in_flight_per_conn`) apply on every target;
+/// the thread counts and `max_write_buffer` only shape the epoll driver —
+/// the blocking driver runs one thread per connection and writes each
+/// reply before reading on.
 pub fn serve_tuned<B>(
     engine: QueryEngine<B>,
     addr: impl ToSocketAddrs,
@@ -378,74 +379,71 @@ pub fn serve_tuned<B>(
 where
     B: SummaryBackend + 'static,
 {
-    #[cfg(target_os = "linux")]
-    {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let counters = Arc::new(ServerCounters::default());
-        let core = crate::reactor::spawn(
-            Arc::new(engine),
-            listener,
-            &config,
-            tuning.resolve(),
-            Arc::clone(&counters),
-        )?;
-        Ok(ServerHandle {
-            addr,
-            counters,
-            core: Core::Reactor(core),
-        })
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = &tuning;
-        serve_threaded(engine, addr, config)
-    }
-}
-
-/// Starts the retained thread-per-connection core explicitly: one
-/// blocking session thread per client. Slower under high concurrency
-/// (it is the baseline the server bench measures the reactor against)
-/// but fully portable; wire-compatible with the reactor core.
-pub fn serve_threaded<B>(
-    engine: QueryEngine<B>,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> io::Result<ServerHandle>
-where
-    B: SummaryBackend + 'static,
-{
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let counters = Arc::new(ServerCounters::default());
+    let engine = Arc::new(engine);
+    #[cfg(target_os = "linux")]
+    let driver = crate::reactor::spawn(
+        engine,
+        listener,
+        &config,
+        tuning.resolve(),
+        Arc::clone(&counters),
+    )?;
+    #[cfg(not(target_os = "linux"))]
+    let driver = spawn_blocking(
+        engine,
+        listener,
+        config,
+        tuning.policy(),
+        Arc::clone(&counters),
+    )?;
+    Ok(ServerHandle {
+        addr,
+        counters,
+        driver,
+    })
+}
+
+/// Starts the blocking driver on an already-bound listener: an accept
+/// thread, plus one [`drive_session`] thread per admitted connection.
+#[cfg(any(not(target_os = "linux"), test))]
+fn spawn_blocking<B>(
+    engine: Arc<QueryEngine<B>>,
+    listener: TcpListener,
+    config: ServerConfig,
+    policy: DecodePolicy,
+    counters: Arc<ServerCounters>,
+) -> io::Result<BlockingHandle>
+where
+    B: SummaryBackend + 'static,
+{
+    let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
         listener: listener.try_clone()?,
         next_conn: AtomicU64::new(0),
         conns: Mutex::new(HashMap::new()),
         sessions: Mutex::new(Vec::new()),
-        counters: Arc::clone(&counters),
+        counters,
     });
-    let engine = Arc::new(engine);
     let accept = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || accept_loop(listener, engine, shared, config))
+        std::thread::spawn(move || accept_loop(listener, engine, shared, config, policy))
     };
-    Ok(ServerHandle {
+    Ok(BlockingHandle {
         addr,
-        counters,
-        core: Core::Threaded(ThreadedHandle {
-            addr,
-            shared,
-            accept: Some(accept),
-        }),
+        shared,
+        accept: Some(accept),
     })
 }
 
-/// Shared session bookkeeping of the threaded core: live connection
+/// Shared session bookkeeping of the blocking driver: live connection
 /// handles (for shutdown) and thread handles (for joining). Both are
 /// bounded by the number of *live* connections: a session deregisters its
 /// connection on exit, and the accept loop reaps finished session threads.
+#[cfg(any(not(target_os = "linux"), test))]
 struct Shared {
     stop: AtomicBool,
     /// A clone of the listening socket, used by shutdown to switch the
@@ -462,14 +460,16 @@ struct Shared {
     counters: Arc<ServerCounters>,
 }
 
-/// The threaded core's running state.
-struct ThreadedHandle {
+/// The blocking driver's running state.
+#[cfg(any(not(target_os = "linux"), test))]
+struct BlockingHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
 }
 
-impl ThreadedHandle {
+#[cfg(any(not(target_os = "linux"), test))]
+impl BlockingHandle {
     fn shutdown_inner(&mut self) {
         let Some(accept) = self.accept.take() else {
             return;
@@ -500,11 +500,13 @@ impl ThreadedHandle {
     }
 }
 
+#[cfg(any(not(target_os = "linux"), test))]
 fn accept_loop<B>(
     listener: TcpListener,
     engine: Arc<QueryEngine<B>>,
     shared: Arc<Shared>,
     config: ServerConfig,
+    policy: DecodePolicy,
 ) where
     B: SummaryBackend + 'static,
 {
@@ -552,7 +554,7 @@ fn accept_loop<B>(
                 // request briefly before closing. Closing immediately would
                 // race the client's write — the resulting reset can discard
                 // the unread busy line, turning a typed rejection into an
-                // opaque transport error. (The reactor core does the same
+                // opaque transport error. (The epoll driver does the same
                 // flush-then-close on its write path, without the thread.)
                 std::thread::spawn(move || {
                     let _ = stream.write_all(encode_outcome(&Err(busy)).as_bytes());
@@ -570,8 +572,8 @@ fn accept_loop<B>(
                 continue;
             }
         }
-        // The idle deadline applies to every request-line read of the
-        // session; a timed-out read ends the session cleanly.
+        // The idle deadline applies to every read of the session; a
+        // timed-out read ends the session cleanly.
         let _ = stream.set_read_timeout(config.idle_timeout);
         let Ok(registered) = stream.try_clone() else {
             continue;
@@ -595,7 +597,7 @@ fn accept_loop<B>(
         let engine = Arc::clone(&engine);
         let shared_for_session = Arc::clone(&shared);
         let handle = std::thread::spawn(move || {
-            session(&engine, stream, &shared_for_session.counters);
+            drive_session(&engine, stream, &shared_for_session.counters, &policy);
             // Deregister (closing the cloned fd) before going idle.
             lock(&shared_for_session.conns).remove(&conn_id);
             shared_for_session.counters.session_ended();
@@ -604,73 +606,50 @@ fn accept_loop<B>(
     }
 }
 
-/// Reads one protocol line with the session's line-length cap applied; a
-/// newline-free stream longer than [`MAX_LINE_BYTES`] errors instead of
-/// growing the buffer without bound.
-fn read_line_limited(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
-    let n = io::Read::take(io::Read::by_ref(reader), MAX_LINE_BYTES).read_line(line)?;
-    if n as u64 >= MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request line too long",
-        ));
-    }
-    Ok(n)
-}
-
-/// One connection's read-dispatch-write loop. Any I/O error ends the
-/// session; any query error answers on the wire error channel and keeps
-/// the session alive.
-fn session<B: SummaryBackend>(
+/// One connection of the blocking driver: read bytes, let the decoder
+/// turn them into work, answer each unit in order, write the reply. Any
+/// I/O error — including the idle deadline expiring on a read — ends the
+/// session; the decoder ends it after `quit`, EOF or a protocol violation,
+/// once everything decoded before that point is answered.
+#[cfg(any(not(target_os = "linux"), test))]
+fn drive_session<B: SummaryBackend>(
     engine: &QueryEngine<B>,
-    stream: TcpStream,
+    mut stream: TcpStream,
     counters: &ServerCounters,
+    policy: &DecodePolicy,
 ) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match read_line_limited(&mut reader, &mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => counters.add_bytes_in(n as u64),
-        }
-        let command = line.trim();
-        if command.is_empty() {
-            continue;
-        }
-        let reply = if command == "quit" {
-            break;
-        } else if command == "ping" {
-            "pong\n".to_string()
-        } else if command == "schema" {
-            encode_schema(engine.schema(), engine.n())
-        } else if command == "stats" {
-            stats_line(engine)
-        } else if command == "stats server" {
-            server_stats_line(&counters.snapshot())
-        } else if command == "stats ingest" {
-            ingest_stats_line(engine)
-        } else if command.starts_with("b1") {
-            respond_probe(engine, command)
-        } else if command.starts_with("a1") {
-            respond_append(engine, command)
-        } else if let Some(count) = command.strip_prefix("batch") {
-            match handle_batch(engine, &mut reader, count.trim(), counters) {
-                Ok(reply) => reply,
-                Err(()) => break, // connection died mid-batch
+    let mut st = SessionState::new(Instant::now());
+    let mut chunk = [0u8; 16 * 1024];
+    'session: loop {
+        while let Some(work) = st.pending.pop_front() {
+            let reply = execute_work(engine, counters, &work);
+            st.work_done(work.weight(), counters);
+            if stream.write_all(reply.as_bytes()).is_err() {
+                break 'session;
             }
-        } else {
-            respond(engine, command)
-        };
-        counters.add_bytes_out(reply.len() as u64);
-        if writer.write_all(reply.as_bytes()).is_err() || writer.flush().is_err() {
+            counters.add_bytes_out(reply.len() as u64);
+            // The in-flight cap may have paused decoding mid-buffer.
+            st.pump(counters, policy);
+        }
+        if st.no_more_input {
             break;
         }
+        match stream.read(&mut chunk) {
+            Ok(0) => st.eof = true,
+            Ok(n) => {
+                counters.add_bytes_in(n as u64);
+                st.read_buf.extend_from_slice(&chunk[..n]);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        st.pump(counters, policy);
     }
+    st.abandon_pending(counters);
+    // FIN before the close: a session ended with request bytes still unread
+    // (a violation, `quit` mid-pipeline) would otherwise only send a reset,
+    // and the client would lose replies it has not read yet.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Server-side admission check on a decoded request: rejects the shapes
@@ -770,7 +749,7 @@ pub(crate) fn encode_outcome(outcome: &Result<QueryResponse>) -> String {
 /// **one** parallel batch (`execute_batch` is bitwise-identical to
 /// per-request `execute`), probes, appends, and decode errors answer in
 /// place.
-pub(crate) fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> String {
+fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> String {
     if let [line] = lines {
         // Single-request fast path: skip the slot machinery.
         return if line.starts_with("b1") {
@@ -814,13 +793,10 @@ pub(crate) fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[S
     reply
 }
 
-/// Executes the payload lines of one complete `batch <n>` frame exactly
-/// like the threaded core: decodable requests as one engine batch, one
-/// response line per payload line, in order.
-pub(crate) fn execute_batch_lines<B: SummaryBackend>(
-    engine: &QueryEngine<B>,
-    lines: &[String],
-) -> String {
+/// Executes the payload lines of one complete `batch <n>` frame:
+/// decodable requests as one engine batch, one response line per payload
+/// line (every line answers on the query channel), in order.
+fn execute_batch_lines<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> String {
     let mut slots: Vec<Option<Result<QueryResponse>>> = Vec::with_capacity(lines.len());
     slots.resize_with(lines.len(), || None);
     let mut requests = Vec::new();
@@ -847,34 +823,124 @@ pub(crate) fn execute_batch_lines<B: SummaryBackend>(
     reply
 }
 
-/// Reads the `n` request lines of a `batch <n>` frame off a threaded-core
-/// session and executes them via [`execute_batch_lines`]. `Err(())` means
-/// the connection dropped mid-frame.
-fn handle_batch<B: SummaryBackend>(
+/// Executes one decoded work unit into its encoded reply — the single
+/// `Work` → bytes step both I/O drivers share. Holds no locks.
+pub(crate) fn execute_work<B: SummaryBackend>(
     engine: &QueryEngine<B>,
-    reader: &mut BufReader<TcpStream>,
-    count: &str,
     counters: &ServerCounters,
-) -> std::result::Result<String, ()> {
-    let n: usize = match count.parse() {
-        Ok(n) if n <= MAX_BATCH => n,
-        _ => {
-            let err = ModelError::Parse {
-                line: 0,
-                message: format!("bad batch size {count:?} (max {MAX_BATCH})"),
-            };
-            return Ok(encode_outcome(&Err(err)));
-        }
-    };
-    let mut lines = Vec::with_capacity(n);
-    let mut line = String::new();
-    for _ in 0..n {
-        line.clear();
-        match read_line_limited(reader, &mut line) {
-            Ok(0) | Err(_) => return Err(()),
-            Ok(read) => counters.add_bytes_in(read as u64),
-        }
-        lines.push(line.trim().to_string());
+    work: &Work,
+) -> String {
+    match work {
+        Work::Run(lines) => execute_run(engine, lines),
+        Work::Batch(lines) => execute_batch_lines(engine, lines),
+        Work::Reply(ReplyKind::Ping) => "pong\n".to_string(),
+        Work::Reply(ReplyKind::Schema) => encode_schema(engine.schema(), engine.n()),
+        Work::Reply(ReplyKind::CacheStats) => stats_line(engine),
+        Work::Reply(ReplyKind::ServerStats) => encode_server_stats(&counters.snapshot()),
+        Work::Reply(ReplyKind::IngestStats) => encode_ingest_stats(engine.ingest_stats().as_ref()),
+        Work::Reply(ReplyKind::Raw(reply)) => reply.clone(),
     }
-    Ok(execute_batch_lines(engine, &lines))
+}
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
+mod tests {
+    use super::common::{requests, sharded, transcript};
+    use super::*;
+
+    /// Starts the blocking driver the way `serve_tuned` does off Linux.
+    fn spawn(config: ServerConfig, tuning: ReactorConfig) -> BlockingHandle {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let engine = Arc::new(QueryEngine::new(sharded(3)));
+        spawn_blocking(engine, listener, config, tuning.policy(), Arc::default()).unwrap()
+    }
+
+    /// The reply stream `script()` must provoke, assembled from in-process
+    /// execution through the public encoders — no server code involved.
+    fn golden() -> String {
+        let (engine, reqs) = (QueryEngine::new(sharded(3)), requests());
+        let line = |outcome: Result<QueryResponse>| match outcome {
+            Ok(resp) => resp.encode() + "\n",
+            Err(e) => QueryResponse::encode_error(&e) + "\n",
+        };
+        let mut out = String::from("pong\n");
+        out.push_str(&encode_schema(engine.schema(), engine.n()));
+        out.extend(reqs.iter().map(|r| line(engine.execute(r))));
+        out.extend(engine.execute_batch(&reqs).into_iter().map(line));
+        let garbage = QueryRequest::decode("definitely not a command");
+        out.push_str(&line(garbage.and_then(|r| engine.execute(&r))));
+        // The empty line is skipped; `quit` closes without a reply.
+        out + "pong\n"
+    }
+
+    /// Both I/O drivers answer the script with exactly the golden bytes,
+    /// however the request bytes are chunked — and the blocking driver
+    /// still does when a tight in-flight cap pauses decoding mid-buffer.
+    #[test]
+    fn golden_transcript_on_both_drivers() {
+        let tight = ReactorConfig {
+            max_in_flight_per_conn: 2,
+            ..ReactorConfig::default()
+        };
+        let served = serve(QueryEngine::new(sharded(3)), "127.0.0.1:0").unwrap();
+        let mut blocking = spawn(ServerConfig::default(), ReactorConfig::default());
+        let mut capped = spawn(ServerConfig::default(), tight);
+        let expected = golden();
+        for (driver, addr) in [
+            ("serve()", served.local_addr()),
+            ("blocking", blocking.addr),
+            ("blocking, in-flight cap 2", capped.addr),
+        ] {
+            for dribble in [false, true] {
+                let got = String::from_utf8(transcript(addr, dribble)).unwrap();
+                assert_eq!(got, expected, "{driver}, dribble = {dribble}");
+            }
+        }
+        for handle in [&blocking, &capped] {
+            assert_eq!(handle.shared.counters.snapshot().dispatch_depth, 0);
+        }
+        served.shutdown();
+        blocking.shutdown_inner();
+        capped.shutdown_inner();
+    }
+
+    /// The blocking driver honors `ServerConfig`: a connection over the
+    /// session cap reads one typed `busy` line then EOF, and a silent
+    /// session is closed at the idle deadline.
+    #[test]
+    fn blocking_driver_sheds_and_reaps() {
+        let cap_one = ServerConfig {
+            idle_timeout: None,
+            max_sessions: Some(1),
+        };
+        let mut capped = spawn(cap_one, ReactorConfig::default());
+        let mut admitted = TcpStream::connect(capped.addr).unwrap();
+        admitted.write_all(b"ping\n").unwrap();
+        let mut pong = [0u8; 5];
+        admitted.read_exact(&mut pong).unwrap();
+        assert_eq!(&pong, b"pong\n");
+        let mut shed = String::new();
+        TcpStream::connect(capped.addr)
+            .unwrap()
+            .read_to_string(&mut shed)
+            .unwrap();
+        assert_eq!(shed, "r1 busy server at session capacity (1)\n");
+        assert_eq!(capped.shared.counters.snapshot().shed_total, 1);
+        capped.shutdown_inner();
+
+        let idle_50ms = ServerConfig {
+            idle_timeout: Some(Duration::from_millis(50)),
+            max_sessions: None,
+        };
+        let mut reaping = spawn(idle_50ms, ReactorConfig::default());
+        let mut silent = TcpStream::connect(reaping.addr).unwrap();
+        silent
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        assert_eq!(silent.read(&mut [0u8; 8]).unwrap(), 0, "expected EOF");
+        reaping.shutdown_inner();
+    }
 }

@@ -1,14 +1,20 @@
-//! Per-connection state for the event-driven server core: growable
-//! read/write buffers, the line-protocol decoder run incrementally over
-//! partial reads, and the decoded-work queue consumed by the compute pool.
-//!
-//! The decoder mirrors the threaded core's session loop byte for byte:
-//! the same command classification, the same `batch <n>` framing
-//! (including the final-unterminated-line behavior at EOF), and the same
-//! [`MAX_LINE_BYTES`] violation semantics (the offending session dies, no
+//! The line-protocol state machine — the only one. [`SessionState`] turns
+//! bytes into [`Work`] incrementally over partial reads; `execute_work`
+//! (`server.rs`) turns `Work` into reply bytes. Both I/O drivers — epoll
+//! (`reactor.rs`) and blocking (`server.rs`) — feed bytes to
+//! [`SessionState::pump`] and answer what it queues, so every wire rule
+//! lives here: the command classification, the `batch <n>` framing (a
+//! final unterminated line at EOF still counts), and the
+//! [`MAX_LINE_BYTES`] violation semantics (the offending session ends, no
 //! reply for the oversized line). Contiguous compute lines coalesce into
 //! one [`Work::Run`] so a pipelined burst is answered with one engine
-//! batch and one socket write.
+//! batch and one socket write. The write buffer and epoll bookkeeping
+//! fields serve the epoll driver only; the blocking driver writes each
+//! reply synchronously.
+
+// Off Linux only the decoder half runs; `Session`, the write buffer and
+// the epoll bookkeeping have no user there.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 use crate::protocol::{MAX_BATCH, MAX_LINE_BYTES};
 use entropydb_core::error::ModelError;
@@ -20,8 +26,8 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Cheap session-level replies answered by the compute pool without
-/// touching the backend's query paths.
+/// Cheap session-level replies answered without touching the backend's
+/// query paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ReplyKind {
     /// `ping` → `pong`.
@@ -137,7 +143,7 @@ pub(crate) struct BatchAccum {
     pub lines: Vec<String>,
 }
 
-/// One connection owned by the reactor core. The stream stays alive for
+/// One connection owned by the epoll driver. The stream stays alive for
 /// as long as any clone of the `Arc<Session>` does (the dispatcher queue
 /// and a worker mid-job may briefly outlive deregistration), so the fd
 /// cannot be reused while a stale reference could still touch it.
@@ -225,10 +231,9 @@ impl SessionState {
     }
 
     /// Decodes every complete line in `read_buf` into pending work,
-    /// stopping early at the per-connection in-flight cap. Mirrors the
-    /// threaded session loop's classification exactly. The consumed prefix
-    /// is compacted once per call, not per line, so a pipelined burst
-    /// decodes in linear time.
+    /// stopping early at the per-connection in-flight cap. The consumed
+    /// prefix is compacted once per call, not per line, so a pipelined
+    /// burst decodes in linear time.
     pub(crate) fn drain_lines(&mut self, counters: &ServerCounters, policy: &DecodePolicy) {
         // Start of the current (not yet decoded) line, absolute.
         let mut consumed = 0usize;
@@ -242,16 +247,15 @@ impl SessionState {
             else {
                 self.scan_from = self.read_buf.len();
                 // A newline-free prefix at the line cap can no longer
-                // become a legal line: end the session, exactly like the
-                // threaded core's limited read erroring out.
+                // become a legal line: end the session.
                 if self.scan_from - consumed >= MAX_LINE_BYTES as usize {
                     self.violation();
                 }
                 break;
             };
             let line_end = self.scan_from + nl;
-            // `+ 1` counts the newline, matching the threaded core's cap
-            // on `read_line` bytes.
+            // The cap counts the newline: a line of `MAX_LINE_BYTES`
+            // bytes including its `\n` is legal, one byte more is not.
             if (line_end + 1 - consumed) as u64 > MAX_LINE_BYTES {
                 self.violation();
                 break;
@@ -259,8 +263,8 @@ impl SessionState {
             let line = match std::str::from_utf8(&self.read_buf[consumed..line_end]) {
                 Ok(s) => s.trim().to_string(),
                 Err(_) => {
-                    // The threaded core's `read_line` fails the session on
-                    // invalid UTF-8 without answering the line.
+                    // Invalid UTF-8 ends the session without answering
+                    // the line.
                     self.violation();
                     break;
                 }
@@ -282,11 +286,10 @@ impl SessionState {
 
     /// Decodes whatever can make progress: buffered complete lines, and —
     /// once EOF has been seen and every complete line is consumed — the
-    /// final unterminated line (the threaded core's `read_line` yields it
-    /// too). An incomplete batch frame at EOF is dropped without a reply,
-    /// exactly like a connection dying mid-frame. Call after every read
-    /// and after every completed work unit (the in-flight cap may have
-    /// paused decoding mid-buffer).
+    /// final unterminated line, which counts as a line. An incomplete
+    /// batch frame at EOF is dropped without a reply (the connection died
+    /// mid-frame). Call after every read and after every completed work
+    /// unit (the in-flight cap may have paused decoding mid-buffer).
     pub(crate) fn pump(&mut self, counters: &ServerCounters, policy: &DecodePolicy) {
         self.drain_lines(counters, policy);
         if !self.eof || self.no_more_input {
@@ -322,20 +325,20 @@ impl SessionState {
 
     /// A protocol violation (oversized or non-UTF-8 line): stop reading,
     /// answer what was already decoded, then close. The violating line
-    /// itself gets no reply — same as the threaded core breaking out of
-    /// its session loop. Buffer cleanup happens in the caller.
+    /// itself gets no reply. Buffer cleanup happens in the caller.
     fn violation(&mut self) {
         self.no_more_input = true;
         self.close_after_flush = true;
         self.batch = None;
     }
 
-    /// Classifies one complete (trimmed) line, mirroring the threaded
-    /// session loop's dispatch order.
+    /// Classifies one complete (trimmed) line. The order of the checks is
+    /// wire behaviour: session commands are matched whole, `batch` by
+    /// literal prefix, and everything else is a compute line.
     fn accept_line(&mut self, line: String, counters: &ServerCounters, policy: &DecodePolicy) {
         if let Some(accum) = &mut self.batch {
             // Batch payload lines are consumed verbatim — even empty ones
-            // count toward the frame, exactly like the threaded core.
+            // count toward the frame.
             accum.lines.push(line);
             if accum.lines.len() >= accum.want {
                 let accum = self.batch.take().expect("accumulator present");
@@ -357,8 +360,7 @@ impl SessionState {
             return;
         }
         if line == "quit" {
-            // The threaded core breaks out immediately: bytes pipelined
-            // after `quit` are never decoded.
+            // Bytes pipelined after `quit` are never decoded.
             self.no_more_input = true;
             self.close_after_flush = true;
             self.read_buf = Vec::new();
@@ -458,6 +460,16 @@ impl SessionState {
         counters.dispatch_completed(weight as u64);
         self.job_active = false;
     }
+
+    /// Un-books decoded work that will never execute because the
+    /// connection is closing.
+    pub(crate) fn abandon_pending(&mut self, counters: &ServerCounters) {
+        let abandoned: usize = self.pending.drain(..).map(|w| w.weight()).sum();
+        if abandoned > 0 {
+            counters.dispatch_completed(abandoned as u64);
+        }
+        self.in_flight = 0;
+    }
 }
 
 /// The typed overload error for queue-depth shedding.
@@ -535,8 +547,8 @@ mod tests {
     fn batch_frames_collect_exactly_n_payload_lines() {
         let (mut s, c) = state_with(b"batch 3\nq1 a\n\nq1 b\nping\n");
         s.drain_lines(&c, &policy());
-        // The empty line counts as payload (it decodes to an error slot),
-        // matching the threaded core; the trailing ping is a new command.
+        // The empty line counts as payload (it decodes to an error slot);
+        // the trailing ping is a new command.
         assert_eq!(s.pending.len(), 2);
         assert_eq!(
             s.pending[0],
@@ -564,7 +576,7 @@ mod tests {
 
     #[test]
     fn batchless_prefix_quirk_is_preserved() {
-        // The threaded core strips the literal prefix "batch", so "batch5"
+        // The header is matched by the literal prefix "batch", so "batch5"
         // is a valid one-frame header.
         let (mut s, c) = state_with(b"batch5\nq1 a\nq1 b\nq1 c\nq1 d\nq1 e\n");
         s.drain_lines(&c, &policy());
@@ -637,7 +649,7 @@ mod tests {
     #[test]
     fn max_sized_terminated_line_is_still_accepted() {
         // A line of exactly MAX_LINE_BYTES bytes including the newline is
-        // legal (the threaded read accepts it); one byte more is not.
+        // legal; one byte more is not.
         let mut ok = vec![b'x'; MAX_LINE_BYTES as usize - 1];
         ok.push(b'\n');
         let (mut s, c) = state_with(&ok);

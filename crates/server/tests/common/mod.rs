@@ -12,6 +12,8 @@ use entropydb_core::serialize::ClusterShard;
 use entropydb_core::sharded::ShardedSummary;
 use entropydb_server::{demo, serve, FailoverConfig, ServerHandle};
 use entropydb_storage::{AttrId, Predicate};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 pub fn a(i: usize) -> AttrId {
@@ -137,4 +139,49 @@ where
             req.encode()
         );
     }
+}
+
+/// A deterministic pipelined session script exercising every reply shape:
+/// commands, singles over every request variant, a batch frame, the error
+/// channel, a skipped empty line, and `quit`. Cache warmth never changes
+/// an answer, so the byte stream it provokes is identical on every run.
+pub fn script() -> String {
+    let reqs = requests();
+    let mut s = String::from("ping\nschema\n");
+    for r in &reqs {
+        s.push_str(&r.encode());
+        s.push('\n');
+    }
+    s.push_str(&format!("batch {}\n", reqs.len()));
+    for r in &reqs {
+        s.push_str(&r.encode());
+        s.push('\n');
+    }
+    s.push_str("definitely not a command\n");
+    s.push('\n');
+    s.push_str("ping\nquit\n");
+    s
+}
+
+/// Runs `script()` against `addr` over a raw socket and returns the whole
+/// reply stream. `dribble` delivers the request bytes one `write(2)` per
+/// byte (worst-case partial reads); otherwise the whole script lands in a
+/// single coalesced write (worst-case pipelining).
+pub fn transcript(addr: std::net::SocketAddr, dribble: bool) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let payload = script();
+    if dribble {
+        for b in payload.as_bytes() {
+            stream.write_all(std::slice::from_ref(b)).unwrap();
+        }
+    } else {
+        stream.write_all(payload.as_bytes()).unwrap();
+    }
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).unwrap();
+    out
 }

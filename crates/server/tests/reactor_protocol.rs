@@ -1,16 +1,17 @@
-//! Raw-socket protocol suite for the event-driven server core: the same
-//! command script delivered byte-at-a-time and as one coalesced write
-//! must produce bitwise-identical reply streams, the reactor must match
-//! the retained thread-per-connection core transcript-for-transcript, a
-//! `MAX_LINE_BYTES` flood must end only the offending session, capacity
-//! shedding must answer a readable typed `busy` line, and the
-//! `stats server` counters must track real traffic.
+//! Raw-socket protocol suite for the served path: the same command script
+//! delivered byte-at-a-time and as one coalesced write must produce
+//! bitwise-identical reply streams, a `MAX_LINE_BYTES` flood must end only
+//! the offending session, capacity shedding must answer a readable typed
+//! `busy` line, and the `stats server` counters must track real traffic.
+//! (The golden transcript — expected bytes built from in-process
+//! execution, checked on both I/O drivers — is a unit test in
+//! `src/server.rs`, where the private blocking driver is reachable.)
 
 mod common;
 
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::plan::QueryRequest;
-use entropydb_server::{serve, serve_threaded, serve_with, Client, ServerConfig, ServerHandle};
+use entropydb_server::{serve, serve_with, Client, ServerConfig, ServerHandle};
 use entropydb_storage::Predicate;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -20,87 +21,19 @@ fn spawn_reactor() -> ServerHandle {
     serve(QueryEngine::new(common::sharded(3)), "127.0.0.1:0").unwrap()
 }
 
-fn spawn_threaded() -> ServerHandle {
-    serve_threaded(
-        QueryEngine::new(common::sharded(3)),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap()
-}
-
-/// A deterministic pipelined session script exercising every reply shape:
-/// commands, singles over every request variant, a batch frame, the error
-/// channel, a skipped empty line, and `quit`. Cache warmth never changes
-/// an answer, so the byte stream it provokes is identical on every run.
-fn script() -> String {
-    let reqs = common::requests();
-    let mut s = String::from("ping\nschema\n");
-    for r in &reqs {
-        s.push_str(&r.encode());
-        s.push('\n');
-    }
-    s.push_str(&format!("batch {}\n", reqs.len()));
-    for r in &reqs {
-        s.push_str(&r.encode());
-        s.push('\n');
-    }
-    s.push_str("definitely not a command\n");
-    s.push('\n');
-    s.push_str("ping\nquit\n");
-    s
-}
-
-/// Runs `script()` against `addr` over a raw socket and returns the whole
-/// reply stream. `dribble` delivers the request bytes one `write(2)` per
-/// byte (worst-case partial reads); otherwise the whole script lands in a
-/// single coalesced write (worst-case pipelining).
-fn transcript(addr: std::net::SocketAddr, dribble: bool) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let payload = script();
-    if dribble {
-        for b in payload.as_bytes() {
-            stream.write_all(std::slice::from_ref(b)).unwrap();
-        }
-    } else {
-        stream.write_all(payload.as_bytes()).unwrap();
-    }
-    let mut out = Vec::new();
-    stream.read_to_end(&mut out).unwrap();
-    out
-}
-
 /// Byte-at-a-time delivery and one coalesced pipelined write provoke
-/// bitwise-identical reply streams from the reactor core.
+/// bitwise-identical reply streams.
 #[test]
 fn dribbled_bytes_and_coalesced_frames_answer_identically() {
     let handle = spawn_reactor();
-    let coalesced = transcript(handle.local_addr(), false);
-    let dribbled = transcript(handle.local_addr(), true);
+    let coalesced = common::transcript(handle.local_addr(), false);
+    let dribbled = common::transcript(handle.local_addr(), true);
     assert!(!coalesced.is_empty());
     assert_eq!(
         dribbled, coalesced,
         "partial-read decoding changed the reply stream"
     );
     handle.shutdown();
-}
-
-/// The reactor core and the retained thread-per-connection baseline speak
-/// the identical wire protocol: same script, same bytes back.
-#[test]
-fn reactor_transcript_matches_threaded_core() {
-    let reactor = spawn_reactor();
-    let threaded = spawn_threaded();
-    let from_reactor = transcript(reactor.local_addr(), false);
-    let from_threaded = transcript(threaded.local_addr(), false);
-    assert!(!from_reactor.is_empty());
-    assert_eq!(from_reactor, from_threaded, "cores disagree on the wire");
-    reactor.shutdown();
-    threaded.shutdown();
 }
 
 /// Flooding one session with a newline-free stream past `MAX_LINE_BYTES`
