@@ -4,11 +4,13 @@
 //! fastest; their Java prototype needed ~1 day for the full flights model.
 //! We measure (a) a full solve to tolerance with the batched coordinate
 //! solver, (b) the per-sweep cost of the coordinate solver vs the
-//! exponentiated-gradient baseline on the same model, and (c) the
+//! exponentiated-gradient baseline on the same model, (c) the
 //! incremental slab maintenance (refresh only the changed attribute's
 //! prefix row per pass) against the retained full-refill baseline, on a
 //! single-component multi-attribute model where per-pass refill dominates
-//! sweep cost.
+//! sweep cost, and (d) the tree sweep on the query-latency flights model
+//! (Ent1&2&3, a star of pairs fitted by message passing), gated as
+//! absolute ceilings on the cost of one sweep and of the whole solve.
 //!
 //! Besides ns/op, the emitted `BENCH_solver.json` carries convergence
 //! side-channels (`sweeps_to_converge`, final dual `Ψ`) for both refill
@@ -18,6 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::common;
+use entropydb_bench::report::mean_call_ns;
 use entropydb_core::prelude::*;
 use entropydb_core::rng::SplitMix64;
 use entropydb_core::selection::heuristics::select_pair_statistics;
@@ -93,6 +96,29 @@ fn star_setup() -> (Statistics, FactorizedPolynomial) {
     let stats = Statistics::observe(&table, stats_spec).expect("observe");
     let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).expect("build");
     assert_eq!(poly.num_components(), 1, "star model must be one component");
+    // One rectangle per pair over 96-value domains: the 48-term closure is
+    // the cheaper kernel, so this group keeps measuring the closure sweep.
+    assert_eq!(poly.size_stats().closure_components, 1);
+    (stats, poly)
+}
+
+/// The query-latency bench's flights model (100 k rows, 300 COMPOSITE
+/// statistics on each of origin/dest/fl_time × distance): one tree
+/// component, whose closure would be 150 k terms.
+fn flights_star_setup() -> (Statistics, FactorizedPolynomial) {
+    let mut scale = common::Scale::quick();
+    scale.flights_rows = 100_000;
+    let d = common::flights_coarse(&scale);
+    let mut stats_spec = Vec::new();
+    for x in [d.origin, d.dest, d.fl_time] {
+        stats_spec.extend(
+            select_pair_statistics(&d.table, x, d.distance, 300, Heuristic::Composite)
+                .expect("selection"),
+        );
+    }
+    let stats = Statistics::observe(&d.table, stats_spec).expect("observe");
+    let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).expect("build");
+    assert_eq!(poly.size_stats().tree_components, 1);
     (stats, poly)
 }
 
@@ -183,6 +209,41 @@ fn bench_incremental(c: &mut Criterion) {
     assert_eq!(sweeps[0], sweeps[1], "sweep counts diverged across configs");
 }
 
+/// The tree sweep at flights scale: the whole default-budget solve (what
+/// `MaxEntSummary::build`, a shard fit and every ingest fold pay) and the
+/// cost of one sweep, both gated as absolute ceilings.
+fn bench_flights_solve(c: &mut Criterion) {
+    const SWEEPS: usize = 64;
+    let (stats, poly) = flights_star_setup();
+    let default_config = SolverConfig::default();
+    let budget_config = SolverConfig {
+        max_sweeps: SWEEPS,
+        tolerance: 0.0,
+        ..SolverConfig::default()
+    };
+
+    let mut g = c.benchmark_group("flights_solve");
+    g.bench_function("full_solve", |b| {
+        b.iter(|| solve(black_box(&poly), black_box(&stats), &default_config).unwrap())
+    });
+    g.finish();
+
+    c.record_metric(
+        "flights_solve",
+        "tree_sweep_ns",
+        mean_call_ns(20, || {
+            black_box(solve(black_box(&poly), black_box(&stats), &budget_config).unwrap());
+        }) / SWEEPS as f64,
+    );
+    c.record_metric(
+        "flights_solve",
+        "full_solve_ms",
+        mean_call_ns(10, || {
+            black_box(solve(black_box(&poly), black_box(&stats), &default_config).unwrap());
+        }) / 1e6,
+    );
+}
+
 /// Sweeps-to-converge comparison, reported through bench output: run once
 /// outside the timing loop and assert the paper's ordering.
 fn bench_convergence(c: &mut Criterion) {
@@ -219,6 +280,6 @@ fn bench_convergence(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_solver, bench_incremental, bench_convergence
+    targets = bench_solver, bench_incremental, bench_flights_solve, bench_convergence
 }
 criterion_main!(benches);

@@ -20,7 +20,7 @@
 //! and derivative passes lift through the product rule. Every variable
 //! still has degree ≤ 1, so the solver's closed-form updates are unchanged.
 //!
-//! ## Two query kernels, chosen per component at build
+//! ## Two kernels, chosen per component at build
 //!
 //! The three query entry points ([`FactorizedPolynomial::eval_masked_with`],
 //! [`FactorizedPolynomial::eval_masked_many_with`],
@@ -41,8 +41,10 @@
 //!
 //! The choice is structural and fixed when the polynomial is built; there
 //! is no switch. [`FactorizedPolynomial::size_stats`] reports how many
-//! components landed on each kernel. The closure is still built for every
-//! component — the solver and the `δ` sweep API run on it.
+//! components landed on each kernel. [`crate::solver`] fits a component
+//! with the sweep of the same kernel. The closure is still *built* for
+//! every component: `size_stats()` / `num_terms()` report it and the public
+//! `δ` sweep API ([`FactorizedPolynomial::begin_multi_sweep`]) runs on it.
 //!
 //! ## Scratch reuse and parallelism
 //!
@@ -82,9 +84,10 @@ pub(crate) struct Component {
     /// `j` is `multis[j]` globally.
     pub(crate) multis: Vec<usize>,
     pub(crate) poly: CompressedPolynomial,
-    /// The message-passing query kernel, when the component qualifies (see
-    /// `crate::tree`); `None` keeps query evaluation on `poly`.
-    tree: Option<TreeKernel>,
+    /// The message-passing kernel, when the component qualifies (see
+    /// `crate::tree`): queries and the solver's sweeps both run on it.
+    /// `None` keeps both on `poly`.
+    pub(crate) tree: Option<TreeKernel>,
 }
 
 /// The product-of-components polynomial used by the solver and the summary.
@@ -357,7 +360,7 @@ impl FactorizedPolynomial {
     /// Whether component-level parallelism is worth a pool hand-off: only
     /// when enough closure term work would actually run concurrently.
     #[inline]
-    fn use_par(&self) -> bool {
+    pub(crate) fn use_par(&self) -> bool {
         self.par_terms >= PAR_MIN_TERMS && par::max_threads() > 1
     }
 

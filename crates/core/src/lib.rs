@@ -47,7 +47,7 @@
 //! | [`naive`] | §3.1 Eq. 5 | uncompressed polynomial (test oracle) |
 //! | [`polynomial`] | §4.1 Thm 4.1 | compressed polynomial, fused derivative passes |
 //! | [`factorized`] | §7 | product factorization over independent attribute groups |
-//! | `tree` | §4.1 (third assumption) | sum-product query kernel for components that are trees of disjoint 2-D rectangles |
+//! | `tree` | §4.1 (third assumption) | sum-product kernel (queries and solver sweeps) for components that are trees of disjoint 2-D rectangles |
 //! | [`solver`] | §3.3 Alg. 1 | coordinate mirror descent + gradient baseline |
 //! | [`assignment`] | §4.2 | variable values, query masks |
 //! | [`model`] / [`query`] | §3.2, §4.2 | `MaxEntSummary`, estimates with variance |

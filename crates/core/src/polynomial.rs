@@ -71,13 +71,12 @@
 //!
 //! Every evaluation here walks all terms: `O(#terms · factors)`, and the
 //! term count is the number of *compatible statistic subsets* — 150 043
-//! for the 900 rectangles of the Ent1&2&3 flights summary. The solver needs
-//! this form (its `δ` updates read per-term products). Queries do not: a
-//! component that is a tree of disjoint 2-D rectangles is answered by the
-//! message-passing kernel in `crate::tree` in `O(Σ|dom| + #rectangles)`,
-//! selected per component by [`crate::factorized`]. The closure remains the
-//! query kernel for every other shape, and the oracle the tree kernel is
-//! tested against.
+//! for the 900 rectangles of the Ent1&2&3 flights summary. A component
+//! that is a tree of disjoint 2-D rectangles needs none of it: the
+//! message-passing kernel in `crate::tree` answers its queries and runs its
+//! solver sweeps in `O(Σ|dom| + #rectangles)`, selected per component by
+//! [`crate::factorized`]. The closure remains the kernel for every other
+//! shape, and the oracle the tree kernel is tested against.
 //!
 //! Because every variable has degree ≤ 1 in `P` (monomials are multilinear),
 //! evaluation under a [`Mask`] plus *all* derivatives with respect to one
@@ -150,13 +149,14 @@ pub struct PolynomialSizeStats {
     /// Monomials of the equivalent uncompressed sum-of-products form
     /// (`∏ N_i`), saturating.
     pub uncompressed_monomials: u128,
-    /// Components whose queries the tree message-passing kernel answers
-    /// (`crate::tree`) — always 0 for a bare [`CompressedPolynomial`].
+    /// Components the tree message-passing kernel (`crate::tree`) answers
+    /// queries on and the solver sweeps — always 0 for a bare
+    /// [`CompressedPolynomial`].
     pub tree_components: usize,
-    /// Components whose queries walk the closure's terms. A model that
-    /// should be all-tree showing a large closure component here means a
-    /// statistic choice (a cycle of pairs, a 3-D statistic) put it on the
-    /// far slower kernel.
+    /// Components whose queries and solver sweeps walk the closure's terms.
+    /// A model that should be all-tree showing a large closure component
+    /// here means a statistic choice (a cycle of pairs, a 3-D statistic)
+    /// put it on the far slower kernel.
     pub closure_components: usize,
 }
 

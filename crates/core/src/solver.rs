@@ -13,6 +13,30 @@
 //!
 //! which is well-defined because `P` is linear in every variable.
 //!
+//! ### Two sweeps, chosen per component at build
+//!
+//! Every component is fitted by one of two sweeps — the one that runs on
+//! the kernel [`crate::factorized`] picked to answer the component's
+//! queries, so the choice is structural, fixed when the polynomial is built,
+//! and has no switch. Both feed the *same* update loop in the same order
+//! (attributes in local order, then `δ` in statistic order), so a component
+//! follows one trajectory up to float rounding whichever sweep runs it.
+//!
+//! * **Tree sweep** (`crate::tree`, components whose pair graph is a tree
+//!   of disjoint rectangles): `O(Σ|dom| + #rectangles)` per pass. Rooting
+//!   the message pass at attribute `i` yields `P` and every `P_{α_j},
+//!   j ∈ J_i` at once. For the `δ` block, the *cavity* of an edge `(X, Y)`
+//!   — the beliefs `A(x)`, `B(y)` of its two sides with the edge's own
+//!   potential left out — gives `P_{δ_j} = A[x-range of j] · B[y-range of
+//!   j]` in O(1) per rectangle from two prefix sums; same-pair rectangles
+//!   are disjoint, so those values stay exact while the edge's own `δ`
+//!   move, and one cavity serves each run of consecutive same-pair
+//!   statistics. The flights Ent1&2&3 star costs 4 rooted passes + 3
+//!   cavities of ≈ 1.3 k cells per sweep instead of a 150 k-term walk.
+//! * **Closure sweep** ([`CompressedPolynomial`], everything else: a cycle
+//!   of pairs, a 3-D statistic, a closure too small for a pass to beat):
+//!   the two sections below.
+//!
 //! ### Attribute-batched sweeps
 //!
 //! Updating one variable then re-evaluating `P` from scratch (the paper's
@@ -23,10 +47,10 @@
 //! ([`CompressedPolynomial::eval_with_attr_derivatives`]) yields every
 //! `P_{α_j}` of the attribute; `P = Σ_j α_j P_{α_j}` is then maintained in
 //! O(1) per update. The same idea handles multi-dimensional variables with
-//! cached interval products. A full sweep is `O(m · |terms| + Σ N_i +
-//! Σ_j |terms ∋ δ_j|)` instead of `O(k · |terms| · m)`.
+//! cached interval products. A full closure sweep is `O(m · |terms| + Σ N_i
+//! + Σ_j |terms ∋ δ_j|)` instead of `O(k · |terms| · m)`.
 //!
-//! ### Incremental slab maintenance
+//! ### Incremental slab maintenance (closure sweep)
 //!
 //! A per-attribute pass changes exactly one attribute's variables, so the
 //! evaluation scratch is maintained incrementally rather than refilled
@@ -38,21 +62,24 @@
 //! pass. Refreshed rows are recomputed from the current variables, so the
 //! incremental slab is bitwise identical to a full refill at every point;
 //! `SolverConfig::resync_sweeps` adds a periodic full rebuild as a drift
-//! backstop and `incremental_refill: false` retains the full-refill
-//! baseline for A/B benchmarks.
+//! backstop and `incremental_refill: false` is the full-refill reference
+//! the incremental path is tested against. The tree sweep keeps no slab:
+//! every pass recomputes its messages from the current variables.
 //!
-//! ### Component-local parallel solving
+//! ### Component-local solving
 //!
 //! Because `P = ∏_c P_c` factorizes over independent components and every
 //! cross-component factor cancels from both the closed-form update and the
 //! residual (`n α P_α / P = n α P_{α,c} / P_c`), each component is a fully
 //! independent optimization problem. The solver therefore runs one
 //! coordinate-descent loop *per component*, against that component's
-//! [`CompressedPolynomial`] and a reusable [`EvalScratch`] — no
-//! cross-component re-evaluation at all — and solves components in
-//! parallel. Results are bitwise independent of the thread count. The dual
-//! objective also decomposes (`Ψ = Σ_c Ψ_c`), so tracked trajectories are
-//! summed across components.
+//! kernel and its own scratch — no cross-component re-evaluation at all.
+//! Closure components with enough term work to overlap are solved in
+//! parallel (the rule query evaluation uses); tree and one-term components
+//! are solved inline, where a pool hand-off would cost more than the solve.
+//! Results are bitwise independent of the thread count. The dual objective
+//! also decomposes (`Ψ = Σ_c Ψ_c`), so tracked trajectories are summed
+//! across components.
 //!
 //! A reference full-gradient solver (exponentiated gradient ascent on `Ψ`,
 //! i.e. classic mirror descent with the entropy mirror map) is provided for
@@ -61,15 +88,13 @@
 
 use crate::assignment::{Mask, VarAssignment};
 use crate::error::{ModelError, Result};
-use crate::factorized::FactorizedPolynomial;
+use crate::factorized::{Component, FactorizedPolynomial};
 use crate::par;
-use crate::polynomial::CompressedPolynomial;
+use crate::polynomial::{CompressedPolynomial, EvalScratch};
 use crate::statistics::Statistics;
+use crate::tree::{TreeKernel, TreeScratch};
 use std::fmt;
 use std::time::Instant;
-
-#[allow(unused_imports)] // referenced by the module docs
-use crate::polynomial::EvalScratch;
 
 /// Configuration for the model solver.
 #[derive(Debug, Clone)]
@@ -81,15 +106,16 @@ pub struct SolverConfig {
     /// Record the dual objective `Ψ` after every sweep (costs one extra
     /// evaluation per sweep).
     pub track_dual: bool,
-    /// Maintain the evaluation scratch incrementally across passes and
+    /// Closure components only (a tree component's sweep keeps no slab):
+    /// maintain the evaluation scratch incrementally across passes and
     /// sweeps: after a per-attribute pass only that attribute's prefix row
     /// is refreshed, instead of refilling the whole slab before every pass.
     /// `false` retains the full-refill behavior as an A/B baseline for the
     /// benches and the bitwise-equivalence tests; both paths produce
     /// bit-identical results by construction.
     pub incremental_refill: bool,
-    /// With `incremental_refill`, additionally rebuild the whole slab every
-    /// this many sweeps. Incremental rows are recomputed from the current
+    /// Closure components only: with `incremental_refill`, additionally
+    /// rebuild the whole slab every this many sweeps. Incremental rows are recomputed from the current
     /// variables (not accumulated), so the resync is a drift *backstop*
     /// rather than a correction — it bounds the blast radius should a caller
     /// ever mutate variables without marking the row dirty. `0` disables
@@ -258,11 +284,192 @@ struct CompSolution {
     dual: Vec<f64>,
 }
 
+/// What one coordinate-descent sweep asks of a component's evaluator. The
+/// two implementations are the two kernels [`crate::factorized`] chooses
+/// between per component; [`solve_component`] is the one update loop over
+/// either. `one_dim` / `multi` are always the component's current local
+/// variables.
+trait SweepKernel {
+    /// Called at the top of sweep number `sweep` (0-based). The default
+    /// suits a kernel that keeps no state between calls.
+    fn begin_sweep(&mut self, _sweep: usize, _one_dim: &[Vec<f64>]) {}
+    /// `(P, ∂P/∂α_{li,v} for every v)` at the current variables.
+    fn attr_derivatives(&mut self, li: usize, one_dim: &[Vec<f64>], multi: &[f64])
+        -> (f64, &[f64]);
+    /// Attribute `li`'s variables were just rewritten.
+    fn attr_updated(&mut self, _li: usize) {}
+    /// Opens the `δ` block (every `α` is fixed until the next sweep):
+    /// returns `P`.
+    fn begin_deltas(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64;
+    /// `∂P/∂δ_lj` at the current `δ` values; called for `lj = 0, 1, …` in
+    /// order within a `δ` block.
+    fn delta_derivative(&mut self, lj: usize, one_dim: &[Vec<f64>], multi: &[f64]) -> f64;
+    /// `P` at the current variables (dual tracking).
+    fn value(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64;
+}
+
+/// The closure sweep: one fused term walk per attribute against an
+/// incrementally maintained slab, cached interval products for the `δ`
+/// block (module docs, "Attribute-batched sweeps" and "Incremental slab
+/// maintenance").
+struct ClosureSweep<'p> {
+    poly: &'p CompressedPolynomial,
+    scratch: EvalScratch,
+    incremental: bool,
+    resync_sweeps: usize,
+}
+
+impl<'p> ClosureSweep<'p> {
+    fn new(poly: &'p CompressedPolynomial, config: &SolverConfig) -> Self {
+        ClosureSweep {
+            poly,
+            scratch: poly.make_scratch(),
+            incremental: config.incremental_refill,
+            resync_sweeps: config.resync_sweeps,
+        }
+    }
+
+    /// Brings the slab up to date with `one_dim`: O(changed attribute) —
+    /// only the row updated by the previous pass is dirty — or the whole
+    /// slab on the full-refill reference path. Rows are always recomputed
+    /// from the current variables, so both leave bitwise the same slab.
+    fn refresh(&mut self, one_dim: &[Vec<f64>]) {
+        let get = |i: usize| (one_dim[i].as_slice(), None);
+        if self.incremental {
+            self.poly.refresh_dirty_with(&mut self.scratch, get);
+        } else {
+            self.poly.fill_scratch_with(&mut self.scratch, get);
+        }
+    }
+}
+
+impl SweepKernel for ClosureSweep<'_> {
+    fn begin_sweep(&mut self, sweep: usize, one_dim: &[Vec<f64>]) {
+        // Establish the slab once; afterwards a periodic full resync is
+        // only a drift backstop (see `SolverConfig::resync_sweeps`).
+        let resync =
+            self.incremental && self.resync_sweeps > 0 && sweep.is_multiple_of(self.resync_sweeps);
+        if sweep == 0 || resync {
+            self.poly
+                .fill_scratch_with(&mut self.scratch, |i| (one_dim[i].as_slice(), None));
+        }
+    }
+
+    fn attr_derivatives(
+        &mut self,
+        li: usize,
+        one_dim: &[Vec<f64>],
+        multi: &[f64],
+    ) -> (f64, &[f64]) {
+        self.refresh(one_dim);
+        self.poly
+            .derivs_prefilled(multi, &one_dim[li], None, li, &mut self.scratch)
+    }
+
+    fn attr_updated(&mut self, li: usize) {
+        self.scratch.mark_attr_dirty(li);
+    }
+
+    fn begin_deltas(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
+        // Cached interval products stay valid while only δ values change.
+        self.refresh(one_dim);
+        self.poly.interval_products_prefilled(&mut self.scratch);
+        self.poly
+            .eval_from_interval_products(self.scratch.iprods(), multi)
+    }
+
+    fn delta_derivative(&mut self, lj: usize, _: &[Vec<f64>], multi: &[f64]) -> f64 {
+        self.poly.delta_derivative(self.scratch.iprods(), multi, lj)
+    }
+
+    fn value(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
+        self.refresh(one_dim);
+        self.poly.eval_prefilled(multi, &mut self.scratch)
+    }
+}
+
+/// The tree sweep: message passing on the component's query kernel (module
+/// docs, "Two sweeps"). Every call recomputes from the current variables,
+/// so there is no slab to maintain.
+struct TreeSweep<'t> {
+    tree: &'t TreeKernel,
+    scratch: TreeScratch,
+    /// The edge whose cavity the scratch holds, within a `δ` block.
+    cavity_edge: usize,
+}
+
+impl<'t> TreeSweep<'t> {
+    fn new(tree: &'t TreeKernel) -> Self {
+        TreeSweep {
+            tree,
+            scratch: tree.make_scratch(),
+            cavity_edge: 0,
+        }
+    }
+
+    /// Recomputes the cavity of `edge` at the current variables; returns `P`.
+    fn cavity(&mut self, edge: usize, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
+        self.cavity_edge = edge;
+        let get = |i: usize| (one_dim[i].as_slice(), None);
+        self.tree.cavity(edge, multi, get, &mut self.scratch)
+    }
+}
+
+impl SweepKernel for TreeSweep<'_> {
+    fn attr_derivatives(
+        &mut self,
+        li: usize,
+        one_dim: &[Vec<f64>],
+        multi: &[f64],
+    ) -> (f64, &[f64]) {
+        let get = |i: usize| (one_dim[i].as_slice(), None);
+        let p = self.tree.pass(li, multi, get, &mut self.scratch);
+        (p, self.scratch.derivs_slice(one_dim[li].len()))
+    }
+
+    fn begin_deltas(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
+        self.cavity(self.tree.edge_of(0), one_dim, multi)
+    }
+
+    fn delta_derivative(&mut self, lj: usize, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
+        // A cavity serves the whole run of consecutive same-pair
+        // statistics; another pair's δ moved since it was computed only
+        // when the edge changes.
+        let edge = self.tree.edge_of(lj);
+        if edge != self.cavity_edge {
+            self.cavity(edge, one_dim, multi);
+        }
+        self.tree.cavity_delta_derivative(lj, &self.scratch)
+    }
+
+    fn value(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
+        let get = |i: usize| (one_dim[i].as_slice(), None);
+        self.tree.pass(0, multi, get, &mut self.scratch)
+    }
+}
+
+/// The Eq. 12 step for a variable `x` with statistic `s`, given `P = p` and
+/// `∂P/∂x = pd`: `x ← s (P − x P_x) / ((n − s) P_x)`, or `0` for a ZERO
+/// statistic (Sec. 4.3). Returns the new `(x, P)`; `None` when the closed
+/// form does not apply (counted in `skipped_updates`).
+#[inline]
+fn coordinate_step(s: f64, n: f64, x: f64, pd: f64, p: f64) -> Option<(f64, f64)> {
+    let excl = p - x * pd;
+    if s == 0.0 {
+        return Some((0.0, excl));
+    }
+    if pd <= 0.0 || !pd.is_finite() || excl <= 0.0 {
+        return None;
+    }
+    let new_x = s * excl / ((n - s) * pd);
+    Some((new_x, excl + new_x * pd))
+}
+
 /// Coordinate mirror descent on a single component (see module docs): the
 /// closed-form updates and residuals of the global problem restricted to
 /// the component, with every cross-component factor cancelled out.
-fn solve_component(
-    poly: &CompressedPolynomial,
+fn solve_component<K: SweepKernel>(
+    mut kernel: K,
     attrs: &[usize],
     multis: &[usize],
     stats: &Statistics,
@@ -274,7 +481,6 @@ fn solve_component(
         .map(|&g| stats.one_dim()[g].iter().map(|&c| c as f64 / n).collect())
         .collect();
     let mut multi = vec![1.0; multis.len()];
-    let mut scratch = poly.make_scratch();
     let mut sol = CompSolution {
         one_dim: Vec::new(),
         multi: Vec::new(),
@@ -284,39 +490,24 @@ fn solve_component(
         skipped_updates: 0,
         dual: Vec::new(),
     };
-
-    // Establish the slab once; every later pass refreshes only the rows
-    // whose variables changed (incremental maintenance). Rows are always
-    // recomputed from the current variables, so the incremental slab is
-    // bitwise identical to a freshly filled one at every point.
-    poly.fill_scratch_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
+    let positive = |p: f64| {
+        if p.is_finite() && p > 0.0 {
+            Ok(())
+        } else {
+            Err(ModelError::NumericalFailure("P not positive during solve"))
+        }
+    };
 
     for sweep in 0..config.max_sweeps {
-        let full_refill = !config.incremental_refill;
-        if config.incremental_refill
-            && config.resync_sweeps > 0
-            && sweep > 0
-            && sweep.is_multiple_of(config.resync_sweeps)
-        {
-            // Periodic full resync (drift backstop; see `SolverConfig`).
-            poly.fill_scratch_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-        }
+        kernel.begin_sweep(sweep, &one_dim);
         let mut max_residual = 0.0f64;
 
-        // --- 1D variables, one batched pass per attribute. ---
+        // --- 1D variables, one batched pass per attribute: the derivatives
+        // contain no variable of the attribute, so they stay valid while
+        // its values are updated and P is tracked in O(1). ---
         for (li, &g) in attrs.iter().enumerate() {
-            if full_refill {
-                poly.fill_scratch_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-            } else {
-                // O(changed attribute): only the row updated by the
-                // previous pass is dirty.
-                poly.refresh_dirty_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-            }
-            let (mut p, derivs) =
-                poly.derivs_prefilled(&multi, &one_dim[li], None, li, &mut scratch);
-            if !p.is_finite() || p <= 0.0 {
-                return Err(ModelError::NumericalFailure("P not positive during solve"));
-            }
+            let (mut p, derivs) = kernel.attr_derivatives(li, &one_dim, &multi);
+            positive(p)?;
             let counts = &stats.one_dim()[g];
             let mut new_alphas = std::mem::take(&mut one_dim[li]);
             for (v, &pd) in derivs.iter().enumerate() {
@@ -324,72 +515,36 @@ fn solve_component(
                 let alpha = new_alphas[v];
                 let current = n * alpha * pd / p;
                 max_residual = max_residual.max((s - current).abs() / n);
-                if s == 0.0 {
-                    // Pin to zero (the ZERO-statistic observation, Sec 4.3).
-                    p -= alpha * pd;
-                    new_alphas[v] = 0.0;
-                    continue;
-                }
                 if (s - n).abs() < f64::EPSILON {
                     // Every tuple has this value; all competing variables are
                     // pinned to 0, so the constraint is satisfied for any
                     // positive α. Leave it.
                     continue;
                 }
-                if pd <= 0.0 || !pd.is_finite() {
-                    sol.skipped_updates += 1;
-                    continue;
+                match coordinate_step(s, n, alpha, pd, p) {
+                    Some(step) => (new_alphas[v], p) = step,
+                    None => sol.skipped_updates += 1,
                 }
-                // Eq. 12: α = s (P − α P_α) / ((n − s) P_α).
-                let excl = p - alpha * pd;
-                if excl <= 0.0 {
-                    sol.skipped_updates += 1;
-                    continue;
-                }
-                let new_alpha = s * excl / ((n - s) * pd);
-                p = excl + new_alpha * pd;
-                new_alphas[v] = new_alpha;
             }
             one_dim[li] = new_alphas;
-            scratch.mark_attr_dirty(li);
+            kernel.attr_updated(li);
         }
 
-        // --- Multi-dimensional variables: cached interval products stay
-        // valid while only δ values change; P is tracked incrementally. ---
+        // --- Multi-dimensional variables: P is affine in each δ and is
+        // tracked incrementally across the block. ---
         if !multis.is_empty() {
-            if full_refill {
-                poly.fill_scratch_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-            } else {
-                poly.refresh_dirty_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-            }
-            poly.interval_products_prefilled(&mut scratch);
-            let mut p = poly.eval_from_interval_products(scratch.iprods(), &multi);
+            let mut p = kernel.begin_deltas(&one_dim, &multi);
             for (lj, &gj) in multis.iter().enumerate() {
                 let s = stats.multi_counts()[gj] as f64;
                 let delta = multi[lj];
-                let pd = poly.delta_derivative(scratch.iprods(), &multi, lj);
-                if !p.is_finite() || p <= 0.0 {
-                    return Err(ModelError::NumericalFailure("P not positive during solve"));
-                }
+                let pd = kernel.delta_derivative(lj, &one_dim, &multi);
+                positive(p)?;
                 let current = n * delta * pd / p;
                 max_residual = max_residual.max((s - current).abs() / n);
-                if s == 0.0 {
-                    multi[lj] = 0.0;
-                    p -= delta * pd;
-                    continue;
+                match coordinate_step(s, n, delta, pd, p) {
+                    Some(step) => (multi[lj], p) = step,
+                    None => sol.skipped_updates += 1,
                 }
-                if pd <= 0.0 || !pd.is_finite() {
-                    sol.skipped_updates += 1;
-                    continue;
-                }
-                let excl = p - delta * pd;
-                if excl <= 0.0 {
-                    sol.skipped_updates += 1;
-                    continue;
-                }
-                let new_delta = s * excl / ((n - s) * pd);
-                multi[lj] = new_delta;
-                p = excl + new_delta * pd;
             }
         }
 
@@ -411,12 +566,7 @@ fn solve_component(
                     psi += s as f64 * multi[lj].ln();
                 }
             }
-            if full_refill {
-                poly.fill_scratch_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-            } else {
-                poly.refresh_dirty_with(&mut scratch, |i| (one_dim[i].as_slice(), None));
-            }
-            psi -= n * poly.eval_prefilled(&multi, &mut scratch).ln();
+            psi -= n * kernel.value(&one_dim, &multi).ln();
             sol.dual.push(psi);
         }
         if max_residual < config.tolerance {
@@ -432,7 +582,8 @@ fn solve_component(
 
 /// Solves the model by attribute-batched coordinate mirror descent
 /// (Algorithm 1 with the batching and component-decomposition optimizations
-/// described in the module docs). Components are solved in parallel.
+/// described in the module docs): each component on the sweep of its
+/// kernel, closure components in parallel when they are large enough.
 pub fn solve(
     poly: &FactorizedPolynomial,
     stats: &Statistics,
@@ -454,10 +605,25 @@ pub fn solve(
         return Ok((a, report));
     }
 
+    // Each component is solved by the sweep of the kernel that answers its
+    // queries. Only closure components with enough term work to overlap are
+    // worth a pool hand-off; tree and one-term components run inline.
     let components = poly.components();
-    let solutions: Vec<Result<CompSolution>> = par::map(components, 1, |_, c| {
-        solve_component(&c.poly, &c.attrs, &c.multis, stats, config)
-    });
+    let solve_one = |c: &Component| match &c.tree {
+        Some(tree) => solve_component(TreeSweep::new(tree), &c.attrs, &c.multis, stats, config),
+        None => solve_component(
+            ClosureSweep::new(&c.poly, config),
+            &c.attrs,
+            &c.multis,
+            stats,
+            config,
+        ),
+    };
+    let solutions: Vec<Result<CompSolution>> = if poly.use_par() {
+        par::map(components, 1, |_, c| solve_one(c))
+    } else {
+        components.iter().map(solve_one).collect()
+    };
 
     report.converged = true;
     report.max_residual = 0.0;
@@ -585,10 +751,17 @@ pub fn solve_gradient(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/forest.rs"]
+mod forest;
+
+#[cfg(test)]
 mod tests {
+    use super::forest::{random_forest, Shape};
     use super::*;
     use crate::statistics::MultiDimStatistic;
     use entropydb_storage::{AttrId, Attribute, Schema, Table};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn a(i: usize) -> AttrId {
         AttrId(i)
@@ -770,23 +943,166 @@ mod tests {
         assert!((e - 2.0).abs() < 1e-4, "{e}");
     }
 
+    /// A 1 200-row table over nine 5-valued attributes, correlated in
+    /// neighbouring pairs.
+    fn nine_attribute_table() -> Table {
+        let schema = Schema::new(
+            (0..9)
+                .map(|i| Attribute::categorical(format!("a{i}"), 5).unwrap())
+                .collect(),
+        );
+        let mut g = StdRng::seed_from_u64(0x9A77);
+        let mut t = Table::new(schema);
+        let mut row = [0u32; 9];
+        for _ in 0..1200 {
+            for i in 0..9 {
+                row[i] = match i > 0 && g.gen_range(0..2) == 0 {
+                    true => row[i - 1],
+                    false => g.gen_range(0..5),
+                };
+            }
+            t.push_row(&row).unwrap();
+        }
+        t
+    }
+
+    /// Every cell of the pair `(x, y)` as its own statistic.
+    fn all_cells(x: usize, y: usize) -> impl Iterator<Item = MultiDimStatistic> {
+        (0..25).map(move |c| MultiDimStatistic::cell2d(a(x), c / 5, a(y), c % 5).unwrap())
+    }
+
     #[test]
     fn parallel_and_serial_solve_agree_bitwise() {
-        let t = full_support_table();
-        let multi = vec![
-            MultiDimStatistic::cell2d(a(0), 0, a(1), 0).unwrap(),
-            MultiDimStatistic::cell2d(a(1), 1, a(2), 0).unwrap(),
+        let small = full_support_table();
+        let nine = nine_attribute_table();
+        let triangle = |x: usize| {
+            all_cells(x, x + 1)
+                .chain(all_cells(x + 1, x + 2))
+                .chain(all_cells(x, x + 2))
+        };
+        // (table, statistics, tree components, closure components, fans out)
+        let models: Vec<(&Table, Vec<MultiDimStatistic>, usize, usize, bool)> = vec![
+            (
+                &small,
+                vec![
+                    MultiDimStatistic::cell2d(a(0), 0, a(1), 0).unwrap(),
+                    MultiDimStatistic::cell2d(a(1), 1, a(2), 0).unwrap(),
+                ],
+                0,
+                1,
+                false,
+            ),
+            // A chain of pairs (one tree component) and five free
+            // attributes, all solved inline.
+            (
+                &nine,
+                (0..3).flat_map(|x| all_cells(x, x + 1)).collect(),
+                1,
+                5,
+                false,
+            ),
+            // Two cycles of pairs (576-term closures that do overlap on the
+            // pool), a tree pair and a free attribute.
+            (
+                &nine,
+                triangle(0)
+                    .chain(triangle(3))
+                    .chain(all_cells(6, 7))
+                    .collect(),
+                1,
+                3,
+                true,
+            ),
         ];
-        let stats = Statistics::observe(&t, multi.clone()).unwrap();
-        let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
-        crate::par::set_max_threads(1);
-        let serial = solve(&poly, &stats, &SolverConfig::default()).unwrap();
-        crate::par::set_max_threads(4);
-        let parallel = solve(&poly, &stats, &SolverConfig::default()).unwrap();
-        crate::par::set_max_threads(0);
-        assert_eq!(serial.0, parallel.0);
-        assert_eq!(serial.1.sweeps, parallel.1.sweeps);
-        assert_eq!(serial.1.skipped_updates, parallel.1.skipped_updates);
+        for (table, multi, trees, closures, fans_out) in models {
+            let stats = Statistics::observe(table, multi.clone()).unwrap();
+            let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
+            let kernels = poly.size_stats();
+            assert_eq!(
+                (kernels.tree_components, kernels.closure_components),
+                (trees, closures)
+            );
+            crate::par::set_max_threads(1);
+            let serial = solve(&poly, &stats, &SolverConfig::default()).unwrap();
+            crate::par::set_max_threads(4);
+            assert_eq!(poly.use_par(), fans_out);
+            let parallel = solve(&poly, &stats, &SolverConfig::default()).unwrap();
+            crate::par::set_max_threads(0);
+            assert_eq!(serial.0, parallel.0);
+            assert_eq!(serial.1.sweeps, parallel.1.sweeps);
+            assert_eq!(serial.1.skipped_updates, parallel.1.skipped_updates);
+            assert_eq!(
+                serial.1.max_residual.to_bits(),
+                parallel.1.max_residual.to_bits()
+            );
+        }
+    }
+
+    /// On every tree component of seeded random stars, chains and forests
+    /// the tree sweep follows the closure sweep of the same component: same
+    /// sweep count, convergence flag and skipped updates, every variable
+    /// within 1e-9 relative, with and without dual tracking.
+    #[test]
+    fn tree_sweep_follows_the_closure_sweep() {
+        let close = |t: f64, c: f64| (t - c).abs() <= 1e-9 * t.abs().max(c.abs());
+        let mut g = StdRng::seed_from_u64(0x7EE5);
+        let (mut compared, mut cavity_runs) = (0, 0);
+        for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+            for round in 0..48 {
+                let (table, rects) = random_forest(&mut g, shape);
+                let multi: Vec<_> = rects
+                    .iter()
+                    .map(|&(x, xr, y, yr)| MultiDimStatistic::rect2d(a(x), xr, a(y), yr).unwrap())
+                    .collect();
+                // A rectangle holding every row is rejected as degenerate.
+                let Ok(stats) = Statistics::observe(&table, multi.clone()) else {
+                    continue;
+                };
+                let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
+                let config = SolverConfig {
+                    max_sweeps: 150,
+                    track_dual: round % 2 == 0,
+                    ..SolverConfig::default()
+                };
+                for c in poly.components() {
+                    let Some(tree) = &c.tree else { continue };
+                    let (attrs, multis) = (&c.attrs, &c.multis);
+                    let t = solve_component(TreeSweep::new(tree), attrs, multis, &stats, &config)
+                        .unwrap();
+                    let closure = ClosureSweep::new(&c.poly, &config);
+                    let cl = solve_component(closure, attrs, multis, &stats, &config).unwrap();
+                    let context = format!("{shape:?} round {round}: {rects:?}");
+                    assert_eq!(
+                        (t.sweeps, t.converged, t.skipped_updates),
+                        (cl.sweeps, cl.converged, cl.skipped_updates),
+                        "{context}"
+                    );
+                    let vars = |s: &CompSolution| -> Vec<f64> {
+                        s.one_dim
+                            .iter()
+                            .flatten()
+                            .chain(&s.multi)
+                            .copied()
+                            .collect()
+                    };
+                    for (tv, cv) in vars(&t).into_iter().zip(vars(&cl)) {
+                        assert!(close(tv, cv), "{tv} vs {cv}; {context}");
+                    }
+                    assert_eq!(t.dual.len(), cl.dual.len());
+                    for (tp, cp) in t.dual.iter().zip(&cl.dual) {
+                        assert!(close(*tp, *cp), "dual {tp} vs {cp}; {context}");
+                    }
+                    compared += 1;
+                    // Interleaved listing: how often the edge changes
+                    // between consecutive statistics of the component.
+                    cavity_runs += (1..c.multis.len())
+                        .filter(|&lj| tree.edge_of(lj) != tree.edge_of(lj - 1))
+                        .count();
+                }
+            }
+        }
+        assert!(compared >= 60, "only {compared} tree components compared");
+        assert!(cavity_runs > compared, "statistics were not interleaved");
     }
 
     #[test]

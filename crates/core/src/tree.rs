@@ -32,7 +32,9 @@
 //! per rectangle, and one scan over `Y`'s domain. Rooting the pass at
 //! attribute `g` yields `P = Σ_v α_{g,v} · ∂P/∂α_{g,v}` *and* every
 //! `∂P/∂α_{g,v} = w_v · ∏ messages into g` at once, so a group-by costs the
-//! same single pass as a point query.
+//! same single pass as a point query — and the solver's per-attribute
+//! block is one such pass per attribute. Its `δ` block reads every
+//! `∂P/∂δ_j` of an edge from that edge's *cavity* ([`TreeKernel::cavity`]).
 //!
 //! [`TreeKernel::build`] checks all three conditions (unlike
 //! [`crate::statistics::Statistics`], [`crate::factorized`] accepts raw,
@@ -60,9 +62,6 @@ struct Step {
     /// The child is the edge's lower-indexed attribute (`u`); otherwise the
     /// rectangle ranges are read swapped.
     child_is_u: bool,
-    /// The child has no children of its own in this rooting, so its belief
-    /// is `α·w` alone.
-    leaf: bool,
     /// First message into the parent: assigns the parent's message product
     /// instead of multiplying into it.
     first: bool,
@@ -87,6 +86,19 @@ pub(crate) struct TreeKernel {
     /// Root-major schedules: root `r`'s messages, children before parents,
     /// are `steps[r·(k−1) .. (r+1)·(k−1)]` for `k` attributes.
     steps: Vec<Step>,
+    /// Edge → its endpoints `(u, v)`, `u < v`.
+    edges: Vec<(u32, u32)>,
+    /// Attribute → it has exactly one neighbour: when it sends to that
+    /// neighbour, or the neighbour's message is left out of a cavity, it
+    /// has received nothing and its belief is `α·w` alone.
+    leaf: Vec<bool>,
+    /// Edge-major cavity schedules: edge `e = (u, v)`'s messages — root
+    /// `u`'s schedule without the `v → u` message — are
+    /// `cavity_steps[e·(k−2) .. (e+1)·(k−2)]`.
+    cavity_steps: Vec<Step>,
+    /// Statistic → its edge and its slot in the edge-grouped arrays above.
+    multi_edge: Vec<u32>,
+    multi_slot: Vec<u32>,
     /// Cells one pass touches: both endpoint domains of every edge (the
     /// sender's prefix sum, the receiver's difference array and scan) plus
     /// one per rectangle.
@@ -105,6 +117,10 @@ pub(crate) struct TreeScratch {
     diff: Vec<f64>,
     /// `∂P/∂α_{root,v}` of the last pass.
     derivs: Vec<f64>,
+    /// Prefix sums `F_A`, `F_B` of the last [`TreeKernel::cavity`]'s two
+    /// endpoint beliefs.
+    cavity_u: Vec<f64>,
+    cavity_v: Vec<f64>,
 }
 
 impl TreeScratch {
@@ -192,6 +208,7 @@ impl TreeKernel {
             adjacent[u].push((v, e));
             adjacent[v].push((u, e));
         }
+        let leaf: Vec<bool> = adjacent.iter().map(|n| n.len() == 1).collect();
         let mut steps = Vec::with_capacity(k * (k - 1));
         for root in 0..k {
             // Depth-first discovery lists parents before children; the
@@ -213,9 +230,31 @@ impl TreeKernel {
                     parent: parent as u32,
                     edge: e as u32,
                     child_is_u: edges[e].0 == child,
-                    leaf: adjacent[child].len() == 1,
                     first: !std::mem::replace(&mut received[parent], true),
                 });
+            }
+        }
+        // Edge (u, v)'s cavity: everything root u's pass sends except the
+        // message across the edge itself, so afterwards u's and v's message
+        // products each hold their own side of the tree.
+        let mut cavity_steps = Vec::with_capacity(edges.len() * k.saturating_sub(2));
+        for (e, &(u, _)) in edges.iter().enumerate() {
+            let mut received = vec![false; k];
+            for step in &steps[u * (k - 1)..(u + 1) * (k - 1)] {
+                if step.edge as usize != e {
+                    cavity_steps.push(Step {
+                        first: !std::mem::replace(&mut received[step.parent as usize], true),
+                        ..*step
+                    });
+                }
+            }
+        }
+        let mut multi_edge = vec![0u32; stats.len()];
+        let mut multi_slot = vec![0u32; stats.len()];
+        for e in 0..edges.len() {
+            for slot in rect_offsets[e]..rect_offsets[e + 1] {
+                multi_edge[order[slot]] = e as u32;
+                multi_slot[order[slot]] = slot as u32;
             }
         }
 
@@ -244,6 +283,11 @@ impl TreeKernel {
             v_end,
             rect_multi,
             steps,
+            edges: edges.iter().map(|&(u, v)| (u as u32, v as u32)).collect(),
+            leaf,
+            cavity_steps,
+            multi_edge,
+            multi_slot,
         })
     }
 
@@ -261,6 +305,101 @@ impl TreeKernel {
             prefix: vec![0.0; max_domain + 1],
             diff: vec![0.0; max_domain + 1],
             derivs: vec![0.0; max_domain],
+            cavity_u: vec![0.0; max_domain + 1],
+            cavity_v: vec![0.0; max_domain + 1],
+        }
+    }
+
+    /// Prefix sum of attribute `x`'s belief `α·w·∏(messages received)` into
+    /// `prefix[..=N_x]`; returns the total. With `bare`, `x` has received no
+    /// message and its belief is `α·w` alone.
+    fn belief_prefix(
+        prefix: &mut [f64],
+        vals: &[f64],
+        weights: Option<&[f64]>,
+        received: &[f64],
+        bare: bool,
+    ) -> f64 {
+        if bare {
+            return CompressedPolynomial::fill_row(prefix, vals, weights);
+        }
+        let mut acc = 0.0;
+        prefix[0] = 0.0;
+        match weights {
+            Some(w) => {
+                for ((slot, &mv), (&wv, &xv)) in
+                    prefix[1..].iter_mut().zip(received).zip(w.iter().zip(vals))
+                {
+                    acc += wv * xv * mv;
+                    *slot = acc;
+                }
+            }
+            None => {
+                for ((slot, &mv), &xv) in prefix[1..].iter_mut().zip(received).zip(vals) {
+                    acc += xv * mv;
+                    *slot = acc;
+                }
+            }
+        }
+        acc
+    }
+
+    /// Attribute `x`'s row of the message-product slab.
+    fn row(&self, x: usize) -> std::ops::Range<usize> {
+        self.row_starts[x]..self.row_starts[x] + self.domain_sizes[x]
+    }
+
+    /// Sends one message `child → parent` (module docs), multiplying it
+    /// into the parent's message product.
+    fn send<'a>(
+        &self,
+        step: &Step,
+        multi: &[f64],
+        get: &impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
+        s: &mut TreeScratch,
+    ) {
+        let (x, y) = (step.child as usize, step.parent as usize);
+        let (nx, ny) = (self.domain_sizes[x], self.domain_sizes[y]);
+        let (vals, weights) = get(x);
+        debug_assert_eq!(vals.len(), nx);
+
+        // F_X: prefix sum of the child's belief α·w·∏(messages into X).
+        let prefix = &mut s.prefix[..nx + 1];
+        let total = Self::belief_prefix(prefix, vals, weights, &s.mprod[self.row(x)], self.leaf[x]);
+
+        // Every rectangle adds (δ − 1)·F_X[its x-range] over its y-range.
+        let diff = &mut s.diff[..ny + 1];
+        diff.fill(0.0);
+        let r = self.rect_offsets[step.edge as usize]..self.rect_offsets[step.edge as usize + 1];
+        let (x_lo, x_end, y_lo, y_end) = if step.child_is_u {
+            (&self.u_lo, &self.u_end, &self.v_lo, &self.v_end)
+        } else {
+            (&self.v_lo, &self.v_end, &self.u_lo, &self.u_end)
+        };
+        for ((((&xl, &xe), &yl), &ye), &j) in x_lo[r.clone()]
+            .iter()
+            .zip(&x_end[r.clone()])
+            .zip(&y_lo[r.clone()])
+            .zip(&y_end[r.clone()])
+            .zip(&self.rect_multi[r])
+        {
+            let c = (multi[j as usize] - 1.0) * (prefix[xe as usize] - prefix[xl as usize]);
+            diff[yl as usize] += c;
+            diff[ye as usize] -= c;
+        }
+
+        let into = &mut s.mprod[self.row(y)];
+        let mut acc = 0.0;
+        if step.first {
+            for (slot, &d) in into.iter_mut().zip(diff.iter()) {
+                acc += d;
+                *slot = total + acc;
+            }
+        } else {
+            for (slot, &d) in into.iter_mut().zip(diff.iter()) {
+                acc += d;
+                *slot *= total + acc;
+            }
         }
     }
 
@@ -279,78 +418,12 @@ impl TreeKernel {
     ) -> f64 {
         let per_root = self.domain_sizes.len() - 1;
         for step in &self.steps[root * per_root..(root + 1) * per_root] {
-            let (x, y) = (step.child as usize, step.parent as usize);
-            let (nx, ny) = (self.domain_sizes[x], self.domain_sizes[y]);
-            let (vals, weights) = get(x);
-            debug_assert_eq!(vals.len(), nx);
-
-            // F_X: prefix sum of the child's belief α·w·∏(messages into X).
-            let prefix = &mut s.prefix[..nx + 1];
-            let received = &s.mprod[self.row_starts[x]..self.row_starts[x] + nx];
-            let total = if step.leaf {
-                CompressedPolynomial::fill_row(prefix, vals, weights)
-            } else {
-                let mut acc = 0.0;
-                prefix[0] = 0.0;
-                match weights {
-                    Some(w) => {
-                        for ((slot, &mv), (&wv, &xv)) in
-                            prefix[1..].iter_mut().zip(received).zip(w.iter().zip(vals))
-                        {
-                            acc += wv * xv * mv;
-                            *slot = acc;
-                        }
-                    }
-                    None => {
-                        for ((slot, &mv), &xv) in prefix[1..].iter_mut().zip(received).zip(vals) {
-                            acc += xv * mv;
-                            *slot = acc;
-                        }
-                    }
-                }
-                acc
-            };
-
-            // Every rectangle adds (δ − 1)·F_X[its x-range] over its y-range.
-            let diff = &mut s.diff[..ny + 1];
-            diff.fill(0.0);
-            let r =
-                self.rect_offsets[step.edge as usize]..self.rect_offsets[step.edge as usize + 1];
-            let (x_lo, x_end, y_lo, y_end) = if step.child_is_u {
-                (&self.u_lo, &self.u_end, &self.v_lo, &self.v_end)
-            } else {
-                (&self.v_lo, &self.v_end, &self.u_lo, &self.u_end)
-            };
-            for ((((&xl, &xe), &yl), &ye), &j) in x_lo[r.clone()]
-                .iter()
-                .zip(&x_end[r.clone()])
-                .zip(&y_lo[r.clone()])
-                .zip(&y_end[r.clone()])
-                .zip(&self.rect_multi[r])
-            {
-                let c = (multi[j as usize] - 1.0) * (prefix[xe as usize] - prefix[xl as usize]);
-                diff[yl as usize] += c;
-                diff[ye as usize] -= c;
-            }
-
-            let into = &mut s.mprod[self.row_starts[y]..self.row_starts[y] + ny];
-            let mut acc = 0.0;
-            if step.first {
-                for (slot, &d) in into.iter_mut().zip(diff.iter()) {
-                    acc += d;
-                    *slot = total + acc;
-                }
-            } else {
-                for (slot, &d) in into.iter_mut().zip(diff.iter()) {
-                    acc += d;
-                    *slot *= total + acc;
-                }
-            }
+            self.send(step, multi, &get, s);
         }
 
         let n = self.domain_sizes[root];
         let (vals, weights) = get(root);
-        let received = &s.mprod[self.row_starts[root]..self.row_starts[root] + n];
+        let received = &s.mprod[self.row(root)];
         let derivs = &mut s.derivs[..n];
         match weights {
             Some(w) => {
@@ -361,6 +434,58 @@ impl TreeKernel {
             None => derivs.copy_from_slice(received),
         }
         derivs.iter().zip(vals).map(|(&d, &xv)| xv * d).sum()
+    }
+
+    /// The edge carrying statistic `j`.
+    pub(crate) fn edge_of(&self, j: usize) -> usize {
+        self.multi_edge[j] as usize
+    }
+
+    /// The *cavity* of edge `(X, Y)`: with the edge's own potential left
+    /// out the tree falls into X's side and Y's side, and
+    ///
+    /// ```text
+    /// P = Σ_{x,y} A(x)·ψ_XY(x, y)·B(y),   A(x) = α_x·w_x·∏(messages into X except Y's)
+    /// ```
+    ///
+    /// (`B` likewise). Leaves the prefix sums `F_A`, `F_B` in the scratch
+    /// and returns `P`. Same-pair rectangles are disjoint, so
+    /// [`TreeKernel::cavity_delta_derivative`] reads every
+    /// `∂P/∂δ_j = F_A[j's x-range]·F_B[j's y-range]` of this edge from them
+    /// in O(1), and the values stay exact while only this edge's `δ` move.
+    pub(crate) fn cavity<'a>(
+        &self,
+        edge: usize,
+        multi: &[f64],
+        get: impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
+        s: &mut TreeScratch,
+    ) -> f64 {
+        let per_edge = self.domain_sizes.len() - 2;
+        for step in &self.cavity_steps[edge * per_edge..(edge + 1) * per_edge] {
+            self.send(step, multi, &get, s);
+        }
+        let (u, v) = (self.edges[edge].0 as usize, self.edges[edge].1 as usize);
+        let side = |x: usize, prefix: &mut [f64]| {
+            let (vals, weights) = get(x);
+            let prefix = &mut prefix[..vals.len() + 1];
+            Self::belief_prefix(prefix, vals, weights, &s.mprod[self.row(x)], self.leaf[x])
+        };
+        let total = side(u, &mut s.cavity_u) * side(v, &mut s.cavity_v);
+        let correction: f64 = (self.rect_offsets[edge]..self.rect_offsets[edge + 1])
+            .map(|slot| {
+                let j = self.rect_multi[slot] as usize;
+                (multi[j] - 1.0) * self.cavity_delta_derivative(j, s)
+            })
+            .sum();
+        total + correction
+    }
+
+    /// `∂P/∂δ_j` from the last [`TreeKernel::cavity`] of `j`'s edge.
+    pub(crate) fn cavity_delta_derivative(&self, j: usize, s: &TreeScratch) -> f64 {
+        let slot = self.multi_slot[j] as usize;
+        let range =
+            |f: &[f64], lo: &[u32], end: &[u32]| f[end[slot] as usize] - f[lo[slot] as usize];
+        range(&s.cavity_u, &self.u_lo, &self.u_end) * range(&s.cavity_v, &self.v_lo, &self.v_end)
     }
 }
 
@@ -428,6 +553,34 @@ mod tests {
                         "root {root} code {code}: {d} vs {want}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_edge_cavity_matches_naive_value_and_delta_derivatives() {
+        let (sizes, stats, asn) = setup();
+        let tree = TreeKernel::build(&sizes, &stats).expect("qualifies");
+        let naive = NaivePolynomial::build(&sizes, &stats).unwrap();
+        let pred = Predicate::new().between(AttrId(1), 1, 3).eq(AttrId(3), 0);
+        for mask in [
+            Mask::identity(sizes.len()),
+            Mask::from_predicate(&pred, &sizes).unwrap(),
+        ] {
+            let expected = naive.eval_masked(&asn, &mask);
+            let mut s = tree.make_scratch();
+            // Statistic order interleaves the three edges, so consecutive
+            // cavities overwrite each other's message products.
+            for j in 0..stats.len() {
+                let get = |i: usize| (asn.one_dim[i].as_slice(), mask.attr_weights(i));
+                let p = tree.cavity(tree.edge_of(j), &asn.multi, get, &mut s);
+                assert!((p - expected).abs() < 1e-12 * expected.abs(), "stat {j}");
+                let d = tree.cavity_delta_derivative(j, &s);
+                let want = naive.derivative(&asn, &mask, Var::Multi(j));
+                assert!(
+                    (d - want).abs() < 1e-12 * want.abs().max(1e-12),
+                    "stat {j}: {d} vs {want}"
+                );
             }
         }
     }

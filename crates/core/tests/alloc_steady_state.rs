@@ -235,13 +235,9 @@ fn warmed_fused_path_allocates_nothing() {
     );
 }
 
-/// The tree message-passing kernel keeps the same contract: a star of two
-/// rectangle grids (one tree component) plus a free attribute, warmed
-/// once, then every query entry point — scalar, rooted derivative pass on
-/// hub, leaves and the free attribute, fused-many — allocates nothing.
-#[test]
-fn warmed_tree_kernel_allocates_nothing() {
-    let sizes = vec![12usize, 9, 7, 5];
+/// A star of two rectangle grids around attribute 0 over domains
+/// `[12, 9, 7, 5]`: one tree component plus a free attribute.
+fn tree_star_stats() -> Vec<MultiDimStatistic> {
     let mut stats = Vec::new();
     for (leaf, xs, ys) in [
         (1, vec![(0, 3), (4, 7), (8, 11)], [(0, 2), (3, 5), (6, 8)]),
@@ -253,6 +249,17 @@ fn warmed_tree_kernel_allocates_nothing() {
             }
         }
     }
+    stats
+}
+
+/// The tree message-passing kernel keeps the same contract: the star
+/// above, warmed once, then every query entry point — scalar, rooted
+/// derivative pass on hub, leaves and the free attribute, fused-many —
+/// allocates nothing.
+#[test]
+fn warmed_tree_kernel_allocates_nothing() {
+    let sizes = vec![12usize, 9, 7, 5];
+    let stats = tree_star_stats();
     let (_, _, mut a, mask) = model();
     a.multi = (0..stats.len()).map(|j| (j % 4) as f64 * 0.7).collect();
     let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
@@ -290,6 +297,63 @@ fn warmed_tree_kernel_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state tree evaluation must not allocate, saw {allocs} allocations"
+    );
+}
+
+/// The solver's tree sweeps (per-attribute passes, then the δ block on
+/// edge cavities) run on buffers made before the first sweep: a whole
+/// `solve()` allocates the same number of times whether it runs 1 sweep or
+/// 40. With dual tracking the only growth is each component's trajectory
+/// vector.
+#[test]
+fn tree_sweeps_allocate_nothing() {
+    use entropydb_core::solver::solve;
+    use entropydb_storage::{Attribute, Schema, Table};
+
+    let sizes = [12usize, 9, 7, 5];
+    let schema = Schema::new(
+        (0..4)
+            .map(|i| Attribute::categorical(format!("a{i}"), sizes[i]).unwrap())
+            .collect(),
+    );
+    let mut table = Table::new(schema);
+    for i in 0..600u32 {
+        table
+            .push_row(&[i % 12, (i / 2 + i % 12) % 9, (i * i / 3) % 7, i % 5])
+            .unwrap();
+    }
+    let stats = Statistics::observe(&table, tree_star_stats()).unwrap();
+    let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+    let kernels = poly.size_stats();
+    assert_eq!(
+        (kernels.tree_components, kernels.closure_components),
+        (1, 1)
+    );
+
+    let solve_allocs = |sweeps: usize, track_dual: bool| {
+        let config = SolverConfig {
+            max_sweeps: sweeps,
+            tolerance: 0.0, // never met: every sweep runs
+            track_dual,
+            ..SolverConfig::default()
+        };
+        allocations_during(|| {
+            let (_, report) = solve(&poly, &stats, &config).unwrap();
+            assert_eq!(report.sweeps, sweeps);
+        })
+    };
+    assert_eq!(solve_allocs(40, false), solve_allocs(1, false));
+
+    let pushes = |k: usize| {
+        allocations_during(|| {
+            let mut v = Vec::new();
+            (0..k).for_each(|i| v.push(i as f64));
+            std::hint::black_box(v);
+        })
+    };
+    assert_eq!(
+        solve_allocs(40, true) - solve_allocs(1, true),
+        poly.num_components() * (pushes(40) - pushes(1))
     );
 }
 

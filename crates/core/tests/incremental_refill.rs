@@ -109,6 +109,15 @@ fn refill_sequences_bitwise_identical_to_full_fill() {
     }
 }
 
+/// Two cells that close the pairs `(x, y)`, `(y, z)`, `(x, z)` into a
+/// cycle: the refill paths shape the closure sweep only, and a lone pair
+/// would be fitted by the tree sweep.
+fn closing_the_cycle(mut specs: Vec<MultiDimStatistic>) -> Vec<MultiDimStatistic> {
+    specs.push(MultiDimStatistic::cell2d(AttrId(1), 0, AttrId(2), 0).unwrap());
+    specs.push(MultiDimStatistic::cell2d(AttrId(0), 0, AttrId(2), 1).unwrap());
+    specs
+}
+
 fn random_table(g: &mut StdRng) -> Table {
     let nx = g.gen_range(2..4);
     let ny = g.gen_range(2..4);
@@ -139,8 +148,9 @@ fn solver_incremental_matches_full_refill_bitwise() {
         let table = random_table(&mut g);
         let hist = entropydb_storage::Histogram2D::compute(&table, AttrId(0), AttrId(1)).unwrap();
         let specs = entropydb_core::selection::heuristics::composite_rectangles(&hist, 2);
-        let stats = Statistics::observe(&table, specs).unwrap();
+        let stats = Statistics::observe(&table, closing_the_cycle(specs)).unwrap();
         let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+        assert_eq!(poly.size_stats().tree_components, 0);
 
         let full_config = SolverConfig {
             max_sweeps: 120,
@@ -187,7 +197,7 @@ fn summaries_from_both_refill_paths_answer_identically() {
     for _ in 0..8 {
         let table = random_table(&mut g);
         let hist = entropydb_storage::Histogram2D::compute(&table, AttrId(0), AttrId(1)).unwrap();
-        let specs = entropydb_core::selection::heuristics::large_cells(&hist, 2);
+        let specs = closing_the_cycle(entropydb_core::selection::heuristics::large_cells(&hist, 2));
         let inc = MaxEntSummary::build(&table, specs.clone(), &SolverConfig::default()).unwrap();
         let full_config = SolverConfig {
             incremental_refill: false,

@@ -1,0 +1,231 @@
+//! The solver's tree sweep through the public API.
+//!
+//! `solve()` fits a component on its message-passing kernel whenever the
+//! component has one (`size_stats().tree_components`) and on the Theorem
+//! 4.1 closure otherwise. The sweep-against-sweep comparison (same
+//! trajectory as the closure sweep, to rounding) lives beside the private
+//! sweeps in `crates/core/src/solver.rs`; this suite pins what a caller
+//! sees:
+//!
+//! * on seeded random stars, chains and forests — size-1 domains, values
+//!   and rectangles no row falls in, same-pair statistics interleaved with
+//!   other pairs' — the dual never decreases along the solve, and at
+//!   convergence every `n·α·P_α/P` and `n·δ·P_δ/P`, evaluated by the
+//!   tuple-enumerating `NaivePolynomial`, equals its statistic;
+//! * components that do not qualify (a cycle of pairs, a 3-D statistic, a
+//!   wide star too sparse to beat its closure) are still solved by the
+//!   closure sweep, to the bit: their assignments are compared with values
+//!   recorded before the tree sweep existed.
+
+use entropydb_core::assignment::Mask;
+use entropydb_core::naive::NaivePolynomial;
+use entropydb_core::polynomial::Var;
+use entropydb_core::prelude::*;
+use entropydb_core::solver::solve;
+use entropydb_core::statistics::RangeClause;
+use entropydb_storage::{AttrId, Attribute, Schema, Table};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+#[path = "support/forest.rs"]
+mod forest;
+use forest::{random_forest, Shape};
+
+#[test]
+fn random_forests_fit_their_statistics() {
+    let mut g = StdRng::seed_from_u64(0x7EE6);
+    let config = SolverConfig {
+        max_sweeps: 2000,
+        tolerance: 1e-9,
+        track_dual: true,
+        ..SolverConfig::default()
+    };
+    let (mut on_tree, mut converged) = (0, 0);
+    for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+        for _ in 0..96 {
+            let (table, rects) = random_forest(&mut g, shape);
+            let specs: Vec<_> = rects
+                .iter()
+                .map(|&(x, xr, y, yr)| {
+                    MultiDimStatistic::rect2d(AttrId(x), xr, AttrId(y), yr).unwrap()
+                })
+                .collect();
+            // A rectangle holding every row is rejected as degenerate.
+            let Ok(stats) = Statistics::observe(&table, specs) else {
+                continue;
+            };
+            let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+            if poly.size_stats().tree_components == 0 {
+                continue;
+            }
+            on_tree += 1;
+            let (asn, report) = solve(&poly, &stats, &config).unwrap();
+            let context = format!("{shape:?} {rects:?}");
+
+            assert_eq!(report.dual_trajectory.len(), report.sweeps);
+            for w in report.dual_trajectory.windows(2) {
+                assert!(
+                    w[1] >= w[0] - 1e-9 * w[0].abs().max(1.0),
+                    "dual decreased {w:?}: {context}"
+                );
+            }
+            if !report.converged {
+                continue;
+            }
+            converged += 1;
+
+            let n = stats.n() as f64;
+            let naive = NaivePolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+            let mask = Mask::identity(stats.domain_sizes().len());
+            let p = naive.eval(&asn);
+            let expect = |var: Var, x: f64, s: u64| {
+                let e = n * x * naive.derivative(&asn, &mask, var) / p;
+                assert!(
+                    (e - s as f64).abs() <= 1e-6 * n,
+                    "{var:?}: E = {e}, s = {s}: {context}"
+                );
+            };
+            for (attr, counts) in stats.one_dim().iter().enumerate() {
+                for (code, &s) in counts.iter().enumerate() {
+                    let code = code as u32;
+                    expect(
+                        Var::OneDim { attr, code },
+                        asn.one_dim[attr][code as usize],
+                        s,
+                    );
+                }
+            }
+            for (j, &s) in stats.multi_counts().iter().enumerate() {
+                expect(Var::Multi(j), asn.multi[j], s);
+            }
+        }
+    }
+    assert!(on_tree >= 60, "only {on_tree} models had a tree component");
+    assert!(
+        2 * converged > on_tree,
+        "{converged} of {on_tree} converged"
+    );
+}
+
+/// A 90-row table over four 4-valued attributes, by formula.
+fn fixed_table() -> Table {
+    let schema = Schema::new(
+        (0..4)
+            .map(|i| Attribute::categorical(format!("a{i}"), 4).unwrap())
+            .collect(),
+    );
+    let mut t = Table::new(schema);
+    for i in 0..90u32 {
+        t.push_row(&[i % 4, (i / 3 + i % 4) % 4, (i * i / 5) % 4, (i / 7) % 3])
+            .unwrap();
+    }
+    t
+}
+
+/// Solves with the default configuration and returns every variable's bits.
+fn solved_bits(specs: Vec<MultiDimStatistic>) -> Vec<u64> {
+    let stats = Statistics::observe(&fixed_table(), specs).unwrap();
+    let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+    assert_eq!(poly.size_stats().tree_components, 0);
+    let (asn, _) = solve(&poly, &stats, &SolverConfig::default()).unwrap();
+    let vars = asn.one_dim.iter().flatten().chain(&asn.multi);
+    vars.map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn closure_components_keep_their_assignment_bitwise() {
+    let rect = |x: usize, xr: (u32, u32), y: usize, yr: (u32, u32)| {
+        MultiDimStatistic::rect2d(AttrId(x), xr, AttrId(y), yr).unwrap()
+    };
+    // A cycle of three pairs.
+    let triangle = vec![
+        rect(0, (0, 1), 1, (1, 2)),
+        rect(1, (0, 2), 2, (0, 0)),
+        rect(0, (1, 2), 2, (1, 3)),
+        rect(0, (2, 3), 1, (3, 3)),
+    ];
+    assert_eq!(solved_bits(triangle), TRIANGLE);
+    // One statistic on three attributes beside a 2-D one.
+    let clause = |attr: usize, lo: u32, hi: u32| RangeClause {
+        attr: AttrId(attr),
+        lo,
+        hi,
+    };
+    let three_d = vec![
+        MultiDimStatistic::new(vec![clause(0, 0, 1), clause(1, 1, 3), clause(2, 0, 2)]).unwrap(),
+        rect(2, (0, 1), 3, (0, 1)),
+    ];
+    assert_eq!(solved_bits(three_d), THREE_D);
+    // A star with one rectangle per leaf: the three-message pass touches
+    // more cells than the 8-term closure and its slab.
+    let sparse_star = vec![
+        rect(0, (0, 1), 1, (0, 2)),
+        rect(0, (1, 2), 2, (1, 1)),
+        rect(0, (0, 3), 3, (0, 0)),
+    ];
+    assert_eq!(solved_bits(sparse_star), SPARSE_STAR);
+}
+
+const TRIANGLE: [u64; 20] = [
+    0x3fced48a882e41ce,
+    0x3fd01da33e73407a,
+    0x3fd01d98638fe79d,
+    0x3fced474a30d61d4,
+    0x3fd6119c2df645c7,
+    0x3fd555555555555c,
+    0x3fd555555555555c,
+    0x0,
+    0x3fde9bd646a1a4f5,
+    0x3fd3333333333334,
+    0x0,
+    0x3fc999999999999b,
+    0x3fd82d82d82d82d8,
+    0x3fd3e93e93e93e94,
+    0x3fd3e93e93e93e94,
+    0x0,
+    0x3ff11a6e3642c2fd,
+    0x3ff000001d832c9d,
+    0x3fed47279c04277e,
+    0x0,
+];
+const THREE_D: [u64; 18] = [
+    0x3fcfae56ca6de8ed,
+    0x3fcfae56ccaa8261,
+    0x3fcf8067f38104ea,
+    0x3fcf8067f30f89e9,
+    0x3fd5f95933c85966,
+    0x3fd5555555555546,
+    0x3fd5555555555546,
+    0x0,
+    0x3fe37e2e9fb3f0c8,
+    0x3fd76438bda3b826,
+    0x0,
+    0x3fc54f8f6272b899,
+    0x3fe044c4b00a68a4,
+    0x3fdacb9f94b8e2fa,
+    0x3fd0f3e33f8caa91,
+    0x0,
+    0x3ff1342f501e172b,
+    0x3fe24949fe22f646,
+];
+const SPARSE_STAR: [u64; 19] = [
+    0x3fd00bac23079034,
+    0x3fd0902a242af8e6,
+    0x3fcfcdaede7dcab1,
+    0x3fcecf47aade0808,
+    0x3fd5555555555556,
+    0x3fd5555555555558,
+    0x3fd5555555555559,
+    0x0,
+    0x3fdf33b9a47c11c4,
+    0x3fd3ba47970f3ff6,
+    0x0,
+    0x3fc8f62e904bfaf5,
+    0x3fd82d82d82d82d8,
+    0x3fd3e93e93e93e91,
+    0x3fd3e93e93e93e91,
+    0x0,
+    0x3ff00f2e46c17eac,
+    0x3fecc92f79deda66,
+    0x3feffffffffffff8,
+];

@@ -91,9 +91,10 @@ fn summarize(args: &[String]) -> Result<ExitCode> {
     let report = summary.solver_report();
     let size = summary.size_stats();
     eprintln!(
-        "  {report}, {} polynomial terms, {}",
+        "  {report}, {} polynomial terms, {}, {}",
         size.num_terms,
-        query_kernels(&size)
+        query_kernels(&size),
+        solver_sweeps(&size)
     );
     entropydb::core::serialize::save_file(&summary, Path::new(&out)).map_err(|e| {
         ModelError::Parse {
@@ -261,8 +262,20 @@ fn info(args: &[String]) -> Result<ExitCode> {
 /// that holds most of the terms is the one to look at when queries are
 /// slow: a cycle of attribute pairs or a 3-D statistic put it there.
 fn query_kernels(s: &PolynomialSizeStats) -> String {
+    kernel_split("query kernels", s)
+}
+
+/// Which sweep fitted each component: the solver runs a component on the
+/// kernel that answers its queries, so the split is the same. Closure
+/// sweeps walk every term; they are where a slow `summarize` spends its
+/// time.
+fn solver_sweeps(s: &PolynomialSizeStats) -> String {
+    kernel_split("solver sweeps", s)
+}
+
+fn kernel_split(what: &str, s: &PolynomialSizeStats) -> String {
     format!(
-        "query kernels: {} tree + {} closure components",
+        "{what}: {} tree + {} closure components",
         s.tree_components, s.closure_components
     )
 }

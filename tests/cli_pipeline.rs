@@ -98,3 +98,40 @@ fn parser_against_synthetic_flights() {
     let c = exec::count(&dataset.table, &pred).expect("counts");
     assert_eq!(c, 3);
 }
+
+/// The ingest contract with tree components present: on a small flights
+/// Ent1&2&3 summary (a star of pairs around `distance`, fitted by the tree
+/// sweep), `fit_segment` over a shard's rows is bitwise the model
+/// `ShardedSummary::build` fits for that shard.
+#[test]
+fn fit_segment_matches_sharded_build_on_flights_star() {
+    use entropydb::core::ingest::fit_segment;
+    use entropydb::data::flights::{generate, FlightsConfig};
+
+    let d = generate(&FlightsConfig {
+        rows: 6_000,
+        fine: false,
+        seed: 0xF11D,
+    });
+    let mut stats = Vec::new();
+    for x in [d.origin, d.dest, d.fl_time] {
+        stats.extend(
+            select_pair_statistics(&d.table, x, d.distance, 40, Heuristic::Composite)
+                .expect("selection"),
+        );
+    }
+    let partitioning = Partitioning::hash(3);
+    let config = ShardedBuildConfig::default();
+    let sharded =
+        ShardedSummary::build(&d.table, &partitioning, stats.clone(), &config).expect("builds");
+    let parts = d.table.partition(&partitioning).expect("partitions");
+    assert_eq!(parts.len(), sharded.num_shards());
+    for (part, shard) in parts.iter().zip(sharded.shards()) {
+        assert_eq!(shard.size_stats().tree_components, 1);
+        let segment = fit_segment(part, &stats, &config.solver).expect("fits");
+        assert_eq!(
+            entropydb::core::serialize::to_string(&segment),
+            entropydb::core::serialize::to_string(shard)
+        );
+    }
+}
