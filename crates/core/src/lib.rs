@@ -60,6 +60,7 @@
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |
 //! | [`serialize`] | §5 | text-format persistence |
+//! | [`wire`] | — | the one line codec under every wire line, blob and manifest |
 
 pub mod assignment;
 pub mod engine;
@@ -82,6 +83,7 @@ pub mod sharded;
 pub mod solver;
 pub mod statistics;
 mod tree;
+pub mod wire;
 
 /// The types most users need.
 pub mod prelude {

@@ -41,8 +41,9 @@
 //! channel — it decodes to [`ModelError::Busy`], which (unlike `err`)
 //! marks a *transient* condition a caller may retry after a backoff.
 
-use crate::error::{ModelError, RemoteDetail, Result};
+use crate::error::{ModelError, Result};
 use crate::query::Estimate;
+use crate::wire::{decode_refusal, encode_refusal, wire_error, TokenReader};
 use entropydb_storage::{AttrId, AttrPredicate, Predicate, Resolver, Statement};
 use std::fmt::Write as _;
 
@@ -439,60 +440,18 @@ impl QueryResponse {
                 "some" => QueryResponse::Average(Some(r.parse("average")?)),
                 other => return Err(wire_error(format!("bad avg payload {other:?}"))),
             },
-            "groups" => {
-                let len: usize = r.parse("group count")?;
-                let mut groups = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    groups.push(read_estimate(&mut r)?);
-                }
-                QueryResponse::Groups(groups)
-            }
+            "groups" => QueryResponse::Groups(r.list("group count", read_estimate)?),
             "groups2" => {
-                let nrows: usize = r.parse("row count")?;
-                let cols: usize = r.parse("column count")?;
-                let mut rows = Vec::with_capacity(nrows.min(WIRE_PREALLOC_CAP));
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(cols.min(WIRE_PREALLOC_CAP));
-                    for _ in 0..cols {
-                        row.push(read_estimate(&mut r)?);
-                    }
-                    rows.push(row);
-                }
-                QueryResponse::Groups2(rows)
+                let (nrows, cols) = (r.parse("row count")?, r.parse("column count")?);
+                QueryResponse::Groups2(r.grid(nrows, cols, read_estimate)?)
             }
-            "ranked" => {
-                let len: usize = r.parse("entry count")?;
-                let mut entries = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    let v: u32 = r.parse("ranked value")?;
-                    entries.push((v, read_estimate(&mut r)?));
-                }
-                QueryResponse::Ranked(entries)
-            }
+            "ranked" => QueryResponse::Ranked(r.list("entry count", read_ranked)?),
             "rows" => {
-                let nrows: usize = r.parse("row count")?;
-                let arity: usize = r.parse("arity")?;
-                let mut rows = Vec::with_capacity(nrows.min(WIRE_PREALLOC_CAP));
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(arity.min(WIRE_PREALLOC_CAP));
-                    for _ in 0..arity {
-                        row.push(r.parse("code")?);
-                    }
-                    rows.push(row);
-                }
+                let (nrows, arity) = (r.parse("row count")?, r.parse("arity")?);
+                let rows = r.grid(nrows, arity, |r| r.parse("code"))?;
                 QueryResponse::Rows { arity, rows }
             }
-            "err" | "busy" => {
-                // The message is the raw line after the "r1 err|busy " prefix.
-                let msg = line.trim_start();
-                let msg = msg.strip_prefix("r1").unwrap_or(msg).trim_start();
-                let msg = msg.strip_prefix(op).unwrap_or(msg).trim_start();
-                return Err(if op == "busy" {
-                    ModelError::Busy(msg.to_string())
-                } else {
-                    ModelError::Remote(RemoteDetail::message(msg.to_string()))
-                });
-            }
+            "err" | "busy" => return Err(decode_refusal(op, &mut r)),
             other => return Err(wire_error(format!("unknown response op {other:?}"))),
         };
         r.finish()?;
@@ -505,20 +464,8 @@ impl QueryResponse {
     /// retryable load-shed from a deterministic failure; every other error
     /// decodes back to [`ModelError::Remote`].
     pub fn encode_error(err: &ModelError) -> String {
-        // Newlines would break the line protocol.
-        match err {
-            ModelError::Busy(msg) => format!("r1 busy {}", msg.replace('\n', " ")),
-            _ => format!("r1 err {}", err.to_string().replace('\n', " ")),
-        }
+        encode_refusal("r1", err)
     }
-}
-
-/// Caps pre-allocations derived from untrusted wire lengths; actual decoded
-/// lengths are still exact (a short line fails with "unexpected end").
-pub(crate) const WIRE_PREALLOC_CAP: usize = 1 << 16;
-
-pub(crate) fn wire_error(message: String) -> ModelError {
-    ModelError::Parse { line: 0, message }
 }
 
 pub(crate) fn read_estimate(r: &mut TokenReader<'_>) -> Result<Estimate> {
@@ -528,6 +475,11 @@ pub(crate) fn read_estimate(r: &mut TokenReader<'_>) -> Result<Estimate> {
         expectation: r.parse("expectation")?,
         variance: r.parse("variance")?,
     })
+}
+
+/// One `value expectation variance` entry of a `ranked` payload.
+pub(crate) fn read_ranked(r: &mut TokenReader<'_>) -> Result<(u32, Estimate)> {
+    Ok((r.parse("ranked value")?, read_estimate(r)?))
 }
 
 fn encode_pred(out: &mut String, pred: &Predicate) {
@@ -569,11 +521,7 @@ fn decode_pred(r: &mut TokenReader<'_>) -> Result<Predicate> {
                 AttrPredicate::range(lo, hi).map_err(ModelError::Storage)?
             }
             "set" => {
-                let len: usize = r.parse("set size")?;
-                let mut vs = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    vs.push(r.parse("set value")?);
-                }
+                let vs = r.list("set size", |r| r.parse("set value"))?;
                 if vs.is_empty() {
                     return Err(wire_error(
                         "empty set clause (encode as kind 'n')".to_string(),
@@ -588,48 +536,6 @@ fn decode_pred(r: &mut TokenReader<'_>) -> Result<Predicate> {
         pred = pred.with(attr, clause);
     }
     Ok(pred)
-}
-
-/// Sequential whitespace-token reader over one wire line (shared with the
-/// shard-probe encoding in [`crate::probe`]).
-pub(crate) struct TokenReader<'a> {
-    tokens: std::str::SplitAsciiWhitespace<'a>,
-}
-
-impl<'a> TokenReader<'a> {
-    pub(crate) fn new(line: &'a str) -> Self {
-        TokenReader {
-            tokens: line.split_ascii_whitespace(),
-        }
-    }
-
-    pub(crate) fn next(&mut self, what: &str) -> Result<&'a str> {
-        self.tokens
-            .next()
-            .ok_or_else(|| wire_error(format!("unexpected end of line, expected {what}")))
-    }
-
-    pub(crate) fn expect(&mut self, tag: &str) -> Result<()> {
-        let t = self.next(tag)?;
-        if t == tag {
-            Ok(())
-        } else {
-            Err(wire_error(format!("expected {tag:?}, found {t:?}")))
-        }
-    }
-
-    pub(crate) fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T> {
-        let t = self.next(what)?;
-        t.parse()
-            .map_err(|_| wire_error(format!("cannot parse {what} from {t:?}")))
-    }
-
-    pub(crate) fn finish(&mut self) -> Result<()> {
-        match self.tokens.next() {
-            None => Ok(()),
-            Some(t) => Err(wire_error(format!("trailing token {t:?}"))),
-        }
-    }
 }
 
 #[cfg(test)]

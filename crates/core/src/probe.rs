@@ -64,9 +64,10 @@
 
 use crate::assignment::Mask;
 use crate::engine::{ScratchPool, SummaryBackend};
-use crate::error::{ModelError, RemoteDetail, Result};
-use crate::plan::{read_estimate, wire_error, TokenReader, WIRE_PREALLOC_CAP};
+use crate::error::{ModelError, Result};
+use crate::plan::{read_estimate, read_ranked};
 use crate::query::Estimate;
+use crate::wire::{decode_refusal, encode_refusal, wire_error, TokenReader};
 use entropydb_storage::AttrId;
 use std::fmt::Write as _;
 
@@ -242,11 +243,7 @@ impl ProbeRequest {
                 mask: decode_mask(&mut r)?,
             },
             "probm" | "countm" => {
-                let n: usize = r.parse("mask count")?;
-                let mut masks = Vec::with_capacity(n.min(WIRE_PREALLOC_CAP));
-                for _ in 0..n {
-                    masks.push(decode_mask(&mut r)?);
-                }
+                let masks = r.list("mask count", decode_mask)?;
                 if op == "probm" {
                     ProbeRequest::ProbabilityMany { masks }
                 } else {
@@ -255,11 +252,7 @@ impl ProbeRequest {
             }
             "countr" => {
                 let attr = AttrId(r.parse("attr")?);
-                let nv: usize = r.parse("value count")?;
-                let mut values = Vec::with_capacity(nv.min(WIRE_PREALLOC_CAP));
-                for _ in 0..nv {
-                    values.push(r.parse("candidate value")?);
-                }
+                let values = r.list("value count", |r| r.parse("candidate value"))?;
                 ProbeRequest::CountRestricted {
                     mask: decode_mask(&mut r)?,
                     attr,
@@ -268,11 +261,7 @@ impl ProbeRequest {
             }
             "sum" => {
                 let attr = AttrId(r.parse("attr")?);
-                let nv: usize = r.parse("value count")?;
-                let mut values = Vec::with_capacity(nv.min(WIRE_PREALLOC_CAP));
-                for _ in 0..nv {
-                    values.push(r.parse("value")?);
-                }
+                let values = r.list("value count", |r| r.parse("value"))?;
                 ProbeRequest::Sum {
                     mask: decode_mask(&mut r)?,
                     attr,
@@ -291,11 +280,7 @@ impl ProbeRequest {
             "sample" => {
                 let k: usize = r.parse("k")?;
                 let seed: u64 = r.parse("seed")?;
-                let n: usize = r.parse("index count")?;
-                let mut indices = Vec::with_capacity(n.min(WIRE_PREALLOC_CAP));
-                for _ in 0..n {
-                    indices.push(r.parse("index")?);
-                }
+                let indices = r.list("index count", |r| r.parse("index"))?;
                 ProbeRequest::SampleAt { k, seed, indices }
             }
             other => return Err(wire_error(format!("unknown probe op {other:?}"))),
@@ -369,59 +354,25 @@ impl ProbeResponse {
         let op = r.next("probe response op")?;
         let resp = match op {
             "prob" => ProbeResponse::Probability(r.parse("probability")?),
-            "probs" => {
-                let len: usize = r.parse("probability count")?;
-                let mut ps = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    ps.push(r.parse("probability")?);
-                }
-                ProbeResponse::Probabilities(ps)
-            }
+            "probs" => ProbeResponse::Probabilities(
+                r.list("probability count", |r| r.parse("probability"))?,
+            ),
             "est" => ProbeResponse::Estimate(read_estimate(&mut r)?),
             "ests" | "groups" => {
-                let len: usize = r.parse("estimate count")?;
-                let mut list = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    list.push(read_estimate(&mut r)?);
-                }
+                let list = r.list("estimate count", read_estimate)?;
                 if op == "ests" {
                     ProbeResponse::Estimates(list)
                 } else {
                     ProbeResponse::Groups(list)
                 }
             }
-            "ranked" => {
-                let len: usize = r.parse("entry count")?;
-                let mut entries = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    let v: u32 = r.parse("ranked value")?;
-                    entries.push((v, read_estimate(&mut r)?));
-                }
-                ProbeResponse::Ranked(entries)
-            }
+            "ranked" => ProbeResponse::Ranked(r.list("entry count", read_ranked)?),
             "rows" => {
-                let nrows: usize = r.parse("row count")?;
-                let arity: usize = r.parse("arity")?;
-                let mut rows = Vec::with_capacity(nrows.min(WIRE_PREALLOC_CAP));
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(arity.min(WIRE_PREALLOC_CAP));
-                    for _ in 0..arity {
-                        row.push(r.parse("code")?);
-                    }
-                    rows.push(row);
-                }
+                let (nrows, arity) = (r.parse("row count")?, r.parse("arity")?);
+                let rows = r.grid(nrows, arity, |r| r.parse("code"))?;
                 ProbeResponse::Rows { arity, rows }
             }
-            "err" | "busy" => {
-                let msg = line.trim_start();
-                let msg = msg.strip_prefix("c1").unwrap_or(msg).trim_start();
-                let msg = msg.strip_prefix(op).unwrap_or(msg).trim_start();
-                return Err(if op == "busy" {
-                    ModelError::Busy(msg.to_string())
-                } else {
-                    ModelError::Remote(RemoteDetail::message(msg.to_string()))
-                });
-            }
+            "err" | "busy" => return Err(decode_refusal(op, &mut r)),
             other => return Err(wire_error(format!("unknown probe response op {other:?}"))),
         };
         r.finish()?;
@@ -433,10 +384,7 @@ impl ProbeResponse {
     /// can back off and retry a shedding shard instead of degrading it;
     /// every other error decodes back to [`ModelError::Remote`].
     pub fn encode_error(err: &ModelError) -> String {
-        match err {
-            ModelError::Busy(msg) => format!("c1 busy {}", msg.replace('\n', " ")),
-            _ => format!("c1 err {}", err.to_string().replace('\n', " ")),
-        }
+        encode_refusal("c1", err)
     }
 }
 
@@ -457,22 +405,11 @@ fn encode_mask(out: &mut String, mask: &Mask) {
 
 fn decode_mask(r: &mut TokenReader<'_>) -> Result<Mask> {
     r.expect("m")?;
-    let arity: usize = r.parse("mask arity")?;
-    let mut weights = Vec::with_capacity(arity.min(WIRE_PREALLOC_CAP));
-    for _ in 0..arity {
-        match r.next("mask item")? {
-            "i" => weights.push(None),
-            "w" => {
-                let len: usize = r.parse("weight count")?;
-                let mut w = Vec::with_capacity(len.min(WIRE_PREALLOC_CAP));
-                for _ in 0..len {
-                    w.push(r.parse("weight")?);
-                }
-                weights.push(Some(w));
-            }
-            other => return Err(wire_error(format!("unknown mask item {other:?}"))),
-        }
-    }
+    let weights = r.list("mask arity", |r| match r.next("mask item")? {
+        "i" => Ok(None),
+        "w" => Ok(Some(r.list("weight count", |r| r.parse("weight"))?)),
+        other => Err(wire_error(format!("unknown mask item {other:?}"))),
+    })?;
     Ok(Mask::from_weights(weights))
 }
 

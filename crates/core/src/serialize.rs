@@ -7,7 +7,13 @@
 //! deterministically on load (rebuilding is cheap relative to solving and
 //! keeps the format small — the summary is the *model*, not the term list).
 //!
-//! Format v2 (line-oriented, `#`-prefixed comments ignored):
+//! Every document below is read through [`crate::wire`] (`#`-prefixed
+//! comments and blank lines ignored, errors carry the 1-based line
+//! number); `attribute`, `statistic` and the `shards` table are its shared
+//! sub-grammars. Floats are written with Rust's shortest-round-trip
+//! formatting, so a save/load cycle reproduces the exact same `f64`s.
+//!
+//! **Summary blob**, v2 ([`to_string`] / [`from_str`]):
 //!
 //! ```text
 //! entropydb-summary v2
@@ -22,28 +28,53 @@
 //! end
 //! ```
 //!
-//! The v2 bump records each attribute's *kind*: v1 collapsed binned numeric
-//! attributes into categorical ones on load, losing bucket midpoints (and
-//! with them `SUM`/`AVG` semantics). v1 blobs still load with the old
-//! collapsing behavior (backward compatibility is covered by tests).
+//! The v2 bump records each attribute's *kind*: v1 (`attr <index>
+//! <domain_size> <name>`) collapsed binned numeric attributes into
+//! categorical ones on load, losing bucket midpoints (and with them
+//! `SUM`/`AVG` semantics). v1 blobs still load with the old collapsing
+//! behavior (backward compatibility is covered by tests).
 //!
-//! A [`ShardedSummary`] persists as a *manifest* plus one embedded
-//! per-shard blob each (the same single-summary format), either in one
-//! document ([`sharded_to_string`] / [`sharded_from_str`]) or as a manifest
-//! file next to per-shard blob files ([`save_sharded_dir`] /
-//! [`load_sharded_dir`]):
+//! **Sharded summary**, v2 ([`sharded_to_string`] / [`sharded_from_str`]):
+//! one document, each shard line followed by its embedded blob.
 //!
 //! ```text
 //! entropydb-sharded-summary v2
 //! shards <k>
 //! shard <index> <cardinality>
-//! <embedded or referenced single-summary blob>
+//! <embedded single-summary blob>
 //! ...
 //! endshards
 //! ```
 //!
-//! Floats are written with Rust's shortest-round-trip formatting, so a
-//! save/load cycle reproduces the exact same `f64`s.
+//! **Directory manifest**, v2 ([`save_sharded_dir`]) and v3
+//! ([`save_live_dir`]); both load through [`load_sharded_dir`] and
+//! [`load_live_dir`]. `manifest.txt` sits next to one blob file per shard;
+//! v3 adds the lines marked `v3` — the ingest epoch, the fitted delta
+//! (only when one exists) and the statistic set delta folds fit with:
+//!
+//! ```text
+//! entropydb-sharded-manifest v3
+//! epoch <e>                                   v3
+//! shards <k>
+//! shard <index> <cardinality> <file>
+//! delta <cardinality> <file>                  v3, optional
+//! stats <m>                                   v3
+//! stat <clauses> attr lo hi [attr lo hi ...]  v3 (m lines)
+//! end
+//! ```
+//!
+//! **Cluster manifest**, v2 ([`cluster_manifest_to_string`] /
+//! [`cluster_manifest_from_str`]): which `entropydb-serve` addresses hold
+//! which shard. Every address on a `shard` line is a replica of the same
+//! blob; v1 lines carry exactly one address. `n = 0` marks a dynamic
+//! (live-ingest) placement.
+//!
+//! ```text
+//! entropydb-cluster-manifest v2
+//! shards <k>
+//! shard <index> <cardinality> <host:port> [<host:port> ...]
+//! end
+//! ```
 
 use crate::assignment::VarAssignment;
 use crate::error::{ModelError, Result};
@@ -51,8 +82,12 @@ use crate::ingest::LiveSummary;
 use crate::model::MaxEntSummary;
 use crate::sharded::ShardedSummary;
 use crate::solver::SolverReport;
-use crate::statistics::{MultiDimStatistic, RangeClause, Statistics};
-use entropydb_storage::{AttrId, Attribute, Binner, Schema};
+use crate::statistics::{MultiDimStatistic, Statistics};
+use crate::wire::{
+    counted, decode_attr, decode_shard_table, decode_statistic, encode_attr, encode_statistic,
+    Lines, TokenReader,
+};
+use entropydb_storage::Schema;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -66,22 +101,7 @@ pub fn to_string(summary: &MaxEntSummary) -> String {
     let _ = writeln!(out, "n {}", stats.n());
     let _ = writeln!(out, "attrs {}", stats.arity());
     for (i, attr) in summary.schema().attributes().iter().enumerate() {
-        match attr.binner() {
-            Some(b) => {
-                let _ = writeln!(
-                    out,
-                    "attr {} {} bin {} {} {}",
-                    i,
-                    attr.domain_size(),
-                    b.lo(),
-                    b.hi(),
-                    attr.name()
-                );
-            }
-            None => {
-                let _ = writeln!(out, "attr {} {} cat {}", i, attr.domain_size(), attr.name());
-            }
-        }
+        encode_attr(&mut out, i, attr);
     }
     for (i, (counts, alphas)) in stats.one_dim().iter().zip(&asn.one_dim).enumerate() {
         let _ = write!(out, "onedim {i}");
@@ -97,10 +117,8 @@ pub fn to_string(summary: &MaxEntSummary) -> String {
         .zip(stats.multi_counts())
         .zip(&asn.multi)
     {
-        let _ = write!(out, "multi {count} {alpha} {}", stat.clauses().len());
-        for c in stat.clauses() {
-            let _ = write!(out, " {} {} {}", c.attr.0, c.lo, c.hi);
-        }
+        let _ = write!(out, "multi {count} {alpha} ");
+        encode_statistic(&mut out, stat);
         out.push('\n');
     }
     let _ = writeln!(
@@ -119,225 +137,95 @@ pub fn save_file(summary: &MaxEntSummary, path: &Path) -> std::io::Result<()> {
 
 /// Reads a summary from a file.
 pub fn load_file(path: &Path) -> Result<MaxEntSummary> {
-    let text = std::fs::read_to_string(path).map_err(|e| ModelError::Parse {
+    from_str(&read(path)?)
+}
+
+fn read(path: &Path) -> Result<String> {
+    std::fs::read_to_string(path).map_err(|e| ModelError::Parse {
         line: 0,
         message: format!("cannot read {}: {e}", path.display()),
-    })?;
-    from_str(&text)
-}
-
-struct Parser<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-}
-
-impl<'a> Parser<'a> {
-    fn next_line(&mut self) -> Result<(usize, &'a str)> {
-        for (idx, raw) in self.lines.by_ref() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            return Ok((idx + 1, line));
-        }
-        Err(ModelError::Parse {
-            line: 0,
-            message: "unexpected end of input".to_string(),
-        })
-    }
-
-    fn expect_tagged(&mut self, tag: &str) -> Result<(usize, Vec<&'a str>)> {
-        let (line_no, line) = self.next_line()?;
-        let mut parts = line.split_whitespace();
-        let found = parts.next().unwrap_or("");
-        if found != tag {
-            return Err(ModelError::Parse {
-                line: line_no,
-                message: format!("expected {tag:?}, found {found:?}"),
-            });
-        }
-        Ok((line_no, parts.collect()))
-    }
-}
-
-fn parse<T: std::str::FromStr>(token: &str, line: usize, what: &str) -> Result<T> {
-    token.parse().map_err(|_| ModelError::Parse {
-        line,
-        message: format!("cannot parse {what} from {token:?}"),
     })
+}
+
+/// Reads a document's header line, which must be `name` followed by one of
+/// `versions`; returns the version's position in `versions`.
+fn header(lines: &mut Lines<'_>, name: &str, versions: &[&str]) -> Result<usize> {
+    let mut r = lines.next_line()?;
+    let found = r.rest();
+    let version = found.strip_prefix(name).and_then(|v| {
+        versions
+            .iter()
+            .position(|known| v.strip_prefix(' ') == Some(known))
+    });
+    version.ok_or_else(|| r.error(format!("unrecognized {name} header {found:?}")))
 }
 
 /// Parses a summary from the text format (v1 or v2), rebuilding the
 /// compressed polynomial and validating shapes.
 pub fn from_str(text: &str) -> Result<MaxEntSummary> {
-    let mut p = Parser {
-        lines: text.lines().enumerate(),
-    };
-    parse_single(&mut p)
+    parse_single(&mut Lines::new(text))
 }
 
-/// Parses one single-summary blob starting at the parser's next line (used
-/// for standalone blobs and for the embedded shard blobs of a manifest).
-fn parse_single(p: &mut Parser) -> Result<MaxEntSummary> {
-    let (line_no, header) = p.next_line()?;
-    let version = match header {
-        "entropydb-summary v1" => 1,
-        "entropydb-summary v2" => 2,
-        _ => {
-            return Err(ModelError::Parse {
-                line: line_no,
-                message: format!("unrecognized header {header:?}"),
-            })
-        }
-    };
+/// Parses one single-summary blob starting at the next line (used for
+/// standalone blobs and for the embedded shard blobs of a manifest).
+fn parse_single(p: &mut Lines<'_>) -> Result<MaxEntSummary> {
+    let kinded = header(p, "entropydb-summary", &["v1", "v2"])? == 1;
 
-    let (ln, toks) = p.expect_tagged("n")?;
-    let n: u64 = parse(toks.first().copied().unwrap_or(""), ln, "n")?;
-    let (ln, toks) = p.expect_tagged("attrs")?;
-    let m: usize = parse(toks.first().copied().unwrap_or(""), ln, "attr count")?;
+    let n: u64 = p.scalar("n", "n")?;
+    let m: usize = p.scalar("attrs", "attr count")?;
 
-    let mut attributes = Vec::with_capacity(m);
-    let mut domain_sizes = Vec::with_capacity(m);
+    let mut attributes = counted(m);
     for expected in 0..m {
-        let (ln, toks) = p.expect_tagged("attr")?;
-        if toks.len() < 3 {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: "attr needs: index size [kind] name".to_string(),
-            });
-        }
-        let idx: usize = parse(toks[0], ln, "attr index")?;
-        if idx != expected {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!("attr index {idx}, expected {expected}"),
-            });
-        }
-        let size: usize = parse(toks[1], ln, "domain size")?;
-        let attribute = if version == 1 {
-            // v1 recorded no kind; every attribute loads as categorical.
-            let name = toks[2..].join(" ");
-            Attribute::categorical(name, size).map_err(ModelError::Storage)?
-        } else {
-            match toks[2] {
-                "cat" => {
-                    let name = toks[3..].join(" ");
-                    Attribute::categorical(name, size).map_err(ModelError::Storage)?
-                }
-                "bin" => {
-                    if toks.len() < 6 {
-                        return Err(ModelError::Parse {
-                            line: ln,
-                            message: "binned attr needs: index size bin lo hi name".to_string(),
-                        });
-                    }
-                    let lo: f64 = parse(toks[3], ln, "bin lo")?;
-                    let hi: f64 = parse(toks[4], ln, "bin hi")?;
-                    let name = toks[5..].join(" ");
-                    let binner = Binner::new(lo, hi, size).map_err(ModelError::Storage)?;
-                    Attribute::binned(name, binner)
-                }
-                kind => {
-                    return Err(ModelError::Parse {
-                        line: ln,
-                        message: format!("unknown attribute kind {kind:?}"),
-                    })
-                }
-            }
-        };
-        attributes.push(attribute);
-        domain_sizes.push(size);
+        attributes.push(decode_attr(&mut p.next_line()?, expected, kinded)?);
     }
+    let schema = Schema::new(attributes);
+    let domain_sizes = schema.domain_sizes();
 
-    let mut one_dim_counts = Vec::with_capacity(m);
-    let mut one_dim_alphas = Vec::with_capacity(m);
+    let mut one_dim_counts = counted(m);
+    let mut one_dim_alphas = counted(m);
     for (expected, &size) in domain_sizes.iter().enumerate() {
-        let (ln, toks) = p.expect_tagged("onedim")?;
-        let idx: usize = parse(toks.first().copied().unwrap_or(""), ln, "onedim index")?;
-        if idx != expected {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!("onedim index {idx}, expected {expected}"),
-            });
+        let mut r = p.tagged("onedim")?;
+        r.index("onedim index", expected)?;
+        let (mut counts, mut alphas) = (counted(size), counted(size));
+        for _ in 0..size {
+            counts.push(r.parse("1D count")?);
+            alphas.push(r.parse("1D alpha")?);
         }
-        let body = &toks[1..];
-        if body.len() != 2 * size {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!(
-                    "onedim {idx}: expected {size} (count, alpha) pairs, found {} tokens",
-                    body.len()
-                ),
-            });
-        }
-        let mut counts = Vec::with_capacity(size);
-        let mut alphas = Vec::with_capacity(size);
-        for pair in body.chunks_exact(2) {
-            counts.push(parse::<u64>(pair[0], ln, "1D count")?);
-            alphas.push(parse::<f64>(pair[1], ln, "1D alpha")?);
-        }
+        r.finish()?;
         one_dim_counts.push(counts);
         one_dim_alphas.push(alphas);
     }
 
-    let (ln, toks) = p.expect_tagged("multis")?;
-    let k: usize = parse(toks.first().copied().unwrap_or(""), ln, "multi count")?;
-    let mut multi = Vec::with_capacity(k);
-    let mut multi_counts = Vec::with_capacity(k);
-    let mut multi_alphas = Vec::with_capacity(k);
+    let k: usize = p.scalar("multis", "multi count")?;
+    let mut multi = counted(k);
+    let mut multi_counts = counted(k);
+    let mut multi_alphas = counted(k);
     for _ in 0..k {
-        let (ln, toks) = p.expect_tagged("multi")?;
-        if toks.len() < 3 {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: "multi needs: count alpha clauses ...".to_string(),
-            });
-        }
-        multi_counts.push(parse::<u64>(toks[0], ln, "multi count")?);
-        multi_alphas.push(parse::<f64>(toks[1], ln, "multi alpha")?);
-        let num_clauses: usize = parse(toks[2], ln, "clause count")?;
-        let body = &toks[3..];
-        if body.len() != 3 * num_clauses {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!("multi: expected {num_clauses} clauses"),
-            });
-        }
-        let clauses = body
-            .chunks_exact(3)
-            .map(|c| {
-                Ok(RangeClause {
-                    attr: AttrId(parse::<usize>(c[0], ln, "clause attr")?),
-                    lo: parse::<u32>(c[1], ln, "clause lo")?,
-                    hi: parse::<u32>(c[2], ln, "clause hi")?,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        multi.push(MultiDimStatistic::new(clauses)?);
+        let mut r = p.tagged("multi")?;
+        multi_counts.push(r.parse("multi count")?);
+        multi_alphas.push(r.parse("multi alpha")?);
+        multi.push(decode_statistic(&mut r)?);
+        r.finish()?;
     }
 
-    let (ln, toks) = p.expect_tagged("report")?;
-    if toks.len() != 3 {
-        return Err(ModelError::Parse {
-            line: ln,
-            message: "report needs: sweeps residual converged".to_string(),
-        });
-    }
+    let mut r = p.tagged("report")?;
     let report = SolverReport {
-        sweeps: parse(toks[0], ln, "sweeps")?,
-        max_residual: parse(toks[1], ln, "residual")?,
-        converged: parse(toks[2], ln, "converged")?,
+        sweeps: r.parse("sweeps")?,
+        max_residual: r.parse("residual")?,
+        converged: r.parse("converged")?,
         skipped_updates: 0,
         dual_trajectory: Vec::new(),
         seconds: 0.0,
     };
-    p.expect_tagged("end")?;
+    r.finish()?;
+    p.tagged("end")?.finish()?;
 
     let stats = Statistics::from_parts(n, domain_sizes, one_dim_counts, multi, multi_counts)?;
     let assignment = VarAssignment {
         one_dim: one_dim_alphas,
         multi: multi_alphas,
     };
-    MaxEntSummary::from_solved_parts(Schema::new(attributes), stats, assignment, report)
+    MaxEntSummary::from_solved_parts(schema, stats, assignment, report)
 }
 
 /// Serializes a sharded summary: a manifest followed by one embedded
@@ -354,50 +242,32 @@ pub fn sharded_to_string(summary: &ShardedSummary) -> String {
     out
 }
 
+/// Fails unless `model` holds the cardinality its manifest line declared.
+fn check_declared(
+    model: MaxEntSummary,
+    n: u64,
+    what: &str,
+    r: &TokenReader<'_>,
+) -> Result<MaxEntSummary> {
+    if model.n() == n {
+        Ok(model)
+    } else {
+        let held = model.n();
+        Err(r.error(format!(
+            "{what} manifest cardinality {n} but blob holds {held}"
+        )))
+    }
+}
+
 /// Parses a sharded summary from the manifest format.
 pub fn sharded_from_str(text: &str) -> Result<ShardedSummary> {
-    let mut p = Parser {
-        lines: text.lines().enumerate(),
-    };
-    let (line_no, header) = p.next_line()?;
-    if header != "entropydb-sharded-summary v2" {
-        return Err(ModelError::Parse {
-            line: line_no,
-            message: format!("unrecognized sharded header {header:?}"),
-        });
-    }
-    let (ln, toks) = p.expect_tagged("shards")?;
-    let k: usize = parse(toks.first().copied().unwrap_or(""), ln, "shard count")?;
-    if k == 0 {
-        return Err(ModelError::Parse {
-            line: ln,
-            message: "sharded summary needs at least one shard".to_string(),
-        });
-    }
-    let mut shards = Vec::with_capacity(k);
-    for expected in 0..k {
-        let (ln, toks) = p.expect_tagged("shard")?;
-        let idx: usize = parse(toks.first().copied().unwrap_or(""), ln, "shard index")?;
-        if idx != expected {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!("shard index {idx}, expected {expected}"),
-            });
-        }
-        let declared_n: u64 = parse(toks.get(1).copied().unwrap_or(""), ln, "shard n")?;
-        let shard = parse_single(&mut p)?;
-        if shard.n() != declared_n {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!(
-                    "shard {idx} manifest cardinality {declared_n} but blob holds {}",
-                    shard.n()
-                ),
-            });
-        }
-        shards.push(shard);
-    }
-    p.expect_tagged("endshards")?;
+    let mut p = Lines::new(text);
+    header(&mut p, "entropydb-sharded-summary", &["v2"])?;
+    let shards = decode_shard_table(&mut p, |p, idx, n, r| {
+        r.finish()?;
+        check_declared(parse_single(p)?, n, &format!("shard {idx}"), r)
+    })?;
+    p.tagged("endshards")?.finish()?;
     ShardedSummary::from_shards(shards)
 }
 
@@ -408,26 +278,32 @@ pub fn save_sharded_file(summary: &ShardedSummary, path: &Path) -> std::io::Resu
 
 /// Reads a sharded summary from one file.
 pub fn load_sharded_file(path: &Path) -> Result<ShardedSummary> {
-    let text = std::fs::read_to_string(path).map_err(|e| ModelError::Parse {
-        line: 0,
-        message: format!("cannot read {}: {e}", path.display()),
-    })?;
-    sharded_from_str(&text)
+    sharded_from_str(&read(path)?)
 }
 
-/// Writes a sharded summary as a directory: `manifest.txt` plus one
-/// `shard-<i>.summary` blob per shard (the deployment-friendly layout — a
-/// shard blob can be fetched, cached, or replaced independently).
-pub fn save_sharded_dir(summary: &ShardedSummary, dir: &Path) -> std::io::Result<()> {
+/// Writes one `shard-<i>.summary` blob per shard into `dir` and appends the
+/// manifest's shard table naming them.
+fn write_shard_table(
+    manifest: &mut String,
+    shards: &[MaxEntSummary],
+    dir: &Path,
+) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let mut manifest = String::new();
-    manifest.push_str("entropydb-sharded-manifest v2\n");
-    let _ = writeln!(manifest, "shards {}", summary.num_shards());
-    for (i, shard) in summary.shards().iter().enumerate() {
+    let _ = writeln!(manifest, "shards {}", shards.len());
+    for (i, shard) in shards.iter().enumerate() {
         let file = format!("shard-{i}.summary");
         let _ = writeln!(manifest, "shard {} {} {}", i, shard.n(), file);
         std::fs::write(dir.join(&file), to_string(shard))?;
     }
+    Ok(())
+}
+
+/// Writes a sharded summary as a directory: `manifest.txt` (v2) plus one
+/// `shard-<i>.summary` blob per shard (the deployment-friendly layout — a
+/// shard blob can be fetched, cached, or replaced independently).
+pub fn save_sharded_dir(summary: &ShardedSummary, dir: &Path) -> std::io::Result<()> {
+    let mut manifest = String::from("entropydb-sharded-manifest v2\n");
+    write_shard_table(&mut manifest, summary.shards(), dir)?;
     manifest.push_str("end\n");
     std::fs::write(dir.join("manifest.txt"), manifest)
 }
@@ -472,19 +348,8 @@ impl ClusterShard {
     }
 }
 
-/// Serializes a cluster manifest — the shard-per-node placement document
-/// consumed by a remote scatter/gather backend:
-///
-/// ```text
-/// entropydb-cluster-manifest v2
-/// shards <k>
-/// shard <index> <cardinality> <host:port> [<host:port> ...]
-/// end
-/// ```
-///
-/// Every address on a `shard` line is a replica serving the same shard
-/// blob. The v1 format (exactly one address per shard) is still parsed by
-/// [`cluster_manifest_from_str`].
+/// Serializes a cluster manifest (v2) — the shard-per-node placement
+/// document consumed by a remote scatter/gather backend.
 pub fn cluster_manifest_to_string(shards: &[ClusterShard]) -> String {
     let mut out = String::new();
     out.push_str("entropydb-cluster-manifest v2\n");
@@ -504,49 +369,17 @@ pub fn cluster_manifest_to_string(shards: &[ClusterShard]) -> String {
 /// format); shard indices must be dense and in order, and every shard must
 /// list at least one replica address.
 pub fn cluster_manifest_from_str(text: &str) -> Result<Vec<ClusterShard>> {
-    let mut p = Parser {
-        lines: text.lines().enumerate(),
-    };
-    let (line_no, header) = p.next_line()?;
-    let v1 = header == "entropydb-cluster-manifest v1";
-    if !v1 && header != "entropydb-cluster-manifest v2" {
-        return Err(ModelError::Parse {
-            line: line_no,
-            message: format!("unrecognized cluster manifest header {header:?}"),
-        });
-    }
-    let (ln, toks) = p.expect_tagged("shards")?;
-    let k: usize = parse(toks.first().copied().unwrap_or(""), ln, "shard count")?;
-    if k == 0 {
-        return Err(ModelError::Parse {
-            line: ln,
-            message: "cluster manifest needs at least one shard".to_string(),
-        });
-    }
-    let mut shards = Vec::with_capacity(k);
-    for expected in 0..k {
-        let (ln, toks) = p.expect_tagged("shard")?;
+    let mut p = Lines::new(text);
+    let v1 = header(&mut p, "entropydb-cluster-manifest", &["v1", "v2"])? == 0;
+    let shards = decode_shard_table(&mut p, |_, index, n, r| {
+        let addrs: Vec<String> = r.remaining().map(str::to_string).collect();
         // v1 lines carry exactly one address; v2 lines one or more.
-        if toks.len() < 3 || (v1 && toks.len() != 3) {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: "cluster shard needs: index n addr [addr ...]".to_string(),
-            });
+        if addrs.is_empty() || (v1 && addrs.len() != 1) {
+            return Err(r.error("cluster shard needs: index n addr [addr ...]".to_string()));
         }
-        let idx: usize = parse(toks[0], ln, "shard index")?;
-        if idx != expected {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!("shard index {idx}, expected {expected}"),
-            });
-        }
-        shards.push(ClusterShard {
-            index: idx,
-            n: parse(toks[1], ln, "shard n")?,
-            addrs: toks[2..].iter().map(|t| t.to_string()).collect(),
-        });
-    }
-    p.expect_tagged("end")?;
+        Ok(ClusterShard { index, n, addrs })
+    })?;
+    p.tagged("end")?.finish()?;
     Ok(shards)
 }
 
@@ -557,131 +390,67 @@ pub fn save_cluster_manifest(shards: &[ClusterShard], path: &Path) -> std::io::R
 
 /// Reads a cluster manifest file.
 pub fn load_cluster_manifest(path: &Path) -> Result<Vec<ClusterShard>> {
-    let text = std::fs::read_to_string(path).map_err(|e| ModelError::Parse {
-        line: 0,
-        message: format!("cannot read {}: {e}", path.display()),
-    })?;
-    cluster_manifest_from_str(&text)
+    cluster_manifest_from_str(&read(path)?)
 }
 
 /// A parsed directory manifest (v2 or the live v3 extension): the sealed
-/// shard models, the optional fitted delta model, the statistic set future
-/// delta folds should fit with, and the ingest epoch.
+/// shard models followed by the fitted delta model if one was persisted,
+/// the statistic set future delta folds should fit with, and the ingest
+/// epoch.
 struct DirManifest {
-    shards: Vec<MaxEntSummary>,
-    delta: Option<MaxEntSummary>,
+    segments: Vec<MaxEntSummary>,
     multi: Vec<MultiDimStatistic>,
     epoch: u64,
 }
 
 /// Parses `dir/manifest.txt` (v2 or v3) and loads every referenced blob.
 fn parse_dir_manifest(dir: &Path) -> Result<DirManifest> {
-    let manifest_path = dir.join("manifest.txt");
-    let text = std::fs::read_to_string(&manifest_path).map_err(|e| ModelError::Parse {
-        line: 0,
-        message: format!("cannot read {}: {e}", manifest_path.display()),
-    })?;
-    let mut p = Parser {
-        lines: text.lines().enumerate(),
+    let text = read(&dir.join("manifest.txt"))?;
+    let mut p = Lines::new(&text);
+    let v3 = header(&mut p, "entropydb-sharded-manifest", &["v2", "v3"])? == 1;
+    let epoch = if v3 { p.scalar("epoch", "epoch")? } else { 0 };
+    // One `<cardinality> <file>` reference, loaded and checked.
+    let load_declared = |n: u64, what: &str, r: &mut TokenReader<'_>| {
+        let file = r.next("blob file")?;
+        r.finish()?;
+        check_declared(load_file(&dir.join(file))?, n, what, r)
     };
-    let (line_no, header) = p.next_line()?;
-    let v3 = header == "entropydb-sharded-manifest v3";
-    if !v3 && header != "entropydb-sharded-manifest v2" {
-        return Err(ModelError::Parse {
-            line: line_no,
-            message: format!("unrecognized manifest header {header:?}"),
-        });
-    }
-    let mut epoch = 0u64;
-    if v3 {
-        let (ln, toks) = p.expect_tagged("epoch")?;
-        epoch = parse(toks.first().copied().unwrap_or(""), ln, "epoch")?;
-    }
-    let (ln, toks) = p.expect_tagged("shards")?;
-    let k: usize = parse(toks.first().copied().unwrap_or(""), ln, "shard count")?;
-    let mut shards = Vec::with_capacity(k);
-    for expected in 0..k {
-        let (ln, toks) = p.expect_tagged("shard")?;
-        if toks.len() < 3 {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: "manifest shard needs: index n file".to_string(),
-            });
-        }
-        let idx: usize = parse(toks[0], ln, "shard index")?;
-        if idx != expected {
-            return Err(ModelError::Parse {
-                line: ln,
-                message: format!("shard index {idx}, expected {expected}"),
-            });
-        }
-        shards.push(load_declared(
-            dir,
-            toks[1],
-            toks[2],
-            ln,
-            &format!("shard {idx}"),
-        )?);
-    }
+    let mut segments = decode_shard_table(&mut p, |_, idx, n, r| {
+        load_declared(n, &format!("shard {idx}"), r)
+    })?;
     // v3 trailer: an optional fitted-delta entry and the fold statistic
     // set, in any count/order up to `end`. v2 manifests go straight to
     // `end`.
     let mut delta = None;
     let mut multi: Vec<MultiDimStatistic> = Vec::new();
     loop {
-        let (ln, line) = p.next_line()?;
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().unwrap_or("");
-        let toks: Vec<&str> = parts.collect();
-        match tag {
-            "end" => break,
-            "delta" if v3 && delta.is_none() && toks.len() >= 2 => {
-                delta = Some(load_declared(dir, toks[0], toks[1], ln, "delta")?);
+        let mut r = p.next_line()?;
+        match r.next("manifest line tag")? {
+            "end" => break r.finish()?,
+            "delta" if v3 && delta.is_none() => {
+                let n = r.parse("delta n")?;
+                delta = Some(load_declared(n, "delta", &mut r)?);
             }
             "stats" if v3 => {
-                let m: usize = parse(toks.first().copied().unwrap_or(""), ln, "stat count")?;
+                let m: usize = r.parse("stat count")?;
+                r.finish()?;
                 for _ in 0..m {
-                    let (ln, toks) = p.expect_tagged("stat")?;
-                    let count: usize =
-                        parse(toks.first().copied().unwrap_or(""), ln, "clause count")?;
-                    let body = &toks[1..];
-                    if body.len() != count * 3 {
-                        return Err(ModelError::Parse {
-                            line: ln,
-                            message: format!(
-                                "stat declares {count} clauses but carries {} tokens",
-                                body.len()
-                            ),
-                        });
-                    }
-                    let clauses = body
-                        .chunks_exact(3)
-                        .map(|c| {
-                            Ok(RangeClause {
-                                attr: AttrId(parse::<usize>(c[0], ln, "clause attr")?),
-                                lo: parse::<u32>(c[1], ln, "clause lo")?,
-                                hi: parse::<u32>(c[2], ln, "clause hi")?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    multi.push(MultiDimStatistic::new(clauses)?);
+                    let mut r = p.tagged("stat")?;
+                    multi.push(decode_statistic(&mut r)?);
+                    r.finish()?;
                 }
             }
-            other => {
-                return Err(ModelError::Parse {
-                    line: ln,
-                    message: format!("unexpected manifest line tag {other:?}"),
-                });
-            }
+            other => return Err(r.error(format!("unexpected manifest line tag {other:?}"))),
         }
     }
+    segments.extend(delta);
     if multi.is_empty() {
         // v2 manifests (and v3 ones saved before any multi statistics
         // existed) carry no stat lines; recover the fold set as the
         // deduplicated union of what the persisted models were fitted
         // with. Per-shard pruning only ever *removes* statistics, so the
         // union is the closest reconstruction of the original set.
-        for model in shards.iter().chain(delta.iter()) {
+        for model in &segments {
             for stat in model.statistics().multi() {
                 if !multi.contains(stat) {
                     multi.push(stat.clone());
@@ -690,34 +459,10 @@ fn parse_dir_manifest(dir: &Path) -> Result<DirManifest> {
         }
     }
     Ok(DirManifest {
-        shards,
-        delta,
+        segments,
         multi,
         epoch,
     })
-}
-
-/// Loads one manifest-referenced blob and checks it holds the declared
-/// cardinality.
-fn load_declared(
-    dir: &Path,
-    declared_n: &str,
-    file: &str,
-    ln: usize,
-    what: &str,
-) -> Result<MaxEntSummary> {
-    let declared_n: u64 = parse(declared_n, ln, "shard n")?;
-    let model = load_file(&dir.join(file))?;
-    if model.n() != declared_n {
-        return Err(ModelError::Parse {
-            line: ln,
-            message: format!(
-                "{what} manifest cardinality {declared_n} but blob holds {}",
-                model.n()
-            ),
-        });
-    }
-    Ok(model)
 }
 
 /// Reads a sharded summary from a [`save_sharded_dir`] (v2) or
@@ -725,27 +470,13 @@ fn load_declared(
 /// treated as one more shard — the live summary's served mixture *is*
 /// `segments + delta`, so the static load answers identically.
 pub fn load_sharded_dir(dir: &Path) -> Result<ShardedSummary> {
-    let mut manifest = parse_dir_manifest(dir)?;
-    let mut shards = std::mem::take(&mut manifest.shards);
-    shards.extend(manifest.delta.take());
-    ShardedSummary::from_shards(shards)
+    ShardedSummary::from_shards(parse_dir_manifest(dir)?.segments)
 }
 
 /// Writes a live summary as a directory with a **v3 manifest**: the v2
 /// layout (`manifest.txt` + one blob per sealed segment) extended with the
-/// ingest epoch, an optional fitted-delta entry, and the statistic set
-/// delta folds fit with:
-///
-/// ```text
-/// entropydb-sharded-manifest v3
-/// epoch <e>
-/// shards <k>
-/// shard <index> <cardinality> <file>
-/// delta <cardinality> <file>          (only when a fitted delta exists)
-/// stats <m>
-/// stat <clauses> attr lo hi [attr lo hi ...]
-/// end
-/// ```
+/// ingest epoch, an optional fitted-delta entry (`delta.summary`), and the
+/// statistic set delta folds fit with.
 ///
 /// The summary is [`flush`](LiveSummary::flush)ed first, so every staged
 /// row is folded into the persisted delta and nothing is silently dropped.
@@ -758,16 +489,10 @@ pub fn save_live_dir(live: &LiveSummary, dir: &Path) -> Result<()> {
         line: 0,
         message: format!("cannot write {}: {e}", dir.display()),
     };
-    std::fs::create_dir_all(dir).map_err(io_err)?;
     let mut manifest = String::new();
     manifest.push_str("entropydb-sharded-manifest v3\n");
     let _ = writeln!(manifest, "epoch {epoch}");
-    let _ = writeln!(manifest, "shards {}", segments.len());
-    for (i, shard) in segments.iter().enumerate() {
-        let file = format!("shard-{i}.summary");
-        let _ = writeln!(manifest, "shard {} {} {}", i, shard.n(), file);
-        std::fs::write(dir.join(&file), to_string(shard)).map_err(io_err)?;
-    }
+    write_shard_table(&mut manifest, &segments, dir).map_err(io_err)?;
     if let Some(delta) = &delta {
         let _ = writeln!(manifest, "delta {} delta.summary", delta.n());
         std::fs::write(dir.join("delta.summary"), to_string(delta)).map_err(io_err)?;
@@ -775,10 +500,8 @@ pub fn save_live_dir(live: &LiveSummary, dir: &Path) -> Result<()> {
     let multi = live.fold_statistics();
     let _ = writeln!(manifest, "stats {}", multi.len());
     for stat in &multi {
-        let _ = write!(manifest, "stat {}", stat.clauses().len());
-        for c in stat.clauses() {
-            let _ = write!(manifest, " {} {} {}", c.attr.0, c.lo, c.hi);
-        }
+        manifest.push_str("stat ");
+        encode_statistic(&mut manifest, stat);
         manifest.push('\n');
     }
     manifest.push_str("end\n");
@@ -798,17 +521,21 @@ pub fn load_live_dir(
     solver: crate::solver::SolverConfig,
     config: crate::ingest::IngestConfig,
 ) -> Result<LiveSummary> {
-    let mut manifest = parse_dir_manifest(dir)?;
-    let mut segments = std::mem::take(&mut manifest.shards);
-    segments.extend(manifest.delta.take());
-    LiveSummary::from_parts(segments, manifest.multi, solver, config, manifest.epoch)
+    let manifest = parse_dir_manifest(dir)?;
+    LiveSummary::from_parts(
+        manifest.segments,
+        manifest.multi,
+        solver,
+        config,
+        manifest.epoch,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::SolverConfig;
-    use entropydb_storage::{Predicate, Table};
+    use entropydb_storage::{AttrId, Attribute, Predicate, Table};
 
     fn a(i: usize) -> AttrId {
         AttrId(i)
@@ -1161,7 +888,7 @@ mod tests {
             .find(|l| l.starts_with("multi "))
             .unwrap()
             .to_string();
-        let mut parts: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let mut parts: Vec<String> = line.split(' ').map(String::from).collect();
         parts[1] = "999999".to_string();
         let bad = text.replace(&line, &parts.join(" "));
         assert!(matches!(

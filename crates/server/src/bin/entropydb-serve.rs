@@ -39,7 +39,7 @@
 
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::serialize;
-use entropydb_server::{serve_tuned, ReactorConfig, ServerConfig};
+use entropydb_server::{serve_tuned, ReactorConfig, ServerConfig, ServerHandle};
 use std::io::BufRead;
 use std::path::Path;
 use std::process::ExitCode;
@@ -95,6 +95,40 @@ fn wait_for_quit() {
             Ok(l) if l.trim() == "quit" => break,
             Ok(_) => continue,
             Err(_) => break,
+        }
+    }
+}
+
+/// The first line of a summary file ("" when it cannot be read — the
+/// loader then reports why).
+fn first_line(path: &Path) -> String {
+    let mut line = String::new();
+    if let Ok(file) = std::fs::File::open(path) {
+        let _ = std::io::BufReader::new(file).read_line(&mut line);
+    }
+    line
+}
+
+fn sharded_banner(s: &entropydb_core::sharded::ShardedSummary) -> String {
+    let (shards, n) = (s.num_shards(), s.n());
+    format!("sharded summary: {shards} shards, n = {n}")
+}
+
+/// Announces a loaded backend and serves it; a load error is reported and
+/// yields `None`.
+fn start<B: SummaryBackend + 'static>(
+    loaded: entropydb_core::error::Result<B>,
+    banner: impl FnOnce(&B) -> String,
+    (addr, config, tuning): (&str, ServerConfig, ReactorConfig),
+) -> Option<std::io::Result<ServerHandle>> {
+    match loaded {
+        Ok(backend) => {
+            eprintln!("loaded {}", banner(&backend));
+            Some(serve_tuned(QueryEngine::new(backend), addr, config, tuning))
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            None
         }
     }
 }
@@ -162,76 +196,28 @@ fn main() -> ExitCode {
     let path = Path::new(path);
 
     // Sniff the persistence layout and start the matching backend.
+    let how = (addr.as_str(), config, tuning);
     let handle = if live {
         if !path.is_dir() {
             eprintln!("error: --live requires a sharded directory (manifest.txt + shard blobs)");
             return ExitCode::FAILURE;
         }
-        match serialize::load_live_dir(
-            path,
-            entropydb_core::solver::SolverConfig::default(),
-            ingest,
-        ) {
-            Ok(summary) => {
-                eprintln!(
-                    "loaded live summary: {} segments, n = {}, epoch = {}",
-                    summary.num_segments(),
-                    summary.n(),
-                    summary.epoch()
-                );
-                serve_tuned(QueryEngine::new(summary), addr.as_str(), config, tuning)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let solver = entropydb_core::solver::SolverConfig::default();
+        let banner = |s: &entropydb_core::ingest::LiveSummary| {
+            let (segments, n, epoch) = (s.num_segments(), s.n(), s.epoch());
+            format!("live summary: {segments} segments, n = {n}, epoch = {epoch}")
+        };
+        start(serialize::load_live_dir(path, solver, ingest), banner, how)
     } else if path.is_dir() {
-        match serialize::load_sharded_dir(path) {
-            Ok(sharded) => {
-                eprintln!(
-                    "loaded sharded summary: {} shards, n = {}",
-                    sharded.num_shards(),
-                    sharded.n()
-                );
-                serve_tuned(QueryEngine::new(sharded), addr.as_str(), config, tuning)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        start(serialize::load_sharded_dir(path), sharded_banner, how)
+    } else if first_line(path).starts_with("entropydb-sharded-summary") {
+        start(serialize::load_sharded_file(path), sharded_banner, how)
     } else {
-        let header = std::fs::read_to_string(path)
-            .map(|t| t.lines().next().unwrap_or("").to_string())
-            .unwrap_or_default();
-        if header.starts_with("entropydb-sharded-summary") {
-            match serialize::load_sharded_file(path) {
-                Ok(sharded) => {
-                    eprintln!(
-                        "loaded sharded summary: {} shards, n = {}",
-                        sharded.num_shards(),
-                        sharded.n()
-                    );
-                    serve_tuned(QueryEngine::new(sharded), addr.as_str(), config, tuning)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            match serialize::load_file(path) {
-                Ok(summary) => {
-                    eprintln!("loaded summary: n = {}", summary.n());
-                    serve_tuned(QueryEngine::new(summary), addr.as_str(), config, tuning)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        let banner = |s: &entropydb_core::model::MaxEntSummary| format!("summary: n = {}", s.n());
+        start(serialize::load_file(path), banner, how)
+    };
+    let Some(handle) = handle else {
+        return ExitCode::FAILURE;
     };
 
     match handle {

@@ -1,7 +1,8 @@
 //! A small synchronous client for the line protocol.
 
 use crate::protocol::{
-    decode_append_outcome, decode_ingest_stats, decode_schema, encode_append, MAX_APPEND_ROWS,
+    decode_append_outcome, decode_cache_stats, decode_ingest_stats, decode_schema,
+    decode_server_stats, encode_append, MAX_APPEND_ROWS,
 };
 use entropydb_core::engine::AppendOutcome;
 use entropydb_core::error::{ModelError, RemoteDetail, Result as ModelResult};
@@ -316,31 +317,7 @@ impl Client {
     /// to cache; only gateways front a scatter/gather backend).
     pub fn cache_stats(&mut self) -> ClientResult<Option<CacheStatsSnapshot>> {
         let reply = self.round_trip_with_retry("stats")?;
-        let rest = reply.strip_prefix("stats cache ").ok_or_else(|| {
-            ClientError::Model(ModelError::Remote(RemoteDetail::message(format!(
-                "unexpected stats reply {reply:?}"
-            ))))
-        })?;
-        if rest.trim() == "none" {
-            return Ok(None);
-        }
-        let mut fields = rest.split_ascii_whitespace().map(str::parse::<u64>);
-        let mut next = || {
-            fields
-                .next()
-                .and_then(std::result::Result::ok)
-                .ok_or_else(|| {
-                    ClientError::Model(ModelError::Remote(RemoteDetail::message(format!(
-                        "malformed stats reply {reply:?}"
-                    ))))
-                })
-        };
-        Ok(Some(CacheStatsSnapshot {
-            hits: next()?,
-            misses: next()?,
-            coalesced: next()?,
-            evicted: next()?,
-        }))
+        decode_cache_stats(&reply).map_err(ClientError::Model)
     }
 
     /// Fetches the server's serving-side operational counters (live
@@ -348,7 +325,7 @@ impl Client {
     /// depth) via the `stats server` session command.
     pub fn server_stats(&mut self) -> ClientResult<ServerStatsSnapshot> {
         let reply = self.round_trip_with_retry("stats server")?;
-        crate::protocol::decode_server_stats(reply.trim()).map_err(ClientError::Model)
+        decode_server_stats(&reply).map_err(ClientError::Model)
     }
 
     /// Executes one IR request remotely (reconnect-and-retry on a broken
@@ -500,7 +477,7 @@ impl Client {
     /// immutable backend).
     pub fn ingest_stats(&mut self) -> ClientResult<Option<IngestStatsSnapshot>> {
         let reply = self.round_trip_with_retry("stats ingest")?;
-        decode_ingest_stats(reply.trim()).map_err(ClientError::Model)
+        decode_ingest_stats(&reply).map_err(ClientError::Model)
     }
 
     /// Parses a textual statement against the served schema and executes

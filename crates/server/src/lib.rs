@@ -27,15 +27,21 @@
 //! client → server                 server → client
 //! ---------------                 ---------------
 //! ping                            pong
-//! schema                          s1 <arity> / attr ... / end
-//! stats                           stats cache <h> <m> <c> <e> | stats cache none
-//! stats server                    stats server <active> <accepted> <shed> <in> <out> <depth>
-//! stats ingest                    stats ingest <epoch> <staged> ... | stats ingest none
+//! schema                          s1 ... / end   (the schema block)
+//! stats                           stats cache ...
+//! stats server                    stats server ...
+//! stats ingest                    stats ingest ...
 //! q1 <request>                    r1 <response>
-//! a1 <token|-> <rows> <arity> ... ai1 <dup> <accepted> <staged> <epoch>
+//! a1 <append>                     ai1 <outcome>
 //! batch <n>  (then n q1 lines)    n r1 lines, in order
 //! quit                            (connection closed)
 //! ```
+//!
+//! Each reply's fields are documented on its encoder ([`encode_append`],
+//! [`encode_append_outcome`], [`encode_server_stats`],
+//! [`encode_ingest_stats`]); all of them are read through the one line
+//! codec, `entropydb_core::wire` (README "Line formats" lists every
+//! format, its versions, producer and consumer).
 //!
 //! Malformed or failing requests answer on the error channel
 //! (`r1 err <message>`), which clients surface as

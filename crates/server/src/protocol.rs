@@ -1,5 +1,6 @@
 //! The line-protocol pieces that are not already part of the query IR's
-//! wire encoding: command words and the schema block.
+//! wire encoding: command words, the schema block, the append pair and the
+//! three `stats` lines.
 //!
 //! Requests and responses themselves are encoded by
 //! `entropydb_core::plan` (`q1 ...` / `r1 ...` lines) and shard probes by
@@ -16,18 +17,20 @@
 //! end
 //! ```
 //!
-//! Attribute names go last on their line (they may contain spaces), the
-//! same convention as the summary text format (`serialize.rs`). The `n`
-//! line is the shard-manifest handshake: a scatter/gather gatherer reads
+//! The `attr` lines are the summary blob's (`entropydb_core::wire`). The
+//! `n` line is the shard-manifest handshake: a scatter/gather gatherer reads
 //! each shard's served cardinality (and schema) before fanning any query
 //! out, verifying the placement manifest against what the node actually
 //! serves. It is optional on decode for compatibility with pre-handshake
 //! servers.
 
 use entropydb_core::engine::AppendOutcome;
-use entropydb_core::error::{ModelError, Result};
-use entropydb_core::metrics::{IngestStatsSnapshot, ServerStatsSnapshot};
-use entropydb_storage::{Attribute, Binner, Schema};
+use entropydb_core::error::Result;
+use entropydb_core::metrics::{CacheStatsSnapshot, IngestStatsSnapshot, ServerStatsSnapshot};
+use entropydb_core::wire::{
+    counted, decode_attr, decode_counters, encode_attr, encode_counters, wire_error, TokenReader,
+};
+use entropydb_storage::Schema;
 use std::fmt::Write as _;
 
 /// Largest accepted `batch <n>`; guards the session loop against absurd
@@ -59,62 +62,68 @@ pub fn encode_schema(schema: &Schema, n: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "s1 {}", schema.arity());
     for (i, attr) in schema.attributes().iter().enumerate() {
-        match attr.binner() {
-            Some(b) => {
-                let _ = writeln!(
-                    out,
-                    "attr {} {} bin {} {} {}",
-                    i,
-                    attr.domain_size(),
-                    b.lo(),
-                    b.hi(),
-                    attr.name()
-                );
-            }
-            None => {
-                let _ = writeln!(out, "attr {} {} cat {}", i, attr.domain_size(), attr.name());
-            }
-        }
+        encode_attr(&mut out, i, attr);
     }
     let _ = writeln!(out, "n {n}");
     out.push_str("end\n");
     out
 }
 
-/// Encodes the `stats server` reply: one line of serving-side counters,
-/// mirroring the `stats cache ...` convention.
+/// Encodes the `stats` reply: the gather-side probe-cache counters, or
+/// `stats cache none` for a backend without a cache.
+///
+/// ```text
+/// stats cache <hits> <misses> <coalesced> <evicted>
+/// ```
+pub(crate) fn encode_cache_stats(s: Option<&CacheStatsSnapshot>) -> String {
+    encode_counters(
+        "cache",
+        s.map(|s| [s.hits, s.misses, s.coalesced, s.evicted]),
+    )
+}
+
+/// Decodes one `stats cache ...` line (see [`encode_cache_stats`]).
+pub(crate) fn decode_cache_stats(line: &str) -> Result<Option<CacheStatsSnapshot>> {
+    let fields = decode_counters(line, "cache")?;
+    Ok(
+        fields.map(|[hits, misses, coalesced, evicted]| CacheStatsSnapshot {
+            hits,
+            misses,
+            coalesced,
+            evicted,
+        }),
+    )
+}
+
+/// Encodes the `stats server` reply: one line of serving-side counters.
 ///
 /// ```text
 /// stats server <active> <accepted> <shed> <bytes_in> <bytes_out> <queue_depth>
 /// ```
 pub fn encode_server_stats(s: &ServerStatsSnapshot) -> String {
-    format!(
-        "stats server {} {} {} {} {} {}\n",
+    let fields = [
         s.active_sessions,
         s.accepted_total,
         s.shed_total,
         s.bytes_in,
         s.bytes_out,
-        s.dispatch_depth
-    )
+        s.dispatch_depth,
+    ];
+    encode_counters("server", Some(fields))
 }
 
 /// Decodes one `stats server ...` line (see [`encode_server_stats`]).
 pub fn decode_server_stats(line: &str) -> Result<ServerStatsSnapshot> {
-    let mut toks = line.split_ascii_whitespace();
-    if toks.next() != Some("stats") || toks.next() != Some("server") {
-        return Err(wire_error(format!(
-            "unrecognized server stats line {line:?}"
-        )));
-    }
-    let mut field = |what: &str| parse_token::<u64>(toks.next(), what);
+    let [active_sessions, accepted_total, shed_total, bytes_in, bytes_out, dispatch_depth] =
+        decode_counters(line, "server")?
+            .ok_or_else(|| wire_error("stats server line carries no counters".to_string()))?;
     Ok(ServerStatsSnapshot {
-        active_sessions: field("active sessions")?,
-        accepted_total: field("accepted total")?,
-        shed_total: field("shed total")?,
-        bytes_in: field("bytes in")?,
-        bytes_out: field("bytes out")?,
-        dispatch_depth: field("dispatch depth")?,
+        active_sessions,
+        accepted_total,
+        shed_total,
+        bytes_in,
+        bytes_out,
+        dispatch_depth,
     })
 }
 
@@ -145,40 +154,21 @@ pub fn encode_append(token: Option<&str>, rows: &[Vec<u32>]) -> String {
 /// lines carrying more than [`MAX_APPEND_ROWS`] rows and truncated or
 /// over-long payloads.
 pub fn decode_append(line: &str) -> Result<(Option<String>, Vec<Vec<u32>>)> {
-    let mut toks = line.split_ascii_whitespace();
-    if toks.next() != Some("a1") {
-        return Err(wire_error(format!("unrecognized append line {line:?}")));
-    }
-    let token = match toks.next() {
-        Some("-") => None,
-        Some(t) => Some(t.to_string()),
-        None => return Err(wire_error("append line missing token".to_string())),
+    let mut r = TokenReader::new(line);
+    r.expect("a1")?;
+    let token = match r.next("append token")? {
+        "-" => None,
+        t => Some(t.to_string()),
     };
-    let rows: usize = parse_token(toks.next(), "append row count")?;
-    let arity: usize = parse_token(toks.next(), "append arity")?;
+    let rows: usize = r.parse("append row count")?;
+    let arity: usize = r.parse("append arity")?;
     if rows > MAX_APPEND_ROWS {
         return Err(wire_error(format!(
             "append of {rows} rows exceeds the served maximum {MAX_APPEND_ROWS}"
         )));
     }
-    if rows > 0 && arity == 0 {
-        return Err(wire_error(
-            "append rows must have nonzero arity".to_string(),
-        ));
-    }
-    let mut decoded = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            row.push(parse_token(toks.next(), "append code")?);
-        }
-        decoded.push(row);
-    }
-    if toks.next().is_some() {
-        return Err(wire_error(format!(
-            "append line has trailing tokens past {rows} rows"
-        )));
-    }
+    let decoded = r.grid(rows, arity, |r| r.parse("append code"))?;
+    r.finish()?;
     Ok((token, decoded))
 }
 
@@ -203,24 +193,23 @@ pub fn encode_append_outcome(o: &AppendOutcome) -> String {
 
 /// Decodes one `ai1 ...` append reply (see [`encode_append_outcome`]).
 pub fn decode_append_outcome(line: &str) -> Result<AppendOutcome> {
-    let mut toks = line.split_ascii_whitespace();
-    if toks.next() != Some("ai1") {
-        return Err(wire_error(format!("unrecognized append reply {line:?}")));
-    }
-    let dup: u8 = parse_token(toks.next(), "append duplicate flag")?;
+    let mut r = TokenReader::new(line);
+    r.expect("ai1")?;
+    let dup: u8 = r.parse("append duplicate flag")?;
     if dup > 1 {
         return Err(wire_error(format!("append duplicate flag {dup} not 0/1")));
     }
-    Ok(AppendOutcome {
+    let outcome = AppendOutcome {
         duplicate: dup == 1,
-        accepted: parse_token(toks.next(), "append accepted count")?,
-        staged: parse_token(toks.next(), "append staged count")?,
-        epoch: parse_token(toks.next(), "append epoch")?,
-    })
+        accepted: r.parse("append accepted count")?,
+        staged: r.parse("append staged count")?,
+        epoch: r.parse("append epoch")?,
+    };
+    r.finish()?;
+    Ok(outcome)
 }
 
-/// Encodes the `stats ingest` reply: the live backend's ingest counters,
-/// mirroring the `stats cache ...` / `stats server ...` convention.
+/// Encodes the `stats ingest` reply: the live backend's ingest counters.
 ///
 /// ```text
 /// stats ingest <epoch> <staged> <appended> <duplicates> <folds> <seals> <retired>
@@ -228,53 +217,36 @@ pub fn decode_append_outcome(line: &str) -> Result<AppendOutcome> {
 ///
 /// A backend without a live delta shard answers `stats ingest none`.
 pub fn encode_ingest_stats(s: Option<&IngestStatsSnapshot>) -> String {
-    match s {
-        Some(s) => format!(
-            "stats ingest {} {} {} {} {} {} {}\n",
+    let fields = s.map(|s| {
+        [
             s.epoch,
             s.staged_rows,
             s.appended_rows,
             s.duplicate_appends,
             s.folds,
             s.seals,
-            s.retired_segments
-        ),
-        None => "stats ingest none\n".to_string(),
-    }
+            s.retired_segments,
+        ]
+    });
+    encode_counters("ingest", fields)
 }
 
 /// Decodes one `stats ingest ...` line (see [`encode_ingest_stats`]).
 pub fn decode_ingest_stats(line: &str) -> Result<Option<IngestStatsSnapshot>> {
-    let mut toks = line.split_ascii_whitespace();
-    if toks.next() != Some("stats") || toks.next() != Some("ingest") {
-        return Err(wire_error(format!(
-            "unrecognized ingest stats line {line:?}"
-        )));
-    }
-    let mut toks = toks.peekable();
-    if toks.peek() == Some(&"none") {
-        return Ok(None);
-    }
-    let mut field = |what: &str| parse_token::<u64>(toks.next(), what);
-    Ok(Some(IngestStatsSnapshot {
-        epoch: field("ingest epoch")?,
-        staged_rows: field("staged rows")?,
-        appended_rows: field("appended rows")?,
-        duplicate_appends: field("duplicate appends")?,
-        folds: field("fold count")?,
-        seals: field("seal count")?,
-        retired_segments: field("retired segments")?,
-    }))
-}
-
-fn wire_error(message: String) -> ModelError {
-    ModelError::Parse { line: 0, message }
-}
-
-fn parse_token<T: std::str::FromStr>(token: Option<&str>, what: &str) -> Result<T> {
-    let t = token.ok_or_else(|| wire_error(format!("schema block missing {what}")))?;
-    t.parse()
-        .map_err(|_| wire_error(format!("cannot parse {what} from {t:?}")))
+    let fields = decode_counters(line, "ingest")?;
+    Ok(fields.map(
+        |[epoch, staged_rows, appended_rows, duplicate_appends, folds, seals, retired_segments]| {
+            IngestStatsSnapshot {
+                epoch,
+                staged_rows,
+                appended_rows,
+                duplicate_appends,
+                folds,
+                seals,
+                retired_segments,
+            }
+        },
+    ))
 }
 
 /// Decodes a schema block: `header` is the `s1 ...` line already read;
@@ -285,50 +257,25 @@ pub fn decode_schema(
     header: &str,
     mut next_line: impl FnMut() -> Result<String>,
 ) -> Result<(Schema, Option<u64>)> {
-    let mut toks = header.split_ascii_whitespace();
-    if toks.next() != Some("s1") {
-        return Err(wire_error(format!("unrecognized schema header {header:?}")));
-    }
-    let arity: usize = parse_token(toks.next(), "arity")?;
-    let mut attributes = Vec::with_capacity(arity);
+    let mut r = TokenReader::new(header);
+    r.expect("s1")?;
+    let arity: usize = r.parse("arity")?;
+    r.finish()?;
+    let mut attributes = counted(arity);
     for expected in 0..arity {
         let line = next_line()?;
-        let mut toks = line.split_ascii_whitespace();
-        if toks.next() != Some("attr") {
-            return Err(wire_error(format!("expected attr line, found {line:?}")));
-        }
-        let idx: usize = parse_token(toks.next(), "attr index")?;
-        if idx != expected {
-            return Err(wire_error(format!("attr index {idx}, expected {expected}")));
-        }
-        let size: usize = parse_token(toks.next(), "domain size")?;
-        let kind = toks
-            .next()
-            .ok_or_else(|| wire_error("attr line missing kind".to_string()))?;
-        let rest: Vec<&str> = toks.collect();
-        let attribute = match kind {
-            "cat" => Attribute::categorical(rest.join(" "), size).map_err(ModelError::Storage)?,
-            "bin" => {
-                if rest.len() < 3 {
-                    return Err(wire_error("binned attr needs: lo hi name".to_string()));
-                }
-                let lo: f64 = parse_token(Some(rest[0]), "bin lo")?;
-                let hi: f64 = parse_token(Some(rest[1]), "bin hi")?;
-                let binner = Binner::new(lo, hi, size).map_err(ModelError::Storage)?;
-                Attribute::binned(rest[2..].join(" "), binner)
-            }
-            other => return Err(wire_error(format!("unknown attribute kind {other:?}"))),
-        };
-        attributes.push(attribute);
+        attributes.push(decode_attr(&mut TokenReader::new(&line), expected, true)?);
     }
     let mut n = None;
-    let mut end = next_line()?;
-    if let Some(rest) = end.trim().strip_prefix("n ") {
-        n = Some(parse_token(Some(rest.trim()), "served cardinality")?);
-        end = next_line()?;
-    }
-    if end.trim() != "end" {
-        return Err(wire_error(format!("expected end, found {end:?}")));
+    loop {
+        let line = next_line()?;
+        let mut r = TokenReader::new(&line);
+        match r.next("end")? {
+            "n" if n.is_none() => n = Some(r.parse("served cardinality")?),
+            "end" => break r.finish()?,
+            other => return Err(wire_error(format!("expected \"end\", found {other:?}"))),
+        }
+        r.finish()?;
     }
     Ok((Schema::new(attributes), n))
 }
@@ -336,6 +283,8 @@ pub fn decode_schema(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use entropydb_core::error::ModelError;
+    use entropydb_storage::{Attribute, Binner};
 
     #[test]
     fn schema_block_round_trips() {
@@ -395,6 +344,54 @@ mod tests {
         assert_eq!(decode_server_stats(line.trim()).unwrap(), snap);
         assert!(decode_server_stats("stats cache 1 2 3 4").is_err());
         assert!(decode_server_stats("stats server 1 2 3").is_err());
+    }
+
+    #[test]
+    fn cache_stats_line_round_trips() {
+        let snap = CacheStatsSnapshot {
+            hits: 9,
+            misses: 4,
+            coalesced: 2,
+            evicted: 1,
+        };
+        let line = encode_cache_stats(Some(&snap));
+        assert_eq!(line, "stats cache 9 4 2 1\n");
+        assert_eq!(decode_cache_stats(&line).unwrap(), Some(snap));
+        assert_eq!(encode_cache_stats(None), "stats cache none\n");
+        assert_eq!(decode_cache_stats("stats cache none").unwrap(), None);
+        assert!(decode_cache_stats("stats server 1 2 3 4").is_err());
+        assert!(decode_cache_stats("stats cache 1 2 3").is_err());
+    }
+
+    /// A short line is reported in the one wire vocabulary (it used to say
+    /// "schema block missing ..." for every line kind).
+    #[test]
+    fn truncated_lines_name_the_missing_field() {
+        let message = |e: ModelError| match e {
+            ModelError::Parse { line: 0, message } => message,
+            other => panic!("{other:?}"),
+        };
+        for (err, what) in [
+            (decode_append("a1 tok 2").unwrap_err(), "append arity"),
+            (decode_append("a1 - 1 2 7").unwrap_err(), "append code"),
+            (
+                decode_append_outcome("ai1 0 12").unwrap_err(),
+                "append staged count",
+            ),
+            (
+                decode_server_stats("stats server 1 2 3").unwrap_err(),
+                "counter",
+            ),
+            (
+                decode_ingest_stats("stats ingest 1 2").unwrap_err(),
+                "counter",
+            ),
+        ] {
+            assert_eq!(
+                message(err),
+                format!("unexpected end of line, expected {what}")
+            );
+        }
     }
 
     #[test]

@@ -677,13 +677,11 @@ impl RemoteShard {
     }
 
     fn shape_error(&self, got: &ProbeResponse) -> ModelError {
+        let line = got.encode();
+        let shape: Vec<&str> = line.splitn(3, ' ').take(2).collect();
         self.named(format!(
             "unexpected probe response shape: {}",
-            got.encode()
-                .split_whitespace()
-                .take(2)
-                .collect::<Vec<_>>()
-                .join(" ")
+            shape.join(" ")
         ))
     }
 }

@@ -20,8 +20,8 @@
 //! observability surface (`stats server` line, [`ServerHandle::stats`]).
 
 use crate::protocol::{
-    decode_append, encode_append_outcome, encode_ingest_stats, encode_schema, encode_server_stats,
-    MAX_BATCH, MAX_SAMPLE_ROWS,
+    decode_append, encode_append_outcome, encode_cache_stats, encode_ingest_stats, encode_schema,
+    encode_server_stats, MAX_BATCH, MAX_SAMPLE_ROWS,
 };
 use crate::session::{DecodePolicy, ReplyKind, Work};
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
@@ -261,17 +261,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The typed rejection a connection over the session-capacity cap gets.
 pub(crate) fn busy_at_capacity(cap: usize) -> ModelError {
     ModelError::Busy(format!("server at session capacity ({cap})"))
-}
-
-/// The one-line `stats` reply (gather-side cache counters).
-fn stats_line<B: SummaryBackend>(engine: &QueryEngine<B>) -> String {
-    match engine.cache_stats() {
-        Some(s) => format!(
-            "stats cache {} {} {} {}\n",
-            s.hits, s.misses, s.coalesced, s.evicted
-        ),
-        None => "stats cache none\n".to_string(),
-    }
 }
 
 /// A running server (either driver). Dropping the handle shuts the server
@@ -835,7 +824,7 @@ pub(crate) fn execute_work<B: SummaryBackend>(
         Work::Batch(lines) => execute_batch_lines(engine, lines),
         Work::Reply(ReplyKind::Ping) => "pong\n".to_string(),
         Work::Reply(ReplyKind::Schema) => encode_schema(engine.schema(), engine.n()),
-        Work::Reply(ReplyKind::CacheStats) => stats_line(engine),
+        Work::Reply(ReplyKind::CacheStats) => encode_cache_stats(engine.cache_stats().as_ref()),
         Work::Reply(ReplyKind::ServerStats) => encode_server_stats(&counters.snapshot()),
         Work::Reply(ReplyKind::IngestStats) => encode_ingest_stats(engine.ingest_stats().as_ref()),
         Work::Reply(ReplyKind::Raw(reply)) => reply.clone(),

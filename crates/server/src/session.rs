@@ -21,6 +21,7 @@ use entropydb_core::error::ModelError;
 use entropydb_core::metrics::ServerCounters;
 use entropydb_core::plan::QueryResponse;
 use entropydb_core::probe::ProbeResponse;
+use entropydb_core::wire::wire_error;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -401,10 +402,7 @@ impl SessionState {
                 }
                 _ => {
                     let count = count.trim();
-                    let err = ModelError::Parse {
-                        line: 0,
-                        message: format!("bad batch size {count:?} (max {MAX_BATCH})"),
-                    };
+                    let err = wire_error(format!("bad batch size {count:?} (max {MAX_BATCH})"));
                     let mut reply = QueryResponse::encode_error(&err);
                     reply.push('\n');
                     self.push_reply_raw(reply, counters);

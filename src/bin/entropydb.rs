@@ -132,6 +132,8 @@ fn query(args: &[String]) -> Result<ExitCode> {
         Err(statement_err) => match parse_predicate(expr, &dataset) {
             Ok(pred) => QueryRequest::count(pred),
             Err(predicate_err) => {
+                // A user-typed expression, not a wire line.
+                #[allow(clippy::disallowed_methods)]
                 let head = expr
                     .split_whitespace()
                     .next()
