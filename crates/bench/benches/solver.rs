@@ -10,7 +10,8 @@
 //! single-component multi-attribute model where per-pass refill dominates
 //! sweep cost, and (d) the tree sweep on the query-latency flights model
 //! (Ent1&2&3, a star of pairs fitted by message passing), gated as
-//! absolute ceilings on the cost of one sweep and of the whole solve.
+//! absolute ceilings on the cost of one sweep, of the whole solve and of
+//! building the polynomial (which must not materialise the star's closure).
 //!
 //! Besides ns/op, the emitted `BENCH_solver.json` carries convergence
 //! side-channels (`sweeps_to_converge`, final dual `Ψ`) for both refill
@@ -104,7 +105,8 @@ fn star_setup() -> (Statistics, FactorizedPolynomial) {
 
 /// The query-latency bench's flights model (100 k rows, 300 COMPOSITE
 /// statistics on each of origin/dest/fl_time × distance): one tree
-/// component, whose closure would be 150 k terms.
+/// component, whose closure would be 150 k terms, beside the free
+/// `fl_date`'s one-term closure.
 fn flights_star_setup() -> (Statistics, FactorizedPolynomial) {
     let mut scale = common::Scale::quick();
     scale.flights_rows = 100_000;
@@ -118,7 +120,8 @@ fn flights_star_setup() -> (Statistics, FactorizedPolynomial) {
     }
     let stats = Statistics::observe(&d.table, stats_spec).expect("observe");
     let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).expect("build");
-    assert_eq!(poly.size_stats().tree_components, 1);
+    let size = poly.size_stats();
+    assert_eq!((size.tree_components, size.num_terms), (1, 1));
     (stats, poly)
 }
 
@@ -209,9 +212,10 @@ fn bench_incremental(c: &mut Criterion) {
     assert_eq!(sweeps[0], sweeps[1], "sweep counts diverged across configs");
 }
 
-/// The tree sweep at flights scale: the whole default-budget solve (what
-/// `MaxEntSummary::build`, a shard fit and every ingest fold pay) and the
-/// cost of one sweep, both gated as absolute ceilings.
+/// The tree sweep at flights scale: the whole default-budget solve and the
+/// polynomial build before it (what `MaxEntSummary::build`, a shard fit and
+/// every ingest fold pay; loading a summary pays the build alone) and the
+/// cost of one sweep, all gated as absolute ceilings.
 fn bench_flights_solve(c: &mut Criterion) {
     const SWEEPS: usize = 64;
     let (stats, poly) = flights_star_setup();
@@ -240,6 +244,14 @@ fn bench_flights_solve(c: &mut Criterion) {
         "full_solve_ms",
         mean_call_ns(10, || {
             black_box(solve(black_box(&poly), black_box(&stats), &default_config).unwrap());
+        }) / 1e6,
+    );
+    c.record_metric(
+        "flights_solve",
+        "flights_build_ms",
+        mean_call_ns(10, || {
+            let (sizes, multi) = (stats.domain_sizes(), stats.multi());
+            black_box(FactorizedPolynomial::build(black_box(sizes), black_box(multi)).unwrap());
         }) / 1e6,
     );
 }

@@ -32,7 +32,7 @@ pub fn run(scale: &Scale) -> String {
             "heavy_err",
             "nonexistent_err",
             "light_err",
-            "terms",
+            "evaluated",
         ],
     );
 
@@ -42,7 +42,8 @@ pub fn run(scale: &Scale) -> String {
                 select_pair_statistics(&table, et, dt, budget, heuristic).expect("selection");
             let summary = MaxEntSummary::build(&table, stats, &SolverConfig::default())
                 .expect("summary builds");
-            let terms = summary.size_stats().num_terms;
+            let size = summary.size_stats();
+            let evaluated = size.num_terms + size.tree_cells;
             let method = Method::summary(heuristic.name(), summary);
             report.row(vec![
                 heuristic.name().to_string(),
@@ -50,7 +51,7 @@ pub fn run(scale: &Scale) -> String {
                 f3(mean_error_on(&method, &workload, &workload.heavy)),
                 f3(mean_null_error(&method, &workload)),
                 f3(mean_error_on(&method, &workload, &workload.light)),
-                terms.to_string(),
+                evaluated.to_string(),
             ]);
         }
     }

@@ -74,8 +74,10 @@ pub enum ModelError {
     /// A multi-dimensional statistic covered every tuple (`s_j = n`), which
     /// makes the coordinate update (Eq. 12) degenerate.
     DegenerateStatistic { stat: usize },
-    /// The inclusion/exclusion closure grew past the configured cap; the
-    /// chosen statistics overlap too much across attribute pairs.
+    /// The inclusion/exclusion closure grew past the configured cap. Only a
+    /// component that does not qualify for the tree kernel builds a closure
+    /// (see `crate::factorized`), so the statistics contain one of the
+    /// three disqualifiers the message names.
     CompressionTooLarge { cap: usize },
     /// The solver produced a non-finite polynomial value.
     NumericalFailure(&'static str),
@@ -149,7 +151,10 @@ impl fmt::Display for ModelError {
             ),
             ModelError::CompressionTooLarge { cap } => write!(
                 f,
-                "inclusion/exclusion closure exceeded {cap} terms; reduce overlapping statistics"
+                "inclusion/exclusion closure exceeded {cap} terms: the component does not \
+                 qualify for the tree kernel — remove the cycle of attribute pairs, the \
+                 statistic on three or more attributes, or the overlapping same-pair \
+                 rectangles (a forest of disjoint 2-D rectangles has no cap)"
             ),
             ModelError::NumericalFailure(what) => write!(f, "numerical failure: {what}"),
             ModelError::TupleSpaceTooLarge { size, cap } => write!(

@@ -50,7 +50,8 @@ use crate::error::{ModelError, Result};
 use crate::metrics::{CacheStatsSnapshot, IngestCounters, IngestStatsSnapshot};
 use crate::model::MaxEntSummary;
 use crate::query::Estimate;
-use crate::sharded::{stats_with_support, ShardedScratch, ShardedSummary};
+pub use crate::sharded::fit_segment;
+use crate::sharded::{ShardedScratch, ShardedSummary};
 use crate::solver::SolverConfig;
 use crate::statistics::MultiDimStatistic;
 use entropydb_storage::{AttrId, Schema, Table};
@@ -186,31 +187,6 @@ impl IngestConfigBuilder {
     pub fn build(self) -> Result<IngestConfig> {
         self.config.validate()?;
         Ok(self.config)
-    }
-}
-
-/// Fits one shard model over `part` exactly the way the multi-shard
-/// [`ShardedSummary::build`](crate::sharded::ShardedSummary::build) path
-/// does with its default config: statistics without 1D support in the shard
-/// are pruned (they constrain regions the shard's complete 1D statistics
-/// already force to zero mass), and statistics that turn out degenerate
-/// (`s_j = n_s`) are dropped and the solve retried. Delta shards are fitted
-/// through this function, so a live mixture stays bitwise-identical to a
-/// `ShardedSummary::from_shards` over identically-partitioned,
-/// identically-fitted models — the property the ingest test suite pins.
-pub fn fit_segment(
-    part: &Table,
-    multi: &[MultiDimStatistic],
-    solver: &SolverConfig,
-) -> Result<MaxEntSummary> {
-    let mut keep = stats_with_support(part, multi)?;
-    loop {
-        match MaxEntSummary::build(part, keep.clone(), solver) {
-            Err(ModelError::DegenerateStatistic { stat }) => {
-                keep.remove(stat);
-            }
-            other => return other,
-        }
     }
 }
 

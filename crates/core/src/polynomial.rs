@@ -69,14 +69,16 @@
 //!
 //! ## Cost model, and the kernel that sidesteps it
 //!
-//! Every evaluation here walks all terms: `O(#terms · factors)`, and the
-//! term count is the number of *compatible statistic subsets* — 150 043
-//! for the 900 rectangles of the Ent1&2&3 flights summary. A component
-//! that is a tree of disjoint 2-D rectangles needs none of it: the
-//! message-passing kernel in `crate::tree` answers its queries and runs its
-//! solver sweeps in `O(Σ|dom| + #rectangles)`, selected per component by
-//! [`crate::factorized`]. The closure remains the kernel for every other
-//! shape, and the oracle the tree kernel is tested against.
+//! Building and every evaluation here walk all terms: `O(#terms · factors)`,
+//! and the term count is the number of *compatible statistic subsets* —
+//! 150 043 for the 900 rectangles of the Ent1&2&3 flights summary. A
+//! component that is a tree of disjoint 2-D rectangles needs none of it:
+//! the message-passing kernel in `crate::tree` answers its queries and runs
+//! its solver sweeps in `O(Σ|dom| + #rectangles)`, and [`crate::factorized`]
+//! gives such a component that kernel *instead of* a closure — it
+//! enumerates the closure only as far as proving it larger than the pass.
+//! The closure is the kernel for every other shape, and the oracle the
+//! tree kernel is tested against.
 //!
 //! Because every variable has degree ≤ 1 in `P` (monomials are multilinear),
 //! evaluation under a [`Mask`] plus *all* derivatives with respect to one
@@ -138,6 +140,8 @@ pub enum Var {
 
 /// Size accounting for a compressed polynomial, mirroring the numbers the
 /// paper reports (e.g. "4.4 million terms uncompressed vs 9,000 compressed").
+/// The three term counters count what is materialised: a component on the
+/// tree kernel has no closure and adds to `tree_cells` instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolynomialSizeStats {
     /// Number of compressed terms (compatible statistic subsets + base).
@@ -146,6 +150,11 @@ pub struct PolynomialSizeStats {
     pub constrained_factors: usize,
     /// Total `(δ − 1)` factors across terms.
     pub delta_factors: usize,
+    /// Cells one message pass touches, summed over tree components
+    /// (`Σ_edges (N_u + N_v) + #rectangles` each) — always 0 for a bare
+    /// [`CompressedPolynomial`]. `num_terms + tree_cells` is the size of
+    /// the representation an evaluation walks.
+    pub tree_cells: usize,
     /// Monomials of the equivalent uncompressed sum-of-products form
     /// (`∏ N_i`), saturating.
     pub uncompressed_monomials: u128,
@@ -284,6 +293,8 @@ impl EvalScratch {
 
 /// Default cap on the closure size; exceeding it means the statistics
 /// overlap too much across attribute sets for this summary to be practical.
+/// Binds closure components only: a component on the tree kernel
+/// (`crate::tree`) has no closure to cap.
 pub const DEFAULT_TERM_CAP: usize = 5_000_000;
 
 impl CompressedPolynomial {
@@ -293,7 +304,9 @@ impl CompressedPolynomial {
         Self::build_with_cap(domain_sizes, stats, DEFAULT_TERM_CAP)
     }
 
-    /// Builds the compressed polynomial with an explicit term cap.
+    /// Builds the compressed polynomial with an explicit term cap: fails
+    /// with [`ModelError::CompressionTooLarge`] as soon as the enumeration
+    /// proves the closure has more than `cap` terms, before flattening it.
     ///
     /// Unlike [`crate::statistics::Statistics`], this does **not** require
     /// same-attribute-set statistics to be disjoint — the identity holds for
@@ -326,6 +339,9 @@ impl CompressedPolynomial {
         // (non-empty intersection of every shared projection) is
         // downward-closed, so growing sets by strictly increasing statistic
         // index enumerates each compatible subset exactly once.
+        if stats.len() >= cap {
+            return Err(ModelError::CompressionTooLarge { cap });
+        }
         let mut entries: Vec<Entry> = stats
             .iter()
             .enumerate()
@@ -540,6 +556,7 @@ impl CompressedPolynomial {
                 .domain_sizes
                 .iter()
                 .fold(1u128, |acc, &n| acc.saturating_mul(n as u128)),
+            tree_cells: 0,
             tree_components: 0,
             closure_components: 1,
         }
@@ -1721,17 +1738,31 @@ mod tests {
     #[test]
     fn term_cap_enforced() {
         // Heavily overlapping stats across attribute pairs blow up the
-        // closure; a tiny cap must trigger the error.
+        // closure; a tiny cap must trigger the error — also when the
+        // singletons alone exceed it — and the error names what keeps a
+        // component off the uncapped tree kernel.
         let mut stats = Vec::new();
         for i in 0..6u32 {
             stats.push(rect(0, (0, 9), 1, (i, i)));
             stats.push(rect(1, (i, i), 2, (0, 9)));
         }
-        let result = CompressedPolynomial::build_with_cap(&[10, 10, 10], &stats, 10);
-        assert!(matches!(
-            result,
-            Err(ModelError::CompressionTooLarge { cap: 10 })
-        ));
+        for cap in [10, 12, 17] {
+            let err = CompressedPolynomial::build_with_cap(&[10, 10, 10], &stats, cap).unwrap_err();
+            assert_eq!(err, ModelError::CompressionTooLarge { cap });
+            let text = err.to_string();
+            for needle in [
+                "cycle of attribute pairs",
+                "three or more attributes",
+                "overlapping same-pair rectangles",
+                "forest of disjoint 2-D rectangles has no cap",
+            ] {
+                assert!(text.contains(needle), "{text}");
+            }
+        }
+        // 12 singletons + 6 compatible pairs + the base term.
+        let exact = CompressedPolynomial::build_with_cap(&[10, 10, 10], &stats, 19).unwrap();
+        assert_eq!(exact.num_terms(), 19);
+        assert!(CompressedPolynomial::build_with_cap(&[10, 10, 10], &stats, 18).is_err());
     }
 
     #[test]

@@ -49,32 +49,10 @@ use entropydb_storage::{AttrId, Histogram1D, Partitioning, Predicate, Schema, Ta
 use std::sync::Arc;
 
 /// How [`ShardedSummary::build`] fits the per-shard models.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardedBuildConfig {
     /// Solver configuration for every per-shard solve.
     pub solver: SolverConfig,
-    /// Drop, per shard, multi statistics with an unsupported clause range
-    /// (all 1D counts zero across the range): the shard's 1D statistics
-    /// already force that region to zero mass, so the fitted distribution
-    /// is *exactly* unchanged while the shard polynomial shrinks. Only
-    /// applies with two or more shards — a 1-shard summary always keeps the
-    /// full statistic set so it stays bit-identical to the monolithic model.
-    pub prune_unsupported_stats: bool,
-    /// With two or more shards, drop a statistic from a shard when it
-    /// covers *every* shard row (`s_j = n_s`) — the coordinate update is
-    /// degenerate for such a statistic and the monolithic builder rejects
-    /// it outright; per shard it is merely uninformative there.
-    pub drop_degenerate_stats: bool,
-}
-
-impl Default for ShardedBuildConfig {
-    fn default() -> Self {
-        ShardedBuildConfig {
-            solver: SolverConfig::default(),
-            prune_unsupported_stats: true,
-            drop_degenerate_stats: true,
-        }
-    }
 }
 
 /// Per-call scratch of a sharded summary: one shard-model scratch per shard.
@@ -97,8 +75,10 @@ pub struct ShardedSummary {
 impl ShardedSummary {
     /// Builds a sharded summary of `table`: partitions the rows, fits one
     /// [`MaxEntSummary`] per non-empty shard in parallel (each over the
-    /// given multi-dimensional statistics, possibly pruned per shard — see
-    /// [`ShardedBuildConfig`]), and wraps them behind the merged query API.
+    /// given multi-dimensional statistics, pruned per shard — see
+    /// [`fit_segment`]), and wraps them behind the merged query API. A
+    /// single shard keeps the full statistic set: it is the monolithic
+    /// build path, bit for bit.
     pub fn build(
         table: &Table,
         partitioning: &Partitioning,
@@ -116,31 +96,14 @@ impl ShardedSummary {
                 "cannot summarize an empty relation",
             ));
         }
-        let multi_shard = parts.len() > 1;
-        let shards: Result<Vec<MaxEntSummary>> =
-            par::map(&parts, 1, |_, part| -> Result<MaxEntSummary> {
-                if !multi_shard {
-                    // Single shard: the monolithic build path, bit for bit.
-                    return MaxEntSummary::build(part, multi.clone(), &config.solver);
-                }
-                let mut keep = if config.prune_unsupported_stats {
-                    stats_with_support(part, &multi)?
-                } else {
-                    multi.clone()
-                };
-                loop {
-                    match MaxEntSummary::build(part, keep.clone(), &config.solver) {
-                        Err(ModelError::DegenerateStatistic { stat })
-                            if config.drop_degenerate_stats =>
-                        {
-                            keep.remove(stat);
-                        }
-                        other => return other,
-                    }
-                }
+        let shards: Result<Vec<MaxEntSummary>> = match parts.as_slice() {
+            [only] => MaxEntSummary::build(only, multi, &config.solver).map(|s| vec![s]),
+            parts => par::map(parts, 1, |_, part| {
+                fit_segment(part, &multi, &config.solver)
             })
             .into_iter()
-            .collect();
+            .collect(),
+        };
         Self::from_shards(shards?)
     }
 
@@ -320,7 +283,7 @@ impl ShardedSummary {
 /// clause range. A statistic failing this is annihilated by the shard's
 /// complete 1D statistics (all tuples in its region carry an `α = 0`
 /// factor), so dropping it leaves the fitted distribution exactly unchanged.
-pub(crate) fn stats_with_support(
+fn stats_with_support(
     table: &Table,
     multi: &[MultiDimStatistic],
 ) -> Result<Vec<MultiDimStatistic>> {
@@ -341,6 +304,33 @@ pub(crate) fn stats_with_support(
         })
         .cloned()
         .collect())
+}
+
+/// Fits one shard model over `part` — the one way a shard of a multi-shard
+/// [`ShardedSummary::build`] and every delta shard of a
+/// [`LiveSummary`](crate::ingest::LiveSummary) are fitted, so a live
+/// mixture stays bitwise-identical to a [`ShardedSummary::from_shards`] over
+/// identically-partitioned models. Statistics without 1D support in the
+/// shard are pruned (they constrain regions the shard's complete 1D
+/// statistics already force to zero mass, so the fitted distribution is
+/// *exactly* unchanged while the shard polynomial shrinks), and a statistic
+/// that covers *every* shard row (`s_j = n_s`: degenerate for the
+/// coordinate update, merely uninformative in this shard) is dropped and
+/// the solve retried.
+pub fn fit_segment(
+    part: &Table,
+    multi: &[MultiDimStatistic],
+    solver: &SolverConfig,
+) -> Result<MaxEntSummary> {
+    let mut keep = stats_with_support(part, multi)?;
+    loop {
+        match MaxEntSummary::build(part, keep.clone(), solver) {
+            Err(ModelError::DegenerateStatistic { stat }) => {
+                keep.remove(stat);
+            }
+            other => return other,
+        }
+    }
 }
 
 impl SummaryBackend for ShardedSummary {

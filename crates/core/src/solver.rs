@@ -13,14 +13,14 @@
 //!
 //! which is well-defined because `P` is linear in every variable.
 //!
-//! ### Two sweeps, chosen per component at build
+//! ### Two sweeps, one per kernel
 //!
-//! Every component is fitted by one of two sweeps — the one that runs on
-//! the kernel [`crate::factorized`] picked to answer the component's
-//! queries, so the choice is structural, fixed when the polynomial is built,
-//! and has no switch. Both feed the *same* update loop in the same order
-//! (attributes in local order, then `δ` in statistic order), so a component
-//! follows one trajectory up to float rounding whichever sweep runs it.
+//! Every component is fitted by the sweep of the one kernel it holds — the
+//! kernel [`crate::factorized`] built to answer the component's queries, so
+//! the choice is structural, fixed when the polynomial is built, and has no
+//! switch. Both feed the *same* update loop in the same order (attributes
+//! in local order, then `δ` in statistic order), so a component follows one
+//! trajectory up to float rounding whichever sweep runs it.
 //!
 //! * **Tree sweep** (`crate::tree`, components whose pair graph is a tree
 //!   of disjoint rectangles): `O(Σ|dom| + #rectangles)` per pass. Rooting
@@ -32,7 +32,8 @@
 //!   are disjoint, so those values stay exact while the edge's own `δ`
 //!   move, and one cavity serves each run of consecutive same-pair
 //!   statistics. The flights Ent1&2&3 star costs 4 rooted passes + 3
-//!   cavities of ≈ 1.3 k cells per sweep instead of a 150 k-term walk.
+//!   cavities of ≈ 1.3 k cells per sweep; the 150 k-term closure such a
+//!   sweep would otherwise walk is never built.
 //! * **Closure sweep** ([`CompressedPolynomial`], everything else: a cycle
 //!   of pairs, a 3-D statistic, a closure too small for a pass to beat):
 //!   the two sections below.
@@ -83,12 +84,13 @@
 //!
 //! A reference full-gradient solver (exponentiated gradient ascent on `Ψ`,
 //! i.e. classic mirror descent with the entropy mirror map) is provided for
-//! the ablation benchmark; the coordinate solver converges far faster, which
-//! is the paper's claim for preferring it.
+//! the ablation benchmark; it reads its derivatives through the same two
+//! sweeps, component by component. The coordinate solver converges far
+//! faster, which is the paper's claim for preferring it.
 
-use crate::assignment::{Mask, VarAssignment};
+use crate::assignment::VarAssignment;
 use crate::error::{ModelError, Result};
-use crate::factorized::{Component, FactorizedPolynomial};
+use crate::factorized::{Component, FactorizedPolynomial, Kernel};
 use crate::par;
 use crate::polynomial::{CompressedPolynomial, EvalScratch};
 use crate::statistics::Statistics;
@@ -284,11 +286,11 @@ struct CompSolution {
     dual: Vec<f64>,
 }
 
-/// What one coordinate-descent sweep asks of a component's evaluator. The
-/// two implementations are the two kernels [`crate::factorized`] chooses
-/// between per component; [`solve_component`] is the one update loop over
-/// either. `one_dim` / `multi` are always the component's current local
-/// variables.
+/// What one sweep asks of a component's evaluator. The two implementations
+/// are the two kernels [`crate::factorized`] chooses between per component;
+/// [`solve_component`] is the one coordinate update loop over either, and
+/// [`solve_gradient`] reads the same derivatives. `one_dim` / `multi` are
+/// always the component's current local variables.
 trait SweepKernel {
     /// Called at the top of sweep number `sweep` (0-based). The default
     /// suits a kernel that keeps no state between calls.
@@ -468,8 +470,8 @@ fn coordinate_step(s: f64, n: f64, x: f64, pd: f64, p: f64) -> Option<(f64, f64)
 /// Coordinate mirror descent on a single component (see module docs): the
 /// closed-form updates and residuals of the global problem restricted to
 /// the component, with every cross-component factor cancelled out.
-fn solve_component<K: SweepKernel>(
-    mut kernel: K,
+fn solve_component(
+    kernel: &mut dyn SweepKernel,
     attrs: &[usize],
     multis: &[usize],
     stats: &Statistics,
@@ -605,19 +607,13 @@ pub fn solve(
         return Ok((a, report));
     }
 
-    // Each component is solved by the sweep of the kernel that answers its
-    // queries. Only closure components with enough term work to overlap are
-    // worth a pool hand-off; tree and one-term components run inline.
+    // Each component is solved by the sweep of its kernel. Only closure
+    // components with enough term work to overlap are worth a pool
+    // hand-off; tree and one-term components run inline.
     let components = poly.components();
-    let solve_one = |c: &Component| match &c.tree {
-        Some(tree) => solve_component(TreeSweep::new(tree), &c.attrs, &c.multis, stats, config),
-        None => solve_component(
-            ClosureSweep::new(&c.poly, config),
-            &c.attrs,
-            &c.multis,
-            stats,
-            config,
-        ),
+    let solve_one = |c: &Component| {
+        let mut kernel = sweep_kernel(c, config);
+        solve_component(&mut *kernel, &c.attrs, &c.multis, stats, config)
     };
     let solutions: Vec<Result<CompSolution>> = if poly.use_par() {
         par::map(components, 1, |_, c| solve_one(c))
@@ -630,12 +626,7 @@ pub fn solve(
     let mut dual_per_comp: Vec<Vec<f64>> = Vec::new();
     for (c, solution) in components.iter().zip(solutions) {
         let sol = solution?;
-        for (li, &g) in c.attrs.iter().enumerate() {
-            a.one_dim[g] = sol.one_dim[li].clone();
-        }
-        for (lj, &gj) in c.multis.iter().enumerate() {
-            a.multi[gj] = sol.multi[lj];
-        }
+        store_vars(c, sol.one_dim, sol.multi, &mut a);
         report.sweeps = report.sweeps.max(sol.sweeps);
         report.max_residual = report.max_residual.max(sol.max_residual);
         report.converged &= sol.converged;
@@ -664,10 +655,38 @@ pub fn solve(
     Ok((a, report))
 }
 
+/// `c`'s local `(one_dim, multi)` variables out of a global assignment.
+fn local_vars(c: &Component, a: &VarAssignment) -> (Vec<Vec<f64>>, Vec<f64>) {
+    (
+        c.attrs.iter().map(|&g| a.one_dim[g].clone()).collect(),
+        c.multis.iter().map(|&gj| a.multi[gj]).collect(),
+    )
+}
+
+/// Writes `c`'s local variables back into the global assignment.
+fn store_vars(c: &Component, one_dim: Vec<Vec<f64>>, multi: Vec<f64>, a: &mut VarAssignment) {
+    for (&g, alphas) in c.attrs.iter().zip(one_dim) {
+        a.one_dim[g] = alphas;
+    }
+    for (&gj, delta) in c.multis.iter().zip(multi) {
+        a.multi[gj] = delta;
+    }
+}
+
+/// The sweep of the component's one kernel.
+fn sweep_kernel<'a>(c: &'a Component, config: &SolverConfig) -> Box<dyn SweepKernel + 'a> {
+    match &c.kernel {
+        Kernel::Tree(tree) => Box::new(TreeSweep::new(tree)),
+        Kernel::Closure(poly) => Box::new(ClosureSweep::new(poly, config)),
+    }
+}
+
 /// Reference solver: exponentiated gradient ascent on the dual
 /// (`θ_j = ln α_j`, `α_j ← α_j · exp(η (s_j − E[c_j]) / n)`). Used only by
 /// the solver ablation benchmark; it needs far more sweeps than the
-/// coordinate solver to reach the same residual.
+/// coordinate solver to reach the same residual. Every `E[c_j] = n x P_x / P`
+/// is a ratio within one component (module docs, "Component-local
+/// solving"), read from the sweep of that component's kernel.
 pub fn solve_gradient(
     poly: &FactorizedPolynomial,
     stats: &Statistics,
@@ -678,7 +697,6 @@ pub fn solve_gradient(
     let start = Instant::now();
     let mut a = VarAssignment::init_from(stats);
     let n = stats.n() as f64;
-    let mask = Mask::identity(poly.arity());
     let mut report = SolverReport {
         sweeps: 0,
         max_residual: f64::INFINITY,
@@ -693,47 +711,55 @@ pub fn solve_gradient(
         return Ok((a, report));
     }
 
-    let mut scratch = poly.make_scratch();
+    let components = poly.components();
+    let config = SolverConfig::default();
+    let mut kernels: Vec<_> = components
+        .iter()
+        .map(|c| sweep_kernel(c, &config))
+        .collect();
+    // Local (one_dim, multi) variables per component, as the sweeps take them.
+    let mut locals: Vec<_> = components.iter().map(|c| local_vars(c, &a)).collect();
+
     for sweep in 0..max_sweeps {
         let mut max_residual = 0.0f64;
-        // All expectations at the *current* point (full gradient).
-        let mut expectations_1d: Vec<Vec<f64>> = Vec::with_capacity(poly.arity());
-        let mut p_val = 0.0;
-        for attr in 0..poly.arity() {
-            let (p, derivs) = poly.eval_with_attr_derivatives_with(&a, &mask, attr, &mut scratch);
-            p_val = p;
-            expectations_1d.push(
-                derivs
-                    .iter()
-                    .zip(&a.one_dim[attr])
-                    .map(|(&d, &al)| n * al * d / p)
-                    .collect(),
-            );
-        }
-        let sweep_state = poly.begin_multi_sweep(&a, &mask);
-        let expectations_multi: Vec<f64> = (0..poly.num_multi())
-            .map(|j| n * a.multi[j] * poly.multi_derivative(&sweep_state, &a, j).0 / p_val)
-            .collect();
-
-        // Multiplicative (mirror) step.
-        for (attr, expectations) in expectations_1d.iter().enumerate() {
-            for (v, &e) in expectations.iter().enumerate() {
-                let s = stats.one_dim()[attr][v] as f64;
-                max_residual = max_residual.max((s - e).abs() / n);
-                if s == 0.0 {
-                    a.one_dim[attr][v] = 0.0;
-                } else {
-                    a.one_dim[attr][v] *= (learning_rate * (s - e) / n).exp();
-                }
-            }
-        }
-        for (j, &e) in expectations_multi.iter().enumerate() {
-            let s = stats.multi_counts()[j] as f64;
+        // Multiplicative (mirror) step towards statistic `s` from `e`.
+        let mut step = |x: &mut f64, s: f64, e: f64| {
             max_residual = max_residual.max((s - e).abs() / n);
-            if s == 0.0 {
-                a.multi[j] = 0.0;
+            *x = if s == 0.0 {
+                0.0
             } else {
-                a.multi[j] *= (learning_rate * (s - e) / n).exp();
+                *x * (learning_rate * (s - e) / n).exp()
+            };
+        };
+        for ((c, kernel), (one_dim, multi)) in components.iter().zip(&mut kernels).zip(&mut locals)
+        {
+            // All expectations at the *current* point (full gradient).
+            kernel.begin_sweep(sweep, one_dim);
+            let expectations_1d: Vec<Vec<f64>> = (0..c.attrs.len())
+                .map(|li| {
+                    let (p, derivs) = kernel.attr_derivatives(li, one_dim, multi);
+                    let alphas = derivs.iter().zip(&one_dim[li]);
+                    alphas.map(|(&d, &al)| n * al * d / p).collect()
+                })
+                .collect();
+            let expectations_multi: Vec<f64> = if multi.is_empty() {
+                Vec::new()
+            } else {
+                let p = kernel.begin_deltas(one_dim, multi);
+                (0..multi.len())
+                    .map(|lj| n * multi[lj] * kernel.delta_derivative(lj, one_dim, multi) / p)
+                    .collect()
+            };
+
+            for (li, &g) in c.attrs.iter().enumerate() {
+                for (v, &e) in expectations_1d[li].iter().enumerate() {
+                    step(&mut one_dim[li][v], stats.one_dim()[g][v] as f64, e);
+                }
+                kernel.attr_updated(li);
+            }
+            for (lj, &gj) in c.multis.iter().enumerate() {
+                let s = stats.multi_counts()[gj] as f64;
+                step(&mut multi[lj], s, expectations_multi[lj]);
             }
         }
 
@@ -745,6 +771,9 @@ pub fn solve_gradient(
         }
     }
 
+    for (c, (one_dim, multi)) in components.iter().zip(locals) {
+        store_vars(c, one_dim, multi, &mut a);
+    }
     a.validate()?;
     report.seconds = start.elapsed().as_secs_f64();
     Ok((a, report))
@@ -756,9 +785,12 @@ mod forest;
 
 #[cfg(test)]
 mod tests {
-    use super::forest::{random_forest, Shape};
+    use super::forest::{closure_shapes, fixed_table, random_forest, Clauses, Shape};
     use super::*;
-    use crate::statistics::MultiDimStatistic;
+    use crate::assignment::Mask;
+    use crate::naive::NaivePolynomial;
+    use crate::polynomial::Var;
+    use crate::statistics::{MultiDimStatistic, RangeClause};
     use entropydb_storage::{AttrId, Attribute, Schema, Table};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -795,24 +827,54 @@ mod tests {
         Table::from_rows(schema, rows).unwrap()
     }
 
-    // Routed through the batched passes (the per-variable `derivative`
-    // wrapper is deprecated).
-    fn expectation(
-        poly: &FactorizedPolynomial,
-        a_: &VarAssignment,
-        n: f64,
-        var: crate::polynomial::Var,
-    ) -> f64 {
-        let mask = Mask::identity(poly.arity());
+    /// Component `c`'s domain sizes and statistics in its local attribute
+    /// numbering — what its kernel was built from. References (a closure
+    /// beside a tree, a bare `TreeKernel`) are built from this in the test.
+    fn local_model(
+        c: &Component,
+        sizes: &[usize],
+        multi: &[MultiDimStatistic],
+    ) -> (Vec<usize>, Vec<MultiDimStatistic>) {
+        let local = |g: AttrId| a(c.attrs.iter().position(|&x| x == g.0).unwrap());
+        let stats = c.multis.iter().map(|&gj| {
+            let clauses = multi[gj].clauses().iter().map(|cl| RangeClause {
+                attr: local(cl.attr),
+                ..*cl
+            });
+            MultiDimStatistic::new(clauses.collect()).unwrap()
+        });
+        (c.attrs.iter().map(|&g| sizes[g]).collect(), stats.collect())
+    }
+
+    /// `(P_c, ∂P_c/∂δ_lj for every lj)` of one component through `kernel`.
+    fn delta_block<K: SweepKernel + ?Sized>(
+        kernel: &mut K,
+        one_dim: &[Vec<f64>],
+        multi: &[f64],
+    ) -> (f64, Vec<f64>) {
+        kernel.begin_sweep(0, one_dim);
+        let p = kernel.begin_deltas(one_dim, multi);
+        let pds = (0..multi.len()).map(|lj| kernel.delta_derivative(lj, one_dim, multi));
+        (p, pds.collect())
+    }
+
+    // Routed through the batched passes: one rooted pass per attribute, the
+    // `δ` block of the owning component's sweep per multi statistic.
+    fn expectation(poly: &FactorizedPolynomial, a_: &VarAssignment, n: f64, var: Var) -> f64 {
         match var {
-            crate::polynomial::Var::OneDim { attr, code } => {
+            Var::OneDim { attr, code } => {
+                let mask = Mask::identity(poly.arity());
                 let (p, derivs) = poly.eval_with_attr_derivatives(a_, &mask, attr);
                 n * a_.one_dim[attr][code as usize] * derivs[code as usize] / p
             }
-            crate::polynomial::Var::Multi(j) => {
-                let sweep = poly.begin_multi_sweep(a_, &mask);
-                let p = poly.sweep_value(&sweep);
-                n * a_.multi[j] * poly.multi_derivative(&sweep, a_, j).0 / p
+            Var::Multi(j) => {
+                let owns = |c: &&Component| c.multis.contains(&j);
+                let c = poly.components().iter().find(owns).unwrap();
+                let lj = c.multis.iter().position(|&gj| gj == j).unwrap();
+                let (one_dim, multi) = local_vars(c, a_);
+                let mut kernel = sweep_kernel(c, &SolverConfig::default());
+                let (p, pds) = delta_block(&mut *kernel, &one_dim, &multi);
+                n * multi[lj] * pds[lj] / p
             }
         }
     }
@@ -829,12 +891,7 @@ mod tests {
         // Every 1D expectation matches its statistic.
         for attr in 0..3 {
             for code in 0..2u32 {
-                let e = expectation(
-                    &poly,
-                    &asn,
-                    10.0,
-                    crate::polynomial::Var::OneDim { attr, code },
-                );
+                let e = expectation(&poly, &asn, 10.0, Var::OneDim { attr, code });
                 let s = stats.one_dim()[attr][code as usize] as f64;
                 assert!((e - s).abs() < 1e-6, "attr {attr} code {code}: {e} vs {s}");
             }
@@ -856,18 +913,13 @@ mod tests {
         // All constraints satisfied (1D and 2D).
         for attr in 0..3 {
             for code in 0..2u32 {
-                let e = expectation(
-                    &poly,
-                    &asn,
-                    10.0,
-                    crate::polynomial::Var::OneDim { attr, code },
-                );
+                let e = expectation(&poly, &asn, 10.0, Var::OneDim { attr, code });
                 let s = stats.one_dim()[attr][code as usize] as f64;
                 assert!((e - s).abs() < 1e-5, "attr {attr} code {code}: {e} vs {s}");
             }
         }
         for j in 0..2 {
-            let e = expectation(&poly, &asn, 10.0, crate::polynomial::Var::Multi(j));
+            let e = expectation(&poly, &asn, 10.0, Var::Multi(j));
             let s = stats.multi_counts()[j] as f64;
             assert!((e - s).abs() < 1e-5, "multi {j}: {e} vs {s}");
         }
@@ -939,7 +991,7 @@ mod tests {
             coord.sweeps
         );
         // Same constraints satisfied.
-        let e = expectation(&poly, &asn_g, 10.0, crate::polynomial::Var::Multi(0));
+        let e = expectation(&poly, &asn_g, 10.0, Var::Multi(0));
         assert!((e - 2.0).abs() < 1e-4, "{e}");
     }
 
@@ -1065,12 +1117,16 @@ mod tests {
                     ..SolverConfig::default()
                 };
                 for c in poly.components() {
-                    let Some(tree) = &c.tree else { continue };
+                    let Kernel::Tree(tree) = &c.kernel else {
+                        continue;
+                    };
                     let (attrs, multis) = (&c.attrs, &c.multis);
-                    let t = solve_component(TreeSweep::new(tree), attrs, multis, &stats, &config)
-                        .unwrap();
-                    let closure = ClosureSweep::new(&c.poly, &config);
-                    let cl = solve_component(closure, attrs, multis, &stats, &config).unwrap();
+                    let mut sweep = TreeSweep::new(tree);
+                    let t = solve_component(&mut sweep, attrs, multis, &stats, &config).unwrap();
+                    let (sizes, local) = local_model(c, stats.domain_sizes(), &multi);
+                    let reference = CompressedPolynomial::build(&sizes, &local).unwrap();
+                    let mut closure = ClosureSweep::new(&reference, &config);
+                    let cl = solve_component(&mut closure, attrs, multis, &stats, &config).unwrap();
                     let context = format!("{shape:?} round {round}: {rects:?}");
                     assert_eq!(
                         (t.sweeps, t.converged, t.skipped_updates),
@@ -1103,6 +1159,172 @@ mod tests {
         }
         assert!(compared >= 60, "only {compared} tree components compared");
         assert!(cavity_runs > compared, "statistics were not interleaved");
+    }
+
+    /// Seeded random stars, chains and forests plus the three shapes
+    /// `tests/tree_solver.rs` pins to the closure sweep.
+    fn mixed_models() -> Vec<(Table, Vec<MultiDimStatistic>)> {
+        let mut g = StdRng::seed_from_u64(0xC400);
+        let mut models = Vec::new();
+        for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+            for _ in 0..64 {
+                let (table, rects) = random_forest(&mut g, shape);
+                let rect = |&(x, xr, y, yr)| MultiDimStatistic::rect2d(a(x), xr, a(y), yr).unwrap();
+                models.push((table, rects.iter().map(rect).collect()));
+            }
+        }
+        let statistic = |clauses: &Clauses| {
+            let clauses = clauses.iter().map(|&(attr, (lo, hi))| RangeClause {
+                attr: a(attr),
+                lo,
+                hi,
+            });
+            MultiDimStatistic::new(clauses.collect()).unwrap()
+        };
+        let on_fixed = |shape: Vec<Clauses>| (fixed_table(), shape.iter().map(statistic).collect());
+        models.extend(closure_shapes().map(on_fixed));
+        models
+    }
+
+    /// The chooser did not move: a component is on the tree kernel exactly
+    /// when it qualifies and `pass cells < closure terms + Σ|dom|`, with the
+    /// full closure built here as the reference — `build` itself stops
+    /// enumerating as soon as the inequality is decided.
+    #[test]
+    fn kernel_choice_is_the_closure_size_inequality() {
+        let (mut trees, mut qualified_closures, mut unqualified) = (0, 0, 0);
+        for (table, multi) in mixed_models() {
+            let sizes = table.schema().domain_sizes();
+            let poly = FactorizedPolynomial::build(&sizes, &multi).unwrap();
+            for c in poly.components() {
+                let (local_sizes, local) = local_model(c, &sizes, &multi);
+                let reference = CompressedPolynomial::build(&local_sizes, &local).unwrap();
+                let closure_cells = reference.num_terms() + local_sizes.iter().sum::<usize>();
+                let tree = TreeKernel::build(&local_sizes, &local);
+                let expect_tree = tree
+                    .as_ref()
+                    .is_some_and(|t| t.pass_cells() < closure_cells);
+                match (&c.kernel, tree) {
+                    (Kernel::Tree(built), Some(tree)) => {
+                        assert!(expect_tree, "{multi:?}");
+                        assert_eq!(built, &tree);
+                        trees += 1;
+                    }
+                    (Kernel::Closure(built), tree) => {
+                        assert!(!expect_tree, "{multi:?}");
+                        assert_eq!(built, &reference);
+                        match tree {
+                            Some(_) => qualified_closures += 1,
+                            None => unqualified += 1,
+                        }
+                    }
+                    (Kernel::Tree(_), None) => panic!("tree kernel on {multi:?}"),
+                }
+            }
+        }
+        assert!(
+            trees >= 100 && qualified_closures >= 8 && unqualified >= 3,
+            "{trees} trees, {qualified_closures} qualifying closures, {unqualified} others"
+        );
+    }
+
+    /// Every `∂P/∂δ_j`, of tree and closure components alike, read through
+    /// the one `SweepKernel` path equals the tuple-enumerating oracle's —
+    /// and on a tree component the closure sweep of a reference closure
+    /// built here agrees too.
+    #[test]
+    fn delta_derivatives_of_both_kernels_match_naive() {
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-10 * x.abs().max(y.abs());
+        let mut g = StdRng::seed_from_u64(0xDE17A);
+        let (mut on_tree, mut on_closure) = (0, 0);
+        for (table, multi) in mixed_models() {
+            let sizes = table.schema().domain_sizes();
+            let poly = FactorizedPolynomial::build(&sizes, &multi).unwrap();
+            let naive = NaivePolynomial::build(&sizes, &multi).unwrap();
+            let mut asn = VarAssignment::ones(&sizes, multi.len());
+            let vars = asn.one_dim.iter_mut().flatten().chain(&mut asn.multi);
+            vars.for_each(|x| *x = g.gen_range(0.05..2.5));
+            let mask = Mask::identity(sizes.len());
+            let p_global = naive.eval(&asn);
+            for c in poly.components() {
+                let (one_dim, deltas) = local_vars(c, &asn);
+                let config = SolverConfig::default();
+                let mut kernel = sweep_kernel(c, &config);
+                let (p, pds) = delta_block(&mut *kernel, &one_dim, &deltas);
+                // d ln P / dδ_j is the same ratio globally and in `c`.
+                for (&gj, &pd) in c.multis.iter().zip(&pds) {
+                    let want = naive.derivative(&asn, &mask, Var::Multi(gj)) / p_global;
+                    assert!(
+                        close(pd / p, want),
+                        "δ{gj} of {multi:?}: {} vs {want}",
+                        pd / p
+                    );
+                }
+                match &c.kernel {
+                    Kernel::Closure(_) => on_closure += c.multis.len(),
+                    Kernel::Tree(_) => {
+                        on_tree += c.multis.len();
+                        let (local_sizes, local) = local_model(c, &sizes, &multi);
+                        let reference = CompressedPolynomial::build(&local_sizes, &local).unwrap();
+                        let mut closure = ClosureSweep::new(&reference, &config);
+                        let (cp, cpds) = delta_block(&mut closure, &one_dim, &deltas);
+                        assert!(close(p, cp), "{p} vs {cp}");
+                        for (&pd, &cpd) in pds.iter().zip(&cpds) {
+                            assert!(close(pd, cpd), "{pd} vs {cpd}: {multi:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            on_tree >= 200 && on_closure >= 40,
+            "{on_tree} / {on_closure}"
+        );
+    }
+
+    /// The ablation solver on whichever kernel a component has: a tree
+    /// component, a cycle of pairs, and both side by side reach the residual
+    /// recorded when every `∂P/∂δ` was still read from a closure, after an
+    /// equal sweep budget.
+    #[test]
+    fn gradient_solver_reaches_the_recorded_residuals_on_both_kernels() {
+        let nine = nine_attribute_table();
+        let triangle = || {
+            all_cells(0, 1)
+                .chain(all_cells(1, 2))
+                .chain(all_cells(0, 2))
+        };
+        // (statistics, tree components, learning rate, residual after 60 sweeps)
+        let models: Vec<(Vec<MultiDimStatistic>, usize, f64, f64)> = vec![
+            (
+                (0..3).flat_map(|x| all_cells(x, x + 1)).collect(),
+                1,
+                1.0,
+                3.324200395118808e-3,
+            ),
+            (triangle().collect(), 0, 1.0, 5.2321177718205785e-3),
+            (
+                triangle()
+                    .chain(all_cells(4, 5))
+                    .chain(all_cells(5, 6))
+                    .collect(),
+                1,
+                0.5,
+                1.6164642295210415e-2,
+            ),
+        ];
+        for (multi, trees, learning_rate, recorded) in models {
+            let stats = Statistics::observe(&nine, multi.clone()).unwrap();
+            let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
+            assert_eq!(poly.size_stats().tree_components, trees);
+            let (_, report) = solve_gradient(&poly, &stats, learning_rate, 60, 0.0).unwrap();
+            assert_eq!(report.sweeps, 60);
+            assert!(
+                (report.max_residual - recorded).abs() < 1e-12,
+                "{:e} vs {recorded:e}",
+                report.max_residual
+            );
+        }
     }
 
     #[test]

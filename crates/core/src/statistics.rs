@@ -102,13 +102,12 @@ impl MultiDimStatistic {
     /// Whether `self` and `other` constrain the same attribute set and their
     /// rectangles intersect (used to enforce the disjointness assumption).
     pub fn same_attrs_and_overlaps(&self, other: &MultiDimStatistic) -> bool {
-        if self.attrs() != other.attrs() {
-            return false;
-        }
-        self.clauses.iter().zip(other.clauses()).all(|(a, b)| {
-            debug_assert_eq!(a.attr, b.attr);
-            a.lo <= b.hi && b.lo <= a.hi
-        })
+        self.clauses.len() == other.clauses.len()
+            && self
+                .clauses
+                .iter()
+                .zip(other.clauses())
+                .all(|(a, b)| a.attr == b.attr && a.lo <= b.hi && b.lo <= a.hi)
     }
 
     /// Converts to a storage-layer [`Predicate`] for exact evaluation.

@@ -39,16 +39,17 @@
 //! [`TreeKernel::build`] checks all three conditions (unlike
 //! [`crate::statistics::Statistics`], [`crate::factorized`] accepts raw,
 //! possibly overlapping statistics) and returns `None` when any fails; the
-//! component then keeps the closure kernel and answers exactly as before.
-//! The tuple-enumerating [`crate::naive`] polynomial and the closure itself
-//! are the parity oracles (`crates/core/tests/tree_kernel.rs`).
+//! component is then built as a closure and answers exactly as before.
+//! The tuple-enumerating [`crate::naive`] polynomial and closures built in
+//! the tests are the parity oracles (`crates/core/tests/tree_kernel.rs`).
 //!
 //! The pass is not free where the closure is small: every edge costs a
 //! prefix sum over the sender and a scan over the receiver, so a 48-leaf
 //! star with one rectangle per edge (a 48-term closure) is answered 2.5×
-//! faster by the closure. [`crate::factorized`] therefore compares
-//! [`TreeKernel::pass_cells`] with the closure's size and keeps the closure
-//! when it is the smaller of the two.
+//! faster by the closure. [`crate::factorized`] therefore weighs
+//! [`TreeKernel::pass_cells`] against the closure's size — enumerating the
+//! closure only until it is proven the larger — and a component holds the
+//! smaller of the two, never both.
 
 use crate::polynomial::CompressedPolynomial;
 use crate::statistics::MultiDimStatistic;

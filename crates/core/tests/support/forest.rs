@@ -1,4 +1,5 @@
-//! Seeded random tables with forest-shaped 2-D statistics, shared by
+//! Seeded random tables with forest-shaped 2-D statistics, and one fixed
+//! table with the shapes that stay on the closure, shared by
 //! `tests/tree_solver.rs` and (through `#[path]`) the in-crate solver tests
 //! that compare the tree sweep with the private closure sweep. Only
 //! `entropydb_storage` and `rand` types appear here, so the file compiles
@@ -106,4 +107,47 @@ pub fn random_forest(g: &mut StdRng, shape: Shape) -> (Table, Vec<Rect>) {
         table.push_row(&row).unwrap();
     }
     (table, rects)
+}
+
+/// One statistic as `(attribute, inclusive code range)` clauses.
+pub type Clauses = Vec<(usize, (u32, u32))>;
+
+/// A 90-row table over four 4-valued attributes, by formula.
+pub fn fixed_table() -> Table {
+    let schema = Schema::new(
+        (0..4)
+            .map(|i| Attribute::categorical(format!("a{i}"), 4).unwrap())
+            .collect(),
+    );
+    let mut t = Table::new(schema);
+    for i in 0..90u32 {
+        t.push_row(&[i % 4, (i / 3 + i % 4) % 4, (i * i / 5) % 4, (i / 7) % 3])
+            .unwrap();
+    }
+    t
+}
+
+/// Statistics over [`fixed_table`] whose component stays on the closure
+/// kernel: a cycle of three pairs; one statistic on three attributes
+/// beside a 2-D one; and a star with one rectangle per leaf, whose
+/// three-message pass touches more cells than its 8-term closure and slab.
+pub fn closure_shapes() -> [Vec<Clauses>; 3] {
+    let rect = |x, xr, y, yr| vec![(x, xr), (y, yr)];
+    [
+        vec![
+            rect(0, (0, 1), 1, (1, 2)),
+            rect(1, (0, 2), 2, (0, 0)),
+            rect(0, (1, 2), 2, (1, 3)),
+            rect(0, (2, 3), 1, (3, 3)),
+        ],
+        vec![
+            vec![(0, (0, 1)), (1, (1, 3)), (2, (0, 2))],
+            rect(2, (0, 1), 3, (0, 1)),
+        ],
+        vec![
+            rect(0, (0, 1), 1, (0, 2)),
+            rect(0, (1, 2), 2, (1, 1)),
+            rect(0, (0, 3), 3, (0, 0)),
+        ],
+    ]
 }

@@ -15,7 +15,10 @@
 //! * components that do not qualify (a cycle of pairs, a 3-D statistic, a
 //!   wide star too sparse to beat its closure) are still solved by the
 //!   closure sweep, to the bit: their assignments are compared with values
-//!   recorded before the tree sweep existed.
+//!   recorded before the tree sweep existed;
+//! * a tree component has no closure, so no term cap: a star with 2 500
+//!   single-cell statistics per pair (a 6.6 M-term closure, over the 5 M
+//!   cap) builds, solves and answers.
 
 use entropydb_core::assignment::Mask;
 use entropydb_core::naive::NaivePolynomial;
@@ -23,13 +26,13 @@ use entropydb_core::polynomial::Var;
 use entropydb_core::prelude::*;
 use entropydb_core::solver::solve;
 use entropydb_core::statistics::RangeClause;
-use entropydb_storage::{AttrId, Attribute, Schema, Table};
+use entropydb_storage::{AttrId, Attribute, Predicate, Schema, Table};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[path = "support/forest.rs"]
 mod forest;
-use forest::{random_forest, Shape};
+use forest::{closure_shapes, fixed_table, random_forest, Clauses, Shape};
 
 #[test]
 fn random_forests_fit_their_statistics() {
@@ -107,19 +110,64 @@ fn random_forests_fit_their_statistics() {
     );
 }
 
-/// A 90-row table over four 4-valued attributes, by formula.
-fn fixed_table() -> Table {
+/// Every cell of three `G × G` grids around one hub as its own statistic:
+/// `G·(G + 1)³ − G` = 6.6 M compatible subsets, over the closure's 5 M term
+/// cap — `CompressionTooLarge` while a tree component still built its
+/// closure. The pass touches `6·G + 3·G²` cells. `G = 100` (10 000 cells
+/// per pair, a 10⁸-term closure) passes the same way, but spends a minute
+/// of a debug build in `Statistics::observe`'s quadratic disjointness check.
+#[test]
+fn a_star_over_the_closure_term_cap_builds_solves_and_answers() {
+    const G: u32 = 50;
     let schema = Schema::new(
         (0..4)
-            .map(|i| Attribute::categorical(format!("a{i}"), 4).unwrap())
+            .map(|i| Attribute::categorical(format!("a{i}"), G as usize).unwrap())
             .collect(),
     );
-    let mut t = Table::new(schema);
-    for i in 0..90u32 {
-        t.push_row(&[i % 4, (i / 3 + i % 4) % 4, (i * i / 5) % 4, (i / 7) % 3])
-            .unwrap();
+    let mut g = StdRng::seed_from_u64(0x57A2);
+    let mut table = Table::new(schema);
+    for _ in 0..40_000 {
+        let hub = g.gen_range(0..G);
+        // Leaves follow the hub, each its own way, with some spread.
+        let leaf = |k: u32, g: &mut StdRng| (hub * (k + 2) + g.gen_range(0..G / 4)) % G;
+        let row = [hub, leaf(0, &mut g), leaf(1, &mut g), leaf(2, &mut g)];
+        table.push_row(&row).unwrap();
     }
-    t
+    let cells = (1..4).flat_map(|leaf| {
+        (0..G * G)
+            .map(move |c| MultiDimStatistic::cell2d(AttrId(0), c / G, AttrId(leaf), c % G).unwrap())
+    });
+    let summary = MaxEntSummary::build(&table, cells.collect(), &SolverConfig::default()).unwrap();
+
+    let size = summary.size_stats();
+    assert_eq!((size.tree_components, size.closure_components), (1, 0));
+    assert_eq!(size.num_terms, 0);
+    assert_eq!(size.tree_cells, (6 * G + 3 * G * G) as usize);
+
+    let report = summary.solver_report();
+    assert!(report.converged, "{report}");
+    let stats = summary.statistics();
+    let n = stats.n() as f64;
+    let (mut nonzero, mut zero) = (0, 0);
+    for _ in 0..50 {
+        let j = g.gen_range(0..stats.multi().len());
+        let c = stats.multi()[j].clauses();
+        let pred = Predicate::new()
+            .eq(c[0].attr, c[0].lo)
+            .eq(c[1].attr, c[1].lo);
+        let estimate = summary.estimate_count(&pred).unwrap().expectation;
+        let s = stats.multi_counts()[j];
+        assert!(
+            (estimate - s as f64).abs() <= SolverConfig::default().tolerance * n,
+            "statistic {j}: estimated {estimate}, observed {s}"
+        );
+        if s == 0 {
+            zero += 1;
+        } else {
+            nonzero += 1;
+        }
+    }
+    assert!(nonzero >= 5 && zero >= 5, "{nonzero} / {zero}");
 }
 
 /// Solves with the default configuration and returns every variable's bits.
@@ -134,35 +182,18 @@ fn solved_bits(specs: Vec<MultiDimStatistic>) -> Vec<u64> {
 
 #[test]
 fn closure_components_keep_their_assignment_bitwise() {
-    let rect = |x: usize, xr: (u32, u32), y: usize, yr: (u32, u32)| {
-        MultiDimStatistic::rect2d(AttrId(x), xr, AttrId(y), yr).unwrap()
+    let statistic = |clauses: &Clauses| {
+        let clauses = clauses.iter().map(|&(attr, (lo, hi))| RangeClause {
+            attr: AttrId(attr),
+            lo,
+            hi,
+        });
+        MultiDimStatistic::new(clauses.collect()).unwrap()
     };
-    // A cycle of three pairs.
-    let triangle = vec![
-        rect(0, (0, 1), 1, (1, 2)),
-        rect(1, (0, 2), 2, (0, 0)),
-        rect(0, (1, 2), 2, (1, 3)),
-        rect(0, (2, 3), 1, (3, 3)),
-    ];
+    let [triangle, three_d, sparse_star] =
+        closure_shapes().map(|shape| shape.iter().map(statistic).collect());
     assert_eq!(solved_bits(triangle), TRIANGLE);
-    // One statistic on three attributes beside a 2-D one.
-    let clause = |attr: usize, lo: u32, hi: u32| RangeClause {
-        attr: AttrId(attr),
-        lo,
-        hi,
-    };
-    let three_d = vec![
-        MultiDimStatistic::new(vec![clause(0, 0, 1), clause(1, 1, 3), clause(2, 0, 2)]).unwrap(),
-        rect(2, (0, 1), 3, (0, 1)),
-    ];
     assert_eq!(solved_bits(three_d), THREE_D);
-    // A star with one rectangle per leaf: the three-message pass touches
-    // more cells than the 8-term closure and its slab.
-    let sparse_star = vec![
-        rect(0, (0, 1), 1, (0, 2)),
-        rect(0, (1, 2), 2, (1, 1)),
-        rect(0, (0, 3), 3, (0, 0)),
-    ];
     assert_eq!(solved_bits(sparse_star), SPARSE_STAR);
 }
 

@@ -56,10 +56,11 @@ fn main() -> Result<()> {
         report.max_residual,
         build_time.as_secs_f64()
     );
+    let size = summary.size_stats();
     println!(
-        "  polynomial: {} terms (uncompressed form would have {:.1e} monomials)",
-        summary.size_stats().num_terms,
-        summary.size_stats().uncompressed_monomials as f64
+        "  polynomial: {} evaluated terms and pass cells (uncompressed form would have {:.1e} monomials)",
+        size.num_terms + size.tree_cells,
+        size.uncompressed_monomials as f64
     );
 
     // Interactive: exploratory queries with exact-answer comparison.

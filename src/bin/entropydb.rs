@@ -89,13 +89,8 @@ fn summarize(args: &[String]) -> Result<ExitCode> {
     eprintln!("solving the MaxEnt model...");
     let summary = MaxEntSummary::build(table, stats, &SolverConfig::default())?;
     let report = summary.solver_report();
-    let size = summary.size_stats();
-    eprintln!(
-        "  {report}, {} polynomial terms, {}, {}",
-        size.num_terms,
-        query_kernels(&size),
-        solver_sweeps(&size)
-    );
+    eprintln!("  {report}");
+    eprintln!("  {}", kernels(&summary.size_stats()));
     entropydb::core::serialize::save_file(&summary, Path::new(&out)).map_err(|e| {
         ModelError::Parse {
             line: 0,
@@ -250,35 +245,25 @@ fn info(args: &[String]) -> Result<ExitCode> {
     }
     let s = summary.size_stats();
     println!(
-        "{} multi-dimensional statistics; {} polynomial terms (vs {:.2e} uncompressed)",
+        "{} multi-dimensional statistics; {} evaluated terms and cells (vs {:.2e} uncompressed)",
         stats.multi().len(),
-        s.num_terms,
+        s.num_terms + s.tree_cells,
         s.uncompressed_monomials as f64
     );
-    println!("{}", query_kernels(&s));
+    println!("{}", kernels(&s));
     println!("solver: {}", summary.solver_report());
     Ok(ExitCode::SUCCESS)
 }
 
-/// Which kernel answers queries on each component. A closure component
-/// that holds most of the terms is the one to look at when queries are
-/// slow: a cycle of attribute pairs or a 3-D statistic put it there.
-fn query_kernels(s: &PolynomialSizeStats) -> String {
-    kernel_split("query kernels", s)
-}
-
-/// Which sweep fitted each component: the solver runs a component on the
-/// kernel that answers its queries, so the split is the same. Closure
-/// sweeps walk every term; they are where a slow `summarize` spends its
-/// time.
-fn solver_sweeps(s: &PolynomialSizeStats) -> String {
-    kernel_split("solver sweeps", s)
-}
-
-fn kernel_split(what: &str, s: &PolynomialSizeStats) -> String {
+/// What is evaluated: the one kernel each component is queried and fitted
+/// on, and the size of what it materialised (message-pass cells, closure
+/// terms). A closure component that holds most of the terms is the one to
+/// look at when queries or `summarize` are slow: a cycle of attribute pairs,
+/// a 3-D statistic or overlapping rectangles put it there.
+fn kernels(s: &PolynomialSizeStats) -> String {
     format!(
-        "{what}: {} tree + {} closure components",
-        s.tree_components, s.closure_components
+        "kernels: {} tree components ({} cells) + {} closure components ({} terms)",
+        s.tree_components, s.tree_cells, s.closure_components, s.num_terms
     )
 }
 

@@ -50,9 +50,17 @@ fn csv_to_summary_to_query_pipeline() {
     }
     let summary = MaxEntSummary::build(table, stats, &SolverConfig::default()).expect("builds");
     // Two pairs sharing `distance` form a star: the whole model is one
-    // component on the message-passing kernel (what `entropydb info` prints).
+    // component on the message-passing kernel, which materialises pass
+    // cells and no closure term (what `entropydb info` prints).
     let size = summary.size_stats();
     assert_eq!((size.tree_components, size.closure_components), (1, 0));
+    assert_eq!(size.num_terms, 0);
+    let domains: usize = summary.statistics().domain_sizes().iter().sum();
+    let rectangles = summary.statistics().multi().len();
+    assert_eq!(
+        size.tree_cells,
+        domains + summary.schema().attr(dist).expect("attr").domain_size() + rectangles
+    );
 
     // Textual BETWEEN query over the binned numeric column.
     let range = parse_predicate("distance BETWEEN 300 AND 800", &dataset).expect("parses");
@@ -127,7 +135,9 @@ fn fit_segment_matches_sharded_build_on_flights_star() {
     let parts = d.table.partition(&partitioning).expect("partitions");
     assert_eq!(parts.len(), sharded.num_shards());
     for (part, shard) in parts.iter().zip(sharded.shards()) {
-        assert_eq!(shard.size_stats().tree_components, 1);
+        // One tree component and the free fifth attribute's one-term closure.
+        let size = shard.size_stats();
+        assert_eq!((size.tree_components, size.num_terms), (1, 1));
         let segment = fit_segment(part, &stats, &config.solver).expect("fits");
         assert_eq!(
             entropydb::core::serialize::to_string(&segment),
