@@ -218,6 +218,23 @@ fn bench_shard_query(c: &mut Criterion) {
     });
     c.record_metric("shard_query", "fanout_4_point_cached_ns", cached_point_ns);
     c.record_metric("shard_query", "fanout_4_top_k_cached_ns", cached_topk_ns);
+
+    // A sharded top-k is the merged group-by ranked once, so it costs one
+    // fan-out round like the group-by; a second round would double this.
+    let top_k_ns = mean_call_ns(1_000, || {
+        black_box(four.top_k(black_box(&range), AttrId(2), 5).expect("query"));
+    });
+    let group_by_ns = mean_call_ns(1_000, || {
+        black_box(
+            four.estimate_group_by(black_box(&range), AttrId(2))
+                .expect("query"),
+        );
+    });
+    c.record_metric(
+        "shard_query",
+        "fanout_4_top_k_over_group_by",
+        top_k_ns / group_by_ns,
+    );
 }
 
 criterion_group! {

@@ -21,8 +21,10 @@
 //!
 //! Backends answer under a *mask* rather than a predicate so the engine can
 //! derive many masked evaluations from one validated predicate (group-by
-//! cells, top-k re-probes, sequential-conditional sampling) without
-//! re-validating or re-translating.
+//! cells, sequential-conditional sampling) without re-validating or
+//! re-translating. A top-k is the group-by pass ranked once
+//! ([`rank_top_k`]) on every backend — sharded ones rank the *merged*
+//! group-by, so the answer is the full ranking's, exactly.
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, Result};
@@ -186,22 +188,6 @@ pub trait SummaryBackend: Send + Sync {
         attr: AttrId,
         scratch: &mut Self::Scratch,
     ) -> Result<Vec<Estimate>>;
-
-    /// Top-`k` values of `attr` by estimated count under the mask. The
-    /// default ranks the full group-by pass; backends with a cheaper or
-    /// merge-aware strategy (per-shard candidates + re-probe) override it.
-    fn top_k_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        Ok(rank_top_k(
-            self.group_by_under_mask(mask, attr, scratch)?,
-            k,
-        ))
-    }
 
     /// Computes the per-call context shared by every [`Self::sample_tuple`]
     /// of one `sample_rows(k, seed)` call. Remote backends may perform
@@ -691,14 +677,8 @@ pub(crate) mod paths {
         attr: AttrId,
         k: usize,
     ) -> Result<Vec<(u32, Estimate)>> {
-        let sizes = backend.domain_sizes();
-        if attr.0 >= sizes.len() {
-            return Err(ModelError::ShapeMismatch);
-        }
-        let mask = query_mask(backend, pred)?;
-        with_scratch(backend, pool, |s| {
-            backend.top_k_under_mask(&mask, attr, k, s)
-        })
+        // On every backend: the (merged) group-by, ranked once.
+        Ok(rank_top_k(estimate_group_by(backend, pool, pred, attr)?, k))
     }
 
     /// Draws the raw dense-coded sample tuples (the IR-transportable form;

@@ -770,19 +770,6 @@ impl SummaryBackend for LiveSummary {
             .group_by_under_mask(mask, attr, sync_scratch(&served, scratch))
     }
 
-    fn top_k_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut LiveScratch,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let served = self.inner.snapshot();
-        served
-            .mixture
-            .top_k_under_mask(mask, attr, k, sync_scratch(&served, scratch))
-    }
-
     fn plan_samples(&self, k: usize, seed: u64) -> Result<LivePlan> {
         let served = self.inner.snapshot();
         let inner = served.mixture.plan_samples(k, seed)?;

@@ -55,8 +55,8 @@
 //! | [`engine`] | — | `SummaryBackend` trait + generic `QueryEngine` (`execute`, scratch pool, batching) |
 //! | [`sharded`] | — | `ShardedSummary`: per-partition models with merged estimates |
 //! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, compaction, epochs) |
-//! | [`scatter`] | — | shard-source-agnostic merge layer (`ShardProbe`, gather drivers) |
-//! | [`probe`] | — | mask-level shard-probe IR + wire encoding |
+//! | [`scatter`] | — | shard-source-agnostic gather layer (`ShardProbe::probe`, `gather`, the one merge, gather cache) |
+//! | [`probe`] | — | mask-level shard-probe IR (the one shard dispatch) + wire encoding |
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |
 //! | [`serialize`] | §5 | text-format persistence |

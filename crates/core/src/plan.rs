@@ -478,7 +478,7 @@ pub(crate) fn read_estimate(r: &mut TokenReader<'_>) -> Result<Estimate> {
 }
 
 /// One `value expectation variance` entry of a `ranked` payload.
-pub(crate) fn read_ranked(r: &mut TokenReader<'_>) -> Result<(u32, Estimate)> {
+fn read_ranked(r: &mut TokenReader<'_>) -> Result<(u32, Estimate)> {
     Ok((r.parse("ranked value")?, read_estimate(r)?))
 }
 

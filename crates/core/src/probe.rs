@@ -3,13 +3,15 @@
 //!
 //! The query IR ([`crate::plan`]) speaks *predicates* — the currency of
 //! clients. Shard fan-out speaks *masks*: the gatherer validates a
-//! predicate once, translates it into a [`Mask`], and then derives many
-//! masked evaluations from it (group-by cell restrictions, top-k candidate
-//! re-probes, SUM weightings). A [`ProbeRequest`] transports exactly those
-//! derived evaluations to a remote shard, so a remote scatter/gather
-//! backend can reuse the local merge arithmetic unchanged and answer
-//! bitwise-identically to an in-process
-//! [`ShardedSummary`](crate::sharded::ShardedSummary).
+//! predicate once, translates it into a [`Mask`], and asks every shard the
+//! same masked evaluation. A [`ProbeRequest`] *is* that question — one
+//! request, built once per query and borrowed by every shard, whether the
+//! shard is an in-process model or a node across the wire
+//! ([`ShardProbe::probe`](crate::scatter::ShardProbe::probe)); both run the
+//! one dispatch below ([`execute`]), so a remote scatter/gather backend
+//! answers bitwise-identically to an in-process
+//! [`ShardedSummary`](crate::sharded::ShardedSummary). A top-k is not a
+//! probe: every backend ranks the (merged) `group` answer once.
 //!
 //! ## Wire format (version 1)
 //!
@@ -21,9 +23,8 @@
 //! probe    := "b1" body
 //! body     := "prob" mask            | "count" mask
 //!           | "probm" nmasks mask*   | "countm" nmasks mask*
-//!           | "countr" attr n value* mask
 //!           | "sum" attr nvalues value* mask
-//!           | "group" attr mask      | "topk" attr k mask
+//!           | "group" attr mask
 //!           | "sample" k seed n index*
 //! mask     := "m" arity ( "i" | "w" len weight* )*
 //!
@@ -32,7 +33,6 @@
 //!           | "probs" len f*
 //!           | "ests" len (expectation variance)*
 //!           | "groups" len (expectation variance)*
-//!           | "ranked" len (value expectation variance)*
 //!           | "rows" nrows arity code*
 //!           | "err" message...
 //!           | "busy" message...
@@ -50,13 +50,6 @@
 //! randomness only from `(seed, index)`, so a shard node reproduces exactly
 //! the rows the gatherer's stratification assigned to it.
 //!
-//! `countr` is the compact top-k re-probe: one base mask plus the list of
-//! candidate *values* of one attribute; the shard rebuilds each probe mask
-//! with the same `restrict_in_place` step the gatherer would use, so the
-//! wire cost is `O(mask + candidates)` instead of `O(mask × candidates)` —
-//! a candidate batch can never outgrow the serving layer's line cap just
-//! by having many candidates.
-//!
 //! Every probe is one wire line, so a single probe's encoding must fit the
 //! serving layer's line cap (`MAX_LINE_BYTES`, 1 MiB): one mask costs a
 //! few bytes per constrained-attribute bucket, comfortably within the cap
@@ -64,8 +57,8 @@
 
 use crate::assignment::Mask;
 use crate::engine::{ScratchPool, SummaryBackend};
-use crate::error::{ModelError, Result};
-use crate::plan::{read_estimate, read_ranked};
+use crate::error::{ModelError, RemoteDetail, Result};
+use crate::plan::read_estimate;
 use crate::query::Estimate;
 use crate::wire::{decode_refusal, encode_refusal, wire_error, TokenReader};
 use entropydb_storage::AttrId;
@@ -95,17 +88,6 @@ pub enum ProbeRequest {
         /// The query masks, answered in order.
         masks: Vec<Mask>,
     },
-    /// One COUNT estimate per candidate value: the base mask restricted to
-    /// each value of `attr` in turn (`restrict_in_place`) — the top-k
-    /// candidate re-probe, transported as one mask + a value list.
-    CountRestricted {
-        /// The base query mask.
-        mask: Mask,
-        /// The restricted attribute.
-        attr: AttrId,
-        /// Candidate values, answered in order.
-        values: Vec<u32>,
-    },
     /// SUM estimate under the base mask, weighting `attr` by `values`.
     Sum {
         /// The base COUNT mask.
@@ -122,15 +104,6 @@ pub enum ProbeRequest {
         mask: Mask,
         /// The grouped attribute.
         attr: AttrId,
-    },
-    /// The shard's local top-`k` candidates for `attr` under the mask.
-    TopK {
-        /// The query mask.
-        mask: Mask,
-        /// The ranked attribute.
-        attr: AttrId,
-        /// How many local candidates to nominate.
-        k: usize,
     },
     /// Draw the tuples at `indices` of a `sample_rows(k, seed)` call.
     SampleAt {
@@ -153,13 +126,10 @@ pub enum ProbeResponse {
     Probabilities(Vec<f64>),
     /// Answer to [`ProbeRequest::Count`] and [`ProbeRequest::Sum`].
     Estimate(Estimate),
-    /// Answer to [`ProbeRequest::CountRestricted`] and
-    /// [`ProbeRequest::CountMany`], in candidate/mask order.
+    /// Answer to [`ProbeRequest::CountMany`], in mask order.
     Estimates(Vec<Estimate>),
     /// Answer to [`ProbeRequest::GroupBy`], one estimate per value.
     Groups(Vec<Estimate>),
-    /// Answer to [`ProbeRequest::TopK`], `(value, estimate)` descending.
-    Ranked(Vec<(u32, Estimate)>),
     /// Answer to [`ProbeRequest::SampleAt`], rows in index order.
     Rows {
         /// Number of attributes per row.
@@ -196,14 +166,6 @@ impl ProbeRequest {
                     encode_mask(&mut out, mask);
                 }
             }
-            ProbeRequest::CountRestricted { mask, attr, values } => {
-                let _ = write!(out, "countr {} {}", attr.0, values.len());
-                for v in values {
-                    let _ = write!(out, " {v}");
-                }
-                out.push(' ');
-                encode_mask(&mut out, mask);
-            }
             ProbeRequest::Sum { mask, attr, values } => {
                 let _ = write!(out, "sum {} {}", attr.0, values.len());
                 for v in values {
@@ -214,10 +176,6 @@ impl ProbeRequest {
             }
             ProbeRequest::GroupBy { mask, attr } => {
                 let _ = write!(out, "group {} ", attr.0);
-                encode_mask(&mut out, mask);
-            }
-            ProbeRequest::TopK { mask, attr, k } => {
-                let _ = write!(out, "topk {} {k} ", attr.0);
                 encode_mask(&mut out, mask);
             }
             ProbeRequest::SampleAt { k, seed, indices } => {
@@ -250,15 +208,6 @@ impl ProbeRequest {
                     ProbeRequest::CountMany { masks }
                 }
             }
-            "countr" => {
-                let attr = AttrId(r.parse("attr")?);
-                let values = r.list("value count", |r| r.parse("candidate value"))?;
-                ProbeRequest::CountRestricted {
-                    mask: decode_mask(&mut r)?,
-                    attr,
-                    values,
-                }
-            }
             "sum" => {
                 let attr = AttrId(r.parse("attr")?);
                 let values = r.list("value count", |r| r.parse("value"))?;
@@ -270,11 +219,6 @@ impl ProbeRequest {
             }
             "group" => ProbeRequest::GroupBy {
                 attr: AttrId(r.parse("attr")?),
-                mask: decode_mask(&mut r)?,
-            },
-            "topk" => ProbeRequest::TopK {
-                attr: AttrId(r.parse("attr")?),
-                k: r.parse("k")?,
                 mask: decode_mask(&mut r)?,
             },
             "sample" => {
@@ -291,11 +235,25 @@ impl ProbeRequest {
 }
 
 impl ProbeResponse {
-    /// The scalar estimate payload, when present.
-    pub fn estimate(&self) -> Option<Estimate> {
-        match self {
-            ProbeResponse::Estimate(e) => Some(*e),
-            _ => None,
+    /// True when this response has the shape `request` asks for: the
+    /// matching variant and, where the request fixes it, the matching
+    /// length. The one "response answers request" test — remote shards
+    /// apply it to wire replies, the gather side to every answer it merges.
+    pub fn answers(&self, request: &ProbeRequest) -> bool {
+        match (request, self) {
+            (ProbeRequest::Probability { .. }, ProbeResponse::Probability(_))
+            | (ProbeRequest::Count { .. } | ProbeRequest::Sum { .. }, ProbeResponse::Estimate(_))
+            | (ProbeRequest::GroupBy { .. }, ProbeResponse::Groups(_)) => true,
+            (ProbeRequest::ProbabilityMany { masks }, ProbeResponse::Probabilities(ps)) => {
+                ps.len() == masks.len()
+            }
+            (ProbeRequest::CountMany { masks }, ProbeResponse::Estimates(es)) => {
+                es.len() == masks.len()
+            }
+            (ProbeRequest::SampleAt { indices, .. }, ProbeResponse::Rows { rows, .. }) => {
+                rows.len() == indices.len()
+            }
+            _ => false,
         }
     }
 
@@ -325,12 +283,6 @@ impl ProbeResponse {
                 let _ = write!(out, "groups {}", list.len());
                 for e in list {
                     let _ = write!(out, " {} {}", e.expectation, e.variance);
-                }
-            }
-            ProbeResponse::Ranked(entries) => {
-                let _ = write!(out, "ranked {}", entries.len());
-                for (v, e) in entries {
-                    let _ = write!(out, " {v} {} {}", e.expectation, e.variance);
                 }
             }
             ProbeResponse::Rows { arity, rows } => {
@@ -366,7 +318,6 @@ impl ProbeResponse {
                     ProbeResponse::Groups(list)
                 }
             }
-            "ranked" => ProbeResponse::Ranked(r.list("entry count", read_ranked)?),
             "rows" => {
                 let (nrows, arity) = (r.parse("row count")?, r.parse("arity")?);
                 let rows = r.grid(nrows, arity, |r| r.parse("code"))?;
@@ -413,13 +364,77 @@ fn decode_mask(r: &mut TokenReader<'_>) -> Result<Mask> {
     Ok(Mask::from_weights(weights))
 }
 
-/// Executes one probe against a backend. Shapes are validated here (mask
-/// arity, attribute bounds, value-vector lengths, index bounds) because
-/// probes bypass the engine's predicate validation by design.
+fn unexpected_shape() -> ModelError {
+    ModelError::Remote(RemoteDetail::message(
+        "probe response had an unexpected shape",
+    ))
+}
+
+/// The payload conversions the gather side unwraps a merged answer with;
+/// a wrong variant is a typed error, never a panic.
+impl TryFrom<ProbeResponse> for f64 {
+    type Error = ModelError;
+    fn try_from(resp: ProbeResponse) -> Result<f64> {
+        match resp {
+            ProbeResponse::Probability(p) => Ok(p),
+            _ => Err(unexpected_shape()),
+        }
+    }
+}
+
+impl TryFrom<ProbeResponse> for Estimate {
+    type Error = ModelError;
+    fn try_from(resp: ProbeResponse) -> Result<Estimate> {
+        match resp {
+            ProbeResponse::Estimate(e) => Ok(e),
+            _ => Err(unexpected_shape()),
+        }
+    }
+}
+
+impl TryFrom<ProbeResponse> for Vec<f64> {
+    type Error = ModelError;
+    fn try_from(resp: ProbeResponse) -> Result<Vec<f64>> {
+        match resp {
+            ProbeResponse::Probabilities(ps) => Ok(ps),
+            _ => Err(unexpected_shape()),
+        }
+    }
+}
+
+impl TryFrom<ProbeResponse> for Vec<Estimate> {
+    type Error = ModelError;
+    fn try_from(resp: ProbeResponse) -> Result<Vec<Estimate>> {
+        match resp {
+            ProbeResponse::Estimates(list) | ProbeResponse::Groups(list) => Ok(list),
+            _ => Err(unexpected_shape()),
+        }
+    }
+}
+
+/// Executes one probe against a backend on a pooled scratch — the one
+/// probe dispatch: a served node answers a decoded `b1` line here, and an
+/// in-process shard model ([`ShardProbe`](crate::scatter::ShardProbe) for
+/// [`MaxEntSummary`](crate::model::MaxEntSummary)) runs the same code on
+/// the gatherer's scratch. Shapes are validated (mask arity, attribute
+/// bounds, value-vector lengths, index bounds) because probes bypass the
+/// engine's predicate validation by design.
 pub fn execute<B: SummaryBackend>(
     backend: &B,
     pool: &ScratchPool<B::Scratch>,
     request: &ProbeRequest,
+) -> Result<ProbeResponse> {
+    pool.with(
+        || backend.make_scratch(),
+        |scratch| execute_with(backend, request, scratch),
+    )
+}
+
+/// [`execute`] on a caller-supplied scratch.
+pub(crate) fn execute_with<B: SummaryBackend>(
+    backend: &B,
+    request: &ProbeRequest,
+    scratch: &mut B::Scratch,
 ) -> Result<ProbeResponse> {
     let sizes = backend.domain_sizes();
     let check_mask = |mask: &Mask| -> Result<()> {
@@ -442,70 +457,34 @@ pub fn execute<B: SummaryBackend>(
             Err(ModelError::ShapeMismatch)
         }
     };
-    let with = |f: &mut dyn FnMut(&mut B::Scratch) -> Result<ProbeResponse>| {
-        pool.with(|| backend.make_scratch(), f)
-    };
     match request {
         ProbeRequest::Probability { mask } => {
             check_mask(mask)?;
-            with(&mut |s| {
-                Ok(ProbeResponse::Probability(
-                    backend.probability_under_mask(mask, s)?,
-                ))
-            })
+            backend
+                .probability_under_mask(mask, scratch)
+                .map(ProbeResponse::Probability)
         }
         ProbeRequest::Count { mask } => {
             check_mask(mask)?;
-            with(&mut |s| Ok(ProbeResponse::Estimate(backend.count_under_mask(mask, s)?)))
+            backend
+                .count_under_mask(mask, scratch)
+                .map(ProbeResponse::Estimate)
         }
         ProbeRequest::ProbabilityMany { masks } => {
             for mask in masks {
                 check_mask(mask)?;
             }
-            with(&mut |s| {
-                Ok(ProbeResponse::Probabilities(
-                    backend.probabilities_under_masks(masks, s)?,
-                ))
-            })
+            backend
+                .probabilities_under_masks(masks, scratch)
+                .map(ProbeResponse::Probabilities)
         }
         ProbeRequest::CountMany { masks } => {
             for mask in masks {
                 check_mask(mask)?;
             }
-            with(&mut |s| {
-                Ok(ProbeResponse::Estimates(
-                    backend.counts_under_masks(masks, s)?,
-                ))
-            })
-        }
-        ProbeRequest::CountRestricted { mask, attr, values } => {
-            check_mask(mask)?;
-            check_attr(*attr)?;
-            let n_attr = sizes[attr.0];
-            if values.iter().any(|&v| v as usize >= n_attr) {
-                return Err(ModelError::ShapeMismatch);
-            }
-            with(&mut |s| {
-                // The same restriction step the gatherer's local merge
-                // path applies, so probe masks (and answers) are
-                // bit-identical to in-process re-probes. Chunks of
-                // restricted masks ride the fused multi-mask kernel —
-                // one candidate set costs a few slab traversals, not one
-                // per candidate — with bounded mask memory.
-                let mut list = Vec::with_capacity(values.len());
-                for chunk in values.chunks(crate::scatter::RESTRICTED_PROBE_CHUNK) {
-                    let probes: Vec<Mask> = chunk
-                        .iter()
-                        .map(|&v| {
-                            let mut probe = mask.clone();
-                            probe.restrict_in_place(*attr, v, n_attr);
-                            probe
-                        })
-                        .collect();
-                    list.extend(backend.counts_under_masks(&probes, s)?);
-                }
-                Ok(ProbeResponse::Estimates(list))
-            })
+            backend
+                .counts_under_masks(masks, scratch)
+                .map(ProbeResponse::Estimates)
         }
         ProbeRequest::Sum { mask, attr, values } => {
             check_mask(mask)?;
@@ -513,29 +492,16 @@ pub fn execute<B: SummaryBackend>(
             if values.len() != sizes[attr.0] {
                 return Err(ModelError::ShapeMismatch);
             }
-            with(&mut |s| {
-                Ok(ProbeResponse::Estimate(
-                    backend.sum_under_mask(mask, *attr, values, s)?,
-                ))
-            })
+            backend
+                .sum_under_mask(mask, *attr, values, scratch)
+                .map(ProbeResponse::Estimate)
         }
         ProbeRequest::GroupBy { mask, attr } => {
             check_mask(mask)?;
             check_attr(*attr)?;
-            with(&mut |s| {
-                Ok(ProbeResponse::Groups(
-                    backend.group_by_under_mask(mask, *attr, s)?,
-                ))
-            })
-        }
-        ProbeRequest::TopK { mask, attr, k } => {
-            check_mask(mask)?;
-            check_attr(*attr)?;
-            with(&mut |s| {
-                Ok(ProbeResponse::Ranked(
-                    backend.top_k_under_mask(mask, *attr, *k, s)?,
-                ))
-            })
+            backend
+                .group_by_under_mask(mask, *attr, scratch)
+                .map(ProbeResponse::Groups)
         }
         ProbeRequest::SampleAt { k, seed, indices } => {
             for &i in indices {
@@ -545,17 +511,15 @@ pub fn execute<B: SummaryBackend>(
             }
             let plan = backend.plan_samples(*k, *seed)?;
             let arity = sizes.len();
-            with(&mut |s| {
-                let rows: Result<Vec<Vec<u32>>> = indices
-                    .iter()
-                    .map(|&i| {
-                        let mut row = vec![0u32; arity];
-                        backend.sample_tuple(&plan, i as usize, *seed, &mut row, s)?;
-                        Ok(row)
-                    })
-                    .collect();
-                Ok(ProbeResponse::Rows { arity, rows: rows? })
-            })
+            let rows: Result<Vec<Vec<u32>>> = indices
+                .iter()
+                .map(|&i| {
+                    let mut row = vec![0u32; arity];
+                    backend.sample_tuple(&plan, i as usize, *seed, &mut row, scratch)?;
+                    Ok(row)
+                })
+                .collect();
+            Ok(ProbeResponse::Rows { arity, rows: rows? })
         }
     }
 }
@@ -584,11 +548,6 @@ mod tests {
                 masks: vec![mask()],
             },
             ProbeRequest::CountMany { masks: vec![] },
-            ProbeRequest::CountRestricted {
-                mask: mask(),
-                attr: AttrId(1),
-                values: vec![0, 2],
-            },
             ProbeRequest::Sum {
                 mask: mask(),
                 attr: AttrId(1),
@@ -597,11 +556,6 @@ mod tests {
             ProbeRequest::GroupBy {
                 mask: mask(),
                 attr: AttrId(0),
-            },
-            ProbeRequest::TopK {
-                mask: mask(),
-                attr: AttrId(2),
-                k: 4,
             },
             ProbeRequest::SampleAt {
                 k: 100,
@@ -630,7 +584,6 @@ mod tests {
             ProbeResponse::Estimate(e(10.0, 2.5)),
             ProbeResponse::Estimates(vec![e(1.0, 0.0), e(1e-300, 2e300)]),
             ProbeResponse::Groups(vec![e(3.0, 1.0)]),
-            ProbeResponse::Ranked(vec![(2, e(9.0, 1.0)), (0, e(1.0, 0.5))]),
             ProbeResponse::Rows {
                 arity: 2,
                 rows: vec![vec![1, 0], vec![2, 3]],
@@ -643,6 +596,61 @@ mod tests {
             assert_eq!(decoded, resp, "{line}");
             assert_eq!(decoded.encode(), line);
         }
+    }
+
+    #[test]
+    fn a_response_answers_only_the_request_shape_it_matches() {
+        let e = Estimate::new(1.0, 1.0);
+        let many = vec![mask(), mask()];
+        let sample = |indices| ProbeRequest::SampleAt {
+            k: 9,
+            seed: 1,
+            indices,
+        };
+        let rows = |n: usize| ProbeResponse::Rows {
+            arity: 1,
+            rows: vec![vec![0]; n],
+        };
+        let pairs = [
+            (
+                ProbeRequest::Probability { mask: mask() },
+                ProbeResponse::Probability(0.5),
+            ),
+            (
+                ProbeRequest::Count { mask: mask() },
+                ProbeResponse::Estimate(e),
+            ),
+            (
+                ProbeRequest::ProbabilityMany {
+                    masks: many.clone(),
+                },
+                ProbeResponse::Probabilities(vec![0.5; 2]),
+            ),
+            (
+                ProbeRequest::CountMany { masks: many },
+                ProbeResponse::Estimates(vec![e; 2]),
+            ),
+            (
+                ProbeRequest::GroupBy {
+                    mask: mask(),
+                    attr: AttrId(0),
+                },
+                ProbeResponse::Groups(vec![e; 3]),
+            ),
+            (sample(vec![1, 2]), rows(2)),
+        ];
+        for (i, (request, _)) in pairs.iter().enumerate() {
+            for (j, (_, response)) in pairs.iter().enumerate() {
+                assert_eq!(
+                    response.answers(request),
+                    i == j,
+                    "{request:?} {response:?}"
+                );
+            }
+        }
+        // Where the request fixes the length, a short answer is no answer.
+        assert!(!ProbeResponse::Estimates(vec![e]).answers(&pairs[3].0));
+        assert!(!rows(1).answers(&sample(vec![1, 2])));
     }
 
     #[test]
@@ -663,8 +671,8 @@ mod tests {
             "b1 count m 1",
             "b1 count m 1 w 2 0.5",
             "b1 counts 2 m 0",
-            "b1 countr 0 2 1 m 0",
-            "b1 countr 0 1 1",
+            "b1 countr 0 1 1 m 0",
+            "b1 topk 0 4 m 0",
             "b1 sum 0 1 m 0",
             "b1 sample 5 1 2 0",
             "b1 count m 0 trailing",
@@ -672,7 +680,13 @@ mod tests {
         ] {
             assert!(ProbeRequest::decode(line).is_err(), "{line:?}");
         }
-        for line in ["c1 est 1.0", "c1 rows 1 2 3", "c2 prob 0.5", "c1 what 1"] {
+        for line in [
+            "c1 est 1.0",
+            "c1 rows 1 2 3",
+            "c2 prob 0.5",
+            "c1 what 1",
+            "c1 ranked 0",
+        ] {
             assert!(ProbeResponse::decode(line).is_err(), "{line:?}");
         }
     }

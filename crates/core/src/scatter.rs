@@ -1,25 +1,26 @@
 //! The shard-source-agnostic scatter/gather layer.
 //!
-//! [`ShardedSummary`](crate::sharded::ShardedSummary) historically merged
-//! per-shard answers by calling its in-process
-//! [`MaxEntSummary`] shards directly. This
-//! module lifts that merge arithmetic off concrete shard references and
-//! onto an abstract per-shard probe interface, [`ShardProbe`]: anything
-//! that can answer mask-level estimator probes for one shard — an
-//! in-process model, or a TCP connection to a remote `entropydb-serve`
-//! instance — can sit under the same merge functions. The local sharded
-//! backend and a remote scatter/gather backend therefore share every
-//! floating-point operation, which is what makes remote answers
-//! bitwise-identical to local ones.
+//! A sharded backend asks every shard the same question and merges the
+//! answers. The question is a [`ProbeRequest`] — built once per query and
+//! borrowed by every shard — and a shard is anything that implements
+//! [`ShardProbe::probe`]: an in-process [`MaxEntSummary`], a TCP connection
+//! to a remote `entropydb-serve` instance, or either of them behind the
+//! gather cache ([`CachedProbe`]). [`gather`] is the one path from request
+//! to merged answer (peek every shard's cached answer, else fan the probes
+//! out, then merge), so the local sharded backend and a remote
+//! scatter/gather backend share every floating-point operation, which is
+//! what makes remote answers bitwise-identical to local ones — and a
+//! fully-cached answer is folded by the very code a fanned-out one is.
 //!
 //! The merge rules (see the module docs of [`crate::sharded`] for the
 //! statistical argument):
 //!
-//! * probability: shard mixture `Σ (n_s / n) · p_s`, clamped into `[0, 1]`;
+//! * probability: shard mixture `Σ (n_s / n) · p_s`, clamped into `[0, 1]`,
+//!   with `n_s` read from the shards at call time;
 //! * COUNT / SUM: expectations and variances add, folded in shard order;
-//! * group-by: cells add value-wise, folded in shard order;
-//! * top-k: per-shard candidates are unioned and every candidate re-probed
-//!   exactly across all shards before the final ranking;
+//! * batches and group-by: cells add position-wise, folded in shard order;
+//! * top-k: rank the merged group-by
+//!   ([`rank_top_k`](crate::engine::rank_top_k)) — there is no top-k probe;
 //! * sampling: draws stratify across shards by largest-remainder
 //!   apportionment of shard cardinalities, with every tuple's stream
 //!   derived only from `(seed, global index)`.
@@ -31,35 +32,28 @@
 //! bounded two-segment LRU with single-flight coalescing), the
 //! [`CachedProbe`] wrapper that puts the cache in front of any
 //! [`ShardProbe`], and [`GatherCache`], the per-backend bundle of cache +
-//! shard identity tokens whose `peek_*` fast paths answer fully-cached
-//! queries without entering the fan-out pool at all. Cache keys are the
-//! canonical probe encoding (1:1 with the `b1` wire form) combined with a
-//! per-shard blob-identity token, so swapping a shard's blob invalidates
-//! every cached answer for it.
+//! shard identity tokens. Cache keys are the canonical probe encoding (1:1
+//! with the `b1` wire form) combined with a per-shard blob-identity token,
+//! so swapping a shard's blob invalidates every cached answer for it.
 
 use crate::assignment::Mask;
-use crate::engine::{rank_top_k, SummaryBackend};
+use crate::engine::SummaryBackend;
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::metrics::{CacheCounters, CacheStatsSnapshot};
 use crate::model::MaxEntSummary;
 use crate::par;
-use crate::probe::ProbeResponse;
+use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
-use entropydb_storage::{AttrId, Schema};
+use entropydb_storage::Schema;
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Chunk size for the default [`ShardProbe::probe_count_restricted`]:
-/// restricted masks are materialized at most this many at a time, so a
-/// huge candidate set never holds the whole mask batch in memory while
-/// still filling the fused kernel's lanes.
-pub const RESTRICTED_PROBE_CHUNK: usize = 32;
-
-/// The mask-level estimator surface of one shard, as seen by the gather
-/// side. All methods are fallible: in-process probes only fail on genuine
-/// shape errors, remote probes surface transport failures as
+/// One shard, as seen by the gather side: it answers mask-level
+/// [`ProbeRequest`]s. Probing is fallible: in-process probes only fail on
+/// genuine shape errors, remote probes surface transport failures as
 /// [`ModelError::Remote`] with the failing shard named.
 pub trait ShardProbe: Send + Sync {
     /// Per-probe reusable workspace (an evaluation scratch for in-process
@@ -72,114 +66,13 @@ pub trait ShardProbe: Send + Sync {
     /// Builds a fresh probe workspace.
     fn make_probe_scratch(&self) -> Self::Scratch;
 
-    /// Tuple-draw probability under the mask, in this shard's model.
-    fn probe_probability(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<f64>;
-
-    /// COUNT estimate under the mask.
-    fn probe_count(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<Estimate>;
-
-    /// Batched form of [`ShardProbe::probe_probability`]: one probability
-    /// per mask. The default is the sequential per-mask loop; in-process
-    /// probes override it to ride the fused multi-mask kernel, remote
-    /// probes to transport the whole batch in few wire rounds. Overrides
-    /// must stay bitwise-identical to the loop.
-    fn probe_probability_many(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<f64>> {
-        masks
-            .iter()
-            .map(|mask| self.probe_probability(mask, scratch))
-            .collect()
-    }
-
-    /// Batched form of [`ShardProbe::probe_count`], same contract as
-    /// [`ShardProbe::probe_probability_many`].
-    fn probe_count_many(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        masks
-            .iter()
-            .map(|mask| self.probe_count(mask, scratch))
-            .collect()
-    }
-
-    /// One COUNT estimate per candidate value: the base mask restricted to
-    /// each value of `attr` in turn — the top-k re-probe. The default
-    /// rebuilds each probe mask locally (the same `restrict_in_place` step
-    /// the merge driver historically applied) and rides
-    /// [`ShardProbe::probe_count_many`] in bounded chunks, so in-process
-    /// probes answer a whole candidate set through the fused multi-mask
-    /// kernel instead of one masked walk per candidate (bitwise-identical
-    /// to the historical per-value loop — the fused kernel's contract).
-    /// Remote probes override this to transport the base mask plus the
-    /// value list in one compact wire round, rebuilding the masks
-    /// shard-side with identical arithmetic.
-    fn probe_count_restricted(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        values: &[u32],
-        n_attr: usize,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        let mut out = Vec::with_capacity(values.len());
-        for chunk in values.chunks(RESTRICTED_PROBE_CHUNK) {
-            let masks: Vec<Mask> = chunk
-                .iter()
-                .map(|&v| {
-                    let mut probe = mask.clone();
-                    probe.restrict_in_place(attr, v, n_attr);
-                    probe
-                })
-                .collect();
-            out.extend(self.probe_count_many(&masks, scratch)?);
-        }
-        Ok(out)
-    }
-
-    /// SUM estimate under the base mask, weighting `attr` by `values`.
-    fn probe_sum(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Estimate>;
-
-    /// One estimate per value of `attr` under the mask.
-    fn probe_group_by(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>>;
-
-    /// This shard's local top-`k` candidates for `attr` under the mask.
-    fn probe_top_k(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<(u32, Estimate)>>;
-
-    /// Draws the tuples at the given global `indices` of a
-    /// `sample_rows(k, seed)` call, in index order.
-    fn probe_sample_at(
-        &self,
-        k: usize,
-        seed: u64,
-        indices: &[u64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Vec<u32>>>;
+    /// Answers `request` in this shard's model. The response must
+    /// [answer](ProbeResponse::answers) the request.
+    fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse>;
 }
 
-/// An in-process model is the canonical shard probe: every probe is one
-/// local masked evaluation.
+/// An in-process model is the canonical shard probe: it runs the same
+/// dispatch (and shape checks) a served node runs on a decoded `b1` line.
 impl ShardProbe for MaxEntSummary {
     type Scratch = crate::factorized::FactorizedScratch;
 
@@ -191,75 +84,8 @@ impl ShardProbe for MaxEntSummary {
         SummaryBackend::make_scratch(self)
     }
 
-    fn probe_probability(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<f64> {
-        self.probability_under_mask(mask, scratch)
-    }
-
-    fn probe_count(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<Estimate> {
-        self.count_under_mask(mask, scratch)
-    }
-
-    fn probe_probability_many(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<f64>> {
-        self.probabilities_under_masks(masks, scratch)
-    }
-
-    fn probe_count_many(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        self.counts_under_masks(masks, scratch)
-    }
-
-    fn probe_sum(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Estimate> {
-        self.sum_under_mask(base, attr, values, scratch)
-    }
-
-    fn probe_group_by(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        self.group_by_under_mask(mask, attr, scratch)
-    }
-
-    fn probe_top_k(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        self.top_k_under_mask(mask, attr, k, scratch)
-    }
-
-    fn probe_sample_at(
-        &self,
-        _k: usize,
-        seed: u64,
-        indices: &[u64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Vec<u32>>> {
-        let arity = self.domain_sizes().len();
-        indices
-            .iter()
-            .map(|&i| {
-                let mut row = vec![0u32; arity];
-                self.sample_tuple(&(), i as usize, seed, &mut row, scratch)?;
-                Ok(row)
-            })
-            .collect()
+    fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse> {
+        crate::probe::execute_with(self, request, scratch)
     }
 }
 
@@ -297,14 +123,12 @@ fn mix(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-// Op tags of the canonical probe key encoding, 1:1 with the `b1` wire
-// ops (`prob`, `count`, `countr` per candidate, `sum`, `group`, `topk`).
+// Op tags of the canonical probe key encoding, 1:1 with the cached `b1`
+// wire ops (`prob`, `count`, `sum`, `group`).
 const TAG_PROBABILITY: u8 = 1;
 const TAG_COUNT: u8 = 2;
-const TAG_COUNT_RESTRICTED: u8 = 3;
-const TAG_SUM: u8 = 4;
-const TAG_GROUP_BY: u8 = 5;
-const TAG_TOP_K: u8 = 6;
+const TAG_SUM: u8 = 3;
+const TAG_GROUP_BY: u8 = 4;
 
 /// The shard-independent part of a cache key: a compact binary form of
 /// the canonical `b1` probe encoding (op tag, arguments, then the mask as
@@ -313,29 +137,57 @@ const TAG_TOP_K: u8 = 6;
 /// exactly when their wire lines are identical — the key *is* the
 /// canonical wire form, just pre-hashed and byte-packed.
 #[derive(Debug, Clone)]
-pub struct ProbeKeyBody {
+pub(crate) struct ProbeKeyBody {
     bytes: Arc<Vec<u8>>,
     hash: u64,
 }
 
-fn encode_mask_into(out: &mut Vec<u8>, mask: &Mask) {
-    out.extend_from_slice(&(mask.arity() as u32).to_le_bytes());
-    for attr in 0..mask.arity() {
-        match mask.attr_weights(attr) {
-            None => out.push(0),
-            Some(weights) => {
-                out.push(1);
-                out.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-                for &w in weights {
-                    out.extend_from_slice(&w.to_bits().to_le_bytes());
+impl ProbeKeyBody {
+    /// The key body of a single-answer request. `None` for the batch
+    /// requests — [`CachedProbe`] keys those per mask, as the `prob` /
+    /// `count` probe of that mask, so a batch and a single probe share
+    /// entries — and for `sample`, which is never cached.
+    pub(crate) fn of(request: &ProbeRequest) -> Option<ProbeKeyBody> {
+        match request {
+            ProbeRequest::Probability { mask } => Some(Self::finish(vec![TAG_PROBABILITY], mask)),
+            ProbeRequest::Count { mask } => Some(Self::finish(vec![TAG_COUNT], mask)),
+            ProbeRequest::Sum { mask, attr, values } => {
+                // The weight vector is part of the key, bit for bit, like
+                // on the wire.
+                let mut bytes = vec![TAG_SUM];
+                bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
+                bytes.extend_from_slice(&(values.len() as u32).to_le_bytes());
+                for &v in values {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+                Some(Self::finish(bytes, mask))
+            }
+            ProbeRequest::GroupBy { mask, attr } => {
+                let mut bytes = vec![TAG_GROUP_BY];
+                bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
+                Some(Self::finish(bytes, mask))
+            }
+            ProbeRequest::ProbabilityMany { .. }
+            | ProbeRequest::CountMany { .. }
+            | ProbeRequest::SampleAt { .. } => None,
+        }
+    }
+
+    /// Appends the mask to the op tag + arguments and hashes the body.
+    fn finish(mut bytes: Vec<u8>, mask: &Mask) -> ProbeKeyBody {
+        bytes.extend_from_slice(&(mask.arity() as u32).to_le_bytes());
+        for attr in 0..mask.arity() {
+            match mask.attr_weights(attr) {
+                None => bytes.push(0),
+                Some(weights) => {
+                    bytes.push(1);
+                    bytes.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+                    for &w in weights {
+                        bytes.extend_from_slice(&w.to_bits().to_le_bytes());
+                    }
                 }
             }
         }
-    }
-}
-
-impl ProbeKeyBody {
-    fn finish(bytes: Vec<u8>) -> ProbeKeyBody {
         let hash = hash_bytes(&bytes);
         ProbeKeyBody {
             bytes: Arc::new(bytes),
@@ -343,60 +195,8 @@ impl ProbeKeyBody {
         }
     }
 
-    /// Key body of a `prob` probe.
-    pub fn probability(mask: &Mask) -> ProbeKeyBody {
-        let mut bytes = vec![TAG_PROBABILITY];
-        encode_mask_into(&mut bytes, mask);
-        ProbeKeyBody::finish(bytes)
-    }
-
-    /// Key body of a `count` probe.
-    pub fn count(mask: &Mask) -> ProbeKeyBody {
-        let mut bytes = vec![TAG_COUNT];
-        encode_mask_into(&mut bytes, mask);
-        ProbeKeyBody::finish(bytes)
-    }
-
-    /// Key body of one `countr` candidate (the base mask restricted to
-    /// `value` of `attr`). Cached per candidate, so overlapping candidate
-    /// unions across top-k rounds share entries.
-    pub fn count_restricted(mask: &Mask, attr: AttrId, value: u32) -> ProbeKeyBody {
-        RestrictedKeyFamily::new(mask, attr).body(value)
-    }
-
-    /// Key body of a `sum` probe (the weight vector is part of the key,
-    /// bit for bit, like on the wire).
-    pub fn sum(mask: &Mask, attr: AttrId, values: &[f64]) -> ProbeKeyBody {
-        let mut bytes = vec![TAG_SUM];
-        bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
-        bytes.extend_from_slice(&(values.len() as u32).to_le_bytes());
-        for &v in values {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        encode_mask_into(&mut bytes, mask);
-        ProbeKeyBody::finish(bytes)
-    }
-
-    /// Key body of a `group` probe.
-    pub fn group_by(mask: &Mask, attr: AttrId) -> ProbeKeyBody {
-        let mut bytes = vec![TAG_GROUP_BY];
-        bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
-        encode_mask_into(&mut bytes, mask);
-        ProbeKeyBody::finish(bytes)
-    }
-
-    /// Key body of a `topk` probe (the per-shard candidate nomination —
-    /// `k` is part of the key).
-    pub fn top_k(mask: &Mask, attr: AttrId, k: usize) -> ProbeKeyBody {
-        let mut bytes = vec![TAG_TOP_K];
-        bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
-        bytes.extend_from_slice(&(k as u64).to_le_bytes());
-        encode_mask_into(&mut bytes, mask);
-        ProbeKeyBody::finish(bytes)
-    }
-
     /// Binds the body to one shard's identity token, yielding a full key.
-    pub fn key(&self, token: u64) -> ProbeKey {
+    pub(crate) fn key(&self, token: u64) -> ProbeKey {
         ProbeKey {
             token,
             hash: mix(self.hash ^ token),
@@ -405,41 +205,12 @@ impl ProbeKeyBody {
     }
 }
 
-/// Builds `countr` candidate key bodies sharing one mask encoding: the
-/// mask bytes are encoded once and only the 4-byte candidate-value field
-/// is patched per body — a whole candidate union costs one mask encode.
-pub struct RestrictedKeyFamily {
-    bytes: Vec<u8>,
-}
-
-/// Byte offset of the candidate value inside a `countr` key body
-/// (op tag + restricted-attr id).
-const RESTRICTED_VALUE_OFFSET: usize = 1 + 4;
-
-impl RestrictedKeyFamily {
-    /// Pre-encodes the shared `(mask, attr)` part of a candidate family.
-    pub fn new(mask: &Mask, attr: AttrId) -> RestrictedKeyFamily {
-        let mut bytes = vec![TAG_COUNT_RESTRICTED];
-        bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        encode_mask_into(&mut bytes, mask);
-        RestrictedKeyFamily { bytes }
-    }
-
-    /// The key body of one candidate value.
-    pub fn body(&mut self, value: u32) -> ProbeKeyBody {
-        self.bytes[RESTRICTED_VALUE_OFFSET..RESTRICTED_VALUE_OFFSET + 4]
-            .copy_from_slice(&value.to_le_bytes());
-        ProbeKeyBody::finish(self.bytes.clone())
-    }
-}
-
 /// A full cache key: canonical probe body + shard identity token. The
 /// hash is precomputed (body hash diffused with the token); equality
 /// compares the full bytes, so a hash collision can never alias two
 /// different probes.
 #[derive(Debug, Clone)]
-pub struct ProbeKey {
+pub(crate) struct ProbeKey {
     token: u64,
     hash: u64,
     bytes: Arc<Vec<u8>>,
@@ -462,7 +233,7 @@ impl std::hash::Hash for ProbeKey {
 /// One in-flight probe: the single-flight rendezvous between the leader
 /// (who runs the shard round trip) and coalesced waiters.
 #[derive(Debug)]
-pub struct Flight {
+pub(crate) struct Flight {
     slot: Mutex<Option<Result<Arc<ProbeResponse>>>>,
     done: Condvar,
 }
@@ -471,7 +242,7 @@ pub struct Flight {
 /// [`FlightGuard::complete`] with the shard's real outcome; if it unwinds
 /// first (a panic mid-probe), dropping the guard completes the flight
 /// with an error so coalesced waiters never hang.
-pub struct FlightGuard<'c> {
+pub(crate) struct FlightGuard<'c> {
     cache: &'c ProbeCache,
     key: ProbeKey,
     flight: Arc<Flight>,
@@ -483,7 +254,7 @@ impl FlightGuard<'_> {
     /// every waiter as one shared decoded response; an error is handed to
     /// the waiters *as-is* (cloned — never fabricated, so PR 7 failure
     /// classification stays truthful) and deliberately not cached.
-    pub fn complete(mut self, result: Result<ProbeResponse>) -> Result<Arc<ProbeResponse>> {
+    pub(crate) fn complete(mut self, result: Result<ProbeResponse>) -> Result<Arc<ProbeResponse>> {
         let outcome = result.map(Arc::new);
         self.finish(outcome.clone());
         self.armed = false;
@@ -519,7 +290,7 @@ impl Drop for FlightGuard<'_> {
 }
 
 /// Outcome of a non-blocking [`ProbeCache::claim`].
-pub enum Claim<'c> {
+pub(crate) enum Claim<'c> {
     /// The answer was cached (shared, already decoded).
     Hit(Arc<ProbeResponse>),
     /// Another probe is already fetching this key — wait on its flight
@@ -575,14 +346,14 @@ impl Segments {
 /// A bounded gather-side answer cache with single-flight coalescing.
 ///
 /// Entries are shared decoded [`ProbeResponse`] values keyed by
-/// [`ProbeKey`] (canonical probe encoding + shard identity token).
+/// `ProbeKey` (canonical probe encoding + shard identity token).
 /// Eviction is a two-segment LRU approximation: insertions and touched
 /// entries live in a *hot* segment; when it reaches half the capacity the
 /// segments flip and the untouched half is dropped wholesale — bounded
 /// memory with O(1) operations and no per-entry bookkeeping.
 ///
 /// Concurrent identical probes coalesce: the first caller leads the one
-/// shard round trip, later callers wait on its [`Flight`] and share the
+/// shard round trip, later callers wait on its `Flight` and share the
 /// decoded response. A leader's *error* is propagated to waiters verbatim
 /// (cloned) and never cached.
 #[derive(Debug)]
@@ -627,7 +398,7 @@ impl ProbeCache {
     /// Non-blocking lookup that never counts toward the hit/miss
     /// counters — the building block of the all-shards-cached fast path,
     /// which accounts for its probes itself.
-    pub fn peek(&self, key: &ProbeKey) -> Option<Arc<ProbeResponse>> {
+    pub(crate) fn peek(&self, key: &ProbeKey) -> Option<Arc<ProbeResponse>> {
         let mut segments = lock(&self.segments);
         segments.get(key, self.capacity, &self.counters)
     }
@@ -635,7 +406,7 @@ impl ProbeCache {
     /// Non-blocking claim: a cached answer, an in-flight foreign probe to
     /// wait on, or leadership of a new flight. Counts one hit, coalesced
     /// probe, or miss respectively.
-    pub fn claim(&self, key: &ProbeKey) -> Claim<'_> {
+    pub(crate) fn claim(&self, key: &ProbeKey) -> Claim<'_> {
         let mut segments = lock(&self.segments);
         if let Some(value) = segments.get(key, self.capacity, &self.counters) {
             drop(segments);
@@ -665,7 +436,7 @@ impl ProbeCache {
 
     /// Blocks until a foreign flight completes, returning the leader's
     /// outcome (shared response, or its error cloned).
-    pub fn wait(&self, flight: &Flight) -> Result<Arc<ProbeResponse>> {
+    pub(crate) fn wait(&self, flight: &Flight) -> Result<Arc<ProbeResponse>> {
         let mut slot = lock(&flight.slot);
         loop {
             if let Some(outcome) = slot.as_ref() {
@@ -682,7 +453,7 @@ impl ProbeCache {
     /// in-flight leader, or lead the one `compute` call yourself. Safe to
     /// call while holding no [`FlightGuard`] (a holder must complete its
     /// own flight before waiting on foreign ones).
-    pub fn get_or_compute(
+    pub(crate) fn get_or_compute(
         &self,
         key: &ProbeKey,
         compute: impl FnOnce() -> Result<ProbeResponse>,
@@ -739,46 +510,13 @@ pub fn shard_identity_token(index: usize, n: u64, schema: &Schema) -> u64 {
     mix(hash_bytes(&bytes))
 }
 
-fn cached_shape_error() -> ModelError {
-    ModelError::Remote(RemoteDetail::message(
-        "cached probe response had an unexpected shape",
-    ))
-}
-
-fn as_probability(resp: &ProbeResponse) -> Result<f64> {
-    match resp {
-        ProbeResponse::Probability(p) => Ok(*p),
-        _ => Err(cached_shape_error()),
-    }
-}
-
-fn as_estimate(resp: &ProbeResponse) -> Result<Estimate> {
-    match resp {
-        ProbeResponse::Estimate(e) => Ok(*e),
-        _ => Err(cached_shape_error()),
-    }
-}
-
-fn as_groups(resp: &ProbeResponse) -> Result<Vec<Estimate>> {
-    match resp {
-        ProbeResponse::Groups(cells) => Ok(cells.clone()),
-        _ => Err(cached_shape_error()),
-    }
-}
-
-fn as_ranked(resp: &ProbeResponse) -> Result<Vec<(u32, Estimate)>> {
-    match resp {
-        ProbeResponse::Ranked(ranked) => Ok(ranked.clone()),
-        _ => Err(cached_shape_error()),
-    }
-}
-
-/// A [`ShardProbe`] with a [`ProbeCache`] in front: every probe first
-/// consults the cache under this shard's identity token, coalesces with
-/// identical in-flight probes, and batches the *misses* of a multi-probe
-/// round into one inner batched call (one pipelined wire frame for a
-/// remote shard). Cached answers are the shard's own decoded responses,
-/// so going through the wrapper is bitwise-invisible.
+/// A [`ShardProbe`] with a [`ProbeCache`] in front: a single-answer
+/// request is one cache entry under this shard's identity token (cached,
+/// or coalesced with an identical in-flight probe, or fetched by this
+/// caller); a batch request is one entry *per mask*, and only the masks
+/// nobody cached yet ride one inner batch probe (one pipelined wire frame
+/// for a remote shard). Cached answers are the shard's own decoded
+/// responses, so going through the wrapper is bitwise-invisible.
 pub struct CachedProbe<'a, P: ShardProbe> {
     inner: &'a P,
     cache: &'a ProbeCache,
@@ -795,21 +533,58 @@ impl<'a, P: ShardProbe> CachedProbe<'a, P> {
         }
     }
 
-    /// Runs one multi-probe round: duplicate keys within the round share
-    /// one slot (counted as coalesced), cached keys are answered
-    /// immediately, and the remaining misses are fetched with a *single*
-    /// `fetch` call over their positions. All flights this round leads
-    /// are completed before any foreign flight is waited on, so
-    /// concurrent rounds over overlapping keys cannot deadlock.
-    fn batched<T: Clone>(
+    /// [`ShardProbe::probe`] with the request's key body supplied, so
+    /// [`gather`] encodes and hashes it once for every shard.
+    fn probe_keyed(
         &self,
-        keys: &[ProbeKey],
-        extract: impl Fn(&ProbeResponse) -> Result<T>,
-        wrap: impl Fn(T) -> ProbeResponse,
-        fetch: impl FnOnce(&[usize]) -> Result<Vec<T>>,
-    ) -> Result<Vec<T>> {
+        request: &ProbeRequest,
+        body: Option<&ProbeKeyBody>,
+        scratch: &mut P::Scratch,
+    ) -> Result<ProbeResponse> {
+        let (tag, masks) = match (body, request) {
+            (Some(body), _) => {
+                let key = body.key(self.token);
+                let compute = || self.inner.probe(request, scratch);
+                let cached = self.cache.get_or_compute(&key, compute)?;
+                return Ok(ProbeResponse::clone(&cached));
+            }
+            (None, ProbeRequest::ProbabilityMany { masks }) => (TAG_PROBABILITY, masks),
+            (None, ProbeRequest::CountMany { masks }) => (TAG_COUNT, masks),
+            // Sampling is deterministic in (seed, index) and cheap relative
+            // to its payload — caching rows would only crowd out estimator
+            // entries, so draws pass straight through.
+            (None, _) => return self.inner.probe(request, scratch),
+        };
+        let slots = self.batched(tag, masks, scratch)?;
+        let slots = slots.iter().map(|slot| ProbeResponse::clone(slot));
+        if tag == TAG_COUNT {
+            let list = slots.map(Estimate::try_from).collect::<Result<_>>();
+            list.map(ProbeResponse::Estimates)
+        } else {
+            let list = slots.map(f64::try_from).collect::<Result<_>>();
+            list.map(ProbeResponse::Probabilities)
+        }
+    }
+
+    /// Runs one batch round, one cache entry per mask (keyed as the
+    /// single `tag` probe of that mask): duplicate masks within the round
+    /// share one slot (counted as coalesced), cached masks are answered
+    /// immediately, and the remaining misses are fetched with a *single*
+    /// inner batch probe. All flights this round leads are completed
+    /// before any foreign flight is waited on, so concurrent rounds over
+    /// overlapping keys cannot deadlock.
+    fn batched(
+        &self,
+        tag: u8,
+        masks: &[Mask],
+        scratch: &mut P::Scratch,
+    ) -> Result<Vec<Arc<ProbeResponse>>> {
+        let keys: Vec<ProbeKey> = masks
+            .iter()
+            .map(|mask| ProbeKeyBody::finish(vec![tag], mask).key(self.token))
+            .collect();
         let n = keys.len();
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut out: Vec<Option<Arc<ProbeResponse>>> = vec![None; n];
         let mut claims: Vec<Option<Claim<'_>>> = (0..n).map(|_| None).collect();
         let mut dup_of: Vec<usize> = (0..n).collect();
         let mut leads: Vec<usize> = Vec::new();
@@ -831,52 +606,51 @@ impl<'a, P: ShardProbe> CachedProbe<'a, P> {
             }
         }
         if !leads.is_empty() {
-            let fetched = match fetch(&leads) {
-                Ok(values) if values.len() == leads.len() => values,
-                Ok(_) => {
-                    let err = ModelError::Remote(RemoteDetail::message(
-                        "shard answered a mismatched batch shape",
-                    ));
-                    for &i in &leads {
-                        if let Some(Claim::Lead(guard)) = claims[i].take() {
-                            let _ = guard.complete(Err(err.clone()));
-                        }
-                    }
-                    return Err(err);
-                }
-                Err(err) => {
-                    // Hand the real failure to every waiter, then fail
-                    // this round with it unchanged.
-                    for &i in &leads {
-                        if let Some(Claim::Lead(guard)) = claims[i].take() {
-                            let _ = guard.complete(Err(err.clone()));
-                        }
-                    }
-                    return Err(err);
-                }
+            let masks: Vec<Mask> = leads.iter().map(|&i| masks[i].clone()).collect();
+            let misses = if tag == TAG_COUNT {
+                ProbeRequest::CountMany { masks }
+            } else {
+                ProbeRequest::ProbabilityMany { masks }
             };
-            for (&i, value) in leads.iter().zip(fetched) {
-                match claims[i].take() {
-                    Some(Claim::Lead(guard)) => {
-                        let resp = guard.complete(Ok(wrap(value)))?;
-                        out[i] = Some(extract(&resp)?);
-                    }
-                    _ => unreachable!("lead positions hold Lead claims"),
+            let fetched = self.inner.probe(&misses, scratch).and_then(|resp| {
+                if !resp.answers(&misses) {
+                    return Err(ModelError::Remote(RemoteDetail::message(
+                        "shard answered a mismatched batch shape",
+                    )));
                 }
+                Ok(match resp {
+                    ProbeResponse::Probabilities(ps) => {
+                        ps.into_iter().map(ProbeResponse::Probability).collect()
+                    }
+                    ProbeResponse::Estimates(es) => {
+                        es.into_iter().map(ProbeResponse::Estimate).collect()
+                    }
+                    _ => Vec::new(),
+                })
+            });
+            // Hand the outcome — an error unchanged, to every waiter — to
+            // the flights this round leads.
+            for (slot, &i) in leads.iter().enumerate() {
+                let Some(Claim::Lead(guard)) = claims[i].take() else {
+                    unreachable!("lead positions hold Lead claims")
+                };
+                let outcome = match &fetched {
+                    Ok(values) => Ok(values[slot].clone()),
+                    Err(err) => Err(err.clone()),
+                };
+                out[i] = guard.complete(outcome).ok();
             }
+            fetched?;
         }
         for i in 0..n {
             if out[i].is_some() || dup_of[i] != i {
                 continue;
             }
-            match claims[i].take() {
-                Some(Claim::Hit(resp)) => out[i] = Some(extract(&resp)?),
-                Some(Claim::Foreign(flight)) => {
-                    let resp = self.cache.wait(&flight)?;
-                    out[i] = Some(extract(&resp)?);
-                }
+            out[i] = Some(match claims[i].take() {
+                Some(Claim::Hit(resp)) => resp,
+                Some(Claim::Foreign(flight)) => self.cache.wait(&flight)?,
                 _ => unreachable!("every distinct position holds a claim"),
-            }
+            });
         }
         for i in 0..n {
             if dup_of[i] != i {
@@ -901,153 +675,16 @@ impl<P: ShardProbe> ShardProbe for CachedProbe<'_, P> {
         self.inner.make_probe_scratch()
     }
 
-    fn probe_probability(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<f64> {
-        let key = ProbeKeyBody::probability(mask).key(self.token);
-        let resp = self.cache.get_or_compute(&key, || {
-            self.inner
-                .probe_probability(mask, scratch)
-                .map(ProbeResponse::Probability)
-        })?;
-        as_probability(&resp)
-    }
-
-    fn probe_count(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<Estimate> {
-        let key = ProbeKeyBody::count(mask).key(self.token);
-        let resp = self.cache.get_or_compute(&key, || {
-            self.inner
-                .probe_count(mask, scratch)
-                .map(ProbeResponse::Estimate)
-        })?;
-        as_estimate(&resp)
-    }
-
-    fn probe_probability_many(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<f64>> {
-        let keys: Vec<ProbeKey> = masks
-            .iter()
-            .map(|mask| ProbeKeyBody::probability(mask).key(self.token))
-            .collect();
-        self.batched(
-            &keys,
-            as_probability,
-            ProbeResponse::Probability,
-            |misses| {
-                let miss_masks: Vec<Mask> = misses.iter().map(|&i| masks[i].clone()).collect();
-                self.inner.probe_probability_many(&miss_masks, scratch)
-            },
-        )
-    }
-
-    fn probe_count_many(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        let keys: Vec<ProbeKey> = masks
-            .iter()
-            .map(|mask| ProbeKeyBody::count(mask).key(self.token))
-            .collect();
-        self.batched(&keys, as_estimate, ProbeResponse::Estimate, |misses| {
-            let miss_masks: Vec<Mask> = misses.iter().map(|&i| masks[i].clone()).collect();
-            self.inner.probe_count_many(&miss_masks, scratch)
-        })
-    }
-
-    fn probe_count_restricted(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        values: &[u32],
-        n_attr: usize,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        // Per-candidate entries: only the candidates nobody cached yet
-        // ride the inner batched re-probe (one `countr` frame per shard
-        // per round for a remote shard).
-        let mut family = RestrictedKeyFamily::new(mask, attr);
-        let keys: Vec<ProbeKey> = values
-            .iter()
-            .map(|&v| family.body(v).key(self.token))
-            .collect();
-        self.batched(&keys, as_estimate, ProbeResponse::Estimate, |misses| {
-            let miss_values: Vec<u32> = misses.iter().map(|&i| values[i]).collect();
-            self.inner
-                .probe_count_restricted(mask, attr, &miss_values, n_attr, scratch)
-        })
-    }
-
-    fn probe_sum(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Estimate> {
-        let key = ProbeKeyBody::sum(base, attr, values).key(self.token);
-        let resp = self.cache.get_or_compute(&key, || {
-            self.inner
-                .probe_sum(base, attr, values, scratch)
-                .map(ProbeResponse::Estimate)
-        })?;
-        as_estimate(&resp)
-    }
-
-    fn probe_group_by(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        let key = ProbeKeyBody::group_by(mask, attr).key(self.token);
-        let resp = self.cache.get_or_compute(&key, || {
-            self.inner
-                .probe_group_by(mask, attr, scratch)
-                .map(ProbeResponse::Groups)
-        })?;
-        as_groups(&resp)
-    }
-
-    fn probe_top_k(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let key = ProbeKeyBody::top_k(mask, attr, k).key(self.token);
-        let resp = self.cache.get_or_compute(&key, || {
-            self.inner
-                .probe_top_k(mask, attr, k, scratch)
-                .map(ProbeResponse::Ranked)
-        })?;
-        as_ranked(&resp)
-    }
-
-    fn probe_sample_at(
-        &self,
-        k: usize,
-        seed: u64,
-        indices: &[u64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Vec<u32>>> {
-        // Sampling is deterministic in (seed, index) and cheap relative
-        // to its payload — caching rows would only crowd out estimator
-        // entries, so draws pass straight through.
-        self.inner.probe_sample_at(k, seed, indices, scratch)
+    fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse> {
+        self.probe_keyed(request, ProbeKeyBody::of(request).as_ref(), scratch)
     }
 }
 
 /// The per-backend cache bundle: one [`ProbeCache`] plus one
-/// [`ShardCacheId`] per shard. Backends consult the `peek_*` fast paths
-/// first — when *every* shard's answer is cached, the merge fold runs
-/// serially right here (the same arithmetic as the scatter drivers,
-/// expression for expression) and the fan-out worker pool is bypassed
-/// entirely, which is what closes the cached point-query gap. On any
-/// miss, [`GatherCache::probes`] wraps the shards in [`CachedProbe`] and
-/// the normal drivers run.
+/// [`ShardCacheId`] per shard. [`gather`] first peeks every shard's entry:
+/// when *all* are cached it folds them right there and the fan-out worker
+/// pool is bypassed entirely, which is what closes the cached point-query
+/// gap; on any miss it fans the probes out behind [`CachedProbe`].
 #[derive(Debug)]
 pub struct GatherCache {
     cache: Arc<ProbeCache>,
@@ -1074,80 +711,21 @@ impl GatherCache {
         self.cache.snapshot()
     }
 
-    /// Wraps each shard in a [`CachedProbe`] under its current identity
-    /// token, for the scatter drivers.
-    pub fn probes<'a, P: ShardProbe>(&'a self, inner: &'a [P]) -> Vec<CachedProbe<'a, P>> {
-        assert_eq!(inner.len(), self.shards.len(), "one cache id per shard");
-        inner
-            .iter()
-            .zip(&self.shards)
-            .map(|(probe, id)| CachedProbe::new(probe, &self.cache, id.token()))
-            .collect()
+    /// Shard `index` behind the cache, under its current identity token.
+    fn shard<'a, P: ShardProbe>(&'a self, index: usize, inner: &'a P) -> CachedProbe<'a, P> {
+        CachedProbe::new(inner, &self.cache, self.shards[index].token())
     }
 
-    /// Peeks one body across every shard; `Some` only when all answers
-    /// are cached. Does not touch the counters — callers account for the
-    /// whole round on success.
+    /// Peeks one body across every shard; `Some` (counted as one hit per
+    /// shard) only when all answers are cached.
     fn peek_all(&self, body: &ProbeKeyBody) -> Option<Vec<Arc<ProbeResponse>>> {
-        let mut responses = Vec::with_capacity(self.shards.len());
-        for id in &self.shards {
-            responses.push(self.cache.peek(&body.key(id.token()))?);
-        }
-        Some(responses)
-    }
-
-    /// Fully-cached mixture probability — the exact
-    /// [`mixture_probability`] fold in shard order, without the pool.
-    pub fn peek_probability(&self, mask: &Mask, weights: &[f64]) -> Option<f64> {
-        let responses = self.peek_all(&ProbeKeyBody::probability(mask))?;
-        let mut ps = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            ps.push(as_probability(resp).ok()?);
-        }
-        self.cache.counters().add_hits(responses.len() as u64);
-        Some(
-            ps.iter()
-                .zip(weights)
-                .fold(0.0, |acc, (&p, &w)| acc + w * p)
-                .clamp(0.0, 1.0),
-        )
-    }
-
-    /// Fully-cached merged COUNT — the exact [`merged_count`] shard-order
-    /// fold, without the pool.
-    pub fn peek_count(&self, mask: &Mask) -> Option<Estimate> {
-        let responses = self.peek_all(&ProbeKeyBody::count(mask))?;
-        let mut counts = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            counts.push(as_estimate(resp).ok()?);
-        }
-        self.cache.counters().add_hits(responses.len() as u64);
-        counts.into_iter().reduce(add_estimates)
-    }
-
-    /// Fully-cached merged SUM — the exact [`merged_sum`] fold.
-    pub fn peek_sum(&self, base: &Mask, attr: AttrId, values: &[f64]) -> Option<Estimate> {
-        let responses = self.peek_all(&ProbeKeyBody::sum(base, attr, values))?;
-        let mut sums = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            sums.push(as_estimate(resp).ok()?);
-        }
-        self.cache.counters().add_hits(responses.len() as u64);
-        sums.into_iter().reduce(add_estimates)
-    }
-
-    /// Fully-cached merged group-by — the exact [`merged_group_by`]
-    /// value-wise fold (a shape mismatch falls back to the driver, which
-    /// reports it).
-    pub fn peek_group_by(&self, mask: &Mask, attr: AttrId) -> Option<Vec<Estimate>> {
-        let responses = self.peek_all(&ProbeKeyBody::group_by(mask, attr))?;
-        let mut per_shard = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            per_shard.push(as_groups(resp).ok()?);
-        }
-        let merged = merge_cells(per_shard).ok()?;
-        self.cache.counters().add_hits(responses.len() as u64);
-        Some(merged)
+        let cached = self
+            .shards
+            .iter()
+            .map(|id| self.cache.peek(&body.key(id.token())))
+            .collect::<Option<Vec<_>>>()?;
+        self.cache.counters().add_hits(cached.len() as u64);
+        Some(cached)
     }
 }
 
@@ -1182,193 +760,116 @@ pub fn add_estimates(a: Estimate, b: Estimate) -> Estimate {
     Estimate::new(a.expectation + b.expectation, a.variance + b.variance)
 }
 
-/// Merges per-shard results with `combine`, returning the sole result
-/// unchanged when there is one shard (the bitwise 1-shard guarantee).
-fn merge<R>(results: Vec<R>, combine: impl Fn(R, R) -> R) -> R {
-    results
-        .into_iter()
-        .reduce(combine)
-        .expect("at least one shard")
-}
-
-fn collect_fan_out<P: ShardProbe, R: Send>(
+/// Asks every shard `request` and merges the answers — the one gather
+/// path of every sharded backend. With a `cache`, a request whose answer
+/// every shard has cached is merged right here, without entering the
+/// fan-out pool; otherwise the shards are probed in parallel (behind
+/// [`CachedProbe`] when there is a cache, keyed by one body built here).
+/// Either way the per-shard answers meet the same `merge`.
+pub fn gather<P: ShardProbe>(
     probes: &[P],
+    cache: Option<&GatherCache>,
+    request: &ProbeRequest,
     scratches: &mut [P::Scratch],
-    f: impl Fn(usize, &P, &mut P::Scratch) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    fan_out(probes, scratches, f).into_iter().collect()
-}
-
-/// Merges value-aligned per-shard cell vectors by adding estimates
-/// position-wise; every shard must answer the same number of cells.
-fn merge_cells(per_shard: Vec<Vec<Estimate>>) -> Result<Vec<Estimate>> {
-    let len = per_shard.first().map_or(0, Vec::len);
-    if per_shard.iter().any(|cells| cells.len() != len) {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched group-by shapes",
-        )));
-    }
-    Ok(merge(per_shard, |mut acc, cells| {
-        for (a, b) in acc.iter_mut().zip(cells) {
-            *a = add_estimates(*a, b);
+) -> Result<ProbeResponse> {
+    let body = cache.and_then(|_| ProbeKeyBody::of(request));
+    if let (Some(cache), Some(body)) = (cache, &body) {
+        assert_eq!(probes.len(), cache.shards.len(), "one cache id per shard");
+        if let Some(cached) = cache.peek_all(body) {
+            return merge(probes, request, &cached);
         }
-        acc
-    }))
-}
-
-/// Mixture probability `Σ (n_s / n) · p_s`, clamped into `[0, 1]`.
-pub fn mixture_probability<P: ShardProbe>(
-    probes: &[P],
-    weights: &[f64],
-    mask: &Mask,
-    scratches: &mut [P::Scratch],
-) -> Result<f64> {
-    let ps = collect_fan_out(probes, scratches, |_, p, s| p.probe_probability(mask, s))?;
-    Ok(ps
-        .iter()
-        .zip(weights)
-        .fold(0.0, |acc, (&p, &w)| acc + w * p)
-        .clamp(0.0, 1.0))
-}
-
-/// Merged COUNT: per-shard estimates added in shard order.
-pub fn merged_count<P: ShardProbe>(
-    probes: &[P],
-    mask: &Mask,
-    scratches: &mut [P::Scratch],
-) -> Result<Estimate> {
-    let counts = collect_fan_out(probes, scratches, |_, p, s| p.probe_count(mask, s))?;
-    Ok(merge(counts, add_estimates))
-}
-
-/// Batched mixture probability: one batched per-shard pass (the fused
-/// kernel in-process, few wire rounds remotely) answers every mask; each
-/// mask then gets exactly the [`mixture_probability`] shard-order fold and
-/// clamp, so results are bitwise-identical to probing the masks one at a
-/// time.
-pub fn mixture_probability_many<P: ShardProbe>(
-    probes: &[P],
-    weights: &[f64],
-    masks: &[Mask],
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<f64>> {
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| {
-        p.probe_probability_many(masks, s)
-    })?;
-    if per_shard.iter().any(|ps| ps.len() != masks.len()) {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched batch shapes",
-        )));
     }
-    Ok((0..masks.len())
-        .map(|m| {
-            per_shard
-                .iter()
-                .zip(weights)
-                .fold(0.0, |acc, (ps, &w)| acc + w * ps[m])
-                .clamp(0.0, 1.0)
+    let answers: Result<Vec<ProbeResponse>> =
+        fan_out(probes, scratches, |i, probe, scratch| match cache {
+            Some(cache) => cache
+                .shard(i, probe)
+                .probe_keyed(request, body.as_ref(), scratch),
+            None => probe.probe(request, scratch),
         })
-        .collect())
-}
-
-/// Batched merged COUNT: one batched per-shard pass, then the
-/// [`merged_count`] shard-order fold per mask (a single shard returns its
-/// sole estimate unchanged — the bitwise 1-shard guarantee).
-pub fn merged_count_many<P: ShardProbe>(
-    probes: &[P],
-    masks: &[Mask],
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<Estimate>> {
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| p.probe_count_many(masks, s))?;
-    if per_shard.iter().any(|es| es.len() != masks.len()) {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched batch shapes",
-        )));
-    }
-    Ok((0..masks.len())
-        .map(|m| {
-            per_shard
-                .iter()
-                .map(|es| es[m])
-                .reduce(add_estimates)
-                .expect("at least one shard")
-        })
-        .collect())
-}
-
-/// Merged SUM: per-shard estimates added in shard order.
-pub fn merged_sum<P: ShardProbe>(
-    probes: &[P],
-    base: &Mask,
-    attr: AttrId,
-    values: &[f64],
-    scratches: &mut [P::Scratch],
-) -> Result<Estimate> {
-    let sums = collect_fan_out(probes, scratches, |_, p, s| {
-        p.probe_sum(base, attr, values, s)
-    })?;
-    Ok(merge(sums, add_estimates))
-}
-
-/// Merged group-by: per-shard cells added value-wise.
-pub fn merged_group_by<P: ShardProbe>(
-    probes: &[P],
-    mask: &Mask,
-    attr: AttrId,
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<Estimate>> {
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| p.probe_group_by(mask, attr, s))?;
-    merge_cells(per_shard)
-}
-
-/// Merged top-k: per-shard candidates + exact cross-shard re-probe. With
-/// one shard this is exactly the full-ranking path (bitwise parity with
-/// the monolithic model); with several, each shard nominates its local
-/// top-k, the candidate values are unioned, and every candidate is
-/// re-scored against *all* shards (one batched
-/// [`ShardProbe::probe_count_restricted`] per shard) before the final
-/// ranking —
-/// a value popular overall but below `k` somewhere is still ranked
-/// correctly.
-pub fn merged_top_k<P: ShardProbe>(
-    probes: &[P],
-    mask: &Mask,
-    attr: AttrId,
-    k: usize,
-    n_attr: usize,
-    scratches: &mut [P::Scratch],
-) -> Result<Vec<(u32, Estimate)>> {
-    if probes.len() == 1 {
-        let groups = probes[0].probe_group_by(mask, attr, &mut scratches[0])?;
-        return Ok(rank_top_k(groups, k));
-    }
-    let candidate_lists =
-        collect_fan_out(probes, scratches, |_, p, s| p.probe_top_k(mask, attr, k, s))?;
-    let mut candidates: Vec<u32> = candidate_lists
         .into_iter()
-        .flatten()
-        .map(|(v, _)| v)
         .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
+    merge(probes, request, &answers?)
+}
 
-    let per_shard = collect_fan_out(probes, scratches, |_, p, s| {
-        p.probe_count_restricted(mask, attr, &candidates, n_attr, s)
-    })?;
-    let merged = merge_cells(per_shard)?;
-    if merged.len() != candidates.len() {
-        return Err(ModelError::Remote(RemoteDetail::message(
-            "shards answered mismatched candidate counts",
-        )));
+/// The probability cells of a response (one for a scalar).
+fn probabilities(resp: &ProbeResponse) -> &[f64] {
+    match resp {
+        ProbeResponse::Probability(p) => std::slice::from_ref(p),
+        ProbeResponse::Probabilities(ps) => ps,
+        _ => &[],
     }
-    let mut ranked: Vec<(u32, Estimate)> = candidates.into_iter().zip(merged).collect();
-    ranked.sort_by(|a, b| {
-        b.1.expectation
-            .total_cmp(&a.1.expectation)
-            .then(a.0.cmp(&b.0))
-    });
-    ranked.truncate(k);
-    Ok(ranked)
+}
+
+/// The estimate cells of a response (one for a scalar).
+fn estimates(resp: &ProbeResponse) -> &[Estimate] {
+    match resp {
+        ProbeResponse::Estimate(e) => std::slice::from_ref(e),
+        ProbeResponse::Estimates(list) | ProbeResponse::Groups(list) => list,
+        _ => &[],
+    }
+}
+
+/// Merges the shards' answers to `request`, in shard order. A single
+/// shard's answer is returned untouched (the bitwise 1-shard guarantee).
+/// Probability cells mix as `Σ (n_s / n) · p_s` clamped into `[0, 1]`,
+/// with the cardinalities read from the shards now — a live shard's `n_s`
+/// grows — and estimate cells add (expectations and variances).
+fn merge<P: ShardProbe, R: Borrow<ProbeResponse>>(
+    probes: &[P],
+    request: &ProbeRequest,
+    answers: &[R],
+) -> Result<ProbeResponse> {
+    let mismatch = |what: &str| ModelError::Remote(RemoteDetail::message(what));
+    if answers.iter().any(|a| !a.borrow().answers(request)) {
+        return Err(mismatch(
+            "shard answered an unexpected probe response shape",
+        ));
+    }
+    let (first, rest) = match answers {
+        [] => return Err(ModelError::ShapeMismatch),
+        [only] => return Ok(only.borrow().clone()),
+        [first, rest @ ..] => (first.borrow(), rest),
+    };
+    Ok(match first {
+        ProbeResponse::Probability(_) | ProbeResponse::Probabilities(_) => {
+            let ns: Vec<u64> = probes.iter().map(P::shard_n).collect();
+            let n = ns.iter().sum::<u64>() as f64;
+            let weights: Vec<f64> = ns.iter().map(|&n_s| n_s as f64 / n).collect();
+            let mut mixed = (0..probabilities(first).len()).map(|cell| {
+                answers
+                    .iter()
+                    .zip(&weights)
+                    .fold(0.0, |acc, (a, &w)| {
+                        acc + w * probabilities(a.borrow())[cell]
+                    })
+                    .clamp(0.0, 1.0)
+            });
+            match first {
+                ProbeResponse::Probability(_) => {
+                    ProbeResponse::Probability(mixed.next().expect("one cell"))
+                }
+                _ => ProbeResponse::Probabilities(mixed.collect()),
+            }
+        }
+        ProbeResponse::Rows { .. } => return Err(mismatch("sample rows do not merge")),
+        _ => {
+            let mut sum = estimates(first).to_vec();
+            for answer in rest {
+                let cells = estimates(answer.borrow());
+                if cells.len() != sum.len() {
+                    return Err(mismatch("shards answered mismatched group-by shapes"));
+                }
+                for (acc, &cell) in sum.iter_mut().zip(cells) {
+                    *acc = add_estimates(*acc, cell);
+                }
+            }
+            match first {
+                ProbeResponse::Estimate(_) => ProbeResponse::Estimate(sum[0]),
+                ProbeResponse::Estimates(_) => ProbeResponse::Estimates(sum),
+                _ => ProbeResponse::Groups(sum),
+            }
+        }
+    })
 }
 
 /// Largest-remainder (Hamilton) apportionment of `k` draws proportional to
@@ -1411,7 +912,7 @@ pub fn sample_assignment(ns: &[u64], k: usize) -> Vec<u32> {
 }
 
 /// Groups a [`sample_assignment`] into per-shard global-index lists (the
-/// per-shard [`ShardProbe::probe_sample_at`] arguments).
+/// per-shard [`ProbeRequest::SampleAt`] index lists).
 pub fn shard_index_lists(assignment: &[u32], num_shards: usize) -> Vec<Vec<u64>> {
     let mut lists = vec![Vec::new(); num_shards];
     for (i, &shard) in assignment.iter().enumerate() {
@@ -1423,6 +924,7 @@ pub fn shard_index_lists(assignment: &[u32], num_shards: usize) -> Vec<Vec<u64>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use entropydb_storage::AttrId;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
@@ -1449,19 +951,6 @@ mod tests {
             self.calls.load(Ordering::SeqCst)
         }
 
-        fn tick(&self) -> Result<()> {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
-            }
-            if self.fail {
-                return Err(ModelError::Remote(RemoteDetail::message(
-                    "injected probe failure",
-                )));
-            }
-            Ok(())
-        }
-
         /// A value derived from the mask so distinct probes get distinct
         /// answers: the sum of all explicit weights.
         fn mask_signature(mask: &Mask) -> f64 {
@@ -1481,70 +970,48 @@ mod tests {
 
         fn make_probe_scratch(&self) {}
 
-        fn probe_probability(&self, mask: &Mask, _scratch: &mut ()) -> Result<f64> {
-            self.tick()?;
-            Ok(CountingProbe::mask_signature(mask) / self.n as f64)
-        }
-
-        fn probe_count(&self, mask: &Mask, _scratch: &mut ()) -> Result<Estimate> {
-            self.tick()?;
-            Ok(Estimate::new(CountingProbe::mask_signature(mask), 1.0))
-        }
-
-        fn probe_sum(
-            &self,
-            base: &Mask,
-            _attr: AttrId,
-            values: &[f64],
-            _scratch: &mut (),
-        ) -> Result<Estimate> {
-            self.tick()?;
-            Ok(Estimate::new(
-                CountingProbe::mask_signature(base) + values.iter().sum::<f64>(),
-                1.0,
-            ))
-        }
-
-        fn probe_group_by(
-            &self,
-            mask: &Mask,
-            _attr: AttrId,
-            _scratch: &mut (),
-        ) -> Result<Vec<Estimate>> {
-            self.tick()?;
-            Ok(vec![Estimate::new(
-                CountingProbe::mask_signature(mask),
-                1.0,
-            )])
-        }
-
-        fn probe_top_k(
-            &self,
-            _mask: &Mask,
-            _attr: AttrId,
-            k: usize,
-            _scratch: &mut (),
-        ) -> Result<Vec<(u32, Estimate)>> {
-            self.tick()?;
-            Ok((0..k as u32)
-                .map(|v| (v, Estimate::new(1.0, 1.0)))
-                .collect())
-        }
-
-        fn probe_sample_at(
-            &self,
-            _k: usize,
-            _seed: u64,
-            indices: &[u64],
-            _scratch: &mut (),
-        ) -> Result<Vec<Vec<u32>>> {
-            self.tick()?;
-            Ok(indices.iter().map(|&i| vec![i as u32]).collect())
+        fn probe(&self, request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            if !self.delay.is_zero() {
+                std::thread::sleep(self.delay);
+            }
+            if self.fail {
+                return Err(ModelError::Remote(RemoteDetail::message(
+                    "injected probe failure",
+                )));
+            }
+            let p = |mask: &Mask| CountingProbe::mask_signature(mask) / self.n as f64;
+            let e = |mask: &Mask| Estimate::new(CountingProbe::mask_signature(mask), 1.0);
+            Ok(match request {
+                ProbeRequest::Probability { mask } => ProbeResponse::Probability(p(mask)),
+                ProbeRequest::Count { mask } => ProbeResponse::Estimate(e(mask)),
+                ProbeRequest::ProbabilityMany { masks } => {
+                    ProbeResponse::Probabilities(masks.iter().map(p).collect())
+                }
+                ProbeRequest::CountMany { masks } => {
+                    ProbeResponse::Estimates(masks.iter().map(e).collect())
+                }
+                ProbeRequest::Sum { mask, values, .. } => ProbeResponse::Estimate(Estimate::new(
+                    CountingProbe::mask_signature(mask) + values.iter().sum::<f64>(),
+                    1.0,
+                )),
+                ProbeRequest::GroupBy { mask, .. } => ProbeResponse::Groups(vec![e(mask)]),
+                ProbeRequest::SampleAt { indices, .. } => ProbeResponse::Rows {
+                    arity: 1,
+                    rows: indices.iter().map(|&i| vec![i as u32]).collect(),
+                },
+            })
         }
     }
 
     fn weighted_mask(weights: &[f64]) -> Mask {
         Mask::from_weights(vec![Some(weights.to_vec()), None])
+    }
+
+    fn count(weights: &[f64]) -> ProbeRequest {
+        ProbeRequest::Count {
+            mask: weighted_mask(weights),
+        }
     }
 
     #[test]
@@ -1554,13 +1021,13 @@ mod tests {
             ..CountingProbe::new(100)
         };
         let cache = ProbeCache::new(64);
-        let mask = weighted_mask(&[1.0, 0.0, 2.5]);
-        let results: Vec<Estimate> = std::thread::scope(|scope| {
+        let request = count(&[1.0, 0.0, 2.5]);
+        let results: Vec<ProbeResponse> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
                         CachedProbe::new(&probe, &cache, 7)
-                            .probe_count(&mask, &mut ())
+                            .probe(&request, &mut ())
                             .expect("probe succeeds")
                     })
                 })
@@ -1582,15 +1049,20 @@ mod tests {
         };
         let cache = ProbeCache::new(64);
         let cached = CachedProbe::new(&probe, &cache, 1);
-        let mask = weighted_mask(&[1.0]);
-        let first = cached.probe_count(&mask, &mut ());
-        let second = cached.probe_count(&mask, &mut ());
+        let first = cached.probe(&count(&[1.0]), &mut ());
+        let second = cached.probe(&count(&[1.0]), &mut ());
         assert_eq!(
             first.clone().unwrap_err(),
             ModelError::Remote(RemoteDetail::message("injected probe failure"))
         );
         assert_eq!(first, second, "waiters and retries see the real error");
         assert_eq!(probe.calls(), 2, "errors are never cached");
+        assert!(cache.is_empty());
+        // A failed batch round completes its flights with the same error.
+        let batch = ProbeRequest::CountMany {
+            masks: vec![weighted_mask(&[1.0]), weighted_mask(&[2.0])],
+        };
+        assert_eq!(cached.probe(&batch, &mut ()), first);
         assert!(cache.is_empty());
     }
 
@@ -1600,9 +1072,7 @@ mod tests {
         let cache = ProbeCache::new(4);
         let cached = CachedProbe::new(&probe, &cache, 1);
         for i in 0..10 {
-            cached
-                .probe_count(&weighted_mask(&[i as f64]), &mut ())
-                .unwrap();
+            cached.probe(&count(&[i as f64]), &mut ()).unwrap();
         }
         assert!(cache.len() <= 4, "cache stays bounded: {}", cache.len());
         let snap = cache.snapshot();
@@ -1616,20 +1086,20 @@ mod tests {
         let cache = ProbeCache::new(64);
         let generation = Arc::new(AtomicU64::new(0));
         let id = ShardCacheId::with_generation(9, Arc::clone(&generation));
-        let mask = weighted_mask(&[2.0]);
+        let request = count(&[2.0]);
         let before = CachedProbe::new(&probe, &cache, id.token())
-            .probe_count(&mask, &mut ())
+            .probe(&request, &mut ())
             .unwrap();
         assert_eq!(probe.calls(), 1);
         // Same generation: served from cache.
         CachedProbe::new(&probe, &cache, id.token())
-            .probe_count(&mask, &mut ())
+            .probe(&request, &mut ())
             .unwrap();
         assert_eq!(probe.calls(), 1);
         // Blob replaced: every cached answer becomes unreachable.
         generation.fetch_add(1, Ordering::SeqCst);
         let after = CachedProbe::new(&probe, &cache, id.token())
-            .probe_count(&mask, &mut ())
+            .probe(&request, &mut ())
             .unwrap();
         assert_eq!(probe.calls(), 2, "new generation misses the cache");
         assert_eq!(before, after);
@@ -1642,92 +1112,128 @@ mod tests {
         let cached = CachedProbe::new(&probe, &cache, 3);
         let a = weighted_mask(&[1.0]);
         let b = weighted_mask(&[2.0]);
-        let masks = vec![a.clone(), b.clone(), a.clone(), a.clone()];
-        let round = cached.probe_count_many(&masks, &mut ()).unwrap();
-        assert_eq!(probe.calls(), 2, "two distinct masks, two inner probes");
-        assert_eq!(round[0], round[2]);
-        assert_eq!(round[0], round[3]);
+        let batch = ProbeRequest::CountMany {
+            masks: vec![a.clone(), b.clone(), a.clone(), a.clone()],
+        };
+        let round = cached.probe(&batch, &mut ()).unwrap();
+        assert_eq!(probe.calls(), 1, "the two distinct masks ride one probe");
+        assert_eq!(cache.len(), 2, "one entry per distinct mask");
         assert_eq!(cache.snapshot().coalesced, 2);
         // The wrapper must agree with the uncached probe bitwise.
-        let direct = probe.probe_count_many(&masks, &mut ()).unwrap();
-        assert_eq!(round, direct);
-    }
-
-    #[test]
-    fn restricted_default_matches_per_value_loop() {
-        let probe = CountingProbe::new(100);
-        let base = weighted_mask(&[1.0, 2.0, 3.0, 4.0]);
-        let values = [0u32, 2, 3];
-        let batched = probe
-            .probe_count_restricted(&base, AttrId(0), &values, 4, &mut ())
-            .unwrap();
-        let looped: Vec<Estimate> = values
-            .iter()
-            .map(|&v| {
-                let mut m = base.clone();
-                m.restrict_in_place(AttrId(0), v, 4);
-                probe.probe_count(&m, &mut ()).unwrap()
-            })
-            .collect();
-        assert_eq!(batched, looped);
+        assert_eq!(round, probe.probe(&batch, &mut ()).unwrap());
+        // A batch slot and the single probe of its mask share one entry.
+        let single = cached.probe(&ProbeRequest::Count { mask: b }, &mut ());
+        let ProbeResponse::Estimates(round) = round else {
+            panic!("a count batch answers estimates")
+        };
+        assert_eq!(single.unwrap(), ProbeResponse::Estimate(round[1]));
+        assert_eq!(probe.calls(), 2, "served from the batch's entry");
     }
 
     #[test]
     fn probe_keys_distinguish_ops_tokens_and_arguments() {
+        let key = |request: &ProbeRequest, token| ProbeKeyBody::of(request).unwrap().key(token);
         let mask = weighted_mask(&[1.0, 0.5]);
-        let count = ProbeKeyBody::count(&mask);
-        let prob = ProbeKeyBody::probability(&mask);
-        assert_ne!(count.key(1), prob.key(1), "op is part of the key");
-        assert_ne!(count.key(1), count.key(2), "token is part of the key");
-        assert_eq!(count.key(1), ProbeKeyBody::count(&mask).key(1));
-        let other = weighted_mask(&[1.0, 0.25]);
-        assert_ne!(count.key(1), ProbeKeyBody::count(&other).key(1));
-        let r0 = ProbeKeyBody::count_restricted(&mask, AttrId(0), 0);
-        let r1 = ProbeKeyBody::count_restricted(&mask, AttrId(0), 1);
-        assert_ne!(r0.key(1), r1.key(1), "candidate value is part of the key");
-        let k3 = ProbeKeyBody::top_k(&mask, AttrId(1), 3);
-        let k5 = ProbeKeyBody::top_k(&mask, AttrId(1), 5);
-        assert_ne!(k3.key(1), k5.key(1), "k is part of the key");
+        let count = ProbeRequest::Count { mask: mask.clone() };
+        let prob = ProbeRequest::Probability { mask: mask.clone() };
+        assert_ne!(key(&count, 1), key(&prob, 1), "op is part of the key");
+        assert_ne!(key(&count, 1), key(&count, 2), "token is part of the key");
+        assert_eq!(key(&count, 1), key(&count.clone(), 1));
+        assert_ne!(key(&count, 1), key(&self::count(&[1.0, 0.25]), 1));
+        let group = |attr| ProbeRequest::GroupBy {
+            mask: mask.clone(),
+            attr: AttrId(attr),
+        };
+        assert_ne!(key(&group(0), 1), key(&group(1), 1), "attr is keyed");
+        let sum = |values: &[f64]| ProbeRequest::Sum {
+            mask: mask.clone(),
+            attr: AttrId(0),
+            values: values.to_vec(),
+        };
+        assert_ne!(key(&sum(&[1.0]), 1), key(&sum(&[2.0]), 1), "weights too");
+        let batch = ProbeRequest::CountMany { masks: vec![mask] };
+        assert!(ProbeKeyBody::of(&batch).is_none(), "batches key per mask");
     }
 
+    /// Every mergeable request kind, cold then warm through [`gather`]:
+    /// the cached answer is bitwise the fanned-out one (both run
+    /// [`merge`]), equals the uncached gather, and costs no second probe.
     #[test]
     fn gather_cache_peek_paths_match_drivers_bitwise() {
         let probes = [CountingProbe::new(60), CountingProbe::new(40)];
+        let uncached = [CountingProbe::new(60), CountingProbe::new(40)];
         let ids = vec![ShardCacheId::new(1), ShardCacheId::new(2)];
-        let gather = GatherCache::new(256, ids);
-        let weights = [0.6, 0.4];
+        let gather_cache = GatherCache::new(256, ids);
         let mask = weighted_mask(&[1.5, 0.5]);
+        let batch = vec![weighted_mask(&[3.0]), weighted_mask(&[0.25, 4.0])];
+        let requests = [
+            ProbeRequest::Probability { mask: mask.clone() },
+            ProbeRequest::Count { mask: mask.clone() },
+            ProbeRequest::ProbabilityMany {
+                masks: batch.clone(),
+            },
+            ProbeRequest::CountMany { masks: batch },
+            ProbeRequest::Sum {
+                mask: mask.clone(),
+                attr: AttrId(0),
+                values: vec![1.0, 2.0],
+            },
+            ProbeRequest::GroupBy {
+                mask,
+                attr: AttrId(0),
+            },
+        ];
         let mut scratches = [(), ()];
+        for (kind, request) in requests.iter().enumerate() {
+            let cold = gather(&probes, Some(&gather_cache), request, &mut scratches).unwrap();
+            let warm = gather(&probes, Some(&gather_cache), request, &mut scratches).unwrap();
+            let plain = gather(&uncached, None, request, &mut scratches).unwrap();
+            assert!(cold.answers(request), "{request:?} -> {cold:?}");
+            assert_eq!(cold.encode(), warm.encode(), "{request:?}");
+            assert_eq!(cold.encode(), plain.encode(), "{request:?}");
+            // Every shard answered each kind exactly once.
+            assert_eq!(probes[0].calls(), kind + 1, "{request:?}");
+            assert_eq!(probes[1].calls(), kind + 1, "{request:?}");
+        }
+        // The merge rules, spelled out on the scalar kinds.
+        let mut answer = |kind: usize| gather(&uncached, None, &requests[kind], &mut scratches);
+        let p = 0.6 * (2.0 / 60.0) + 0.4 * (2.0 / 40.0);
+        assert_eq!(answer(0).unwrap(), ProbeResponse::Probability(p));
+        let count = ProbeResponse::Estimate(Estimate::new(4.0, 2.0));
+        assert_eq!(answer(1).unwrap(), count);
+    }
 
-        assert!(gather.peek_count(&mask).is_none(), "cold cache: no peek");
-        let driven = merged_count(&gather.probes(&probes), &mask, &mut scratches).unwrap();
-        let peeked = gather.peek_count(&mask).expect("warm cache peeks");
-        assert_eq!(driven, peeked);
-
-        let p_driven =
-            mixture_probability(&gather.probes(&probes), &weights, &mask, &mut scratches).unwrap();
-        let p_peeked = gather.peek_probability(&mask, &weights).unwrap();
-        assert_eq!(p_driven.to_bits(), p_peeked.to_bits());
-
-        let g_driven =
-            merged_group_by(&gather.probes(&probes), &mask, AttrId(0), &mut scratches).unwrap();
-        let g_peeked = gather.peek_group_by(&mask, AttrId(0)).unwrap();
-        assert_eq!(g_driven, g_peeked);
-
-        let s_driven = merged_sum(
-            &gather.probes(&probes),
-            &mask,
-            AttrId(0),
-            &[1.0, 2.0],
-            &mut scratches,
-        )
-        .unwrap();
-        let s_peeked = gather.peek_sum(&mask, AttrId(0), &[1.0, 2.0]).unwrap();
-        assert_eq!(s_driven, s_peeked);
-
-        // Every shard answered each probe exactly once.
-        assert_eq!(probes[0].calls(), 4);
-        assert_eq!(probes[1].calls(), 4);
+    /// One shard's answer is returned untouched, mixed-up shapes are a
+    /// typed error, and sample rows never merge.
+    #[test]
+    fn merge_keeps_a_single_answer_and_rejects_mismatched_shapes() {
+        let probes = [CountingProbe::new(60), CountingProbe::new(40)];
+        let request = count(&[1.0]);
+        let e = ProbeResponse::Estimate(Estimate::new(0.1, 0.2));
+        let sole = merge(&probes[..1], &request, std::slice::from_ref(&e)).unwrap();
+        assert_eq!(sole, e);
+        let mixed = [e.clone(), ProbeResponse::Probability(0.5)];
+        assert!(merge(&probes, &request, &mixed).is_err());
+        let group = ProbeRequest::GroupBy {
+            mask: weighted_mask(&[1.0]),
+            attr: AttrId(0),
+        };
+        let cells = |len: usize| ProbeResponse::Groups(vec![Estimate::new(1.0, 1.0); len]);
+        assert!(merge(&probes, &group, &[cells(2), cells(3)]).is_err());
+        assert_eq!(
+            merge(&probes, &group, &[cells(2), cells(2)]).unwrap(),
+            ProbeResponse::Groups(vec![Estimate::new(2.0, 2.0); 2])
+        );
+        let sample = ProbeRequest::SampleAt {
+            k: 1,
+            seed: 0,
+            indices: vec![0],
+        };
+        let rows = ProbeResponse::Rows {
+            arity: 1,
+            rows: vec![vec![0]],
+        };
+        assert!(merge(&probes, &sample, &[rows.clone(), rows]).is_err());
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   too (tighter than a single Binomial over the merged probability).
 //! * Tuple-draw probability is the shard mixture `Σ (n_s / n) · p_s`.
 //! * Group-by cells merge by value (per-value estimates add).
-//! * Top-k unions per-shard candidates, then re-probes every candidate
-//!   exactly across all shards before ranking, so a value that is popular
-//!   overall but below `k` in some shard is still scored correctly.
+//! * Top-k ranks the merged group-by once — exact for every `k`, also for
+//!   a value that is below `k` on every shard yet top-`k` overall.
 //! * `sample_rows` stratifies the draw across shards proportionally to
 //!   shard cardinality (largest-remainder apportionment), with every tuple's
 //!   SplitMix64 stream derived only from `(seed, global tuple index)` —
@@ -40,6 +39,7 @@ use crate::error::{ModelError, Result};
 use crate::factorized::FactorizedScratch;
 use crate::model::MaxEntSummary;
 use crate::par;
+use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
 use crate::scatter;
 use crate::scatter::{GatherCache, ShardCacheId};
@@ -64,9 +64,6 @@ pub struct ShardedSummary {
     schema: Schema,
     shards: Vec<MaxEntSummary>,
     n: u64,
-    /// `n_s / n` per shard (mixture weights; all 1.0-free arithmetic is
-    /// arranged so the 1-shard case stays bitwise exact).
-    weights: Vec<f64>,
     scratch: ScratchPool<ShardedScratch>,
     /// Optional gather-side answer cache (see [`ShardedSummary::with_probe_cache`]).
     cache: Option<Arc<GatherCache>>,
@@ -124,12 +121,10 @@ impl ShardedSummary {
                 "cannot summarize an empty relation",
             ));
         }
-        let weights = shards.iter().map(|s| s.n() as f64 / n as f64).collect();
         Ok(ShardedSummary {
             schema,
             shards,
             n,
-            weights,
             scratch: ScratchPool::new(),
             cache: None,
         })
@@ -140,7 +135,7 @@ impl ShardedSummary {
     /// the cache, concurrent identical probes coalesce, and fully-cached
     /// queries skip the fan-out pool entirely. Answers stay
     /// bitwise-identical to the uncached paths — cached entries are the
-    /// shards' own responses and every merge fold is shared.
+    /// shards' own responses and [`scatter::gather`] merges both.
     pub fn with_probe_cache(mut self, entries: usize) -> Self {
         let ids = self
             .shards
@@ -212,6 +207,12 @@ impl ShardedSummary {
         self.shards.len()
     }
 
+    /// Every mask-level primitive is this: ask each shard model the one
+    /// request (through the gather cache, when enabled) and merge.
+    fn gather(&self, request: ProbeRequest, scratch: &mut ShardedScratch) -> Result<ProbeResponse> {
+        scatter::gather(&self.shards, self.cache.as_deref(), &request, scratch)
+    }
+
     // ---- Inherent query API (mirrors `MaxEntSummary`; same shared paths) ----
 
     /// The mixture probability that a single tuple draw satisfies `pred`.
@@ -257,7 +258,7 @@ impl ShardedSummary {
         ir::estimate_group_by2(self, &self.scratch, pred, attr_a, attr_b)
     }
 
-    /// Top-k via per-shard candidates plus an exact cross-shard re-probe.
+    /// Top-k: the merged group-by, ranked once.
     pub fn top_k(&self, pred: &Predicate, attr: AttrId, k: usize) -> Result<Vec<(u32, Estimate)>> {
         ir::top_k(self, &self.scratch, pred, attr, k)
     }
@@ -358,47 +359,24 @@ impl SummaryBackend for ShardedSummary {
             .collect()
     }
 
-    /// Mixture probability `Σ (n_s / n) · p_s`, clamped into `[0, 1]`
-    /// (merged by the shared [`scatter`] layer). With a probe cache, a
-    /// fully-cached mask is folded serially without entering the pool;
-    /// otherwise the shards run behind [`scatter::CachedProbe`].
     fn probability_under_mask(&self, mask: &Mask, scratch: &mut ShardedScratch) -> Result<f64> {
-        let Some(cache) = &self.cache else {
-            return scatter::mixture_probability(&self.shards, &self.weights, mask, scratch);
-        };
-        if let Some(p) = cache.peek_probability(mask, &self.weights) {
-            return Ok(p);
-        }
-        scatter::mixture_probability(&cache.probes(&self.shards), &self.weights, mask, scratch)
+        let request = ProbeRequest::Probability { mask: mask.clone() };
+        self.gather(request, scratch)?.try_into()
     }
 
     fn count_under_mask(&self, mask: &Mask, scratch: &mut ShardedScratch) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_count(&self.shards, mask, scratch);
-        };
-        if let Some(count) = cache.peek_count(mask) {
-            return Ok(count);
-        }
-        scatter::merged_count(&cache.probes(&self.shards), mask, scratch)
+        let request = ProbeRequest::Count { mask: mask.clone() };
+        self.gather(request, scratch)?.try_into()
     }
 
-    /// Batched mixture probability: every shard answers the whole mask
-    /// batch through its fused kernel, then each mask gets the standard
-    /// shard-order mixture fold — bitwise-identical to the per-mask loop.
     fn probabilities_under_masks(
         &self,
         masks: &[Mask],
         scratch: &mut ShardedScratch,
     ) -> Result<Vec<f64>> {
-        match &self.cache {
-            Some(cache) => scatter::mixture_probability_many(
-                &cache.probes(&self.shards),
-                &self.weights,
-                masks,
-                scratch,
-            ),
-            None => scatter::mixture_probability_many(&self.shards, &self.weights, masks, scratch),
-        }
+        let masks = masks.to_vec();
+        self.gather(ProbeRequest::ProbabilityMany { masks }, scratch)?
+            .try_into()
     }
 
     fn counts_under_masks(
@@ -406,10 +384,9 @@ impl SummaryBackend for ShardedSummary {
         masks: &[Mask],
         scratch: &mut ShardedScratch,
     ) -> Result<Vec<Estimate>> {
-        match &self.cache {
-            Some(cache) => scatter::merged_count_many(&cache.probes(&self.shards), masks, scratch),
-            None => scatter::merged_count_many(&self.shards, masks, scratch),
-        }
+        let masks = masks.to_vec();
+        self.gather(ProbeRequest::CountMany { masks }, scratch)?
+            .try_into()
     }
 
     fn sum_under_mask(
@@ -419,13 +396,9 @@ impl SummaryBackend for ShardedSummary {
         values: &[f64],
         scratch: &mut ShardedScratch,
     ) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_sum(&self.shards, base, attr, values, scratch);
-        };
-        if let Some(sum) = cache.peek_sum(base, attr, values) {
-            return Ok(sum);
-        }
-        scatter::merged_sum(&cache.probes(&self.shards), base, attr, values, scratch)
+        let (mask, values) = (base.clone(), values.to_vec());
+        self.gather(ProbeRequest::Sum { mask, attr, values }, scratch)?
+            .try_into()
     }
 
     fn group_by_under_mask(
@@ -434,33 +407,9 @@ impl SummaryBackend for ShardedSummary {
         attr: AttrId,
         scratch: &mut ShardedScratch,
     ) -> Result<Vec<Estimate>> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_group_by(&self.shards, mask, attr, scratch);
-        };
-        if let Some(cells) = cache.peek_group_by(mask, attr) {
-            return Ok(cells);
-        }
-        scatter::merged_group_by(&cache.probes(&self.shards), mask, attr, scratch)
-    }
-
-    /// Per-shard candidates + exact cross-shard re-probe, via the shared
-    /// [`scatter::merged_top_k`] driver (one shard falls back to the exact
-    /// full-ranking path, preserving bitwise parity with the monolithic
-    /// model).
-    fn top_k_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut ShardedScratch,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let n_attr = self.domain_sizes()[attr.0];
-        match &self.cache {
-            Some(cache) => {
-                scatter::merged_top_k(&cache.probes(&self.shards), mask, attr, k, n_attr, scratch)
-            }
-            None => scatter::merged_top_k(&self.shards, mask, attr, k, n_attr, scratch),
-        }
+        let mask = mask.clone();
+        self.gather(ProbeRequest::GroupBy { mask, attr }, scratch)?
+            .try_into()
     }
 
     fn plan_samples(&self, k: usize, _seed: u64) -> Result<Vec<u32>> {

@@ -178,7 +178,14 @@ impl Statistics {
         }
 
         let n = table.num_rows() as u64;
-        Statistics::from_parts(n, domain_sizes, one_dim, multi, multi_counts)
+        validate_counts(n, &multi_counts)?;
+        Ok(Statistics {
+            n,
+            domain_sizes,
+            one_dim,
+            multi,
+            multi_counts,
+        })
     }
 
     /// Assembles statistics from already-known counts (deserialization,
@@ -199,18 +206,7 @@ impl Statistics {
             }
         }
         validate_multi(&multi, &domain_sizes)?;
-        for (j, &s) in multi_counts.iter().enumerate() {
-            if s > n {
-                return Err(ModelError::StatisticExceedsN {
-                    stat: j,
-                    observed: s,
-                    n,
-                });
-            }
-            if s == n && n > 0 {
-                return Err(ModelError::DegenerateStatistic { stat: j });
-            }
-        }
+        validate_counts(n, &multi_counts)?;
         Ok(Statistics {
             n,
             domain_sizes,
@@ -256,7 +252,60 @@ impl Statistics {
     }
 }
 
+fn validate_counts(n: u64, multi_counts: &[u64]) -> Result<()> {
+    for (j, &s) in multi_counts.iter().enumerate() {
+        if s > n {
+            return Err(ModelError::StatisticExceedsN {
+                stat: j,
+                observed: s,
+                n,
+            });
+        }
+        if s == n && n > 0 {
+            return Err(ModelError::DegenerateStatistic { stat: j });
+        }
+    }
+    Ok(())
+}
+
+/// Whether two statistics over the same attribute set intersect, found by
+/// a sweep instead of all pairs: per attribute set, in order of the first
+/// clause's `lo`, each statistic is compared only with the *active* ones —
+/// those whose first range still reaches its `lo`. `O(k log k)` for the
+/// sort plus `k ×` the widest active set (one column of a grid).
+fn any_overlap(multi: &[MultiDimStatistic]) -> bool {
+    let attrs = |j: usize| multi[j].clauses().iter().map(|c| c.attr);
+    let first = |j: usize| multi[j].clauses()[0];
+    let mut order: Vec<usize> = (0..multi.len()).collect();
+    order.sort_by(|&x, &y| attrs(x).cmp(attrs(y)).then(first(x).lo.cmp(&first(y).lo)));
+    let mut active: Vec<usize> = Vec::new();
+    for &j in &order {
+        active.retain(|&k| first(k).hi >= first(j).lo && attrs(k).eq(attrs(j)));
+        if active
+            .iter()
+            .any(|&k| multi[k].same_attrs_and_overlaps(&multi[j]))
+        {
+            return true;
+        }
+        active.push(j);
+    }
+    false
+}
+
 fn validate_multi(multi: &[MultiDimStatistic], domain_sizes: &[usize]) -> Result<()> {
+    let in_domain = |stat: &MultiDimStatistic| {
+        let fits = |c: &RangeClause| {
+            domain_sizes
+                .get(c.attr.0)
+                .is_some_and(|&n| (c.hi as usize) < n)
+        };
+        stat.clauses().iter().all(fits)
+    };
+    if multi.iter().all(in_domain) && !any_overlap(multi) {
+        return Ok(());
+    }
+    // Something is wrong: the plain all-pairs scan names the first problem
+    // in statistic order (and the same overlapping pair it always has).
     for (j, stat) in multi.iter().enumerate() {
         for c in stat.clauses() {
             let size = *domain_sizes.get(c.attr.0).ok_or(ModelError::Storage(
@@ -401,6 +450,49 @@ mod tests {
                 second: 1
             })
         ));
+    }
+
+    /// The sweep agrees with the all-pairs scan on random rectangle sets
+    /// over mixed attribute sets (2-D and 3-D), overlapping or not.
+    #[test]
+    fn overlap_sweep_matches_all_pairs() {
+        let mut rng = crate::rng::SplitMix64::new(0x0E11);
+        let mut range = |span: u32| {
+            let lo = (rng.next_f64() * 12.0) as u32;
+            (lo, lo + (rng.next_f64() * span as f64) as u32)
+        };
+        let (mut overlapping, mut disjoint) = (0, 0);
+        for round in 0..400 {
+            let multi: Vec<MultiDimStatistic> = (0..2 + round % 9)
+                .map(|i| {
+                    let (x, y, z) = (range(3), range(3), range(6));
+                    match i % 3 {
+                        0 => MultiDimStatistic::rect2d(a(0), x, a(1), y).unwrap(),
+                        1 => MultiDimStatistic::rect2d(a(0), x, a(2), z).unwrap(),
+                        _ => MultiDimStatistic::new(
+                            [(0, x), (1, y), (2, z)]
+                                .map(|(i, (lo, hi))| RangeClause { attr: a(i), lo, hi })
+                                .to_vec(),
+                        )
+                        .unwrap(),
+                    }
+                })
+                .collect();
+            let all_pairs = multi.iter().enumerate().any(|(j, stat)| {
+                multi[j + 1..]
+                    .iter()
+                    .any(|other| stat.same_attrs_and_overlaps(other))
+            });
+            assert_eq!(any_overlap(&multi), all_pairs, "{multi:?}");
+            match all_pairs {
+                true => overlapping += 1,
+                false => disjoint += 1,
+            }
+        }
+        assert!(
+            overlapping > 50 && disjoint > 50,
+            "{overlapping} / {disjoint}"
+        );
     }
 
     #[test]

@@ -113,18 +113,6 @@ fn check_backend<B: SummaryBackend>(backend: B) {
         other => panic!("bad shape {other:?}"),
     }
 
-    let direct = backend
-        .top_k_under_mask(&mask, a(1), 2, &mut scratch)
-        .unwrap();
-    match engine_probe(&ProbeRequest::TopK {
-        mask: mask.clone(),
-        attr: a(1),
-        k: 2,
-    }) {
-        ProbeResponse::Ranked(ranked) => assert_eq!(ranked, direct),
-        other => panic!("bad shape {other:?}"),
-    }
-
     // SampleAt reproduces exactly the rows the backend's own sample plan
     // draws at those global indices.
     let k = 17;
@@ -175,7 +163,8 @@ fn probes_match_direct_backend_calls_sharded() {
 }
 
 /// The in-process `ShardProbe` impl (the local side of the scatter layer)
-/// agrees with the backend primitives it wraps.
+/// runs the served dispatch: `probe` equals `probe::execute`, which the
+/// checks above tie to the backend primitives.
 #[test]
 fn local_shard_probe_matches_backend_primitives() {
     let model = monolithic();
@@ -184,20 +173,22 @@ fn local_shard_probe_matches_backend_primitives() {
     let mut ps = model.make_probe_scratch();
     let mut bs = SummaryBackend::make_scratch(&model);
     assert_eq!(model.shard_n(), model.n());
-    assert_eq!(
-        model
-            .probe_count(&mask, &mut ps)
-            .unwrap()
-            .expectation
-            .to_bits(),
-        model
-            .count_under_mask(&mask, &mut bs)
-            .unwrap()
-            .expectation
-            .to_bits()
-    );
-    let rows = model.probe_sample_at(9, 4, &[1, 7], &mut ps).unwrap();
-    model.plan_samples(9, 4).unwrap();
+    let pool = ScratchPool::new();
+    let sample = ProbeRequest::SampleAt {
+        k: 9,
+        seed: 4,
+        indices: vec![1, 7],
+    };
+    for request in [ProbeRequest::Count { mask: mask.clone() }, sample.clone()] {
+        let served = entropydb_core::probe::execute(&model, &pool, &request).unwrap();
+        assert_eq!(model.probe(&request, &mut ps).unwrap(), served);
+    }
+    let count = model.count_under_mask(&mask, &mut bs).unwrap();
+    let probed = model.probe(&ProbeRequest::Count { mask }, &mut ps).unwrap();
+    assert_eq!(probed.encode(), ProbeResponse::Estimate(count).encode());
+    let ProbeResponse::Rows { rows, .. } = model.probe(&sample, &mut ps).unwrap() else {
+        panic!("a sample probe answers rows")
+    };
     for (&i, row) in [1u64, 7].iter().zip(&rows) {
         let mut direct = vec![0u32; model.domain_sizes().len()];
         model

@@ -10,6 +10,7 @@
 //!    [`NaivePolynomial`] oracle evaluated per shard — within solver
 //!    tolerance, for k ∈ {2, 4, 8}, across seeded instances.
 
+use entropydb_core::engine::rank_top_k;
 use entropydb_core::naive::NaivePolynomial;
 use entropydb_core::prelude::*;
 use entropydb_core::rng::SplitMix64;
@@ -363,8 +364,8 @@ fn k_shard_sums_add() {
     }
 }
 
-/// The candidate-union + re-probe top-k ranks exactly like ranking the full
-/// merged group-by.
+/// Sharded top-k *is* the merged group-by ranked once: values, order and
+/// estimates are bitwise those of `rank_top_k(estimate_group_by)`.
 #[test]
 fn k_shard_top_k_matches_full_ranking() {
     let t = fixture_table(41, 500);
@@ -374,24 +375,66 @@ fn k_shard_top_k_matches_full_ranking() {
         for k in [1usize, 2, 4] {
             let top = sharded.top_k(&pred, a(0), k).unwrap();
             assert_eq!(top.len(), k.min(5));
-            // Reference ranking from the full merged group-by.
-            let groups = sharded.estimate_group_by(&pred, a(0)).unwrap();
-            let mut ranked: Vec<(u32, f64)> = groups
-                .iter()
-                .enumerate()
-                .map(|(v, e)| (v as u32, e.expectation))
-                .collect();
-            ranked.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-            for (i, ((v, est), (rv, rexp))) in top.iter().zip(&ranked).enumerate() {
+            let ranked = rank_top_k(sharded.estimate_group_by(&pred, a(0)).unwrap(), k);
+            for (i, ((v, est), (rv, rest))) in top.iter().zip(&ranked).enumerate() {
                 assert_eq!(v, rv, "k_shards {k_shards} rank {i}");
-                assert!(
-                    (est.expectation - rexp).abs() < 1e-8 * rexp.max(1.0),
-                    "k_shards {k_shards} rank {i}: {} vs {rexp}",
-                    est.expectation
-                );
+                assert_estimates_bitwise("top_k", est, rest);
             }
         }
     }
+}
+
+/// Two shards over one attribute with values (a, b, v): shard A holds
+/// a × 10 and v × 9, shard B holds b × 10 and v × 9. `v` is below `k = 1`
+/// on *both* shards yet first overall (18 > 10) — per-shard nomination can
+/// never surface it; ranking the merged group-by does. Only 1-D statistics,
+/// so each shard's group-by is its exact marginal.
+fn two_shards_hiding_the_winner() -> ShardedSummary {
+    let shard = |top: u32| {
+        let schema = Schema::new(vec![
+            Attribute::categorical("x", 3).unwrap(),
+            Attribute::categorical("pad", 2).unwrap(),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..19u32 {
+            t.push_row(&[if i < 10 { top } else { 2 }, i % 2]).unwrap();
+        }
+        MaxEntSummary::build(&t, vec![], &SolverConfig::default()).unwrap()
+    };
+    ShardedSummary::from_shards(vec![shard(0), shard(1)]).unwrap()
+}
+
+#[test]
+fn top_k_finds_a_winner_that_is_below_k_on_every_shard() {
+    for summary in [
+        two_shards_hiding_the_winner(),
+        two_shards_hiding_the_winner().with_probe_cache(64),
+    ] {
+        for pass in ["cold", "warm"] {
+            let top = summary.top_k(&Predicate::all(), a(0), 1).unwrap();
+            assert_eq!(top.len(), 1);
+            let (value, estimate) = top[0];
+            assert_eq!(value, 2, "{pass}: the overall winner is v");
+            assert!((estimate.expectation - 18.0).abs() < 1e-6, "{pass}");
+        }
+    }
+}
+
+/// A top-k and a group-by under the same mask and attribute are the same
+/// probe, so they share gather-cache entries: after the group-by, the
+/// top-k costs one hit per shard and no shard evaluation.
+#[test]
+fn top_k_and_group_by_share_gather_cache_entries() {
+    let cached = build_sharded(&fixture_table(41, 500), 4).with_probe_cache(256);
+    let pred = Predicate::new().between(a(1), 0, 2);
+    let groups = cached.estimate_group_by(&pred, a(0)).unwrap();
+    let cache = cached.probe_cache().unwrap();
+    let before = cache.snapshot();
+    assert_eq!((before.hits, before.misses), (0, 4));
+    let top = cached.top_k(&pred, a(0), 3).unwrap();
+    let after = cache.snapshot();
+    assert_eq!((after.hits, after.misses), (4, 4), "4 hits, 0 new misses");
+    assert_eq!(top, rank_top_k(groups, 3));
 }
 
 /// Stratified sampling: deterministic per seed, schema-valid, with shard

@@ -34,6 +34,15 @@ pub fn with_token(text: &str, line: usize, token: usize, replacement: &str) -> S
 
 pub const OVERSIZED: [&str; 2] = ["18446744073709551615", "1099511627776"];
 
+/// Well-formed lines of the probe verbs deleted with the two-round sharded
+/// top-k (`topk` nomination, `countr` re-probe, `ranked` reply): a peer
+/// that still sends one must get the typed unknown-op error, never a panic.
+pub const DEAD_PROBE_LINES: [&str; 3] = [
+    "b1 topk 1 2 m 2 w 3 0 1 0 i",
+    "b1 countr 1 2 0 2 m 2 w 3 0 1 0 i",
+    "c1 ranked 1 2 9 1",
+];
+
 /// The hostile variants of a persisted document as `(text, line)` pairs,
 /// `line` being the 1-based line the mutation sits on (0 for truncations).
 /// `counts` names each count position as (line tag, token index) and

@@ -16,8 +16,8 @@
 //!   wide star too sparse to beat its closure) are still solved by the
 //!   closure sweep, to the bit: their assignments are compared with values
 //!   recorded before the tree sweep existed;
-//! * a tree component has no closure, so no term cap: a star with 2 500
-//!   single-cell statistics per pair (a 6.6 M-term closure, over the 5 M
+//! * a tree component has no closure, so no term cap: a star with 10 000
+//!   single-cell statistics per pair (a 10⁸-term closure, over the 5 M
 //!   cap) builds, solves and answers.
 
 use entropydb_core::assignment::Mask;
@@ -110,15 +110,15 @@ fn random_forests_fit_their_statistics() {
     );
 }
 
-/// Every cell of three `G × G` grids around one hub as its own statistic:
-/// `G·(G + 1)³ − G` = 6.6 M compatible subsets, over the closure's 5 M term
-/// cap — `CompressionTooLarge` while a tree component still built its
-/// closure. The pass touches `6·G + 3·G²` cells. `G = 100` (10 000 cells
-/// per pair, a 10⁸-term closure) passes the same way, but spends a minute
-/// of a debug build in `Statistics::observe`'s quadratic disjointness check.
+/// Every cell of three `G × G` grids around one hub as its own statistic
+/// (10 000 per pair): `G·(G + 1)³ − G` ≈ 10⁸ compatible subsets, far over
+/// the closure's 5 M term cap — `CompressionTooLarge` while a tree
+/// component still built its closure. The pass touches `6·G + 3·G²` cells,
+/// and `Statistics::observe` checks the 30 000 statistics' disjointness by
+/// a sweep (all pairs took a minute of a debug build).
 #[test]
 fn a_star_over_the_closure_term_cap_builds_solves_and_answers() {
-    const G: u32 = 50;
+    const G: u32 = 100;
     let schema = Schema::new(
         (0..4)
             .map(|i| Attribute::categorical(format!("a{i}"), G as usize).unwrap())

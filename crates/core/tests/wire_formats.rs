@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 #[path = "support/hostile.rs"]
 mod hostile;
-use hostile::{hostile_documents, truncations, with_token, OVERSIZED};
+use hostile::{hostile_documents, truncations, with_token, DEAD_PROBE_LINES, OVERSIZED};
 
 const BLOB: &str = "\
 entropydb-summary v2
@@ -379,17 +379,6 @@ fn wire_lines() -> Vec<(String, &'static str, Decoder, &'static [usize])> {
             &[2],
         ),
         (
-            ProbeRequest::CountRestricted {
-                mask: mask.clone(),
-                attr: a(1),
-                values: vec![0, 2],
-            }
-            .encode(),
-            concat!("b1 countr 1 2 0 2 ", m!()),
-            b,
-            &[3],
-        ),
-        (
             ProbeRequest::Sum {
                 mask: mask.clone(),
                 attr: a(1),
@@ -401,25 +390,10 @@ fn wire_lines() -> Vec<(String, &'static str, Decoder, &'static [usize])> {
             &[3],
         ),
         (
-            ProbeRequest::GroupBy {
-                mask: mask.clone(),
-                attr: a(0),
-            }
-            .encode(),
+            ProbeRequest::GroupBy { mask, attr: a(0) }.encode(),
             concat!("b1 group 0 ", m!()),
             b,
             &[4],
-        ),
-        (
-            ProbeRequest::TopK {
-                mask,
-                attr: a(1),
-                k: 2,
-            }
-            .encode(),
-            concat!("b1 topk 1 2 ", m!()),
-            b,
-            &[5],
         ),
         (
             ProbeRequest::SampleAt {
@@ -459,12 +433,6 @@ fn wire_lines() -> Vec<(String, &'static str, Decoder, &'static [usize])> {
         (
             ProbeResponse::Groups(vec![e(1.0, 0.5)]).encode(),
             "c1 groups 1 1 0.5",
-            c,
-            &[2],
-        ),
-        (
-            ProbeResponse::Ranked(vec![(2, e(9.0, 1.0))]).encode(),
-            "c1 ranked 1 2 9 1",
             c,
             &[2],
         ),
@@ -618,6 +586,24 @@ fn hostile_wire_lines_are_rejected() {
         "c1 rows 18446744073709551615 0",
     ] {
         assert!(QueryResponse::decode(line).is_err() && ProbeResponse::decode(line).is_err());
+    }
+    // The probe verbs that went with the two-round top-k are unknown ops
+    // now — a typed parse error, whichever side still speaks them.
+    for line in DEAD_PROBE_LINES {
+        let error = match line.starts_with("b1") {
+            true => ProbeRequest::decode(line)
+                .err()
+                .map(|e| (e, "unknown probe op")),
+            false => ProbeResponse::decode(line)
+                .err()
+                .map(|e| (e, "unknown probe response op")),
+        };
+        match error {
+            Some((ModelError::Parse { message, .. }, want)) => {
+                assert!(message.contains(want), "{line}: {message}")
+            }
+            other => panic!("{line}: expected a parse error, got {other:?}"),
+        }
     }
 }
 

@@ -106,7 +106,7 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 /// mask-level shard probes ([`Client::probe`] /
 /// [`Client::probe_pipelined`], the scatter/gather fan-out primitive).
 ///
-/// Queries are read-only, so [`Client::execute`] and the probe calls
+/// Queries are read-only, so [`Client::execute`] and [`Client::probe`]
 /// transparently reconnect and retry **once** when the transport breaks
 /// mid-call (server restart, idle-connection reset) — a broken pipe
 /// surfaces to the caller only if the retry fails too. The retry never
@@ -342,10 +342,13 @@ impl Client {
         Ok(ProbeResponse::decode(&line)?)
     }
 
-    fn probe_pipelined_once(
-        &mut self,
-        probes: &[ProbeRequest],
-    ) -> ClientResult<Vec<ProbeResponse>> {
+    /// Executes several shard probes as one pipelined write followed by
+    /// in-order reads (one wire round trip for a whole fan-out step). The
+    /// scatter/gather primitive: it **never reconnects** — the gatherer
+    /// re-runs the shard handshake on every fresh dial, so it owns the
+    /// retry (a bare re-dial could reach a node whose blob was replaced).
+    /// A probe the *server* failed (its error channel) fails the call.
+    pub fn probe_pipelined(&mut self, probes: &[ProbeRequest]) -> ClientResult<Vec<ProbeResponse>> {
         let mut frame = String::new();
         for probe in probes {
             frame.push_str(&probe.encode());
@@ -359,23 +362,6 @@ impl Client {
             responses.push(ProbeResponse::decode(&line)?);
         }
         Ok(responses)
-    }
-
-    /// Executes several shard probes as one pipelined write followed by
-    /// in-order reads (one wire round trip for a whole fan-out step).
-    /// Reconnects and retries the whole frame once on a *broken transport*
-    /// (same restriction as [`Client::execute`]); a probe the *server*
-    /// failed (its error channel) fails the call without a retry — probe
-    /// errors are deterministic — and a deadline expiry surfaces to the
-    /// caller for replica failover.
-    pub fn probe_pipelined(&mut self, probes: &[ProbeRequest]) -> ClientResult<Vec<ProbeResponse>> {
-        match self.probe_pipelined_once(probes) {
-            Err(ClientError::Io(e)) if transport_is_retryable(&e) => {
-                self.reconnect()?;
-                self.probe_pipelined_once(probes)
-            }
-            other => other,
-        }
     }
 
     /// Executes a batch of IR requests as pipelined frames (split at the

@@ -4,16 +4,22 @@
 //! A [`ShardedSummary`](entropydb_core::sharded::ShardedSummary) fans
 //! queries out across in-process shard models through the
 //! shard-source-agnostic merge layer (`entropydb_core::scatter`).
-//! [`RemoteShardedSummary`] keeps the *merge side of that layer unchanged*
-//! and swaps the probe side: each shard is an `entropydb-serve` instance
-//! reached over TCP, addressed by a cluster manifest
-//! ([`ClusterShard`]), and every per-shard primitive becomes a mask-level
-//! probe line (`entropydb_core::probe`). Because the gatherer's merge
-//! arithmetic, stratified sampling streams, and candidate re-probe logic
-//! are the very same code paths the local backend runs — and because the
-//! probe wire encoding round-trips floats bit-exactly — remote answers are
-//! **bitwise identical** to a local `ShardedSummary` over the same shard
-//! models, on every `QueryRequest` variant.
+//! [`RemoteShardedSummary`] keeps the *gather side of that layer unchanged*
+//! (`scatter::gather`: peek the cache, else probe every shard, then the
+//! one merge) and swaps what a shard is: an `entropydb-serve` instance
+//! reached over TCP, addressed by a cluster manifest ([`ClusterShard`]).
+//! [`RemoteShard`]'s `probe` is the one site that writes probe frames —
+//! the query's single `ProbeRequest`, borrowed, as a `b1` line
+//! (`entropydb_core::probe`) — and the node answers it through the very
+//! dispatch an in-process shard model runs. Because the merge arithmetic
+//! and the stratified sampling streams are the code paths the local
+//! backend runs — and because the probe wire encoding round-trips floats
+//! bit-exactly — remote answers are **bitwise identical** to a local
+//! `ShardedSummary` over the same shard models, on every `QueryRequest`
+//! variant (a top-k is the merged `group` answer ranked once, here as
+//! there). The cluster's `n` and the mixture weights are read from the
+//! shards' handshaken cardinalities at call time, so a gateway over a live
+//! (growing) shard never mixes with connect-time weights.
 //!
 //! # Fault tolerance
 //!
@@ -39,10 +45,12 @@
 //!   probation probes (the least-recently-failed replica first) so an
 //!   outage heals without operator action.
 //! * Every **fresh dial** re-runs the shard-manifest handshake (schema +
-//!   cardinality). A replica serving a changed blob is **evicted** — it
-//!   can never contribute an answer, so failover never changes results:
-//!   whenever any live replica holds the shard, answers remain bitwise
-//!   identical to a healthy cluster. A background re-handshake thread
+//!   cardinality) — including the re-dial after a *pooled* connection is
+//!   found dead (idle-reaped, or its node replaced on the same address):
+//!   probe traffic never rides a bare client reconnect. A replica serving
+//!   a changed blob is **evicted** — it can never contribute an answer, so
+//!   failover never changes results: whenever any live replica holds the
+//!   shard, answers remain bitwise identical to a healthy cluster. A background re-handshake thread
 //!   ([`RemoteShardedSummary::start_rehandshake`]) re-verifies idle
 //!   replicas periodically and evicts changed blobs proactively.
 //!
@@ -53,7 +61,9 @@
 //! carrying the per-attempt failure trail; the engine's batch path keeps
 //! that per-request, so one dead shard cannot poison a pipelined batch.
 
-use crate::client::{generate_append_token, Client, ClientConfig, ClientError};
+use crate::client::{
+    generate_append_token, transport_is_retryable, Client, ClientConfig, ClientError,
+};
 use entropydb_core::assignment::Mask;
 use entropydb_core::engine::{AppendOutcome, SummaryBackend};
 use entropydb_core::error::{ModelError, RemoteDetail, Result};
@@ -536,16 +546,8 @@ impl RemoteShard {
         soonest_open.map(|(idx, _)| idx)
     }
 
-    /// Checks a verified connection out of replica `idx`'s pool, dialing
-    /// (and re-handshaking) a fresh one when the pool is empty.
-    fn checkout(&self, idx: usize) -> std::result::Result<Client, DialFailure> {
-        if let Some(client) = self.replicas[idx].conns.lock().expect("conn pool").pop() {
-            return Ok(client);
-        }
-        self.dial_verified(idx).map(|(client, _)| client)
-    }
-
-    /// Runs `f` against a pooled connection of a live replica, failing
+    /// Runs `f` against a verified connection of a live replica — pooled,
+    /// or dialed (and handshaken) fresh when the pool is empty — failing
     /// over per the module-level classification. A connection involved in
     /// any failure is dropped, so the pool never caches a broken or
     /// desynchronized transport. Success resets the replica's breaker and
@@ -559,7 +561,7 @@ impl RemoteShard {
         let mut tried = vec![false; len];
         let mut backoff = self.config.backoff_base;
         let mut start = self.preferred.load(Ordering::Relaxed) % len;
-        for _ in 0..self.config.max_attempts(len) {
+        'attempts: for _ in 0..self.config.max_attempts(len) {
             let Some(idx) = self.choose(start, Instant::now()) else {
                 attempts.push("every replica evicted (changed blob)".to_string());
                 break;
@@ -573,26 +575,42 @@ impl RemoteShard {
             }
             tried[idx] = true;
             let replica = &self.replicas[idx];
-            let mut client = match self.checkout(idx) {
-                Ok(client) => client,
-                Err(DialFailure::WrongBlob(detail)) => {
-                    self.evict_replica(idx);
-                    attempts.push(format!("{}: evicted: {detail}", replica.addr));
-                    start = (idx + 1) % len;
-                    continue;
-                }
-                Err(DialFailure::Transport(detail)) => {
-                    replica
-                        .health
-                        .lock()
-                        .expect("replica health")
-                        .record_failure(&self.config);
-                    attempts.push(format!("{}: {detail}", replica.addr));
-                    start = (idx + 1) % len;
-                    continue;
+            let mut pooled = replica.conns.lock().expect("conn pool").pop();
+            let (client, outcome) = loop {
+                let from_pool = pooled.is_some();
+                let mut client = match pooled.take() {
+                    Some(client) => client,
+                    None => match self.dial_verified(idx) {
+                        Ok((client, _)) => client,
+                        Err(DialFailure::WrongBlob(detail)) => {
+                            self.evict_replica(idx);
+                            attempts.push(format!("{}: evicted: {detail}", replica.addr));
+                            start = (idx + 1) % len;
+                            continue 'attempts;
+                        }
+                        Err(DialFailure::Transport(detail)) => {
+                            replica
+                                .health
+                                .lock()
+                                .expect("replica health")
+                                .record_failure(&self.config);
+                            attempts.push(format!("{}: {detail}", replica.addr));
+                            start = (idx + 1) % len;
+                            continue 'attempts;
+                        }
+                    },
+                };
+                match f(&mut client) {
+                    // A *pooled* transport found dead was idle-reaped, or
+                    // its node was replaced on the same address: not a node
+                    // failure (no breaker count, no backoff), but the next
+                    // bytes must not reach an unverified blob — go round
+                    // once more, through the handshake.
+                    Err(ClientError::Io(e)) if from_pool && transport_is_retryable(&e) => {}
+                    outcome => break (client, outcome),
                 }
             };
-            match f(&mut client) {
+            match outcome {
                 Ok(out) => {
                     replica
                         .health
@@ -670,12 +688,6 @@ impl RemoteShard {
         }
     }
 
-    /// One probe line → one response line, with shape checking of the
-    /// response variant.
-    fn call(&self, probe: &ProbeRequest) -> Result<ProbeResponse> {
-        self.with_conn(|client| client.probe(probe))
-    }
-
     fn shape_error(&self, got: &ProbeResponse) -> ModelError {
         let line = got.encode();
         let shape: Vec<&str> = line.splitn(3, ' ').take(2).collect();
@@ -688,22 +700,82 @@ impl RemoteShard {
 
 type ClientResultAlias<T> = std::result::Result<T, ClientError>;
 
-/// Candidate values per `CountRestricted` chunk (each value costs ≤ 11
-/// bytes on the wire, plus one base mask per chunk) — keeps every probe
-/// line well under the serving layer's `MAX_LINE_BYTES` (1 MiB).
-const PROBE_VALUE_CHUNK: usize = 8192;
-
-/// Sample indices per `SampleAt` chunk: bounds the request line (≤ 21
-/// bytes per index) against the line cap.
+/// Sample indices per `SampleAt` frame: bounds the request line (≤ 21
+/// bytes per index) against the serving layer's `MAX_LINE_BYTES` (1 MiB).
 const PROBE_INDEX_CHUNK: usize = 8192;
 
-/// Masks per `ProbabilityMany`/`CountMany` chunk. A mask is the heavy
+/// Masks per `ProbabilityMany`/`CountMany` frame. A mask is the heavy
 /// token (it spells out every bucket weight of every constrained
 /// attribute), so the chunk is small: 32 masks keep a batch line under the
 /// line cap even for domains in the thousands of buckets per attribute,
 /// while still amortizing the per-chunk fused slab traversal shard-side
 /// (2 × `MAX_FUSED_LANES`).
 const PROBE_MASK_CHUNK: usize = 32;
+
+/// Splits a batch or sample request against the line cap: `None` when
+/// `request` is its own single frame; otherwise one frame per chunk — none
+/// at all for an empty batch, which is answered without touching the wire
+/// (a shard owed no rows cannot fail, or slow down, the draw).
+fn frames(request: &ProbeRequest) -> Option<Vec<ProbeRequest>> {
+    fn chunked<T: Clone>(
+        items: &[T],
+        chunk: usize,
+        frame: impl Fn(Vec<T>) -> ProbeRequest,
+    ) -> Option<Vec<ProbeRequest>> {
+        (items.is_empty() || items.len() > chunk)
+            .then(|| items.chunks(chunk).map(|c| frame(c.to_vec())).collect())
+    }
+    match request {
+        ProbeRequest::ProbabilityMany { masks } => chunked(masks, PROBE_MASK_CHUNK, |masks| {
+            ProbeRequest::ProbabilityMany { masks }
+        }),
+        ProbeRequest::CountMany { masks } => chunked(masks, PROBE_MASK_CHUNK, |masks| {
+            ProbeRequest::CountMany { masks }
+        }),
+        ProbeRequest::SampleAt { k, seed, indices } => {
+            chunked(indices, PROBE_INDEX_CHUNK, |indices| {
+                ProbeRequest::SampleAt {
+                    k: *k,
+                    seed: *seed,
+                    indices,
+                }
+            })
+        }
+        _ => None,
+    }
+}
+
+/// Concatenates the replies to the [`frames`] of `request`, in order. A
+/// reply of the wrong variant is returned as it is — the caller's
+/// [`ProbeResponse::answers`] test rejects it.
+fn join(request: &ProbeRequest, replies: Vec<ProbeResponse>) -> ProbeResponse {
+    let mut joined = match request {
+        ProbeRequest::ProbabilityMany { .. } => ProbeResponse::Probabilities(Vec::new()),
+        ProbeRequest::CountMany { .. } => ProbeResponse::Estimates(Vec::new()),
+        _ => ProbeResponse::Rows {
+            arity: 0,
+            rows: Vec::new(),
+        },
+    };
+    for reply in replies {
+        match (&mut joined, reply) {
+            (ProbeResponse::Probabilities(all), ProbeResponse::Probabilities(ps)) => all.extend(ps),
+            (ProbeResponse::Estimates(all), ProbeResponse::Estimates(list)) => all.extend(list),
+            (
+                ProbeResponse::Rows {
+                    arity: all_arity,
+                    rows: all,
+                },
+                ProbeResponse::Rows { arity, rows },
+            ) => {
+                *all_arity = arity;
+                all.extend(rows);
+            }
+            (_, other) => return other,
+        }
+    }
+    joined
+}
 
 impl ShardProbe for RemoteShard {
     /// Probe state lives in the per-replica connection pools, not in a
@@ -716,207 +788,29 @@ impl ShardProbe for RemoteShard {
 
     fn make_probe_scratch(&self) {}
 
-    fn probe_probability(&self, mask: &Mask, _s: &mut ()) -> Result<f64> {
-        match self.call(&ProbeRequest::Probability { mask: mask.clone() })? {
-            ProbeResponse::Probability(p) => Ok(p),
-            other => Err(self.shape_error(&other)),
-        }
-    }
-
-    fn probe_count(&self, mask: &Mask, _s: &mut ()) -> Result<Estimate> {
-        match self.call(&ProbeRequest::Count { mask: mask.clone() })? {
-            ProbeResponse::Estimate(e) => Ok(e),
-            other => Err(self.shape_error(&other)),
-        }
-    }
-
-    /// The fused-batch probability probe: the mask batch rides a few
-    /// pipelined `probm` lines (chunked against the line cap) and the shard
-    /// answers each chunk through its fused kernel — bitwise-identical to
-    /// one `prob` probe per mask, at a fraction of the wire rounds.
-    fn probe_probability_many(&self, masks: &[Mask], _s: &mut ()) -> Result<Vec<f64>> {
-        if masks.is_empty() {
-            return Ok(Vec::new());
-        }
-        let probes: Vec<ProbeRequest> = masks
-            .chunks(PROBE_MASK_CHUNK)
-            .map(|chunk| ProbeRequest::ProbabilityMany {
-                masks: chunk.to_vec(),
-            })
-            .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(masks.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Probabilities(ps) => out.extend(ps),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != masks.len() {
-            return Err(self.named(format!(
-                "answered {} probabilities for {} masks",
-                out.len(),
-                masks.len()
-            )));
-        }
-        Ok(out)
-    }
-
-    /// The fused-batch COUNT probe (`countm` lines); same contract as
-    /// [`RemoteShard::probe_probability_many`].
-    fn probe_count_many(&self, masks: &[Mask], _s: &mut ()) -> Result<Vec<Estimate>> {
-        if masks.is_empty() {
-            return Ok(Vec::new());
-        }
-        let probes: Vec<ProbeRequest> = masks
-            .chunks(PROBE_MASK_CHUNK)
-            .map(|chunk| ProbeRequest::CountMany {
-                masks: chunk.to_vec(),
-            })
-            .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(masks.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Estimates(list) => out.extend(list),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != masks.len() {
-            return Err(self.named(format!(
-                "answered {} estimates for {} masks",
-                out.len(),
-                masks.len()
-            )));
-        }
-        Ok(out)
-    }
-
-    /// The compact top-k re-probe: one base mask + the candidate list per
-    /// pipelined chunk — wire cost `O(mask + candidates)`, so a large
-    /// candidate union cannot outgrow the serving layer's line cap.
-    fn probe_count_restricted(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        values: &[u32],
-        _n_attr: usize,
-        _s: &mut (),
-    ) -> Result<Vec<Estimate>> {
-        if values.is_empty() {
-            return Ok(Vec::new());
-        }
-        let probes: Vec<ProbeRequest> = values
-            .chunks(PROBE_VALUE_CHUNK)
-            .map(|chunk| ProbeRequest::CountRestricted {
-                mask: mask.clone(),
-                attr,
-                values: chunk.to_vec(),
-            })
-            .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(values.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Estimates(list) => out.extend(list),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != values.len() {
-            return Err(self.named(format!(
-                "answered {} estimates for {} candidates",
-                out.len(),
-                values.len()
-            )));
-        }
-        Ok(out)
-    }
-
-    fn probe_sum(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        _s: &mut (),
-    ) -> Result<Estimate> {
-        let probe = ProbeRequest::Sum {
-            mask: base.clone(),
-            attr,
-            values: values.to_vec(),
+    /// The one site that puts probe frames on the wire: `request` goes out
+    /// as it is — borrowed, the same value every other shard is sent — or,
+    /// when it would outgrow the line cap, as pipelined `frames` whose
+    /// replies are concatenated; the shard answers each frame through the
+    /// same dispatch an in-process shard runs, so the reply is
+    /// bitwise-identical to probing the model directly. The client call
+    /// never reconnects on its own: a fresh dial must pass the handshake
+    /// (`RemoteShard::with_conn`).
+    fn probe(&self, request: &ProbeRequest, _s: &mut ()) -> Result<ProbeResponse> {
+        let split = frames(request);
+        let mut replies = match split.as_deref().unwrap_or(std::slice::from_ref(request)) {
+            [] => Vec::new(),
+            lines => self.with_conn(|client| client.probe_pipelined(lines))?,
         };
-        match self.call(&probe)? {
-            ProbeResponse::Estimate(e) => Ok(e),
-            other => Err(self.shape_error(&other)),
-        }
-    }
-
-    fn probe_group_by(&self, mask: &Mask, attr: AttrId, _s: &mut ()) -> Result<Vec<Estimate>> {
-        let probe = ProbeRequest::GroupBy {
-            mask: mask.clone(),
-            attr,
+        let reply = match split {
+            Some(_) => join(request, replies),
+            None => replies.pop().expect("one reply per frame"),
         };
-        match self.call(&probe)? {
-            ProbeResponse::Groups(groups) => Ok(groups),
-            other => Err(self.shape_error(&other)),
+        if reply.answers(request) {
+            Ok(reply)
+        } else {
+            Err(self.shape_error(&reply))
         }
-    }
-
-    fn probe_top_k(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        _s: &mut (),
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let probe = ProbeRequest::TopK {
-            mask: mask.clone(),
-            attr,
-            k,
-        };
-        match self.call(&probe)? {
-            ProbeResponse::Ranked(ranked) => Ok(ranked),
-            other => Err(self.shape_error(&other)),
-        }
-    }
-
-    /// One pipelined wire round for this shard's whole stratum, chunked so
-    /// neither an index line nor a row-response line outgrows the line cap.
-    /// A zero-quota stratum returns without touching the connection pool —
-    /// a shard owed no rows cannot fail (or slow down) the draw.
-    fn probe_sample_at(
-        &self,
-        k: usize,
-        seed: u64,
-        indices: &[u64],
-        _s: &mut (),
-    ) -> Result<Vec<Vec<u32>>> {
-        if indices.is_empty() {
-            return Ok(Vec::new());
-        }
-        let probes: Vec<ProbeRequest> = indices
-            .chunks(PROBE_INDEX_CHUNK)
-            .map(|chunk| ProbeRequest::SampleAt {
-                k,
-                seed,
-                indices: chunk.to_vec(),
-            })
-            .collect();
-        let responses = self.with_conn(|client| client.probe_pipelined(&probes))?;
-        let mut out = Vec::with_capacity(indices.len());
-        for resp in responses {
-            match resp {
-                ProbeResponse::Rows { rows, .. } => out.extend(rows),
-                other => return Err(self.shape_error(&other)),
-            }
-        }
-        if out.len() != indices.len() {
-            return Err(self.named(format!(
-                "answered {} rows for {} requested tuples",
-                out.len(),
-                indices.len()
-            )));
-        }
-        Ok(out)
     }
 }
 
@@ -944,10 +838,6 @@ impl Drop for Rehandshake {
 pub struct RemoteShardedSummary {
     schema: Schema,
     domain_sizes: Vec<usize>,
-    n: u64,
-    /// `n_s / n` per shard — computed with the same arithmetic as the
-    /// local backend so mixture probabilities match bit for bit.
-    weights: Vec<f64>,
     shards: Arc<Vec<RemoteShard>>,
     rehandshake: Option<Rehandshake>,
     /// Optional gather-side answer cache (see
@@ -1030,19 +920,15 @@ impl RemoteShardedSummary {
         for shard in &shards {
             let _ = shard.expected_schema.set(schema.clone());
         }
-        let n: u64 = shards.iter().map(RemoteShard::n).sum();
-        if n == 0 {
+        if shards.iter().map(RemoteShard::n).sum::<u64>() == 0 {
             return Err(ModelError::Remote(RemoteDetail::message(
                 "cluster serves an empty relation",
             )));
         }
-        let weights = shards.iter().map(|s| s.n() as f64 / n as f64).collect();
         let domain_sizes = schema.domain_sizes();
         Ok(RemoteShardedSummary {
             schema,
             domain_sizes,
-            n,
-            weights,
             shards: Arc::new(shards),
             rehandshake: None,
             cache: None,
@@ -1091,9 +977,10 @@ impl RemoteShardedSummary {
         });
     }
 
-    /// Total relation cardinality `n` (sum of shard cardinalities).
+    /// Total relation cardinality `n`: the sum of the shard cardinalities
+    /// as of each shard's last handshake (a live shard's grows).
     pub fn n(&self) -> u64 {
-        self.n
+        self.shards.iter().map(RemoteShard::n).sum()
     }
 
     /// The served relation's schema (identical on every shard, verified
@@ -1147,8 +1034,11 @@ impl RemoteShardedSummary {
         self.shards.len()
     }
 
-    fn shard_ns(&self) -> Vec<u64> {
-        self.shards.iter().map(RemoteShard::n).collect()
+    /// Every mask-level primitive is this: ask each shard the one request
+    /// (through the gather cache, when enabled) and merge — the code path
+    /// of the local backend, so answers match it bit for bit.
+    fn gather(&self, request: ProbeRequest, scratch: &mut [()]) -> Result<ProbeResponse> {
+        scatter::gather(&self.shards, self.cache.as_deref(), &request, scratch)
     }
 
     /// The shard that owns the cluster's live delta: shard 0 by
@@ -1175,7 +1065,7 @@ impl SummaryBackend for RemoteShardedSummary {
     }
 
     fn n(&self) -> u64 {
-        self.n
+        RemoteShardedSummary::n(self)
     }
 
     fn domain_sizes(&self) -> &[usize] {
@@ -1186,52 +1076,28 @@ impl SummaryBackend for RemoteShardedSummary {
         vec![(); self.shards.len()]
     }
 
-    /// Mixture probability `Σ (n_s / n) · p_s`, merged by the shared
-    /// [`scatter`] layer. With a probe cache, a fully-cached mask is
-    /// folded serially without touching the wire or the fan-out pool;
-    /// otherwise the shards answer behind [`scatter::CachedProbe`], so
-    /// repeats and concurrent duplicates cost one round trip.
     fn probability_under_mask(&self, mask: &Mask, scratch: &mut Vec<()>) -> Result<f64> {
-        let Some(cache) = &self.cache else {
-            return scatter::mixture_probability(&self.shards, &self.weights, mask, scratch);
-        };
-        if let Some(p) = cache.peek_probability(mask, &self.weights) {
-            return Ok(p);
-        }
-        scatter::mixture_probability(&cache.probes(&self.shards), &self.weights, mask, scratch)
+        let request = ProbeRequest::Probability { mask: mask.clone() };
+        self.gather(request, scratch)?.try_into()
     }
 
     fn count_under_mask(&self, mask: &Mask, scratch: &mut Vec<()>) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_count(&self.shards, mask, scratch);
-        };
-        if let Some(count) = cache.peek_count(mask) {
-            return Ok(count);
-        }
-        scatter::merged_count(&cache.probes(&self.shards), mask, scratch)
+        let request = ProbeRequest::Count { mask: mask.clone() };
+        self.gather(request, scratch)?.try_into()
     }
 
-    /// Batched mixture probability over the wire: every shard answers the
-    /// whole mask batch in a few pipelined lines, then the standard
-    /// shard-order mixture fold runs per mask. With a probe cache, only
-    /// the missing masks of the batch cross the wire.
+    /// With a probe cache, only the missing masks of the batch cross the
+    /// wire.
     fn probabilities_under_masks(&self, masks: &[Mask], scratch: &mut Vec<()>) -> Result<Vec<f64>> {
-        match &self.cache {
-            Some(cache) => scatter::mixture_probability_many(
-                &cache.probes(&self.shards),
-                &self.weights,
-                masks,
-                scratch,
-            ),
-            None => scatter::mixture_probability_many(&self.shards, &self.weights, masks, scratch),
-        }
+        let masks = masks.to_vec();
+        self.gather(ProbeRequest::ProbabilityMany { masks }, scratch)?
+            .try_into()
     }
 
     fn counts_under_masks(&self, masks: &[Mask], scratch: &mut Vec<()>) -> Result<Vec<Estimate>> {
-        match &self.cache {
-            Some(cache) => scatter::merged_count_many(&cache.probes(&self.shards), masks, scratch),
-            None => scatter::merged_count_many(&self.shards, masks, scratch),
-        }
+        let masks = masks.to_vec();
+        self.gather(ProbeRequest::CountMany { masks }, scratch)?
+            .try_into()
     }
 
     fn sum_under_mask(
@@ -1241,13 +1107,9 @@ impl SummaryBackend for RemoteShardedSummary {
         values: &[f64],
         scratch: &mut Vec<()>,
     ) -> Result<Estimate> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_sum(&self.shards, base, attr, values, scratch);
-        };
-        if let Some(sum) = cache.peek_sum(base, attr, values) {
-            return Ok(sum);
-        }
-        scatter::merged_sum(&cache.probes(&self.shards), base, attr, values, scratch)
+        let (mask, values) = (base.clone(), values.to_vec());
+        self.gather(ProbeRequest::Sum { mask, attr, values }, scratch)?
+            .try_into()
     }
 
     fn group_by_under_mask(
@@ -1256,29 +1118,9 @@ impl SummaryBackend for RemoteShardedSummary {
         attr: AttrId,
         scratch: &mut Vec<()>,
     ) -> Result<Vec<Estimate>> {
-        let Some(cache) = &self.cache else {
-            return scatter::merged_group_by(&self.shards, mask, attr, scratch);
-        };
-        if let Some(cells) = cache.peek_group_by(mask, attr) {
-            return Ok(cells);
-        }
-        scatter::merged_group_by(&cache.probes(&self.shards), mask, attr, scratch)
-    }
-
-    fn top_k_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        k: usize,
-        scratch: &mut Vec<()>,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let n_attr = self.domain_sizes[attr.0];
-        match &self.cache {
-            Some(cache) => {
-                scatter::merged_top_k(&cache.probes(&self.shards), mask, attr, k, n_attr, scratch)
-            }
-            None => scatter::merged_top_k(&self.shards, mask, attr, k, n_attr, scratch),
-        }
+        let mask = mask.clone();
+        self.gather(ProbeRequest::GroupBy { mask, attr }, scratch)?
+            .try_into()
     }
 
     /// Computes the stratified shard assignment (the same largest-remainder
@@ -1289,7 +1131,8 @@ impl SummaryBackend for RemoteShardedSummary {
     /// gateway fetches only the strata it actually reads — a few-byte probe
     /// line can no longer demand the whole `k`-row draw.
     fn plan_samples(&self, k: usize, seed: u64) -> Result<RemoteSamplePlan> {
-        let assignment = scatter::sample_assignment(&self.shard_ns(), k);
+        let ns: Vec<u64> = self.shards.iter().map(RemoteShard::n).collect();
+        let assignment = scatter::sample_assignment(&ns, k);
         let index_lists = scatter::shard_index_lists(&assignment, self.shards.len());
         let strata = (0..self.shards.len()).map(|_| Mutex::new(None)).collect();
         Ok(RemoteSamplePlan {
@@ -1325,8 +1168,16 @@ impl SummaryBackend for RemoteShardedSummary {
             .map_err(|_| ModelError::ShapeMismatch)?;
         let mut stratum = plan.strata[shard_idx].lock().expect("sample stratum lock");
         if stratum.is_none() {
-            let rows =
-                self.shards[shard_idx].probe_sample_at(plan.k, plan.seed, indices, &mut ())?;
+            let request = ProbeRequest::SampleAt {
+                k: plan.k,
+                seed: plan.seed,
+                indices: indices.clone(),
+            };
+            let ProbeResponse::Rows { rows, .. } =
+                self.shards[shard_idx].probe(&request, &mut ())?
+            else {
+                unreachable!("a probe's reply answers its request")
+            };
             for fetched in &rows {
                 if fetched.len() != row.len() {
                     return Err(self.shards[shard_idx].named(format!(

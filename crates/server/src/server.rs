@@ -693,11 +693,6 @@ fn admit_probe(req: ProbeRequest) -> Result<ProbeRequest> {
                 "sample probe size exceeds the served maximum {MAX_SAMPLE_ROWS}"
             ))))
         }
-        ProbeRequest::CountRestricted { values, .. } if values.len() > MAX_BATCH => {
-            Err(ModelError::Remote(RemoteDetail::message(format!(
-                "candidate probe batch exceeds the served maximum {MAX_BATCH}"
-            ))))
-        }
         ProbeRequest::ProbabilityMany { masks } | ProbeRequest::CountMany { masks }
             if masks.len() > MAX_BATCH =>
         {

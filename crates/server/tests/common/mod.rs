@@ -42,6 +42,26 @@ pub fn sharded(num_shards: usize) -> ShardedSummary {
     demo::demo_summary(240, num_shards).unwrap()
 }
 
+/// The construction of `core/tests/sharded.rs`: one attribute with values
+/// (a, b, v), shard A = a × 10 + v × 9, shard B = b × 10 + v × 9, 1-D
+/// statistics only. `v` is below `k = 1` on both shards and first overall.
+pub fn two_shards_hiding_the_winner() -> ShardedSummary {
+    use entropydb_core::prelude::{MaxEntSummary, SolverConfig};
+    use entropydb_storage::{Attribute, Schema, Table};
+    let shard = |top: u32| {
+        let schema = Schema::new(vec![
+            Attribute::categorical("x", 3).unwrap(),
+            Attribute::categorical("pad", 2).unwrap(),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..19u32 {
+            t.push_row(&[if i < 10 { top } else { 2 }, i % 2]).unwrap();
+        }
+        MaxEntSummary::build(&t, vec![], &SolverConfig::default()).unwrap()
+    };
+    ShardedSummary::from_shards(vec![shard(0), shard(1)]).unwrap()
+}
+
 /// Serves every shard of `summary` on its own ephemeral localhost port
 /// (one in-process server per shard — the same protocol surface as N
 /// `entropydb-serve` processes) and returns the handles plus the cluster

@@ -13,11 +13,12 @@ use entropydb_core::assignment::Mask;
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::error::ModelError;
 use entropydb_core::plan::QueryRequest;
+use entropydb_core::probe::{ProbeRequest, ProbeResponse};
 use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
 use entropydb_server::fault::{FaultMode, FaultProxy};
 use entropydb_server::{
-    demo, serve, serve_with, Client, ClientConfig, ClientError, FailoverConfig,
+    demo, serve, serve_with, Client, ClientConfig, ClientError, FailoverConfig, RemoteShard,
     RemoteShardedSummary, ServerConfig,
 };
 use entropydb_storage::Predicate;
@@ -31,6 +32,11 @@ fn deadline_failover() -> FailoverConfig {
         probe_timeout: Some(Duration::from_millis(300)),
         ..fast_failover()
     }
+}
+
+/// One `count` probe straight at a remote shard (no gather, no cache).
+fn probe_count(shard: &RemoteShard, mask: &Mask) -> Result<ProbeResponse, ModelError> {
+    shard.probe(&ProbeRequest::Count { mask: mask.clone() }, &mut ())
 }
 
 /// Kill a node mid-batch with 2 replicas per shard: the batch completes
@@ -189,7 +195,7 @@ fn deterministic_probe_errors_never_fail_over() {
     // its deterministic error channel.
     let sizes = vec![4usize; 8];
     let bad = Mask::from_predicate(&Predicate::new().eq(a(7), 1), &sizes).unwrap();
-    match shard.probe_count(&bad, &mut ()) {
+    match probe_count(shard, &bad) {
         Err(ModelError::Remote(msg)) => {
             assert_eq!(msg.shard, Some(0), "{msg}");
             assert!(msg.to_string().contains("shard 0"), "{msg}");
@@ -209,7 +215,7 @@ fn deterministic_probe_errors_never_fail_over() {
     // any error is dropped, never pooled) and the other replica still
     // sees no traffic.
     let good = Mask::from_predicate(&Predicate::all(), local.domain_sizes()).unwrap();
-    shard.probe_count(&good, &mut ()).unwrap();
+    probe_count(shard, &good).unwrap();
     assert_eq!(proxy.connections_seen(), conns_before + 1);
     assert_eq!(shard.replicas()[1].idle_conns(), 0);
 
@@ -236,12 +242,12 @@ fn breaker_opens_on_a_dead_node_and_rehandshake_heals_it() {
         let engine_probe = &remote.shards()[0];
         let sizes = local.domain_sizes().to_vec();
         let mask = Mask::from_predicate(&Predicate::all(), &sizes).unwrap();
-        engine_probe.probe_count(&mask, &mut ()).unwrap();
+        probe_count(engine_probe, &mask).unwrap();
 
         // Kill the only replica: the probe budget (2 attempts) is spent
         // and the failure surfaces as Degraded with the attempt trail.
         handles[0].remove(0).shutdown();
-        match engine_probe.probe_count(&mask, &mut ()) {
+        match probe_count(engine_probe, &mask) {
             Err(ModelError::Degraded {
                 shard: 0, detail, ..
             }) => {
@@ -251,7 +257,7 @@ fn breaker_opens_on_a_dead_node_and_rehandshake_heals_it() {
         }
         // Two spent attempts on a threshold-3 breaker; one more call
         // opens it.
-        let _ = engine_probe.probe_count(&mask, &mut ());
+        let _ = probe_count(engine_probe, &mask);
         let replica = &engine_probe.replicas()[0];
         assert!(replica.consecutive_failures() >= 3);
         assert!(replica.breaker_open());
@@ -387,6 +393,52 @@ fn blob_swap_orphans_cached_answers_before_they_can_go_stale() {
     // Full-workload parity with the cache still enabled.
     let local_engine = QueryEngine::new(local);
     let engine = QueryEngine::new(remote);
+    common::assert_bitwise_parity(&local_engine, &engine);
+
+    impostor.shutdown();
+    for shard_handles in handles {
+        for handle in shard_handles {
+            handle.shutdown();
+        }
+    }
+}
+
+/// A pooled connection that dies because its node was *replaced on the
+/// same address* must not be transparently re-dialed: the retry goes
+/// through the shard handshake, so the impostor is evicted on the query
+/// path itself (no re-handshake thread here) and the answer comes from
+/// the true replica — never, not even once, from the new blob.
+#[test]
+fn a_dead_pooled_connection_is_retried_through_the_handshake() {
+    let local = sharded(1);
+    let (mut handles, manifest) = serve_replicated(&local, 2);
+    let addr0: std::net::SocketAddr = manifest[0].addrs[0].parse().unwrap();
+    let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    remote.enable_probe_cache(1 << 12);
+    let engine = QueryEngine::new(remote);
+    let local_engine = QueryEngine::new(local);
+
+    // Warm replica 0's pool (it is preferred and answers).
+    let warm = QueryRequest::count(Predicate::new().eq(a(0), 1));
+    let expected = local_engine.execute(&warm).unwrap().encode();
+    assert_eq!(engine.execute(&warm).unwrap().encode(), expected);
+    let shard = &engine.backend().shards()[0];
+    assert_eq!(shard.replicas()[0].idle_conns(), 1);
+    let generation_before = shard.blob_generation();
+
+    // Replace the node behind the pooled connection: same address, same
+    // schema, different cardinality.
+    handles[0].remove(0).shutdown();
+    let wrong = demo::demo_summary(100, 1).unwrap().shards()[0].clone();
+    let impostor = serve(QueryEngine::new(wrong), addr0).unwrap();
+
+    // A query the gather cache has not seen: it must cross the wire.
+    let req = QueryRequest::count(Predicate::new().eq(a(0), 2));
+    let expected = local_engine.execute(&req).unwrap().encode();
+    assert_eq!(engine.execute(&req).unwrap().encode(), expected);
+    assert!(shard.replicas()[0].is_evicted(), "the impostor is evicted");
+    assert_eq!(shard.replicas()[0].consecutive_failures(), 0);
+    assert!(shard.blob_generation() > generation_before);
     common::assert_bitwise_parity(&local_engine, &engine);
 
     impostor.shutdown();

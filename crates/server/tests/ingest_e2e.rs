@@ -192,6 +192,7 @@ fn remote_backend_routes_appends_and_gather_cache_stays_fresh() {
     ];
     let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
     remote.enable_probe_cache(64);
+    remote.start_rehandshake(Duration::from_millis(30));
     assert!(remote.shards()[0].is_dynamic());
     assert_eq!(remote.n(), n_total, "dynamic shard adopts the served n");
     let engine = QueryEngine::new(remote);
@@ -222,6 +223,27 @@ fn remote_backend_routes_appends_and_gather_cache_stays_fresh() {
     assert!(
         (grown - want).abs() < 1e-6 * want,
         "post-fold COUNT(*): {grown} vs {want} (stale cache?)"
+    );
+
+    // Once a handshake has re-adopted the live shard's cardinality, the
+    // gateway's own `n` and its mixture weights follow: both are read from
+    // the shards at call time, never frozen at connect.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.n() != n_total + 48 {
+        assert!(
+            Instant::now() < deadline,
+            "n never followed the fold: {} vs {}",
+            engine.n(),
+            n_total + 48
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let pred = Predicate::new().eq(a(0), 1);
+    let count = engine.estimate_count(&pred).unwrap().expectation;
+    let scaled = engine.probability(&pred).unwrap() * engine.n() as f64;
+    assert!(
+        (scaled - count).abs() <= 1e-9 * count,
+        "probability · n = {scaled} vs COUNT = {count} (connect-time weights?)"
     );
 
     // Token replay through the remote layer is absorbed too.

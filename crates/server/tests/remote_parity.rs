@@ -15,7 +15,7 @@ use entropydb_storage::Predicate;
 
 /// Remote scatter/gather answers every request variant bitwise-identically
 /// to the local sharded backend over the same shard models — at 1, 3, and
-/// 4 shards (1 exercises the no-merge path, 4 the candidate-union re-probe
+/// 4 shards (1 exercises the no-merge path, 4 the merged-group-by top-k
 /// and stratified sampling).
 #[test]
 fn remote_cluster_matches_local_sharded_bitwise() {
@@ -33,6 +33,33 @@ fn remote_cluster_matches_local_sharded_bitwise() {
         for handle in handles {
             handle.shutdown();
         }
+    }
+}
+
+/// Top-k over the wire is the merged group-by ranked once: the value that
+/// is below `k = 1` on every shard yet first overall wins, with the exact
+/// merged count, uncached and cached, bitwise equal to in-process.
+#[test]
+fn remote_top_k_finds_a_winner_that_is_below_k_on_every_shard() {
+    let local = common::two_shards_hiding_the_winner();
+    let (handles, manifest) = serve_shards(&local);
+    let plain = RemoteShardedSummary::connect(&manifest).unwrap();
+    let mut cached = RemoteShardedSummary::connect(&manifest).unwrap();
+    cached.enable_probe_cache(64);
+    let req = QueryRequest::top_k(Predicate::all(), a(0), 1);
+    let expected = QueryEngine::new(local).execute(&req).unwrap();
+    for remote in [plain, cached] {
+        let engine = QueryEngine::new(remote);
+        for pass in ["cold", "warm"] {
+            let got = engine.execute(&req).unwrap();
+            assert_eq!(got.encode(), expected.encode(), "{pass}");
+            let ranked = got.ranked().unwrap();
+            assert_eq!((ranked.len(), ranked[0].0), (1, 2), "{pass}: v wins");
+            assert!((ranked[0].1.expectation - 18.0).abs() < 1e-6, "{pass}");
+        }
+    }
+    for handle in handles {
+        handle.shutdown();
     }
 }
 
@@ -126,7 +153,7 @@ fn fused_mask_batches_match_per_mask_loop_and_local_bitwise() {
 /// every request variant bitwise-identically to the local sharded backend
 /// — on a cold cache, and again on a warm cache where repeats are served
 /// without touching the wire. At 1 shard the no-merge bypass runs under
-/// the cache; at 4 the candidate-union re-probe and batched paths do.
+/// the cache; at 4 the merge and the batched paths do.
 #[test]
 fn cached_remote_cluster_stays_bitwise_cold_and_warm() {
     for shards in [1usize, 4] {
@@ -158,7 +185,7 @@ fn cached_remote_cluster_stays_bitwise_cold_and_warm() {
 
 /// The local sharded backend with a probe cache stays bitwise-identical
 /// to its uncached self on every request variant, cold and warm — the
-/// serial peek fast paths fold with the exact driver arithmetic.
+/// all-cached fast path and the fan-out run the one merge.
 #[test]
 fn cached_local_sharded_stays_bitwise_cold_and_warm() {
     for shards in [1usize, 4] {
