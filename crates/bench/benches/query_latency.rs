@@ -18,7 +18,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::common;
 use entropydb_bench::report::{mean_call_ns, percentile, Histogram};
 use entropydb_core::assignment::Mask;
-use entropydb_core::engine::SummaryBackend;
 use entropydb_core::prelude::*;
 use entropydb_core::selection::heuristics::select_pair_statistics;
 use entropydb_sampling::uniform_sample;
@@ -123,7 +122,9 @@ fn bench_queries(c: &mut Criterion) {
     // The absolute ceilings of `bench_schema.json`: a statistic choice or
     // a kernel change that drops this model back onto the 150k-term closure
     // (≈ 380 µs a point query, ≈ 2.3 ms a fused batch) fails them.
-    let masks = batch16_masks(&d, summary.domain_sizes());
+    let batch16 = ProbeRequest::CountMany {
+        masks: batch16_masks(&d, summary.domain_sizes()),
+    };
     let mut scratch = summary.make_scratch();
     c.record_metric(
         "query",
@@ -147,11 +148,7 @@ fn bench_queries(c: &mut Criterion) {
         "query",
         "batch16_ns",
         mean_call_ns(500, || {
-            black_box(
-                summary
-                    .counts_under_masks(black_box(&masks), &mut scratch)
-                    .unwrap(),
-            );
+            black_box(summary.probe(black_box(&batch16), &mut scratch).unwrap());
         }),
     );
 }
@@ -192,31 +189,27 @@ fn bench_point_expansion(c: &mut Criterion) {
 fn bench_fused_batch(c: &mut Criterion) {
     let (d, summary, _) = setup(true);
     let masks = batch16_masks(&d, summary.domain_sizes());
+    let singles: Vec<ProbeRequest> = masks
+        .iter()
+        .map(|mask| ProbeRequest::Count { mask: mask.clone() })
+        .collect();
+    let batch16 = ProbeRequest::CountMany { masks };
     let mut scratch = summary.make_scratch();
 
     let mut g = c.benchmark_group("fused_batch");
     g.bench_function("batch16_naive_loop", |b| {
         b.iter(|| {
-            masks
+            singles
                 .iter()
-                .map(|m| {
-                    summary
-                        .count_under_mask(black_box(m), &mut scratch)
-                        .unwrap()
-                        .expectation
+                .map(|single| {
+                    let answer = summary.probe(black_box(single), &mut scratch).unwrap();
+                    Estimate::try_from(answer).unwrap().expectation
                 })
                 .sum::<f64>()
         })
     });
     g.bench_function("batch16_fused", |b| {
-        b.iter(|| {
-            summary
-                .counts_under_masks(black_box(&masks), &mut scratch)
-                .unwrap()
-                .iter()
-                .map(|e| e.expectation)
-                .sum::<f64>()
-        })
+        b.iter(|| summary.probe(black_box(&batch16), &mut scratch).unwrap())
     });
     g.finish();
 
@@ -227,7 +220,7 @@ fn bench_fused_batch(c: &mut Criterion) {
     let mut latencies = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t = Instant::now();
-        black_box(summary.counts_under_masks(&masks, &mut scratch).unwrap());
+        black_box(summary.probe(&batch16, &mut scratch).unwrap());
         latencies.push(t.elapsed().as_nanos() as f64);
     }
     eprintln!(

@@ -1,36 +1,36 @@
-//! The query-engine layer: summary backends behind one generic engine.
+//! The query-engine layer: two IRs, one execution method each.
 //!
-//! Historically every query path (`estimate_count`, `estimate_group_by`,
-//! `top_k`, `sample_rows`, ...) was hard-wired onto
-//! [`MaxEntSummary`](crate::model::MaxEntSummary). This module factors those
-//! paths into three pieces:
-//!
-//! * [`SummaryBackend`] — the estimator primitives a summary representation
-//!   must provide, all phrased against a query [`Mask`] and an explicit
-//!   reusable scratch. [`MaxEntSummary`](crate::model::MaxEntSummary) is one
-//!   backend (a single fitted model);
-//!   [`ShardedSummary`](crate::sharded::ShardedSummary) is another (per-shard
-//!   models with merged estimates).
-//! * [`QueryEngine`] — the generic front-end owning the scratch pool and the
-//!   batching/fan-out logic (predicate validation, mask construction,
-//!   parallel batch dispatch through [`crate::par`]). It works with any
-//!   backend and is what an async serving layer would hold per summary.
-//! * shared path functions (`paths`) — one implementation of every query
-//!   path, used both by [`QueryEngine`] and by the backends' inherent
-//!   convenience APIs, so the two surfaces cannot drift apart.
+//! * [`QueryRequest`] → **`execute`**. Clients speak predicates; one
+//!   request is validated, translated into a query [`Mask`] and answered by
+//!   the shared path functions (`paths`), which [`QueryEngine`] and the
+//!   fitted summaries all run — so every surface answers bit-identically.
+//!   The typed convenience methods (`estimate_count`, `top_k`,
+//!   `sample_rows`, …) are the provided methods of one trait, [`QueryApi`],
+//!   each a thin wrapper that builds the request and unwraps the response.
+//! * [`ProbeRequest`] → **`probe`**. Below the paths every backend is asked
+//!   the one mask-level question through the one method
+//!   [`ShardProbe::probe`] against an explicit reusable scratch: a fitted
+//!   [`MaxEntSummary`](crate::model::MaxEntSummary) interprets it, a mixture
+//!   ([`ShardedSummary`](crate::sharded::ShardedSummary),
+//!   [`LiveSummary`](crate::ingest::LiveSummary), a remote cluster) forwards
+//!   it to [`scatter::gather`](crate::scatter::gather). [`SummaryBackend`]
+//!   adds only what the engine needs around that: the schema, the domain
+//!   sizes, and the cache / ingest hooks.
 //!
 //! Backends answer under a *mask* rather than a predicate so the engine can
 //! derive many masked evaluations from one validated predicate (group-by
-//! cells, sequential-conditional sampling) without re-validating or
-//! re-translating. A top-k is the group-by pass ranked once
-//! ([`rank_top_k`]) on every backend — sharded ones rank the *merged*
-//! group-by, so the answer is the full ranking's, exactly.
+//! cells, fused batches) without re-validating or re-translating. A top-k
+//! is the group-by answer ranked once ([`rank_top_k`]) on every backend —
+//! sharded ones rank the *merged* group-by, so the answer is the full
+//! ranking's, exactly.
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, Result};
 use crate::par;
 use crate::plan::{QueryRequest, QueryResponse};
+use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
+use crate::scatter::ShardProbe;
 use entropydb_storage::{AttrId, Predicate, Schema, Table};
 use std::sync::Mutex;
 
@@ -93,121 +93,25 @@ impl<S> Clone for ScratchPool<S> {
     }
 }
 
-/// The estimator primitives a summary representation provides to the
-/// [`QueryEngine`]. All methods take a caller-supplied scratch so the engine
-/// can pool workspaces and keep steady-state querying allocation-free.
+/// A summary representation the [`QueryEngine`] can serve: something that
+/// answers [`ProbeRequest`]s ([`ShardProbe`] — `n`, `make_scratch`, `probe`)
+/// over a known schema, plus the cache and ingest hooks the serving layer
+/// surfaces. Evaluation has exactly one entry point, `probe`, taking a
+/// caller-supplied scratch so the engine can pool workspaces and keep
+/// steady-state querying allocation-free.
 ///
-/// Masks passed in are already validated against the backend's schema (the
-/// engine does that once per query).
-///
-/// Every primitive is fallible: purely local backends
-/// ([`MaxEntSummary`](crate::model::MaxEntSummary),
+/// Purely local backends ([`MaxEntSummary`](crate::model::MaxEntSummary),
 /// [`ShardedSummary`](crate::sharded::ShardedSummary)) never fail outside
 /// genuine shape errors, but a backend whose shards live on other nodes
-/// surfaces transport failures as
-/// [`crate::error::ModelError::Remote`] with the
-/// degraded shard named, and the engine paths propagate them per request.
-pub trait SummaryBackend: Send + Sync {
-    /// The reusable evaluation workspace of this backend.
-    type Scratch: Send;
-    /// Per-call context for [`SummaryBackend::sample_tuple`], computed once
-    /// per `sample_rows` call (e.g. a per-tuple shard assignment, or a
-    /// prefetched remote batch).
-    type SamplePlan: Send + Sync;
-
+/// surfaces transport failures as [`crate::error::ModelError::Remote`] with
+/// the degraded shard named, and the engine paths propagate them per
+/// request.
+pub trait SummaryBackend: ShardProbe {
     /// The summarized relation's schema.
     fn schema(&self) -> &Schema;
 
-    /// Relation cardinality `n`.
-    fn n(&self) -> u64;
-
     /// Active-domain sizes per attribute.
     fn domain_sizes(&self) -> &[usize];
-
-    /// Builds a fresh evaluation scratch.
-    fn make_scratch(&self) -> Self::Scratch;
-
-    /// The model probability that a single tuple draw satisfies the mask,
-    /// clamped into `[0, 1]`.
-    fn probability_under_mask(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<f64>;
-
-    /// `SELECT COUNT(*)` estimate (expectation + variance) under the mask.
-    fn count_under_mask(&self, mask: &Mask, scratch: &mut Self::Scratch) -> Result<Estimate>;
-
-    /// Batched form of [`SummaryBackend::probability_under_mask`]: one
-    /// probability per mask. The default is the sequential per-mask loop;
-    /// backends with a fused multi-mask kernel
-    /// ([`MaxEntSummary`](crate::model::MaxEntSummary) and the scatter/
-    /// gather backends above it) override this to amortize one model
-    /// traversal across the whole batch. Overrides must stay
-    /// **bitwise-identical** to the loop — the repo's standing determinism
-    /// guarantee extends to fused paths.
-    fn probabilities_under_masks(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<f64>> {
-        masks
-            .iter()
-            .map(|mask| self.probability_under_mask(mask, scratch))
-            .collect()
-    }
-
-    /// Batched form of [`SummaryBackend::count_under_mask`]: one COUNT
-    /// estimate per mask, same contract (and the same bitwise-identity
-    /// requirement on overrides) as
-    /// [`SummaryBackend::probabilities_under_masks`].
-    fn counts_under_masks(
-        &self,
-        masks: &[Mask],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>> {
-        masks
-            .iter()
-            .map(|mask| self.count_under_mask(mask, scratch))
-            .collect()
-    }
-
-    /// `SELECT SUM(values[code(attr)])` estimate under the `base` COUNT
-    /// mask. `values` holds the per-code numeric weight of `attr` (bucket
-    /// midpoints for binned attributes, the code itself for categorical
-    /// ones); the backend derives the weighted masks it needs.
-    fn sum_under_mask(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut Self::Scratch,
-    ) -> Result<Estimate>;
-
-    /// One estimate per value of `attr` under the mask — the batched
-    /// group-by pass.
-    fn group_by_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut Self::Scratch,
-    ) -> Result<Vec<Estimate>>;
-
-    /// Computes the per-call context shared by every [`Self::sample_tuple`]
-    /// of one `sample_rows(k, seed)` call. Remote backends may perform
-    /// transport work here (e.g. prefetch every stratum in one pipelined
-    /// round per shard), hence the fallible signature.
-    fn plan_samples(&self, k: usize, seed: u64) -> Result<Self::SamplePlan>;
-
-    /// Draws synthetic tuple `index` of a `sample_rows` call into `row`.
-    ///
-    /// Implementations must derive their randomness only from `(seed,
-    /// index)` — never from call order or thread identity — so sampling is
-    /// deterministic and independent of how tuples are fanned out.
-    fn sample_tuple(
-        &self,
-        plan: &Self::SamplePlan,
-        index: usize,
-        seed: u64,
-        row: &mut [u32],
-        scratch: &mut Self::Scratch,
-    ) -> Result<()>;
 
     /// Counters of the gather-side probe cache fronting this backend, or
     /// `None` when the backend runs uncached (the default). Surfaced
@@ -283,13 +187,9 @@ pub fn rank_top_k(groups: Vec<Estimate>, k: usize) -> Vec<(u32, Estimate)> {
 
 /// The generic query front-end: owns the backend, the scratch pool, and the
 /// batching/fan-out logic. [`QueryEngine::execute`] /
-/// [`QueryEngine::execute_batch`] over the query IR
-/// ([`QueryRequest`]) are the canonical entry
-/// points; the typed convenience methods below — and every public estimator
-/// of [`MaxEntSummary`](crate::model::MaxEntSummary) and
-/// [`ShardedSummary`](crate::sharded::ShardedSummary) — are thin wrappers
-/// that build the matching request and route through the same IR path, so
-/// every surface answers bit-identically.
+/// [`QueryEngine::execute_batch`] over the query IR ([`QueryRequest`]) and
+/// [`QueryEngine::probe`] over the probe IR are the entry points; the typed
+/// convenience methods come from [`QueryApi`].
 #[derive(Debug)]
 pub struct QueryEngine<B: SummaryBackend> {
     backend: B,
@@ -349,7 +249,7 @@ impl<B: SummaryBackend> QueryEngine<B> {
         self.backend.ingest_stats()
     }
 
-    /// Executes one IR request — the canonical entry point every typed
+    /// Executes one IR request — the entry point every typed [`QueryApi`]
     /// method routes through. The response variant matches the request
     /// variant (see [`QueryRequest`]/[`QueryResponse`]).
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse> {
@@ -365,87 +265,166 @@ impl<B: SummaryBackend> QueryEngine<B> {
         paths::execute_batch(&self.backend, &self.scratch, requests)
     }
 
-    /// Executes one mask-level shard probe ([`crate::probe`]) — the
-    /// primitive a scatter/gather gatherer sends to a shard node. Probes
-    /// bypass predicate translation (the gatherer already built the mask)
-    /// but are still validated against this backend's shape.
-    pub fn probe(
-        &self,
-        request: &crate::probe::ProbeRequest,
-    ) -> Result<crate::probe::ProbeResponse> {
-        crate::probe::execute(&self.backend, &self.scratch, request)
+    /// Executes one mask-level probe ([`crate::probe`]) — what a
+    /// scatter/gather gatherer sends to a shard node. Probes bypass
+    /// predicate translation (the gatherer already built the mask), so this
+    /// is where outside shapes are validated against the backend's.
+    pub fn probe(&self, request: &ProbeRequest) -> Result<ProbeResponse> {
+        request.validate(self.backend.domain_sizes())?;
+        self.scratch.with(
+            || self.backend.make_scratch(),
+            |s| self.backend.probe(request, s),
+        )
+    }
+}
+
+impl<B: SummaryBackend> QueryApi for QueryEngine<B> {
+    fn schema(&self) -> &Schema {
+        self.backend.schema()
     }
 
-    /// The model probability that a single tuple draw satisfies `pred`.
-    pub fn probability(&self, pred: &Predicate) -> Result<f64> {
-        ir::probability(&self.backend, &self.scratch, pred)
+    fn execute(&self, request: &QueryRequest) -> Result<QueryResponse> {
+        QueryEngine::execute(self, request)
     }
 
-    /// Estimates `SELECT COUNT(*) WHERE pred` with its variance.
-    pub fn estimate_count(&self, pred: &Predicate) -> Result<Estimate> {
-        ir::estimate_count(&self.backend, &self.scratch, pred)
+    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
+        QueryEngine::execute_batch(self, requests)
+    }
+}
+
+/// The typed query surface of anything that executes [`QueryRequest`]s
+/// ([`QueryEngine`], [`MaxEntSummary`](crate::model::MaxEntSummary),
+/// [`ShardedSummary`](crate::sharded::ShardedSummary)): each provided method
+/// builds the matching request, routes it through `execute` /
+/// `execute_batch`, and unwraps the response variant — so the typed surface
+/// and the IR surface cannot drift apart.
+pub trait QueryApi {
+    /// The summarized relation's schema.
+    fn schema(&self) -> &Schema;
+
+    /// Executes one IR request; the response variant matches the request
+    /// variant (see [`QueryRequest`]/[`QueryResponse`]).
+    fn execute(&self, request: &QueryRequest) -> Result<QueryResponse>;
+
+    /// Executes a batch of IR requests; element `i` is exactly
+    /// `self.execute(&requests[i])`, per-request errors kept in place.
+    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>>;
+
+    /// The model probability that a single tuple draw satisfies `pred`:
+    /// `p = P[masked] / P` (Sec. 4.2); a shard mixture `Σ (n_s / n) · p_s`
+    /// on sharded backends.
+    fn probability(&self, pred: &Predicate) -> Result<f64> {
+        let resp = self.execute(&QueryRequest::probability(pred.clone()))?;
+        Ok(resp.probability().expect(SHAPE))
     }
 
-    /// Estimates one COUNT per predicate, fanning the batch out across
-    /// threads. Identical to mapping [`QueryEngine::estimate_count`].
-    pub fn estimate_count_batch(&self, preds: &[Predicate]) -> Result<Vec<Estimate>> {
-        ir::estimate_count_batch(&self.backend, &self.scratch, preds)
+    /// Estimates `SELECT COUNT(*) WHERE pred` with its variance (Binomial
+    /// per model; expectations and variances add across shards).
+    fn estimate_count(&self, pred: &Predicate) -> Result<Estimate> {
+        let resp = self.execute(&QueryRequest::count(pred.clone()))?;
+        Ok(resp.estimate().expect(SHAPE))
     }
 
-    /// Estimates `SELECT SUM(value(attr)) WHERE pred`.
-    pub fn estimate_sum(&self, pred: &Predicate, attr: AttrId) -> Result<Estimate> {
-        ir::estimate_sum(&self.backend, &self.scratch, pred, attr)
+    /// Estimates one COUNT per predicate through the fused batch path — the
+    /// shape of a dashboard refresh. Identical to mapping
+    /// [`QueryApi::estimate_count`].
+    fn estimate_count_batch(&self, preds: &[Predicate]) -> Result<Vec<Estimate>> {
+        let requests: Vec<QueryRequest> = preds
+            .iter()
+            .map(|p| QueryRequest::count(p.clone()))
+            .collect();
+        self.execute_batch(&requests)
+            .into_iter()
+            .map(|r| r.map(|resp| resp.estimate().expect(SHAPE)))
+            .collect()
     }
 
-    /// Estimates `SELECT AVG(value(attr)) WHERE pred`; `None` when the
-    /// model gives the predicate zero probability.
-    pub fn estimate_avg(&self, pred: &Predicate, attr: AttrId) -> Result<Option<f64>> {
-        ir::estimate_avg(&self.backend, &self.scratch, pred, attr)
+    /// Estimates `SELECT SUM(value(attr)) WHERE pred`, where the per-row
+    /// value is the attribute's bucket midpoint (binned attributes) or the
+    /// dense code itself (categorical attributes — useful when codes are
+    /// meaningful ordinals).
+    fn estimate_sum(&self, pred: &Predicate, attr: AttrId) -> Result<Estimate> {
+        let resp = self.execute(&QueryRequest::sum(pred.clone(), attr))?;
+        Ok(resp.estimate().expect(SHAPE))
+    }
+
+    /// Estimates `SELECT AVG(value(attr)) WHERE pred` as the ratio of the
+    /// SUM and COUNT estimates; `None` when the model gives the predicate
+    /// zero probability.
+    fn estimate_avg(&self, pred: &Predicate, attr: AttrId) -> Result<Option<f64>> {
+        let resp = self.execute(&QueryRequest::avg(pred.clone(), attr))?;
+        Ok(resp.average().expect(SHAPE))
     }
 
     /// Estimates `SELECT attr, COUNT(*) WHERE pred GROUP BY attr` for every
     /// value of `attr` in one batched pass.
-    pub fn estimate_group_by(&self, pred: &Predicate, attr: AttrId) -> Result<Vec<Estimate>> {
-        ir::estimate_group_by(&self.backend, &self.scratch, pred, attr)
+    fn estimate_group_by(&self, pred: &Predicate, attr: AttrId) -> Result<Vec<Estimate>> {
+        let resp = self.execute(&QueryRequest::group_by(pred.clone(), attr))?;
+        Ok(resp.groups().expect(SHAPE))
     }
 
-    /// Estimates the two-attribute group-by; returns `rows[v_b][v_a]` with
-    /// the `attr_b` cells fanned out across threads.
-    pub fn estimate_group_by2(
+    /// Estimates the two-attribute group-by; returns `rows[v_b][v_a]`, one
+    /// batched pass per `attr_b` cell, the cells fanned out across threads.
+    fn estimate_group_by2(
         &self,
         pred: &Predicate,
         attr_a: AttrId,
         attr_b: AttrId,
     ) -> Result<Vec<Vec<Estimate>>> {
-        ir::estimate_group_by2(&self.backend, &self.scratch, pred, attr_a, attr_b)
+        let resp = self.execute(&QueryRequest::group_by2(pred.clone(), attr_a, attr_b))?;
+        Ok(resp.groups2().expect(SHAPE))
     }
 
-    /// `SELECT attr, COUNT(*) ... GROUP BY attr ORDER BY count DESC LIMIT k`.
-    pub fn top_k(&self, pred: &Predicate, attr: AttrId, k: usize) -> Result<Vec<(u32, Estimate)>> {
-        ir::top_k(&self.backend, &self.scratch, pred, attr, k)
+    /// `SELECT attr, COUNT(*) ... GROUP BY attr ORDER BY count DESC LIMIT k`
+    /// — the paper's Sec. 3.1 example query shape.
+    fn top_k(&self, pred: &Predicate, attr: AttrId, k: usize) -> Result<Vec<(u32, Estimate)>> {
+        let resp = self.execute(&QueryRequest::top_k(pred.clone(), attr, k))?;
+        Ok(resp.ranked().expect(SHAPE))
     }
 
-    /// Top-k per attribute for several candidate attributes, scored in
-    /// parallel; element `i` is `top_k(pred, attrs[i], k)`.
-    pub fn top_k_multi(
+    /// Top-k per attribute for several candidate attributes at once — the
+    /// "top values of every column" dashboard sweep. Candidates are scored
+    /// in parallel; element `i` is `top_k(pred, attrs[i], k)`.
+    fn top_k_multi(
         &self,
         pred: &Predicate,
         attrs: &[AttrId],
         k: usize,
     ) -> Result<Vec<Vec<(u32, Estimate)>>> {
-        ir::top_k_multi(&self.backend, &self.scratch, pred, attrs, k)
+        let requests: Vec<QueryRequest> = attrs
+            .iter()
+            .map(|&attr| QueryRequest::top_k(pred.clone(), attr, k))
+            .collect();
+        self.execute_batch(&requests)
+            .into_iter()
+            .map(|r| r.map(|resp| resp.ranked().expect(SHAPE)))
+            .collect()
     }
 
-    /// Draws `k` synthetic tuples from the summarized distribution,
-    /// deterministic in `seed` and independent of thread fan-out.
-    pub fn sample_rows(&self, k: usize, seed: u64) -> Result<Table> {
-        ir::sample_rows(&self.backend, &self.scratch, k, seed)
+    /// Draws `k` synthetic tuples from the summarized distribution
+    /// (stratified across shards proportionally to shard cardinality on
+    /// sharded backends), deterministic in `seed` and independent of thread
+    /// fan-out.
+    fn sample_rows(&self, k: usize, seed: u64) -> Result<Table> {
+        let resp = self.execute(&QueryRequest::sample_rows(k, seed))?;
+        let (_, rows) = resp.rows().expect(SHAPE);
+        let mut table = Table::with_capacity(self.schema().clone(), rows.len());
+        for row in &rows {
+            table.push_row_unchecked(row);
+        }
+        Ok(table)
     }
 }
 
+/// The response shape is determined by the request variant, so a mismatch
+/// can only be an internal dispatch bug.
+const SHAPE: &str = "response variant matches request variant";
+
 /// The single implementation of every query path, shared by [`QueryEngine`]
-/// and the backends' inherent APIs (which route through [`paths::execute`]
-/// via the [`ir`] wrappers).
+/// and the fitted summaries' own [`QueryApi`] impls: a request becomes one
+/// mask (moved into the [`ProbeRequest`], never cloned), the backend's
+/// `probe` answers it on a pooled scratch, and the answer's payload is
+/// unwrapped into the response.
 pub(crate) mod paths {
     use super::*;
 
@@ -456,53 +435,54 @@ pub(crate) mod paths {
         pool: &ScratchPool<B::Scratch>,
         request: &QueryRequest,
     ) -> Result<QueryResponse> {
-        match request {
+        Ok(match request {
             QueryRequest::Probability { pred } => {
-                probability(backend, pool, pred).map(QueryResponse::Probability)
+                let mask = query_mask(backend, pred)?;
+                QueryResponse::Probability(ask(backend, pool, ProbeRequest::Probability { mask })?)
             }
-            QueryRequest::Count { pred } => {
-                estimate_count(backend, pool, pred).map(QueryResponse::Estimate)
-            }
+            QueryRequest::Count { pred } => QueryResponse::Estimate(count(backend, pool, pred)?),
             QueryRequest::Sum { pred, attr } => {
-                estimate_sum(backend, pool, pred, *attr).map(QueryResponse::Estimate)
+                QueryResponse::Estimate(sum(backend, pool, pred, *attr)?)
             }
             QueryRequest::Avg { pred, attr } => {
-                estimate_avg(backend, pool, pred, *attr).map(QueryResponse::Average)
+                let count = count(backend, pool, pred)?;
+                QueryResponse::Average(if count.expectation <= 0.0 {
+                    None
+                } else {
+                    let sum = sum(backend, pool, pred, *attr)?;
+                    Some(sum.expectation / count.expectation)
+                })
             }
             QueryRequest::GroupBy { pred, attr } => {
-                estimate_group_by(backend, pool, pred, *attr).map(QueryResponse::Groups)
+                QueryResponse::Groups(group_by(backend, pool, pred, *attr)?)
             }
             QueryRequest::GroupBy2 {
                 pred,
                 attr_a,
                 attr_b,
-            } => estimate_group_by2(backend, pool, pred, *attr_a, *attr_b)
-                .map(QueryResponse::Groups2),
+            } => QueryResponse::Groups2(group_by2(backend, pool, pred, *attr_a, *attr_b)?),
+            // On every backend: the (merged) group-by, ranked once.
             QueryRequest::TopK { pred, attr, k } => {
-                top_k(backend, pool, pred, *attr, *k).map(QueryResponse::Ranked)
+                QueryResponse::Ranked(rank_top_k(group_by(backend, pool, pred, *attr)?, *k))
             }
-            QueryRequest::SampleRows { k, seed } => {
-                let rows = sample_rows_raw(backend, pool, *k, *seed)?;
-                Ok(QueryResponse::Rows {
-                    arity: backend.domain_sizes().len(),
-                    rows,
-                })
-            }
-        }
+            QueryRequest::SampleRows { k, seed } => QueryResponse::Rows {
+                arity: backend.domain_sizes().len(),
+                rows: sample_rows(backend, pool, *k, *seed)?,
+            },
+        })
     }
 
     /// Executes a batch of IR requests, keeping per-request errors in place.
     ///
     /// Mask-level requests ([`QueryRequest::Probability`] and
-    /// [`QueryRequest::Count`]) are partitioned out and ride the backend's
-    /// fused multi-mask primitives
-    /// ([`SummaryBackend::probabilities_under_masks`] /
-    /// [`SummaryBackend::counts_under_masks`]), amortizing one model
-    /// traversal across the whole batch; their predicate-validation errors
-    /// stay in the failing request's slot. All other request kinds fan out
-    /// per-request across the worker pool as before. If a batched call
-    /// itself fails, the affected requests fall back to the per-request
-    /// path so error attribution stays per-request.
+    /// [`QueryRequest::Count`]) are partitioned out and ride one fused
+    /// [`ProbeRequest::ProbabilityMany`] / [`ProbeRequest::CountMany`]
+    /// probe each, amortizing one model traversal across the whole batch;
+    /// their predicate-validation errors stay in the failing request's
+    /// slot. Every mask in a fused probe is already validated, so if the
+    /// probe itself fails the failure is the backend's (a degraded shard)
+    /// and the same for every slot: each gets a copy, nothing is re-run.
+    /// All other request kinds fan out per-request across the worker pool.
     pub fn execute_batch<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
@@ -529,28 +509,14 @@ pub(crate) mod paths {
             }
         }
         if !prob_masks.is_empty() {
-            let batched = with_scratch(backend, pool, |s| {
-                backend.probabilities_under_masks(&prob_masks, s)
-            });
-            if let Ok(ps) = batched {
-                if ps.len() == prob_masks.len() {
-                    for (&i, p) in prob_idx.iter().zip(ps) {
-                        results[i] = Some(Ok(QueryResponse::Probability(p)));
-                    }
-                }
-            }
+            let fused = ProbeRequest::ProbabilityMany { masks: prob_masks };
+            let answers = ask::<_, Vec<f64>>(backend, pool, fused);
+            fill(&mut results, &prob_idx, answers, QueryResponse::Probability);
         }
         if !count_masks.is_empty() {
-            let batched = with_scratch(backend, pool, |s| {
-                backend.counts_under_masks(&count_masks, s)
-            });
-            if let Ok(es) = batched {
-                if es.len() == count_masks.len() {
-                    for (&i, e) in count_idx.iter().zip(es) {
-                        results[i] = Some(Ok(QueryResponse::Estimate(e)));
-                    }
-                }
-            }
+            let fused = ProbeRequest::CountMany { masks: count_masks };
+            let answers = ask::<_, Vec<Estimate>>(backend, pool, fused);
+            fill(&mut results, &count_idx, answers, QueryResponse::Estimate);
         }
         let pending: Vec<usize> = results
             .iter()
@@ -570,12 +536,37 @@ pub(crate) mod paths {
             .collect()
     }
 
-    fn with_scratch<B: SummaryBackend, R>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        f: impl FnOnce(&mut B::Scratch) -> R,
-    ) -> R {
-        pool.with(|| backend.make_scratch(), f)
+    /// Puts a fused probe's answers — or a copy of its one error — into
+    /// the batch slots `idx`.
+    fn fill<T>(
+        results: &mut [Option<Result<QueryResponse>>],
+        idx: &[usize],
+        answers: Result<Vec<T>>,
+        wrap: impl Fn(T) -> QueryResponse,
+    ) {
+        match answers {
+            Ok(values) => {
+                for (&i, value) in idx.iter().zip(values) {
+                    results[i] = Some(Ok(wrap(value)));
+                }
+            }
+            Err(e) => {
+                for &i in idx {
+                    results[i] = Some(Err(e.clone()));
+                }
+            }
+        }
+    }
+
+    /// Asks the backend one probe on a pooled scratch and unwraps the
+    /// answer's payload.
+    fn ask<B, T>(backend: &B, pool: &ScratchPool<B::Scratch>, request: ProbeRequest) -> Result<T>
+    where
+        B: SummaryBackend,
+        T: TryFrom<ProbeResponse, Error = ModelError>,
+    {
+        pool.with(|| backend.make_scratch(), |s| backend.probe(&request, s))?
+            .try_into()
     }
 
     /// Validates `pred` against the backend schema and translates it into a
@@ -585,68 +576,40 @@ pub(crate) mod paths {
         Mask::from_predicate(pred, backend.domain_sizes())
     }
 
-    pub fn probability<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-    ) -> Result<f64> {
-        let mask = query_mask(backend, pred)?;
-        with_scratch(backend, pool, |s| backend.probability_under_mask(&mask, s))
-    }
-
-    pub fn estimate_count<B: SummaryBackend>(
+    fn count<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         pred: &Predicate,
     ) -> Result<Estimate> {
         let mask = query_mask(backend, pred)?;
-        with_scratch(backend, pool, |s| backend.count_under_mask(&mask, s))
+        ask(backend, pool, ProbeRequest::Count { mask })
     }
 
-    pub fn estimate_sum<B: SummaryBackend>(
+    fn sum<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         pred: &Predicate,
         attr: AttrId,
     ) -> Result<Estimate> {
-        let base = query_mask(backend, pred)?;
+        let mask = query_mask(backend, pred)?;
         let values = attr_values(backend.schema(), attr)?;
-        with_scratch(backend, pool, |s| {
-            backend.sum_under_mask(&base, attr, &values, s)
-        })
+        ask(backend, pool, ProbeRequest::Sum { mask, attr, values })
     }
 
-    pub fn estimate_avg<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr: AttrId,
-    ) -> Result<Option<f64>> {
-        let count = estimate_count(backend, pool, pred)?;
-        if count.expectation <= 0.0 {
-            return Ok(None);
-        }
-        let sum = estimate_sum(backend, pool, pred, attr)?;
-        Ok(Some(sum.expectation / count.expectation))
-    }
-
-    pub fn estimate_group_by<B: SummaryBackend>(
+    fn group_by<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         pred: &Predicate,
         attr: AttrId,
     ) -> Result<Vec<Estimate>> {
-        let sizes = backend.domain_sizes();
-        if attr.0 >= sizes.len() {
+        if attr.0 >= backend.domain_sizes().len() {
             return Err(ModelError::ShapeMismatch);
         }
         let mask = query_mask(backend, pred)?;
-        with_scratch(backend, pool, |s| {
-            backend.group_by_under_mask(&mask, attr, s)
-        })
+        ask(backend, pool, ProbeRequest::GroupBy { mask, attr })
     }
 
-    pub fn estimate_group_by2<B: SummaryBackend>(
+    fn group_by2<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         pred: &Predicate,
@@ -662,49 +625,39 @@ pub(crate) mod paths {
         par::map_indexed(n_b, 2, |v_b| {
             let mut mask = base.clone();
             mask.restrict_in_place(attr_b, v_b as u32, n_b);
-            with_scratch(backend, pool, |s| {
-                backend.group_by_under_mask(&mask, attr_a, s)
-            })
+            ask(backend, pool, ProbeRequest::GroupBy { mask, attr: attr_a })
         })
         .into_iter()
         .collect()
     }
 
-    pub fn top_k<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr: AttrId,
-        k: usize,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        // On every backend: the (merged) group-by, ranked once.
-        Ok(rank_top_k(estimate_group_by(backend, pool, pred, attr)?, k))
-    }
-
-    /// Draws the raw dense-coded sample tuples (the IR-transportable form;
-    /// [`ir::sample_rows`] re-attaches the schema into a [`Table`]).
-    pub fn sample_rows_raw<B: SummaryBackend>(
+    /// Draws the raw dense-coded sample tuples (the IR-transportable form):
+    /// `SampleAt` over `0..k`, cut into at most [`par::max_threads`]
+    /// contiguous runs of at least 16 indices, each run one probe on a
+    /// pooled scratch — so a monolithic draw keeps its fan-out and a remote
+    /// one costs one pipelined round per shard per run.
+    fn sample_rows<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         k: usize,
         seed: u64,
     ) -> Result<Vec<Vec<u32>>> {
-        let m = backend.domain_sizes().len();
-        let plan = backend.plan_samples(k, seed)?;
-        par::map_indexed(k, 16, |i| {
-            let mut row = vec![0u32; m];
-            with_scratch(backend, pool, |s| {
-                backend.sample_tuple(&plan, i, seed, &mut row, s)
-            })?;
-            Ok(row)
-        })
-        .into_iter()
-        .collect()
+        let run = k.div_ceil(par::max_threads()).max(16);
+        let starts: Vec<usize> = (0..k).step_by(run).collect();
+        let runs = par::map(&starts, 1, |_, &start| {
+            let indices = (start as u64..k.min(start + run) as u64).collect();
+            ask::<_, Vec<Vec<u32>>>(backend, pool, ProbeRequest::SampleAt { k, seed, indices })
+        });
+        let mut rows = Vec::with_capacity(k);
+        for run in runs {
+            rows.extend(run?);
+        }
+        Ok(rows)
     }
 
     /// Per-value numeric weights of an attribute: bucket midpoints for
     /// binned attributes, the code itself for categorical ones.
-    pub fn attr_values(schema: &Schema, attr: AttrId) -> Result<Vec<f64>> {
+    fn attr_values(schema: &Schema, attr: AttrId) -> Result<Vec<f64>> {
         let a = schema.attr(attr)?;
         Ok(match a.binner() {
             Some(b) => (0..a.domain_size() as u32).map(|v| b.midpoint(v)).collect(),
@@ -713,133 +666,62 @@ pub(crate) mod paths {
     }
 }
 
-/// Typed wrappers over the IR path: each builds the matching
-/// [`QueryRequest`], routes it through [`paths::execute`], and unwraps the
-/// response variant. [`QueryEngine`]'s convenience methods and the
-/// backends' inherent APIs all call these, so the typed surfaces and the
-/// IR surface cannot drift apart.
-pub(crate) mod ir {
+#[cfg(test)]
+mod tests {
     use super::*;
+    use crate::error::RemoteDetail;
+    use entropydb_storage::Attribute;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// The response shape is determined by the request variant, so a
-    /// mismatch can only be an internal dispatch bug.
-    const SHAPE: &str = "response variant matches request variant";
-
-    pub fn probability<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-    ) -> Result<f64> {
-        let resp = paths::execute(backend, pool, &QueryRequest::probability(pred.clone()))?;
-        Ok(resp.probability().expect(SHAPE))
+    /// A backend whose every probe fails the way a degraded shard does,
+    /// counting the attempts.
+    struct DeadBackend {
+        schema: Schema,
+        sizes: Vec<usize>,
+        probes: AtomicUsize,
     }
 
-    pub fn estimate_count<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-    ) -> Result<Estimate> {
-        let resp = paths::execute(backend, pool, &QueryRequest::count(pred.clone()))?;
-        Ok(resp.estimate().expect(SHAPE))
-    }
+    impl ShardProbe for DeadBackend {
+        type Scratch = ();
 
-    pub fn estimate_count_batch<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        preds: &[Predicate],
-    ) -> Result<Vec<Estimate>> {
-        let requests: Vec<QueryRequest> = preds
-            .iter()
-            .map(|p| QueryRequest::count(p.clone()))
-            .collect();
-        paths::execute_batch(backend, pool, &requests)
-            .into_iter()
-            .map(|r| r.map(|resp| resp.estimate().expect(SHAPE)))
-            .collect()
-    }
-
-    pub fn estimate_sum<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr: AttrId,
-    ) -> Result<Estimate> {
-        let resp = paths::execute(backend, pool, &QueryRequest::sum(pred.clone(), attr))?;
-        Ok(resp.estimate().expect(SHAPE))
-    }
-
-    pub fn estimate_avg<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr: AttrId,
-    ) -> Result<Option<f64>> {
-        let resp = paths::execute(backend, pool, &QueryRequest::avg(pred.clone(), attr))?;
-        Ok(resp.average().expect(SHAPE))
-    }
-
-    pub fn estimate_group_by<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr: AttrId,
-    ) -> Result<Vec<Estimate>> {
-        let resp = paths::execute(backend, pool, &QueryRequest::group_by(pred.clone(), attr))?;
-        Ok(resp.groups().expect(SHAPE))
-    }
-
-    pub fn estimate_group_by2<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr_a: AttrId,
-        attr_b: AttrId,
-    ) -> Result<Vec<Vec<Estimate>>> {
-        let request = QueryRequest::group_by2(pred.clone(), attr_a, attr_b);
-        let resp = paths::execute(backend, pool, &request)?;
-        Ok(resp.groups2().expect(SHAPE))
-    }
-
-    pub fn top_k<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attr: AttrId,
-        k: usize,
-    ) -> Result<Vec<(u32, Estimate)>> {
-        let resp = paths::execute(backend, pool, &QueryRequest::top_k(pred.clone(), attr, k))?;
-        Ok(resp.ranked().expect(SHAPE))
-    }
-
-    pub fn top_k_multi<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        pred: &Predicate,
-        attrs: &[AttrId],
-        k: usize,
-    ) -> Result<Vec<Vec<(u32, Estimate)>>> {
-        let requests: Vec<QueryRequest> = attrs
-            .iter()
-            .map(|&attr| QueryRequest::top_k(pred.clone(), attr, k))
-            .collect();
-        paths::execute_batch(backend, pool, &requests)
-            .into_iter()
-            .map(|r| r.map(|resp| resp.ranked().expect(SHAPE)))
-            .collect()
-    }
-
-    pub fn sample_rows<B: SummaryBackend>(
-        backend: &B,
-        pool: &ScratchPool<B::Scratch>,
-        k: usize,
-        seed: u64,
-    ) -> Result<Table> {
-        let resp = paths::execute(backend, pool, &QueryRequest::sample_rows(k, seed))?;
-        let (_, rows) = resp.rows().expect(SHAPE);
-        let mut table = Table::with_capacity(backend.schema().clone(), rows.len());
-        for row in &rows {
-            table.push_row_unchecked(row);
+        fn n(&self) -> u64 {
+            1
         }
-        Ok(table)
+
+        fn make_scratch(&self) {}
+
+        fn probe(&self, _request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
+            self.probes.fetch_add(1, Ordering::SeqCst);
+            Err(ModelError::Remote(RemoteDetail::message("shard is down")))
+        }
+    }
+
+    impl SummaryBackend for DeadBackend {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+
+        fn domain_sizes(&self) -> &[usize] {
+            &self.sizes
+        }
+    }
+
+    /// A fused batch that fails is the backend's failure, the same for
+    /// every slot: it is answered once, not retried request by request.
+    #[test]
+    fn a_failed_fused_batch_is_answered_once() {
+        let schema = Schema::new(vec![Attribute::categorical("x", 4).unwrap()]);
+        let engine = QueryEngine::new(DeadBackend {
+            sizes: schema.domain_sizes(),
+            schema,
+            probes: AtomicUsize::new(0),
+        });
+        let requests: Vec<QueryRequest> = (0..16)
+            .map(|v| QueryRequest::count(Predicate::new().eq(AttrId(0), v % 4)))
+            .collect();
+        let answers = engine.execute_batch(&requests);
+        assert_eq!(engine.backend().probes.load(Ordering::SeqCst), 1);
+        let down = ModelError::Remote(RemoteDetail::message("shard is down"));
+        assert_eq!(answers, vec![Err(down); 16]);
     }
 }

@@ -41,26 +41,27 @@
 //! set sized by [`IngestConfig::token_capacity`].
 //!
 //! **Consistency.** Queries always see a complete published snapshot:
-//! staged rows are invisible until their fold publishes, and a query that
+//! staged rows are invisible until their fold publishes, and a probe that
 //! started on epoch `e` finishes on epoch `e`'s mixture even if a fold
-//! lands mid-flight (snapshots are `Arc`-pinned per call).
+//! lands mid-flight (snapshots are `Arc`-pinned per probe). A request that
+//! takes several probes — a two-attribute group-by, a large draw cut into
+//! runs — may see a fold between two of them.
 
 use crate::engine::{AppendOutcome, SummaryBackend};
 use crate::error::{ModelError, Result};
 use crate::metrics::{CacheStatsSnapshot, IngestCounters, IngestStatsSnapshot};
 use crate::model::MaxEntSummary;
-use crate::query::Estimate;
+use crate::probe::{ProbeRequest, ProbeResponse};
+use crate::scatter::ShardProbe;
 pub use crate::sharded::fit_segment;
 use crate::sharded::{ShardedScratch, ShardedSummary};
 use crate::solver::SolverConfig;
 use crate::statistics::MultiDimStatistic;
-use entropydb_storage::{AttrId, Schema, Table};
+use entropydb_storage::{Schema, Table};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use crate::assignment::Mask;
 
 /// How a [`LiveSummary`] stages, folds, and compacts its delta shard.
 ///
@@ -667,14 +668,6 @@ pub struct LiveScratch {
     inner: ShardedScratch,
 }
 
-/// Per-call sampling context of a [`LiveSummary`]: the plan pins the
-/// snapshot it was computed against, so a whole `sample_rows` call draws
-/// from one consistent mixture even if folds land mid-call.
-pub struct LivePlan {
-    served: Arc<Served>,
-    inner: Vec<u32>,
-}
-
 /// Rebuilds `scratch` against `served`'s mixture when it was shaped for a
 /// different epoch, then hands out the inner scratch.
 fn sync_scratch<'a>(served: &Served, scratch: &'a mut LiveScratch) -> &'a mut ShardedScratch {
@@ -685,20 +678,14 @@ fn sync_scratch<'a>(served: &Served, scratch: &'a mut LiveScratch) -> &'a mut Sh
     &mut scratch.inner
 }
 
-impl SummaryBackend for LiveSummary {
+/// Every probe runs on one pinned snapshot: a fold landing mid-probe
+/// publishes a new mixture beside it, never under it, so one probe's answer
+/// — all the rows of one `SampleAt` included — comes from one epoch.
+impl ShardProbe for LiveSummary {
     type Scratch = LiveScratch;
-    type SamplePlan = LivePlan;
-
-    fn schema(&self) -> &Schema {
-        &self.inner.schema
-    }
 
     fn n(&self) -> u64 {
         self.inner.snapshot().mixture.n()
-    }
-
-    fn domain_sizes(&self) -> &[usize] {
-        &self.inner.domain_sizes
     }
 
     fn make_scratch(&self) -> LiveScratch {
@@ -709,88 +696,21 @@ impl SummaryBackend for LiveSummary {
         }
     }
 
-    fn probability_under_mask(&self, mask: &Mask, scratch: &mut LiveScratch) -> Result<f64> {
+    fn probe(&self, request: &ProbeRequest, scratch: &mut LiveScratch) -> Result<ProbeResponse> {
         let served = self.inner.snapshot();
         served
             .mixture
-            .probability_under_mask(mask, sync_scratch(&served, scratch))
+            .probe(request, sync_scratch(&served, scratch))
+    }
+}
+
+impl SummaryBackend for LiveSummary {
+    fn schema(&self) -> &Schema {
+        &self.inner.schema
     }
 
-    fn count_under_mask(&self, mask: &Mask, scratch: &mut LiveScratch) -> Result<Estimate> {
-        let served = self.inner.snapshot();
-        served
-            .mixture
-            .count_under_mask(mask, sync_scratch(&served, scratch))
-    }
-
-    fn probabilities_under_masks(
-        &self,
-        masks: &[Mask],
-        scratch: &mut LiveScratch,
-    ) -> Result<Vec<f64>> {
-        let served = self.inner.snapshot();
-        served
-            .mixture
-            .probabilities_under_masks(masks, sync_scratch(&served, scratch))
-    }
-
-    fn counts_under_masks(
-        &self,
-        masks: &[Mask],
-        scratch: &mut LiveScratch,
-    ) -> Result<Vec<Estimate>> {
-        let served = self.inner.snapshot();
-        served
-            .mixture
-            .counts_under_masks(masks, sync_scratch(&served, scratch))
-    }
-
-    fn sum_under_mask(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut LiveScratch,
-    ) -> Result<Estimate> {
-        let served = self.inner.snapshot();
-        served
-            .mixture
-            .sum_under_mask(base, attr, values, sync_scratch(&served, scratch))
-    }
-
-    fn group_by_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut LiveScratch,
-    ) -> Result<Vec<Estimate>> {
-        let served = self.inner.snapshot();
-        served
-            .mixture
-            .group_by_under_mask(mask, attr, sync_scratch(&served, scratch))
-    }
-
-    fn plan_samples(&self, k: usize, seed: u64) -> Result<LivePlan> {
-        let served = self.inner.snapshot();
-        let inner = served.mixture.plan_samples(k, seed)?;
-        Ok(LivePlan { served, inner })
-    }
-
-    fn sample_tuple(
-        &self,
-        plan: &LivePlan,
-        index: usize,
-        seed: u64,
-        row: &mut [u32],
-        scratch: &mut LiveScratch,
-    ) -> Result<()> {
-        plan.served.mixture.sample_tuple(
-            &plan.inner,
-            index,
-            seed,
-            row,
-            sync_scratch(&plan.served, scratch),
-        )
+    fn domain_sizes(&self) -> &[usize] {
+        &self.inner.domain_sizes
     }
 
     fn cache_stats(&self) -> Option<CacheStatsSnapshot> {

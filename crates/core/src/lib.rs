@@ -51,12 +51,12 @@
 //! | [`solver`] | §3.3 Alg. 1 | coordinate mirror descent + gradient baseline |
 //! | [`assignment`] | §4.2 | variable values, query masks |
 //! | [`model`] / [`query`] | §3.2, §4.2 | `MaxEntSummary`, estimates with variance |
-//! | [`plan`] | — | unified query IR (`QueryRequest`/`QueryResponse`) + wire encoding |
-//! | [`engine`] | — | `SummaryBackend` trait + generic `QueryEngine` (`execute`, scratch pool, batching) |
+//! | [`plan`] | — | query IR (`QueryRequest`/`QueryResponse`, predicates) + wire encoding; executed by `execute` |
+//! | [`probe`] | — | probe IR (`ProbeRequest`/`ProbeResponse`, masks) + wire encoding; executed by `probe` |
+//! | [`engine`] | — | generic `QueryEngine` (`execute`, `execute_batch`, `probe`, scratch pool), the `SummaryBackend` trait, and the typed surface `QueryApi` |
 //! | [`sharded`] | — | `ShardedSummary`: per-partition models with merged estimates |
 //! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, compaction, epochs) |
-//! | [`scatter`] | — | shard-source-agnostic gather layer (`ShardProbe::probe`, `gather`, the one merge, gather cache) |
-//! | [`probe`] | — | mask-level shard-probe IR (the one shard dispatch) + wire encoding |
+//! | [`scatter`] | — | `ShardProbe::probe` (the one evaluating method of every backend), `gather` (the one merge, the sample stratification), gather cache |
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |
 //! | [`serialize`] | §5 | text-format persistence |
@@ -88,7 +88,7 @@ pub mod wire;
 /// The types most users need.
 pub mod prelude {
     pub use crate::assignment::{Mask, VarAssignment};
-    pub use crate::engine::{AppendOutcome, QueryEngine, SummaryBackend};
+    pub use crate::engine::{AppendOutcome, QueryApi, QueryEngine, SummaryBackend};
     pub use crate::error::{ModelError, RemoteDetail, Result};
     pub use crate::factorized::{FactorizedPolynomial, FactorizedScratch};
     pub use crate::ingest::{IngestConfig, LiveSummary};

@@ -1,33 +1,34 @@
 //! The public summary type: build once, query interactively.
 //!
 //! [`MaxEntSummary`] packages the fitted model — statistics, compressed
-//! polynomial, solved variables — and implements the
-//! [`SummaryBackend`] estimator primitives of
-//! Sec. 3.2/4.2: every estimate is one masked evaluation of `P` (no
-//! polynomial rebuilding, no per-point expansion), multiplied by the
-//! precomputed constant `n / P`.
+//! polynomial, solved variables — and is the one *interpreter* of the
+//! probe IR: its [`ShardProbe::probe`] holds the only `match` over
+//! [`ProbeRequest`] variants that reaches a kernel. Every answer is one
+//! masked evaluation of `P` (Sec. 3.2/4.2: no polynomial rebuilding, no
+//! per-point expansion), multiplied by the precomputed constant `n / P`.
 //!
 //! The query *paths* (predicate validation, batching, fan-out, sampling
-//! orchestration) live in [`crate::engine`]; the inherent convenience API
-//! below routes through the same shared path functions a generic
-//! [`QueryEngine`](crate::engine::QueryEngine) uses, against a private pool
-//! of [`FactorizedScratch`] workspaces, so steady-state estimation allocates
-//! only the query mask. Batched entry points (`estimate_count_batch`,
-//! `estimate_group_by2`, `top_k_multi`, `sample_rows`) fan their independent
-//! cells out across threads (see [`crate::par`]), each cell drawing its own
-//! scratch from the pool. Parallel and serial execution return identical
+//! orchestration) live in [`crate::engine`]; the summary executes
+//! [`QueryRequest`]s through them against a private pool of
+//! [`FactorizedScratch`] workspaces, so steady-state estimation allocates
+//! only the query mask, and the typed convenience methods
+//! (`estimate_count`, `top_k`, `sample_rows`, …) are the provided methods
+//! of [`QueryApi`]. Parallel and serial execution return identical
 //! estimates.
 
 use crate::assignment::{Mask, VarAssignment};
-use crate::engine::{ir, ScratchPool, SummaryBackend};
+use crate::engine::{paths, QueryApi, ScratchPool, SummaryBackend};
 use crate::error::{ModelError, Result};
 use crate::factorized::{FactorizedPolynomial, FactorizedScratch};
+use crate::plan::{QueryRequest, QueryResponse};
 use crate::polynomial::PolynomialSizeStats;
+use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::{count_estimate, weighted_estimate, Estimate};
 use crate::rng::{sample_weighted_scaled, SplitMix64};
+use crate::scatter::ShardProbe;
 use crate::solver::{solve, SolverConfig, SolverReport};
 use crate::statistics::{MultiDimStatistic, Statistics};
-use entropydb_storage::{AttrId, Predicate, Schema, Table};
+use entropydb_storage::{AttrId, Schema, Table};
 use std::sync::OnceLock;
 
 /// A queryable maximum-entropy summary of one relation.
@@ -230,171 +231,35 @@ impl MaxEntSummary {
         })
     }
 
-    /// The model probability that a single tuple draw satisfies `pred`:
-    /// `p = P[masked] / P` (Sec. 4.2).
-    pub fn probability(&self, pred: &Predicate) -> Result<f64> {
-        ir::probability(self, &self.scratch, pred)
-    }
-
-    /// Estimates `SELECT COUNT(*) WHERE pred` with its Binomial variance.
-    pub fn estimate_count(&self, pred: &Predicate) -> Result<Estimate> {
-        ir::estimate_count(self, &self.scratch, pred)
-    }
-
-    /// Estimates one COUNT per predicate, fanning the batch out across
-    /// threads — the shape of a dashboard refresh or a high-traffic query
-    /// front-end. Identical to mapping [`MaxEntSummary::estimate_count`].
-    pub fn estimate_count_batch(&self, preds: &[Predicate]) -> Result<Vec<Estimate>> {
-        ir::estimate_count_batch(self, &self.scratch, preds)
-    }
-
-    /// Estimates `SELECT SUM(value(attr)) WHERE pred`, where the per-row
-    /// value is the attribute's bucket midpoint (binned attributes) or the
-    /// dense code itself (categorical attributes — useful when codes are
-    /// meaningful ordinals).
-    pub fn estimate_sum(&self, pred: &Predicate, attr: AttrId) -> Result<Estimate> {
-        ir::estimate_sum(self, &self.scratch, pred, attr)
-    }
-
-    /// Estimates `SELECT AVG(value(attr)) WHERE pred` as the ratio of the
-    /// SUM and COUNT estimates. Returns `None` when the model gives the
-    /// predicate zero probability.
-    pub fn estimate_avg(&self, pred: &Predicate, attr: AttrId) -> Result<Option<f64>> {
-        ir::estimate_avg(self, &self.scratch, pred, attr)
-    }
-
-    /// Estimates `SELECT attr, COUNT(*) WHERE pred GROUP BY attr` for every
-    /// value of `attr` in one batched derivative pass (`E[v] = n·α_v·P_{α_v}
-    /// [masked] / P`, Eq. 8 under the query mask).
-    pub fn estimate_group_by(&self, pred: &Predicate, attr: AttrId) -> Result<Vec<Estimate>> {
-        ir::estimate_group_by(self, &self.scratch, pred, attr)
-    }
-
-    /// Estimates the two-attribute group-by
-    /// `SELECT attr_a, attr_b, COUNT(*) WHERE pred GROUP BY attr_a, attr_b`.
-    /// Returns `rows[v_b][v_a]`: one batched derivative pass per `attr_b`
-    /// cell, with the cells fanned out across threads.
-    pub fn estimate_group_by2(
-        &self,
-        pred: &Predicate,
-        attr_a: AttrId,
-        attr_b: AttrId,
-    ) -> Result<Vec<Vec<Estimate>>> {
-        ir::estimate_group_by2(self, &self.scratch, pred, attr_a, attr_b)
-    }
-
-    /// `SELECT attr, COUNT(*) ... GROUP BY attr ORDER BY count DESC LIMIT k`
-    /// — the paper's Sec. 3.1 example query shape.
-    pub fn top_k(&self, pred: &Predicate, attr: AttrId, k: usize) -> Result<Vec<(u32, Estimate)>> {
-        ir::top_k(self, &self.scratch, pred, attr, k)
-    }
-
-    /// Top-k per attribute for several candidate attributes at once — the
-    /// "top values of every column" dashboard sweep. Candidates are scored
-    /// in parallel; element `i` is `top_k(pred, attrs[i], k)`.
-    pub fn top_k_multi(
-        &self,
-        pred: &Predicate,
-        attrs: &[AttrId],
-        k: usize,
-    ) -> Result<Vec<Vec<(u32, Estimate)>>> {
-        ir::top_k_multi(self, &self.scratch, pred, attrs, k)
-    }
-
-    /// Draws `k` synthetic tuples from the fitted MaxEnt distribution
-    /// (an extension: the summary doubles as a privacy-friendly synthetic
-    /// data generator). Tuples are sampled by sequential conditionals: the
-    /// distribution of attribute `i` given fixed earlier attributes is
-    /// `P(A_i = v | fixed) ∝ α_{i,v} · ∂P[masked]/∂α_{i,v}` — one batched
-    /// derivative pass per attribute per tuple.
-    ///
-    /// Each tuple draws from its own seed-derived SplitMix64 stream, so the
-    /// output is deterministic in `seed` and independent of how the tuples
-    /// are fanned out across threads.
-    pub fn sample_rows(&self, k: usize, seed: u64) -> Result<Table> {
-        ir::sample_rows(self, &self.scratch, k, seed)
-    }
-}
-
-/// Weyl-sequence increment giving every sampled tuple a distinct SplitMix64
-/// stream derived only from `(seed, tuple index)`.
-pub(crate) const SAMPLE_STREAM_WEYL: u64 = 0xD1B54A32D192ED03;
-
-/// The SplitMix64 stream of sampled tuple `index` under `seed`. Shared by
-/// every backend so a tuple's randomness never depends on which shard or
-/// thread draws it.
-pub(crate) fn sample_stream(seed: u64, index: usize) -> SplitMix64 {
-    SplitMix64::new(seed.wrapping_add((index as u64 + 1).wrapping_mul(SAMPLE_STREAM_WEYL)))
-}
-
-impl SummaryBackend for MaxEntSummary {
-    type Scratch = FactorizedScratch;
-    type SamplePlan = ();
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn n(&self) -> u64 {
-        self.stats.n()
-    }
-
-    fn domain_sizes(&self) -> &[usize] {
-        self.stats.domain_sizes()
-    }
-
-    fn make_scratch(&self) -> FactorizedScratch {
-        self.poly.make_scratch()
-    }
-
-    /// `P[masked] / P`, clamped into `[0, 1]`. Single-attribute point masks
-    /// are served from the lazily-filled marginal cache; everything else
-    /// runs the masked-eval kernel. Both paths return identical bits.
-    fn probability_under_mask(&self, mask: &Mask, s: &mut FactorizedScratch) -> Result<f64> {
-        if let Some((attr, v)) = single_point_mask(mask) {
-            let raw = self.marginal_row(attr, s)[v];
-            return Ok((raw / self.p_full).clamp(0.0, 1.0));
-        }
-        Ok((self.poly.eval_masked_with(&self.assignment, mask, s) / self.p_full).clamp(0.0, 1.0))
-    }
-
-    fn count_under_mask(&self, mask: &Mask, s: &mut FactorizedScratch) -> Result<Estimate> {
-        Ok(count_estimate(
-            self.n(),
-            self.probability_under_mask(mask, s)?,
-        ))
+    /// `P[masked] / P`, clamped into `[0, 1]` (Sec. 4.2). Single-attribute
+    /// point masks are served from the lazily-filled marginal cache;
+    /// everything else runs the masked-eval kernel. Both paths return
+    /// identical bits.
+    fn masked_probability(&self, mask: &Mask, s: &mut FactorizedScratch) -> f64 {
+        let raw = match single_point_mask(mask) {
+            Some((attr, v)) => self.marginal_row(attr, s)[v],
+            None => self.poly.eval_masked_with(&self.assignment, mask, s),
+        };
+        (raw / self.p_full).clamp(0.0, 1.0)
     }
 
     /// Fused batched probability: one slab traversal answers the whole mask
     /// batch (in chunks of [`crate::polynomial::MAX_FUSED_LANES`]), bitwise
     /// identical to the sequential per-mask loop.
-    fn probabilities_under_masks(
-        &self,
-        masks: &[Mask],
-        s: &mut FactorizedScratch,
-    ) -> Result<Vec<f64>> {
+    fn masked_probabilities(&self, masks: &[Mask], s: &mut FactorizedScratch) -> Vec<f64> {
         let mut raw = vec![0.0; masks.len()];
         self.poly
             .eval_masked_many_with(&self.assignment, masks, s, &mut raw);
-        Ok(raw
-            .into_iter()
-            .map(|v| (v / self.p_full).clamp(0.0, 1.0))
-            .collect())
+        for p in &mut raw {
+            *p = (*p / self.p_full).clamp(0.0, 1.0);
+        }
+        raw
     }
 
-    fn counts_under_masks(
-        &self,
-        masks: &[Mask],
-        s: &mut FactorizedScratch,
-    ) -> Result<Vec<Estimate>> {
-        Ok(self
-            .probabilities_under_masks(masks, s)?
-            .into_iter()
-            .map(|p| count_estimate(self.n(), p))
-            .collect())
-    }
-
-    fn sum_under_mask(
+    /// `SELECT SUM(values[code(attr)])` under the `base` COUNT mask:
+    /// `values` holds the per-code numeric weight of `attr`, and the two
+    /// weighted masks give the first and second moments.
+    fn masked_sum(
         &self,
         base: &Mask,
         attr: AttrId,
@@ -410,41 +275,39 @@ impl SummaryBackend for MaxEntSummary {
     }
 
     /// The batched group-by pass: one fused derivative evaluation yields
-    /// every cell of the grouped attribute.
-    fn group_by_under_mask(
+    /// every cell of the grouped attribute (`E[v] = n·α_v·P_{α_v}[masked] /
+    /// P`, Eq. 8 under the query mask).
+    fn masked_group_by(
         &self,
         mask: &Mask,
         attr: AttrId,
         s: &mut FactorizedScratch,
-    ) -> Result<Vec<Estimate>> {
+    ) -> Vec<Estimate> {
         let (_, derivs) =
             self.poly
                 .eval_with_attr_derivatives_with(&self.assignment, mask, attr.0, s);
-        Ok(derivs
+        derivs
             .iter()
             .enumerate()
             .map(|(v, &d)| {
                 let p = (self.assignment.one_dim[attr.0][v] * d / self.p_full).clamp(0.0, 1.0);
                 count_estimate(self.n(), p)
             })
-            .collect())
+            .collect()
     }
 
-    fn plan_samples(&self, _k: usize, _seed: u64) -> Result<()> {
-        Ok(())
-    }
-
-    fn sample_tuple(
-        &self,
-        _plan: &(),
-        index: usize,
-        seed: u64,
-        row: &mut [u32],
-        s: &mut FactorizedScratch,
-    ) -> Result<()> {
+    /// Draws synthetic tuple `index` of a `sample_rows(_, seed)` call from
+    /// the fitted MaxEnt distribution (an extension: the summary doubles as
+    /// a privacy-friendly synthetic data generator) by sequential
+    /// conditionals: the distribution of attribute `i` given fixed earlier
+    /// attributes is `P(A_i = v | fixed) ∝ α_{i,v} · ∂P[masked]/∂α_{i,v}` —
+    /// one batched derivative pass per attribute. The tuple draws from its
+    /// own `(seed, index)`-derived SplitMix64 stream.
+    fn draw_tuple(&self, index: u64, seed: u64, s: &mut FactorizedScratch) -> Result<Vec<u32>> {
         let sizes = self.stats.domain_sizes();
         let mut rng = sample_stream(seed, index);
         let mut mask = Mask::identity(sizes.len());
+        let mut row = vec![0u32; sizes.len()];
         for attr in 0..sizes.len() {
             let (_, derivs) =
                 self.poly
@@ -456,7 +319,91 @@ impl SummaryBackend for MaxEntSummary {
             row[attr] = v;
             mask.restrict_in_place(AttrId(attr), v, sizes[attr]);
         }
-        Ok(())
+        Ok(row)
+    }
+}
+
+/// Weyl-sequence increment giving every sampled tuple a distinct SplitMix64
+/// stream derived only from `(seed, tuple index)`.
+const SAMPLE_STREAM_WEYL: u64 = 0xD1B54A32D192ED03;
+
+/// The SplitMix64 stream of sampled tuple `index` under `seed` — never a
+/// function of which shard or thread draws it.
+fn sample_stream(seed: u64, index: u64) -> SplitMix64 {
+    SplitMix64::new(seed.wrapping_add((index + 1).wrapping_mul(SAMPLE_STREAM_WEYL)))
+}
+
+/// A fitted model is the leaf of every probe path: it validates the
+/// request's shapes (it is about to index by them) and runs the kernel the
+/// variant names. A served node answers a decoded `b1` line here, and an
+/// in-process shard of a mixture runs the same code on the gatherer's
+/// scratch.
+impl ShardProbe for MaxEntSummary {
+    type Scratch = FactorizedScratch;
+
+    fn n(&self) -> u64 {
+        self.stats.n()
+    }
+
+    fn make_scratch(&self) -> FactorizedScratch {
+        self.poly.make_scratch()
+    }
+
+    fn probe(&self, request: &ProbeRequest, s: &mut FactorizedScratch) -> Result<ProbeResponse> {
+        request.validate(self.stats.domain_sizes())?;
+        let count = |p: f64| count_estimate(self.n(), p);
+        Ok(match request {
+            ProbeRequest::Probability { mask } => {
+                ProbeResponse::Probability(self.masked_probability(mask, s))
+            }
+            ProbeRequest::Count { mask } => {
+                ProbeResponse::Estimate(count(self.masked_probability(mask, s)))
+            }
+            ProbeRequest::ProbabilityMany { masks } => {
+                ProbeResponse::Probabilities(self.masked_probabilities(masks, s))
+            }
+            ProbeRequest::CountMany { masks } => {
+                let ps = self.masked_probabilities(masks, s);
+                ProbeResponse::Estimates(ps.into_iter().map(count).collect())
+            }
+            ProbeRequest::Sum { mask, attr, values } => {
+                ProbeResponse::Estimate(self.masked_sum(mask, *attr, values, s)?)
+            }
+            ProbeRequest::GroupBy { mask, attr } => {
+                ProbeResponse::Groups(self.masked_group_by(mask, *attr, s))
+            }
+            ProbeRequest::SampleAt { seed, indices, .. } => ProbeResponse::Rows {
+                arity: self.stats.domain_sizes().len(),
+                rows: indices
+                    .iter()
+                    .map(|&i| self.draw_tuple(i, *seed, s))
+                    .collect::<Result<_>>()?,
+            },
+        })
+    }
+}
+
+impl SummaryBackend for MaxEntSummary {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn domain_sizes(&self) -> &[usize] {
+        self.stats.domain_sizes()
+    }
+}
+
+impl QueryApi for MaxEntSummary {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn execute(&self, request: &QueryRequest) -> Result<QueryResponse> {
+        paths::execute(self, &self.scratch, request)
+    }
+
+    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
+        paths::execute_batch(self, &self.scratch, requests)
     }
 }
 
@@ -464,7 +411,7 @@ impl SummaryBackend for MaxEntSummary {
 mod tests {
     use super::*;
     use crate::naive::NaivePolynomial;
-    use entropydb_storage::{exec, Attribute, Binner, Schema};
+    use entropydb_storage::{exec, Attribute, Binner, Predicate, Schema};
 
     fn a(i: usize) -> AttrId {
         AttrId(i)
@@ -716,7 +663,7 @@ mod tests {
 mod sampling_tests {
     use super::*;
     use crate::naive::NaivePolynomial;
-    use entropydb_storage::{Attribute, Schema};
+    use entropydb_storage::{Attribute, Predicate, Schema};
 
     fn a(i: usize) -> AttrId {
         AttrId(i)

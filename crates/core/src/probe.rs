@@ -1,15 +1,19 @@
-//! The shard-probe IR: mask-level requests a scatter/gather gatherer sends
-//! to one shard node.
+//! The probe IR: the one mask-level question, and its one execution method.
 //!
 //! The query IR ([`crate::plan`]) speaks *predicates* — the currency of
-//! clients. Shard fan-out speaks *masks*: the gatherer validates a
-//! predicate once, translates it into a [`Mask`], and asks every shard the
-//! same masked evaluation. A [`ProbeRequest`] *is* that question — one
-//! request, built once per query and borrowed by every shard, whether the
-//! shard is an in-process model or a node across the wire
-//! ([`ShardProbe::probe`](crate::scatter::ShardProbe::probe)); both run the
-//! one dispatch below ([`execute`]), so a remote scatter/gather backend
-//! answers bitwise-identically to an in-process
+//! clients — and is executed by `execute`
+//! ([`QueryEngine::execute`](crate::engine::QueryEngine::execute)). Below
+//! it every backend speaks *masks*: the engine validates a predicate once,
+//! translates it into a [`Mask`], and asks the backend one masked
+//! evaluation (Sec. 4.2: zero the variables the predicate excludes and
+//! evaluate `P`). A [`ProbeRequest`] *is* that question, and
+//! [`ShardProbe::probe`](crate::scatter::ShardProbe::probe) is the only
+//! method that answers it: a fitted model interprets it
+//! ([`MaxEntSummary`](crate::model::MaxEntSummary) holds the one `match`
+//! that reaches a kernel), a mixture forwards the borrowed request to
+//! [`scatter::gather`](crate::scatter::gather), and a node across the wire
+//! is sent the same value as a `b1` line — so a remote scatter/gather
+//! backend answers bitwise-identically to an in-process
 //! [`ShardedSummary`](crate::sharded::ShardedSummary). A top-k is not a
 //! probe: every backend ranks the (merged) `group` answer once.
 //!
@@ -39,8 +43,8 @@
 //! ```
 //!
 //! `probm` / `countm` are the fused-batch probes: one line carries a whole
-//! mask batch, the shard answers it through the backend's batched
-//! primitives (one fused slab traversal per
+//! mask batch, the shard model answers it with its fused multi-mask kernel
+//! (one fused slab traversal per
 //! [`MAX_FUSED_LANES`](crate::polynomial::MAX_FUSED_LANES)-mask chunk), and
 //! the answers come back in mask order — bitwise-identical to sending the
 //! masks one probe at a time.
@@ -48,7 +52,8 @@
 //! `sample k seed n index*` draws the tuples at the given *global* indices
 //! of a `sample_rows(k, seed)` call: every backend derives a tuple's
 //! randomness only from `(seed, index)`, so a shard node reproduces exactly
-//! the rows the gatherer's stratification assigned to it.
+//! the rows the gatherer's stratification assigned to it, and a full draw
+//! is the same probe over `0..k`.
 //!
 //! Every probe is one wire line, so a single probe's encoding must fit the
 //! serving layer's line cap (`MAX_LINE_BYTES`, 1 MiB): one mask costs a
@@ -56,7 +61,6 @@
 //! for domains into the tens of thousands of buckets per attribute.
 
 use crate::assignment::Mask;
-use crate::engine::{ScratchPool, SummaryBackend};
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::plan::read_estimate;
 use crate::query::Estimate;
@@ -77,8 +81,8 @@ pub enum ProbeRequest {
         /// The query mask.
         mask: Mask,
     },
-    /// One tuple-draw probability per mask, answered through the backend's
-    /// fused batched primitive — one wire line per mask batch.
+    /// One tuple-draw probability per mask, answered by the model's fused
+    /// multi-mask kernel — one wire line per mask batch.
     ProbabilityMany {
         /// The query masks, answered in order.
         masks: Vec<Mask>,
@@ -107,8 +111,8 @@ pub enum ProbeRequest {
     },
     /// Draw the tuples at `indices` of a `sample_rows(k, seed)` call.
     SampleAt {
-        /// Total draw count of the originating call (shapes the backend's
-        /// sample plan; indices must be `< k`).
+        /// Total draw count of the originating call (a mixture stratifies
+        /// `0..k` across its shards by it; indices must be `< k`).
         k: usize,
         /// The sampling seed.
         seed: u64,
@@ -140,6 +144,42 @@ pub enum ProbeResponse {
 }
 
 impl ProbeRequest {
+    /// Checks the request's shapes against a backend's active-domain
+    /// sizes: mask arity and weight-vector lengths, attribute bounds, the
+    /// SUM value-vector length, and sample indices `< k`. Probes bypass the
+    /// engine's predicate validation by design, so this runs wherever
+    /// outside bytes enter ([`QueryEngine::probe`](crate::engine::QueryEngine::probe))
+    /// and in the leaf that indexes by these shapes
+    /// ([`MaxEntSummary`](crate::model::MaxEntSummary)'s `probe`).
+    pub fn validate(&self, sizes: &[usize]) -> Result<()> {
+        let shape = |ok: bool| ok.then_some(()).ok_or(ModelError::ShapeMismatch);
+        let check_mask = |mask: &Mask| {
+            shape(
+                mask.arity() == sizes.len()
+                    && sizes.iter().enumerate().all(|(attr, &size)| {
+                        mask.attr_weights(attr).is_none_or(|w| w.len() == size)
+                    }),
+            )
+        };
+        match self {
+            ProbeRequest::Probability { mask } | ProbeRequest::Count { mask } => check_mask(mask),
+            ProbeRequest::ProbabilityMany { masks } | ProbeRequest::CountMany { masks } => {
+                masks.iter().try_for_each(check_mask)
+            }
+            ProbeRequest::Sum { mask, attr, values } => {
+                check_mask(mask)?;
+                shape(sizes.get(attr.0) == Some(&values.len()))
+            }
+            ProbeRequest::GroupBy { mask, attr } => {
+                check_mask(mask)?;
+                shape(attr.0 < sizes.len())
+            }
+            ProbeRequest::SampleAt { k, indices, .. } => {
+                shape(indices.iter().all(|&i| i < *k as u64))
+            }
+        }
+    }
+
     /// Encodes the probe into its one-line wire form.
     pub fn encode(&self) -> String {
         let mut out = String::from("b1 ");
@@ -412,114 +452,12 @@ impl TryFrom<ProbeResponse> for Vec<Estimate> {
     }
 }
 
-/// Executes one probe against a backend on a pooled scratch — the one
-/// probe dispatch: a served node answers a decoded `b1` line here, and an
-/// in-process shard model ([`ShardProbe`](crate::scatter::ShardProbe) for
-/// [`MaxEntSummary`](crate::model::MaxEntSummary)) runs the same code on
-/// the gatherer's scratch. Shapes are validated (mask arity, attribute
-/// bounds, value-vector lengths, index bounds) because probes bypass the
-/// engine's predicate validation by design.
-pub fn execute<B: SummaryBackend>(
-    backend: &B,
-    pool: &ScratchPool<B::Scratch>,
-    request: &ProbeRequest,
-) -> Result<ProbeResponse> {
-    pool.with(
-        || backend.make_scratch(),
-        |scratch| execute_with(backend, request, scratch),
-    )
-}
-
-/// [`execute`] on a caller-supplied scratch.
-pub(crate) fn execute_with<B: SummaryBackend>(
-    backend: &B,
-    request: &ProbeRequest,
-    scratch: &mut B::Scratch,
-) -> Result<ProbeResponse> {
-    let sizes = backend.domain_sizes();
-    let check_mask = |mask: &Mask| -> Result<()> {
-        if mask.arity() != sizes.len() {
-            return Err(ModelError::ShapeMismatch);
-        }
-        for (attr, &size) in sizes.iter().enumerate() {
-            if let Some(w) = mask.attr_weights(attr) {
-                if w.len() != size {
-                    return Err(ModelError::ShapeMismatch);
-                }
-            }
-        }
-        Ok(())
-    };
-    let check_attr = |attr: AttrId| -> Result<()> {
-        if attr.0 < sizes.len() {
-            Ok(())
-        } else {
-            Err(ModelError::ShapeMismatch)
-        }
-    };
-    match request {
-        ProbeRequest::Probability { mask } => {
-            check_mask(mask)?;
-            backend
-                .probability_under_mask(mask, scratch)
-                .map(ProbeResponse::Probability)
-        }
-        ProbeRequest::Count { mask } => {
-            check_mask(mask)?;
-            backend
-                .count_under_mask(mask, scratch)
-                .map(ProbeResponse::Estimate)
-        }
-        ProbeRequest::ProbabilityMany { masks } => {
-            for mask in masks {
-                check_mask(mask)?;
-            }
-            backend
-                .probabilities_under_masks(masks, scratch)
-                .map(ProbeResponse::Probabilities)
-        }
-        ProbeRequest::CountMany { masks } => {
-            for mask in masks {
-                check_mask(mask)?;
-            }
-            backend
-                .counts_under_masks(masks, scratch)
-                .map(ProbeResponse::Estimates)
-        }
-        ProbeRequest::Sum { mask, attr, values } => {
-            check_mask(mask)?;
-            check_attr(*attr)?;
-            if values.len() != sizes[attr.0] {
-                return Err(ModelError::ShapeMismatch);
-            }
-            backend
-                .sum_under_mask(mask, *attr, values, scratch)
-                .map(ProbeResponse::Estimate)
-        }
-        ProbeRequest::GroupBy { mask, attr } => {
-            check_mask(mask)?;
-            check_attr(*attr)?;
-            backend
-                .group_by_under_mask(mask, *attr, scratch)
-                .map(ProbeResponse::Groups)
-        }
-        ProbeRequest::SampleAt { k, seed, indices } => {
-            for &i in indices {
-                if i >= *k as u64 {
-                    return Err(ModelError::ShapeMismatch);
-                }
-            }
-            let plan = backend.plan_samples(*k, *seed)?;
-            let arity = sizes.len();
-            let rows: Result<Vec<Vec<u32>>> = indices
-                .iter()
-                .map(|&i| {
-                    let mut row = vec![0u32; arity];
-                    backend.sample_tuple(&plan, i as usize, *seed, &mut row, scratch)?;
-                    Ok(row)
-                })
-                .collect();
-            Ok(ProbeResponse::Rows { arity, rows: rows? })
+impl TryFrom<ProbeResponse> for Vec<Vec<u32>> {
+    type Error = ModelError;
+    fn try_from(resp: ProbeResponse) -> Result<Vec<Vec<u32>>> {
+        match resp {
+            ProbeResponse::Rows { rows, .. } => Ok(rows),
+            _ => Err(unexpected_shape()),
         }
     }
 }

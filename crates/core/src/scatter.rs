@@ -1,16 +1,17 @@
 //! The shard-source-agnostic scatter/gather layer.
 //!
-//! A sharded backend asks every shard the same question and merges the
-//! answers. The question is a [`ProbeRequest`] — built once per query and
-//! borrowed by every shard — and a shard is anything that implements
-//! [`ShardProbe::probe`]: an in-process [`MaxEntSummary`], a TCP connection
-//! to a remote `entropydb-serve` instance, or either of them behind the
-//! gather cache ([`CachedProbe`]). [`gather`] is the one path from request
-//! to merged answer (peek every shard's cached answer, else fan the probes
-//! out, then merge), so the local sharded backend and a remote
-//! scatter/gather backend share every floating-point operation, which is
-//! what makes remote answers bitwise-identical to local ones — and a
-//! fully-cached answer is folded by the very code a fanned-out one is.
+//! Every backend answers the one mask-level question, a [`ProbeRequest`],
+//! through the one method [`ShardProbe::probe`]: a fitted
+//! [`MaxEntSummary`](crate::model::MaxEntSummary) interprets it, a TCP
+//! connection to a remote `entropydb-serve` instance ships it, the gather
+//! cache ([`CachedProbe`]) fronts either — and a *mixture* of shards
+//! answers it by forwarding the borrowed request to [`gather`], the one
+//! path from request to merged answer (peek every shard's cached answer,
+//! else fan the probes out, then merge). The local sharded backend and a
+//! remote scatter/gather backend therefore share every floating-point
+//! operation, which is what makes remote answers bitwise-identical to
+//! local ones — and a fully-cached answer is folded by the very code a
+//! fanned-out one is.
 //!
 //! The merge rules (see the module docs of [`crate::sharded`] for the
 //! statistical argument):
@@ -21,8 +22,9 @@
 //! * batches and group-by: cells add position-wise, folded in shard order;
 //! * top-k: rank the merged group-by
 //!   ([`rank_top_k`](crate::engine::rank_top_k)) — there is no top-k probe;
-//! * sampling: draws stratify across shards by largest-remainder
-//!   apportionment of shard cardinalities, with every tuple's stream
+//! * sampling: the draws `0..k` stratify across shards by largest-remainder
+//!   apportionment of shard cardinalities, each shard is sent only the
+//!   requested indices of its own stratum, and every tuple's stream is
 //!   derived only from `(seed, global index)`.
 //!
 //! A single shard bypasses every merge fold (the sole result is returned
@@ -37,10 +39,8 @@
 //! so swapping a shard's blob invalidates every cached answer for it.
 
 use crate::assignment::Mask;
-use crate::engine::SummaryBackend;
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::metrics::{CacheCounters, CacheStatsSnapshot};
-use crate::model::MaxEntSummary;
 use crate::par;
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
@@ -51,42 +51,29 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One shard, as seen by the gather side: it answers mask-level
-/// [`ProbeRequest`]s. Probing is fallible: in-process probes only fail on
-/// genuine shape errors, remote probes surface transport failures as
-/// [`ModelError::Remote`] with the failing shard named.
+/// Anything that answers mask-level [`ProbeRequest`]s: a fitted model, a
+/// remote node, a cached wrapper of either, or a mixture of them. `probe` is
+/// the only evaluating method a backend has. Probing is fallible:
+/// in-process probes only fail on genuine shape errors, remote probes
+/// surface transport failures as [`ModelError::Remote`] with the failing
+/// shard named.
 pub trait ShardProbe: Send + Sync {
     /// Per-probe reusable workspace (an evaluation scratch for in-process
     /// probes; unit for connection-pooled remote probes).
     type Scratch: Send;
 
-    /// This shard's relation cardinality `n_s`.
-    fn shard_n(&self) -> u64;
+    /// Relation cardinality `n` (of this shard, when it is one).
+    fn n(&self) -> u64;
 
     /// Builds a fresh probe workspace.
-    fn make_probe_scratch(&self) -> Self::Scratch;
+    fn make_scratch(&self) -> Self::Scratch;
 
-    /// Answers `request` in this shard's model. The response must
-    /// [answer](ProbeResponse::answers) the request.
+    /// Answers `request` in this backend's model. The response must
+    /// [answer](ProbeResponse::answers) the request. Sample draws derive
+    /// their randomness only from `(seed, index)` — never from call order or
+    /// thread identity — so sampling is deterministic however the indices
+    /// are fanned out.
     fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse>;
-}
-
-/// An in-process model is the canonical shard probe: it runs the same
-/// dispatch (and shape checks) a served node runs on a decoded `b1` line.
-impl ShardProbe for MaxEntSummary {
-    type Scratch = crate::factorized::FactorizedScratch;
-
-    fn shard_n(&self) -> u64 {
-        self.n()
-    }
-
-    fn make_probe_scratch(&self) -> Self::Scratch {
-        SummaryBackend::make_scratch(self)
-    }
-
-    fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse> {
-        crate::probe::execute_with(self, request, scratch)
-    }
 }
 
 // ======================= gather-side probe cache =======================
@@ -667,12 +654,12 @@ impl<'a, P: ShardProbe> CachedProbe<'a, P> {
 impl<P: ShardProbe> ShardProbe for CachedProbe<'_, P> {
     type Scratch = P::Scratch;
 
-    fn shard_n(&self) -> u64 {
-        self.inner.shard_n()
+    fn n(&self) -> u64 {
+        self.inner.n()
     }
 
-    fn make_probe_scratch(&self) -> Self::Scratch {
-        self.inner.make_probe_scratch()
+    fn make_scratch(&self) -> Self::Scratch {
+        self.inner.make_scratch()
     }
 
     fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse> {
@@ -765,13 +752,17 @@ pub fn add_estimates(a: Estimate, b: Estimate) -> Estimate {
 /// every shard has cached is merged right here, without entering the
 /// fan-out pool; otherwise the shards are probed in parallel (behind
 /// [`CachedProbe`] when there is a cache, keyed by one body built here).
-/// Either way the per-shard answers meet the same `merge`.
+/// Either way the per-shard answers meet the same `merge`. A sample draw
+/// is not merged but stratified (`gather_sample`).
 pub fn gather<P: ShardProbe>(
     probes: &[P],
     cache: Option<&GatherCache>,
     request: &ProbeRequest,
     scratches: &mut [P::Scratch],
 ) -> Result<ProbeResponse> {
+    if let ProbeRequest::SampleAt { k, seed, indices } = request {
+        return gather_sample(probes, *k, *seed, indices, scratches);
+    }
     let body = cache.and_then(|_| ProbeKeyBody::of(request));
     if let (Some(cache), Some(body)) = (cache, &body) {
         assert_eq!(probes.len(), cache.shards.len(), "one cache id per shard");
@@ -789,6 +780,62 @@ pub fn gather<P: ShardProbe>(
         .into_iter()
         .collect();
     merge(probes, request, &answers?)
+}
+
+/// The `SampleAt` arm of [`gather`]: the draws `0..k` are stratified across
+/// the shards (contiguous by shard, sized by [`proportional_quota`] of the
+/// cardinalities read from the shards now), each shard is sent the
+/// requested indices that fall in its stratum — a shard owed none is not
+/// probed, so it cannot fail or slow the draw — and the rows are put back
+/// in request order. Draws bypass the cache (see [`CachedProbe`]).
+fn gather_sample<P: ShardProbe>(
+    probes: &[P],
+    k: usize,
+    seed: u64,
+    indices: &[u64],
+    scratches: &mut [P::Scratch],
+) -> Result<ProbeResponse> {
+    let ns: Vec<u64> = probes.iter().map(P::n).collect();
+    let quota = proportional_quota(&ns, k);
+    let mut owed = vec![Vec::new(); probes.len()];
+    let mut positions = vec![Vec::new(); probes.len()];
+    for (pos, &index) in indices.iter().enumerate() {
+        let mut end = 0u64;
+        let shard = quota
+            .iter()
+            .position(|&q| {
+                end += q as u64;
+                index < end
+            })
+            .ok_or(ModelError::ShapeMismatch)?;
+        owed[shard].push(index);
+        positions[shard].push(pos);
+    }
+    let requests: Vec<ProbeRequest> = owed
+        .into_iter()
+        .map(|indices| ProbeRequest::SampleAt { k, seed, indices })
+        .collect();
+    let strata = fan_out(probes, scratches, |shard, probe, scratch| {
+        let request = &requests[shard];
+        if positions[shard].is_empty() {
+            return Ok(Vec::new());
+        }
+        let answer = probe.probe(request, scratch)?;
+        if !answer.answers(request) {
+            return Err(ModelError::Remote(RemoteDetail::message(
+                "shard answered an unexpected probe response shape",
+            )));
+        }
+        Vec::<Vec<u32>>::try_from(answer)
+    });
+    let mut rows = vec![Vec::new(); indices.len()];
+    for (stratum, positions) in strata.into_iter().zip(&positions) {
+        for (row, &pos) in stratum?.into_iter().zip(positions) {
+            rows[pos] = row;
+        }
+    }
+    let arity = rows.first().map_or(0, Vec::len);
+    Ok(ProbeResponse::Rows { arity, rows })
 }
 
 /// The probability cells of a response (one for a scalar).
@@ -832,7 +879,7 @@ fn merge<P: ShardProbe, R: Borrow<ProbeResponse>>(
     };
     Ok(match first {
         ProbeResponse::Probability(_) | ProbeResponse::Probabilities(_) => {
-            let ns: Vec<u64> = probes.iter().map(P::shard_n).collect();
+            let ns: Vec<u64> = probes.iter().map(P::n).collect();
             let n = ns.iter().sum::<u64>() as f64;
             let weights: Vec<f64> = ns.iter().map(|&n_s| n_s as f64 / n).collect();
             let mut mixed = (0..probabilities(first).len()).map(|cell| {
@@ -899,28 +946,6 @@ pub fn proportional_quota(weights: &[u64], k: usize) -> Vec<usize> {
     quota
 }
 
-/// The stratified shard assignment of a `sample_rows(k, ..)` call: element
-/// `i` is the shard that draws global tuple `i` (contiguous by shard, sized
-/// by largest-remainder apportionment of the shard cardinalities `ns`).
-pub fn sample_assignment(ns: &[u64], k: usize) -> Vec<u32> {
-    let quota = proportional_quota(ns, k);
-    let mut plan = Vec::with_capacity(k);
-    for (shard, &q) in quota.iter().enumerate() {
-        plan.extend(std::iter::repeat_n(shard as u32, q));
-    }
-    plan
-}
-
-/// Groups a [`sample_assignment`] into per-shard global-index lists (the
-/// per-shard [`ProbeRequest::SampleAt`] index lists).
-pub fn shard_index_lists(assignment: &[u32], num_shards: usize) -> Vec<Vec<u64>> {
-    let mut lists = vec![Vec::new(); num_shards];
-    for (i, &shard) in assignment.iter().enumerate() {
-        lists[shard as usize].push(i as u64);
-    }
-    lists
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,6 +960,8 @@ mod tests {
         calls: AtomicUsize,
         delay: Duration,
         fail: bool,
+        /// Every sample index this shard was asked to draw, in arrival order.
+        sampled: Mutex<Vec<u64>>,
     }
 
     impl CountingProbe {
@@ -944,6 +971,7 @@ mod tests {
                 calls: AtomicUsize::new(0),
                 delay: Duration::ZERO,
                 fail: false,
+                sampled: Mutex::new(Vec::new()),
             }
         }
 
@@ -964,11 +992,11 @@ mod tests {
     impl ShardProbe for CountingProbe {
         type Scratch = ();
 
-        fn shard_n(&self) -> u64 {
+        fn n(&self) -> u64 {
             self.n
         }
 
-        fn make_probe_scratch(&self) {}
+        fn make_scratch(&self) {}
 
         fn probe(&self, request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
             self.calls.fetch_add(1, Ordering::SeqCst);
@@ -996,10 +1024,13 @@ mod tests {
                     1.0,
                 )),
                 ProbeRequest::GroupBy { mask, .. } => ProbeResponse::Groups(vec![e(mask)]),
-                ProbeRequest::SampleAt { indices, .. } => ProbeResponse::Rows {
-                    arity: 1,
-                    rows: indices.iter().map(|&i| vec![i as u32]).collect(),
-                },
+                ProbeRequest::SampleAt { indices, .. } => {
+                    lock(&self.sampled).extend(indices);
+                    ProbeResponse::Rows {
+                        arity: 1,
+                        rows: indices.iter().map(|&i| vec![i as u32]).collect(),
+                    }
+                }
             })
         }
     }
@@ -1247,16 +1278,41 @@ mod tests {
         assert_eq!(proportional_quota(&[0, 0], 4), vec![4, 0]);
     }
 
+    /// A sparse draw through [`gather`]: each shard is sent only the
+    /// requested indices of its own stratum, a shard owed none is never
+    /// probed, and the rows come back in request order.
     #[test]
-    fn assignment_round_trips_through_index_lists() {
-        let plan = sample_assignment(&[6, 3, 1], 10);
-        assert_eq!(plan.len(), 10);
-        let lists = shard_index_lists(&plan, 3);
-        assert_eq!(lists.iter().map(Vec::len).sum::<usize>(), 10);
-        for (shard, list) in lists.iter().enumerate() {
-            for &i in list {
-                assert_eq!(plan[i as usize] as usize, shard);
-            }
-        }
+    fn sparse_sample_reaches_only_the_owing_shards() {
+        // Strata of a 10-draw call over n = (6, 3, 1): 0..6, 6..9, 9..10.
+        let probes = [
+            CountingProbe::new(6),
+            CountingProbe::new(3),
+            CountingProbe::new(1),
+        ];
+        let sample = |indices: Vec<u64>| ProbeRequest::SampleAt {
+            k: 10,
+            seed: 5,
+            indices,
+        };
+        let mut scratches = [(), (), ()];
+        let answer = gather(&probes, None, &sample(vec![9, 0, 5, 3]), &mut scratches).unwrap();
+        let rows = Vec::<Vec<u32>>::try_from(answer).unwrap();
+        assert_eq!(rows, [[9], [0], [5], [3]], "rows in request order");
+        assert_eq!(*lock(&probes[0].sampled), [0, 5, 3]);
+        assert_eq!(probes[1].calls(), 0, "a shard owed no row is not probed");
+        assert_eq!(*lock(&probes[2].sampled), [9]);
+        // A dead shard that owes nothing cannot fail the draw; one that
+        // owes a row does, and an index past `k` is a shape error.
+        let dead = CountingProbe {
+            fail: true,
+            ..CountingProbe::new(3)
+        };
+        let probes = [CountingProbe::new(6), dead, CountingProbe::new(1)];
+        assert!(gather(&probes, None, &sample(vec![2, 9]), &mut scratches).is_ok());
+        assert!(gather(&probes, None, &sample(vec![2, 7]), &mut scratches).is_err());
+        assert_eq!(
+            gather(&probes, None, &sample(vec![10]), &mut scratches),
+            Err(ModelError::ShapeMismatch)
+        );
     }
 }

@@ -534,6 +534,7 @@ pub fn load_live_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryApi;
     use crate::solver::SolverConfig;
     use entropydb_storage::{AttrId, Attribute, Predicate, Table};
 

@@ -33,19 +33,17 @@
 //! so no floating-point operation is added (enforced by
 //! `crates/core/tests/sharded.rs`).
 
-use crate::assignment::Mask;
-use crate::engine::{ir, ScratchPool, SummaryBackend};
+use crate::engine::{paths, QueryApi, ScratchPool, SummaryBackend};
 use crate::error::{ModelError, Result};
 use crate::factorized::FactorizedScratch;
 use crate::model::MaxEntSummary;
 use crate::par;
+use crate::plan::{QueryRequest, QueryResponse};
 use crate::probe::{ProbeRequest, ProbeResponse};
-use crate::query::Estimate;
-use crate::scatter;
-use crate::scatter::{GatherCache, ShardCacheId};
+use crate::scatter::{self, GatherCache, ShardCacheId, ShardProbe};
 use crate::solver::SolverConfig;
 use crate::statistics::MultiDimStatistic;
-use entropydb_storage::{AttrId, Histogram1D, Partitioning, Predicate, Schema, Table};
+use entropydb_storage::{Histogram1D, Partitioning, Schema, Table};
 use std::sync::Arc;
 
 /// How [`ShardedSummary::build`] fits the per-shard models.
@@ -141,9 +139,7 @@ impl ShardedSummary {
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                ShardCacheId::new(crate::scatter::shard_identity_token(i, s.n(), &self.schema))
-            })
+            .map(|(i, s)| ShardCacheId::new(scatter::shard_identity_token(i, s.n(), &self.schema)))
             .collect();
         self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
         self
@@ -165,7 +161,7 @@ impl ShardedSummary {
             .enumerate()
             .map(|(i, s)| {
                 ShardCacheId::with_generation(
-                    crate::scatter::shard_identity_token(i, s.n(), &self.schema),
+                    scatter::shard_identity_token(i, s.n(), &self.schema),
                     Arc::clone(&generation),
                 )
             })
@@ -205,78 +201,6 @@ impl ShardedSummary {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Every mask-level primitive is this: ask each shard model the one
-    /// request (through the gather cache, when enabled) and merge.
-    fn gather(&self, request: ProbeRequest, scratch: &mut ShardedScratch) -> Result<ProbeResponse> {
-        scatter::gather(&self.shards, self.cache.as_deref(), &request, scratch)
-    }
-
-    // ---- Inherent query API (mirrors `MaxEntSummary`; same shared paths) ----
-
-    /// The mixture probability that a single tuple draw satisfies `pred`.
-    pub fn probability(&self, pred: &Predicate) -> Result<f64> {
-        ir::probability(self, &self.scratch, pred)
-    }
-
-    /// Estimates `SELECT COUNT(*) WHERE pred`; expectations and variances
-    /// are summed across shards.
-    pub fn estimate_count(&self, pred: &Predicate) -> Result<Estimate> {
-        ir::estimate_count(self, &self.scratch, pred)
-    }
-
-    /// Estimates one COUNT per predicate, fanning the batch out across
-    /// threads.
-    pub fn estimate_count_batch(&self, preds: &[Predicate]) -> Result<Vec<Estimate>> {
-        ir::estimate_count_batch(self, &self.scratch, preds)
-    }
-
-    /// Estimates `SELECT SUM(value(attr)) WHERE pred` (shard sums add).
-    pub fn estimate_sum(&self, pred: &Predicate, attr: AttrId) -> Result<Estimate> {
-        ir::estimate_sum(self, &self.scratch, pred, attr)
-    }
-
-    /// Estimates `SELECT AVG(value(attr)) WHERE pred` as merged SUM over
-    /// merged COUNT.
-    pub fn estimate_avg(&self, pred: &Predicate, attr: AttrId) -> Result<Option<f64>> {
-        ir::estimate_avg(self, &self.scratch, pred, attr)
-    }
-
-    /// Estimates the one-attribute group-by; cells merge by value.
-    pub fn estimate_group_by(&self, pred: &Predicate, attr: AttrId) -> Result<Vec<Estimate>> {
-        ir::estimate_group_by(self, &self.scratch, pred, attr)
-    }
-
-    /// Estimates the two-attribute group-by.
-    pub fn estimate_group_by2(
-        &self,
-        pred: &Predicate,
-        attr_a: AttrId,
-        attr_b: AttrId,
-    ) -> Result<Vec<Vec<Estimate>>> {
-        ir::estimate_group_by2(self, &self.scratch, pred, attr_a, attr_b)
-    }
-
-    /// Top-k: the merged group-by, ranked once.
-    pub fn top_k(&self, pred: &Predicate, attr: AttrId, k: usize) -> Result<Vec<(u32, Estimate)>> {
-        ir::top_k(self, &self.scratch, pred, attr, k)
-    }
-
-    /// Top-k per attribute for several candidate attributes at once.
-    pub fn top_k_multi(
-        &self,
-        pred: &Predicate,
-        attrs: &[AttrId],
-        k: usize,
-    ) -> Result<Vec<Vec<(u32, Estimate)>>> {
-        ir::top_k_multi(self, &self.scratch, pred, attrs, k)
-    }
-
-    /// Draws `k` synthetic tuples, stratified across shards proportionally
-    /// to shard cardinality; deterministic in `seed`.
-    pub fn sample_rows(&self, k: usize, seed: u64) -> Result<Table> {
-        ir::sample_rows(self, &self.scratch, k, seed)
     }
 }
 
@@ -334,106 +258,48 @@ pub fn fit_segment(
     }
 }
 
-impl SummaryBackend for ShardedSummary {
+/// A mixture answers a probe by asking each shard model the one borrowed
+/// request (through the gather cache, when enabled) and merging.
+impl ShardProbe for ShardedSummary {
     type Scratch = ShardedScratch;
-    /// Shard assignment per global tuple index (contiguous by shard, sized
-    /// by largest-remainder apportionment of the shard cardinalities).
-    type SamplePlan = Vec<u32>;
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
 
     fn n(&self) -> u64 {
         self.n
+    }
+
+    fn make_scratch(&self) -> ShardedScratch {
+        self.shards.iter().map(ShardProbe::make_scratch).collect()
+    }
+
+    fn probe(&self, request: &ProbeRequest, scratch: &mut ShardedScratch) -> Result<ProbeResponse> {
+        scatter::gather(&self.shards, self.cache.as_deref(), request, scratch)
+    }
+}
+
+impl SummaryBackend for ShardedSummary {
+    fn schema(&self) -> &Schema {
+        &self.schema
     }
 
     fn domain_sizes(&self) -> &[usize] {
         self.shards[0].statistics().domain_sizes()
     }
 
-    fn make_scratch(&self) -> ShardedScratch {
-        self.shards
-            .iter()
-            .map(SummaryBackend::make_scratch)
-            .collect()
-    }
-
-    fn probability_under_mask(&self, mask: &Mask, scratch: &mut ShardedScratch) -> Result<f64> {
-        let request = ProbeRequest::Probability { mask: mask.clone() };
-        self.gather(request, scratch)?.try_into()
-    }
-
-    fn count_under_mask(&self, mask: &Mask, scratch: &mut ShardedScratch) -> Result<Estimate> {
-        let request = ProbeRequest::Count { mask: mask.clone() };
-        self.gather(request, scratch)?.try_into()
-    }
-
-    fn probabilities_under_masks(
-        &self,
-        masks: &[Mask],
-        scratch: &mut ShardedScratch,
-    ) -> Result<Vec<f64>> {
-        let masks = masks.to_vec();
-        self.gather(ProbeRequest::ProbabilityMany { masks }, scratch)?
-            .try_into()
-    }
-
-    fn counts_under_masks(
-        &self,
-        masks: &[Mask],
-        scratch: &mut ShardedScratch,
-    ) -> Result<Vec<Estimate>> {
-        let masks = masks.to_vec();
-        self.gather(ProbeRequest::CountMany { masks }, scratch)?
-            .try_into()
-    }
-
-    fn sum_under_mask(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut ShardedScratch,
-    ) -> Result<Estimate> {
-        let (mask, values) = (base.clone(), values.to_vec());
-        self.gather(ProbeRequest::Sum { mask, attr, values }, scratch)?
-            .try_into()
-    }
-
-    fn group_by_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut ShardedScratch,
-    ) -> Result<Vec<Estimate>> {
-        let mask = mask.clone();
-        self.gather(ProbeRequest::GroupBy { mask, attr }, scratch)?
-            .try_into()
-    }
-
-    fn plan_samples(&self, k: usize, _seed: u64) -> Result<Vec<u32>> {
-        let ns: Vec<u64> = self.shards.iter().map(MaxEntSummary::n).collect();
-        Ok(scatter::sample_assignment(&ns, k))
-    }
-
-    /// Tuple `index` draws from its stratum's shard model, using the same
-    /// `(seed, global index)`-derived SplitMix64 stream every backend uses —
-    /// so a 1-shard summary samples bit-identical rows to the monolithic
-    /// model, and adding shards never perturbs another tuple's stream.
-    fn sample_tuple(
-        &self,
-        plan: &Vec<u32>,
-        index: usize,
-        seed: u64,
-        row: &mut [u32],
-        scratch: &mut ShardedScratch,
-    ) -> Result<()> {
-        let shard = plan[index] as usize;
-        self.shards[shard].sample_tuple(&(), index, seed, row, &mut scratch[shard])
-    }
-
     fn cache_stats(&self) -> Option<crate::metrics::CacheStatsSnapshot> {
         self.cache.as_ref().map(|cache| cache.snapshot())
+    }
+}
+
+impl QueryApi for ShardedSummary {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn execute(&self, request: &QueryRequest) -> Result<QueryResponse> {
+        paths::execute(self, &self.scratch, request)
+    }
+
+    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
+        paths::execute_batch(self, &self.scratch, requests)
     }
 }

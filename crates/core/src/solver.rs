@@ -62,9 +62,8 @@
 //! and sweeps — O(changed attribute) instead of O(all attributes) per
 //! pass. Refreshed rows are recomputed from the current variables, so the
 //! incremental slab is bitwise identical to a full refill at every point;
-//! `SolverConfig::resync_sweeps` adds a periodic full rebuild as a drift
-//! backstop and `incremental_refill: false` is the full-refill reference
-//! the incremental path is tested against. The tree sweep keeps no slab:
+//! `incremental_refill: false` is the full-refill reference the
+//! incremental path is tested against. The tree sweep keeps no slab:
 //! every pass recomputes its messages from the current variables.
 //!
 //! ### Component-local solving
@@ -116,13 +115,6 @@ pub struct SolverConfig {
     /// benches and the bitwise-equivalence tests; both paths produce
     /// bit-identical results by construction.
     pub incremental_refill: bool,
-    /// Closure components only: with `incremental_refill`, additionally
-    /// rebuild the whole slab every this many sweeps. Incremental rows are recomputed from the current
-    /// variables (not accumulated), so the resync is a drift *backstop*
-    /// rather than a correction — it bounds the blast radius should a caller
-    /// ever mutate variables without marking the row dirty. `0` disables
-    /// the periodic resync.
-    pub resync_sweeps: usize,
 }
 
 impl Default for SolverConfig {
@@ -139,7 +131,6 @@ impl Default for SolverConfig {
             tolerance: 1e-6,
             track_dual: false,
             incremental_refill: true,
-            resync_sweeps: 64,
         }
     }
 }
@@ -198,12 +189,6 @@ impl SolverConfigBuilder {
     /// Enables or disables incremental scratch refill.
     pub fn incremental_refill(mut self, incremental: bool) -> Self {
         self.config.incremental_refill = incremental;
-        self
-    }
-
-    /// Sets the periodic full-resync interval (0 disables).
-    pub fn resync_sweeps(mut self, sweeps: usize) -> Self {
-        self.config.resync_sweeps = sweeps;
         self
     }
 
@@ -318,7 +303,6 @@ struct ClosureSweep<'p> {
     poly: &'p CompressedPolynomial,
     scratch: EvalScratch,
     incremental: bool,
-    resync_sweeps: usize,
 }
 
 impl<'p> ClosureSweep<'p> {
@@ -327,7 +311,6 @@ impl<'p> ClosureSweep<'p> {
             poly,
             scratch: poly.make_scratch(),
             incremental: config.incremental_refill,
-            resync_sweeps: config.resync_sweeps,
         }
     }
 
@@ -347,11 +330,9 @@ impl<'p> ClosureSweep<'p> {
 
 impl SweepKernel for ClosureSweep<'_> {
     fn begin_sweep(&mut self, sweep: usize, one_dim: &[Vec<f64>]) {
-        // Establish the slab once; afterwards a periodic full resync is
-        // only a drift backstop (see `SolverConfig::resync_sweeps`).
-        let resync =
-            self.incremental && self.resync_sweeps > 0 && sweep.is_multiple_of(self.resync_sweeps);
-        if sweep == 0 || resync {
+        // Establish the slab once; every later pass refreshes the one row
+        // the pass before it dirtied.
+        if sweep == 0 {
             self.poly
                 .fill_scratch_with(&mut self.scratch, |i| (one_dim[i].as_slice(), None));
         }

@@ -1,8 +1,7 @@
 //! Property suite for the fused multi-mask evaluation paths.
 //!
-//! The fused kernel (`eval_masked_many_with`), the batched backend
-//! primitives (`probabilities_under_masks` / `counts_under_masks`), the
-//! marginal cache, and the batch-partitioning `execute_batch` path all
+//! The fused kernel (`eval_masked_many_with`), the batch probes
+//! (`ProbabilityMany` / `CountMany`), the marginal cache, and the batch-partitioning `execute_batch` path all
 //! promise the same thing: answers **bitwise-identical** to sequential
 //! per-mask evaluation, on every backend and at every thread count. These
 //! tests exercise that promise on SplitMix64/StdRng-seeded random
@@ -19,6 +18,9 @@ use entropydb_core::{assignment::VarAssignment, par, solver::SolverConfig};
 use entropydb_storage::{AttrId, Attribute, Partitioning, Predicate, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/probes.rs"]
+mod probes;
 
 fn a(i: usize) -> AttrId {
     AttrId(i)
@@ -204,38 +206,15 @@ fn batched_backend_primitives_bitwise_match_loop_across_threads() {
     }
 }
 
-/// Asserts `probabilities_under_masks` / `counts_under_masks` equal the
-/// sequential per-mask loop bitwise on `backend`, at every thread count.
+/// Asserts the fused batch probes (`ProbabilityMany` / `CountMany`) equal
+/// the sequential per-mask loop bitwise on `backend`, at every thread count.
 fn check_backend<B: SummaryBackend>(backend: &B, masks: &[Mask]) {
-    let mut s = backend.make_scratch();
-    let seq_p: Vec<u64> = masks
-        .iter()
-        .map(|mk| {
-            backend
-                .probability_under_mask(mk, &mut s)
-                .unwrap()
-                .to_bits()
-        })
-        .collect();
-    let seq_c: Vec<(u64, u64)> = masks
-        .iter()
-        .map(|mk| {
-            let e = backend.count_under_mask(mk, &mut s).unwrap();
-            (e.expectation.to_bits(), e.variance.to_bits())
-        })
-        .collect();
+    let sequential = probes::per_mask_answers(backend, masks);
     for threads in [1usize, 2, 4, 8] {
         par::set_max_threads(threads);
-        let ps = backend.probabilities_under_masks(masks, &mut s).unwrap();
-        let cs = backend.counts_under_masks(masks, &mut s).unwrap();
+        let fused = probes::fused_answers(backend, masks);
         par::set_max_threads(0);
-        let got_p: Vec<u64> = ps.iter().map(|p| p.to_bits()).collect();
-        let got_c: Vec<(u64, u64)> = cs
-            .iter()
-            .map(|e| (e.expectation.to_bits(), e.variance.to_bits()))
-            .collect();
-        assert_eq!(got_p, seq_p, "batched probabilities @ {threads} threads");
-        assert_eq!(got_c, seq_c, "batched counts @ {threads} threads");
+        assert_eq!(fused, sequential, "fused batch @ {threads} threads");
     }
 }
 

@@ -218,6 +218,55 @@ fn fold_matches_from_shards_at_1_2_4_base_shards() {
     }
 }
 
+/// One probe, one epoch: with a fold forced between two `SampleAt` probes
+/// of the same draw (on one reused scratch), the first probe's rows are the
+/// pre-fold mixture's and the second's the post-fold mixture's — a probe
+/// never mixes strata or models of two epochs.
+#[test]
+fn each_sample_probe_draws_from_one_epoch() {
+    let t = fixture_table(0x5EED, 400);
+    let batch = delta_batch(0xFEED, 300);
+    let base = build_base(&t, 2);
+    let before = ShardedSummary::from_shards(base.shards().to_vec()).unwrap();
+    let mut delta_table = Table::new(t.schema().clone());
+    for row in &batch {
+        delta_table.push_row(row).unwrap();
+    }
+    let delta = fit_segment(&delta_table, &fixture_stats(), &SolverConfig::default()).unwrap();
+    let mut models = base.shards().to_vec();
+    models.push(delta);
+    let after = ShardedSummary::from_shards(models).unwrap();
+    let live = LiveSummary::new(
+        base,
+        fixture_stats(),
+        SolverConfig::default(),
+        sync_config(),
+    )
+    .unwrap();
+
+    let run = |indices: std::ops::Range<u64>| ProbeRequest::SampleAt {
+        k: 64,
+        seed: 5,
+        indices: indices.collect(),
+    };
+    let reference = |mixture: &ShardedSummary, request: &ProbeRequest| {
+        mixture.probe(request, &mut mixture.make_scratch()).unwrap()
+    };
+    let mut scratch = live.make_scratch();
+    let first = live.probe(&run(0..32), &mut scratch).unwrap();
+    live.append_rows(&batch, None).unwrap();
+    live.flush().unwrap();
+    let second = live.probe(&run(32..64), &mut scratch).unwrap();
+
+    assert_eq!(first, reference(&before, &run(0..32)));
+    assert_eq!(second, reference(&after, &run(32..64)));
+    assert_ne!(
+        second,
+        reference(&before, &run(32..64)),
+        "the fold must be visible to the second probe"
+    );
+}
+
 /// Append-then-query tracks a monolithic rebuild over the grown relation:
 /// COUNT(*) is exact, and every 1D count stays within solver tolerance of
 /// the rebuilt model (both are exact on 1D statistics).

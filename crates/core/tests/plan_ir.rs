@@ -2,7 +2,7 @@
 //! requests, and `QueryEngine::execute` answers bit-identically to every
 //! typed surface on both backends.
 
-use entropydb_core::engine::QueryEngine;
+use entropydb_core::engine::{QueryApi, QueryEngine};
 use entropydb_core::model::MaxEntSummary;
 use entropydb_core::plan::{QueryRequest, QueryResponse};
 use entropydb_core::rng::SplitMix64;

@@ -12,13 +12,13 @@
 //! always an `Err`, never a panic or an allocation sized by the input.
 
 use entropydb_core::assignment::{Mask, VarAssignment};
-use entropydb_core::engine::SummaryBackend;
 use entropydb_core::error::ModelError;
 use entropydb_core::ingest::{IngestConfig, LiveSummary};
 use entropydb_core::model::MaxEntSummary;
 use entropydb_core::plan::{QueryRequest, QueryResponse};
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
 use entropydb_core::query::Estimate;
+use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize::{self, ClusterShard};
 use entropydb_core::sharded::ShardedSummary;
 use entropydb_core::solver::{SolverConfig, SolverReport};

@@ -38,6 +38,7 @@
 //! disconnected and joined).
 
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
+use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
 use entropydb_server::{serve_tuned, ReactorConfig, ServerConfig, ServerHandle};
 use std::io::BufRead;

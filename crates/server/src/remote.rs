@@ -1,5 +1,5 @@
 //! Shard-per-node placement: [`RemoteShardedSummary`], a
-//! [`SummaryBackend`] whose per-shard fan-out goes over the wire.
+//! [`SummaryBackend`] whose `probe` fans out over the wire.
 //!
 //! A [`ShardedSummary`](entropydb_core::sharded::ShardedSummary) fans
 //! queries out across in-process shard models through the
@@ -64,15 +64,13 @@
 use crate::client::{
     generate_append_token, transport_is_retryable, Client, ClientConfig, ClientError,
 };
-use entropydb_core::assignment::Mask;
 use entropydb_core::engine::{AppendOutcome, SummaryBackend};
 use entropydb_core::error::{ModelError, RemoteDetail, Result};
 use entropydb_core::metrics::{CacheStatsSnapshot, IngestStatsSnapshot};
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
-use entropydb_core::query::Estimate;
 use entropydb_core::scatter::{self, GatherCache, ShardCacheId, ShardProbe};
 use entropydb_core::serialize::ClusterShard;
-use entropydb_storage::{AttrId, Schema};
+use entropydb_storage::Schema;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -714,8 +712,7 @@ const PROBE_MASK_CHUNK: usize = 32;
 
 /// Splits a batch or sample request against the line cap: `None` when
 /// `request` is its own single frame; otherwise one frame per chunk — none
-/// at all for an empty batch, which is answered without touching the wire
-/// (a shard owed no rows cannot fail, or slow down, the draw).
+/// at all for an empty batch, which is answered without touching the wire.
 fn frames(request: &ProbeRequest) -> Option<Vec<ProbeRequest>> {
     fn chunked<T: Clone>(
         items: &[T],
@@ -782,11 +779,11 @@ impl ShardProbe for RemoteShard {
     /// per-call scratch.
     type Scratch = ();
 
-    fn shard_n(&self) -> u64 {
-        self.n()
+    fn n(&self) -> u64 {
+        RemoteShard::n(self)
     }
 
-    fn make_probe_scratch(&self) {}
+    fn make_scratch(&self) {}
 
     /// The one site that puts probe frames on the wire: `request` goes out
     /// as it is — borrowed, the same value every other shard is sent — or,
@@ -806,11 +803,22 @@ impl ShardProbe for RemoteShard {
             Some(_) => join(request, replies),
             None => replies.pop().expect("one reply per frame"),
         };
-        if reply.answers(request) {
-            Ok(reply)
-        } else {
-            Err(self.shape_error(&reply))
+        if !reply.answers(request) {
+            return Err(self.shape_error(&reply));
         }
+        // Drawn rows are placed into the answer as they come: their arity
+        // must be the cluster schema's.
+        if let (ProbeResponse::Rows { arity, rows }, Some(schema)) =
+            (&reply, self.expected_schema.get())
+        {
+            if !rows.is_empty() && *arity != schema.arity() {
+                return Err(self.named(format!(
+                    "answered a row of arity {arity} (schema arity {})",
+                    schema.arity()
+                )));
+            }
+        }
+        Ok(reply)
     }
 }
 
@@ -1034,13 +1042,6 @@ impl RemoteShardedSummary {
         self.shards.len()
     }
 
-    /// Every mask-level primitive is this: ask each shard the one request
-    /// (through the gather cache, when enabled) and merge — the code path
-    /// of the local backend, so answers match it bit for bit.
-    fn gather(&self, request: ProbeRequest, scratch: &mut [()]) -> Result<ProbeResponse> {
-        scatter::gather(&self.shards, self.cache.as_deref(), &request, scratch)
-    }
-
     /// The shard that owns the cluster's live delta: shard 0 by
     /// convention (clusters with a live node place it first, typically as
     /// a dynamic `n = 0` manifest entry). Appends route here; the other
@@ -1052,145 +1053,36 @@ impl RemoteShardedSummary {
     }
 }
 
-impl SummaryBackend for RemoteShardedSummary {
+/// The cluster answers a probe the way the local mixture does: ask each
+/// shard the one borrowed request (through the gather cache, when enabled)
+/// and merge — the local backend's code path, so answers match it bit for
+/// bit. With a probe cache, only the missing masks of a batch cross the
+/// wire; a sample draw costs one pipelined round per shard that owes rows.
+impl ShardProbe for RemoteShardedSummary {
     /// One (empty) probe scratch per shard — remote probe state is the
     /// connection pool, but the scatter fan-out still wants a slot each.
     type Scratch = Vec<()>;
-    /// The stratified assignment plus lazily fetched per-shard strata —
-    /// each contributing shard costs one pipelined round, on first touch.
-    type SamplePlan = RemoteSamplePlan;
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
 
     fn n(&self) -> u64 {
         RemoteShardedSummary::n(self)
-    }
-
-    fn domain_sizes(&self) -> &[usize] {
-        &self.domain_sizes
     }
 
     fn make_scratch(&self) -> Vec<()> {
         vec![(); self.shards.len()]
     }
 
-    fn probability_under_mask(&self, mask: &Mask, scratch: &mut Vec<()>) -> Result<f64> {
-        let request = ProbeRequest::Probability { mask: mask.clone() };
-        self.gather(request, scratch)?.try_into()
+    fn probe(&self, request: &ProbeRequest, scratch: &mut Vec<()>) -> Result<ProbeResponse> {
+        scatter::gather(&self.shards, self.cache.as_deref(), request, scratch)
+    }
+}
+
+impl SummaryBackend for RemoteShardedSummary {
+    fn schema(&self) -> &Schema {
+        &self.schema
     }
 
-    fn count_under_mask(&self, mask: &Mask, scratch: &mut Vec<()>) -> Result<Estimate> {
-        let request = ProbeRequest::Count { mask: mask.clone() };
-        self.gather(request, scratch)?.try_into()
-    }
-
-    /// With a probe cache, only the missing masks of the batch cross the
-    /// wire.
-    fn probabilities_under_masks(&self, masks: &[Mask], scratch: &mut Vec<()>) -> Result<Vec<f64>> {
-        let masks = masks.to_vec();
-        self.gather(ProbeRequest::ProbabilityMany { masks }, scratch)?
-            .try_into()
-    }
-
-    fn counts_under_masks(&self, masks: &[Mask], scratch: &mut Vec<()>) -> Result<Vec<Estimate>> {
-        let masks = masks.to_vec();
-        self.gather(ProbeRequest::CountMany { masks }, scratch)?
-            .try_into()
-    }
-
-    fn sum_under_mask(
-        &self,
-        base: &Mask,
-        attr: AttrId,
-        values: &[f64],
-        scratch: &mut Vec<()>,
-    ) -> Result<Estimate> {
-        let (mask, values) = (base.clone(), values.to_vec());
-        self.gather(ProbeRequest::Sum { mask, attr, values }, scratch)?
-            .try_into()
-    }
-
-    fn group_by_under_mask(
-        &self,
-        mask: &Mask,
-        attr: AttrId,
-        scratch: &mut Vec<()>,
-    ) -> Result<Vec<Estimate>> {
-        let mask = mask.clone();
-        self.gather(ProbeRequest::GroupBy { mask, attr }, scratch)?
-            .try_into()
-    }
-
-    /// Computes the stratified shard assignment (the same largest-remainder
-    /// plan the local backend computes) without touching the wire: strata
-    /// are fetched lazily, on first touch, by [`Self::sample_tuple`]. A
-    /// full `sample_rows` draw still costs one pipelined round per
-    /// contributing shard, while a sparse `SampleAt` probe served by a
-    /// gateway fetches only the strata it actually reads — a few-byte probe
-    /// line can no longer demand the whole `k`-row draw.
-    fn plan_samples(&self, k: usize, seed: u64) -> Result<RemoteSamplePlan> {
-        let ns: Vec<u64> = self.shards.iter().map(RemoteShard::n).collect();
-        let assignment = scatter::sample_assignment(&ns, k);
-        let index_lists = scatter::shard_index_lists(&assignment, self.shards.len());
-        let strata = (0..self.shards.len()).map(|_| Mutex::new(None)).collect();
-        Ok(RemoteSamplePlan {
-            k,
-            seed,
-            assignment,
-            index_lists,
-            strata,
-        })
-    }
-
-    /// Copies tuple `index` out of its shard's stratum, fetching the
-    /// stratum with one pipelined `SampleAt` probe on first touch. Tuple
-    /// streams are keyed on `(seed, global index)` on the shard side, so
-    /// the fetched rows are bitwise the rows the local backend would draw.
-    fn sample_tuple(
-        &self,
-        plan: &RemoteSamplePlan,
-        index: usize,
-        _seed: u64,
-        row: &mut [u32],
-        _scratch: &mut Vec<()>,
-    ) -> Result<()> {
-        let shard_idx = *plan
-            .assignment
-            .get(index)
-            .ok_or(ModelError::ShapeMismatch)? as usize;
-        let indices = &plan.index_lists[shard_idx];
-        // Index lists are built in ascending global order, so the row's
-        // position within the stratum is found by binary search.
-        let pos = indices
-            .binary_search(&(index as u64))
-            .map_err(|_| ModelError::ShapeMismatch)?;
-        let mut stratum = plan.strata[shard_idx].lock().expect("sample stratum lock");
-        if stratum.is_none() {
-            let request = ProbeRequest::SampleAt {
-                k: plan.k,
-                seed: plan.seed,
-                indices: indices.clone(),
-            };
-            let ProbeResponse::Rows { rows, .. } =
-                self.shards[shard_idx].probe(&request, &mut ())?
-            else {
-                unreachable!("a probe's reply answers its request")
-            };
-            for fetched in &rows {
-                if fetched.len() != row.len() {
-                    return Err(self.shards[shard_idx].named(format!(
-                        "answered a row of arity {} (schema arity {})",
-                        fetched.len(),
-                        row.len()
-                    )));
-                }
-            }
-            *stratum = Some(rows);
-        }
-        row.copy_from_slice(&stratum.as_ref().expect("stratum fetched")[pos]);
-        Ok(())
+    fn domain_sizes(&self) -> &[usize] {
+        &self.domain_sizes
     }
 
     fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
@@ -1237,20 +1129,4 @@ impl SummaryBackend for RemoteShardedSummary {
         owner.note_epoch(stats.epoch);
         Some(stats)
     }
-}
-
-/// The per-draw sample plan of the remote backend: the stratified shard
-/// assignment plus lazily fetched per-shard strata (see
-/// [`SummaryBackend::plan_samples`] on [`RemoteShardedSummary`]).
-#[derive(Debug)]
-pub struct RemoteSamplePlan {
-    k: usize,
-    seed: u64,
-    /// Shard per global tuple index.
-    assignment: Vec<u32>,
-    /// Ascending global indices per shard; positions align with the
-    /// fetched stratum rows.
-    index_lists: Vec<Vec<u64>>,
-    /// Fetched rows per shard, populated on first touch.
-    strata: Vec<Mutex<Option<Vec<Vec<u32>>>>>,
 }

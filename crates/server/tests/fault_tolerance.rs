@@ -14,6 +14,7 @@ use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::error::ModelError;
 use entropydb_core::plan::QueryRequest;
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
+use entropydb_core::query::Estimate;
 use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
 use entropydb_server::fault::{FaultMode, FaultProxy};
@@ -346,11 +347,15 @@ fn blob_swap_orphans_cached_answers_before_they_can_go_stale() {
     // repeat is a hit.
     let sizes = local.domain_sizes().to_vec();
     let mask = Mask::from_predicate(&Predicate::new().eq(a(0), 1), &sizes).unwrap();
+    let count = ProbeRequest::Count { mask };
     let mut scratch = remote.make_scratch();
-    let healthy = remote.count_under_mask(&mask, &mut scratch).unwrap();
+    let mut probe = |remote: &RemoteShardedSummary| {
+        Estimate::try_from(remote.probe(&count, &mut scratch).unwrap()).unwrap()
+    };
+    let healthy = probe(&remote);
     let cold = cache.snapshot();
     assert!(cold.misses > 0);
-    let repeat = remote.count_under_mask(&mask, &mut scratch).unwrap();
+    let repeat = probe(&remote);
     assert_eq!(repeat.expectation.to_bits(), healthy.expectation.to_bits());
     let warm = cache.snapshot();
     assert!(warm.hits > cold.hits, "repeat must be served by the cache");
@@ -378,7 +383,7 @@ fn blob_swap_orphans_cached_answers_before_they_can_go_stale() {
     // probe misses again and is re-fetched through the surviving true
     // replica — still bitwise the healthy answer, never the impostor's.
     let evicted = cache.snapshot();
-    let refetched = remote.count_under_mask(&mask, &mut scratch).unwrap();
+    let refetched = probe(&remote);
     assert_eq!(
         refetched.expectation.to_bits(),
         healthy.expectation.to_bits()

@@ -15,7 +15,7 @@
 mod common;
 
 use common::fast_failover;
-use entropydb_core::engine::{QueryEngine, SummaryBackend};
+use entropydb_core::engine::{QueryApi, QueryEngine, SummaryBackend};
 use entropydb_core::ingest::{IngestConfig, LiveSummary};
 use entropydb_core::serialize::ClusterShard;
 use entropydb_core::sharded::ShardedSummary;

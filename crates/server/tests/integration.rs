@@ -2,7 +2,7 @@
 //! concurrent clients, batch pipelining, the error channel, and graceful
 //! shutdown.
 
-use entropydb_core::engine::QueryEngine;
+use entropydb_core::engine::{QueryApi, QueryEngine};
 use entropydb_core::error::ModelError;
 use entropydb_core::model::MaxEntSummary;
 use entropydb_core::plan::{QueryRequest, QueryResponse};

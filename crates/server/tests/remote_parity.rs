@@ -4,12 +4,16 @@
 //! reconnects.
 
 mod common;
+#[path = "../../core/tests/support/probes.rs"]
+mod probes;
 
 use common::{a, fast_failover, requests, serve_shards, sharded};
-use entropydb_core::engine::QueryEngine;
+use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::error::ModelError;
+use entropydb_core::ingest::{IngestConfig, LiveSummary};
 use entropydb_core::plan::QueryRequest;
 use entropydb_core::serialize::ClusterShard;
+use entropydb_core::solver::SolverConfig;
 use entropydb_server::{serve, Client, RemoteShardedSummary};
 use entropydb_storage::Predicate;
 
@@ -86,66 +90,37 @@ fn gateway_round_trip_stays_bitwise() {
     }
 }
 
-/// The batched mask primitives on the remote backend — `probm`/`countm`
-/// wire probes, chunked and pipelined per shard — answer bitwise-
-/// identically to the sequential per-mask loop and to the local sharded
-/// backend over the same shard models, including batches larger than the
-/// client's pipeline chunk (so the fan-out spans multiple wire probes).
+/// The one probe table — every `ProbeRequest` variant — answers bitwise
+/// identically on the k-shard sharded backend, a live summary over those k
+/// base shards, and the remote backend over k served shards; the remote
+/// batch probes (`probm`/`countm`, 40 masks: two pipelined frames per
+/// shard) equal the per-mask loop; and a sparse draw through the remote
+/// engine equals those rows of the full one.
 #[test]
-fn fused_mask_batches_match_per_mask_loop_and_local_bitwise() {
-    use entropydb_core::assignment::Mask;
-    use entropydb_core::engine::SummaryBackend;
+fn probe_table_is_bitwise_on_sharded_live_and_remote() {
+    for shards in [1usize, 3] {
+        let local = sharded(shards);
+        let (handles, manifest) = serve_shards(&local);
+        let remote = RemoteShardedSummary::connect(&manifest).unwrap();
+        let config = IngestConfig {
+            background: false,
+            ..IngestConfig::default()
+        };
+        let live =
+            LiveSummary::new(local.clone(), vec![], SolverConfig::default(), config).unwrap();
+        probes::assert_probe_parity(&local, &remote);
+        probes::assert_probe_parity(&live, &remote);
 
-    let local = sharded(3);
-    let (handles, manifest) = serve_shards(&local);
-    let remote = RemoteShardedSummary::connect(&manifest).unwrap();
+        let masks = probes::batch_masks(local.domain_sizes());
+        assert_eq!(
+            probes::fused_answers(&remote, &masks),
+            probes::per_mask_answers(&remote, &masks)
+        );
+        probes::assert_sparse_sample_matches_full_draw(&QueryEngine::new(remote));
 
-    let sizes = local.domain_sizes().to_vec();
-    let preds = [
-        Predicate::all(),
-        Predicate::new().eq(a(0), 1),
-        Predicate::new()
-            .between(a(2), 1, 5)
-            .in_set(a(1), vec![0, 2, 4]),
-        Predicate::new().in_set(a(1), vec![]),
-        Predicate::new().eq(a(1), 2),
-    ];
-    let masks: Vec<Mask> = (0..40)
-        .map(|i| Mask::from_predicate(&preds[i % preds.len()], &sizes).unwrap())
-        .collect();
-
-    let mut rs = remote.make_scratch();
-    let mut ls = local.make_scratch();
-
-    let remote_probs = remote.probabilities_under_masks(&masks, &mut rs).unwrap();
-    let local_probs = local.probabilities_under_masks(&masks, &mut ls).unwrap();
-    assert_eq!(remote_probs.len(), masks.len());
-    for (m, (rp, lp)) in masks.iter().zip(remote_probs.iter().zip(&local_probs)) {
-        let seq = remote.probability_under_mask(m, &mut rs).unwrap();
-        assert_eq!(rp.to_bits(), seq.to_bits(), "batched vs per-mask loop");
-        assert_eq!(rp.to_bits(), lp.to_bits(), "remote batch vs local batch");
-    }
-
-    let remote_counts = remote.counts_under_masks(&masks, &mut rs).unwrap();
-    let local_counts = local.counts_under_masks(&masks, &mut ls).unwrap();
-    assert_eq!(remote_counts.len(), masks.len());
-    for (m, (rc, lc)) in masks.iter().zip(remote_counts.iter().zip(&local_counts)) {
-        let seq = remote.count_under_mask(m, &mut rs).unwrap();
-        assert_eq!(rc.expectation.to_bits(), seq.expectation.to_bits());
-        assert_eq!(rc.variance.to_bits(), seq.variance.to_bits());
-        assert_eq!(rc.expectation.to_bits(), lc.expectation.to_bits());
-        assert_eq!(rc.variance.to_bits(), lc.variance.to_bits());
-    }
-
-    // Empty batches short-circuit without touching the wire.
-    assert!(remote
-        .probabilities_under_masks(&[], &mut rs)
-        .unwrap()
-        .is_empty());
-    assert!(remote.counts_under_masks(&[], &mut rs).unwrap().is_empty());
-
-    for handle in handles {
-        handle.shutdown();
+        for handle in handles {
+            handle.shutdown();
+        }
     }
 }
 
