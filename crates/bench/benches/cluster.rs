@@ -5,12 +5,15 @@
 //! query after the preferred replica of every shard is killed.
 //!
 //! `BENCH_cluster.json` records group `cluster_query` (local backend vs
-//! remote at one and two replicas per shard) plus the
-//! `failover_recovery_ns` metric, measured once end to end: kill the
-//! warm replicas, then time the next query to a bitwise-identical
-//! answer through the survivors.
+//! remote at one and two replicas per shard), the `remote_1_replica_ns`
+//! metric — the mean fresh point query through two served shards, held
+//! under an absolute ceiling by `bench_schema.json`: one write pass and one
+//! read pass, not a round trip per shard — plus the `failover_recovery_ns`
+//! metric, measured once end to end: kill the warm replicas, then time the
+//! next query to a bitwise-identical answer through the survivors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use entropydb_bench::report::mean_call_ns;
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::plan::QueryRequest;
 use entropydb_core::serialize::ClusterShard;
@@ -98,6 +101,13 @@ fn bench_cluster_query(c: &mut Criterion) {
         b.iter(|| remote_2.execute(black_box(&req)).expect("query"))
     });
     g.finish();
+    c.record_metric(
+        "cluster_query",
+        "remote_1_replica_ns",
+        mean_call_ns(2_000, || {
+            black_box(remote_1.execute(black_box(&req)).expect("query"));
+        }),
+    );
 
     // Failover recovery latency, measured once end to end: with the
     // 2-replica gatherer warm on its preferred replicas, kill replica 0 of

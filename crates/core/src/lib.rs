@@ -56,7 +56,7 @@
 //! | [`engine`] | — | generic `QueryEngine` (`execute`, `execute_batch`, `probe`, scratch pool), the `SummaryBackend` trait, and the typed surface `QueryApi` |
 //! | [`sharded`] | — | `ShardedSummary`: per-partition models with merged estimates |
 //! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, compaction, epochs) |
-//! | [`scatter`] | — | `ShardProbe::probe` (the one evaluating method of every backend), `gather` (the one merge, the sample stratification), gather cache |
+//! | [`scatter`] | §4.3 | `ShardProbe::probe` (the one evaluating method of every backend), `Support` (the codes a shard's ZERO statistics leave), `gather` (prune, claim, ask together, the one merge; the sample stratification), gather cache |
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |
 //! | [`serialize`] | §5 | text-format persistence |

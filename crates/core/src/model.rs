@@ -25,7 +25,7 @@ use crate::polynomial::PolynomialSizeStats;
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::{count_estimate, weighted_estimate, Estimate};
 use crate::rng::{sample_weighted_scaled, SplitMix64};
-use crate::scatter::ShardProbe;
+use crate::scatter::{ShardProbe, Support};
 use crate::solver::{solve, SolverConfig, SolverReport};
 use crate::statistics::{MultiDimStatistic, Statistics};
 use entropydb_storage::{AttrId, Schema, Table};
@@ -55,6 +55,10 @@ pub struct MaxEntSummary {
     /// Cached values are bitwise-identical to a fresh masked evaluation, so
     /// hits are indistinguishable from misses.
     marginals: Vec<OnceLock<Vec<f64>>>,
+    /// The codes the fitted distribution puts mass on, learned once per
+    /// construction: a mixture does not ask this model a mask it
+    /// annihilates (see [`Support`]).
+    support: Support,
 }
 
 /// Lazily-initialized marginal cells, one per attribute.
@@ -120,21 +124,8 @@ impl MaxEntSummary {
         }
         let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi())?;
         let (assignment, report) = solve(&poly, &stats, config)?;
-        let p_full = poly.eval(&assignment);
-        if !p_full.is_finite() || p_full <= 0.0 {
-            return Err(ModelError::NumericalFailure("P not positive after solve"));
-        }
-        let marginals = empty_marginals(stats.domain_sizes().len());
-        Ok(MaxEntSummary {
-            schema,
-            stats,
-            poly,
-            assignment,
-            p_full,
-            report,
-            scratch: ScratchPool::default(),
-            marginals,
-        })
+        let not_positive = "P not positive after solve";
+        Self::assemble(schema, stats, poly, assignment, report, not_positive)
     }
 
     /// Re-assembles a summary from already-solved parts (used by the
@@ -148,14 +139,27 @@ impl MaxEntSummary {
         let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi())?;
         poly.check_shape(&assignment)?;
         assignment.validate()?;
+        let not_positive = "P not positive in loaded summary";
+        Self::assemble(schema, stats, poly, assignment, report, not_positive)
+    }
+
+    /// The last step of every construction path: evaluates the normalizing
+    /// constant (`not_positive` names the path in its error) and learns the
+    /// model's [`Support`] by probing itself.
+    fn assemble(
+        schema: Schema,
+        stats: Statistics,
+        poly: FactorizedPolynomial,
+        assignment: VarAssignment,
+        report: SolverReport,
+        not_positive: &'static str,
+    ) -> Result<Self> {
         let p_full = poly.eval(&assignment);
         if !p_full.is_finite() || p_full <= 0.0 {
-            return Err(ModelError::NumericalFailure(
-                "P not positive in loaded summary",
-            ));
+            return Err(ModelError::NumericalFailure(not_positive));
         }
-        let marginals = empty_marginals(stats.domain_sizes().len());
-        Ok(MaxEntSummary {
+        let arity = stats.domain_sizes().len();
+        let mut summary = MaxEntSummary {
             schema,
             stats,
             poly,
@@ -163,8 +167,17 @@ impl MaxEntSummary {
             p_full,
             report,
             scratch: ScratchPool::default(),
-            marginals,
-        })
+            marginals: empty_marginals(arity),
+            support: Support::default(),
+        };
+        let mut scratch = summary.make_scratch();
+        let ask = |asks: &[ProbeRequest]| {
+            asks.iter()
+                .map(|r| summary.probe(r, &mut scratch))
+                .collect()
+        };
+        summary.support = Support::learn::<ModelError>(arity, ask)?;
+        Ok(summary)
     }
 
     /// Relation cardinality `n`.
@@ -347,6 +360,10 @@ impl ShardProbe for MaxEntSummary {
 
     fn make_scratch(&self) -> FactorizedScratch {
         self.poly.make_scratch()
+    }
+
+    fn support(&self) -> Option<&Support> {
+        Some(&self.support)
     }
 
     fn probe(&self, request: &ProbeRequest, s: &mut FactorizedScratch) -> Result<ProbeResponse> {

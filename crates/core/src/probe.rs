@@ -66,6 +66,7 @@ use crate::plan::read_estimate;
 use crate::query::Estimate;
 use crate::wire::{decode_refusal, encode_refusal, wire_error, TokenReader};
 use entropydb_storage::AttrId;
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 
 /// One mask-level evaluation request against a single shard.
@@ -180,6 +181,46 @@ impl ProbeRequest {
         }
     }
 
+    /// The number of independently answerable *slots* of a batch or draw —
+    /// the masks of `ProbabilityMany` / `CountMany`, the indices of
+    /// `SampleAt` — or `None` for a scalar request, which is asked whole.
+    pub fn slots(&self) -> Option<usize> {
+        match self {
+            ProbeRequest::ProbabilityMany { masks } | ProbeRequest::CountMany { masks } => {
+                Some(masks.len())
+            }
+            ProbeRequest::SampleAt { indices, .. } => Some(indices.len()),
+            _ => None,
+        }
+    }
+
+    /// The masks of a batch (none for any other request).
+    fn batch_masks(&self) -> &[Mask] {
+        match self {
+            ProbeRequest::ProbabilityMany { masks } | ProbeRequest::CountMany { masks } => masks,
+            _ => &[],
+        }
+    }
+
+    /// This request restricted to the given [slots](ProbeRequest::slots),
+    /// in that order (a scalar request has none and is returned whole): what
+    /// one shard of a mixture is asked when it owes only part of a batch.
+    pub fn select(&self, slots: &[usize]) -> ProbeRequest {
+        let pick = |masks: &[Mask]| slots.iter().map(|&slot| masks[slot].clone()).collect();
+        match self {
+            ProbeRequest::ProbabilityMany { masks } => {
+                ProbeRequest::ProbabilityMany { masks: pick(masks) }
+            }
+            ProbeRequest::CountMany { masks } => ProbeRequest::CountMany { masks: pick(masks) },
+            ProbeRequest::SampleAt { k, seed, indices } => ProbeRequest::SampleAt {
+                k: *k,
+                seed: *seed,
+                indices: slots.iter().map(|&slot| indices[slot]).collect(),
+            },
+            scalar => scalar.clone(),
+        }
+    }
+
     /// Encodes the probe into its one-line wire form.
     pub fn encode(&self) -> String {
         let mut out = String::from("b1 ");
@@ -192,19 +233,12 @@ impl ProbeRequest {
                 out.push_str("count ");
                 encode_mask(&mut out, mask);
             }
-            ProbeRequest::ProbabilityMany { masks } => {
-                let _ = write!(out, "probm {}", masks.len());
-                for mask in masks {
-                    out.push(' ');
-                    encode_mask(&mut out, mask);
-                }
-            }
-            ProbeRequest::CountMany { masks } => {
-                let _ = write!(out, "countm {}", masks.len());
-                for mask in masks {
-                    out.push(' ');
-                    encode_mask(&mut out, mask);
-                }
+            ProbeRequest::ProbabilityMany { .. }
+            | ProbeRequest::CountMany { .. }
+            | ProbeRequest::SampleAt { .. } => {
+                let masks = self.batch_masks();
+                let slots = 0..self.slots().unwrap_or(0);
+                return self.encode_slots(slots, |out, slot| encode_mask(out, &masks[slot]));
             }
             ProbeRequest::Sum { mask, attr, values } => {
                 let _ = write!(out, "sum {} {}", attr.0, values.len());
@@ -218,11 +252,34 @@ impl ProbeRequest {
                 let _ = write!(out, "group {} ", attr.0);
                 encode_mask(&mut out, mask);
             }
-            ProbeRequest::SampleAt { k, seed, indices } => {
-                let _ = write!(out, "sample {k} {seed} {}", indices.len());
-                for i in indices {
-                    let _ = write!(out, " {i}");
+        }
+        out
+    }
+
+    /// The line of a batch or draw carrying the given slots — the whole
+    /// request ([`ProbeRequest::encode`]) or one frame of it
+    /// ([`SharedEncoding::frame`]); `mask` writes a batch slot's mask token.
+    fn encode_slots(
+        &self,
+        slots: impl ExactSizeIterator<Item = usize>,
+        mut mask: impl FnMut(&mut String, usize),
+    ) -> String {
+        let mut out = String::from("b1 ");
+        let _ = match self {
+            ProbeRequest::ProbabilityMany { .. } => write!(out, "probm {}", slots.len()),
+            ProbeRequest::CountMany { .. } => write!(out, "countm {}", slots.len()),
+            ProbeRequest::SampleAt { k, seed, .. } => {
+                write!(out, "sample {k} {seed} {}", slots.len())
+            }
+            _ => unreachable!("a scalar request has no slots"),
+        };
+        for slot in slots {
+            out.push(' ');
+            match self {
+                ProbeRequest::SampleAt { indices, .. } => {
+                    let _ = write!(out, "{}", indices[slot]);
                 }
+                _ => mask(&mut out, slot),
             }
         }
         out
@@ -280,18 +337,25 @@ impl ProbeResponse {
     /// length. The one "response answers request" test — remote shards
     /// apply it to wire replies, the gather side to every answer it merges.
     pub fn answers(&self, request: &ProbeRequest) -> bool {
+        self.answers_slots(request, request.slots())
+    }
+
+    /// [`ProbeResponse::answers`] for `request` restricted to `slots` of
+    /// its [slots](ProbeRequest::slots) — the answer to its
+    /// [selection](ProbeRequest::select), without building it.
+    pub fn answers_slots(&self, request: &ProbeRequest, slots: Option<usize>) -> bool {
         match (request, self) {
             (ProbeRequest::Probability { .. }, ProbeResponse::Probability(_))
             | (ProbeRequest::Count { .. } | ProbeRequest::Sum { .. }, ProbeResponse::Estimate(_))
             | (ProbeRequest::GroupBy { .. }, ProbeResponse::Groups(_)) => true,
-            (ProbeRequest::ProbabilityMany { masks }, ProbeResponse::Probabilities(ps)) => {
-                ps.len() == masks.len()
+            (ProbeRequest::ProbabilityMany { .. }, ProbeResponse::Probabilities(ps)) => {
+                Some(ps.len()) == slots
             }
-            (ProbeRequest::CountMany { masks }, ProbeResponse::Estimates(es)) => {
-                es.len() == masks.len()
+            (ProbeRequest::CountMany { .. }, ProbeResponse::Estimates(es)) => {
+                Some(es.len()) == slots
             }
-            (ProbeRequest::SampleAt { indices, .. }, ProbeResponse::Rows { rows, .. }) => {
-                rows.len() == indices.len()
+            (ProbeRequest::SampleAt { .. }, ProbeResponse::Rows { rows, .. }) => {
+                Some(rows.len()) == slots
             }
             _ => false,
         }
@@ -379,7 +443,53 @@ impl ProbeResponse {
     }
 }
 
+/// One request encoded for many recipients: the whole line is built once,
+/// and a batch's masks — the heavy tokens — are each encoded at most once,
+/// on first use, however many frames carry them. A mixture's fan-out sends
+/// every shard the same scalar line, and each shard of a batch the frame of
+/// just the slots it owes.
+pub struct SharedEncoding<'a> {
+    request: &'a ProbeRequest,
+    whole: OnceCell<String>,
+    masks: Vec<OnceCell<String>>,
+}
+
+impl<'a> SharedEncoding<'a> {
+    /// Nothing is encoded until a line is asked for.
+    pub fn new(request: &'a ProbeRequest) -> Self {
+        SharedEncoding {
+            request,
+            whole: OnceCell::new(),
+            masks: vec![OnceCell::new(); request.batch_masks().len()],
+        }
+    }
+
+    /// [`ProbeRequest::encode`] of the whole request.
+    pub fn whole(&self) -> &str {
+        self.whole.get_or_init(|| self.request.encode())
+    }
+
+    /// The line of [`ProbeRequest::select`]`(slots)` of a batch or draw.
+    pub fn frame(&self, slots: &[usize]) -> String {
+        let masks = self.request.batch_masks();
+        let token = |slot: usize| {
+            let mut token = String::new();
+            encode_mask(&mut token, &masks[slot]);
+            token
+        };
+        self.request
+            .encode_slots(slots.iter().copied(), |out, slot| {
+                out.push_str(self.masks[slot].get_or_init(|| token(slot)))
+            })
+    }
+}
+
+/// Nearly every weight of a predicate mask is exactly `0.0` or `1.0`, which
+/// `Display` spells `0` and `1`: both directions of the mask codec take
+/// those two without float formatting or parsing — the bytes do not change.
 fn encode_mask(out: &mut String, mask: &Mask) {
+    const ZERO: u64 = 0.0f64.to_bits();
+    const ONE: u64 = 1.0f64.to_bits();
     let _ = write!(out, "m {}", mask.arity());
     for attr in 0..mask.arity() {
         match mask.attr_weights(attr) {
@@ -387,7 +497,13 @@ fn encode_mask(out: &mut String, mask: &Mask) {
             Some(w) => {
                 let _ = write!(out, " w {}", w.len());
                 for x in w {
-                    let _ = write!(out, " {x}");
+                    match x.to_bits() {
+                        ZERO => out.push_str(" 0"),
+                        ONE => out.push_str(" 1"),
+                        _ => {
+                            let _ = write!(out, " {x}");
+                        }
+                    }
                 }
             }
         }
@@ -395,10 +511,15 @@ fn encode_mask(out: &mut String, mask: &Mask) {
 }
 
 fn decode_mask(r: &mut TokenReader<'_>) -> Result<Mask> {
+    let weight = |r: &mut TokenReader<'_>| match r.next("weight")? {
+        "0" => Ok(0.0),
+        "1" => Ok(1.0),
+        token => r.parse_token(token, "weight"),
+    };
     r.expect("m")?;
     let weights = r.list("mask arity", |r| match r.next("mask item")? {
         "i" => Ok(None),
-        "w" => Ok(Some(r.list("weight count", |r| r.parse("weight"))?)),
+        "w" => Ok(Some(r.list("weight count", weight)?)),
         other => Err(wire_error(format!("unknown mask item {other:?}"))),
     })?;
     Ok(Mask::from_weights(weights))

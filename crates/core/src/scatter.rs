@@ -3,21 +3,35 @@
 //! Every backend answers the one mask-level question, a [`ProbeRequest`],
 //! through the one method [`ShardProbe::probe`]: a fitted
 //! [`MaxEntSummary`](crate::model::MaxEntSummary) interprets it, a TCP
-//! connection to a remote `entropydb-serve` instance ships it, the gather
-//! cache ([`CachedProbe`]) fronts either — and a *mixture* of shards
-//! answers it by forwarding the borrowed request to [`gather`], the one
-//! path from request to merged answer (peek every shard's cached answer,
-//! else fan the probes out, then merge). The local sharded backend and a
-//! remote scatter/gather backend therefore share every floating-point
-//! operation, which is what makes remote answers bitwise-identical to
-//! local ones — and a fully-cached answer is folded by the very code a
-//! fanned-out one is.
+//! connection to a remote `entropydb-serve` instance ships it — and a
+//! *mixture* of shards answers it by forwarding the borrowed request to
+//! [`gather`], the one path from request to merged answer, which costs one
+//! round over only the shards that can contribute:
+//!
+//! 1. **prune** — a shard that knows its [`Support`] (the codes its
+//!    complete 1-D statistics leave non-zero) is not asked a mask the
+//!    support annihilates: that answer is an exact `0.0`;
+//! 2. **claim** — with a gather cache ([`GatherCache`]), every remaining
+//!    (shard, mask) pair claims its entry: cached, in flight, or to fetch;
+//! 3. **ask** — the shards that must be asked are asked *together*,
+//!    through the one fan-out seam [`ShardProbe::probe_each`] (in-process
+//!    shards: the worker pool; remote shards: write every frame, then read
+//!    every reply);
+//! 4. **merge** — the answers, pruned ones as the zeros they are, meet the
+//!    one `merge`.
+//!
+//! The local sharded backend and a remote scatter/gather backend therefore
+//! share every floating-point operation, which is what makes remote answers
+//! bitwise-identical to local ones — a fully-cached answer is folded by
+//! the very code a fanned-out one is, and a pruned round by the code an
+//! unpruned one is.
 //!
 //! The merge rules (see the module docs of [`crate::sharded`] for the
 //! statistical argument):
 //!
 //! * probability: shard mixture `Σ (n_s / n) · p_s`, clamped into `[0, 1]`,
-//!   with `n_s` read from the shards at call time;
+//!   with `n_s` read from the shards — all of them, asked or not — at call
+//!   time;
 //! * COUNT / SUM: expectations and variances add, folded in shard order;
 //! * batches and group-by: cells add position-wise, folded in shard order;
 //! * top-k: rank the merged group-by
@@ -31,12 +45,13 @@
 //! unchanged), preserving the bitwise 1-shard == monolithic guarantee.
 //!
 //! The module also hosts the gather-side answer cache ([`ProbeCache`], a
-//! bounded two-segment LRU with single-flight coalescing), the
-//! [`CachedProbe`] wrapper that puts the cache in front of any
-//! [`ShardProbe`], and [`GatherCache`], the per-backend bundle of cache +
-//! shard identity tokens. Cache keys are the canonical probe encoding (1:1
-//! with the `b1` wire form) combined with a per-shard blob-identity token,
-//! so swapping a shard's blob invalidates every cached answer for it.
+//! bounded two-segment LRU with single-flight coalescing) and
+//! [`GatherCache`], the per-backend bundle of cache + shard identity
+//! tokens. Cache keys are the canonical probe encoding (1:1 with the `b1`
+//! wire form) combined with a per-shard blob-identity token, so swapping a
+//! shard's blob invalidates every cached answer for it. Cached answers are
+//! the shards' own decoded responses, so going through the cache is
+//! bitwise-invisible.
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, RemoteDetail, Result};
@@ -44,19 +59,17 @@ use crate::metrics::{CacheCounters, CacheStatsSnapshot};
 use crate::par;
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
-use entropydb_storage::Schema;
-use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
+use entropydb_storage::{AttrId, Schema};
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Anything that answers mask-level [`ProbeRequest`]s: a fitted model, a
-/// remote node, a cached wrapper of either, or a mixture of them. `probe` is
-/// the only evaluating method a backend has. Probing is fallible:
-/// in-process probes only fail on genuine shape errors, remote probes
-/// surface transport failures as [`ModelError::Remote`] with the failing
-/// shard named.
+/// remote node, or a mixture of them. `probe` is the only evaluating method
+/// a backend has. Probing is fallible: in-process probes only fail on
+/// genuine shape errors, remote probes surface transport failures as
+/// [`ModelError::Remote`] with the failing shard named.
 pub trait ShardProbe: Send + Sync {
     /// Per-probe reusable workspace (an evaluation scratch for in-process
     /// probes; unit for connection-pooled remote probes).
@@ -74,6 +87,167 @@ pub trait ShardProbe: Send + Sync {
     /// thread identity — so sampling is deterministic however the indices
     /// are fanned out.
     fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse>;
+
+    /// The codes this shard can put mass on, when it knows them: [`gather`]
+    /// does not ask a shard a mask its support [annihilates](Support::admits).
+    /// `None` (the default) means always ask — a mixture, or a shard whose
+    /// support still grows.
+    fn support(&self) -> Option<&Support> {
+        None
+    }
+
+    /// The fan-out seam of [`gather`]: puts each of `asks` (ascending shard
+    /// index, at most one per shard) to its shard and returns the answers in
+    /// `asks` order. By default each asked shard's [`probe`](Self::probe)
+    /// runs on the worker pool, on its own scratch slot — deterministic and
+    /// identical to serial execution; one ask runs on the calling thread. A
+    /// backend whose probes are round trips overrides it to overlap them.
+    fn probe_each(
+        probes: &[Self],
+        request: &ProbeRequest,
+        asks: &[Ask],
+        scratches: &mut [Self::Scratch],
+    ) -> Vec<Result<ProbeResponse>>
+    where
+        Self: Sized,
+    {
+        assert_eq!(probes.len(), scratches.len(), "one scratch per shard");
+        let mut pending = asks.iter().peekable();
+        let mut work: Vec<_> = probes
+            .iter()
+            .zip(scratches.iter_mut())
+            .enumerate()
+            .filter_map(|(shard, (probe, scratch))| {
+                let ask = pending.next_if(|ask| ask.shard == shard)?;
+                Some((ask, probe, scratch, None))
+            })
+            .collect();
+        assert_eq!(
+            work.len(),
+            asks.len(),
+            "asks name shards in ascending order"
+        );
+        par::for_each_chunk_mut(&mut work, 1, |_, chunk| {
+            for (ask, probe, scratch, answer) in chunk.iter_mut() {
+                *answer = Some(probe.probe(&ask.of(request), scratch));
+            }
+        });
+        work.into_iter()
+            .map(|(.., answer)| answer.expect("fan-out slot filled"))
+            .collect()
+    }
+}
+
+/// One shard's part of a fan-out round: the shard asked, and which
+/// [slots](ProbeRequest::slots) of the round's request it is asked — `None`
+/// for all of it, the only form a scalar request takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ask {
+    /// Index of the asked shard.
+    pub shard: usize,
+    /// The asked slots of a batch or draw, in answer order.
+    pub slots: Option<Vec<usize>>,
+}
+
+impl Ask {
+    /// The request this ask puts to its shard: the round's request itself,
+    /// borrowed, or its [selection](ProbeRequest::select).
+    pub fn of<'r>(&self, request: &'r ProbeRequest) -> Cow<'r, ProbeRequest> {
+        match &self.slots {
+            None => Cow::Borrowed(request),
+            Some(slots) => Cow::Owned(request.select(slots)),
+        }
+    }
+
+    /// Whether `reply` has the shape of an answer to [`Ask::of`]`(request)`.
+    pub fn answered_by(&self, request: &ProbeRequest, reply: &ProbeResponse) -> bool {
+        let slots = self.slots.as_ref().map(Vec::len).or(request.slots());
+        reply.answers_slots(request, slots)
+    }
+}
+
+/// The codes a shard can put mass on, per attribute: code `v` of attribute
+/// `i` is *supported* when its 1-D marginal under the identity mask is not
+/// exactly `0.0`. The complete 1-D statistics pin the variable of every
+/// value the shard never saw to exactly 0 (Sec. 4.3, the ZERO statistics),
+/// so a mask whose non-zero weights on some attribute all fall outside the
+/// support multiplies every term of `P` by an exact zero: the shard's
+/// answer is `0.0`, bit for bit, and nobody needs to ask for it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Support(Vec<Vec<bool>>);
+
+impl Support {
+    /// Learns a backend's support the one way there is: `ask` is handed
+    /// the identity-mask `GroupBy` probe of every attribute and returns
+    /// their answers in order — a model probes itself, a gatherer sends the
+    /// probes as one pipelined frame of the shard handshake.
+    pub fn learn<E: From<ModelError>>(
+        arity: usize,
+        ask: impl FnOnce(&[ProbeRequest]) -> std::result::Result<Vec<ProbeResponse>, E>,
+    ) -> std::result::Result<Support, E> {
+        let requests: Vec<ProbeRequest> = (0..arity)
+            .map(|attr| ProbeRequest::GroupBy {
+                mask: Mask::identity(arity),
+                attr: AttrId(attr),
+            })
+            .collect();
+        let answers = ask(&requests)?;
+        if answers.len() != arity {
+            return Err(ModelError::ShapeMismatch.into());
+        }
+        let marginals = answers.into_iter().map(|answer| match answer {
+            ProbeResponse::Groups(cells) => {
+                Ok(cells.iter().map(|cell| cell.expectation != 0.0).collect())
+            }
+            _ => Err(ModelError::ShapeMismatch),
+        });
+        Ok(Support(marginals.collect::<Result<_>>()?))
+    }
+
+    /// False when the shard's answer under `mask` is exactly zero: on some
+    /// attribute, every non-zero weight sits on an unsupported code. A mask
+    /// of another shape is admitted — the shard is asked and rejects it.
+    pub fn admits(&self, mask: &Mask) -> bool {
+        mask.arity() != self.0.len()
+            || self.0.iter().enumerate().all(|(attr, codes)| {
+                mask.attr_weights(attr).is_none_or(|weights| {
+                    weights.len() != codes.len()
+                        || weights.iter().zip(codes).any(|(&w, &on)| on && w != 0.0)
+                })
+            })
+    }
+}
+
+/// The operator's view: each attribute's supported codes as inclusive
+/// ranges (`0-3,7`), attributes separated by spaces.
+impl std::fmt::Display for Support {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (attr, codes) in self.0.iter().enumerate() {
+            if attr > 0 {
+                f.write_str(" ")?;
+            }
+            let (mut sep, mut v) = ("", 0);
+            while v < codes.len() {
+                let lo = v;
+                while v < codes.len() && codes[v] {
+                    v += 1;
+                }
+                match v - lo {
+                    0 => {}
+                    1 => write!(f, "{sep}{lo}")?,
+                    _ => write!(f, "{sep}{lo}-{}", v - 1)?,
+                }
+                if v > lo {
+                    sep = ",";
+                }
+                v += 1;
+            }
+            if sep.is_empty() {
+                f.write_str("-")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 // ======================= gather-side probe cache =======================
@@ -131,7 +305,7 @@ pub(crate) struct ProbeKeyBody {
 
 impl ProbeKeyBody {
     /// The key body of a single-answer request. `None` for the batch
-    /// requests — [`CachedProbe`] keys those per mask, as the `prob` /
+    /// requests — [`gather`] keys those per mask, as the `prob` /
     /// `count` probe of that mask, so a batch and a single probe share
     /// entries — and for `sample`, which is never cached.
     pub(crate) fn of(request: &ProbeRequest) -> Option<ProbeKeyBody> {
@@ -189,6 +363,20 @@ impl ProbeKeyBody {
             hash: mix(self.hash ^ token),
             bytes: Arc::clone(&self.bytes),
         }
+    }
+}
+
+impl PartialEq for ProbeKeyBody {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.bytes == other.bytes
+    }
+}
+
+impl Eq for ProbeKeyBody {}
+
+impl std::hash::Hash for ProbeKeyBody {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -382,14 +570,6 @@ impl ProbeCache {
         self.len() == 0
     }
 
-    /// Non-blocking lookup that never counts toward the hit/miss
-    /// counters — the building block of the all-shards-cached fast path,
-    /// which accounts for its probes itself.
-    pub(crate) fn peek(&self, key: &ProbeKey) -> Option<Arc<ProbeResponse>> {
-        let mut segments = lock(&self.segments);
-        segments.get(key, self.capacity, &self.counters)
-    }
-
     /// Non-blocking claim: a cached answer, an in-flight foreign probe to
     /// wait on, or leadership of a new flight. Counts one hit, coalesced
     /// probe, or miss respectively.
@@ -433,22 +613,6 @@ impl ProbeCache {
                 .done
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// The single-probe convenience: cached answer, or wait on the
-    /// in-flight leader, or lead the one `compute` call yourself. Safe to
-    /// call while holding no [`FlightGuard`] (a holder must complete its
-    /// own flight before waiting on foreign ones).
-    pub(crate) fn get_or_compute(
-        &self,
-        key: &ProbeKey,
-        compute: impl FnOnce() -> Result<ProbeResponse>,
-    ) -> Result<Arc<ProbeResponse>> {
-        match self.claim(key) {
-            Claim::Hit(value) => Ok(value),
-            Claim::Foreign(flight) => self.wait(&flight),
-            Claim::Lead(guard) => guard.complete(compute()),
         }
     }
 }
@@ -497,181 +661,13 @@ pub fn shard_identity_token(index: usize, n: u64, schema: &Schema) -> u64 {
     mix(hash_bytes(&bytes))
 }
 
-/// A [`ShardProbe`] with a [`ProbeCache`] in front: a single-answer
-/// request is one cache entry under this shard's identity token (cached,
-/// or coalesced with an identical in-flight probe, or fetched by this
-/// caller); a batch request is one entry *per mask*, and only the masks
-/// nobody cached yet ride one inner batch probe (one pipelined wire frame
-/// for a remote shard). Cached answers are the shard's own decoded
-/// responses, so going through the wrapper is bitwise-invisible.
-pub struct CachedProbe<'a, P: ShardProbe> {
-    inner: &'a P,
-    cache: &'a ProbeCache,
-    token: u64,
-}
-
-impl<'a, P: ShardProbe> CachedProbe<'a, P> {
-    /// Wraps `inner`, keying its answers under `token`.
-    pub fn new(inner: &'a P, cache: &'a ProbeCache, token: u64) -> CachedProbe<'a, P> {
-        CachedProbe {
-            inner,
-            cache,
-            token,
-        }
-    }
-
-    /// [`ShardProbe::probe`] with the request's key body supplied, so
-    /// [`gather`] encodes and hashes it once for every shard.
-    fn probe_keyed(
-        &self,
-        request: &ProbeRequest,
-        body: Option<&ProbeKeyBody>,
-        scratch: &mut P::Scratch,
-    ) -> Result<ProbeResponse> {
-        let (tag, masks) = match (body, request) {
-            (Some(body), _) => {
-                let key = body.key(self.token);
-                let compute = || self.inner.probe(request, scratch);
-                let cached = self.cache.get_or_compute(&key, compute)?;
-                return Ok(ProbeResponse::clone(&cached));
-            }
-            (None, ProbeRequest::ProbabilityMany { masks }) => (TAG_PROBABILITY, masks),
-            (None, ProbeRequest::CountMany { masks }) => (TAG_COUNT, masks),
-            // Sampling is deterministic in (seed, index) and cheap relative
-            // to its payload — caching rows would only crowd out estimator
-            // entries, so draws pass straight through.
-            (None, _) => return self.inner.probe(request, scratch),
-        };
-        let slots = self.batched(tag, masks, scratch)?;
-        let slots = slots.iter().map(|slot| ProbeResponse::clone(slot));
-        if tag == TAG_COUNT {
-            let list = slots.map(Estimate::try_from).collect::<Result<_>>();
-            list.map(ProbeResponse::Estimates)
-        } else {
-            let list = slots.map(f64::try_from).collect::<Result<_>>();
-            list.map(ProbeResponse::Probabilities)
-        }
-    }
-
-    /// Runs one batch round, one cache entry per mask (keyed as the
-    /// single `tag` probe of that mask): duplicate masks within the round
-    /// share one slot (counted as coalesced), cached masks are answered
-    /// immediately, and the remaining misses are fetched with a *single*
-    /// inner batch probe. All flights this round leads are completed
-    /// before any foreign flight is waited on, so concurrent rounds over
-    /// overlapping keys cannot deadlock.
-    fn batched(
-        &self,
-        tag: u8,
-        masks: &[Mask],
-        scratch: &mut P::Scratch,
-    ) -> Result<Vec<Arc<ProbeResponse>>> {
-        let keys: Vec<ProbeKey> = masks
-            .iter()
-            .map(|mask| ProbeKeyBody::finish(vec![tag], mask).key(self.token))
-            .collect();
-        let n = keys.len();
-        let mut out: Vec<Option<Arc<ProbeResponse>>> = vec![None; n];
-        let mut claims: Vec<Option<Claim<'_>>> = (0..n).map(|_| None).collect();
-        let mut dup_of: Vec<usize> = (0..n).collect();
-        let mut leads: Vec<usize> = Vec::new();
-        let mut first_pos: HashMap<&ProbeKey, usize> = HashMap::with_capacity(n);
-        for i in 0..n {
-            match first_pos.entry(&keys[i]) {
-                Entry::Vacant(slot) => {
-                    slot.insert(i);
-                    let claim = self.cache.claim(&keys[i]);
-                    if matches!(claim, Claim::Lead(_)) {
-                        leads.push(i);
-                    }
-                    claims[i] = Some(claim);
-                }
-                Entry::Occupied(slot) => {
-                    dup_of[i] = *slot.get();
-                    self.cache.counters().add_coalesced(1);
-                }
-            }
-        }
-        if !leads.is_empty() {
-            let masks: Vec<Mask> = leads.iter().map(|&i| masks[i].clone()).collect();
-            let misses = if tag == TAG_COUNT {
-                ProbeRequest::CountMany { masks }
-            } else {
-                ProbeRequest::ProbabilityMany { masks }
-            };
-            let fetched = self.inner.probe(&misses, scratch).and_then(|resp| {
-                if !resp.answers(&misses) {
-                    return Err(ModelError::Remote(RemoteDetail::message(
-                        "shard answered a mismatched batch shape",
-                    )));
-                }
-                Ok(match resp {
-                    ProbeResponse::Probabilities(ps) => {
-                        ps.into_iter().map(ProbeResponse::Probability).collect()
-                    }
-                    ProbeResponse::Estimates(es) => {
-                        es.into_iter().map(ProbeResponse::Estimate).collect()
-                    }
-                    _ => Vec::new(),
-                })
-            });
-            // Hand the outcome — an error unchanged, to every waiter — to
-            // the flights this round leads.
-            for (slot, &i) in leads.iter().enumerate() {
-                let Some(Claim::Lead(guard)) = claims[i].take() else {
-                    unreachable!("lead positions hold Lead claims")
-                };
-                let outcome = match &fetched {
-                    Ok(values) => Ok(values[slot].clone()),
-                    Err(err) => Err(err.clone()),
-                };
-                out[i] = guard.complete(outcome).ok();
-            }
-            fetched?;
-        }
-        for i in 0..n {
-            if out[i].is_some() || dup_of[i] != i {
-                continue;
-            }
-            out[i] = Some(match claims[i].take() {
-                Some(Claim::Hit(resp)) => resp,
-                Some(Claim::Foreign(flight)) => self.cache.wait(&flight)?,
-                _ => unreachable!("every distinct position holds a claim"),
-            });
-        }
-        for i in 0..n {
-            if dup_of[i] != i {
-                out[i] = out[dup_of[i]].clone();
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|v| v.expect("every batch slot filled"))
-            .collect())
-    }
-}
-
-impl<P: ShardProbe> ShardProbe for CachedProbe<'_, P> {
-    type Scratch = P::Scratch;
-
-    fn n(&self) -> u64 {
-        self.inner.n()
-    }
-
-    fn make_scratch(&self) -> Self::Scratch {
-        self.inner.make_scratch()
-    }
-
-    fn probe(&self, request: &ProbeRequest, scratch: &mut Self::Scratch) -> Result<ProbeResponse> {
-        self.probe_keyed(request, ProbeKeyBody::of(request).as_ref(), scratch)
-    }
-}
-
 /// The per-backend cache bundle: one [`ProbeCache`] plus one
-/// [`ShardCacheId`] per shard. [`gather`] first peeks every shard's entry:
-/// when *all* are cached it folds them right there and the fan-out worker
-/// pool is bypassed entirely, which is what closes the cached point-query
-/// gap; on any miss it fans the probes out behind [`CachedProbe`].
+/// [`ShardCacheId`] per shard. [`gather`] claims every entry a request
+/// needs before it asks anybody: a single-answer request is one entry per
+/// shard under that shard's identity token, a batch one entry *per mask*
+/// (keyed as the single probe of that mask, so they share entries). When
+/// all are cached the answer is folded right there and no shard is asked,
+/// which is what closes the cached point-query gap.
 #[derive(Debug)]
 pub struct GatherCache {
     cache: Arc<ProbeCache>,
@@ -697,49 +693,6 @@ impl GatherCache {
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         self.cache.snapshot()
     }
-
-    /// Shard `index` behind the cache, under its current identity token.
-    fn shard<'a, P: ShardProbe>(&'a self, index: usize, inner: &'a P) -> CachedProbe<'a, P> {
-        CachedProbe::new(inner, &self.cache, self.shards[index].token())
-    }
-
-    /// Peeks one body across every shard; `Some` (counted as one hit per
-    /// shard) only when all answers are cached.
-    fn peek_all(&self, body: &ProbeKeyBody) -> Option<Vec<Arc<ProbeResponse>>> {
-        let cached = self
-            .shards
-            .iter()
-            .map(|id| self.cache.peek(&body.key(id.token())))
-            .collect::<Option<Vec<_>>>()?;
-        self.cache.counters().add_hits(cached.len() as u64);
-        Some(cached)
-    }
-}
-
-/// Fans `f` out over `(shard index, probe, probe scratch)` on the worker
-/// pool and collects the per-shard results in shard order. Each shard owns
-/// its scratch slot, so results are deterministic and identical to serial
-/// execution. `scratches` must hold one workspace per probe.
-pub fn fan_out<P: ShardProbe, R: Send>(
-    probes: &[P],
-    scratches: &mut [P::Scratch],
-    f: impl Fn(usize, &P, &mut P::Scratch) -> R + Sync,
-) -> Vec<R> {
-    assert_eq!(probes.len(), scratches.len(), "one scratch per shard");
-    let mut work: Vec<(usize, &P, &mut P::Scratch, Option<R>)> = probes
-        .iter()
-        .enumerate()
-        .zip(scratches.iter_mut())
-        .map(|((i, probe), scratch)| (i, probe, scratch, None))
-        .collect();
-    par::for_each_chunk_mut(&mut work, 1, |_, chunk| {
-        for (i, probe, scratch, slot) in chunk.iter_mut() {
-            *slot = Some(f(*i, probe, scratch));
-        }
-    });
-    work.into_iter()
-        .map(|(_, _, _, r)| r.expect("fan-out slot filled"))
-        .collect()
 }
 
 /// Sums two independent estimates (expectations add, variances add).
@@ -747,59 +700,249 @@ pub fn add_estimates(a: Estimate, b: Estimate) -> Estimate {
     Estimate::new(a.expectation + b.expectation, a.variance + b.variance)
 }
 
-/// Asks every shard `request` and merges the answers — the one gather
-/// path of every sharded backend. With a `cache`, a request whose answer
-/// every shard has cached is merged right here, without entering the
-/// fan-out pool; otherwise the shards are probed in parallel (behind
-/// [`CachedProbe`] when there is a cache, keyed by one body built here).
-/// Either way the per-shard answers meet the same `merge`. A sample draw
-/// is not merged but stratified (`gather_sample`).
+/// Where one (shard, slot) pair of a gather round stands. A scalar request
+/// is one slot; a batch is one slot per mask.
+enum Cell<'c> {
+    /// The shard's support annihilates the mask: the answer is an exact
+    /// zero, nobody is asked, and the cache neither holds nor counts it.
+    Pruned,
+    /// The same mask as an earlier slot of this batch, whose cell it shares.
+    Same(usize),
+    /// Answered: cached, fetched this round, or handed over by a foreign
+    /// flight.
+    Ready(Arc<ProbeResponse>),
+    /// Another round is already fetching this entry.
+    Foreign(Arc<Flight>),
+    /// This round asks the shard — leading the entry's flight when there
+    /// is a cache.
+    Asked(Option<FlightGuard<'c>>),
+}
+
+/// Asks the shards `request` and merges the answers — the one gather path
+/// of every sharded backend, in one round:
+///
+/// 1. **Prune.** A (shard, mask) pair whose mask the shard's
+///    [`Support`] does not admit is an exact zero and is dropped — per mask
+///    for a batch. A mask no shard admits stays on shard 0, so an
+///    all-disjoint (or malformed) request still gets an answer, or an
+///    error, of a shard's own making.
+/// 2. **Claim.** With a `cache`, every remaining pair claims its entry:
+///    cached, in flight elsewhere, or led by this round. Duplicate masks of
+///    one batch share a slot (counted as coalesced).
+/// 3. **Ask.** All leading shards are asked together through
+///    [`ShardProbe::probe_each`] — each only the slots it leads — and every
+///    flight this round leads is completed, with the answer or the error
+///    unchanged, before a foreign flight is waited on, so concurrent rounds
+///    over overlapping keys cannot deadlock. When everything was cached,
+///    nobody is asked and the worker pool is never entered.
+/// 4. **Merge.** The per-shard answers, pruned cells as zeros, meet the one
+///    `merge` under the unchanged mixture weights.
+///
+/// A sample draw is not merged but stratified (`gather_sample`).
 pub fn gather<P: ShardProbe>(
     probes: &[P],
     cache: Option<&GatherCache>,
     request: &ProbeRequest,
     scratches: &mut [P::Scratch],
 ) -> Result<ProbeResponse> {
-    if let ProbeRequest::SampleAt { k, seed, indices } = request {
-        return gather_sample(probes, *k, *seed, indices, scratches);
+    if probes.is_empty() {
+        return Err(ModelError::ShapeMismatch);
     }
-    let body = cache.and_then(|_| ProbeKeyBody::of(request));
-    if let (Some(cache), Some(body)) = (cache, &body) {
-        assert_eq!(probes.len(), cache.shards.len(), "one cache id per shard");
-        if let Some(cached) = cache.peek_all(body) {
-            return merge(probes, request, &cached);
+    let (masks, batch) = match request {
+        ProbeRequest::SampleAt { k, indices, .. } => {
+            return gather_sample(probes, request, *k, indices, scratches)
+        }
+        ProbeRequest::ProbabilityMany { masks } | ProbeRequest::CountMany { masks } => {
+            (masks.as_slice(), true)
+        }
+        ProbeRequest::Probability { mask }
+        | ProbeRequest::Count { mask }
+        | ProbeRequest::Sum { mask, .. }
+        | ProbeRequest::GroupBy { mask, .. } => (std::slice::from_ref(mask), false),
+    };
+    let mut live: Vec<Vec<bool>> = probes
+        .iter()
+        .map(|probe| {
+            let admits = |mask| probe.support().is_none_or(|s| s.admits(mask));
+            masks.iter().map(admits).collect()
+        })
+        .collect();
+    for slot in 0..masks.len() {
+        if !live.iter().any(|row| row[slot]) {
+            live[0][slot] = true;
         }
     }
-    let answers: Result<Vec<ProbeResponse>> =
-        fan_out(probes, scratches, |i, probe, scratch| match cache {
-            Some(cache) => cache
-                .shard(i, probe)
-                .probe_keyed(request, body.as_ref(), scratch),
-            None => probe.probe(request, scratch),
-        })
-        .into_iter()
-        .collect();
-    merge(probes, request, &answers?)
+
+    // One key body per slot, and each slot's first occurrence in the batch.
+    let keyed = cache.map(|cache| {
+        assert_eq!(probes.len(), cache.shards.len(), "one cache id per shard");
+        let bodies: Vec<ProbeKeyBody> = match ProbeKeyBody::of(request) {
+            Some(body) => vec![body],
+            None => {
+                let count = matches!(request, ProbeRequest::CountMany { .. });
+                let tag = if count { TAG_COUNT } else { TAG_PROBABILITY };
+                let body = |mask| ProbeKeyBody::finish(vec![tag], mask);
+                masks.iter().map(body).collect()
+            }
+        };
+        (&*cache.cache, &cache.shards, bodies)
+    });
+    let mut first_of: Vec<usize> = (0..masks.len()).collect();
+    if let Some((.., bodies)) = &keyed {
+        let mut seen: HashMap<&ProbeKeyBody, usize> = HashMap::with_capacity(bodies.len());
+        for (slot, body) in bodies.iter().enumerate() {
+            first_of[slot] = *seen.entry(body).or_insert(slot);
+        }
+    }
+
+    let mut asks: Vec<Ask> = Vec::new();
+    let mut cells: Vec<Vec<Cell<'_>>> = Vec::with_capacity(probes.len());
+    for (shard, live) in live.iter().enumerate() {
+        let mut asked = Vec::new();
+        let row = (0..masks.len()).map(|slot| {
+            if !live[slot] {
+                return Cell::Pruned;
+            }
+            let Some((cache, ids, bodies)) = &keyed else {
+                asked.push(slot);
+                return Cell::Asked(None);
+            };
+            if first_of[slot] != slot {
+                cache.counters().add_coalesced(1);
+                return Cell::Same(first_of[slot]);
+            }
+            match cache.claim(&bodies[slot].key(ids[shard].token())) {
+                Claim::Hit(answer) => Cell::Ready(answer),
+                Claim::Foreign(flight) => Cell::Foreign(flight),
+                Claim::Lead(guard) => {
+                    asked.push(slot);
+                    Cell::Asked(Some(guard))
+                }
+            }
+        });
+        cells.push(row.collect());
+        if !asked.is_empty() {
+            let slots = (batch && asked.len() < masks.len()).then_some(asked);
+            asks.push(Ask { shard, slots });
+        }
+    }
+
+    // Every flight this round leads gets its shard's outcome — an error
+    // unchanged — before the round fails or waits on anybody else's.
+    let mut failed = None;
+    if !asks.is_empty() {
+        let replies = P::probe_each(probes, request, &asks, scratches);
+        for (ask, reply) in asks.iter().zip(replies) {
+            let asked = cells[ask.shard]
+                .iter_mut()
+                .filter(|cell| matches!(cell, Cell::Asked(_)));
+            let mut parts = reply.and_then(|reply| {
+                if !ask.answered_by(request, &reply) {
+                    return Err(unexpected_shape());
+                }
+                Ok(split(reply).into_iter())
+            });
+            for cell in asked {
+                let outcome = match &mut parts {
+                    Ok(parts) => Ok(parts.next().expect("one part per asked slot")),
+                    Err(err) => Err(err.clone()),
+                };
+                let outcome = match std::mem::replace(cell, Cell::Pruned) {
+                    Cell::Asked(Some(guard)) => guard.complete(outcome),
+                    _ => outcome.map(Arc::new),
+                };
+                match outcome {
+                    Ok(answer) => *cell = Cell::Ready(answer),
+                    Err(err) => failed = failed.or(Some(err)),
+                }
+            }
+        }
+    }
+    if let Some(err) = failed {
+        return Err(err);
+    }
+    let answers = cells.iter_mut().map(|row| {
+        for cell in row.iter_mut() {
+            if let (Cell::Foreign(flight), Some((cache, ..))) = (&*cell, &keyed) {
+                *cell = Cell::Ready(cache.wait(flight)?);
+            }
+        }
+        let answer = |cell: &Cell<'_>| match cell {
+            Cell::Ready(answer) => Some(Arc::clone(answer)),
+            _ => None,
+        };
+        if !batch {
+            return Ok(answer(&row[0]));
+        }
+        let parts = row.iter().map(|cell| match cell {
+            Cell::Same(first) => answer(&row[*first]),
+            cell => answer(cell),
+        });
+        join(request, parts).map(|joined| Some(Arc::new(joined)))
+    });
+    merge(probes, request, &answers.collect::<Result<Vec<_>>>()?)
+}
+
+/// The per-slot parts of a shard's reply: the reply itself for a scalar
+/// request, one `Probability` / `Estimate` per mask for a batch —
+/// the shape a batch slot is cached in, so a slot and the single probe of
+/// its mask share an entry.
+fn split(reply: ProbeResponse) -> Vec<ProbeResponse> {
+    match reply {
+        ProbeResponse::Probabilities(ps) => {
+            ps.into_iter().map(ProbeResponse::Probability).collect()
+        }
+        ProbeResponse::Estimates(es) => es.into_iter().map(ProbeResponse::Estimate).collect(),
+        scalar => vec![scalar],
+    }
+}
+
+fn unexpected_shape() -> ModelError {
+    ModelError::Remote(RemoteDetail::message(
+        "shard answered an unexpected probe response shape",
+    ))
+}
+
+/// One shard's answer to the batch `request`, put back together from its
+/// per-mask parts; a pruned slot (`None`) is the exact zero it stands for.
+fn join(
+    request: &ProbeRequest,
+    parts: impl Iterator<Item = Option<Arc<ProbeResponse>>>,
+) -> Result<ProbeResponse> {
+    let count = matches!(request, ProbeRequest::CountMany { .. });
+    let zero = match count {
+        true => ProbeResponse::Estimate(Estimate::new(0.0, 0.0)),
+        false => ProbeResponse::Probability(0.0),
+    };
+    let parts = parts.map(|part| part.map_or_else(|| zero.clone(), |p| ProbeResponse::clone(&p)));
+    if count {
+        let cells = parts.map(Estimate::try_from).collect::<Result<_>>();
+        cells.map(ProbeResponse::Estimates)
+    } else {
+        let cells = parts.map(f64::try_from).collect::<Result<_>>();
+        cells.map(ProbeResponse::Probabilities)
+    }
 }
 
 /// The `SampleAt` arm of [`gather`]: the draws `0..k` are stratified across
 /// the shards (contiguous by shard, sized by [`proportional_quota`] of the
 /// cardinalities read from the shards now), each shard is sent the
 /// requested indices that fall in its stratum — a shard owed none is not
-/// probed, so it cannot fail or slow the draw — and the rows are put back
-/// in request order. Draws bypass the cache (see [`CachedProbe`]).
+/// asked, so it cannot fail or slow the draw — and the rows are put back
+/// in request order. Draws bypass the cache: they are deterministic in
+/// `(seed, index)` and cheap relative to their payload, and caching rows
+/// would only crowd out estimator entries.
 fn gather_sample<P: ShardProbe>(
     probes: &[P],
+    request: &ProbeRequest,
     k: usize,
-    seed: u64,
     indices: &[u64],
     scratches: &mut [P::Scratch],
 ) -> Result<ProbeResponse> {
     let ns: Vec<u64> = probes.iter().map(P::n).collect();
     let quota = proportional_quota(&ns, k);
     let mut owed = vec![Vec::new(); probes.len()];
-    let mut positions = vec![Vec::new(); probes.len()];
-    for (pos, &index) in indices.iter().enumerate() {
+    for (slot, &index) in indices.iter().enumerate() {
         let mut end = 0u64;
         let shard = quota
             .iter()
@@ -808,30 +951,27 @@ fn gather_sample<P: ShardProbe>(
                 index < end
             })
             .ok_or(ModelError::ShapeMismatch)?;
-        owed[shard].push(index);
-        positions[shard].push(pos);
+        owed[shard].push(slot);
     }
-    let requests: Vec<ProbeRequest> = owed
+    let asks: Vec<Ask> = owed
         .into_iter()
-        .map(|indices| ProbeRequest::SampleAt { k, seed, indices })
+        .enumerate()
+        .filter(|(_, slots)| !slots.is_empty())
+        .map(|(shard, slots)| Ask {
+            shard,
+            slots: Some(slots),
+        })
         .collect();
-    let strata = fan_out(probes, scratches, |shard, probe, scratch| {
-        let request = &requests[shard];
-        if positions[shard].is_empty() {
-            return Ok(Vec::new());
-        }
-        let answer = probe.probe(request, scratch)?;
-        if !answer.answers(request) {
-            return Err(ModelError::Remote(RemoteDetail::message(
-                "shard answered an unexpected probe response shape",
-            )));
-        }
-        Vec::<Vec<u32>>::try_from(answer)
-    });
     let mut rows = vec![Vec::new(); indices.len()];
-    for (stratum, positions) in strata.into_iter().zip(&positions) {
-        for (row, &pos) in stratum?.into_iter().zip(positions) {
-            rows[pos] = row;
+    let strata = P::probe_each(probes, request, &asks, scratches);
+    for (ask, stratum) in asks.iter().zip(strata) {
+        let stratum = stratum?;
+        if !ask.answered_by(request, &stratum) {
+            return Err(unexpected_shape());
+        }
+        let slots = ask.slots.iter().flatten();
+        for (row, &slot) in Vec::<Vec<u32>>::try_from(stratum)?.into_iter().zip(slots) {
+            rows[slot] = row;
         }
     }
     let arity = rows.first().map_or(0, Vec::len);
@@ -856,38 +996,41 @@ fn estimates(resp: &ProbeResponse) -> &[Estimate] {
     }
 }
 
-/// Merges the shards' answers to `request`, in shard order. A single
-/// shard's answer is returned untouched (the bitwise 1-shard guarantee).
-/// Probability cells mix as `Σ (n_s / n) · p_s` clamped into `[0, 1]`,
-/// with the cardinalities read from the shards now — a live shard's `n_s`
-/// grows — and estimate cells add (expectations and variances).
+/// Merges the shards' answers to `request`, in shard order; `None` is a
+/// shard pruned from a scalar request, whose exact zero adds nothing to
+/// any fold below. A single shard's answer is returned untouched (the
+/// bitwise 1-shard guarantee). Probability cells mix as `Σ (n_s / n) · p_s`
+/// clamped into `[0, 1]`, with the cardinalities of *all* shards read now —
+/// a live shard's `n_s` grows, and a pruned shard still weighs in `n` — and
+/// estimate cells add (expectations and variances).
 fn merge<P: ShardProbe, R: Borrow<ProbeResponse>>(
     probes: &[P],
     request: &ProbeRequest,
-    answers: &[R],
+    answers: &[Option<R>],
 ) -> Result<ProbeResponse> {
     let mismatch = |what: &str| ModelError::Remote(RemoteDetail::message(what));
-    if answers.iter().any(|a| !a.borrow().answers(request)) {
-        return Err(mismatch(
-            "shard answered an unexpected probe response shape",
-        ));
+    let mut given = answers.iter().flatten().map(R::borrow);
+    if given.clone().any(|answer| !answer.answers(request)) {
+        return Err(unexpected_shape());
     }
-    let (first, rest) = match answers {
-        [] => return Err(ModelError::ShapeMismatch),
-        [only] => return Ok(only.borrow().clone()),
-        [first, rest @ ..] => (first.borrow(), rest),
-    };
+    let first = given.next().ok_or(ModelError::ShapeMismatch)?;
+    if answers.len() == 1 {
+        return Ok(first.clone());
+    }
     Ok(match first {
         ProbeResponse::Probability(_) | ProbeResponse::Probabilities(_) => {
             let ns: Vec<u64> = probes.iter().map(P::n).collect();
             let n = ns.iter().sum::<u64>() as f64;
-            let weights: Vec<f64> = ns.iter().map(|&n_s| n_s as f64 / n).collect();
+            let weighted: Vec<(f64, &ProbeResponse)> = answers
+                .iter()
+                .zip(&ns)
+                .filter_map(|(answer, &n_s)| Some((n_s as f64 / n, answer.as_ref()?.borrow())))
+                .collect();
             let mut mixed = (0..probabilities(first).len()).map(|cell| {
-                answers
+                weighted
                     .iter()
-                    .zip(&weights)
-                    .fold(0.0, |acc, (a, &w)| {
-                        acc + w * probabilities(a.borrow())[cell]
+                    .fold(0.0, |acc, (w, answer)| {
+                        acc + w * probabilities(answer)[cell]
                     })
                     .clamp(0.0, 1.0)
             });
@@ -901,8 +1044,8 @@ fn merge<P: ShardProbe, R: Borrow<ProbeResponse>>(
         ProbeResponse::Rows { .. } => return Err(mismatch("sample rows do not merge")),
         _ => {
             let mut sum = estimates(first).to_vec();
-            for answer in rest {
-                let cells = estimates(answer.borrow());
+            for answer in given {
+                let cells = estimates(answer);
                 if cells.len() != sum.len() {
                     return Err(mismatch("shards answered mismatched group-by shapes"));
                 }
@@ -949,17 +1092,18 @@ pub fn proportional_quota(weights: &[u64], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use entropydb_storage::AttrId;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     /// A synthetic shard probe that counts inner calls, optionally
-    /// sleeps (to widen coalescing windows), and optionally fails.
+    /// sleeps (to widen coalescing windows), optionally fails, and
+    /// optionally declares the codes of attribute 0 it supports.
     struct CountingProbe {
         n: u64,
         calls: AtomicUsize,
         delay: Duration,
         fail: bool,
+        support: Option<Support>,
         /// Every sample index this shard was asked to draw, in arrival order.
         sampled: Mutex<Vec<u64>>,
     }
@@ -971,7 +1115,17 @@ mod tests {
                 calls: AtomicUsize::new(0),
                 delay: Duration::ZERO,
                 fail: false,
+                support: None,
                 sampled: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// A shard of [`weighted_mask`]'s two-attribute shape that supports
+        /// the given codes of attribute 0 (and the one code of attribute 1).
+        fn supporting(n: u64, codes: &[bool]) -> CountingProbe {
+            CountingProbe {
+                support: Some(Support(vec![codes.to_vec(), vec![true]])),
+                ..CountingProbe::new(n)
             }
         }
 
@@ -997,6 +1151,10 @@ mod tests {
         }
 
         fn make_scratch(&self) {}
+
+        fn support(&self) -> Option<&Support> {
+            self.support.as_ref()
+        }
 
         fn probe(&self, request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
             self.calls.fetch_add(1, Ordering::SeqCst);
@@ -1045,23 +1203,30 @@ mod tests {
         }
     }
 
+    /// A one-shard cache under identity `id`, and one shard asked through it.
+    fn shard_cache(id: ShardCacheId) -> GatherCache {
+        GatherCache::new(64, vec![id])
+    }
+
+    fn cached(
+        probe: &CountingProbe,
+        cache: &GatherCache,
+        request: &ProbeRequest,
+    ) -> Result<ProbeResponse> {
+        gather(std::slice::from_ref(probe), Some(cache), request, &mut [()])
+    }
+
     #[test]
     fn single_flight_coalesces_concurrent_identical_probes() {
         let probe = CountingProbe {
             delay: Duration::from_millis(30),
             ..CountingProbe::new(100)
         };
-        let cache = ProbeCache::new(64);
+        let cache = shard_cache(ShardCacheId::new(7));
         let request = count(&[1.0, 0.0, 2.5]);
         let results: Vec<ProbeResponse> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        CachedProbe::new(&probe, &cache, 7)
-                            .probe(&request, &mut ())
-                            .expect("probe succeeds")
-                    })
-                })
+                .map(|_| scope.spawn(|| cached(&probe, &cache, &request).expect("probe succeeds")))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -1078,34 +1243,33 @@ mod tests {
             fail: true,
             ..CountingProbe::new(100)
         };
-        let cache = ProbeCache::new(64);
-        let cached = CachedProbe::new(&probe, &cache, 1);
-        let first = cached.probe(&count(&[1.0]), &mut ());
-        let second = cached.probe(&count(&[1.0]), &mut ());
+        let cache = shard_cache(ShardCacheId::new(1));
+        let first = cached(&probe, &cache, &count(&[1.0]));
+        let second = cached(&probe, &cache, &count(&[1.0]));
         assert_eq!(
             first.clone().unwrap_err(),
             ModelError::Remote(RemoteDetail::message("injected probe failure"))
         );
         assert_eq!(first, second, "waiters and retries see the real error");
         assert_eq!(probe.calls(), 2, "errors are never cached");
-        assert!(cache.is_empty());
+        assert!(cache.cache().is_empty());
         // A failed batch round completes its flights with the same error.
         let batch = ProbeRequest::CountMany {
             masks: vec![weighted_mask(&[1.0]), weighted_mask(&[2.0])],
         };
-        assert_eq!(cached.probe(&batch, &mut ()), first);
-        assert!(cache.is_empty());
+        assert_eq!(cached(&probe, &cache, &batch), first);
+        assert!(cache.cache().is_empty());
     }
 
     #[test]
     fn cache_is_bounded_and_counts_evictions() {
         let probe = CountingProbe::new(100);
-        let cache = ProbeCache::new(4);
-        let cached = CachedProbe::new(&probe, &cache, 1);
+        let cache = GatherCache::new(4, vec![ShardCacheId::new(1)]);
         for i in 0..10 {
-            cached.probe(&count(&[i as f64]), &mut ()).unwrap();
+            cached(&probe, &cache, &count(&[i as f64])).unwrap();
         }
-        assert!(cache.len() <= 4, "cache stays bounded: {}", cache.len());
+        let len = cache.cache().len();
+        assert!(len <= 4, "cache stays bounded: {len}");
         let snap = cache.snapshot();
         assert_eq!(snap.misses, 10);
         assert!(snap.evicted > 0);
@@ -1114,24 +1278,18 @@ mod tests {
     #[test]
     fn generation_bump_invalidates_cached_entries() {
         let probe = CountingProbe::new(100);
-        let cache = ProbeCache::new(64);
         let generation = Arc::new(AtomicU64::new(0));
         let id = ShardCacheId::with_generation(9, Arc::clone(&generation));
+        let cache = shard_cache(id);
         let request = count(&[2.0]);
-        let before = CachedProbe::new(&probe, &cache, id.token())
-            .probe(&request, &mut ())
-            .unwrap();
+        let before = cached(&probe, &cache, &request).unwrap();
         assert_eq!(probe.calls(), 1);
         // Same generation: served from cache.
-        CachedProbe::new(&probe, &cache, id.token())
-            .probe(&request, &mut ())
-            .unwrap();
+        cached(&probe, &cache, &request).unwrap();
         assert_eq!(probe.calls(), 1);
         // Blob replaced: every cached answer becomes unreachable.
         generation.fetch_add(1, Ordering::SeqCst);
-        let after = CachedProbe::new(&probe, &cache, id.token())
-            .probe(&request, &mut ())
-            .unwrap();
+        let after = cached(&probe, &cache, &request).unwrap();
         assert_eq!(probe.calls(), 2, "new generation misses the cache");
         assert_eq!(before, after);
     }
@@ -1139,26 +1297,113 @@ mod tests {
     #[test]
     fn batched_round_coalesces_duplicates_and_fetches_misses_once() {
         let probe = CountingProbe::new(100);
-        let cache = ProbeCache::new(64);
-        let cached = CachedProbe::new(&probe, &cache, 3);
+        let cache = shard_cache(ShardCacheId::new(3));
         let a = weighted_mask(&[1.0]);
         let b = weighted_mask(&[2.0]);
         let batch = ProbeRequest::CountMany {
             masks: vec![a.clone(), b.clone(), a.clone(), a.clone()],
         };
-        let round = cached.probe(&batch, &mut ()).unwrap();
+        let round = cached(&probe, &cache, &batch).unwrap();
         assert_eq!(probe.calls(), 1, "the two distinct masks ride one probe");
-        assert_eq!(cache.len(), 2, "one entry per distinct mask");
+        assert_eq!(cache.cache().len(), 2, "one entry per distinct mask");
         assert_eq!(cache.snapshot().coalesced, 2);
-        // The wrapper must agree with the uncached probe bitwise.
+        // The cached round must agree with the uncached probe bitwise.
         assert_eq!(round, probe.probe(&batch, &mut ()).unwrap());
         // A batch slot and the single probe of its mask share one entry.
-        let single = cached.probe(&ProbeRequest::Count { mask: b }, &mut ());
+        let single = cached(&probe, &cache, &ProbeRequest::Count { mask: b });
         let ProbeResponse::Estimates(round) = round else {
             panic!("a count batch answers estimates")
         };
         assert_eq!(single.unwrap(), ProbeResponse::Estimate(round[1]));
         assert_eq!(probe.calls(), 2, "served from the batch's entry");
+    }
+
+    /// Shards with disjoint supports: a (shard, mask) pair the support
+    /// annihilates is never asked and touches no cache counter, a mask no
+    /// shard admits is still put to shard 0, and a shard without a declared
+    /// support is always asked.
+    #[test]
+    fn gather_asks_only_the_shards_whose_support_admits_the_mask() {
+        let probes = [
+            CountingProbe::supporting(50, &[true, true, false, false]),
+            CountingProbe::supporting(30, &[false, false, true, false]),
+            CountingProbe::new(20),
+        ];
+        let ids = (1..=3).map(ShardCacheId::new).collect();
+        let cache = GatherCache::new(256, ids);
+        let calls = |probes: &[CountingProbe]| probes.iter().map(|p| p.calls()).collect::<Vec<_>>();
+        let mut scratches = [(), (), ()];
+        let mut ask = |request: &ProbeRequest| {
+            gather(&probes, Some(&cache), request, &mut scratches).unwrap()
+        };
+
+        // Only shard 0 supports code 1; shard 2 declares nothing.
+        let low = count(&[0.0, 3.0, 0.0, 0.0]);
+        assert_eq!(ask(&low), ProbeResponse::Estimate(Estimate::new(6.0, 2.0)));
+        assert_eq!(calls(&probes), [1, 0, 1]);
+        assert_eq!(cache.snapshot().misses, 2, "a pruned pair is no miss");
+        ask(&low);
+        assert_eq!(calls(&probes), [1, 0, 1]);
+        assert_eq!(cache.snapshot().hits, 2, "all live pairs cached: no ask");
+
+        // Code 3 is outside every declared support: among the declaring
+        // shards alone, shard 0 is kept and answers for the mixture.
+        let nowhere = count(&[0.0, 0.0, 0.0, 5.0]);
+        ask(&nowhere);
+        assert_eq!(calls(&probes), [1, 0, 2]);
+        let kept = gather(&probes[..2], None, &nowhere, &mut [(), ()]).unwrap();
+        assert_eq!(kept, ProbeResponse::Estimate(Estimate::new(5.0, 1.0)));
+        assert_eq!(calls(&probes), [2, 0, 2]);
+
+        // A batch prunes per mask: each shard is asked only what it owes,
+        // and a pruned cell is the zero it stands for.
+        let batch = ProbeRequest::CountMany {
+            masks: vec![
+                weighted_mask(&[1.0, 0.0, 0.0, 0.0]),
+                weighted_mask(&[0.0, 0.0, 2.0, 0.0]),
+            ],
+        };
+        let sums = [Estimate::new(2.0, 2.0), Estimate::new(4.0, 2.0)];
+        assert_eq!(ask(&batch), ProbeResponse::Estimates(sums.to_vec()));
+        assert_eq!(calls(&probes), [3, 1, 3]);
+
+        // The mixture weights are the cardinalities of all shards, asked
+        // or not: p = 0.5 · 3/50 + 0.2 · 3/20.
+        let p = ProbeRequest::Probability {
+            mask: weighted_mask(&[0.0, 3.0, 0.0, 0.0]),
+        };
+        let mixed = 0.0 + 0.5 * (3.0 / 50.0) + 0.2 * (3.0 / 20.0);
+        assert_eq!(ask(&p), ProbeResponse::Probability(mixed));
+    }
+
+    #[test]
+    fn support_admits_prints_and_is_learned_from_group_bys() {
+        let marginals = [vec![2.0, 0.0, 0.0, 1.0, 4.0], vec![0.0, 7.0]];
+        let support = Support::learn::<ModelError>(2, |asks| {
+            let cells = |m: &Vec<f64>| m.iter().map(|&e| Estimate::new(e, 0.0)).collect();
+            assert!(asks
+                .iter()
+                .all(|r| matches!(r, ProbeRequest::GroupBy { mask, .. } if mask.is_identity())));
+            Ok(marginals
+                .iter()
+                .map(cells)
+                .map(ProbeResponse::Groups)
+                .collect())
+        })
+        .unwrap();
+        assert_eq!(support.to_string(), "0,3-4 1");
+        let mask = |w: &[f64]| Mask::from_weights(vec![Some(w.to_vec()), None]);
+        assert!(support.admits(&Mask::identity(2)));
+        assert!(support.admits(&mask(&[0.0, 1.0, 0.0, 0.5, 0.0])));
+        assert!(!support.admits(&mask(&[0.0, 1.0, 1.0, 0.0, 0.0])));
+        assert!(!support.admits(&mask(&[0.0; 5])));
+        // Another shape is the shard's to reject.
+        assert!(support.admits(&mask(&[0.0; 4])));
+        assert!(support.admits(&Mask::identity(3)));
+        // A wrong number of answers, or a non-group answer, is no support.
+        assert!(Support::learn::<ModelError>(2, |_| Ok(vec![])).is_err());
+        let odd = |_: &[ProbeRequest]| Ok(vec![ProbeResponse::Probability(1.0); 2]);
+        assert!(Support::learn::<ModelError>(2, odd).is_err());
     }
 
     #[test]
@@ -1190,7 +1435,7 @@ mod tests {
     /// the cached answer is bitwise the fanned-out one (both run
     /// [`merge`]), equals the uncached gather, and costs no second probe.
     #[test]
-    fn gather_cache_peek_paths_match_drivers_bitwise() {
+    fn gather_cache_paths_match_drivers_bitwise() {
         let probes = [CountingProbe::new(60), CountingProbe::new(40)];
         let uncached = [CountingProbe::new(60), CountingProbe::new(40)];
         let ids = vec![ShardCacheId::new(1), ShardCacheId::new(2)];
@@ -1241,15 +1486,18 @@ mod tests {
         let probes = [CountingProbe::new(60), CountingProbe::new(40)];
         let request = count(&[1.0]);
         let e = ProbeResponse::Estimate(Estimate::new(0.1, 0.2));
-        let sole = merge(&probes[..1], &request, std::slice::from_ref(&e)).unwrap();
+        let sole = merge(&probes[..1], &request, &[Some(&e)]).unwrap();
         assert_eq!(sole, e);
-        let mixed = [e.clone(), ProbeResponse::Probability(0.5)];
+        let mixed = [Some(e.clone()), Some(ProbeResponse::Probability(0.5))];
         assert!(merge(&probes, &request, &mixed).is_err());
+        // A pruned shard adds nothing; nobody answering is a shape error.
+        assert_eq!(merge(&probes, &request, &[None, Some(&e)]).unwrap(), e);
+        assert!(merge::<_, ProbeResponse>(&probes, &request, &[None, None]).is_err());
         let group = ProbeRequest::GroupBy {
             mask: weighted_mask(&[1.0]),
             attr: AttrId(0),
         };
-        let cells = |len: usize| ProbeResponse::Groups(vec![Estimate::new(1.0, 1.0); len]);
+        let cells = |len: usize| Some(ProbeResponse::Groups(vec![Estimate::new(1.0, 1.0); len]));
         assert!(merge(&probes, &group, &[cells(2), cells(3)]).is_err());
         assert_eq!(
             merge(&probes, &group, &[cells(2), cells(2)]).unwrap(),
@@ -1264,7 +1512,7 @@ mod tests {
             arity: 1,
             rows: vec![vec![0]],
         };
-        assert!(merge(&probes, &sample, &[rows.clone(), rows]).is_err());
+        assert!(merge(&probes, &sample, &[Some(rows.clone()), Some(rows)]).is_err());
     }
 
     #[test]

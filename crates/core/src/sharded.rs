@@ -131,7 +131,7 @@ impl ShardedSummary {
     /// Puts a gather-side answer cache (bounded to `entries` responses)
     /// in front of the shard models: repeated probes are answered from
     /// the cache, concurrent identical probes coalesce, and fully-cached
-    /// queries skip the fan-out pool entirely. Answers stay
+    /// queries ask no shard and never enter the worker pool. Answers stay
     /// bitwise-identical to the uncached paths — cached entries are the
     /// shards' own responses and [`scatter::gather`] merges both.
     pub fn with_probe_cache(mut self, entries: usize) -> Self {

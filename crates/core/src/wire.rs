@@ -96,6 +96,12 @@ impl<'a> TokenReader<'a> {
     /// Parses the next token as a `T`.
     pub fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T> {
         let t = self.next(what)?;
+        self.parse_token(t, what)
+    }
+
+    /// Parses a token already taken with [`TokenReader::next`] — for a
+    /// caller that first matches the token against literal spellings.
+    pub fn parse_token<T: std::str::FromStr>(&self, t: &str, what: &str) -> Result<T> {
         t.parse()
             .map_err(|_| self.error(format!("cannot parse {what} from {t:?}")))
     }

@@ -2,7 +2,9 @@
 //! `ProbeRequest` variant) answers bitwise identically on monolithic =
 //! 1-shard sharded and on k-shard sharded = live over k base shards; a
 //! probe served through `QueryEngine::probe` behind a wire round trip
-//! equals the direct `probe` call; and malformed shapes are rejected.
+//! equals the direct `probe` call; malformed shapes are rejected; and
+//! pruning by support is invisible — at work on range-partitioned shards,
+//! idle on hash-partitioned ones.
 
 use entropydb_core::assignment::Mask;
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
@@ -54,6 +56,12 @@ fn sharded() -> ShardedSummary {
     .unwrap()
 }
 
+/// The range-partitioned fixture: three shards with disjoint supports.
+fn range_sharded() -> ShardedSummary {
+    let (table, partitioning, multi) = probes::range_fixture();
+    ShardedSummary::build(&table, &partitioning, multi, &Default::default()).unwrap()
+}
+
 /// A live summary over `base`'s shards with nothing appended.
 fn live(base: ShardedSummary) -> LiveSummary {
     let config = IngestConfig {
@@ -70,6 +78,30 @@ fn probe_table_is_bitwise_across_backends() {
     probes::assert_probe_parity(&mono, &one_shard);
     let sharded = sharded();
     probes::assert_probe_parity(&sharded, &live(sharded.clone()));
+    let ranged = range_sharded();
+    probes::assert_probe_parity(&ranged, &live(ranged.clone()));
+}
+
+/// Range-partitioned shards are pruned — each of them, by masks that are
+/// not all zeros — and nobody can tell: see
+/// [`probes::assert_pruning_is_invisible`]. Hash-partitioned shards each
+/// support every code, so only an unsatisfiable mask is ever dropped there.
+#[test]
+fn pruning_is_invisible_on_range_shards_and_idle_on_hash_shards() {
+    let unsatisfiable = |mask: &Mask| {
+        let all_zero = |w: &[f64]| w.iter().all(|&w| w == 0.0);
+        (0..mask.arity()).any(|attr| mask.attr_weights(attr).is_some_and(all_zero))
+    };
+    let ranged = range_sharded();
+    assert_eq!(ranged.num_shards(), 3);
+    let pruned = probes::assert_pruning_is_invisible(ranged.shards(), ranged.domain_sizes());
+    for shard in 0..3 {
+        let real = |(s, mask): &(usize, Mask)| *s == shard && !unsatisfiable(mask);
+        assert!(pruned.iter().any(real), "shard {shard} is never pruned");
+    }
+    let hashed = sharded();
+    let pruned = probes::assert_pruning_is_invisible(hashed.shards(), hashed.domain_sizes());
+    assert!(pruned.iter().all(|(_, mask)| unsatisfiable(mask)));
 }
 
 /// A probe answered through `QueryEngine::probe` behind a wire round trip

@@ -36,8 +36,10 @@
 //!   back to an ephemeral port and the manifest file is rewritten.
 //! * `probe` health-checks every **replica** of a manifest: dials it,
 //!   runs the schema/cardinality handshake, and reports per-replica
-//!   status; exits non-zero if any replica is dead or serving the wrong
-//!   blob.
+//!   status with the support a gatherer learns from it (per attribute, the
+//!   code ranges the replica can put mass on — a mask outside them is
+//!   never sent to the shard); exits non-zero if any replica is dead or
+//!   serving the wrong blob.
 //! * `gateway` connects a [`RemoteShardedSummary`] over the manifest and
 //!   serves it on one address — a scatter/gather front-end node answering
 //!   the ordinary query protocol while fanning out to the shard nodes,
@@ -47,8 +49,10 @@
 //!   changed blob. `--cache-entries N` bounds the gather-side probe
 //!   cache (default 65536; `0` disables caching), and `--control-file
 //!   FILE` opens a localhost control channel (address written to `FILE`)
-//!   whose `status` line reports per-replica health, the cache's
-//!   hit/miss/coalesced/evicted counters, and the serving side's
+//!   whose `status` line reports each shard's learned support (code
+//!   ranges per attribute, or `any` for a dynamic shard), per-replica
+//!   health, the cache's hit/miss/coalesced/evicted counters, and the
+//!   serving side's
 //!   operational counters (active/accepted/shed sessions, bytes in/out,
 //!   dispatch queue depth).
 //! * `soak` storms a running server (typically a gateway) with pipelined
@@ -76,6 +80,7 @@
 
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::plan::QueryRequest;
+use entropydb_core::scatter::{ShardProbe, Support};
 use entropydb_core::serialize::{self, ClusterShard};
 use entropydb_core::sharded::ShardedSummary;
 use entropydb_server::{
@@ -595,7 +600,14 @@ fn cmd_probe(args: &[String]) -> ExitCode {
                 if n != entry.n {
                     return Err(format!("serves n = {n}, manifest declares {}", entry.n));
                 }
-                Ok(format!("ok (n = {n}, arity = {arity})"))
+                // What a gatherer's handshake learns: the codes the replica
+                // can put mass on, per attribute (a mask outside them is
+                // never sent to this shard).
+                let support = Support::learn(arity, |asks| client.probe_pipelined(asks))
+                    .map_err(|e: entropydb_server::ClientError| e.to_string())?;
+                Ok(format!(
+                    "ok (n = {n}, arity = {arity}, support = {support})"
+                ))
             })();
             match status {
                 Ok(msg) => println!("shard {} replica {j} @ {addr}: {msg}", entry.index),
@@ -665,6 +677,13 @@ fn gateway_control_loop(
                 "status" => {
                     let mut out = String::new();
                     for shard in shards.iter() {
+                        // The codes the shard is asked about (`any`: a
+                        // dynamic shard, whose support grows, is asked
+                        // everything).
+                        let support = shard
+                            .support()
+                            .map_or("any".to_string(), |support| support.to_string());
+                        out.push_str(&format!("shard {} support {support}\n", shard.index()));
                         for (j, replica) in shard.replicas().iter().enumerate() {
                             let state = if replica.is_evicted() {
                                 "evicted"

@@ -104,7 +104,8 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 /// parsed against the served schema — values of binned attributes are raw
 /// numbers, values of categorical attributes are dense codes), or
 /// mask-level shard probes ([`Client::probe`] /
-/// [`Client::probe_pipelined`], the scatter/gather fan-out primitive).
+/// [`Client::probe_pipelined`] and its two halves, the scatter/gather
+/// fan-out primitive).
 ///
 /// Queries are read-only, so [`Client::execute`] and [`Client::probe`]
 /// transparently reconnect and retry **once** when the transport breaks
@@ -343,21 +344,39 @@ impl Client {
     }
 
     /// Executes several shard probes as one pipelined write followed by
-    /// in-order reads (one wire round trip for a whole fan-out step). The
-    /// scatter/gather primitive: it **never reconnects** — the gatherer
-    /// re-runs the shard handshake on every fresh dial, so it owns the
-    /// retry (a bare re-dial could reach a node whose blob was replaced).
-    /// A probe the *server* failed (its error channel) fails the call.
+    /// in-order reads (one wire round trip for a whole fan-out step):
+    /// [`Client::send_probes`] then [`Client::read_probe_replies`].
     pub fn probe_pipelined(&mut self, probes: &[ProbeRequest]) -> ClientResult<Vec<ProbeResponse>> {
+        let lines: Vec<String> = probes.iter().map(ProbeRequest::encode).collect();
+        self.send_probes(&lines)?;
+        self.read_probe_replies(lines.len())
+    }
+
+    /// The send half of a pipelined probe round trip: writes the encoded
+    /// `b1` lines as one write and returns without reading, so a gatherer
+    /// can put a frame on every shard's wire before it waits for any reply.
+    /// It **never reconnects** — the gatherer re-runs the shard handshake on
+    /// every fresh dial, so it owns the retry (a bare re-dial could reach a
+    /// node whose blob was replaced).
+    pub fn send_probes(&mut self, lines: &[impl AsRef<str>]) -> ClientResult<()> {
         let mut frame = String::new();
-        for probe in probes {
-            frame.push_str(&probe.encode());
+        for line in lines {
+            frame.push_str(line.as_ref());
             frame.push('\n');
         }
         self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()?;
-        let mut responses = Vec::with_capacity(probes.len());
-        for _ in probes {
+        Ok(())
+    }
+
+    /// The receive half: reads the replies to `count` lines sent with
+    /// [`Client::send_probes`], in order. A probe the *server* failed (its
+    /// error channel) fails the call at that reply; the replies behind it
+    /// stay unread, so a connection whose call failed is out of step and
+    /// must be dropped, never reused.
+    pub fn read_probe_replies(&mut self, count: usize) -> ClientResult<Vec<ProbeResponse>> {
+        let mut responses = Vec::with_capacity(count);
+        for _ in 0..count {
             let line = self.read_line()?;
             responses.push(ProbeResponse::decode(&line)?);
         }

@@ -17,6 +17,10 @@
 //!   A client blocks until its socket deadline fires.
 //! * [`FaultMode::Deny`] — close every connection (new and live)
 //!   immediately: a crashed process whose port answers with resets.
+//! * [`FaultMode::SeverOnRequest`] — keep idle connections open, but close
+//!   a connection the moment request bytes arrive on it, forwarding none:
+//!   the client's write succeeds and its read finds the transport dead —
+//!   a node killed between the two halves of a round trip.
 //! * [`FaultMode::CorruptResponses`] — forward requests untouched but
 //!   replace every upstream response chunk with a grammar-breaking
 //!   garbage line. The client's decoder fails (a *protocol* failure), so
@@ -47,6 +51,9 @@ pub enum FaultMode {
     BlackHole,
     /// Close new and live connections immediately (a dead node).
     Deny,
+    /// Close a connection when a request arrives on it, unanswered (a node
+    /// dying between a client's write and its read).
+    SeverOnRequest,
     /// Forward requests, replace responses with undecodable garbage.
     CorruptResponses,
 }
@@ -285,7 +292,7 @@ fn relay(from: TcpStream, mut to: TcpStream, direction: Direction, shared: &Shar
                 to.write_all(&buf[..n])
             }
             FaultMode::BlackHole => continue,
-            FaultMode::Deny => break,
+            FaultMode::Deny | FaultMode::SeverOnRequest => break,
             FaultMode::CorruptResponses => match direction {
                 Direction::ClientToUpstream => to.write_all(&buf[..n]),
                 Direction::UpstreamToClient => to.write_all(CORRUPT_LINE),

@@ -5,21 +5,34 @@
 //! queries out across in-process shard models through the
 //! shard-source-agnostic merge layer (`entropydb_core::scatter`).
 //! [`RemoteShardedSummary`] keeps the *gather side of that layer unchanged*
-//! (`scatter::gather`: peek the cache, else probe every shard, then the
-//! one merge) and swaps what a shard is: an `entropydb-serve` instance
-//! reached over TCP, addressed by a cluster manifest ([`ClusterShard`]).
-//! [`RemoteShard`]'s `probe` is the one site that writes probe frames —
-//! the query's single `ProbeRequest`, borrowed, as a `b1` line
-//! (`entropydb_core::probe`) — and the node answers it through the very
-//! dispatch an in-process shard model runs. Because the merge arithmetic
-//! and the stratified sampling streams are the code paths the local
-//! backend runs — and because the probe wire encoding round-trips floats
-//! bit-exactly — remote answers are **bitwise identical** to a local
-//! `ShardedSummary` over the same shard models, on every `QueryRequest`
-//! variant (a top-k is the merged `group` answer ranked once, here as
-//! there). The cluster's `n` and the mixture weights are read from the
-//! shards' handshaken cardinalities at call time, so a gateway over a live
-//! (growing) shard never mixes with connect-time weights.
+//! (`scatter::gather`: prune by support, claim the cache, ask the shards
+//! that are left together, then the one merge) and swaps what a shard is:
+//! an `entropydb-serve` instance reached over TCP, addressed by a cluster
+//! manifest ([`ClusterShard`]). A sharded answer costs **one round trip,
+//! only to the shards that can answer**:
+//!
+//! * The shard handshake learns each static shard's
+//!   [`Support`] — the codes its complete 1-D statistics leave non-zero —
+//!   beside schema and cardinality, with the probes every backend answers
+//!   (no verb of its own). The gather side does not send a shard a mask its
+//!   support annihilates: that answer is an exact `0.0`. A dynamic (live)
+//!   shard's support grows, so it declares none and is always asked.
+//! * [`RemoteShard`]'s `probe_each` is the one site that writes probe
+//!   frames: the query's single `ProbeRequest`, encoded once
+//!   (`entropydb_core::probe::SharedEncoding`), goes to every asked shard's
+//!   pooled connection before the first reply is read, on the calling
+//!   thread — so the shards compute side by side — and each node answers
+//!   through the very dispatch an in-process shard model runs.
+//!
+//! Because the merge arithmetic and the stratified sampling streams are
+//! the code paths the local backend runs — and because the probe wire
+//! encoding round-trips floats bit-exactly — remote answers are **bitwise
+//! identical** to a local `ShardedSummary` over the same shard models, on
+//! every `QueryRequest` variant (a top-k is the merged `group` answer
+//! ranked once, here as there). The cluster's `n` and the mixture weights
+//! are read from the shards' handshaken cardinalities at call time, so a
+//! gateway over a live (growing) shard never mixes with connect-time
+//! weights.
 //!
 //! # Fault tolerance
 //!
@@ -45,17 +58,19 @@
 //!   probation probes (the least-recently-failed replica first) so an
 //!   outage heals without operator action.
 //! * Every **fresh dial** re-runs the shard-manifest handshake (schema +
-//!   cardinality) — including the re-dial after a *pooled* connection is
-//!   found dead (idle-reaped, or its node replaced on the same address):
-//!   probe traffic never rides a bare client reconnect. A replica serving
-//!   a changed blob is **evicted** — it can never contribute an answer, so
+//!   cardinality; the support too at a replica's first handshake and at
+//!   every background one) — including the re-dial after a *pooled*
+//!   connection is found dead (idle-reaped, or its node replaced on the
+//!   same address): probe traffic never rides a bare client reconnect. A
+//!   replica serving a changed blob is **evicted** — it can never contribute an answer, so
 //!   failover never changes results: whenever any live replica holds the
 //!   shard, answers remain bitwise identical to a healthy cluster. A background re-handshake thread
 //!   ([`RemoteShardedSummary::start_rehandshake`]) re-verifies idle
 //!   replicas periodically and evicts changed blobs proactively.
 //!
 //! Connections are pooled per replica and reused across queries. A
-//! connection involved in any failure is dropped, never pooled. If a
+//! connection involved in any failure — one that was written to and not
+//! read to the end included — is dropped, never pooled. If a
 //! shard's whole replica set is exhausted the failure surfaces as
 //! [`ModelError::Degraded`] naming the shard and its primary address,
 //! carrying the per-attempt failure trail; the engine's batch path keeps
@@ -67,10 +82,11 @@ use crate::client::{
 use entropydb_core::engine::{AppendOutcome, SummaryBackend};
 use entropydb_core::error::{ModelError, RemoteDetail, Result};
 use entropydb_core::metrics::{CacheStatsSnapshot, IngestStatsSnapshot};
-use entropydb_core::probe::{ProbeRequest, ProbeResponse};
-use entropydb_core::scatter::{self, GatherCache, ShardCacheId, ShardProbe};
+use entropydb_core::probe::{ProbeRequest, ProbeResponse, SharedEncoding};
+use entropydb_core::scatter::{self, Ask, GatherCache, ShardCacheId, ShardProbe, Support};
 use entropydb_core::serialize::ClusterShard;
 use entropydb_storage::Schema;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -268,6 +284,9 @@ pub struct Replica {
     addr: String,
     conns: Mutex<Vec<Client>>,
     health: Mutex<Health>,
+    /// Set once a handshake found this replica serving the shard's
+    /// [`Support`]; until then every dial asks for it.
+    support_verified: AtomicBool,
 }
 
 impl Replica {
@@ -276,6 +295,7 @@ impl Replica {
             addr,
             conns: Mutex::new(Vec::new()),
             health: Mutex::new(Health::default()),
+            support_verified: AtomicBool::new(false),
         }
     }
 
@@ -362,6 +382,10 @@ pub struct RemoteShard {
     /// `stats ingest` polls, dynamic handshakes). See
     /// [`RemoteShard::note_epoch`].
     last_seen_epoch: AtomicU64,
+    /// The blob's [`Support`], learned by the first handshake and verified
+    /// by every later one. Never set for a dynamic placement, whose support
+    /// grows with every fold: such a shard is always asked.
+    support: OnceLock<Support>,
 }
 
 impl RemoteShard {
@@ -376,6 +400,7 @@ impl RemoteShard {
             expected_schema: OnceLock::new(),
             generation: Arc::new(AtomicU64::new(0)),
             last_seen_epoch: AtomicU64::new(0),
+            support: OnceLock::new(),
         }
     }
 
@@ -471,12 +496,22 @@ impl RemoteShard {
     }
 
     /// Dials replica `idx` fresh and re-runs the shard-manifest handshake:
-    /// the node must answer `ping`, report the manifest cardinality, and —
-    /// once the cluster schema is known — serve that exact schema. Returns
-    /// the verified connection plus the served schema (for connect-time
-    /// cross-shard comparison).
-    fn dial_verified(&self, idx: usize) -> std::result::Result<(Client, Schema), DialFailure> {
-        let addr = self.replicas[idx].addr.as_str();
+    /// the node must answer `ping`, report the manifest cardinality, and
+    /// serve — once the cluster schema is known — that exact schema. A
+    /// static placement must also answer the [`Support`] probes (one
+    /// pipelined frame) the way the shard's first verified replica did:
+    /// asked at the replica's first handshake and, with `reverify`, at every
+    /// background one — a query-path re-dial of a replica already seen
+    /// serving the shard's support costs what it did before supports
+    /// existed. Returns the verified connection plus the served schema
+    /// (for connect-time cross-shard comparison).
+    fn dial_verified(
+        &self,
+        idx: usize,
+        reverify: bool,
+    ) -> std::result::Result<(Client, Schema), DialFailure> {
+        let replica = &self.replicas[idx];
+        let addr = replica.addr.as_str();
         let mut client = Client::connect_with(addr, self.config.client_config())
             .map_err(|e| DialFailure::Transport(format!("cannot connect: {e}")))?;
         client.ping().map_err(|e| match e {
@@ -516,6 +551,19 @@ impl RemoteShard {
                 ));
             }
         }
+        if !self.dynamic && (reverify || !replica.support_verified.load(Ordering::Acquire)) {
+            let learned =
+                Support::learn(served_schema.arity(), |asks| client.probe_pipelined(asks));
+            let served = learned.map_err(|e: ClientError| {
+                DialFailure::Transport(format!("support handshake failure: {e}"))
+            })?;
+            if self.support.get_or_init(|| served.clone()) != &served {
+                return Err(DialFailure::WrongBlob(
+                    "served support differs from the shard's (changed blob?)".to_string(),
+                ));
+            }
+            replica.support_verified.store(true, Ordering::Release);
+        }
         Ok((client, served_schema))
     }
 
@@ -544,72 +592,82 @@ impl RemoteShard {
         soonest_open.map(|(idx, _)| idx)
     }
 
-    /// Runs `f` against a verified connection of a live replica — pooled,
-    /// or dialed (and handshaken) fresh when the pool is empty — failing
-    /// over per the module-level classification. A connection involved in
-    /// any failure is dropped, so the pool never caches a broken or
-    /// desynchronized transport. Success resets the replica's breaker and
-    /// makes it the preferred replica for subsequent probes.
-    fn with_conn<R>(&self, f: impl Fn(&mut Client) -> ClientResultAlias<R>) -> Result<R> {
+    /// The failover loop: runs `f` against a verified connection of a live
+    /// replica — pooled, or dialed (and handshaken) fresh when the pool is
+    /// empty — failing over per the module-level classification. A
+    /// connection involved in any failure is dropped (an attempt hands its
+    /// connection back only inside its `Ok`), so the pool never caches a
+    /// broken or desynchronized transport. Success resets the replica's
+    /// breaker and makes it the preferred replica for subsequent probes.
+    /// `first` is an attempt the caller already made on a *pooled*
+    /// connection of that replica — the two-pass probe path writes before
+    /// it reads — and stands in for the loop's first.
+    fn failover<R>(
+        &self,
+        mut first: Option<(usize, ClientResultAlias<(Client, R)>)>,
+        f: impl Fn(&mut Client) -> ClientResultAlias<R>,
+    ) -> Result<R> {
         let len = self.replicas.len();
         if len == 0 {
             return Err(self.degraded(&["manifest lists no replica".to_string()]));
         }
+        let run = |mut client: Client| f(&mut client).map(|out| (client, out));
         let mut attempts: Vec<String> = Vec::new();
         let mut tried = vec![false; len];
         let mut backoff = self.config.backoff_base;
         let mut start = self.preferred.load(Ordering::Relaxed) % len;
-        'attempts: for _ in 0..self.config.max_attempts(len) {
-            let Some(idx) = self.choose(start, Instant::now()) else {
-                attempts.push("every replica evicted (changed blob)".to_string());
-                break;
-            };
-            // Failing over to an untried replica is immediate; once the
-            // rotation wraps, sleep the capped exponential backoff so a
-            // struggling cluster is not hammered.
-            if tried[idx] && !backoff.is_zero() {
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2).min(self.config.backoff_cap);
-            }
-            tried[idx] = true;
-            let replica = &self.replicas[idx];
-            let mut pooled = replica.conns.lock().expect("conn pool").pop();
-            let (client, outcome) = loop {
-                let from_pool = pooled.is_some();
-                let mut client = match pooled.take() {
-                    Some(client) => client,
-                    None => match self.dial_verified(idx) {
-                        Ok((client, _)) => client,
-                        Err(DialFailure::WrongBlob(detail)) => {
-                            self.evict_replica(idx);
-                            attempts.push(format!("{}: evicted: {detail}", replica.addr));
-                            start = (idx + 1) % len;
-                            continue 'attempts;
-                        }
-                        Err(DialFailure::Transport(detail)) => {
-                            replica
-                                .health
-                                .lock()
-                                .expect("replica health")
-                                .record_failure(&self.config);
-                            attempts.push(format!("{}: {detail}", replica.addr));
-                            start = (idx + 1) % len;
-                            continue 'attempts;
-                        }
-                    },
-                };
-                match f(&mut client) {
-                    // A *pooled* transport found dead was idle-reaped, or
-                    // its node was replaced on the same address: not a node
-                    // failure (no breaker count, no backoff), but the next
-                    // bytes must not reach an unverified blob — go round
-                    // once more, through the handshake.
-                    Err(ClientError::Io(e)) if from_pool && transport_is_retryable(&e) => {}
-                    outcome => break (client, outcome),
+        for _ in 0..self.config.max_attempts(len) {
+            let (idx, pooled) = match first.take() {
+                Some((idx, outcome)) => (idx, Some(outcome)),
+                None => {
+                    let Some(idx) = self.choose(start, Instant::now()) else {
+                        attempts.push("every replica evicted (changed blob)".to_string());
+                        break;
+                    };
+                    // Failing over to an untried replica is immediate; once
+                    // the rotation wraps, sleep the capped exponential
+                    // backoff so a struggling cluster is not hammered.
+                    if tried[idx] && !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                        backoff = backoff.saturating_mul(2).min(self.config.backoff_cap);
+                    }
+                    let pooled = self.replicas[idx].conns.lock().expect("conn pool").pop();
+                    (idx, pooled.map(&run))
                 }
             };
+            tried[idx] = true;
+            start = (idx + 1) % len;
+            let replica = &self.replicas[idx];
+            let record_failure = || {
+                let mut health = replica.health.lock().expect("replica health");
+                health.record_failure(&self.config);
+            };
+            let outcome = match pooled {
+                // A *pooled* transport found dead was idle-reaped, or its
+                // node was replaced on the same address: not a node failure
+                // (no breaker count, no backoff), but the next bytes must
+                // not reach an unverified blob — go through the handshake.
+                Some(Err(ClientError::Io(e))) if transport_is_retryable(&e) => None,
+                outcome => outcome,
+            };
+            let outcome = match outcome {
+                Some(outcome) => outcome,
+                None => match self.dial_verified(idx, false) {
+                    Ok((client, _)) => run(client),
+                    Err(DialFailure::WrongBlob(detail)) => {
+                        self.evict_replica(idx);
+                        attempts.push(format!("{}: evicted: {detail}", replica.addr));
+                        continue;
+                    }
+                    Err(DialFailure::Transport(detail)) => {
+                        record_failure();
+                        attempts.push(format!("{}: {detail}", replica.addr));
+                        continue;
+                    }
+                },
+            };
             match outcome {
-                Ok(out) => {
+                Ok((client, out)) => {
                     replica
                         .health
                         .lock()
@@ -624,19 +682,13 @@ impl RemoteShard {
                 // retry without opening the breaker: the node is alive.
                 Err(ClientError::Model(ModelError::Busy(msg))) => {
                     attempts.push(format!("{}: busy: {msg}", replica.addr));
-                    start = (idx + 1) % len;
                 }
                 // Protocol failure: the response frame did not decode
                 // (corrupted or truncated stream). The transport is
                 // desynchronized — drop it and fail over.
                 Err(ClientError::Model(ModelError::Parse { message, .. })) => {
-                    replica
-                        .health
-                        .lock()
-                        .expect("replica health")
-                        .record_failure(&self.config);
+                    record_failure();
                     attempts.push(format!("{}: protocol failure: {message}", replica.addr));
-                    start = (idx + 1) % len;
                 }
                 // Deterministic server error: every replica would compute
                 // the same error, so fail the call immediately — a
@@ -646,17 +698,45 @@ impl RemoteShard {
                 }
                 // Transport death or deadline expiry: fail over.
                 Err(ClientError::Io(io)) => {
-                    replica
-                        .health
-                        .lock()
-                        .expect("replica health")
-                        .record_failure(&self.config);
+                    record_failure();
                     attempts.push(format!("{}: transport failure: {io}", replica.addr));
-                    start = (idx + 1) % len;
                 }
             }
         }
         Err(self.degraded(&attempts))
+    }
+
+    /// The write half of a probe round trip: checks a pooled, verified
+    /// connection of the replica the failover loop would try first out of
+    /// its pool and writes `lines` to it. `None` when that replica has no
+    /// idle connection — the loop will dial one.
+    fn send(&self, lines: &[Cow<'_, str>]) -> Option<(usize, ClientResultAlias<Client>)> {
+        let start = self.preferred.load(Ordering::Relaxed) % self.replicas.len().max(1);
+        let idx = self.choose(start, Instant::now())?;
+        let mut client = self.replicas[idx].conns.lock().expect("conn pool").pop()?;
+        Some((idx, client.send_probes(lines).map(|()| client)))
+    }
+
+    /// The read half: the replies to `lines` from the connection
+    /// [`RemoteShard::send`] wrote them to — and, when there was none or
+    /// either half failed, from the failover loop, which takes the failed
+    /// attempt as its first and re-sends the lines itself.
+    fn receive(
+        &self,
+        lines: &[Cow<'_, str>],
+        sent: Option<(usize, ClientResultAlias<Client>)>,
+    ) -> Result<Vec<ProbeResponse>> {
+        let first = sent.map(|(idx, written)| {
+            let read = written.and_then(|mut client| {
+                let replies = client.read_probe_replies(lines.len())?;
+                Ok((client, replies))
+            });
+            (idx, read)
+        });
+        self.failover(first, |client| {
+            client.send_probes(lines)?;
+            client.read_probe_replies(lines.len())
+        })
     }
 
     /// Background re-verification of replica `idx`: a fresh dial plus
@@ -667,7 +747,7 @@ impl RemoteShard {
         if self.replicas[idx].is_evicted() {
             return;
         }
-        match self.dial_verified(idx) {
+        match self.dial_verified(idx, true) {
             Ok((client, _)) => {
                 let replica = &self.replicas[idx];
                 replica
@@ -710,41 +790,9 @@ const PROBE_INDEX_CHUNK: usize = 8192;
 /// (2 × `MAX_FUSED_LANES`).
 const PROBE_MASK_CHUNK: usize = 32;
 
-/// Splits a batch or sample request against the line cap: `None` when
-/// `request` is its own single frame; otherwise one frame per chunk — none
-/// at all for an empty batch, which is answered without touching the wire.
-fn frames(request: &ProbeRequest) -> Option<Vec<ProbeRequest>> {
-    fn chunked<T: Clone>(
-        items: &[T],
-        chunk: usize,
-        frame: impl Fn(Vec<T>) -> ProbeRequest,
-    ) -> Option<Vec<ProbeRequest>> {
-        (items.is_empty() || items.len() > chunk)
-            .then(|| items.chunks(chunk).map(|c| frame(c.to_vec())).collect())
-    }
-    match request {
-        ProbeRequest::ProbabilityMany { masks } => chunked(masks, PROBE_MASK_CHUNK, |masks| {
-            ProbeRequest::ProbabilityMany { masks }
-        }),
-        ProbeRequest::CountMany { masks } => chunked(masks, PROBE_MASK_CHUNK, |masks| {
-            ProbeRequest::CountMany { masks }
-        }),
-        ProbeRequest::SampleAt { k, seed, indices } => {
-            chunked(indices, PROBE_INDEX_CHUNK, |indices| {
-                ProbeRequest::SampleAt {
-                    k: *k,
-                    seed: *seed,
-                    indices,
-                }
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Concatenates the replies to the [`frames`] of `request`, in order. A
-/// reply of the wrong variant is returned as it is — the caller's
-/// [`ProbeResponse::answers`] test rejects it.
+/// Concatenates the replies to the frames of a batch or draw `request`, in
+/// order. A reply of the wrong variant is returned as it is — the caller's
+/// shape test rejects it.
 fn join(request: &ProbeRequest, replies: Vec<ProbeResponse>) -> ProbeResponse {
     let mut joined = match request {
         ProbeRequest::ProbabilityMany { .. } => ProbeResponse::Probabilities(Vec::new()),
@@ -785,40 +833,96 @@ impl ShardProbe for RemoteShard {
 
     fn make_scratch(&self) {}
 
-    /// The one site that puts probe frames on the wire: `request` goes out
-    /// as it is — borrowed, the same value every other shard is sent — or,
-    /// when it would outgrow the line cap, as pipelined `frames` whose
-    /// replies are concatenated; the shard answers each frame through the
-    /// same dispatch an in-process shard runs, so the reply is
-    /// bitwise-identical to probing the model directly. The client call
-    /// never reconnects on its own: a fresh dial must pass the handshake
-    /// (`RemoteShard::with_conn`).
-    fn probe(&self, request: &ProbeRequest, _s: &mut ()) -> Result<ProbeResponse> {
-        let split = frames(request);
-        let mut replies = match split.as_deref().unwrap_or(std::slice::from_ref(request)) {
-            [] => Vec::new(),
-            lines => self.with_conn(|client| client.probe_pipelined(lines))?,
+    fn support(&self) -> Option<&Support> {
+        self.support.get()
+    }
+
+    /// The one-shard case of [`RemoteShard::probe_each`].
+    fn probe(&self, request: &ProbeRequest, s: &mut ()) -> Result<ProbeResponse> {
+        let ask = Ask {
+            shard: 0,
+            slots: None,
         };
-        let reply = match split {
-            Some(_) => join(request, replies),
-            None => replies.pop().expect("one reply per frame"),
+        let shard = std::slice::from_ref(self);
+        let mut answers = Self::probe_each(shard, request, &[ask], std::slice::from_mut(s));
+        answers.pop().expect("one answer per ask")
+    }
+
+    /// The one site that puts probe frames on the wire, in two passes on
+    /// the calling thread: every asked shard's frames are written — each to
+    /// a pooled, verified connection — before the first reply is read, so
+    /// the shards compute side by side and a fan-out costs one round trip,
+    /// not one per shard. The request is encoded once
+    /// ([`SharedEncoding`]): every shard is sent the same scalar line, and
+    /// a batch's frames — an ask's slots, cut against the line cap — share
+    /// each mask's bytes. The shard answers each frame through the same
+    /// dispatch an in-process shard runs, so the joined reply is
+    /// bitwise-identical to probing the model directly. A shard without an
+    /// idle connection, or whose write or read fails, is answered by the
+    /// failover loop (`RemoteShard::failover`), which never re-dials
+    /// without the handshake; a connection that was written to and not
+    /// read to the end is dropped there, never pooled.
+    fn probe_each(
+        shards: &[RemoteShard],
+        request: &ProbeRequest,
+        asks: &[Ask],
+        _scratches: &mut [()],
+    ) -> Vec<Result<ProbeResponse>> {
+        let encoding = SharedEncoding::new(request);
+        let chunk = match request {
+            ProbeRequest::SampleAt { .. } => PROBE_INDEX_CHUNK,
+            _ => PROBE_MASK_CHUNK,
         };
-        if !reply.answers(request) {
-            return Err(self.shape_error(&reply));
-        }
-        // Drawn rows are placed into the answer as they come: their arity
-        // must be the cluster schema's.
-        if let (ProbeResponse::Rows { arity, rows }, Some(schema)) =
-            (&reply, self.expected_schema.get())
-        {
-            if !rows.is_empty() && *arity != schema.arity() {
-                return Err(self.named(format!(
-                    "answered a row of arity {arity} (schema arity {})",
-                    schema.arity()
-                )));
+        let every: Vec<usize> = (0..request.slots().unwrap_or(0)).collect();
+        let frame = |slots: &[usize]| Cow::Owned(encoding.frame(slots));
+        let written: Vec<_> = asks
+            .iter()
+            .map(|ask| {
+                let lines: Vec<Cow<'_, str>> = match request.slots() {
+                    None => vec![Cow::Borrowed(encoding.whole())],
+                    Some(_) => {
+                        let slots = ask.slots.as_deref().unwrap_or(&every);
+                        slots.chunks(chunk).map(frame).collect()
+                    }
+                };
+                // An empty batch is answered without touching the wire.
+                let sent = if lines.is_empty() {
+                    None
+                } else {
+                    shards[ask.shard].send(&lines)
+                };
+                (lines, sent)
+            })
+            .collect();
+        let answer = |(ask, (lines, sent)): (&Ask, (Vec<Cow<'_, str>>, _))| {
+            let shard = &shards[ask.shard];
+            let mut replies = if lines.is_empty() {
+                Vec::new()
+            } else {
+                shard.receive(&lines, sent)?
+            };
+            let reply = match request.slots() {
+                Some(_) => join(request, replies),
+                None => replies.pop().expect("one reply per frame"),
+            };
+            if !ask.answered_by(request, &reply) {
+                return Err(shard.shape_error(&reply));
             }
-        }
-        Ok(reply)
+            // Drawn rows are placed into the answer as they come: their
+            // arity must be the cluster schema's.
+            if let (ProbeResponse::Rows { arity, rows }, Some(schema)) =
+                (&reply, shard.expected_schema.get())
+            {
+                if !rows.is_empty() && *arity != schema.arity() {
+                    return Err(shard.named(format!(
+                        "answered a row of arity {arity} (schema arity {})",
+                        schema.arity()
+                    )));
+                }
+            }
+            Ok(reply)
+        };
+        asks.iter().zip(written).map(answer).collect()
     }
 }
 
@@ -887,7 +991,7 @@ impl RemoteShardedSummary {
             let mut attempts: Vec<String> = Vec::new();
             let mut connected = false;
             for idx in 0..shard.replicas.len() {
-                match shard.dial_verified(idx) {
+                match shard.dial_verified(idx, false) {
                     Ok((client, served_schema)) => {
                         if schema.is_none() {
                             schema = Some(served_schema);
@@ -1000,8 +1104,8 @@ impl RemoteShardedSummary {
     /// Puts a gather-side answer cache (bounded to `entries` responses)
     /// in front of the remote shards: repeated probes are answered
     /// without a wire round trip, concurrent identical probes coalesce
-    /// into one round trip, and fully-cached queries skip the fan-out
-    /// pool entirely. Keys mix in each shard's blob generation, so the
+    /// into one round trip, and fully-cached queries ask no shard at all.
+    /// Keys mix in each shard's blob generation, so the
     /// wrong-blob eviction that follows a shard swap (detected by the
     /// re-handshake or by any probe) instantly orphans every cached
     /// answer from the old blob — a stale answer can never be served.
@@ -1053,11 +1157,12 @@ impl RemoteShardedSummary {
     }
 }
 
-/// The cluster answers a probe the way the local mixture does: ask each
-/// shard the one borrowed request (through the gather cache, when enabled)
-/// and merge — the local backend's code path, so answers match it bit for
-/// bit. With a probe cache, only the missing masks of a batch cross the
-/// wire; a sample draw costs one pipelined round per shard that owes rows.
+/// The cluster answers a probe the way the local mixture does: ask the
+/// shards that can contribute the one borrowed request (through the gather
+/// cache, when enabled) and merge — the local backend's code path, so
+/// answers match it bit for bit. Only the masks a shard supports and nobody
+/// cached cross the wire to it; a sample draw reaches only the shards that
+/// owe rows. Either way it is one write pass and one read pass.
 impl ShardProbe for RemoteShardedSummary {
     /// One (empty) probe scratch per shard — remote probe state is the
     /// connection pool, but the scatter fan-out still wants a slot each.
@@ -1111,7 +1216,7 @@ impl SummaryBackend for RemoteShardedSummary {
             Some(t) => t.to_string(),
             None => generate_append_token(),
         };
-        let outcome = owner.with_conn(|client| client.append(rows, Some(&pinned)))?;
+        let outcome = owner.failover(None, |client| client.append(rows, Some(&pinned)))?;
         owner.note_epoch(outcome.epoch);
         Ok(outcome)
     }
@@ -1123,7 +1228,7 @@ impl SummaryBackend for RemoteShardedSummary {
     fn ingest_stats(&self) -> Option<IngestStatsSnapshot> {
         let owner = self.delta_owner();
         let stats = owner
-            .with_conn(|client| client.ingest_stats())
+            .failover(None, |client| client.ingest_stats())
             .ok()
             .flatten()?;
         owner.note_epoch(stats.epoch);

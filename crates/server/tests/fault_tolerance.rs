@@ -454,6 +454,68 @@ fn a_dead_pooled_connection_is_retried_through_the_handshake() {
     }
 }
 
+/// The two-pass probe path writes every shard's frames before it reads a
+/// reply. A shard whose only pooled connection dies between the passes —
+/// the proxy takes the request and closes, so the write succeeds and the
+/// read meets a dead transport — is answered by the failover loop through
+/// its other replica: the answer is the healthy one, the written-to
+/// connection is dropped rather than pooled, the sibling shards' replies
+/// are still read to the end (their connections go back in step), and the
+/// queries that follow are correct.
+#[test]
+fn a_connection_killed_between_write_and_read_is_dropped_not_pooled() {
+    let local = sharded(3);
+    let (handles, mut manifest) = serve_replicated(&local, 2);
+    let upstream = manifest[1].addrs[0].parse().unwrap();
+    let proxy = FaultProxy::start(upstream).unwrap();
+    manifest[1].addrs[0] = proxy.local_addr().to_string();
+    let remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    let engine = QueryEngine::new(remote);
+    let local_engine = QueryEngine::new(local);
+    let idle = |engine: &QueryEngine<RemoteShardedSummary>| -> Vec<Vec<usize>> {
+        let replicas = |s: &RemoteShard| s.replicas().iter().map(|r| r.idle_conns()).collect();
+        engine.backend().shards().iter().map(replicas).collect()
+    };
+    // The handshake connections seeded one pool per shard: replica 0's.
+    assert_eq!(idle(&engine), [[1, 0], [1, 0], [1, 0]]);
+
+    proxy.set_mode(FaultMode::SeverOnRequest);
+    let dials_before = proxy.connections_seen();
+    let req = QueryRequest::count(Predicate::new().eq(a(0), 1));
+    let expected = local_engine.execute(&req).unwrap().encode();
+    assert_eq!(engine.execute(&req).unwrap().encode(), expected);
+    // Shard 1 re-dialed its replica 0 once (the handshake died the same
+    // way) and answered through replica 1; nothing half-read was pooled.
+    assert_eq!(proxy.connections_seen(), dials_before + 1);
+    assert_eq!(idle(&engine), [[1, 0], [0, 1], [1, 0]]);
+    // Every pooled transport is in step: the whole harness (whose batches
+    // run side by side and may pool more connections) stays bitwise.
+    common::assert_bitwise_parity(&local_engine, &engine);
+    assert_eq!(idle(&engine)[1][0], 0, "the severed replica pooled nothing");
+
+    // A deterministic `c1 err` to the first of two pipelined frames (its
+    // first mask has one attribute too many) fails the call with the
+    // second reply unread: that connection is out of step and is dropped.
+    let arity = engine.backend().schema().arity();
+    let mut masks = vec![Mask::identity(arity); 40];
+    masks[0] = Mask::identity(arity + 1);
+    let shard = &engine.backend().shards()[0];
+    let pooled = shard.idle_conns();
+    match shard.probe(&ProbeRequest::CountMany { masks }, &mut ()) {
+        Err(ModelError::Remote(msg)) => assert_eq!(msg.shard, Some(0), "{msg}"),
+        other => panic!("expected a deterministic remote error, got {other:?}"),
+    }
+    assert_eq!(shard.idle_conns(), pooled - 1);
+    common::assert_bitwise_parity(&local_engine, &engine);
+
+    proxy.shutdown();
+    for shard_handles in handles {
+        for handle in shard_handles {
+            handle.shutdown();
+        }
+    }
+}
+
 /// Satellite: sessions idle past the configured deadline are closed
 /// cleanly (the thread exits and deregisters), and a well-behaved client
 /// transparently reconnects on its next query.

@@ -10,9 +10,13 @@
 //!   retries can never double-ingest);
 //! * a cluster with a dynamic (`n = 0`) live shard routes appends to the
 //!   delta owner and keeps the gather-side cache fresh — every post-fold
-//!   answer reflects the grown relation, never a cached stale one.
+//!   answer reflects the grown relation, never a cached stale one;
+//! * rows carrying a code the delta owner never held are counted after the
+//!   fold: pruning by support never hides a live shard's new rows.
 
 mod common;
+#[path = "../../core/tests/support/probes.rs"]
+mod probes;
 
 use common::fast_failover;
 use entropydb_core::engine::{QueryApi, QueryEngine, SummaryBackend};
@@ -49,6 +53,15 @@ fn append_batch(count: usize) -> Vec<Vec<u32>> {
 /// folding after `delta_rows` staged rows; returns the handle and the
 /// live node's own base cardinality.
 fn serve_live_shard0(summary: &ShardedSummary, delta_rows: usize) -> (ServerHandle, u64) {
+    serve_live(summary, demo_stats(), delta_rows)
+}
+
+/// [`serve_live_shard0`] for a summary fitted with the statistics `multi`.
+fn serve_live(
+    summary: &ShardedSummary,
+    multi: Vec<MultiDimStatistic>,
+    delta_rows: usize,
+) -> (ServerHandle, u64) {
     let shard0 = summary.shards()[0].clone();
     let n0 = shard0.n();
     let config = IngestConfig::builder()
@@ -58,7 +71,7 @@ fn serve_live_shard0(summary: &ShardedSummary, delta_rows: usize) -> (ServerHand
         .build()
         .unwrap();
     let base = ShardedSummary::from_shards(vec![shard0]).unwrap();
-    let live = LiveSummary::new(base, demo_stats(), SolverConfig::default(), config).unwrap();
+    let live = LiveSummary::new(base, multi, SolverConfig::default(), config).unwrap();
     let handle = serve(QueryEngine::new(live), "127.0.0.1:0").unwrap();
     (handle, n0)
 }
@@ -259,4 +272,89 @@ fn remote_backend_routes_appends_and_gather_cache_stays_fresh() {
 
     live_handle.shutdown();
     static_handle.shutdown();
+}
+
+/// The live edge of pruning, on the range-partitioned fixture: shard 0 (the
+/// rows with `z ∈ {0, 1}`) is the dynamic live node, shards 1 and 2 are
+/// static and are pruned by their handshaken supports. Rows appended with
+/// `z = 5` — outside the owner's previous support, inside shard 2's — and
+/// `y = 4` — a code no shard ever held — are counted once the fold lands:
+/// the gateway never prunes the delta owner, and inside the live node the
+/// refitted delta segment carries its own fresh support while the base
+/// segment, which still cannot hold those codes, is skipped.
+#[test]
+fn appended_codes_outside_the_owners_support_are_counted() {
+    let (table, partitioning, multi) = probes::range_fixture();
+    let summary =
+        ShardedSummary::build(&table, &partitioning, multi.clone(), &Default::default()).unwrap();
+    let far = Predicate::new().eq(a(2), 5);
+    let nowhere = Predicate::new().eq(a(1), 4);
+    let far_before = entropydb_storage::exec::count(&table, &far).unwrap() as f64;
+    assert!(far_before > 0.0);
+    assert_eq!(entropydb_storage::exec::count(&table, &nowhere).unwrap(), 0);
+
+    let (live_handle, _n0) = serve_live(&summary, multi, 32);
+    let mut manifest = vec![ClusterShard {
+        index: 0,
+        n: 0,
+        addrs: vec![live_handle.local_addr().to_string()],
+    }];
+    let mut static_handles = Vec::new();
+    for (index, shard) in summary.shards().iter().enumerate().skip(1) {
+        let handle = serve(QueryEngine::new(shard.clone()), "127.0.0.1:0").unwrap();
+        manifest.push(ClusterShard {
+            index,
+            n: shard.n(),
+            addrs: vec![handle.local_addr().to_string()],
+        });
+        static_handles.push(handle);
+    }
+    let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    remote.enable_probe_cache(64);
+    {
+        use entropydb_core::scatter::ShardProbe;
+        let supports: Vec<bool> = remote
+            .shards()
+            .iter()
+            .map(|s| s.support().is_some())
+            .collect();
+        assert_eq!(
+            supports,
+            [false, true, true],
+            "only static shards declare a support"
+        );
+    }
+    let engine = QueryEngine::new(remote);
+    let count = |pred: &Predicate| engine.estimate_count(pred).unwrap().expectation;
+    assert!((count(&far) - far_before).abs() < 1e-6 * far_before);
+    assert_eq!(count(&nowhere), 0.0);
+
+    let rows: Vec<Vec<u32>> = (0..48u32).map(|i| vec![i % 3, 4, 5]).collect();
+    let epoch0 = engine.epoch();
+    assert_eq!(engine.append_rows(&rows, None).unwrap().accepted, 48);
+    assert!(wait_for_fold(&engine, epoch0), "fold did not publish");
+    let far_after = far_before + 48.0;
+    assert!(
+        (count(&far) - far_after).abs() < 1e-6 * far_after,
+        "z = 5 after the fold: {} vs {far_after}",
+        count(&far)
+    );
+    assert!(
+        (count(&nowhere) - 48.0).abs() < 1e-6 * 48.0,
+        "y = 4 after the fold: {} vs 48",
+        count(&nowhere)
+    );
+    // The live node on its own agrees: its base segment is pruned, its
+    // delta segment answers.
+    let mut client = Client::connect(live_handle.local_addr().to_string()).unwrap();
+    let direct = client
+        .execute(&entropydb_core::plan::QueryRequest::count(nowhere))
+        .unwrap();
+    assert!((direct.estimate().unwrap().expectation - 48.0).abs() < 1e-6 * 48.0);
+    client.quit();
+
+    live_handle.shutdown();
+    for handle in static_handles {
+        handle.shutdown();
+    }
 }

@@ -124,6 +124,47 @@ fn probe_table_is_bitwise_on_sharded_live_and_remote() {
     }
 }
 
+/// Range-partitioned shards behind the wire: each remote shard learned its
+/// support in the handshake, so the gatherer prunes — every shard, by masks
+/// that are not all zeros — and nobody can tell (see
+/// `probes::assert_pruning_is_invisible`); the cluster still equals the
+/// local mixture and a live summary over the same shards on the whole probe
+/// table, uncached and through a cold and a warm gather cache.
+#[test]
+fn range_partitioned_cluster_prunes_and_stays_bitwise() {
+    use entropydb_core::sharded::ShardedSummary;
+    let (table, partitioning, multi) = probes::range_fixture();
+    let local =
+        ShardedSummary::build(&table, &partitioning, multi.clone(), &Default::default()).unwrap();
+    let (handles, manifest) = serve_shards(&local);
+    let remote = RemoteShardedSummary::connect(&manifest).unwrap();
+    let pruned = probes::assert_pruning_is_invisible(remote.shards(), local.domain_sizes());
+    let unsatisfiable = probes::batch_masks(local.domain_sizes())[3].clone();
+    for shard in 0..local.num_shards() {
+        let real = |(s, mask): &(usize, _)| *s == shard && *mask != unsatisfiable;
+        assert!(pruned.iter().any(real), "shard {shard} is never pruned");
+    }
+    let config = IngestConfig {
+        background: false,
+        ..IngestConfig::default()
+    };
+    let live = LiveSummary::new(local.clone(), multi, SolverConfig::default(), config).unwrap();
+    let mut cached = RemoteShardedSummary::connect(&manifest).unwrap();
+    cached.enable_probe_cache(1 << 12);
+    probes::assert_probe_parity(&local, &remote);
+    probes::assert_probe_parity(&live, &remote);
+    probes::assert_probe_parity(&local, &cached);
+    probes::assert_probe_parity(&local, &cached);
+    let masks = probes::batch_masks(local.domain_sizes());
+    assert_eq!(
+        probes::fused_answers(&remote, &masks),
+        probes::per_mask_answers(&remote, &masks)
+    );
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
 /// With the gather-side probe cache enabled, the remote backend answers
 /// every request variant bitwise-identically to the local sharded backend
 /// — on a cold cache, and again on a warm cache where repeats are served
@@ -240,7 +281,8 @@ fn handshake_rejects_wrong_cardinality_and_dead_nodes() {
 /// Killing a sole-replica shard mid-stream surfaces per-request
 /// `Degraded` errors naming the dead shard — batches return error lines
 /// for every request instead of hanging, and healthy work before the kill
-/// is unaffected.
+/// is unaffected. A request no shard can contribute to is put to shard 0
+/// alone, so the dead shard cannot fail it: it keeps its healthy answer.
 #[test]
 fn killed_shard_mid_batch_returns_named_errors_not_a_hang() {
     let local = sharded(3);
@@ -250,20 +292,24 @@ fn killed_shard_mid_batch_returns_named_errors_not_a_hang() {
 
     // Healthy cluster answers a full batch.
     let reqs = requests();
-    for outcome in engine.execute_batch(&reqs) {
-        outcome.unwrap();
-    }
+    let healthy: Vec<String> = engine
+        .execute_batch(&reqs)
+        .into_iter()
+        .map(|outcome| outcome.unwrap().encode())
+        .collect();
+    let nowhere = QueryRequest::avg(Predicate::new().in_set(a(1), vec![]), a(2)).encode();
 
     // Kill shard 1 (server shutdown closes every session socket — the
     // wire-visible effect of a killed process), then run the batch again.
     handles.remove(1).shutdown();
     let outcomes = engine.execute_batch(&reqs);
     assert_eq!(outcomes.len(), reqs.len());
-    for (req, outcome) in reqs.iter().zip(outcomes) {
+    for ((req, outcome), healthy) in reqs.iter().zip(outcomes).zip(healthy) {
         match outcome {
             Err(ModelError::Degraded { shard, .. }) => {
                 assert_eq!(shard, 1, "{}", req.encode())
             }
+            Ok(answer) if req.encode() == nowhere => assert_eq!(answer.encode(), healthy),
             other => panic!(
                 "{}: expected a degraded-shard error, got {other:?}",
                 req.encode()
