@@ -1,18 +1,31 @@
-//! Server concurrency soak benchmark: hundreds of pre-connected raw
-//! clients each put a pipelined frame of point count queries on the wire
-//! before any reply is drained, then drain their replies — one such storm
-//! is a *round*, the unit `b.iter` times.
+//! Server benchmarks, both ends of the load range.
+//!
+//! *Soak*: hundreds of pre-connected raw clients each put a pipelined
+//! frame of point count queries on the wire before any reply is drained,
+//! then drain their replies — one such storm is a *round*, the unit
+//! `b.iter` times. *Round trip*: one `Client`, one request at a time —
+//! `ping` (the wire and the serving threads alone) and a point count on
+//! the demo table without 2-D statistics (a sub-µs model, so the figure is
+//! the served path's), with client and server confined to one CPU: the
+//! configuration `benchmark/` measures, and the one whose figure is the
+//! code path's rather than the host's cross-CPU wake-up latency (≈ 40 µs
+//! of a 48 µs unconfined `ping` on the 2-vCPU development box).
 //!
 //! `BENCH_server.json` records group `server_soak`: round latency
 //! (median/p50/p99) of the served path at 256 clients x 8 pipelined
 //! requests, the throughput side-channel (`reactor_req_per_s`), and the
-//! soak shape. The throughput is floor-gated in `bench_schema.json`
-//! (`metric_floors`) as an absolute requests-per-second figure.
+//! soak shape; and group `server_round_trip`: `ping_ns` / `point_ns` per
+//! depth-1 round trip. `bench_schema.json` gates the throughput with an
+//! absolute floor (`metric_floors`) and the round trips with absolute
+//! ceilings (`metric_ceilings`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use entropydb_bench::report::mean_call_ns;
 use entropydb_core::engine::QueryEngine;
+use entropydb_core::model::MaxEntSummary;
 use entropydb_core::plan::QueryRequest;
-use entropydb_server::{demo, serve};
+use entropydb_core::solver::SolverConfig;
+use entropydb_server::{demo, serve, Client};
 use entropydb_storage::{AttrId, Predicate};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -52,7 +65,7 @@ impl Fleet {
 
     /// One soak round. Writing every frame before draining any reply puts
     /// `CLIENTS` genuinely concurrent pipelined frames on the server at
-    /// once — the load shape the event loop exists for.
+    /// once — the load shape the epoll driver exists for.
     fn round(&mut self) {
         for (stream, _) in &mut self.conns {
             stream.write_all(&self.frame).expect("write frame");
@@ -101,9 +114,78 @@ fn bench_server_soak(c: &mut Criterion) {
     server.shutdown();
 }
 
+/// Narrows the calling thread — and every thread it spawns from here on —
+/// to the lowest CPU it is allowed on. False where the kernel refuses or
+/// there is no such call.
+fn confine_to_one_cpu() -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getaffinity(pid: i32, bytes: usize, mask: *mut u64) -> i32;
+            fn sched_setaffinity(pid: i32, bytes: usize, mask: *const u64) -> i32;
+        }
+        // 1 024 CPUs' worth of mask.
+        let mut mask = [0u64; 16];
+        let bytes = std::mem::size_of_val(&mask);
+        // SAFETY: the kernel writes at most `bytes` bytes into `mask`, which
+        // is that large and lives across the call; pid 0 is this thread.
+        if unsafe { sched_getaffinity(0, bytes, mask.as_mut_ptr()) } != 0 {
+            return false;
+        }
+        let Some(word) = mask.iter().position(|&w| w != 0) else {
+            return false;
+        };
+        let mut one = [0u64; 16];
+        one[word] = mask[word] & mask[word].wrapping_neg();
+        // SAFETY: the kernel reads `bytes` bytes from `one`, which is that
+        // large and lives across the call.
+        unsafe { sched_setaffinity(0, bytes, one.as_ptr()) == 0 }
+    }
+    #[cfg(not(target_os = "linux"))]
+    false
+}
+
+fn bench_server_round_trip(c: &mut Criterion) {
+    // On a thread of its own: affinity is per thread and inherited, so the
+    // server's pool is confined with the client and the soak above is not.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let confined = confine_to_one_cpu();
+            c.record_metric("server_round_trip", "one_cpu", f64::from(confined));
+            round_trips(c);
+        });
+    });
+}
+
+fn round_trips(c: &mut Criterion) {
+    let table = demo::demo_table(ROWS);
+    let summary = MaxEntSummary::build(&table, vec![], &SolverConfig::default()).expect("fit");
+    let server = serve(QueryEngine::new(summary), "127.0.0.1:0").expect("serve");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let point = QueryRequest::count(Predicate::new().eq(AttrId(0), 1));
+
+    let mut g = c.benchmark_group("server_round_trip");
+    g.bench_function("ping", |b| b.iter(|| client.ping().expect("ping")));
+    g.bench_function("point", |b| {
+        b.iter(|| client.execute(&point).expect("point"))
+    });
+    g.finish();
+
+    let calls = if fast_mode() { 200 } else { 20_000 };
+    let ping_ns = mean_call_ns(calls, || client.ping().expect("ping"));
+    let point_ns = mean_call_ns(calls, || {
+        client.execute(&point).expect("point");
+    });
+    c.record_metric("server_round_trip", "ping_ns", ping_ns);
+    c.record_metric("server_round_trip", "point_ns", point_ns);
+
+    client.quit();
+    server.shutdown();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(4)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_server_soak
+    targets = bench_server_soak, bench_server_round_trip
 }
 criterion_main!(benches);

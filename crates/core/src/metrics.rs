@@ -12,14 +12,14 @@
 //!   control line so a soak run can prove the cache is working.
 //! * [`ServerCounters`] / [`ServerStatsSnapshot`]: the serving side's
 //!   operational counters (live sessions, accepted / shed connections,
-//!   wire bytes, dispatch-queue depth), maintained by both I/O drivers
+//!   wire bytes, requests in flight), maintained by both I/O drivers
 //!   and surfaced through the `stats server` session command and the
 //!   gateway control channel's `status` line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free operational counters of a query server (either I/O driver:
-/// the epoll reactor or the blocking thread-per-connection fallback).
+/// the epoll driver or the blocking thread-per-connection fallback).
 /// All updates are `Relaxed`: the counters are observability, never
 /// control flow, so cross-counter consistency is not required.
 #[derive(Debug, Default)]
@@ -69,8 +69,8 @@ impl ServerCounters {
         self.bytes_out.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adjusts the dispatch-queue depth gauge: `n` requests decoded and
-    /// queued for the compute pool.
+    /// Adjusts the in-flight gauge (`dispatch_depth` on the wire): `n`
+    /// requests decoded and waiting for their session's turn.
     pub fn dispatch_enqueued(&self, n: u64) {
         self.dispatch_queued.fetch_add(n, Ordering::Relaxed);
     }
@@ -80,7 +80,7 @@ impl ServerCounters {
         self.dispatch_queued.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Current dispatch-queue depth (decoded requests not yet answered).
+    /// Requests in flight (decoded, not yet answered).
     pub fn dispatch_depth(&self) -> u64 {
         self.dispatch_queued.load(Ordering::Relaxed)
     }
@@ -111,8 +111,8 @@ pub struct ServerStatsSnapshot {
     pub bytes_in: u64,
     /// Bytes written to client sockets.
     pub bytes_out: u64,
-    /// Decoded requests currently queued for (or executing on) the
-    /// compute pool.
+    /// Decoded requests not yet answered: waiting for their session's
+    /// turn, or executing.
     pub dispatch_depth: u64,
 }
 

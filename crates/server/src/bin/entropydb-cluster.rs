@@ -54,7 +54,7 @@
 //!   health, the cache's hit/miss/coalesced/evicted counters, and the
 //!   serving side's
 //!   operational counters (active/accepted/shed sessions, bytes in/out,
-//!   dispatch queue depth).
+//!   requests in flight).
 //! * `soak` storms a running server (typically a gateway) with pipelined
 //!   load from one process: `--clients N` raw connections each write
 //!   `--pipeline P` count queries per frame for `--rounds R` rounds, and

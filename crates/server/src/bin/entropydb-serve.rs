@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! entropydb-serve <summary> [--addr HOST:PORT] [--idle-timeout SECS]
-//!                 [--max-sessions N] [--reactor-threads N]
-//!                 [--dispatch-threads N] [--max-queue-depth N]
+//!                 [--max-sessions N] [--threads N] [--max-queue-depth N]
 //!                 [--max-in-flight N] [--live] [--delta-threshold ROWS]
 //! ```
 //!
@@ -19,11 +18,10 @@
 //! `--max-sessions N` sheds connections over the cap with a typed `busy`
 //! line instead of admitting them. See `ServerConfig`.
 //!
-//! `--reactor-threads` / `--dispatch-threads` size the epoll driver's
-//! thread pools (Linux; 0 = auto) and `--max-queue-depth` /
-//! `--max-in-flight` set the admission caps (every target; 0 =
-//! unbounded); see `ReactorConfig`. Any other `--flag` is rejected with
-//! the usage text and exit code 2.
+//! `--threads` sizes the epoll driver's serving pool (Linux; 0 = auto,
+//! `max(2, cores)`) and `--max-queue-depth` / `--max-in-flight` set the
+//! admission caps (every target; 0 = unbounded); see `ReactorConfig`. Any
+//! other `--flag` is rejected with the usage text and exit code 2.
 //!
 //! `--live` serves a sharded directory as a **mutable** live summary:
 //! `a1` wire appends stage rows into a delta shard that a background
@@ -47,12 +45,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 /// The flags that take a value; `--live` is the only switch.
-const VALUE_FLAGS: [&str; 8] = [
+const VALUE_FLAGS: [&str; 7] = [
     "--addr",
     "--idle-timeout",
     "--max-sessions",
-    "--reactor-threads",
-    "--dispatch-threads",
+    "--threads",
     "--max-queue-depth",
     "--max-in-flight",
     "--delta-threshold",
@@ -62,8 +59,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: entropydb-serve <summary file or sharded dir> [--addr HOST:PORT]\n\
          \x20                    [--idle-timeout SECS] [--max-sessions N]\n\
-         \x20                    [--reactor-threads N] [--dispatch-threads N]\n\
-         \x20                    [--max-queue-depth N] [--max-in-flight N]\n\
+         \x20                    [--threads N] [--max-queue-depth N] [--max-in-flight N]\n\
          \x20                    [--live] [--delta-threshold ROWS]"
     );
     ExitCode::from(2)
@@ -165,8 +161,7 @@ fn main() -> ExitCode {
     }
     let mut tuning = ReactorConfig::default();
     for (name, slot) in [
-        ("--reactor-threads", &mut tuning.reactor_threads),
-        ("--dispatch-threads", &mut tuning.dispatch_threads),
+        ("--threads", &mut tuning.threads),
         ("--max-queue-depth", &mut tuning.max_queue_depth),
         ("--max-in-flight", &mut tuning.max_in_flight_per_conn),
     ] {

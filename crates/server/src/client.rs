@@ -136,6 +136,16 @@ fn dial(addr: &SocketAddr, config: &ClientConfig) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
+/// Frames one request line — `line` + `\n` — and hands it to the writer
+/// whole: on a `TCP_NODELAY` socket every `write` is a segment and a
+/// wake-up of the peer, so a request must be exactly one.
+fn write_line(mut writer: impl Write, line: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)
+}
+
 /// Rows per `a1` wire line when [`Client::append`] splits a large batch.
 /// Well under the server's [`MAX_APPEND_ROWS`] admission cap and the
 /// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES) line cap for any
@@ -227,10 +237,7 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) -> ClientResult<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(write_line(&mut self.writer, line)?)
     }
 
     fn read_line(&mut self) -> ClientResult<String> {
@@ -322,8 +329,8 @@ impl Client {
     }
 
     /// Fetches the server's serving-side operational counters (live
-    /// sessions, accepted/shed connections, wire bytes, dispatch-queue
-    /// depth) via the `stats server` session command.
+    /// sessions, accepted/shed connections, wire bytes, requests in
+    /// flight) via the `stats server` session command.
     pub fn server_stats(&mut self) -> ClientResult<ServerStatsSnapshot> {
         let reply = self.round_trip_with_retry("stats server")?;
         decode_server_stats(&reply).map_err(ClientError::Model)
@@ -364,9 +371,7 @@ impl Client {
             frame.push_str(line.as_ref());
             frame.push('\n');
         }
-        self.writer.write_all(frame.as_bytes())?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(self.writer.write_all(frame.as_bytes())?)
     }
 
     /// The receive half: reads the replies to `count` lines sent with
@@ -400,7 +405,6 @@ impl Client {
                 frame.push('\n');
             }
             self.writer.write_all(frame.as_bytes())?;
-            self.writer.flush()?;
             for _ in 0..chunk.len() {
                 let line = self.read_line()?;
                 responses.push(QueryResponse::decode(&line));
@@ -497,5 +501,38 @@ impl Client {
     /// Ends the session politely (the server also handles abrupt drops).
     pub fn quit(mut self) {
         let _ = self.send_line("quit");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket stand-in that takes whatever it is given and keeps every
+    /// `write` call apart.
+    struct CountingWriter(Vec<Vec<u8>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A request of any length reaches the socket as one `write` ending in
+    /// exactly one newline.
+    #[test]
+    fn a_request_line_is_one_write() {
+        for len in [0usize, 1, 4, 4096, 1 << 20] {
+            let line = "x".repeat(len);
+            let mut writer = CountingWriter(Vec::new());
+            write_line(&mut writer, &line).unwrap();
+            assert_eq!(writer.0.len(), 1, "{len}-byte line");
+            assert_eq!(writer.0[0], format!("{line}\n").into_bytes());
+        }
     }
 }

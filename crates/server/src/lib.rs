@@ -7,14 +7,18 @@
 //! The wire protocol has one implementation — an incremental decoder
 //! (`session.rs`, bytes → work) and one executor (work → reply bytes) —
 //! behind two I/O drivers chosen by target alone. On Linux, [`serve`]
-//! runs the **epoll driver**: an in-tree reactor multiplexes thousands of
-//! connections over O(cores) event-loop threads, pipelined requests
-//! coalesce into engine batches on a persistent compute pool, and
-//! responses flush via interest-driven writes — a slow reader never parks
-//! a compute thread. Elsewhere a **blocking driver** runs the same decoder
-//! and executor on one thread per connection. Admission control (global
-//! queue-depth caps, per-connection in-flight limits, typed `busy`
-//! shedding) is tunable via [`ReactorConfig`] / [`serve_tuned`].
+//! runs the **epoll driver**: O(cores) peer threads share one epoll
+//! instance multiplexing thousands of connections, and the thread handed
+//! a session's readiness reads, executes and answers its next request
+//! itself — one `read` and one `write` per round trip, no hand-off to a
+//! second pool. Pipelined requests coalesce into engine batches, sessions
+//! take turns one work unit at a time, and responses flush via
+//! interest-driven writes — a slow reader or a slow request never parks
+//! the other sessions. Elsewhere a **blocking driver** runs the same
+//! decoder and executor on one thread per connection. The pool size and
+//! admission control (global in-flight caps, per-connection in-flight
+//! limits, typed `busy` shedding) are tunable via [`ReactorConfig`] /
+//! [`serve_tuned`].
 //!
 //! The protocol is line-oriented text over TCP, built directly on the query
 //! IR's wire encoding (`entropydb_core::plan`): a client sends one encoded

@@ -6,9 +6,10 @@
 //! bytes into `Work` units and [`execute_work`] answers them. Two I/O
 //! drivers feed that pair, chosen by target alone:
 //!
-//! * the **epoll driver** (`reactor.rs`, Linux): an in-tree reactor
-//!   multiplexing thousands of connections over O(cores) threads, with
-//!   pipelined sessions and flush-then-close load shedding;
+//! * the **epoll driver** (`reactor.rs`, Linux): one pool of peer threads
+//!   on one shared epoll instance multiplexing thousands of connections —
+//!   the thread handed a session's readiness reads, executes and answers
+//!   it — with pipelined sessions and flush-then-close load shedding;
 //! * the **blocking driver** (this file, every other target): an accept
 //!   thread plus one thread per connection looping `read → pump →
 //!   execute_work → write_all`. Linux compiles it for tests only, so the
@@ -115,24 +116,23 @@ impl ServerConfigBuilder {
 }
 
 /// Tuning knobs of the serving path (see [`serve_tuned`]): the epoll
-/// driver's thread counts and the decoder's admission caps. Separate
+/// driver's pool size and the decoder's admission caps. Separate
 /// from [`ServerConfig`] so the serving-policy surface — and every
 /// exhaustive `ServerConfig` literal in existing code — stays unchanged.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Event-loop threads multiplexing the connections. `0` (default)
-    /// auto-sizes to the core count, capped at 4 — reactors are I/O bound
-    /// and a handful multiplexes thousands of sockets.
-    pub reactor_threads: usize,
-    /// Compute-pool threads executing decoded requests. `0` (default)
-    /// auto-sizes to `max(2, cores)`.
-    pub dispatch_threads: usize,
+    /// Serving threads of the epoll driver: each takes one readiness
+    /// event at a time and reads, executes and answers that session's
+    /// next request itself, so this is also how many requests execute at
+    /// once. `0` (default) auto-sizes to `max(2, cores)` — at least two,
+    /// so one slow request never stalls every other session.
+    pub threads: usize,
     /// Global cap on decoded-but-unanswered requests across all sessions.
     /// Beyond it new compute lines are answered with typed `busy` lines
     /// instead of queueing without bound. `0` disables the cap.
     pub max_queue_depth: usize,
     /// Per-connection cap on decoded-but-unanswered requests; past it the
-    /// reactor stops *reading* that connection (pipelining backpressure)
+    /// driver stops *reading* that connection (pipelining backpressure)
     /// until earlier work completes. `0` disables the cap.
     pub max_in_flight_per_conn: usize,
     /// Unflushed-response bytes past which a connection's reads pause: a
@@ -144,8 +144,7 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            reactor_threads: 0,
-            dispatch_threads: 0,
+            threads: 0,
             max_queue_depth: 1 << 16,
             max_in_flight_per_conn: 256,
             max_write_buffer: 1 << 20,
@@ -194,13 +193,12 @@ impl ReactorConfig {
 
     #[cfg(target_os = "linux")]
     fn resolve(&self) -> crate::reactor::ReactorTuning {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let nz = |v: usize, auto: usize| if v == 0 { auto } else { v };
+        let threads = match self.threads {
+            0 => std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
+            n => n,
+        };
         crate::reactor::ReactorTuning {
-            reactor_threads: nz(self.reactor_threads, cores.clamp(1, 4)),
-            dispatch_threads: nz(self.dispatch_threads, cores.max(2)),
+            threads,
             policy: self.policy(),
         }
     }
@@ -213,15 +211,9 @@ pub struct ReactorConfigBuilder {
 }
 
 impl ReactorConfigBuilder {
-    /// Sets the event-loop thread count (0 = auto).
-    pub fn reactor_threads(mut self, threads: usize) -> Self {
-        self.config.reactor_threads = threads;
-        self
-    }
-
-    /// Sets the compute-pool thread count (0 = auto).
-    pub fn dispatch_threads(mut self, threads: usize) -> Self {
-        self.config.dispatch_threads = threads;
+    /// Sets the serving-thread count (0 = auto).
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.config.threads = threads;
         self
     }
 
@@ -327,12 +319,13 @@ impl std::fmt::Debug for ServerHandle {
 /// Starts serving `engine` on `addr` (use port 0 for an ephemeral port;
 /// the bound address is available via [`ServerHandle::local_addr`]).
 ///
-/// On Linux the epoll driver runs: O(cores) event-loop threads multiplex
-/// the connections, pipelined requests coalesce into engine batches on a
-/// persistent compute pool, and responses flush via interest-driven writes
-/// so a slow reader never parks a compute thread. Elsewhere the blocking
-/// driver runs one thread per connection. Both feed the same decoder and
-/// executor, so the wire protocol is one implementation.
+/// On Linux the epoll driver runs: O(cores) peer threads share one epoll
+/// instance, the thread handed a session's readiness reads, executes and
+/// answers its next request, pipelined requests coalesce into engine
+/// batches, and responses flush via interest-driven writes so a slow
+/// reader never parks a thread. Elsewhere the blocking driver runs one
+/// thread per connection. Both feed the same decoder and executor, so the
+/// wire protocol is one implementation.
 pub fn serve<B>(engine: QueryEngine<B>, addr: impl ToSocketAddrs) -> io::Result<ServerHandle>
 where
     B: SummaryBackend + 'static,
@@ -353,10 +346,10 @@ where
     serve_tuned(engine, addr, config, ReactorConfig::default())
 }
 
-/// [`serve_with`] with explicit tuning (thread counts, admission control,
+/// [`serve_with`] with explicit tuning (pool size, admission control,
 /// backpressure thresholds). See [`ReactorConfig`]. The admission caps
 /// (`max_queue_depth`, `max_in_flight_per_conn`) apply on every target;
-/// the thread counts and `max_write_buffer` only shape the epoll driver —
+/// `threads` and `max_write_buffer` only shape the epoll driver —
 /// the blocking driver runs one thread per connection and writes each
 /// reply before reading on.
 pub fn serve_tuned<B>(
@@ -547,7 +540,6 @@ fn accept_loop<B>(
                 // flush-then-close on its write path, without the thread.)
                 std::thread::spawn(move || {
                     let _ = stream.write_all(encode_outcome(&Err(busy)).as_bytes());
-                    let _ = stream.flush();
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
                     let mut sink = [0u8; 512];
                     loop {
@@ -832,7 +824,7 @@ mod common;
 
 #[cfg(test)]
 mod tests {
-    use super::common::{requests, sharded, transcript};
+    use super::common::{concurrent_transcripts, requests, sharded};
     use super::*;
 
     /// Starts the blocking driver the way `serve_tuned` does off Linux.
@@ -860,33 +852,56 @@ mod tests {
         out + "pong\n"
     }
 
-    /// Both I/O drivers answer the script with exactly the golden bytes,
-    /// however the request bytes are chunked — and the blocking driver
-    /// still does when a tight in-flight cap pauses decoding mid-buffer.
+    /// Both I/O drivers answer the script with exactly the golden bytes on
+    /// each of 8 concurrent connections, however the request bytes are
+    /// chunked (every other connection dribbles) — the served driver at
+    /// every pool size — also when a tight in-flight cap pauses decoding
+    /// mid-buffer — and leave nothing in flight.
     #[test]
     fn golden_transcript_on_both_drivers() {
-        let tight = ReactorConfig {
-            max_in_flight_per_conn: 2,
+        let pool = |threads, max_in_flight_per_conn| ReactorConfig {
+            threads,
+            max_in_flight_per_conn,
             ..ReactorConfig::default()
         };
-        let served = serve(QueryEngine::new(sharded(3)), "127.0.0.1:0").unwrap();
+        let uncapped = ReactorConfig::default().max_in_flight_per_conn;
+        let served = [
+            ("serve(), 1 thread", pool(1, uncapped)),
+            ("serve(), 2 threads", pool(2, uncapped)),
+            ("serve(), 8 threads", pool(8, uncapped)),
+            ("serve(), 2 threads, in-flight cap 2", pool(2, 2)),
+        ]
+        .map(|(driver, tuning)| {
+            let engine = QueryEngine::new(sharded(3));
+            let config = ServerConfig::default();
+            (
+                driver,
+                serve_tuned(engine, "127.0.0.1:0", config, tuning).unwrap(),
+            )
+        });
         let mut blocking = spawn(ServerConfig::default(), ReactorConfig::default());
-        let mut capped = spawn(ServerConfig::default(), tight);
+        let mut capped = spawn(ServerConfig::default(), pool(0, 2));
         let expected = golden();
-        for (driver, addr) in [
-            ("serve()", served.local_addr()),
-            ("blocking", blocking.addr),
-            ("blocking, in-flight cap 2", capped.addr),
-        ] {
-            for dribble in [false, true] {
-                let got = String::from_utf8(transcript(addr, dribble)).unwrap();
-                assert_eq!(got, expected, "{driver}, dribble = {dribble}");
+        let drivers = served
+            .iter()
+            .map(|(driver, handle)| (*driver, handle.local_addr()))
+            .chain([
+                ("blocking", blocking.addr),
+                ("blocking, in-flight cap 2", capped.addr),
+            ]);
+        for (driver, addr) in drivers {
+            for (conn, got) in concurrent_transcripts(addr, 8).into_iter().enumerate() {
+                let got = String::from_utf8(got).unwrap();
+                assert_eq!(got, expected, "{driver}, connection {conn}");
             }
         }
         for handle in [&blocking, &capped] {
             assert_eq!(handle.shared.counters.snapshot().dispatch_depth, 0);
         }
-        served.shutdown();
+        for (driver, handle) in served {
+            assert_eq!(handle.stats().dispatch_depth, 0, "{driver}");
+            handle.shutdown();
+        }
         blocking.shutdown_inner();
         capped.shutdown_inner();
     }

@@ -8,12 +8,12 @@
 //! [`MAX_LINE_BYTES`] violation semantics (the offending session ends, no
 //! reply for the oversized line). Contiguous compute lines coalesce into
 //! one [`Work::Run`] so a pipelined burst is answered with one engine
-//! batch and one socket write. The write buffer and epoll bookkeeping
-//! fields serve the epoll driver only; the blocking driver writes each
-//! reply synchronously.
+//! batch and one socket write. The write buffer and the close / linger
+//! bookkeeping serve the epoll driver only; the blocking driver writes
+//! each reply synchronously.
 
 // Off Linux only the decoder half runs; `Session`, the write buffer and
-// the epoll bookkeeping have no user there.
+// the close bookkeeping have no user there.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 use crate::protocol::{MAX_BATCH, MAX_LINE_BYTES};
@@ -60,7 +60,8 @@ pub(crate) enum Work {
 
 impl Work {
     /// How many in-flight requests this work represents, for the
-    /// per-connection cap and the global dispatch-depth gauge.
+    /// per-connection cap and the global in-flight (`dispatch_depth`)
+    /// gauge.
     pub(crate) fn weight(&self) -> usize {
         match self {
             Work::Run(lines) => lines.len(),
@@ -79,8 +80,8 @@ pub(crate) struct DecodePolicy {
     /// queueing without bound.
     pub max_queue_depth: u64,
     /// Per-connection cap on decoded-but-unanswered requests; beyond it
-    /// the decoder stops consuming buffered bytes (and the reactor stops
-    /// reading) until earlier work completes.
+    /// the decoder stops consuming buffered bytes (and the epoll driver
+    /// stops reading) until earlier work completes.
     pub max_in_flight: usize,
     /// Unflushed-response byte threshold past which reads pause: a slow
     /// reader stops generating new work instead of growing the write
@@ -98,20 +99,16 @@ pub(crate) struct SessionState {
     pub scan_from: usize,
     /// An in-progress `batch <n>` frame: payload lines collected so far.
     pub batch: Option<BatchAccum>,
-    /// Decoded work not yet handed to the dispatcher.
+    /// Decoded work not yet executed. A driver takes the front unit, one
+    /// at a time: strict response order within the session.
     pub pending: VecDeque<Work>,
-    /// Total weight of decoded-but-unanswered work on this session.
+    /// Total weight of decoded-but-unanswered work on this session: what
+    /// is `pending` plus the unit executing right now.
     pub in_flight: usize,
-    /// Whether one work unit is currently queued on / executing on the
-    /// compute pool. At most one per session: strict response ordering and
-    /// round-robin fairness both fall out of this invariant.
-    pub job_active: bool,
     /// Encoded responses not yet written to the socket.
     pub write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written.
     pub write_pos: usize,
-    /// The epoll interest mask currently registered for this session.
-    pub interest: u32,
     /// The socket hit EOF; once every buffered line is decoded the
     /// remaining bytes count as one final unterminated line.
     pub eof: bool,
@@ -123,7 +120,7 @@ pub(crate) struct SessionState {
     /// The connection is gone (read/write error): close immediately,
     /// discarding anything unflushed.
     pub broken: bool,
-    /// Finalized by the owning reactor; all further activity is a no-op.
+    /// Finalized; all further activity is a no-op.
     pub closed: bool,
     /// Shed connection: sink and discard input until EOF or the linger
     /// deadline, never decode.
@@ -144,15 +141,14 @@ pub(crate) struct BatchAccum {
     pub lines: Vec<String>,
 }
 
-/// One connection owned by the epoll driver. The stream stays alive for
-/// as long as any clone of the `Arc<Session>` does (the dispatcher queue
-/// and a worker mid-job may briefly outlive deregistration), so the fd
-/// cannot be reused while a stale reference could still touch it.
+/// One connection of the epoll driver. The stream stays alive for as long
+/// as any clone of the `Arc<Session>` does (a thread mid-turn or a sweep
+/// may briefly outlive deregistration), so the fd cannot be reused while
+/// a stale reference could still touch it.
 #[derive(Debug)]
 pub(crate) struct Session {
+    /// The registry key and epoll token.
     pub id: u64,
-    /// Index of the owning reactor thread (nudges go to its wakeup fd).
-    pub reactor: usize,
     pub stream: TcpStream,
     pub state: Mutex<SessionState>,
 }
@@ -165,10 +161,8 @@ impl SessionState {
             batch: None,
             pending: VecDeque::new(),
             in_flight: 0,
-            job_active: false,
             write_buf: Vec::new(),
             write_pos: 0,
-            interest: 0,
             eof: false,
             no_more_input: false,
             close_after_flush: false,
@@ -181,7 +175,7 @@ impl SessionState {
         }
     }
 
-    /// Whether the reactor should keep EPOLLIN armed.
+    /// Whether the epoll driver should arm EPOLLIN.
     pub(crate) fn wants_read(&self, policy: &DecodePolicy) -> bool {
         if self.closed || self.broken {
             return false;
@@ -202,7 +196,7 @@ impl SessionState {
         self.unflushed() < policy.max_write_buffer
     }
 
-    /// Whether the reactor should keep EPOLLOUT armed.
+    /// Whether the epoll driver has reply bytes to arm EPOLLOUT for.
     pub(crate) fn wants_write(&self) -> bool {
         !self.closed && !self.broken && self.unflushed() > 0
     }
@@ -212,23 +206,12 @@ impl SessionState {
         self.write_buf.len() - self.write_pos
     }
 
-    /// Whether the owning reactor should finalize this session now.
-    pub(crate) fn ready_to_close(&self, now: Instant) -> bool {
-        if self.closed {
-            return false;
-        }
-        if self.broken {
-            return true;
-        }
-        if let Some(deadline) = self.linger_deadline {
-            if now >= deadline {
-                return true;
-            }
-        }
-        self.close_after_flush
-            && self.unflushed() == 0
-            && self.pending.is_empty()
-            && !self.job_active
+    /// Whether the thread ending a turn should finalize this session
+    /// instead of re-arming it (the linger deadline is the sweep's).
+    pub(crate) fn ready_to_close(&self) -> bool {
+        !self.closed
+            && (self.broken
+                || (self.close_after_flush && self.unflushed() == 0 && self.in_flight == 0))
     }
 
     /// Decodes every complete line in `read_buf` into pending work,
@@ -424,7 +407,7 @@ impl SessionState {
             self.push_reply_raw(reply, counters);
             return;
         }
-        // Coalesce with a trailing not-yet-dispatched run so one pipelined
+        // Coalesce with a trailing not-yet-executed run so one pipelined
         // burst becomes one engine batch and one socket write.
         if let Some(Work::Run(lines)) = self.pending.back_mut() {
             lines.push(line);
@@ -456,7 +439,6 @@ impl SessionState {
     pub(crate) fn work_done(&mut self, weight: usize, counters: &ServerCounters) {
         self.in_flight -= weight.min(self.in_flight);
         counters.dispatch_completed(weight as u64);
-        self.job_active = false;
     }
 
     /// Un-books decoded work that will never execute because the

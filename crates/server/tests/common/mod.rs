@@ -205,3 +205,13 @@ pub fn transcript(addr: std::net::SocketAddr, dribble: bool) -> Vec<u8> {
     stream.read_to_end(&mut out).unwrap();
     out
 }
+
+/// `connections` concurrent `transcript` sessions against `addr`, every
+/// other one dribbled — pipelined bursts and worst-case partial reads
+/// contending for the same serving threads.
+pub fn concurrent_transcripts(addr: std::net::SocketAddr, connections: usize) -> Vec<Vec<u8>> {
+    let sessions: Vec<_> = (0..connections)
+        .map(|i| std::thread::spawn(move || transcript(addr, i % 2 == 1)))
+        .collect();
+    sessions.into_iter().map(|s| s.join().unwrap()).collect()
+}

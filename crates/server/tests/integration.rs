@@ -11,6 +11,16 @@ use entropydb_core::solver::SolverConfig;
 use entropydb_core::statistics::MultiDimStatistic;
 use entropydb_server::{serve, Client};
 use entropydb_storage::{AttrId, Attribute, Binner, Partitioning, Predicate, Schema, Table};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::time::{Duration, Instant};
+
+/// Every test that serves holds this shared; the thread-leak stress holds
+/// it exclusively, so the serving threads it counts are its own.
+static SERVING: RwLock<()> = RwLock::new(());
+
+fn serving() -> RwLockReadGuard<'static, ()> {
+    SERVING.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn a(i: usize) -> AttrId {
     AttrId(i)
@@ -65,6 +75,7 @@ fn requests() -> Vec<QueryRequest> {
 /// exactly, on both backends.
 #[test]
 fn served_responses_match_in_process_execution() {
+    let _serving = serving();
     fn check<B: entropydb_core::engine::SummaryBackend + 'static>(
         name: &str,
         local: QueryEngine<B>,
@@ -97,6 +108,7 @@ fn served_responses_match_in_process_execution() {
 /// returns the same estimate as the in-process call.
 #[test]
 fn served_statement_matches_in_process_call() {
+    let _serving = serving();
     let s = summary();
     let engine = QueryEngine::new(summary());
     let handle = serve(engine, "127.0.0.1:0").unwrap();
@@ -135,6 +147,7 @@ fn served_statement_matches_in_process_call() {
 /// its scratch pool).
 #[test]
 fn concurrent_clients_get_consistent_answers() {
+    let _serving = serving();
     let s = summary();
     let handle = serve(QueryEngine::new(summary()), "127.0.0.1:0").unwrap();
     let addr = handle.local_addr();
@@ -171,6 +184,7 @@ fn concurrent_clients_get_consistent_answers() {
 /// channel without poisoning the rest of the frame.
 #[test]
 fn batch_pipelining_and_error_channel() {
+    let _serving = serving();
     let handle = serve(QueryEngine::new(summary()), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
@@ -220,6 +234,7 @@ fn batch_pipelining_and_error_channel() {
 /// accepting new connections.
 #[test]
 fn shutdown_joins_sessions_and_closes_listener() {
+    let _serving = serving();
     let handle = serve(QueryEngine::new(summary()), "127.0.0.1:0").unwrap();
     let addr = handle.local_addr();
 
@@ -250,20 +265,46 @@ fn shutdown_joins_sessions_and_closes_listener() {
 
 /// Loop-spawn stress for the shutdown path: many rounds of serve → racing
 /// client connects → shutdown. A connection accepted after shutdown begins
-/// must never leak its session thread: `shutdown` returns only after every
-/// spawned session is joined, so the process thread count cannot grow
-/// across rounds (checked via /proc on Linux) and no round may hang.
+/// must never leak a thread: `shutdown` returns only after every serving
+/// thread is joined, so no `entropydb-io-*` thread (the name the epoll
+/// driver gives its pool) may be alive after any round, and no round may
+/// hang.
 #[test]
 fn shutdown_loop_spawn_stress_leaks_no_sessions() {
-    fn thread_count() -> Option<usize> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
+    /// Live threads of this process named like the serving pool's; `None`
+    /// where there is no `/proc` (or no named pool: the blocking driver).
+    fn serving_threads() -> Option<usize> {
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+        Some(
+            tasks
+                .flatten()
+                .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+                .filter(|comm| comm.starts_with("entropydb-io-"))
+                .count(),
+        )
     }
+    /// Whether the count settles where `wanted` says, given a moment: a
+    /// thread names itself after it starts, and the kernel may drop a
+    /// joined thread's `/proc` entry a little after the join — but a
+    /// leaked thread stays for good.
+    fn settles(wanted: impl Fn(usize) -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !serving_threads().is_none_or(&wanted) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+    let _alone = SERVING.write().unwrap_or_else(PoisonError::into_inner);
     let model = summary();
-    let mut baseline: Option<usize> = None;
+    if cfg!(target_os = "linux") {
+        // The count below is not vacuous: a running server shows up in it.
+        let handle = serve(QueryEngine::new(model.clone()), "127.0.0.1:0").unwrap();
+        assert!(settles(|alive| alive >= 2), "no named pool");
+        handle.shutdown();
+    }
     for round in 0..24u64 {
         let handle = serve(QueryEngine::new(model.clone()), "127.0.0.1:0").unwrap();
         let addr = handle.local_addr();
@@ -284,17 +325,12 @@ fn shutdown_loop_spawn_stress_leaks_no_sessions() {
         // after the connect bursts across rounds.
         std::thread::sleep(std::time::Duration::from_millis(round % 3));
         handle.shutdown();
+        assert!(
+            settles(|alive| alive == 0),
+            "round {round}: serving threads outlived shutdown"
+        );
         for s in spawners {
             s.join().unwrap();
-        }
-        if let Some(n) = thread_count() {
-            // Allow slack for lazily spawned runtime threads, but any
-            // leaked session thread per round would grow this monotonically.
-            let b = *baseline.get_or_insert(n);
-            assert!(
-                n <= b + 4,
-                "thread count grew from {b} to {n} by round {round}: leaked sessions"
-            );
         }
     }
 }
@@ -302,6 +338,7 @@ fn shutdown_loop_spawn_stress_leaks_no_sessions() {
 /// Unknown command words answer on the error channel (raw-socket check).
 #[test]
 fn unknown_commands_answer_errors() {
+    let _serving = serving();
     use std::io::{BufRead, BufReader, Write};
     let handle = serve(QueryEngine::new(summary()), "127.0.0.1:0").unwrap();
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
@@ -322,6 +359,7 @@ fn unknown_commands_answer_errors() {
 /// the session buffer without bound.
 #[test]
 fn oversized_lines_end_the_session() {
+    let _serving = serving();
     use std::io::{Read, Write};
     let handle = serve(QueryEngine::new(summary()), "127.0.0.1:0").unwrap();
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();

@@ -14,7 +14,12 @@ fn unknown_flags_exit_2_and_known_flags_serve() {
     let _ = std::fs::remove_dir_all(&dir);
     serialize::save_sharded_dir(&demo::demo_summary(240, 2).unwrap(), &dir).unwrap();
 
-    for bad in ["--core threaded", "--bogus"] {
+    for bad in [
+        "--core threaded",
+        "--reactor-threads 1",
+        "--dispatch-threads 2",
+        "--bogus",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_entropydb-serve"))
             .arg(&dir)
             .args(bad.split(' '))
@@ -34,8 +39,8 @@ fn unknown_flags_exit_2_and_known_flags_serve() {
         .arg(&dir)
         .args(["--addr", "127.0.0.1:0", "--live", "--delta-threshold", "32"])
         .args(["--idle-timeout", "30", "--max-sessions", "8"])
-        .args(["--reactor-threads", "1", "--dispatch-threads", "2"])
-        .args(["--max-queue-depth", "1024", "--max-in-flight", "16"])
+        .args(["--threads", "2", "--max-queue-depth", "1024"])
+        .args(["--max-in-flight", "16"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
