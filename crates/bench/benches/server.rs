@@ -1,32 +1,38 @@
-//! Server benchmarks, both ends of the load range.
+//! Server benchmarks, both ends of the load range, and the reply codec.
 //!
 //! *Soak*: hundreds of pre-connected raw clients each put a pipelined
 //! frame of point count queries on the wire before any reply is drained,
 //! then drain their replies — one such storm is a *round*, the unit
 //! `b.iter` times. *Round trip*: one `Client`, one request at a time —
-//! `ping` (the wire and the serving threads alone) and a point count on
-//! the demo table without 2-D statistics (a sub-µs model, so the figure is
-//! the served path's), with client and server confined to one CPU: the
-//! configuration `benchmark/` measures, and the one whose figure is the
-//! code path's rather than the host's cross-CPU wake-up latency (≈ 40 µs
-//! of a 48 µs unconfined `ping` on the 2-vCPU development box).
+//! `ping` (the wire and the serving threads alone), a point count and a
+//! group-by on the demo table without 2-D statistics (a sub-µs model, so
+//! the figure is the served path's), with client and server confined to
+//! one CPU: the configuration `benchmark/` measures, and the one whose
+//! figure is the code path's rather than the host's cross-CPU wake-up
+//! latency (≈ 40 µs of a 48 µs unconfined `ping` on the 2-vCPU development
+//! box). *Float codec*: one `QueryResponse::encode` of 54 flights-like
+//! group estimates (108 float tokens), the reply a group-by pays for.
 //!
 //! `BENCH_server.json` records group `server_soak`: round latency
 //! (median/p50/p99) of the served path at 256 clients x 8 pipelined
 //! requests, the throughput side-channel (`reactor_req_per_s`), and the
-//! soak shape; and group `server_round_trip`: `ping_ns` / `point_ns` per
-//! depth-1 round trip. `bench_schema.json` gates the throughput with an
-//! absolute floor (`metric_floors`) and the round trips with absolute
-//! ceilings (`metric_ceilings`).
+//! soak shape; group `server_round_trip`: `ping_ns` / `point_ns` /
+//! `groupby_ns` per depth-1 round trip; and group `float_codec`:
+//! `encode_groups54_ns`. `bench_schema.json` gates the throughput with an
+//! absolute floor (`metric_floors`) and the round trips and the encode
+//! with absolute ceilings (`metric_ceilings`) — the encode's below what
+//! formatting the floats with `Display` costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::report::mean_call_ns;
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::model::MaxEntSummary;
-use entropydb_core::plan::QueryRequest;
+use entropydb_core::plan::{QueryRequest, QueryResponse};
+use entropydb_core::query::Estimate;
 use entropydb_core::solver::SolverConfig;
 use entropydb_server::{demo, serve, Client};
 use entropydb_storage::{AttrId, Predicate};
+use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
@@ -163,11 +169,15 @@ fn round_trips(c: &mut Criterion) {
     let server = serve(QueryEngine::new(summary), "127.0.0.1:0").expect("serve");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let point = QueryRequest::count(Predicate::new().eq(AttrId(0), 1));
+    let groupby = QueryRequest::group_by(Predicate::new().eq(AttrId(0), 1), AttrId(1));
 
     let mut g = c.benchmark_group("server_round_trip");
     g.bench_function("ping", |b| b.iter(|| client.ping().expect("ping")));
     g.bench_function("point", |b| {
         b.iter(|| client.execute(&point).expect("point"))
+    });
+    g.bench_function("groupby", |b| {
+        b.iter(|| client.execute(&groupby).expect("groupby"))
     });
     g.finish();
 
@@ -176,16 +186,53 @@ fn round_trips(c: &mut Criterion) {
     let point_ns = mean_call_ns(calls, || {
         client.execute(&point).expect("point");
     });
+    let groupby_ns = mean_call_ns(calls, || {
+        client.execute(&groupby).expect("groupby");
+    });
     c.record_metric("server_round_trip", "ping_ns", ping_ns);
     c.record_metric("server_round_trip", "point_ns", point_ns);
+    c.record_metric("server_round_trip", "groupby_ns", groupby_ns);
 
     client.quit();
     server.shutdown();
 }
 
+/// 54 group estimates of a 500 000-row relation with full-precision
+/// shares: the shape of a flights group-by reply.
+fn flights_like_groups() -> QueryResponse {
+    let n = 500_000.0;
+    let total: f64 = (1..=54).map(|i| f64::from(i).sqrt()).sum();
+    QueryResponse::Groups(
+        (1..=54)
+            .map(|i| {
+                let p = f64::from(i).sqrt() / total;
+                Estimate {
+                    expectation: n * p,
+                    variance: n * p * (1.0 - p),
+                }
+            })
+            .collect(),
+    )
+}
+
+fn bench_float_codec(c: &mut Criterion) {
+    let groups = flights_like_groups();
+    let mut g = c.benchmark_group("float_codec");
+    g.bench_function("encode_groups54", |b| {
+        b.iter(|| black_box(&groups).encode())
+    });
+    g.finish();
+
+    let calls = if fast_mode() { 2_000 } else { 200_000 };
+    let encode_ns = mean_call_ns(calls, || {
+        black_box(black_box(&groups).encode());
+    });
+    c.record_metric("float_codec", "encode_groups54_ns", encode_ns);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(4)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_server_soak, bench_server_round_trip
+    targets = bench_server_soak, bench_server_round_trip, bench_float_codec
 }
 criterion_main!(benches);

@@ -12,8 +12,9 @@
 //! ## Wire format (version 1)
 //!
 //! One request or response per line, whitespace-separated tokens. Floats
-//! use Rust's shortest-round-trip formatting, so encode → decode → encode
-//! is the identity and decoded estimates are bit-identical.
+//! are [`wire::push_f64`](crate::wire::push_f64) tokens (`Display`'s bytes:
+//! the shortest decimal that reads back as the same `f64`), so encode →
+//! decode → encode is the identity and decoded estimates are bit-identical.
 //!
 //! ```text
 //! request  := "q1" body
@@ -43,7 +44,7 @@
 
 use crate::error::{ModelError, Result};
 use crate::query::Estimate;
-use crate::wire::{decode_refusal, encode_refusal, wire_error, TokenReader};
+use crate::wire::{decode_refusal, encode_refusal, push_f64, wire_error, TokenReader};
 use entropydb_storage::{AttrId, AttrPredicate, Predicate, Resolver, Statement};
 use std::fmt::Write as _;
 
@@ -384,19 +385,22 @@ impl QueryResponse {
         let mut out = String::from("r1 ");
         match self {
             QueryResponse::Probability(p) => {
-                let _ = write!(out, "prob {p}");
+                out.push_str("prob ");
+                push_f64(&mut out, *p);
             }
             QueryResponse::Estimate(e) => {
-                let _ = write!(out, "est {} {}", e.expectation, e.variance);
+                out.push_str("est");
+                push_estimate(&mut out, e);
             }
             QueryResponse::Average(None) => out.push_str("avg none"),
             QueryResponse::Average(Some(v)) => {
-                let _ = write!(out, "avg some {v}");
+                out.push_str("avg some ");
+                push_f64(&mut out, *v);
             }
             QueryResponse::Groups(groups) => {
                 let _ = write!(out, "groups {}", groups.len());
                 for e in groups {
-                    let _ = write!(out, " {} {}", e.expectation, e.variance);
+                    push_estimate(&mut out, e);
                 }
             }
             QueryResponse::Groups2(rows) => {
@@ -404,14 +408,15 @@ impl QueryResponse {
                 let _ = write!(out, "groups2 {} {cols}", rows.len());
                 for row in rows {
                     for e in row {
-                        let _ = write!(out, " {} {}", e.expectation, e.variance);
+                        push_estimate(&mut out, e);
                     }
                 }
             }
             QueryResponse::Ranked(entries) => {
                 let _ = write!(out, "ranked {}", entries.len());
                 for (v, e) in entries {
-                    let _ = write!(out, " {v} {} {}", e.expectation, e.variance);
+                    let _ = write!(out, " {v}");
+                    push_estimate(&mut out, e);
                 }
             }
             QueryResponse::Rows { arity, rows } => {
@@ -433,11 +438,11 @@ impl QueryResponse {
         r.expect("r1")?;
         let op = r.next("response op")?;
         let resp = match op {
-            "prob" => QueryResponse::Probability(r.parse("probability")?),
+            "prob" => QueryResponse::Probability(r.f64("probability")?),
             "est" => QueryResponse::Estimate(read_estimate(&mut r)?),
             "avg" => match r.next("avg payload")? {
                 "none" => QueryResponse::Average(None),
-                "some" => QueryResponse::Average(Some(r.parse("average")?)),
+                "some" => QueryResponse::Average(Some(r.f64("average")?)),
                 other => return Err(wire_error(format!("bad avg payload {other:?}"))),
             },
             "groups" => QueryResponse::Groups(r.list("group count", read_estimate)?),
@@ -468,12 +473,20 @@ impl QueryResponse {
     }
 }
 
+/// Appends one ` expectation variance` pair.
+pub(crate) fn push_estimate(out: &mut String, e: &Estimate) {
+    out.push(' ');
+    push_f64(out, e.expectation);
+    out.push(' ');
+    push_f64(out, e.variance);
+}
+
 pub(crate) fn read_estimate(r: &mut TokenReader<'_>) -> Result<Estimate> {
     // Constructed field-by-field (not via `Estimate::new`) so decoding
     // reproduces the encoded struct bit-for-bit, clamps included.
     Ok(Estimate {
-        expectation: r.parse("expectation")?,
-        variance: r.parse("variance")?,
+        expectation: r.f64("expectation")?,
+        variance: r.f64("variance")?,
     })
 }
 

@@ -19,9 +19,10 @@
 //!
 //! ## Wire format (version 1)
 //!
-//! One probe or response per line, whitespace-separated tokens, floats in
-//! Rust's shortest-round-trip formatting (encode → decode → encode is the
-//! identity, and transported masks/estimates are bit-identical):
+//! One probe or response per line, whitespace-separated tokens, floats as
+//! [`wire::push_f64`](crate::wire::push_f64) tokens (`Display`'s bytes:
+//! encode → decode → encode is the identity, and transported
+//! masks/estimates are bit-identical):
 //!
 //! ```text
 //! probe    := "b1" body
@@ -62,9 +63,9 @@
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, RemoteDetail, Result};
-use crate::plan::read_estimate;
+use crate::plan::{push_estimate, read_estimate};
 use crate::query::Estimate;
-use crate::wire::{decode_refusal, encode_refusal, wire_error, TokenReader};
+use crate::wire::{decode_refusal, encode_refusal, push_f64, wire_error, TokenReader};
 use entropydb_storage::AttrId;
 use std::cell::OnceCell;
 use std::fmt::Write as _;
@@ -242,8 +243,9 @@ impl ProbeRequest {
             }
             ProbeRequest::Sum { mask, attr, values } => {
                 let _ = write!(out, "sum {} {}", attr.0, values.len());
-                for v in values {
-                    let _ = write!(out, " {v}");
+                for &v in values {
+                    out.push(' ');
+                    push_f64(&mut out, v);
                 }
                 out.push(' ');
                 encode_mask(&mut out, mask);
@@ -307,7 +309,7 @@ impl ProbeRequest {
             }
             "sum" => {
                 let attr = AttrId(r.parse("attr")?);
-                let values = r.list("value count", |r| r.parse("value"))?;
+                let values = r.list("value count", |r| r.f64("value"))?;
                 ProbeRequest::Sum {
                     mask: decode_mask(&mut r)?,
                     attr,
@@ -366,27 +368,30 @@ impl ProbeResponse {
         let mut out = String::from("c1 ");
         match self {
             ProbeResponse::Probability(p) => {
-                let _ = write!(out, "prob {p}");
+                out.push_str("prob ");
+                push_f64(&mut out, *p);
             }
             ProbeResponse::Probabilities(ps) => {
                 let _ = write!(out, "probs {}", ps.len());
-                for p in ps {
-                    let _ = write!(out, " {p}");
+                for &p in ps {
+                    out.push(' ');
+                    push_f64(&mut out, p);
                 }
             }
             ProbeResponse::Estimate(e) => {
-                let _ = write!(out, "est {} {}", e.expectation, e.variance);
+                out.push_str("est");
+                push_estimate(&mut out, e);
             }
             ProbeResponse::Estimates(list) => {
                 let _ = write!(out, "ests {}", list.len());
                 for e in list {
-                    let _ = write!(out, " {} {}", e.expectation, e.variance);
+                    push_estimate(&mut out, e);
                 }
             }
             ProbeResponse::Groups(list) => {
                 let _ = write!(out, "groups {}", list.len());
                 for e in list {
-                    let _ = write!(out, " {} {}", e.expectation, e.variance);
+                    push_estimate(&mut out, e);
                 }
             }
             ProbeResponse::Rows { arity, rows } => {
@@ -409,10 +414,10 @@ impl ProbeResponse {
         r.expect("c1")?;
         let op = r.next("probe response op")?;
         let resp = match op {
-            "prob" => ProbeResponse::Probability(r.parse("probability")?),
-            "probs" => ProbeResponse::Probabilities(
-                r.list("probability count", |r| r.parse("probability"))?,
-            ),
+            "prob" => ProbeResponse::Probability(r.f64("probability")?),
+            "probs" => {
+                ProbeResponse::Probabilities(r.list("probability count", |r| r.f64("probability"))?)
+            }
             "est" => ProbeResponse::Estimate(read_estimate(&mut r)?),
             "ests" | "groups" => {
                 let list = r.list("estimate count", read_estimate)?;
@@ -484,26 +489,16 @@ impl<'a> SharedEncoding<'a> {
     }
 }
 
-/// Nearly every weight of a predicate mask is exactly `0.0` or `1.0`, which
-/// `Display` spells `0` and `1`: both directions of the mask codec take
-/// those two without float formatting or parsing — the bytes do not change.
 fn encode_mask(out: &mut String, mask: &Mask) {
-    const ZERO: u64 = 0.0f64.to_bits();
-    const ONE: u64 = 1.0f64.to_bits();
     let _ = write!(out, "m {}", mask.arity());
     for attr in 0..mask.arity() {
         match mask.attr_weights(attr) {
             None => out.push_str(" i"),
             Some(w) => {
                 let _ = write!(out, " w {}", w.len());
-                for x in w {
-                    match x.to_bits() {
-                        ZERO => out.push_str(" 0"),
-                        ONE => out.push_str(" 1"),
-                        _ => {
-                            let _ = write!(out, " {x}");
-                        }
-                    }
+                for &x in w {
+                    out.push(' ');
+                    push_f64(out, x);
                 }
             }
         }
@@ -511,15 +506,10 @@ fn encode_mask(out: &mut String, mask: &Mask) {
 }
 
 fn decode_mask(r: &mut TokenReader<'_>) -> Result<Mask> {
-    let weight = |r: &mut TokenReader<'_>| match r.next("weight")? {
-        "0" => Ok(0.0),
-        "1" => Ok(1.0),
-        token => r.parse_token(token, "weight"),
-    };
     r.expect("m")?;
     let weights = r.list("mask arity", |r| match r.next("mask item")? {
         "i" => Ok(None),
-        "w" => Ok(Some(r.list("weight count", weight)?)),
+        "w" => Ok(Some(r.list("weight count", |r| r.f64("weight"))?)),
         other => Err(wire_error(format!("unknown mask item {other:?}"))),
     })?;
     Ok(Mask::from_weights(weights))

@@ -10,8 +10,9 @@
 //! Every document below is read through [`crate::wire`] (`#`-prefixed
 //! comments and blank lines ignored, errors carry the 1-based line
 //! number); `attribute`, `statistic` and the `shards` table are its shared
-//! sub-grammars. Floats are written with Rust's shortest-round-trip
-//! formatting, so a save/load cycle reproduces the exact same `f64`s.
+//! sub-grammars. Floats are [`wire::push_f64`](crate::wire::push_f64)
+//! tokens (`Display`'s bytes: the shortest decimal that reads back as the
+//! same `f64`), so a save/load cycle reproduces the exact same `f64`s.
 //!
 //! **Summary blob**, v2 ([`to_string`] / [`from_str`]):
 //!
@@ -85,7 +86,7 @@ use crate::solver::SolverReport;
 use crate::statistics::{MultiDimStatistic, Statistics};
 use crate::wire::{
     counted, decode_attr, decode_shard_table, decode_statistic, encode_attr, encode_statistic,
-    Lines, TokenReader,
+    push_f64, Lines, TokenReader,
 };
 use entropydb_storage::Schema;
 use std::fmt::Write as _;
@@ -105,8 +106,9 @@ pub fn to_string(summary: &MaxEntSummary) -> String {
     }
     for (i, (counts, alphas)) in stats.one_dim().iter().zip(&asn.one_dim).enumerate() {
         let _ = write!(out, "onedim {i}");
-        for (c, a) in counts.iter().zip(alphas) {
-            let _ = write!(out, " {c} {a}");
+        for (c, &a) in counts.iter().zip(alphas) {
+            let _ = write!(out, " {c} ");
+            push_f64(&mut out, a);
         }
         out.push('\n');
     }
@@ -117,15 +119,15 @@ pub fn to_string(summary: &MaxEntSummary) -> String {
         .zip(stats.multi_counts())
         .zip(&asn.multi)
     {
-        let _ = write!(out, "multi {count} {alpha} ");
+        let _ = write!(out, "multi {count} ");
+        push_f64(&mut out, alpha);
+        out.push(' ');
         encode_statistic(&mut out, stat);
         out.push('\n');
     }
-    let _ = writeln!(
-        out,
-        "report {} {} {}",
-        report.sweeps, report.max_residual, report.converged
-    );
+    let _ = write!(out, "report {} ", report.sweeps);
+    push_f64(&mut out, report.max_residual);
+    let _ = writeln!(out, " {}", report.converged);
     out.push_str("end\n");
     out
 }
@@ -189,7 +191,7 @@ fn parse_single(p: &mut Lines<'_>) -> Result<MaxEntSummary> {
         let (mut counts, mut alphas) = (counted(size), counted(size));
         for _ in 0..size {
             counts.push(r.parse("1D count")?);
-            alphas.push(r.parse("1D alpha")?);
+            alphas.push(r.f64("1D alpha")?);
         }
         r.finish()?;
         one_dim_counts.push(counts);
@@ -203,7 +205,7 @@ fn parse_single(p: &mut Lines<'_>) -> Result<MaxEntSummary> {
     for _ in 0..k {
         let mut r = p.tagged("multi")?;
         multi_counts.push(r.parse("multi count")?);
-        multi_alphas.push(r.parse("multi alpha")?);
+        multi_alphas.push(r.f64("multi alpha")?);
         multi.push(decode_statistic(&mut r)?);
         r.finish()?;
     }
@@ -211,7 +213,7 @@ fn parse_single(p: &mut Lines<'_>) -> Result<MaxEntSummary> {
     let mut r = p.tagged("report")?;
     let report = SolverReport {
         sweeps: r.parse("sweeps")?,
-        max_residual: r.parse("residual")?,
+        max_residual: r.f64("residual")?,
         converged: r.parse("converged")?,
         skipped_updates: 0,
         dual_trajectory: Vec::new(),

@@ -7,10 +7,12 @@
 //! 1-based line number into every error — a wire line reports line 0. All
 //! failures are [`ModelError::Parse`] with one vocabulary (`unexpected end
 //! of line, expected …`, `cannot parse … from …`, `expected …, found …`,
-//! `trailing token …`). Integers and floats are read with `FromStr` and
-//! written with `Display` (Rust's shortest-round-trip float formatting, so
-//! encode → decode → encode is the identity), and every length read from a
-//! socket or a disk is pre-allocated through [`counted`].
+//! `trailing token …`). Integers are read with `FromStr` and written with
+//! `Display`; every float token is written by [`push_f64`] (the bytes
+//! `Display` writes — the shortest decimal that reads back as the same
+//! `f64`, so encode → decode → encode is the identity) and read by
+//! [`TokenReader::f64`]. Every length read from a socket or a disk is
+//! pre-allocated through [`counted`].
 //!
 //! Beside the reader live the sub-grammars more than one format uses:
 //!
@@ -29,6 +31,8 @@ use crate::statistics::{MultiDimStatistic, RangeClause};
 use entropydb_storage::{AttrId, Attribute, Binner};
 use std::fmt::Write as _;
 
+mod d2s;
+
 /// Caps pre-allocations derived from untrusted lengths; decoded lengths
 /// are still exact (a short line fails with "unexpected end of line").
 pub const WIRE_PREALLOC_CAP: usize = 1 << 16;
@@ -37,6 +41,22 @@ pub const WIRE_PREALLOC_CAP: usize = 1 << 16;
 /// bytes from a peer or a disk must not be able to reserve terabytes.
 pub fn counted<T>(n: usize) -> Vec<T> {
     Vec::with_capacity(n.min(WIRE_PREALLOC_CAP))
+}
+
+/// Appends the float token for `x`: exactly the bytes `format!("{x}")`
+/// produces (Ryu's shortest round-trip digits in `Display`'s layout, never
+/// an exponent), at a fraction of its cost. The `0` and `1` weights most
+/// masks are made of are written without the digit search.
+// Inlined, so a mask's weight loop tests `0`/`1` in place (called, it
+// doubled the encode of a one-mask `count` line).
+#[inline]
+pub fn push_f64(out: &mut String, x: f64) {
+    const ONE: u64 = 1.0f64.to_bits();
+    match x.to_bits() {
+        0 => out.push('0'),
+        ONE => out.push('1'),
+        _ => d2s::push_f64(out, x),
+    }
 }
 
 /// A parse error on a wire line (line number 0).
@@ -104,6 +124,19 @@ impl<'a> TokenReader<'a> {
     pub fn parse_token<T: std::str::FromStr>(&self, t: &str, what: &str) -> Result<T> {
         t.parse()
             .map_err(|_| self.error(format!("cannot parse {what} from {t:?}")))
+    }
+
+    /// Parses the next token as a float token written by [`push_f64`]; the
+    /// `0` and `1` of mask weights skip the float parser.
+    // Not inlining this into a weight or estimate loop costs their decode
+    // 10–15 % (measured on a 16-mask `countm` line).
+    #[inline(always)]
+    pub fn f64(&mut self, what: &str) -> Result<f64> {
+        match self.next(what)? {
+            "0" => Ok(0.0),
+            "1" => Ok(1.0),
+            t => self.parse_token(t, what),
+        }
     }
 
     /// Consumes a dense index token, which must equal `expected`.
@@ -227,7 +260,11 @@ pub fn encode_attr(out: &mut String, index: usize, attr: &Attribute) {
     let _ = write!(out, "attr {index} {} ", attr.domain_size());
     match attr.binner() {
         Some(b) => {
-            let _ = write!(out, "bin {} {} ", b.lo(), b.hi());
+            out.push_str("bin ");
+            push_f64(out, b.lo());
+            out.push(' ');
+            push_f64(out, b.hi());
+            out.push(' ');
         }
         None => out.push_str("cat "),
     }
@@ -250,7 +287,7 @@ pub fn decode_attr(r: &mut TokenReader<'_>, expected: usize, kinded: bool) -> Re
     match kind {
         "cat" => Attribute::categorical(r.rest(), size).map_err(ModelError::Storage),
         "bin" => {
-            let (lo, hi) = (r.parse("bin lo")?, r.parse("bin hi")?);
+            let (lo, hi) = (r.f64("bin lo")?, r.f64("bin hi")?);
             let binner = Binner::new(lo, hi, size).map_err(ModelError::Storage)?;
             Ok(Attribute::binned(r.rest(), binner))
         }

@@ -113,6 +113,11 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 /// surfaces to the caller only if the retry fails too. The retry never
 /// fires for a server-reported error line or a deadline expiry (see
 /// [`ClientConfig`] for the socket deadlines applied by default).
+///
+/// The client counts the replies the server still owes it: a call that
+/// failed on a server-reported error line read to its end leaves the
+/// connection [in step](Client::in_step) and reusable, one that failed
+/// with replies unread (or mid-write, mid-read) does not.
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
@@ -121,6 +126,7 @@ pub struct Client {
     writer: TcpStream,
     schema: Option<Schema>,
     served_n: Option<u64>,
+    owed: usize,
 }
 
 /// Dials `addr` honoring the connect deadline and applies the read/write
@@ -206,6 +212,7 @@ impl Client {
                         writer: stream,
                         schema: None,
                         served_n: None,
+                        owed: 0,
                     })
                 }
                 Err(e) => last_err = Some(e),
@@ -233,11 +240,35 @@ impl Client {
         let stream = dial(&self.addr, &self.config)?;
         self.reader = BufReader::new(stream.try_clone()?);
         self.writer = stream;
+        self.owed = 0;
         Ok(())
     }
 
+    /// True when every reply to what was sent has been read to its end:
+    /// the next line read answers the next request sent, so the connection
+    /// may be reused.
+    pub fn in_step(&self) -> bool {
+        self.owed == 0
+    }
+
+    /// Writes `frame`, which carries `requests` request lines. They are
+    /// owed before the write: a write that fails part-way leaves the
+    /// connection out of step.
+    fn send(&mut self, frame: &[u8], requests: usize) -> ClientResult<()> {
+        self.owed += requests;
+        Ok(self.writer.write_all(frame)?)
+    }
+
     fn send_line(&mut self, line: &str) -> ClientResult<()> {
+        self.owed += 1;
         Ok(write_line(&mut self.writer, line)?)
+    }
+
+    /// Reads a one-line reply whole.
+    fn read_reply(&mut self) -> ClientResult<String> {
+        let line = self.read_line()?;
+        self.owed = self.owed.saturating_sub(1);
+        Ok(line)
     }
 
     fn read_line(&mut self) -> ClientResult<String> {
@@ -254,7 +285,7 @@ impl Client {
     /// Health check.
     pub fn ping(&mut self) -> ClientResult<()> {
         self.send_line("ping")?;
-        let reply = self.read_line()?;
+        let reply = self.read_reply()?;
         if reply == "pong" {
             Ok(())
         } else {
@@ -285,6 +316,7 @@ impl Client {
                 }
                 Ok(line.trim_end_matches(['\n', '\r']).to_string())
             })?;
+            self.owed = self.owed.saturating_sub(1);
             self.schema = Some(schema);
             self.served_n = n;
         }
@@ -300,7 +332,7 @@ impl Client {
 
     fn round_trip(&mut self, line: &str) -> ClientResult<String> {
         self.send_line(line)?;
-        self.read_line()
+        self.read_reply()
     }
 
     /// One request line → one response line, reconnecting and retrying
@@ -371,18 +403,18 @@ impl Client {
             frame.push_str(line.as_ref());
             frame.push('\n');
         }
-        Ok(self.writer.write_all(frame.as_bytes())?)
+        self.send(frame.as_bytes(), lines.len())
     }
 
     /// The receive half: reads the replies to `count` lines sent with
     /// [`Client::send_probes`], in order. A probe the *server* failed (its
     /// error channel) fails the call at that reply; the replies behind it
-    /// stay unread, so a connection whose call failed is out of step and
-    /// must be dropped, never reused.
+    /// stay unread, so unless it was the last the connection is out of
+    /// step ([`Client::in_step`]) and must be dropped, never reused.
     pub fn read_probe_replies(&mut self, count: usize) -> ClientResult<Vec<ProbeResponse>> {
         let mut responses = Vec::with_capacity(count);
         for _ in 0..count {
-            let line = self.read_line()?;
+            let line = self.read_reply()?;
             responses.push(ProbeResponse::decode(&line)?);
         }
         Ok(responses)
@@ -404,9 +436,9 @@ impl Client {
                 frame.push_str(&request.encode());
                 frame.push('\n');
             }
-            self.writer.write_all(frame.as_bytes())?;
+            self.send(frame.as_bytes(), chunk.len())?;
             for _ in 0..chunk.len() {
-                let line = self.read_line()?;
+                let line = self.read_reply()?;
                 responses.push(QueryResponse::decode(&line));
             }
         }

@@ -69,8 +69,10 @@
 //!   replicas periodically and evicts changed blobs proactively.
 //!
 //! Connections are pooled per replica and reused across queries. A
-//! connection involved in any failure — one that was written to and not
-//! read to the end included — is dropped, never pooled. If a
+//! connection goes back to the pool only while it is in step — after an
+//! answer, or after a deterministic error line read to its end; one that
+//! failed otherwise — written to and not read to the end included — is
+//! dropped. If a
 //! shard's whole replica set is exhausted the failure surfaces as
 //! [`ModelError::Degraded`] naming the shard and its primary address,
 //! carrying the per-attempt failure trail; the engine's batch path keeps
@@ -595,23 +597,27 @@ impl RemoteShard {
     /// The failover loop: runs `f` against a verified connection of a live
     /// replica — pooled, or dialed (and handshaken) fresh when the pool is
     /// empty — failing over per the module-level classification. A
-    /// connection involved in any failure is dropped (an attempt hands its
-    /// connection back only inside its `Ok`), so the pool never caches a
-    /// broken or desynchronized transport. Success resets the replica's
-    /// breaker and makes it the preferred replica for subsequent probes.
-    /// `first` is an attempt the caller already made on a *pooled*
-    /// connection of that replica — the two-pass probe path writes before
-    /// it reads — and stands in for the loop's first.
+    /// connection goes back to the pool after a success, or after a
+    /// deterministic error when it owes no reply ([`Client::in_step`]); any
+    /// other failure drops it, so the pool never caches a broken or
+    /// desynchronized transport. Success resets the replica's breaker and
+    /// makes it the preferred replica for subsequent probes. `first` is an
+    /// attempt the caller already made on a *pooled* connection of that
+    /// replica — the two-pass probe path writes before it reads — and
+    /// stands in for the loop's first.
     fn failover<R>(
         &self,
-        mut first: Option<(usize, ClientResultAlias<(Client, R)>)>,
+        mut first: Option<(usize, Attempt<R>)>,
         f: impl Fn(&mut Client) -> ClientResultAlias<R>,
     ) -> Result<R> {
         let len = self.replicas.len();
         if len == 0 {
             return Err(self.degraded(&["manifest lists no replica".to_string()]));
         }
-        let run = |mut client: Client| f(&mut client).map(|out| (client, out));
+        let run = |mut client: Client| {
+            let outcome = f(&mut client);
+            (client, outcome)
+        };
         let mut attempts: Vec<String> = Vec::new();
         let mut tried = vec![false; len];
         let mut backoff = self.config.backoff_base;
@@ -647,11 +653,11 @@ impl RemoteShard {
                 // node was replaced on the same address: not a node failure
                 // (no breaker count, no backoff), but the next bytes must
                 // not reach an unverified blob — go through the handshake.
-                Some(Err(ClientError::Io(e))) if transport_is_retryable(&e) => None,
+                Some((_, Err(ClientError::Io(e)))) if transport_is_retryable(&e) => None,
                 outcome => outcome,
             };
-            let outcome = match outcome {
-                Some(outcome) => outcome,
+            let (client, outcome) = match outcome {
+                Some(attempt) => attempt,
                 None => match self.dial_verified(idx, false) {
                     Ok((client, _)) => run(client),
                     Err(DialFailure::WrongBlob(detail)) => {
@@ -667,7 +673,7 @@ impl RemoteShard {
                 },
             };
             match outcome {
-                Ok((client, out)) => {
+                Ok(out) => {
                     replica
                         .health
                         .lock()
@@ -692,8 +698,12 @@ impl RemoteShard {
                 }
                 // Deterministic server error: every replica would compute
                 // the same error, so fail the call immediately — a
-                // server-reported error line is never re-sent.
+                // server-reported error line is never re-sent. Read to its
+                // end, it leaves the connection in step for the next call.
                 Err(ClientError::Model(other)) => {
+                    if client.in_step() {
+                        replica.put_back(client);
+                    }
                     return Err(self.named(other));
                 }
                 // Transport death or deadline expiry: fail over.
@@ -710,11 +720,12 @@ impl RemoteShard {
     /// connection of the replica the failover loop would try first out of
     /// its pool and writes `lines` to it. `None` when that replica has no
     /// idle connection — the loop will dial one.
-    fn send(&self, lines: &[Cow<'_, str>]) -> Option<(usize, ClientResultAlias<Client>)> {
+    fn send(&self, lines: &[Cow<'_, str>]) -> Option<(usize, Attempt<()>)> {
         let start = self.preferred.load(Ordering::Relaxed) % self.replicas.len().max(1);
         let idx = self.choose(start, Instant::now())?;
         let mut client = self.replicas[idx].conns.lock().expect("conn pool").pop()?;
-        Some((idx, client.send_probes(lines).map(|()| client)))
+        let written = client.send_probes(lines);
+        Some((idx, (client, written)))
     }
 
     /// The read half: the replies to `lines` from the connection
@@ -724,14 +735,11 @@ impl RemoteShard {
     fn receive(
         &self,
         lines: &[Cow<'_, str>],
-        sent: Option<(usize, ClientResultAlias<Client>)>,
+        sent: Option<(usize, Attempt<()>)>,
     ) -> Result<Vec<ProbeResponse>> {
-        let first = sent.map(|(idx, written)| {
-            let read = written.and_then(|mut client| {
-                let replies = client.read_probe_replies(lines.len())?;
-                Ok((client, replies))
-            });
-            (idx, read)
+        let first = sent.map(|(idx, (mut client, written))| {
+            let read = written.and_then(|()| client.read_probe_replies(lines.len()));
+            (idx, (client, read))
         });
         self.failover(first, |client| {
             client.send_probes(lines)?;
@@ -777,6 +785,10 @@ impl RemoteShard {
 }
 
 type ClientResultAlias<T> = std::result::Result<T, ClientError>;
+
+/// One try of a call on a connection: the connection, kept whatever the
+/// outcome, and the outcome.
+type Attempt<R> = (Client, ClientResultAlias<R>);
 
 /// Sample indices per `SampleAt` frame: bounds the request line (≤ 21
 /// bytes per index) against the serving layer's `MAX_LINE_BYTES` (1 MiB).

@@ -212,12 +212,13 @@ fn deterministic_probe_errors_never_fail_over() {
     assert_eq!(shard.replicas()[1].idle_conns(), 0);
 
     // The replica stays first in rotation: a good probe answers through
-    // the proxy again (over a fresh transport — a connection involved in
-    // any error is dropped, never pooled) and the other replica still
-    // sees no traffic.
+    // the proxy again, over the same transport — the error line was read
+    // to its end, so the connection was still in step and went back to
+    // the pool — and the other replica still sees no traffic.
+    assert_eq!(shard.replicas()[0].idle_conns(), 1);
     let good = Mask::from_predicate(&Predicate::all(), local.domain_sizes()).unwrap();
     probe_count(shard, &good).unwrap();
-    assert_eq!(proxy.connections_seen(), conns_before + 1);
+    assert_eq!(proxy.connections_seen(), conns_before);
     assert_eq!(shard.replicas()[1].idle_conns(), 0);
 
     proxy.shutdown();
@@ -493,11 +494,11 @@ fn a_connection_killed_between_write_and_read_is_dropped_not_pooled() {
     common::assert_bitwise_parity(&local_engine, &engine);
     assert_eq!(idle(&engine)[1][0], 0, "the severed replica pooled nothing");
 
-    // A deterministic `c1 err` to the first of two pipelined frames (its
-    // first mask has one attribute too many) fails the call with the
-    // second reply unread: that connection is out of step and is dropped.
+    // A deterministic `c1 err` to the first of three pipelined frames (its
+    // first mask has one attribute too many) fails the call with two
+    // replies unread: that connection is out of step and is dropped.
     let arity = engine.backend().schema().arity();
-    let mut masks = vec![Mask::identity(arity); 40];
+    let mut masks = vec![Mask::identity(arity); 70];
     masks[0] = Mask::identity(arity + 1);
     let shard = &engine.backend().shards()[0];
     let pooled = shard.idle_conns();
@@ -513,6 +514,37 @@ fn a_connection_killed_between_write_and_read_is_dropped_not_pooled() {
         for handle in shard_handles {
             handle.shutdown();
         }
+    }
+}
+
+/// A deterministic refusal read to its end costs no connection: a gateway
+/// over an immutable cluster refuses 100 appends on the one connection its
+/// handshake dialed to the delta owner.
+#[test]
+fn refused_appends_through_a_gateway_dial_once() {
+    let local = sharded(2);
+    let (handles, manifest) = common::serve_shards(&local);
+    let remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    let gateway = serve(QueryEngine::new(remote), "127.0.0.1:0").unwrap();
+    let dials = || handles[0].stats().accepted_total;
+    assert_eq!(dials(), 1, "the connect handshake");
+
+    let mut client = Client::connect(gateway.local_addr()).unwrap();
+    let row = vec![0; local.schema().arity()];
+    for i in 0..100 {
+        match client.append(std::slice::from_ref(&row), None) {
+            Err(ClientError::Model(ModelError::Remote(msg))) => {
+                assert!(msg.to_string().contains("shard 0"), "{msg}");
+            }
+            other => panic!("append {i}: expected a refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(dials(), 1, "a refused append re-dialed its shard");
+
+    client.quit();
+    gateway.shutdown();
+    for handle in handles {
+        handle.shutdown();
     }
 }
 
