@@ -8,34 +8,28 @@
 //! and a 16-query batch, gated as absolute nanosecond ceilings — and two
 //! ablations: answering a range query by masked evaluation (Sec. 4.2)
 //! versus expanding it into point queries (Eq. 20), and EntropyDB versus a
-//! uniform sample scan. The `fused_batch` group keeps the closure kernel's
-//! fused multi-mask slab pass guarded: on a *cyclic* three-pair summary
-//! (which no tree pass can answer) it measures the fused pass against the
-//! sequential per-mask loop at batch 16 — the dashboard-refresh shape —
-//! and records its p50/p99 tail alongside the medians.
+//! uniform sample scan. The `cyclic_closure` group guards the closure
+//! kernel the same way, with absolute ceilings: on a *cyclic* three-pair
+//! summary (which no tree pass can answer) it times one point query and
+//! the 16-mask batch — the dashboard-refresh shape, one masked evaluation
+//! per mask.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::common;
-use entropydb_bench::report::{mean_call_ns, percentile, Histogram};
+use entropydb_bench::report::mean_call_ns;
 use entropydb_core::assignment::Mask;
 use entropydb_core::prelude::*;
 use entropydb_core::selection::heuristics::select_pair_statistics;
+use entropydb_data::flights::FlightsDataset;
 use entropydb_sampling::uniform_sample;
 use entropydb_storage::Predicate;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// The flights summary with 300 COMPOSITE statistics on each of three
 /// attribute pairs: the paper's Ent1&2&3 star around `distance`, or — with
 /// `cyclic` — the triangle origin–distance–dest, whose pair graph has a
 /// cycle and therefore stays on the closure kernel.
-fn setup(
-    cyclic: bool,
-) -> (
-    entropydb_data::flights::FlightsDataset,
-    MaxEntSummary,
-    entropydb_sampling::Sample,
-) {
+fn setup(cyclic: bool) -> (FlightsDataset, MaxEntSummary, entropydb_sampling::Sample) {
     let mut scale = common::Scale::quick();
     scale.flights_rows = 100_000;
     let dataset = common::flights_coarse(&scale);
@@ -67,9 +61,8 @@ fn setup(
     (dataset, summary, sample)
 }
 
-/// Sixteen mixed point/range predicates, each touching ≥ 2 attributes so
-/// none can shortcut through the marginal cache.
-fn batch16_masks(d: &entropydb_data::flights::FlightsDataset, sizes: &[usize]) -> Vec<Mask> {
+/// Sixteen mixed point/range predicates, each touching ≥ 2 attributes.
+fn batch16_masks(d: &FlightsDataset, sizes: &[usize]) -> Vec<Mask> {
     (0..16u32)
         .map(|i| match i % 4 {
             0 => Predicate::new()
@@ -89,13 +82,18 @@ fn batch16_masks(d: &entropydb_data::flights::FlightsDataset, sizes: &[usize]) -
         .collect()
 }
 
-fn bench_queries(c: &mut Criterion) {
-    let (d, summary, sample) = setup(false);
-    let point = Predicate::new()
+/// One tuple of the flights schema's four queried attributes.
+fn point_predicate(d: &FlightsDataset) -> Predicate {
+    Predicate::new()
         .eq(d.origin, 0)
         .eq(d.dest, 1)
         .eq(d.fl_time, 20)
-        .eq(d.distance, 30);
+        .eq(d.distance, 30)
+}
+
+fn bench_queries(c: &mut Criterion) {
+    let (d, summary, sample) = setup(false);
+    let point = point_predicate(&d);
     let range = Predicate::new()
         .between(d.fl_time, 10, 40)
         .between(d.distance, 20, 60);
@@ -121,7 +119,7 @@ fn bench_queries(c: &mut Criterion) {
 
     // The absolute ceilings of `bench_schema.json`: a statistic choice or
     // a kernel change that drops this model back onto the 150k-term closure
-    // (≈ 380 µs a point query, ≈ 2.3 ms a fused batch) fails them.
+    // (≈ 380 µs a point query, milliseconds a batch) fails them.
     let batch16 = ProbeRequest::CountMany {
         masks: batch16_masks(&d, summary.domain_sizes()),
     };
@@ -181,67 +179,49 @@ fn bench_point_expansion(c: &mut Criterion) {
     g.finish();
 }
 
-/// The closure kernel's fused multi-mask slab pass against the sequential
-/// per-mask loop, at batch 16 (one dashboard refresh), on the cyclic
-/// summary. Both paths answer bitwise-identically (enforced by the
-/// core/server parity suites); the fused pass amortizes one slab traversal
-/// across the whole batch.
-fn bench_fused_batch(c: &mut Criterion) {
+/// The closure kernel on the cyclic summary: one point query and the
+/// 16-mask `CountMany` batch, answered mask by mask, as probes against one
+/// scratch. A change that slows the closure's one pass fails their
+/// ceilings.
+fn bench_cyclic_closure(c: &mut Criterion) {
     let (d, summary, _) = setup(true);
-    let masks = batch16_masks(&d, summary.domain_sizes());
-    let singles: Vec<ProbeRequest> = masks
-        .iter()
-        .map(|mask| ProbeRequest::Count { mask: mask.clone() })
-        .collect();
-    let batch16 = ProbeRequest::CountMany { masks };
+    let sizes = summary.domain_sizes();
+    let point = ProbeRequest::Count {
+        mask: Mask::from_predicate(&point_predicate(&d), sizes).expect("mask"),
+    };
+    let batch16 = ProbeRequest::CountMany {
+        masks: batch16_masks(&d, sizes),
+    };
     let mut scratch = summary.make_scratch();
 
-    let mut g = c.benchmark_group("fused_batch");
-    g.bench_function("batch16_naive_loop", |b| {
-        b.iter(|| {
-            singles
-                .iter()
-                .map(|single| {
-                    let answer = summary.probe(black_box(single), &mut scratch).unwrap();
-                    Estimate::try_from(answer).unwrap().expectation
-                })
-                .sum::<f64>()
-        })
+    let mut g = c.benchmark_group("cyclic_closure");
+    g.bench_function("point", |b| {
+        b.iter(|| summary.probe(black_box(&point), &mut scratch).unwrap())
     });
-    g.bench_function("batch16_fused", |b| {
+    g.bench_function("batch16", |b| {
         b.iter(|| summary.probe(black_box(&batch16), &mut scratch).unwrap())
     });
     g.finish();
 
-    // Tail behaviour of the fused pass: a direct sample of whole-batch
-    // latencies, reported as a histogram and recorded as p50/p99 metrics.
-    let fast = std::env::var_os("ENTROPYDB_BENCH_FAST").is_some_and(|v| v != *"0");
-    let samples = if fast { 10 } else { 200 };
-    let mut latencies = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        black_box(summary.probe(&batch16, &mut scratch).unwrap());
-        latencies.push(t.elapsed().as_nanos() as f64);
-    }
-    eprintln!(
-        "{}",
-        Histogram::of(&latencies, 8).render("fused batch16 latency ns")
+    c.record_metric(
+        "cyclic_closure",
+        "point_ns",
+        mean_call_ns(200, || {
+            black_box(summary.probe(black_box(&point), &mut scratch).unwrap());
+        }),
     );
     c.record_metric(
-        "fused_batch",
-        "batch16_fused_p50_ns",
-        percentile(&latencies, 50.0),
-    );
-    c.record_metric(
-        "fused_batch",
-        "batch16_fused_p99_ns",
-        percentile(&latencies, 99.0),
+        "cyclic_closure",
+        "batch16_ns",
+        mean_call_ns(20, || {
+            black_box(summary.probe(black_box(&batch16), &mut scratch).unwrap());
+        }),
     );
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_queries, bench_point_expansion, bench_fused_batch
+    targets = bench_queries, bench_point_expansion, bench_cyclic_closure
 }
 criterion_main!(benches);

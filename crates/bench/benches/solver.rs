@@ -1,23 +1,19 @@
 //! Solver benchmarks (paper Sec. 3.3 / Sec. 5).
 //!
 //! The paper's claim: coordinate mirror descent (Algorithm 1) converges
-//! fastest; their Java prototype needed ~1 day for the full flights model.
-//! We measure (a) a full solve to tolerance with the batched coordinate
-//! solver, (b) the per-sweep cost of the coordinate solver vs the
-//! exponentiated-gradient baseline on the same model, (c) the
-//! incremental slab maintenance (refresh only the changed attribute's
-//! prefix row per pass) against the retained full-refill baseline, on a
-//! single-component multi-attribute model where per-pass refill dominates
-//! sweep cost, and (d) the tree sweep on the query-latency flights model
-//! (Ent1&2&3, a star of pairs fitted by message passing), gated as
-//! absolute ceilings on the cost of one sweep, of the whole solve and of
-//! building the polynomial (which must not materialise the star's closure).
+//! fast; their Java prototype needed ~1 day for the full flights model. We
+//! measure (a) a full solve to tolerance and (b) the per-sweep cost of the
+//! batched coordinate solver, (c) a 24-sweep solve of a single-component
+//! multi-attribute star on the closure sweep, where the per-pass slab fill
+//! is a large share of the sweep, and (d) the tree sweep on the
+//! query-latency flights model (Ent1&2&3, a star of pairs fitted by message
+//! passing). (c) and (d) are gated as absolute ceilings — (d) on the cost
+//! of one sweep, of the whole solve and of building the polynomial (which
+//! must not materialise the star's closure).
 //!
 //! Besides ns/op, the emitted `BENCH_solver.json` carries convergence
-//! side-channels (`sweeps_to_converge`, final dual `Ψ`) for both refill
-//! configurations, so a perf PR cannot trade convergence for per-sweep
-//! speed silently — the two configurations are bit-identical by
-//! construction and this bench asserts it.
+//! side-channels for (c) (`sweeps_to_converge`, final dual `Ψ`), so a perf
+//! PR cannot trade convergence for per-sweep speed silently.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::common;
@@ -25,7 +21,7 @@ use entropydb_bench::report::mean_call_ns;
 use entropydb_core::prelude::*;
 use entropydb_core::rng::SplitMix64;
 use entropydb_core::selection::heuristics::select_pair_statistics;
-use entropydb_core::solver::{solve, solve_gradient, SolverConfig};
+use entropydb_core::solver::{solve, SolverConfig};
 use entropydb_core::statistics::Statistics;
 use entropydb_data::flights::restrict_to_time_distance;
 use entropydb_storage::{AttrId, Attribute, Schema, Table};
@@ -51,9 +47,8 @@ fn setup() -> (Statistics, FactorizedPolynomial) {
 /// O(terms) rather than O(terms · attrs)); three are half-domain, so the
 /// model carries genuine 2D information and the solver needs several
 /// sweeps — the convergence metrics below are non-trivial. This is the
-/// shape where the per-pass slab refill (O(Σ N_i)) dominates the per-pass
-/// term work, i.e. what the incremental maintenance isolates: the solver's
-/// per-value closed-form math is irreducible, the slab refill is not.
+/// shape where the per-pass slab fill (O(Σ N_i)) outweighs the per-pass
+/// term work, the closure sweep's worst case.
 fn star_setup() -> (Statistics, FactorizedPolynomial) {
     const M: usize = 48;
     const N_VALS: usize = 96;
@@ -149,67 +144,42 @@ fn bench_solver(c: &mut Criterion) {
             solve(black_box(&poly), black_box(&stats), &config).unwrap()
         })
     });
-    g.bench_function("naive_gradient_per_sweep", |b| {
-        b.iter(|| solve_gradient(black_box(&poly), black_box(&stats), 1.0, 1, 0.0).unwrap())
-    });
     g.finish();
 }
 
-/// Incremental slab maintenance vs full refill: fixed sweep budget (pure
-/// per-sweep cost comparison), plus convergence side-channel metrics.
-fn bench_incremental(c: &mut Criterion) {
+/// The closure sweep on the star: a fixed 24-sweep budget (pure per-sweep
+/// cost) gated by an absolute ceiling, plus the convergence side-channels
+/// of a solve to the default tolerance.
+fn bench_star_closure(c: &mut Criterion) {
     let (stats, poly) = star_setup();
-    let budget_config = |incremental: bool| SolverConfig {
+    let budget_config = SolverConfig {
         max_sweeps: 24,
         tolerance: 0.0,
-        incremental_refill: incremental,
         ..SolverConfig::default()
     };
 
     let mut g = c.benchmark_group("solver_sweep");
-    g.bench_function("legacy_full_refill", |b| {
-        let config = budget_config(false);
-        b.iter(|| solve(black_box(&poly), black_box(&stats), &config).unwrap())
-    });
-    g.bench_function("incremental_refill", |b| {
-        let config = budget_config(true);
-        b.iter(|| solve(black_box(&poly), black_box(&stats), &config).unwrap())
+    g.bench_function("star_closure_24_sweeps", |b| {
+        b.iter(|| solve(black_box(&poly), black_box(&stats), &budget_config).unwrap())
     });
     g.finish();
-
-    // Convergence side-channels for the model timed above, recorded into
-    // BENCH_solver.json: sweeps-to-converge and the final dual Ψ per refill
-    // configuration. A perf change that trades convergence for per-sweep
-    // speed shows up as a diverging metric pair — here they must agree to
-    // 1e-9 (they are bit-identical by construction; the deep property suite
-    // lives in crates/core/tests/incremental_refill.rs) or the bench fails.
-    let mut psis = Vec::new();
-    let mut sweeps = Vec::new();
-    for (name, incremental) in [("full_refill", false), ("incremental", true)] {
-        let converge_config = SolverConfig {
-            track_dual: true,
-            incremental_refill: incremental,
-            ..SolverConfig::default()
-        };
-        let (_, report) = solve(&poly, &stats, &converge_config).unwrap();
-        assert!(report.converged, "star model must converge ({name})");
-        let psi = *report.dual_trajectory.last().expect("tracked dual");
-        c.record_metric(
-            "solver_sweep",
-            format!("sweeps_to_converge_{name}"),
-            report.sweeps as f64,
-        );
-        c.record_metric("solver_sweep", format!("final_psi_{name}"), psi);
-        psis.push(psi);
-        sweeps.push(report.sweeps);
-    }
-    assert!(
-        (psis[0] - psis[1]).abs() <= 1e-9 * psis[0].abs().max(1.0),
-        "dual objectives diverged: full {} vs incremental {}",
-        psis[0],
-        psis[1]
+    c.record_metric(
+        "solver_sweep",
+        "star_closure_24_sweeps_ns",
+        mean_call_ns(10, || {
+            black_box(solve(black_box(&poly), black_box(&stats), &budget_config).unwrap());
+        }),
     );
-    assert_eq!(sweeps[0], sweeps[1], "sweep counts diverged across configs");
+
+    let converge_config = SolverConfig {
+        track_dual: true,
+        ..SolverConfig::default()
+    };
+    let (_, report) = solve(&poly, &stats, &converge_config).unwrap();
+    assert!(report.converged, "star model must converge");
+    let psi = *report.dual_trajectory.last().expect("tracked dual");
+    c.record_metric("solver_sweep", "sweeps_to_converge", report.sweeps as f64);
+    c.record_metric("solver_sweep", "final_psi", psi);
 }
 
 /// The tree sweep at flights scale: the whole default-budget solve and the
@@ -256,42 +226,9 @@ fn bench_flights_solve(c: &mut Criterion) {
     );
 }
 
-/// Sweeps-to-converge comparison, reported through bench output: run once
-/// outside the timing loop and assert the paper's ordering.
-fn bench_convergence(c: &mut Criterion) {
-    let (stats, poly) = setup();
-    // Statistics observed from real-shaped data imply some zero cells, so
-    // the dual optimum lies at the boundary (δ → ∞ directions) and no fixed
-    // tolerance is guaranteed reachable. The robust comparison is residual
-    // after an equal sweep budget: the coordinate solver must make at least
-    // as much progress per sweep as the exponentiated-gradient baseline
-    // (the paper's "fastest convergence" claim).
-    let budget = 100;
-    let config = SolverConfig {
-        max_sweeps: budget,
-        tolerance: 0.0,
-        ..SolverConfig::default()
-    };
-    let (_, coord) = solve(&poly, &stats, &config).unwrap();
-    let (_, grad) = solve_gradient(&poly, &stats, 1.0, budget, 0.0).unwrap();
-    println!(
-        "\nresidual after {budget} sweeps: coordinate {:.3e} ({:.3}s), gradient {:.3e} ({:.3}s)",
-        coord.max_residual, coord.seconds, grad.max_residual, grad.seconds
-    );
-    assert!(
-        coord.max_residual <= grad.max_residual,
-        "coordinate ({:.3e}) should beat gradient ({:.3e}) at equal sweeps",
-        coord.max_residual,
-        grad.max_residual
-    );
-
-    // Keep criterion happy with a trivial measured target.
-    c.bench_function("solver/noop_reference", |b| b.iter(|| black_box(1 + 1)));
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_solver, bench_incremental, bench_flights_solve, bench_convergence
+    targets = bench_solver, bench_star_closure, bench_flights_solve
 }
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 //!
 //! Backends answer under a *mask* rather than a predicate so the engine can
 //! derive many masked evaluations from one validated predicate (group-by
-//! cells, fused batches) without re-validating or re-translating. A top-k
+//! cells, mask batches) without re-validating or re-translating. A top-k
 //! is the group-by answer ranked once ([`rank_top_k`]) on every backend —
 //! sharded ones rank the *merged* group-by, so the answer is the full
 //! ranking's, exactly.
@@ -325,7 +325,7 @@ pub trait QueryApi {
         Ok(resp.estimate().expect(SHAPE))
     }
 
-    /// Estimates one COUNT per predicate through the fused batch path — the
+    /// Estimates one COUNT per predicate through the batch path — the
     /// shape of a dashboard refresh. Identical to mapping
     /// [`QueryApi::estimate_count`].
     fn estimate_count_batch(&self, preds: &[Predicate]) -> Result<Vec<Estimate>> {
@@ -475,13 +475,14 @@ pub(crate) mod paths {
     /// Executes a batch of IR requests, keeping per-request errors in place.
     ///
     /// Mask-level requests ([`QueryRequest::Probability`] and
-    /// [`QueryRequest::Count`]) are partitioned out and ride one fused
+    /// [`QueryRequest::Count`]) are partitioned out and ride one batch
     /// [`ProbeRequest::ProbabilityMany`] / [`ProbeRequest::CountMany`]
-    /// probe each, amortizing one model traversal across the whole batch;
-    /// their predicate-validation errors stay in the failing request's
-    /// slot. Every mask in a fused probe is already validated, so if the
-    /// probe itself fails the failure is the backend's (a degraded shard)
-    /// and the same for every slot: each gets a copy, nothing is re-run.
+    /// probe each — one probe, one wire line and one gather round for the
+    /// whole batch; their predicate-validation errors stay in the failing
+    /// request's slot. Every mask in a batch probe is already validated, so
+    /// if the probe itself fails the failure is the backend's (a degraded
+    /// shard) and the same for every slot: each gets a copy, nothing is
+    /// re-run.
     /// All other request kinds fan out per-request across the worker pool.
     pub fn execute_batch<B: SummaryBackend>(
         backend: &B,
@@ -509,13 +510,13 @@ pub(crate) mod paths {
             }
         }
         if !prob_masks.is_empty() {
-            let fused = ProbeRequest::ProbabilityMany { masks: prob_masks };
-            let answers = ask::<_, Vec<f64>>(backend, pool, fused);
+            let batch = ProbeRequest::ProbabilityMany { masks: prob_masks };
+            let answers = ask::<_, Vec<f64>>(backend, pool, batch);
             fill(&mut results, &prob_idx, answers, QueryResponse::Probability);
         }
         if !count_masks.is_empty() {
-            let fused = ProbeRequest::CountMany { masks: count_masks };
-            let answers = ask::<_, Vec<Estimate>>(backend, pool, fused);
+            let batch = ProbeRequest::CountMany { masks: count_masks };
+            let answers = ask::<_, Vec<Estimate>>(backend, pool, batch);
             fill(&mut results, &count_idx, answers, QueryResponse::Estimate);
         }
         let pending: Vec<usize> = results
@@ -536,7 +537,7 @@ pub(crate) mod paths {
             .collect()
     }
 
-    /// Puts a fused probe's answers — or a copy of its one error — into
+    /// Puts a batch probe's answers — or a copy of its one error — into
     /// the batch slots `idx`.
     fn fill<T>(
         results: &mut [Option<Result<QueryResponse>>],

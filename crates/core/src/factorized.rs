@@ -22,10 +22,9 @@
 //!
 //! ## One kernel per component, chosen at build
 //!
-//! A component holds exactly one `Kernel`, and the three query entry
-//! points ([`FactorizedPolynomial::eval_masked_with`],
-//! [`FactorizedPolynomial::eval_masked_many_with`],
-//! [`FactorizedPolynomial::eval_with_attr_derivatives_with`]) and
+//! A component holds exactly one `Kernel`, and the two query passes
+//! ([`FactorizedPolynomial::eval_masked_with`] — once per mask of a batch —
+//! and [`FactorizedPolynomial::eval_with_attr_derivatives_with`]) and
 //! [`crate::solver`]'s sweeps all run on it:
 //!
 //! * **tree** (`crate::tree`) — a leaf-to-root sum-product pass costing
@@ -49,31 +48,22 @@
 //! alone. [`FactorizedPolynomial::size_stats`] reports how many components
 //! landed on each kernel and the size of what each materialised.
 //!
-//! ## Scratch reuse and parallelism
+//! ## Scratch reuse
 //!
 //! Evaluation never materializes per-component assignments or masks: each
 //! component's kernel reads the *global* assignment and mask directly
 //! through its attribute mapping, filling that component's buffers in a
-//! reusable [`FactorizedScratch`]. Steady-state evaluation is
-//! allocation-free, and closure components — which are fully independent —
-//! are evaluated in parallel (see [`crate::par`]) once enough term work
-//! would actually overlap. Chunking is deterministic, so parallel and
-//! serial evaluation produce bitwise identical results.
+//! reusable [`FactorizedScratch`]. Components are evaluated in order on the
+//! calling thread, so steady-state evaluation is allocation-free and its
+//! bits never depend on the thread count. Parallelism lives a level up, in
+//! the query paths and the gather, where there is a whole request per
+//! worker.
 
 use crate::assignment::{Mask, VarAssignment};
 use crate::error::{ModelError, Result};
-use crate::par;
-use crate::polynomial::{CompressedPolynomial, EvalScratch, PolynomialSizeStats, MAX_FUSED_LANES};
+use crate::polynomial::{CompressedPolynomial, EvalScratch, PolynomialSizeStats};
 use crate::statistics::MultiDimStatistic;
 use crate::tree::{TreeKernel, TreeScratch};
-
-/// Minimum overlappable term count (see `FactorizedPolynomial::par_terms`)
-/// before component-parallel evaluation is worth dispatching to the worker
-/// pool. With the persistent pool (`crate::par`) dispatch costs a queue
-/// push + condvar signal instead of a per-call thread spawn, so fan-out
-/// pays off at far finer granularity than the old spawn-per-call threshold
-/// (4096).
-const PAR_MIN_TERMS: usize = 512;
 
 /// The one representation of a component's polynomial (module docs):
 /// queries and the solver's sweeps both run on it.
@@ -125,11 +115,6 @@ pub struct FactorizedPolynomial {
     attr_home: Vec<(usize, usize)>,
     /// Total compressed terms across closure components.
     total_terms: usize,
-    /// Closure-evaluated terms that can overlap with the largest closure
-    /// component when components fan out: the closure terms minus that
-    /// largest component's. Tree components and one-term siblings add
-    /// nothing here, so they never cause a pool hand-off.
-    par_terms: usize,
 }
 
 /// One component's kernel buffers: the closure's or the tree's.
@@ -147,8 +132,6 @@ struct CompScratch {
     local_multi: Vec<f64>,
     /// The component's value from the last evaluation pass.
     val: f64,
-    /// Per-lane component values from the last fused multi-mask pass.
-    val_many: Vec<f64>,
 }
 
 /// Reusable workspace for evaluating a [`FactorizedPolynomial`]: one set of
@@ -243,21 +226,19 @@ impl FactorizedPolynomial {
             })
             .collect::<Result<Vec<_>>>()?;
 
-        let closure_terms = || {
-            components.iter().map(|c| match &c.kernel {
+        let total_terms = components
+            .iter()
+            .map(|c| match &c.kernel {
                 Kernel::Closure(poly) => poly.num_terms(),
                 Kernel::Tree(_) => 0,
             })
-        };
-        let total_terms = closure_terms().sum::<usize>();
-        let par_terms = total_terms - closure_terms().max().unwrap_or(0);
+            .sum();
         Ok(FactorizedPolynomial {
             domain_sizes: domain_sizes.to_vec(),
             num_multi: stats.len(),
             components,
             attr_home,
             total_terms,
-            par_terms,
         })
     }
 
@@ -357,18 +338,10 @@ impl FactorizedPolynomial {
                     },
                     local_multi: vec![0.0; c.multis.len()],
                     val: 0.0,
-                    val_many: vec![0.0; MAX_FUSED_LANES],
                 })
                 .collect(),
             derivs: vec![0.0; self.domain_sizes.iter().copied().max().unwrap_or(0)],
         }
-    }
-
-    /// Whether component-level parallelism is worth a pool hand-off: only
-    /// when enough closure term work would actually run concurrently.
-    #[inline]
-    pub(crate) fn use_par(&self) -> bool {
-        self.par_terms >= PAR_MIN_TERMS && par::max_threads() > 1
     }
 
     /// Evaluates one component under `mask`, reading the global assignment
@@ -423,8 +396,7 @@ impl FactorizedPolynomial {
         self.eval_masked_with(a, mask, &mut self.make_scratch())
     }
 
-    /// Allocation-free masked evaluation; components run in parallel when
-    /// the model is large enough.
+    /// Allocation-free masked evaluation.
     pub fn eval_masked_with(
         &self,
         a: &VarAssignment,
@@ -433,29 +405,15 @@ impl FactorizedPolynomial {
     ) -> f64 {
         debug_assert!(self.check_shape(a).is_ok());
         debug_assert_eq!(fs.comps.len(), self.components.len());
-        let components = &self.components;
-        if self.use_par() {
-            par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
-                for (off, cs) in chunk.iter_mut().enumerate() {
-                    cs.val = Self::eval_component(&components[base + off], a, mask, None, cs);
-                }
-            });
-        } else {
-            for (c, cs) in components.iter().zip(&mut fs.comps) {
-                cs.val = Self::eval_component(c, a, mask, None, cs);
-            }
+        for (c, cs) in self.components.iter().zip(&mut fs.comps) {
+            cs.val = Self::eval_component(c, a, mask, None, cs);
         }
         fs.comps.iter().map(|cs| cs.val).product()
     }
 
-    /// Fused multi-mask evaluation: `out[i] = P[masked by masks[i]]`, with
-    /// each closure component traversed **once** per
-    /// [`MAX_FUSED_LANES`]-wide chunk of masks instead of once per mask (a
-    /// tree component has no term metadata to amortize and simply runs its
-    /// scalar pass per mask). Per mask the result is bitwise-identical to
-    /// [`FactorizedPolynomial::eval_masked_with`] — each lane runs the
-    /// identical per-component kernel sequence and the identical
-    /// component-order product fold.
+    /// Masked evaluation of a batch: `out[i] = P[masked by masks[i]]`, one
+    /// [`FactorizedPolynomial::eval_masked_with`] per mask on the one
+    /// scratch, so each answer is bitwise that call's.
     pub fn eval_masked_many_with(
         &self,
         a: &VarAssignment,
@@ -463,48 +421,9 @@ impl FactorizedPolynomial {
         fs: &mut FactorizedScratch,
         out: &mut [f64],
     ) {
-        debug_assert!(self.check_shape(a).is_ok());
-        debug_assert_eq!(fs.comps.len(), self.components.len());
         assert_eq!(masks.len(), out.len());
-        let components = &self.components;
-        for (mchunk, ochunk) in masks
-            .chunks(MAX_FUSED_LANES)
-            .zip(out.chunks_mut(MAX_FUSED_LANES))
-        {
-            let lanes = mchunk.len();
-            let run = |base: usize, cs: &mut CompScratch| {
-                let c = &components[base];
-                let (Kernel::Closure(poly), KernelScratch::Closure(eval)) =
-                    (&c.kernel, &mut cs.kernel)
-                else {
-                    for (b, mask) in mchunk.iter().enumerate() {
-                        cs.val_many[b] = Self::eval_component(c, a, mask, None, cs);
-                    }
-                    return;
-                };
-                for (slot, &g) in cs.local_multi.iter_mut().zip(&c.multis) {
-                    *slot = a.multi[g];
-                }
-                poly.fill_scratch_many_with(eval, lanes, |li, b| {
-                    let g = c.attrs[li];
-                    (a.one_dim[g].as_slice(), mchunk[b].attr_weights(g))
-                });
-                poly.eval_prefilled_many(&cs.local_multi, lanes, eval, &mut cs.val_many[..lanes]);
-            };
-            if self.use_par() {
-                par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
-                    for (off, cs) in chunk.iter_mut().enumerate() {
-                        run(base + off, cs);
-                    }
-                });
-            } else {
-                for (ci, cs) in fs.comps.iter_mut().enumerate() {
-                    run(ci, cs);
-                }
-            }
-            for (b, slot) in ochunk.iter_mut().enumerate() {
-                *slot = fs.comps.iter().map(|cs| cs.val_many[b]).product();
-            }
+        for (mask, slot) in masks.iter().zip(out) {
+            *slot = self.eval_masked_with(a, mask, fs);
         }
     }
 
@@ -536,21 +455,9 @@ impl FactorizedPolynomial {
         debug_assert!(attr < self.arity());
         debug_assert_eq!(fs.comps.len(), self.components.len());
         let (home, local_attr) = self.attr_home[attr];
-        let components = &self.components;
-        let run = |base: usize, cs: &mut CompScratch| {
-            let derivs_of = (base == home).then_some(local_attr);
-            cs.val = Self::eval_component(&components[base], a, mask, derivs_of, cs);
-        };
-        if self.use_par() {
-            par::for_each_chunk_mut(&mut fs.comps, 1, |base, chunk| {
-                for (off, cs) in chunk.iter_mut().enumerate() {
-                    run(base + off, cs);
-                }
-            });
-        } else {
-            for (ci, cs) in fs.comps.iter_mut().enumerate() {
-                run(ci, cs);
-            }
+        for (ci, (c, cs)) in self.components.iter().zip(&mut fs.comps).enumerate() {
+            let derivs_of = (ci == home).then_some(local_attr);
+            cs.val = Self::eval_component(c, a, mask, derivs_of, cs);
         }
 
         let FactorizedScratch { comps, derivs } = fs;
@@ -688,31 +595,6 @@ mod tests {
             assert_eq!(p.to_bits(), fresh_p.to_bits());
             assert_eq!(derivs, fresh_derivs.as_slice());
         }
-    }
-
-    #[test]
-    fn pool_hand_off_counts_only_overlappable_closure_terms() {
-        // Ten same-pair rectangles sharing cell (0, 0): a 2^10-term closure.
-        let heavy = |x: usize| (0..10).map(move |i| rect(x, (0, 2), x + 1, (0, i)));
-        // Disjoint same-pair rectangles: a tree component.
-        let tree = |x: usize| (0..10).map(move |i| rect(x, (i, i), x + 1, (0, 5)));
-        let sizes = [10, 10, 10, 10, 4];
-        let build =
-            |stats: Vec<MultiDimStatistic>| FactorizedPolynomial::build(&sizes, &stats).unwrap();
-
-        // One big closure next to trivial siblings: nothing to overlap.
-        let lone = build(heavy(0).collect());
-        assert_eq!(lone.num_terms(), 1024 + 3);
-        assert_eq!(lone.par_terms, 3);
-        // A tree sibling adds no closure work — and no terms — either.
-        let beside_tree = build(heavy(0).chain(tree(2)).collect());
-        assert_eq!(beside_tree.size_stats().tree_components, 1);
-        assert_eq!(beside_tree.num_terms(), 1024 + 1);
-        assert_eq!(beside_tree.par_terms, 1);
-        // Two big closures do overlap.
-        let pair = build(heavy(0).chain(heavy(2)).collect());
-        assert_eq!(pair.par_terms, 1024 + 1);
-        assert!(pair.par_terms >= PAR_MIN_TERMS && lone.par_terms < PAR_MIN_TERMS);
     }
 
     #[test]

@@ -30,10 +30,8 @@
 //! atomic doubles as the generation counter inside every snapshot's
 //! gather-cache identity
 //! ([`crate::scatter::ShardCacheId::with_generation`]), so a fold instantly
-//! orphans cached probe answers; the per-model marginal caches are fresh by
-//! construction (each fold fits a new model whose `OnceLock` cells start
-//! empty). Anything caching derived answers above this layer must key them
-//! by [`LiveSummary::epoch`].
+//! orphans cached probe answers. Anything caching derived answers above
+//! this layer must key them by [`LiveSummary::epoch`].
 //!
 //! **Idempotent appends.** A batch may carry an opaque idempotency token;
 //! replaying a token (a client retry after a transport error) reports

@@ -246,7 +246,7 @@ impl IngestCounters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestStatsSnapshot {
     /// Generation token of the served mixture: bumped on every delta fold
-    /// and compaction. Probe/marginal caches key off it, so observing the
+    /// and compaction. Probe caches key off it, so observing the
     /// same epoch twice guarantees bitwise-identical answers in between.
     pub epoch: u64,
     /// Rows accepted but not yet covered by the served delta model.

@@ -29,7 +29,6 @@ use crate::scatter::{ShardProbe, Support};
 use crate::solver::{solve, SolverConfig, SolverReport};
 use crate::statistics::{MultiDimStatistic, Statistics};
 use entropydb_storage::{AttrId, Schema, Table};
-use std::sync::OnceLock;
 
 /// A queryable maximum-entropy summary of one relation.
 #[derive(Debug, Clone)]
@@ -41,62 +40,10 @@ pub struct MaxEntSummary {
     p_full: f64,
     report: SolverReport,
     scratch: ScratchPool<FactorizedScratch>,
-    /// Per-attribute marginal cache: `marginals[attr][v]` holds the raw
-    /// masked evaluation `P[A_attr = v]` (NOT yet divided by `p_full`),
-    /// filled lazily on the first single-attribute point probe of `attr`
-    /// via one fused multi-mask pass. Point probes (`x = v` predicates,
-    /// mixture-weight probes) then skip the polynomial walk entirely.
-    ///
-    /// Invalidation rule: the cache is keyed to the solved assignment and
-    /// lives inside the summary value, and every rebuild path
-    /// ([`MaxEntSummary::build`], [`MaxEntSummary::from_statistics`],
-    /// [`MaxEntSummary::from_solved_parts`]) constructs a fresh summary with
-    /// empty cells — so a rebuilt summary can never see stale marginals.
-    /// Cached values are bitwise-identical to a fresh masked evaluation, so
-    /// hits are indistinguishable from misses.
-    marginals: Vec<OnceLock<Vec<f64>>>,
     /// The codes the fitted distribution puts mass on, learned once per
     /// construction: a mixture does not ask this model a mask it
     /// annihilates (see [`Support`]).
     support: Support,
-}
-
-/// Lazily-initialized marginal cells, one per attribute.
-fn empty_marginals(arity: usize) -> Vec<OnceLock<Vec<f64>>> {
-    (0..arity).map(|_| OnceLock::new()).collect()
-}
-
-/// Recognizes a single-attribute point mask: exactly one attribute carries
-/// weights, and those weights are an exact one-hot row (`1.0` at one value,
-/// `+0.0` elsewhere, compared bitwise). This is precisely the mask
-/// [`Mask::from_predicate`] builds for an `attr = v` predicate, so the
-/// cached evaluation is bitwise-interchangeable with a fresh one.
-fn single_point_mask(mask: &Mask) -> Option<(usize, usize)> {
-    const ONE: u64 = 0x3FF0_0000_0000_0000; // 1.0f64
-    let mut hit: Option<(usize, usize)> = None;
-    for attr in 0..mask.arity() {
-        let Some(w) = mask.attr_weights(attr) else {
-            continue;
-        };
-        if hit.is_some() {
-            return None;
-        }
-        let mut value = None;
-        for (v, &x) in w.iter().enumerate() {
-            match x.to_bits() {
-                0 => {}
-                ONE => {
-                    if value.is_some() {
-                        return None;
-                    }
-                    value = Some(v);
-                }
-                _ => return None,
-            }
-        }
-        hit = Some((attr, value?));
-    }
-    hit
 }
 
 impl MaxEntSummary {
@@ -167,7 +114,6 @@ impl MaxEntSummary {
             p_full,
             report,
             scratch: ScratchPool::default(),
-            marginals: empty_marginals(arity),
             support: Support::default(),
         };
         let mut scratch = summary.make_scratch();
@@ -220,45 +166,14 @@ impl MaxEntSummary {
         self.poly.size_stats()
     }
 
-    /// The cached raw marginal row for `attr` (`row[v] = P[A_attr = v]`),
-    /// filled on first use by one fused multi-mask pass over every value of
-    /// the attribute. The fused kernel is bitwise-identical to the per-mask
-    /// scalar evaluation, so serving a probe from this row returns exactly
-    /// the bits a fresh evaluation would.
-    fn marginal_row(&self, attr: usize, s: &mut FactorizedScratch) -> &[f64] {
-        self.marginals[attr].get_or_init(|| {
-            let sizes = self.stats.domain_sizes();
-            let masks: Vec<Mask> = (0..sizes[attr])
-                .map(|v| {
-                    Mask::identity(sizes.len()).restrict_to_value(
-                        AttrId(attr),
-                        v as u32,
-                        sizes[attr],
-                    )
-                })
-                .collect();
-            let mut raw = vec![0.0; masks.len()];
-            self.poly
-                .eval_masked_many_with(&self.assignment, &masks, s, &mut raw);
-            raw
-        })
-    }
-
-    /// `P[masked] / P`, clamped into `[0, 1]` (Sec. 4.2). Single-attribute
-    /// point masks are served from the lazily-filled marginal cache;
-    /// everything else runs the masked-eval kernel. Both paths return
-    /// identical bits.
+    /// `P[masked] / P`, clamped into `[0, 1]` (Sec. 4.2).
     fn masked_probability(&self, mask: &Mask, s: &mut FactorizedScratch) -> f64 {
-        let raw = match single_point_mask(mask) {
-            Some((attr, v)) => self.marginal_row(attr, s)[v],
-            None => self.poly.eval_masked_with(&self.assignment, mask, s),
-        };
+        let raw = self.poly.eval_masked_with(&self.assignment, mask, s);
         (raw / self.p_full).clamp(0.0, 1.0)
     }
 
-    /// Fused batched probability: one slab traversal answers the whole mask
-    /// batch (in chunks of [`crate::polynomial::MAX_FUSED_LANES`]), bitwise
-    /// identical to the sequential per-mask loop.
+    /// [`MaxEntSummary::masked_probability`] of every mask of a batch, in
+    /// order: one masked evaluation per mask on the one scratch.
     fn masked_probabilities(&self, masks: &[Mask], s: &mut FactorizedScratch) -> Vec<f64> {
         let mut raw = vec![0.0; masks.len()];
         self.poly

@@ -33,39 +33,23 @@
 //! * attribute → row offset into a single prefix-sum slab
 //!   (`prefix_starts`),
 //! * constrained factor → precomputed **absolute** slab indices of its two
-//!   prefix cells (`pair_lo` / `pair_hi`), factor-major — every term pass
-//!   first materializes all interval sums `prefix[hi] − prefix[lo]` into a
-//!   contiguous factor-major buffer with one flat, branch-free subtraction
-//!   loop (the auto-vectorization target), then folds per-term products
-//!   over contiguous slices of that buffer.
+//!   prefix cells (`pair_lo` / `pair_hi`), factor-major, and the run
+//!   boundaries of terms sharing one constrained-attribute set
+//!   (`run_offsets`).
+//!
+//! There is one evaluation pass per question: the run-segmented walk for
+//! `P[mask]` (gathering `prefix[hi] − prefix[lo]` inline), the fused
+//! derivative pass for one attribute, and the interval products of the
+//! solver's `δ` block (both over a factor-major buffer of interval sums). A
+//! batch of masks is the walk once per mask.
 //!
 //! Evaluation-time state (the prefix-sum slab, attribute totals, complement
 //! products, difference/derivative buffers, cached interval products) lives
 //! in a reusable [`EvalScratch`], so `eval`, `eval_masked`, and
 //! `eval_with_attr_derivatives` perform **zero heap allocation in steady
-//! state** once a scratch has been warmed up.
-//!
-//! ## Incremental slab maintenance
-//!
-//! The solver's coordinate sweeps change one attribute's variables at a
-//! time, so refilling the whole slab before every per-attribute pass is
-//! O(all attributes) of wasted work. The scratch therefore tracks per-row
-//! dirty flags: [`EvalScratch::mark_attr_dirty`] flags a row whose
-//! variables changed, [`CompressedPolynomial::refill_attr`] recomputes
-//! exactly one row (bitwise identical to the row a full
-//! [`CompressedPolynomial::fill_scratch_with`] would produce), and
-//! [`CompressedPolynomial::refresh_dirty_with`] refreshes only the flagged
-//! rows — everything else is carried forward across passes and sweeps.
-//!
-//! For very large closures the per-term loops (delta products, interval
-//! products, the blocked term sum) fan out across the persistent worker
-//! pool ([`crate::par`]); block boundaries are fixed by the model size, so
-//! results stay bitwise independent of the thread count. Fan-out dispatch
-//! boxes one job per chunk, so the zero-allocation steady-state guarantee
-//! is scoped to the serial paths (models below the `PAR_MIN_*` thresholds,
-//! or any model under a single-thread budget) — for closures large enough
-//! to fan out, a handful of per-pass dispatch allocations is noise against
-//! the term work.
+//! state** once a scratch has been warmed up, at every model size: every
+//! pass runs on the calling thread, so its result bits never depend on the
+//! thread count either.
 //!
 //! ## Cost model, and the kernel that sidesteps it
 //!
@@ -88,41 +72,8 @@
 
 use crate::assignment::{Mask, VarAssignment};
 use crate::error::{ModelError, Result};
-use crate::par;
 use crate::statistics::MultiDimStatistic;
 use std::collections::HashMap;
-
-/// Fixed block width for the blocked term reduction: partial sums are
-/// computed per block (in parallel for very large closures) and folded in
-/// block order, so the float association — and therefore the result bits —
-/// depend only on the model size, never on the thread count.
-const TERM_BLOCK: usize = 8192;
-
-/// Minimum term count before the per-term loops fan out across the pool.
-const PAR_MIN_TERMS: usize = 1 << 15;
-
-/// Minimum constrained-factor count before the factor-difference pass fans
-/// out across the pool.
-const PAR_MIN_FACTORS: usize = 1 << 16;
-
-/// Maximum number of masks one fused multi-mask pass evaluates in lockstep
-/// (the lane width of the lane-major slab in [`EvalScratch`]). Larger
-/// batches are processed in chunks of this size; the per-lane arithmetic is
-/// independent of the chunking, so answers are bitwise-identical at every
-/// batch size.
-pub const MAX_FUSED_LANES: usize = 16;
-
-/// Lane-major buffers for the fused multi-mask kernel
-/// ([`CompressedPolynomial::eval_prefilled_many`]): element `idx·L + b` is
-/// lane `b`'s copy of slab/total/complement cell `idx`, with fixed stride
-/// `L = MAX_FUSED_LANES`. Empty until the first fused call against the
-/// owning scratch, then reused allocation-free.
-#[derive(Debug, Clone, Default)]
-struct ManyBuffers {
-    prefix: Vec<f64>,
-    totals: Vec<f64>,
-    set_comp: Vec<f64>,
-}
 
 /// Identifies one model variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -248,21 +199,14 @@ pub struct EvalScratch {
     /// Cached per-term interval products (multi-variable sweeps).
     iprods: Vec<f64>,
     /// Factor-major interval differences `prefix[hi] − prefix[lo]`, one per
-    /// constrained factor — stage 1 of every term pass.
+    /// constrained factor — stage 1 of the derivative and interval-product
+    /// passes.
     fdiff: Vec<f64>,
-    /// Fixed-width block partials for the blocked term reduction.
-    block_sums: Vec<f64>,
-    /// Per-attribute dirty flags for incremental slab maintenance: `true`
-    /// means the attribute's prefix row is stale relative to the variables
-    /// the caller intends to evaluate against.
-    dirty: Vec<bool>,
     /// Cached per-term `(δ−1)` products, valid while `multi_cache` matches
     /// the current multi values (query-time evaluation holds them fixed, so
     /// repeated passes skip the per-term fold entirely).
     dprod: Vec<f64>,
     multi_cache: Vec<f64>,
-    /// Lane-major fused-evaluation buffers; grown on the first fused call.
-    many: ManyBuffers,
 }
 
 impl EvalScratch {
@@ -276,18 +220,6 @@ impl EvalScratch {
     /// derivative pass over an attribute with domain size `n`).
     pub fn derivs_slice(&self, n: usize) -> &[f64] {
         &self.derivs[..n]
-    }
-
-    /// Flags attribute `attr`'s prefix row as stale. The next
-    /// [`CompressedPolynomial::refresh_dirty_with`] recomputes exactly the
-    /// flagged rows and carries every other row forward.
-    pub fn mark_attr_dirty(&mut self, attr: usize) {
-        self.dirty[attr] = true;
-    }
-
-    /// Whether any prefix row is flagged stale.
-    pub fn has_dirty_rows(&self) -> bool {
-        self.dirty.iter().any(|&d| d)
     }
 }
 
@@ -588,27 +520,11 @@ impl CompressedPolynomial {
             derivs: vec![0.0; self.max_domain],
             iprods: vec![0.0; self.num_terms()],
             fdiff: vec![0.0; self.constr_attrs.len()],
-            block_sums: vec![0.0; self.num_terms().div_ceil(TERM_BLOCK)],
             // With no multi statistics every delta product is the empty
             // product 1.0 and the (empty) cache is valid from the start;
             // otherwise the NaN sentinel forces the first pass to compute.
             dprod: vec![1.0; self.num_terms()],
             multi_cache: vec![f64::NAN; self.num_multi],
-            // Every row is stale until the first fill.
-            dirty: vec![true; self.arity()],
-            many: ManyBuffers::default(),
-        }
-    }
-
-    /// Grows the lane-major fused buffers to this polynomial's shape (a
-    /// one-time warm-up; steady-state fused evaluation allocates nothing).
-    fn ensure_many(&self, s: &mut EvalScratch) {
-        const L: usize = MAX_FUSED_LANES;
-        let slab = *self.prefix_starts.last().expect("non-empty") as usize;
-        if s.many.prefix.len() != slab * L {
-            s.many.prefix = vec![0.0; slab * L];
-            s.many.totals = vec![0.0; self.arity() * L];
-            s.many.set_comp = vec![0.0; (self.attrset_offsets.len() - 1) * L];
         }
     }
 
@@ -618,16 +534,8 @@ impl CompressedPolynomial {
         if s.multi_cache.as_slice() == multi {
             return;
         }
-        if self.num_terms() >= PAR_MIN_TERMS {
-            par::for_each_chunk_mut(&mut s.dprod, 4096, |base, chunk| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    *slot = self.delta_product(base + off, multi);
-                }
-            });
-        } else {
-            for (t, slot) in s.dprod.iter_mut().enumerate() {
-                *slot = self.delta_product(t, multi);
-            }
+        for (t, slot) in s.dprod.iter_mut().enumerate() {
+            *slot = self.delta_product(t, multi);
         }
         s.multi_cache.copy_from_slice(multi);
     }
@@ -643,12 +551,10 @@ impl CompressedPolynomial {
             && s.fdiff.len() == self.constr_attrs.len()
             && s.dprod.len() == self.num_terms()
             && s.multi_cache.len() == self.num_multi
-            && s.dirty.len() == self.arity()
     }
 
     /// Computes one prefix row from values and optional weights; returns the
-    /// row total. Shared by the full fill and the incremental refill so both
-    /// produce bitwise-identical rows (and by the tree kernel's leaves).
+    /// row total. Shared by the slab fill and the tree kernel's leaves.
     #[inline]
     pub(crate) fn fill_row(row: &mut [f64], vals: &[f64], weights: Option<&[f64]>) -> f64 {
         let mut acc = 0.0;
@@ -673,8 +579,7 @@ impl CompressedPolynomial {
     /// Fills the scratch's prefix-sum slab and attribute totals from
     /// per-attribute value slices: `get(i)` returns attribute `i`'s variable
     /// values and optional mask weights. `prefix[start+v+1] − prefix[start+lo]`
-    /// is then the interval sum `Σ w·α` over `[lo, v]`. Clears every dirty
-    /// flag.
+    /// is then the interval sum `Σ w·α` over `[lo, v]`.
     pub fn fill_scratch_with<'a>(
         &self,
         s: &mut EvalScratch,
@@ -685,51 +590,6 @@ impl CompressedPolynomial {
             let start = self.prefix_starts[i] as usize;
             let (vals, weights) = get(i);
             s.totals[i] = Self::fill_row(&mut s.prefix[start..start + n + 1], vals, weights);
-        }
-        s.dirty.fill(false);
-    }
-
-    /// Incremental slab maintenance: recomputes only attribute `attr`'s
-    /// prefix row and total — bitwise identical to the row a full
-    /// [`CompressedPolynomial::fill_scratch_with`] would produce from the
-    /// same values — and clears its dirty flag. Every other row is carried
-    /// forward untouched.
-    pub fn refill_attr(
-        &self,
-        s: &mut EvalScratch,
-        attr: usize,
-        vals: &[f64],
-        weights: Option<&[f64]>,
-    ) {
-        debug_assert!(self.scratch_fits(s));
-        debug_assert!(attr < self.arity());
-        let n = self.domain_sizes[attr];
-        // A short slice would leave trailing prefix cells stale while
-        // clearing the dirty flag — silent corruption; fail loudly instead.
-        debug_assert_eq!(vals.len(), n, "refill_attr: values/domain mismatch");
-        debug_assert!(
-            weights.is_none_or(|w| w.len() == n),
-            "refill_attr: weights/domain mismatch"
-        );
-        let start = self.prefix_starts[attr] as usize;
-        s.totals[attr] = Self::fill_row(&mut s.prefix[start..start + n + 1], vals, weights);
-        s.dirty[attr] = false;
-    }
-
-    /// Refreshes every row flagged by [`EvalScratch::mark_attr_dirty`] from
-    /// `get`, leaving clean rows untouched. A no-op when nothing is dirty —
-    /// the solver's steady state, where one coordinate pass dirties exactly
-    /// one row.
-    pub fn refresh_dirty_with<'a>(
-        &self,
-        s: &mut EvalScratch,
-        get: impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
-    ) {
-        for attr in 0..self.arity() {
-            if s.dirty[attr] {
-                let (vals, weights) = get(attr);
-                self.refill_attr(s, attr, vals, weights);
-            }
         }
     }
 
@@ -773,60 +633,37 @@ impl CompressedPolynomial {
             .fold(1.0, |acc, &j| acc * (multi[j as usize] - 1.0))
     }
 
-    /// Stage 1 of every term pass: materializes every constrained factor's
-    /// interval sum `prefix[hi] − prefix[lo]` into the factor-major `fdiff`
-    /// buffer. One flat, branch-free subtraction loop over precomputed
-    /// absolute slab indices (contiguous stores — the auto-vectorization
-    /// target), fanned out across the pool for very large closures.
+    /// Stage 1 of the derivative and interval-product passes: materializes
+    /// every constrained factor's interval sum `prefix[hi] − prefix[lo]`
+    /// into the factor-major `fdiff` buffer. One flat, branch-free
+    /// subtraction loop over precomputed absolute slab indices (contiguous
+    /// stores — the auto-vectorization target).
     fn compute_factor_diffs(&self, s: &mut EvalScratch) {
         let EvalScratch { prefix, fdiff, .. } = s;
-        let prefix: &[f64] = prefix;
-        if fdiff.len() >= PAR_MIN_FACTORS {
-            par::for_each_chunk_mut(fdiff, 4096, |base, chunk| {
-                for (off, d) in chunk.iter_mut().enumerate() {
-                    let k = base + off;
-                    *d = prefix[self.pair_hi[k] as usize] - prefix[self.pair_lo[k] as usize];
-                }
-            });
-        } else {
-            for ((d, &hi), &lo) in fdiff.iter_mut().zip(&self.pair_hi).zip(&self.pair_lo) {
-                *d = prefix[hi as usize] - prefix[lo as usize];
-            }
+        for ((d, &hi), &lo) in fdiff.iter_mut().zip(&self.pair_hi).zip(&self.pair_lo) {
+            *d = prefix[hi as usize] - prefix[lo as usize];
         }
     }
 
-    /// Branch-free term sum over a term range: runs of terms sharing one
+    /// Branch-free term sum over every term: runs of terms sharing one
     /// attrset are summed by width-specialized segment kernels. Within a
     /// run the complement product `sc` and the per-term factor count `K`
     /// are loop invariants, so the inner loop is a fixed-shape multiply
     /// chain with **no per-term branching** (no zero early-outs, no mask
     /// membership tests) feeding four striped accumulators — the shape
-    /// LLVM auto-vectorizes and the shape whose FP op sequence the fused
-    /// multi-mask kernel mirrors lane-for-lane.
+    /// LLVM auto-vectorizes. Requires a filled scratch with complement
+    /// products and refreshed delta products.
     ///
     /// Interval sums are gathered inline (`prefix[hi] − prefix[lo]` on the
     /// L1-resident slab) rather than read from a materialized `fdiff`
     /// buffer: at large closures the kernel is memory-bound, and skipping
     /// the factor-major store+reload pass roughly halves the streamed
-    /// bytes per evaluation. The subtraction and multiply order are
-    /// exactly the ones `compute_factor_diffs` + the old `fdiff` read
-    /// performed, so results stay bitwise identical.
-    fn sum_terms_range(
-        &self,
-        range: std::ops::Range<usize>,
-        prefix: &[f64],
-        set_comp: &[f64],
-        dprod: &[f64],
-    ) -> f64 {
+    /// bytes per evaluation.
+    fn sum_terms(&self, s: &EvalScratch) -> f64 {
         match &self.pair_packed {
-            Some(packed) => {
-                self.sum_terms_range_with(range, prefix, set_comp, dprod, PackedPairs(packed))
-            }
-            None => self.sum_terms_range_with(
-                range,
-                prefix,
-                set_comp,
-                dprod,
+            Some(packed) => self.sum_terms_with(s, PackedPairs(packed)),
+            None => self.sum_terms_with(
+                s,
                 WidePairs {
                     lo: &self.pair_lo,
                     hi: &self.pair_hi,
@@ -835,30 +672,20 @@ impl CompressedPolynomial {
         }
     }
 
-    fn sum_terms_range_with<P: PairLookup>(
-        &self,
-        range: std::ops::Range<usize>,
-        prefix: &[f64],
-        set_comp: &[f64],
-        dprod: &[f64],
-        pairs: P,
-    ) -> f64 {
-        let mut p = 0.0;
-        if range.is_empty() {
-            return p;
-        }
+    fn sum_terms_with<P: PairLookup>(&self, s: &EvalScratch, pairs: P) -> f64 {
+        let EvalScratch {
+            prefix,
+            set_comp,
+            dprod,
+            ..
+        } = s;
         // One release-mode slab-length check per call covers every unchecked
         // gather below: `build` asserts all pair indices below the slab
         // length, so any index the kernels decode lands inside `prefix`.
         assert!(prefix.len() >= *self.prefix_starts.last().expect("non-empty") as usize);
-        // Run containing `range.start` (run_offsets[0] == 0 ≤ start).
-        let mut r = self
-            .run_offsets
-            .partition_point(|&start| (start as usize) <= range.start)
-            - 1;
-        let mut t = range.start;
-        while t < range.end {
-            let seg_end = (self.run_offsets[r + 1] as usize).min(range.end);
+        let mut p = 0.0;
+        for run in self.run_offsets.windows(2) {
+            let (t, seg_end) = (run[0] as usize, run[1] as usize);
             let aset = self.term_attrset[t] as usize;
             let sc = set_comp[aset];
             let k = (self.attrset_offsets[aset + 1] - self.attrset_offsets[aset]) as usize;
@@ -876,42 +703,8 @@ impl CompressedPolynomial {
                 4 => seg_sum::<4, P>(dprod, sc, prefix, pairs, f0, t..seg_end),
                 _ => seg_sum_generic(dprod, sc, prefix, pairs, f0, k, t..seg_end),
             };
-            t = seg_end;
-            r += 1;
         }
         p
-    }
-
-    /// Sum over terms of delta product × complement product × constrained
-    /// interval sums. Requires a filled scratch with complement products
-    /// and refreshed delta products. Large closures reduce in fixed-width
-    /// blocks (partials folded in block order), so the result is bitwise
-    /// independent of the thread count.
-    fn sum_terms(&self, s: &mut EvalScratch) -> f64 {
-        let EvalScratch {
-            prefix,
-            set_comp,
-            dprod,
-            block_sums,
-            ..
-        } = s;
-        let (prefix, set_comp, dprod): (&[f64], &[f64], &[f64]) = (prefix, set_comp, dprod);
-        let n = self.num_terms();
-        if n < PAR_MIN_TERMS {
-            return self.sum_terms_range(0..n, prefix, set_comp, dprod);
-        }
-        par::for_each_chunk_mut(block_sums, 1, |base, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let b = base + off;
-                *slot = self.sum_terms_range(
-                    b * TERM_BLOCK..((b + 1) * TERM_BLOCK).min(n),
-                    prefix,
-                    set_comp,
-                    dprod,
-                );
-            }
-        });
-        block_sums.iter().sum()
     }
 
     /// Evaluates `P` at `a` (convenience wrapper; allocates a scratch).
@@ -941,274 +734,11 @@ impl CompressedPolynomial {
 
     /// Evaluates `P` against an already-filled scratch (the prefix slab
     /// encodes the 1D variables and mask; only `multi` is taken from the
-    /// caller). Used by the solver, which refills the slab once per sweep.
+    /// caller). Used by the solver, which fills the slab before each pass.
     pub fn eval_prefilled(&self, multi: &[f64], s: &mut EvalScratch) -> f64 {
         self.ensure_delta_products(multi, s);
         self.compute_set_products(s, None);
         self.sum_terms(s)
-    }
-
-    /// Fills the lane-major fused slab for `lanes` masks: `get(i, b)`
-    /// returns attribute `i`'s variable values and lane `b`'s mask weights.
-    /// Each lane runs the exact `CompressedPolynomial::fill_row` update
-    /// sequence, so lane `b`'s slab cells are bitwise-identical to the
-    /// row-major slab a scalar [`CompressedPolynomial::fill_scratch_with`]
-    /// would produce for that mask.
-    pub fn fill_scratch_many_with<'a>(
-        &self,
-        s: &mut EvalScratch,
-        lanes: usize,
-        get: impl Fn(usize, usize) -> (&'a [f64], Option<&'a [f64]>),
-    ) {
-        const L: usize = MAX_FUSED_LANES;
-        assert!(lanes <= L, "fused batch wider than MAX_FUSED_LANES");
-        self.ensure_many(s);
-        let many = &mut s.many;
-        for (i, &n) in self.domain_sizes.iter().enumerate() {
-            let start = self.prefix_starts[i] as usize;
-            for b in 0..lanes {
-                let (vals, weights) = get(i, b);
-                debug_assert_eq!(vals.len(), n);
-                let mut acc = 0.0;
-                many.prefix[start * L + b] = 0.0;
-                match weights {
-                    Some(w) => {
-                        debug_assert_eq!(w.len(), n);
-                        for (v, (&wv, &xv)) in w.iter().zip(vals).enumerate() {
-                            acc += wv * xv;
-                            many.prefix[(start + v + 1) * L + b] = acc;
-                        }
-                    }
-                    None => {
-                        for (v, &xv) in vals.iter().enumerate() {
-                            acc += xv;
-                            many.prefix[(start + v + 1) * L + b] = acc;
-                        }
-                    }
-                }
-                many.totals[i * L + b] = acc;
-            }
-        }
-    }
-
-    /// Per-lane complement products, mirroring
-    /// [`CompressedPolynomial::compute_set_products`] (no exclusion) with an
-    /// identical per-lane multiply order.
-    fn compute_set_products_many(&self, s: &mut EvalScratch, lanes: usize) {
-        const L: usize = MAX_FUSED_LANES;
-        let m = self.arity();
-        let ManyBuffers {
-            totals, set_comp, ..
-        } = &mut s.many;
-        for set in 0..self.attrset_offsets.len() - 1 {
-            let lo = self.attrset_offsets[set] as usize;
-            let hi = self.attrset_offsets[set + 1] as usize;
-            let members = &self.attrset_attrs[lo..hi];
-            let row = &mut set_comp[set * L..set * L + lanes];
-            row.fill(1.0);
-            let mut k = 0;
-            for attr in 0..m {
-                if k < members.len() && members[k] as usize == attr {
-                    k += 1;
-                    continue;
-                }
-                let tot = &totals[attr * L..attr * L + lanes];
-                for (r, &t) in row.iter_mut().zip(tot) {
-                    *r *= t;
-                }
-            }
-        }
-    }
-
-    /// Fused counterpart of [`CompressedPolynomial::sum_terms_range`]: one
-    /// walk over the term metadata evaluates all `lanes` masks. Interval
-    /// sums are formed inline from the lane-major slab
-    /// (`prefix[hi] − prefix[lo]` — the identical subtraction the scalar
-    /// kernel materializes into `fdiff`), and each lane's multiply/stripe/
-    /// fold sequence matches the scalar kernel op-for-op, so lane `b`'s
-    /// partial is bitwise-identical to a scalar pass over lane `b`'s mask.
-    fn sum_terms_range_many(
-        &self,
-        range: std::ops::Range<usize>,
-        lanes: usize,
-        prefix: &[f64],
-        set_comp: &[f64],
-        dprod: &[f64],
-        out: &mut [f64; MAX_FUSED_LANES],
-    ) {
-        match &self.pair_packed {
-            Some(packed) => self.sum_terms_range_many_with(
-                range,
-                lanes,
-                prefix,
-                set_comp,
-                dprod,
-                PackedPairs(packed),
-                out,
-            ),
-            None => self.sum_terms_range_many_with(
-                range,
-                lanes,
-                prefix,
-                set_comp,
-                dprod,
-                WidePairs {
-                    lo: &self.pair_lo,
-                    hi: &self.pair_hi,
-                },
-                out,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sum_terms_range_many_with<P: PairLookup>(
-        &self,
-        range: std::ops::Range<usize>,
-        lanes: usize,
-        prefix: &[f64],
-        set_comp: &[f64],
-        dprod: &[f64],
-        pairs: P,
-        out: &mut [f64; MAX_FUSED_LANES],
-    ) {
-        const L: usize = MAX_FUSED_LANES;
-        out.fill(0.0);
-        if range.is_empty() {
-            return;
-        }
-        // Release-mode bound for the unchecked lane gathers below: `build`
-        // asserts every pair index below the slab length, so every decoded
-        // lane row `f·L .. f·L + L` lands inside the lane-major slab.
-        assert!(
-            prefix.len() >= *self.prefix_starts.last().expect("non-empty") as usize * L
-                && range.end <= dprod.len()
-                && lanes <= L
-        );
-        let mut r = self
-            .run_offsets
-            .partition_point(|&start| (start as usize) <= range.start)
-            - 1;
-        let mut t = range.start;
-        while t < range.end {
-            let seg_end = (self.run_offsets[r + 1] as usize).min(range.end);
-            let aset = self.term_attrset[t] as usize;
-            // All lane loops below run full-width with fixed `L`-length
-            // arrays — fixed trip counts and contiguous slice zips are the
-            // shape LLVM turns into straight SIMD. Lanes past `lanes`
-            // multiply whatever the slab holds there; nothing ever crosses
-            // between lanes and `out` past `lanes` is never read.
-            let sc: &[f64; L] = set_comp[aset * L..(aset + 1) * L]
-                .try_into()
-                .expect("lane row");
-            let k = (self.attrset_offsets[aset + 1] - self.attrset_offsets[aset]) as usize;
-            let f0 = self.constr_offsets[t] as usize;
-            assert!(f0 + (seg_end - t) * k <= pairs.len());
-            let t0 = t;
-            let mut stripes = [[0.0f64; L]; 4];
-            for tt in t..seg_end {
-                let i = tt - t0;
-                // SAFETY: `tt`, the factor window, and the decoded
-                // lane-major slab rows are covered by the asserts above,
-                // exactly as in `seg_sum`.
-                let d = unsafe { *dprod.get_unchecked(tt) };
-                let mut prod = [0.0f64; L];
-                for (p, &s) in prod.iter_mut().zip(sc) {
-                    *p = d * s;
-                }
-                let base = f0 + i * k;
-                for j in 0..k {
-                    let (flo, fhi) = unsafe { pairs.get(base + j) };
-                    let (rlo, rhi) = unsafe {
-                        (
-                            prefix.get_unchecked(flo * L..flo * L + L),
-                            prefix.get_unchecked(fhi * L..fhi * L + L),
-                        )
-                    };
-                    for ((p, &h), &l) in prod.iter_mut().zip(rhi).zip(rlo) {
-                        *p *= h - l;
-                    }
-                }
-                let srow = &mut stripes[i & 3];
-                for (s, &p) in srow.iter_mut().zip(&prod) {
-                    *s += p;
-                }
-            }
-            for (b, slot) in out.iter_mut().enumerate() {
-                *slot += (stripes[0][b] + stripes[1][b]) + (stripes[2][b] + stripes[3][b]);
-            }
-            t = seg_end;
-            r += 1;
-        }
-    }
-
-    /// Fused masked evaluation against a slab filled by
-    /// [`CompressedPolynomial::fill_scratch_many_with`]: writes lane `b`'s
-    /// `P[masked_b]` into `out[b]`, amortizing one term-metadata traversal
-    /// across all lanes. Per lane the result is **bitwise-identical** to
-    /// [`CompressedPolynomial::eval_prefilled`] over that lane's mask —
-    /// same blocked reduction, same fold order, no value-dependent
-    /// skipping anywhere.
-    pub fn eval_prefilled_many(
-        &self,
-        multi: &[f64],
-        lanes: usize,
-        s: &mut EvalScratch,
-        out: &mut [f64],
-    ) {
-        assert!(lanes <= MAX_FUSED_LANES && out.len() == lanes);
-        self.ensure_delta_products(multi, s);
-        self.compute_set_products_many(s, lanes);
-        let EvalScratch { many, dprod, .. } = s;
-        let (prefix, set_comp, dprod): (&[f64], &[f64], &[f64]) =
-            (&many.prefix, &many.set_comp, dprod);
-        let n = self.num_terms();
-        if n < PAR_MIN_TERMS {
-            let mut part = [0.0f64; MAX_FUSED_LANES];
-            self.sum_terms_range_many(0..n, lanes, prefix, set_comp, dprod, &mut part);
-            out.copy_from_slice(&part[..lanes]);
-            return;
-        }
-        let partials: Vec<[f64; MAX_FUSED_LANES]> =
-            par::map_indexed(n.div_ceil(TERM_BLOCK), 1, |b| {
-                let mut part = [0.0f64; MAX_FUSED_LANES];
-                self.sum_terms_range_many(
-                    b * TERM_BLOCK..((b + 1) * TERM_BLOCK).min(n),
-                    lanes,
-                    prefix,
-                    set_comp,
-                    dprod,
-                    &mut part,
-                );
-                part
-            });
-        for (b, slot) in out.iter_mut().enumerate() {
-            *slot = partials.iter().map(|p| p[b]).sum();
-        }
-    }
-
-    /// Fused masked evaluation over any number of masks (chunked into
-    /// [`MAX_FUSED_LANES`]-wide passes): `out[i] = P[masked by masks[i]]`,
-    /// bitwise-identical to calling
-    /// [`CompressedPolynomial::eval_masked_with`] per mask.
-    pub fn eval_masked_many_with(
-        &self,
-        a: &VarAssignment,
-        masks: &[Mask],
-        s: &mut EvalScratch,
-        out: &mut [f64],
-    ) {
-        debug_assert!(self.check_shape(a).is_ok());
-        assert_eq!(masks.len(), out.len());
-        for (mchunk, ochunk) in masks
-            .chunks(MAX_FUSED_LANES)
-            .zip(out.chunks_mut(MAX_FUSED_LANES))
-        {
-            self.fill_scratch_many_with(s, mchunk.len(), |i, b| {
-                (a.one_dim[i].as_slice(), mchunk[b].attr_weights(i))
-            });
-            self.eval_prefilled_many(&a.multi, mchunk.len(), s, ochunk);
-        }
     }
 
     /// Fused pass returning `(P, dP/dα_{attr,v} for every v)` under `mask`
@@ -1314,9 +844,7 @@ impl CompressedPolynomial {
 
     /// Fills `scratch.iprods()` with the per-term interval products from an
     /// already-filled scratch. Allocation-free. (Interval products contain
-    /// no `(δ−1)` factors, so no delta-product refresh is needed.) Each term
-    /// writes its own slot, so the loop fans out across the pool for very
-    /// large closures with bitwise-identical results.
+    /// no `(δ−1)` factors, so no delta-product refresh is needed.)
     pub fn interval_products_prefilled(&self, s: &mut EvalScratch) {
         self.compute_set_products(s, None);
         self.compute_factor_diffs(s);
@@ -1326,23 +854,14 @@ impl CompressedPolynomial {
             iprods,
             ..
         } = s;
-        let (set_comp, fdiff): (&[f64], &[f64]) = (set_comp, fdiff);
-        let fill = |base: usize, chunk: &mut [f64]| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let t = base + off;
-                let mut prod = set_comp[self.term_attrset[t] as usize];
-                let lo = self.constr_offsets[t] as usize;
-                let hi = self.constr_offsets[t + 1] as usize;
-                for &d in &fdiff[lo..hi] {
-                    prod *= d;
-                }
-                *slot = prod;
+        for (t, slot) in iprods.iter_mut().enumerate() {
+            let mut prod = set_comp[self.term_attrset[t] as usize];
+            let lo = self.constr_offsets[t] as usize;
+            let hi = self.constr_offsets[t + 1] as usize;
+            for &d in &fdiff[lo..hi] {
+                prod *= d;
             }
-        };
-        if iprods.len() >= PAR_MIN_TERMS {
-            par::for_each_chunk_mut(iprods, 4096, fill);
-        } else {
-            fill(0, iprods);
+            *slot = prod;
         }
     }
 
@@ -1389,8 +908,7 @@ impl CompressedPolynomial {
 /// materialized diff buffer — same subtraction, same multiply order, half
 /// the streamed bytes. No value-dependent skipping: every term takes the
 /// identical op sequence, which keeps the result bits a pure function of
-/// the inputs — the property the fused multi-mask kernel relies on to
-/// stay bitwise-identical per lane.
+/// the inputs.
 #[inline]
 fn seg_sum<const K: usize, P: PairLookup>(
     dprod: &[f64],
@@ -1409,7 +927,7 @@ fn seg_sum<const K: usize, P: PairLookup>(
         // lengths asserted above, and the decoded slab indices sit below
         // `prefix.len()` (every index is asserted against the slab length
         // in `build`, and the slab length against `prefix.len()` at the
-        // `sum_terms_range_with` entry). Checked indexing here is ~13
+        // `sum_terms_with` entry). Checked indexing here is ~13
         // predictable branches per term on the point-query hot path.
         unsafe {
             let mut prod = *dprod.get_unchecked(t) * sc;

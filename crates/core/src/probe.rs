@@ -43,12 +43,11 @@
 //!           | "busy" message...
 //! ```
 //!
-//! `probm` / `countm` are the fused-batch probes: one line carries a whole
-//! mask batch, the shard model answers it with its fused multi-mask kernel
-//! (one fused slab traversal per
-//! [`MAX_FUSED_LANES`](crate::polynomial::MAX_FUSED_LANES)-mask chunk), and
-//! the answers come back in mask order — bitwise-identical to sending the
-//! masks one probe at a time.
+//! `probm` / `countm` are the batch probes: one line per batch, answered
+//! mask by mask. The shard model evaluates each mask as its own masked
+//! evaluation, and the answers come back in mask order — bitwise-identical
+//! to sending the masks one probe at a time, at one line and one gather
+//! round for the whole batch.
 //!
 //! `sample k seed n index*` draws the tuples at the given *global* indices
 //! of a `sample_rows(k, seed)` call: every backend derives a tuple's
@@ -83,13 +82,13 @@ pub enum ProbeRequest {
         /// The query mask.
         mask: Mask,
     },
-    /// One tuple-draw probability per mask, answered by the model's fused
-    /// multi-mask kernel — one wire line per mask batch.
+    /// One tuple-draw probability per mask, answered mask by mask — one
+    /// wire line per mask batch.
     ProbabilityMany {
         /// The query masks, answered in order.
         masks: Vec<Mask>,
     },
-    /// One COUNT estimate per mask (fused batched form of `Count`).
+    /// One COUNT estimate per mask (batched form of `Count`).
     CountMany {
         /// The query masks, answered in order.
         masks: Vec<Mask>,

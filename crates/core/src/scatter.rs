@@ -929,9 +929,11 @@ fn join(
 /// cardinalities read from the shards now), each shard is sent the
 /// requested indices that fall in its stratum — a shard owed none is not
 /// asked, so it cannot fail or slow the draw — and the rows are put back
-/// in request order. Draws bypass the cache: they are deterministic in
-/// `(seed, index)` and cheap relative to their payload, and caching rows
-/// would only crowd out estimator entries.
+/// in request order. When no shard is owed an index, shard 0 is asked the
+/// empty selection, as a mask no shard admits stays on shard 0: the empty
+/// answer carries the model's arity. Draws bypass the cache: they are
+/// deterministic in `(seed, index)` and cheap relative to their payload,
+/// and caching rows would only crowd out estimator entries.
 fn gather_sample<P: ShardProbe>(
     probes: &[P],
     request: &ProbeRequest,
@@ -953,7 +955,7 @@ fn gather_sample<P: ShardProbe>(
             .ok_or(ModelError::ShapeMismatch)?;
         owed[shard].push(slot);
     }
-    let asks: Vec<Ask> = owed
+    let mut asks: Vec<Ask> = owed
         .into_iter()
         .enumerate()
         .filter(|(_, slots)| !slots.is_empty())
@@ -962,19 +964,32 @@ fn gather_sample<P: ShardProbe>(
             slots: Some(slots),
         })
         .collect();
+    if asks.is_empty() {
+        asks.push(Ask {
+            shard: 0,
+            slots: Some(Vec::new()),
+        });
+    }
     let mut rows = vec![Vec::new(); indices.len()];
+    let mut arity = 0;
     let strata = P::probe_each(probes, request, &asks, scratches);
     for (ask, stratum) in asks.iter().zip(strata) {
         let stratum = stratum?;
         if !ask.answered_by(request, &stratum) {
             return Err(unexpected_shape());
         }
-        let slots = ask.slots.iter().flatten();
-        for (row, &slot) in Vec::<Vec<u32>>::try_from(stratum)?.into_iter().zip(slots) {
+        let ProbeResponse::Rows {
+            arity: width,
+            rows: drawn,
+        } = stratum
+        else {
+            return Err(unexpected_shape());
+        };
+        arity = width;
+        for (row, &slot) in drawn.into_iter().zip(ask.slots.iter().flatten()) {
             rows[slot] = row;
         }
     }
-    let arity = rows.first().map_or(0, Vec::len);
     Ok(ProbeResponse::Rows { arity, rows })
 }
 

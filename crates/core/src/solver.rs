@@ -36,7 +36,7 @@
 //!   sweep would otherwise walk is never built.
 //! * **Closure sweep** ([`CompressedPolynomial`], everything else: a cycle
 //!   of pairs, a 3-D statistic, a closure too small for a pass to beat):
-//!   the two sections below.
+//!   the section below.
 //!
 //! ### Attribute-batched sweeps
 //!
@@ -48,23 +48,11 @@
 //! ([`CompressedPolynomial::eval_with_attr_derivatives`]) yields every
 //! `P_{α_j}` of the attribute; `P = Σ_j α_j P_{α_j}` is then maintained in
 //! O(1) per update. The same idea handles multi-dimensional variables with
-//! cached interval products. A full closure sweep is `O(m · |terms| + Σ N_i
-//! + Σ_j |terms ∋ δ_j|)` instead of `O(k · |terms| · m)`.
-//!
-//! ### Incremental slab maintenance (closure sweep)
-//!
-//! A per-attribute pass changes exactly one attribute's variables, so the
-//! evaluation scratch is maintained incrementally rather than refilled
-//! before every pass: the pass marks its attribute's prefix row dirty and
-//! the next pass refreshes only that row
-//! ([`CompressedPolynomial::refresh_dirty_with`]), carrying every other
-//! row, interval sum, and complement product input forward across passes
-//! and sweeps — O(changed attribute) instead of O(all attributes) per
-//! pass. Refreshed rows are recomputed from the current variables, so the
-//! incremental slab is bitwise identical to a full refill at every point;
-//! `incremental_refill: false` is the full-refill reference the
-//! incremental path is tested against. The tree sweep keeps no slab:
-//! every pass recomputes its messages from the current variables.
+//! cached interval products. A full closure sweep is `O(m · (|terms| + Σ
+//! N_i) + Σ_j |terms ∋ δ_j|)` instead of `O(k · |terms| · m)`: every pass
+//! fills the prefix slab from the current variables first, which is
+//! `O(Σ N_i)` against the pass's `O(|terms|)` walk. The tree sweep likewise
+//! recomputes its messages from the current variables on every pass.
 //!
 //! ### Component-local solving
 //!
@@ -74,23 +62,14 @@
 //! independent optimization problem. The solver therefore runs one
 //! coordinate-descent loop *per component*, against that component's
 //! kernel and its own scratch — no cross-component re-evaluation at all.
-//! Closure components with enough term work to overlap are solved in
-//! parallel (the rule query evaluation uses); tree and one-term components
-//! are solved inline, where a pool hand-off would cost more than the solve.
-//! Results are bitwise independent of the thread count. The dual objective
+//! Components are solved one after another on the calling thread, so
+//! results are bitwise independent of the thread count. The dual objective
 //! also decomposes (`Ψ = Σ_c Ψ_c`), so tracked trajectories are summed
 //! across components.
-//!
-//! A reference full-gradient solver (exponentiated gradient ascent on `Ψ`,
-//! i.e. classic mirror descent with the entropy mirror map) is provided for
-//! the ablation benchmark; it reads its derivatives through the same two
-//! sweeps, component by component. The coordinate solver converges far
-//! faster, which is the paper's claim for preferring it.
 
 use crate::assignment::VarAssignment;
 use crate::error::{ModelError, Result};
 use crate::factorized::{Component, FactorizedPolynomial, Kernel};
-use crate::par;
 use crate::polynomial::{CompressedPolynomial, EvalScratch};
 use crate::statistics::Statistics;
 use crate::tree::{TreeKernel, TreeScratch};
@@ -107,14 +86,6 @@ pub struct SolverConfig {
     /// Record the dual objective `Ψ` after every sweep (costs one extra
     /// evaluation per sweep).
     pub track_dual: bool,
-    /// Closure components only (a tree component's sweep keeps no slab):
-    /// maintain the evaluation scratch incrementally across passes and
-    /// sweeps: after a per-attribute pass only that attribute's prefix row
-    /// is refreshed, instead of refilling the whole slab before every pass.
-    /// `false` retains the full-refill behavior as an A/B baseline for the
-    /// benches and the bitwise-equivalence tests; both paths produce
-    /// bit-identical results by construction.
-    pub incremental_refill: bool,
 }
 
 impl Default for SolverConfig {
@@ -130,7 +101,6 @@ impl Default for SolverConfig {
             max_sweeps: 400,
             tolerance: 1e-6,
             track_dual: false,
-            incremental_refill: true,
         }
     }
 }
@@ -183,12 +153,6 @@ impl SolverConfigBuilder {
     /// Enables or disables per-sweep dual-objective tracking.
     pub fn track_dual(mut self, track: bool) -> Self {
         self.config.track_dual = track;
-        self
-    }
-
-    /// Enables or disables incremental scratch refill.
-    pub fn incremental_refill(mut self, incremental: bool) -> Self {
-        self.config.incremental_refill = incremental;
         self
     }
 
@@ -273,18 +237,12 @@ struct CompSolution {
 
 /// What one sweep asks of a component's evaluator. The two implementations
 /// are the two kernels [`crate::factorized`] chooses between per component;
-/// [`solve_component`] is the one coordinate update loop over either, and
-/// [`solve_gradient`] reads the same derivatives. `one_dim` / `multi` are
-/// always the component's current local variables.
+/// [`solve_component`] is the one coordinate update loop over either.
+/// `one_dim` / `multi` are always the component's current local variables.
 trait SweepKernel {
-    /// Called at the top of sweep number `sweep` (0-based). The default
-    /// suits a kernel that keeps no state between calls.
-    fn begin_sweep(&mut self, _sweep: usize, _one_dim: &[Vec<f64>]) {}
     /// `(P, ∂P/∂α_{li,v} for every v)` at the current variables.
     fn attr_derivatives(&mut self, li: usize, one_dim: &[Vec<f64>], multi: &[f64])
         -> (f64, &[f64]);
-    /// Attribute `li`'s variables were just rewritten.
-    fn attr_updated(&mut self, _li: usize) {}
     /// Opens the `δ` block (every `α` is fixed until the next sweep):
     /// returns `P`.
     fn begin_deltas(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64;
@@ -295,49 +253,30 @@ trait SweepKernel {
     fn value(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64;
 }
 
-/// The closure sweep: one fused term walk per attribute against an
-/// incrementally maintained slab, cached interval products for the `δ`
-/// block (module docs, "Attribute-batched sweeps" and "Incremental slab
-/// maintenance").
+/// The closure sweep: one fused term walk per attribute, cached interval
+/// products for the `δ` block (module docs, "Attribute-batched sweeps").
+/// Every pass fills the slab from the current variables first.
 struct ClosureSweep<'p> {
     poly: &'p CompressedPolynomial,
     scratch: EvalScratch,
-    incremental: bool,
 }
 
 impl<'p> ClosureSweep<'p> {
-    fn new(poly: &'p CompressedPolynomial, config: &SolverConfig) -> Self {
+    fn new(poly: &'p CompressedPolynomial) -> Self {
         ClosureSweep {
             poly,
             scratch: poly.make_scratch(),
-            incremental: config.incremental_refill,
         }
     }
 
-    /// Brings the slab up to date with `one_dim`: O(changed attribute) —
-    /// only the row updated by the previous pass is dirty — or the whole
-    /// slab on the full-refill reference path. Rows are always recomputed
-    /// from the current variables, so both leave bitwise the same slab.
+    /// Fills the slab from `one_dim`.
     fn refresh(&mut self, one_dim: &[Vec<f64>]) {
-        let get = |i: usize| (one_dim[i].as_slice(), None);
-        if self.incremental {
-            self.poly.refresh_dirty_with(&mut self.scratch, get);
-        } else {
-            self.poly.fill_scratch_with(&mut self.scratch, get);
-        }
+        self.poly
+            .fill_scratch_with(&mut self.scratch, |i| (one_dim[i].as_slice(), None));
     }
 }
 
 impl SweepKernel for ClosureSweep<'_> {
-    fn begin_sweep(&mut self, sweep: usize, one_dim: &[Vec<f64>]) {
-        // Establish the slab once; every later pass refreshes the one row
-        // the pass before it dirtied.
-        if sweep == 0 {
-            self.poly
-                .fill_scratch_with(&mut self.scratch, |i| (one_dim[i].as_slice(), None));
-        }
-    }
-
     fn attr_derivatives(
         &mut self,
         li: usize,
@@ -347,10 +286,6 @@ impl SweepKernel for ClosureSweep<'_> {
         self.refresh(one_dim);
         self.poly
             .derivs_prefilled(multi, &one_dim[li], None, li, &mut self.scratch)
-    }
-
-    fn attr_updated(&mut self, li: usize) {
-        self.scratch.mark_attr_dirty(li);
     }
 
     fn begin_deltas(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
@@ -482,7 +417,6 @@ fn solve_component(
     };
 
     for sweep in 0..config.max_sweeps {
-        kernel.begin_sweep(sweep, &one_dim);
         let mut max_residual = 0.0f64;
 
         // --- 1D variables, one batched pass per attribute: the derivatives
@@ -510,7 +444,6 @@ fn solve_component(
                 }
             }
             one_dim[li] = new_alphas;
-            kernel.attr_updated(li);
         }
 
         // --- Multi-dimensional variables: P is affine in each δ and is
@@ -566,7 +499,7 @@ fn solve_component(
 /// Solves the model by attribute-batched coordinate mirror descent
 /// (Algorithm 1 with the batching and component-decomposition optimizations
 /// described in the module docs): each component on the sweep of its
-/// kernel, closure components in parallel when they are large enough.
+/// kernel.
 pub fn solve(
     poly: &FactorizedPolynomial,
     stats: &Statistics,
@@ -588,25 +521,12 @@ pub fn solve(
         return Ok((a, report));
     }
 
-    // Each component is solved by the sweep of its kernel. Only closure
-    // components with enough term work to overlap are worth a pool
-    // hand-off; tree and one-term components run inline.
-    let components = poly.components();
-    let solve_one = |c: &Component| {
-        let mut kernel = sweep_kernel(c, config);
-        solve_component(&mut *kernel, &c.attrs, &c.multis, stats, config)
-    };
-    let solutions: Vec<Result<CompSolution>> = if poly.use_par() {
-        par::map(components, 1, |_, c| solve_one(c))
-    } else {
-        components.iter().map(solve_one).collect()
-    };
-
     report.converged = true;
     report.max_residual = 0.0;
     let mut dual_per_comp: Vec<Vec<f64>> = Vec::new();
-    for (c, solution) in components.iter().zip(solutions) {
-        let sol = solution?;
+    for c in poly.components() {
+        let mut kernel = sweep_kernel(c);
+        let sol = solve_component(&mut *kernel, &c.attrs, &c.multis, stats, config)?;
         store_vars(c, sol.one_dim, sol.multi, &mut a);
         report.sweeps = report.sweeps.max(sol.sweeps);
         report.max_residual = report.max_residual.max(sol.max_residual);
@@ -636,14 +556,6 @@ pub fn solve(
     Ok((a, report))
 }
 
-/// `c`'s local `(one_dim, multi)` variables out of a global assignment.
-fn local_vars(c: &Component, a: &VarAssignment) -> (Vec<Vec<f64>>, Vec<f64>) {
-    (
-        c.attrs.iter().map(|&g| a.one_dim[g].clone()).collect(),
-        c.multis.iter().map(|&gj| a.multi[gj]).collect(),
-    )
-}
-
 /// Writes `c`'s local variables back into the global assignment.
 fn store_vars(c: &Component, one_dim: Vec<Vec<f64>>, multi: Vec<f64>, a: &mut VarAssignment) {
     for (&g, alphas) in c.attrs.iter().zip(one_dim) {
@@ -655,109 +567,11 @@ fn store_vars(c: &Component, one_dim: Vec<Vec<f64>>, multi: Vec<f64>, a: &mut Va
 }
 
 /// The sweep of the component's one kernel.
-fn sweep_kernel<'a>(c: &'a Component, config: &SolverConfig) -> Box<dyn SweepKernel + 'a> {
+fn sweep_kernel(c: &Component) -> Box<dyn SweepKernel + '_> {
     match &c.kernel {
         Kernel::Tree(tree) => Box::new(TreeSweep::new(tree)),
-        Kernel::Closure(poly) => Box::new(ClosureSweep::new(poly, config)),
+        Kernel::Closure(poly) => Box::new(ClosureSweep::new(poly)),
     }
-}
-
-/// Reference solver: exponentiated gradient ascent on the dual
-/// (`θ_j = ln α_j`, `α_j ← α_j · exp(η (s_j − E[c_j]) / n)`). Used only by
-/// the solver ablation benchmark; it needs far more sweeps than the
-/// coordinate solver to reach the same residual. Every `E[c_j] = n x P_x / P`
-/// is a ratio within one component (module docs, "Component-local
-/// solving"), read from the sweep of that component's kernel.
-pub fn solve_gradient(
-    poly: &FactorizedPolynomial,
-    stats: &Statistics,
-    learning_rate: f64,
-    max_sweeps: usize,
-    tolerance: f64,
-) -> Result<(VarAssignment, SolverReport)> {
-    let start = Instant::now();
-    let mut a = VarAssignment::init_from(stats);
-    let n = stats.n() as f64;
-    let mut report = SolverReport {
-        sweeps: 0,
-        max_residual: f64::INFINITY,
-        converged: false,
-        skipped_updates: 0,
-        dual_trajectory: Vec::new(),
-        seconds: 0.0,
-    };
-    if stats.n() == 0 {
-        report.max_residual = 0.0;
-        report.converged = true;
-        return Ok((a, report));
-    }
-
-    let components = poly.components();
-    let config = SolverConfig::default();
-    let mut kernels: Vec<_> = components
-        .iter()
-        .map(|c| sweep_kernel(c, &config))
-        .collect();
-    // Local (one_dim, multi) variables per component, as the sweeps take them.
-    let mut locals: Vec<_> = components.iter().map(|c| local_vars(c, &a)).collect();
-
-    for sweep in 0..max_sweeps {
-        let mut max_residual = 0.0f64;
-        // Multiplicative (mirror) step towards statistic `s` from `e`.
-        let mut step = |x: &mut f64, s: f64, e: f64| {
-            max_residual = max_residual.max((s - e).abs() / n);
-            *x = if s == 0.0 {
-                0.0
-            } else {
-                *x * (learning_rate * (s - e) / n).exp()
-            };
-        };
-        for ((c, kernel), (one_dim, multi)) in components.iter().zip(&mut kernels).zip(&mut locals)
-        {
-            // All expectations at the *current* point (full gradient).
-            kernel.begin_sweep(sweep, one_dim);
-            let expectations_1d: Vec<Vec<f64>> = (0..c.attrs.len())
-                .map(|li| {
-                    let (p, derivs) = kernel.attr_derivatives(li, one_dim, multi);
-                    let alphas = derivs.iter().zip(&one_dim[li]);
-                    alphas.map(|(&d, &al)| n * al * d / p).collect()
-                })
-                .collect();
-            let expectations_multi: Vec<f64> = if multi.is_empty() {
-                Vec::new()
-            } else {
-                let p = kernel.begin_deltas(one_dim, multi);
-                (0..multi.len())
-                    .map(|lj| n * multi[lj] * kernel.delta_derivative(lj, one_dim, multi) / p)
-                    .collect()
-            };
-
-            for (li, &g) in c.attrs.iter().enumerate() {
-                for (v, &e) in expectations_1d[li].iter().enumerate() {
-                    step(&mut one_dim[li][v], stats.one_dim()[g][v] as f64, e);
-                }
-                kernel.attr_updated(li);
-            }
-            for (lj, &gj) in c.multis.iter().enumerate() {
-                let s = stats.multi_counts()[gj] as f64;
-                step(&mut multi[lj], s, expectations_multi[lj]);
-            }
-        }
-
-        report.sweeps = sweep + 1;
-        report.max_residual = max_residual;
-        if max_residual < tolerance {
-            report.converged = true;
-            break;
-        }
-    }
-
-    for (c, (one_dim, multi)) in components.iter().zip(locals) {
-        store_vars(c, one_dim, multi, &mut a);
-    }
-    a.validate()?;
-    report.seconds = start.elapsed().as_secs_f64();
-    Ok((a, report))
 }
 
 #[cfg(test)]
@@ -827,13 +641,20 @@ mod tests {
         (c.attrs.iter().map(|&g| sizes[g]).collect(), stats.collect())
     }
 
+    /// `c`'s local `(one_dim, multi)` variables out of a global assignment.
+    fn local_vars(c: &Component, a: &VarAssignment) -> (Vec<Vec<f64>>, Vec<f64>) {
+        (
+            c.attrs.iter().map(|&g| a.one_dim[g].clone()).collect(),
+            c.multis.iter().map(|&gj| a.multi[gj]).collect(),
+        )
+    }
+
     /// `(P_c, ∂P_c/∂δ_lj for every lj)` of one component through `kernel`.
     fn delta_block<K: SweepKernel + ?Sized>(
         kernel: &mut K,
         one_dim: &[Vec<f64>],
         multi: &[f64],
     ) -> (f64, Vec<f64>) {
-        kernel.begin_sweep(0, one_dim);
         let p = kernel.begin_deltas(one_dim, multi);
         let pds = (0..multi.len()).map(|lj| kernel.delta_derivative(lj, one_dim, multi));
         (p, pds.collect())
@@ -853,7 +674,7 @@ mod tests {
                 let c = poly.components().iter().find(owns).unwrap();
                 let lj = c.multis.iter().position(|&gj| gj == j).unwrap();
                 let (one_dim, multi) = local_vars(c, a_);
-                let mut kernel = sweep_kernel(c, &SolverConfig::default());
+                let mut kernel = sweep_kernel(c);
                 let (p, pds) = delta_block(&mut *kernel, &one_dim, &multi);
                 n * multi[lj] * pds[lj] / p
             }
@@ -955,27 +776,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gradient_solver_reaches_same_fixpoint_slower() {
-        let t = full_support_table();
-        let multi = vec![MultiDimStatistic::cell2d(a(1), 1, a(2), 0).unwrap()];
-        let stats = Statistics::observe(&t, multi.clone()).unwrap();
-        let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
-
-        let (_, coord) = solve(&poly, &stats, &SolverConfig::default()).unwrap();
-        let (asn_g, grad) = solve_gradient(&poly, &stats, 1.0, 4000, 1e-7).unwrap();
-        assert!(grad.converged, "{grad:?}");
-        assert!(
-            grad.sweeps > coord.sweeps,
-            "gradient ({}) should need more sweeps than coordinate ({})",
-            grad.sweeps,
-            coord.sweeps
-        );
-        // Same constraints satisfied.
-        let e = expectation(&poly, &asn_g, 10.0, Var::Multi(0));
-        assert!((e - 2.0).abs() < 1e-4, "{e}");
-    }
-
     /// A 1 200-row table over nine 5-valued attributes, correlated in
     /// neighbouring pairs.
     fn nine_attribute_table() -> Table {
@@ -1004,6 +804,8 @@ mod tests {
         (0..25).map(move |c| MultiDimStatistic::cell2d(a(x), c / 5, a(y), c % 5).unwrap())
     }
 
+    /// A solve under a one-thread and a four-thread budget is bitwise the
+    /// same on closure, tree and mixed models.
     #[test]
     fn parallel_and_serial_solve_agree_bitwise() {
         let small = full_support_table();
@@ -1013,8 +815,8 @@ mod tests {
                 .chain(all_cells(x + 1, x + 2))
                 .chain(all_cells(x, x + 2))
         };
-        // (table, statistics, tree components, closure components, fans out)
-        let models: Vec<(&Table, Vec<MultiDimStatistic>, usize, usize, bool)> = vec![
+        // (table, statistics, tree components, closure components)
+        let models: Vec<(&Table, Vec<MultiDimStatistic>, usize, usize)> = vec![
             (
                 &small,
                 vec![
@@ -1023,19 +825,17 @@ mod tests {
                 ],
                 0,
                 1,
-                false,
             ),
             // A chain of pairs (one tree component) and five free
-            // attributes, all solved inline.
+            // attributes.
             (
                 &nine,
                 (0..3).flat_map(|x| all_cells(x, x + 1)).collect(),
                 1,
                 5,
-                false,
             ),
-            // Two cycles of pairs (576-term closures that do overlap on the
-            // pool), a tree pair and a free attribute.
+            // Two cycles of pairs (576-term closures), a tree pair and a
+            // free attribute.
             (
                 &nine,
                 triangle(0)
@@ -1044,10 +844,9 @@ mod tests {
                     .collect(),
                 1,
                 3,
-                true,
             ),
         ];
-        for (table, multi, trees, closures, fans_out) in models {
+        for (table, multi, trees, closures) in models {
             let stats = Statistics::observe(table, multi.clone()).unwrap();
             let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
             let kernels = poly.size_stats();
@@ -1058,7 +857,6 @@ mod tests {
             crate::par::set_max_threads(1);
             let serial = solve(&poly, &stats, &SolverConfig::default()).unwrap();
             crate::par::set_max_threads(4);
-            assert_eq!(poly.use_par(), fans_out);
             let parallel = solve(&poly, &stats, &SolverConfig::default()).unwrap();
             crate::par::set_max_threads(0);
             assert_eq!(serial.0, parallel.0);
@@ -1106,7 +904,7 @@ mod tests {
                     let t = solve_component(&mut sweep, attrs, multis, &stats, &config).unwrap();
                     let (sizes, local) = local_model(c, stats.domain_sizes(), &multi);
                     let reference = CompressedPolynomial::build(&sizes, &local).unwrap();
-                    let mut closure = ClosureSweep::new(&reference, &config);
+                    let mut closure = ClosureSweep::new(&reference);
                     let cl = solve_component(&mut closure, attrs, multis, &stats, &config).unwrap();
                     let context = format!("{shape:?} round {round}: {rects:?}");
                     assert_eq!(
@@ -1229,8 +1027,7 @@ mod tests {
             let p_global = naive.eval(&asn);
             for c in poly.components() {
                 let (one_dim, deltas) = local_vars(c, &asn);
-                let config = SolverConfig::default();
-                let mut kernel = sweep_kernel(c, &config);
+                let mut kernel = sweep_kernel(c);
                 let (p, pds) = delta_block(&mut *kernel, &one_dim, &deltas);
                 // d ln P / dδ_j is the same ratio globally and in `c`.
                 for (&gj, &pd) in c.multis.iter().zip(&pds) {
@@ -1247,7 +1044,7 @@ mod tests {
                         on_tree += c.multis.len();
                         let (local_sizes, local) = local_model(c, &sizes, &multi);
                         let reference = CompressedPolynomial::build(&local_sizes, &local).unwrap();
-                        let mut closure = ClosureSweep::new(&reference, &config);
+                        let mut closure = ClosureSweep::new(&reference);
                         let (cp, cpds) = delta_block(&mut closure, &one_dim, &deltas);
                         assert!(close(p, cp), "{p} vs {cp}");
                         for (&pd, &cpd) in pds.iter().zip(&cpds) {
@@ -1261,51 +1058,6 @@ mod tests {
             on_tree >= 200 && on_closure >= 40,
             "{on_tree} / {on_closure}"
         );
-    }
-
-    /// The ablation solver on whichever kernel a component has: a tree
-    /// component, a cycle of pairs, and both side by side reach the residual
-    /// recorded when every `∂P/∂δ` was still read from a closure, after an
-    /// equal sweep budget.
-    #[test]
-    fn gradient_solver_reaches_the_recorded_residuals_on_both_kernels() {
-        let nine = nine_attribute_table();
-        let triangle = || {
-            all_cells(0, 1)
-                .chain(all_cells(1, 2))
-                .chain(all_cells(0, 2))
-        };
-        // (statistics, tree components, learning rate, residual after 60 sweeps)
-        let models: Vec<(Vec<MultiDimStatistic>, usize, f64, f64)> = vec![
-            (
-                (0..3).flat_map(|x| all_cells(x, x + 1)).collect(),
-                1,
-                1.0,
-                3.324200395118808e-3,
-            ),
-            (triangle().collect(), 0, 1.0, 5.2321177718205785e-3),
-            (
-                triangle()
-                    .chain(all_cells(4, 5))
-                    .chain(all_cells(5, 6))
-                    .collect(),
-                1,
-                0.5,
-                1.6164642295210415e-2,
-            ),
-        ];
-        for (multi, trees, learning_rate, recorded) in models {
-            let stats = Statistics::observe(&nine, multi.clone()).unwrap();
-            let poly = FactorizedPolynomial::build(stats.domain_sizes(), &multi).unwrap();
-            assert_eq!(poly.size_stats().tree_components, trees);
-            let (_, report) = solve_gradient(&poly, &stats, learning_rate, 60, 0.0).unwrap();
-            assert_eq!(report.sweeps, 60);
-            assert!(
-                (report.max_residual - recorded).abs() < 1e-12,
-                "{:e} vs {recorded:e}",
-                report.max_residual
-            );
-        }
     }
 
     #[test]

@@ -4,14 +4,12 @@
 //! [`FactorizedScratch`] has been warmed up, `eval_masked` and
 //! `eval_with_attr_derivatives` (and the prefilled kernels under them)
 //! perform **zero heap allocation**. A counting global allocator makes that
-//! a hard test rather than a benchmark observation.
-//!
-//! The audited model stays below the kernel's parallelism threshold so the
-//! passes run on the calling thread (thread spawning allocates by design;
-//! parallel fan-out only happens for models large enough that per-call
-//! spawn cost is noise).
+//! a hard test rather than a benchmark observation. Every pass runs on the
+//! calling thread, so the guarantee holds at every model size and thread
+//! budget.
 
 use entropydb_core::assignment::{Mask, VarAssignment};
+use entropydb_core::par;
 use entropydb_core::polynomial::CompressedPolynomial;
 use entropydb_core::prelude::*;
 use entropydb_core::statistics::RangeClause;
@@ -143,87 +141,22 @@ fn warmed_kernels_allocate_nothing() {
     );
 }
 
-/// The incremental slab-maintenance path (the solver's hot loop): in-place
-/// variable updates, dirty-row refills, and the prefilled kernels allocate
-/// nothing in steady state.
+/// A warmed `FactorizedPolynomial::eval_masked_many_with` — the batch
+/// probes' one call — allocates nothing: it is the scalar pass once per
+/// mask on the one scratch.
 #[test]
-fn incremental_refill_path_allocates_nothing() {
-    let (sizes, stats, a, _) = model();
-    let flat = CompressedPolynomial::build(&sizes, &stats).unwrap();
-    let mut scratch = flat.make_scratch();
-    let mut vars = a.one_dim.clone();
-
-    // Warm-up: full fill plus one round of every kernel.
-    flat.fill_scratch_with(&mut scratch, |i| (vars[i].as_slice(), None));
-    flat.eval_prefilled(&a.multi, &mut scratch);
-    for (attr, vals) in vars.iter().enumerate() {
-        flat.derivs_prefilled(&a.multi, vals, None, attr, &mut scratch);
-    }
-    flat.interval_products_prefilled(&mut scratch);
-
-    let mut sink = 0.0;
-    let allocs = allocations_during(|| {
-        for round in 0..16 {
-            for attr in 0..sizes.len() {
-                // In-place update of one attribute's variables, then an
-                // O(one row) refresh — the solver's per-pass pattern.
-                for (v, x) in vars[attr].iter_mut().enumerate() {
-                    *x = 0.03 + ((round + 2) * (v + 1) % 13) as f64 / 13.0;
-                }
-                if round % 2 == 0 {
-                    flat.refill_attr(&mut scratch, attr, &vars[attr], None);
-                } else {
-                    scratch.mark_attr_dirty(attr);
-                    flat.refresh_dirty_with(&mut scratch, |i| (vars[i].as_slice(), None));
-                }
-                sink += flat
-                    .derivs_prefilled(&a.multi, &vars[attr], None, attr, &mut scratch)
-                    .0;
-            }
-            sink += flat.eval_prefilled(&a.multi, &mut scratch);
-            flat.interval_products_prefilled(&mut scratch);
-            sink += flat.eval_from_interval_products(scratch.iprods(), &a.multi);
-        }
-    });
-    assert!(sink.is_finite());
-    assert_eq!(
-        allocs, 0,
-        "incremental refill path must not allocate, saw {allocs} allocations"
-    );
-}
-
-/// The fused multi-mask path allocates nothing against a warmed scratch:
-/// after one `eval_masked_many_with` warm-up (which sizes the lane-major
-/// slab buffers), further fused batches — including ones mixing masks and
-/// straddling the lane width — stay on the stack and the scratch.
-#[test]
-fn warmed_fused_path_allocates_nothing() {
+fn warmed_batch_allocates_nothing() {
     let (sizes, stats, a, mask) = model();
-    let flat = CompressedPolynomial::build(&sizes, &stats).unwrap();
     let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
-    let mut scratch = flat.make_scratch();
     let mut fscratch = fact.make_scratch();
     let identity = Mask::identity(sizes.len());
-    let masks: Vec<Mask> = (0..entropydb_core::polynomial::MAX_FUSED_LANES + 3)
-        .map(|i| {
-            if i % 2 == 0 {
-                identity.clone()
-            } else {
-                mask.clone()
-            }
-        })
-        .collect();
+    let masks: Vec<Mask> = (0..19).map(|i| [&identity, &mask][i % 2].clone()).collect();
     let mut out = vec![0.0; masks.len()];
-
-    // Warm-up sizes the lane-major fused buffers.
-    flat.eval_masked_many_with(&a, &masks, &mut scratch, &mut out);
     fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
 
     let mut sink = 0.0;
     let allocs = allocations_during(|| {
         for _ in 0..16 {
-            flat.eval_masked_many_with(&a, &masks, &mut scratch, &mut out);
-            sink += out.iter().sum::<f64>();
             fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
             sink += out.iter().sum::<f64>();
         }
@@ -231,7 +164,48 @@ fn warmed_fused_path_allocates_nothing() {
     assert!(sink.is_finite());
     assert_eq!(
         allocs, 0,
-        "steady-state fused evaluation must not allocate, saw {allocs} allocations"
+        "steady-state batch evaluation must not allocate, saw {allocs} allocations"
+    );
+}
+
+/// The guarantee does not stop at a model size: a 32 768-term closure (15
+/// nested same-pair rectangles, every subset of them compatible) under a
+/// four-thread budget allocates nothing once warmed.
+#[test]
+fn a_large_closure_allocates_nothing_under_a_thread_budget() {
+    let sizes = [4usize, 16];
+    let stats: Vec<MultiDimStatistic> = (0..15)
+        .map(|i| MultiDimStatistic::rect2d(AttrId(0), (0, 2), AttrId(1), (0, i)).unwrap())
+        .collect();
+    let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
+    let kernels = fact.size_stats();
+    assert_eq!(
+        (kernels.closure_components, kernels.num_terms),
+        (1, 1 << 15)
+    );
+    let mut a = VarAssignment::ones(&sizes, stats.len());
+    a.multi = (0..stats.len()).map(|j| 0.5 + j as f64 / 10.0).collect();
+    let pred = Predicate::new().between(AttrId(1), 2, 11);
+    let mask = Mask::from_predicate(&pred, &sizes).unwrap();
+    let mut fscratch = fact.make_scratch();
+    fact.eval_masked_with(&a, &mask, &mut fscratch);
+    fact.eval_with_attr_derivatives_with(&a, &mask, 1, &mut fscratch);
+
+    par::set_max_threads(4);
+    let mut sink = 0.0;
+    let allocs = allocations_during(|| {
+        for _ in 0..8 {
+            sink += fact.eval_masked_with(&a, &mask, &mut fscratch);
+            sink += fact
+                .eval_with_attr_derivatives_with(&a, &mask, 1, &mut fscratch)
+                .0;
+        }
+    });
+    par::set_max_threads(0);
+    assert!(sink.is_finite());
+    assert_eq!(
+        allocs, 0,
+        "a warmed large closure must not allocate, saw {allocs} allocations"
     );
 }
 
@@ -254,7 +228,7 @@ fn tree_star_stats() -> Vec<MultiDimStatistic> {
 
 /// The tree message-passing kernel keeps the same contract: the star
 /// above, warmed once, then every query entry point — scalar, rooted
-/// derivative pass on hub, leaves and the free attribute, fused-many —
+/// derivative pass on hub, leaves and the free attribute, a batch —
 /// allocates nothing.
 #[test]
 fn warmed_tree_kernel_allocates_nothing() {
@@ -270,12 +244,10 @@ fn warmed_tree_kernel_allocates_nothing() {
     );
     let mut fscratch = fact.make_scratch();
     let identity = Mask::identity(sizes.len());
-    let masks: Vec<Mask> = (0..entropydb_core::polynomial::MAX_FUSED_LANES + 3)
-        .map(|i| [&identity, &mask][i % 2].clone())
-        .collect();
+    let masks: Vec<Mask> = (0..19).map(|i| [&identity, &mask][i % 2].clone()).collect();
     let mut out = vec![0.0; masks.len()];
 
-    // Warm-up sizes the free attribute's closure buffers (fused lanes).
+    // Warm-up: one batch.
     fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
 
     let mut sink = 0.0;
@@ -335,7 +307,6 @@ fn tree_sweeps_allocate_nothing() {
             max_sweeps: sweeps,
             tolerance: 0.0, // never met: every sweep runs
             track_dual,
-            ..SolverConfig::default()
         };
         allocations_during(|| {
             let (_, report) = solve(&poly, &stats, &config).unwrap();

@@ -1,20 +1,20 @@
-//! Property suite for the fused multi-mask evaluation paths.
+//! Property suite for the batch paths.
 //!
-//! The fused kernel (`eval_masked_many_with`), the batch probes
-//! (`ProbabilityMany` / `CountMany`), the marginal cache, and the batch-partitioning `execute_batch` path all
-//! promise the same thing: answers **bitwise-identical** to sequential
-//! per-mask evaluation, on every backend and at every thread count. These
-//! tests exercise that promise on SplitMix64/StdRng-seeded random
-//! configurations (crates.io is unreachable, so no `proptest` — see
-//! `proptests.rs`).
+//! The batch probes (`ProbabilityMany` / `CountMany`, one wire line per
+//! batch, answered mask by mask) and the batch-partitioning
+//! `execute_batch` path both promise the same thing: answers
+//! **bitwise-identical** to sequential per-mask evaluation, on every
+//! backend and at every thread count. These tests exercise that promise on
+//! SplitMix64/StdRng-seeded random configurations (crates.io is
+//! unreachable, so no `proptest` — see `proptests.rs`).
 
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
+use entropydb_core::ingest::{IngestConfig, LiveSummary};
 use entropydb_core::plan::{QueryRequest, QueryResponse};
-use entropydb_core::polynomial::MAX_FUSED_LANES;
 use entropydb_core::prelude::*;
 use entropydb_core::sharded::{ShardedBuildConfig, ShardedSummary};
 use entropydb_core::statistics::{MultiDimStatistic, RangeClause};
-use entropydb_core::{assignment::VarAssignment, par, solver::SolverConfig};
+use entropydb_core::{par, solver::SolverConfig};
 use entropydb_storage::{AttrId, Attribute, Partitioning, Predicate, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,10 +66,10 @@ fn random_predicate(g: &mut StdRng, sizes: &[usize]) -> Predicate {
     p
 }
 
-/// A random mask batch mixing range masks, point masks, and the identity —
-/// sized to straddle the `MAX_FUSED_LANES` chunk boundary.
+/// A random batch of 1 to 39 masks mixing range masks, point masks, and
+/// the identity — more than one remote frame (32 masks) at the top end.
 fn random_masks(g: &mut StdRng, sizes: &[usize]) -> Vec<Mask> {
-    let count = g.gen_range(1..2 * MAX_FUSED_LANES + 8);
+    let count = g.gen_range(1..40);
     (0..count)
         .map(|_| match g.gen_range(0..4) {
             0 => Mask::identity(sizes.len()),
@@ -114,74 +114,9 @@ fn build_summary(table: &Table, stats: Vec<MultiDimStatistic>) -> MaxEntSummary 
         .unwrap()
 }
 
-/// Kernel level: `eval_masked_many_with` on the compressed and factorized
-/// polynomials is bitwise-identical to the sequential per-mask
-/// `eval_masked_with`, for arbitrary batch sizes straddling the lane
-/// width, across thread counts (one test fn — `par::set_max_threads` is
-/// process-global).
-#[test]
-fn fused_kernel_bitwise_matches_sequential_across_threads() {
-    let mut g = StdRng::seed_from_u64(71);
-    for _ in 0..48 {
-        let m = g.gen_range(2..5);
-        let sizes: Vec<usize> = (0..m).map(|_| g.gen_range(1..6)).collect();
-        let stats: Vec<MultiDimStatistic> = (0..g.gen_range(0..5))
-            .map(|_| random_stat(&mut g, &sizes))
-            .collect();
-        let assignment = VarAssignment {
-            one_dim: sizes
-                .iter()
-                .map(|&n| (0..n).map(|_| g.gen_range(0.0..2.0)).collect())
-                .collect(),
-            multi: (0..stats.len()).map(|_| g.gen_range(0.0..3.0)).collect(),
-        };
-        let comp = CompressedPolynomial::build(&sizes, &stats).unwrap();
-        let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
-        let masks = random_masks(&mut g, &sizes);
-
-        let mut cs = comp.make_scratch();
-        let mut fs = fact.make_scratch();
-        let seq_comp: Vec<u64> = masks
-            .iter()
-            .map(|mk| comp.eval_masked_with(&assignment, mk, &mut cs).to_bits())
-            .collect();
-        let seq_fact: Vec<u64> = masks
-            .iter()
-            .map(|mk| fact.eval_masked_with(&assignment, mk, &mut fs).to_bits())
-            .collect();
-
-        let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
-        for threads in [1usize, 2, 4, 8] {
-            par::set_max_threads(threads);
-            let mut out_c = vec![0.0; masks.len()];
-            comp.eval_masked_many_with(&assignment, &masks, &mut cs, &mut out_c);
-            let mut out_f = vec![0.0; masks.len()];
-            fact.eval_masked_many_with(&assignment, &masks, &mut fs, &mut out_f);
-            par::set_max_threads(0);
-            let bits_c: Vec<u64> = out_c.iter().map(|v| v.to_bits()).collect();
-            let bits_f: Vec<u64> = out_f.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                bits_c, seq_comp,
-                "compressed fused vs sequential @ {threads}"
-            );
-            assert_eq!(
-                bits_f, seq_fact,
-                "factorized fused vs sequential @ {threads}"
-            );
-            match &reference {
-                None => reference = Some((bits_c, bits_f)),
-                Some((rc, rf)) => {
-                    assert_eq!(&bits_c, rc, "thread-count variance (compressed)");
-                    assert_eq!(&bits_f, rf, "thread-count variance (factorized)");
-                }
-            }
-        }
-    }
-}
-
-/// Backend level: the batched primitives of the monolithic and sharded
-/// (1 and 4 shards) backends are bitwise-identical to the per-mask loop,
-/// across thread counts.
+/// Backend level: the batched primitives of the monolithic, sharded (1 and
+/// 4 shards) and live (over the 4 shards) backends are bitwise-identical to
+/// the per-mask loop, across thread counts.
 #[test]
 fn batched_backend_primitives_bitwise_match_loop_across_threads() {
     let mut g = StdRng::seed_from_u64(73);
@@ -202,53 +137,33 @@ fn batched_backend_primitives_bitwise_match_loop_across_threads() {
             )
             .unwrap();
             check_backend(&sharded, &masks);
-        }
-    }
-}
-
-/// Asserts the fused batch probes (`ProbabilityMany` / `CountMany`) equal
-/// the sequential per-mask loop bitwise on `backend`, at every thread count.
-fn check_backend<B: SummaryBackend>(backend: &B, masks: &[Mask]) {
-    let sequential = probes::per_mask_answers(backend, masks);
-    for threads in [1usize, 2, 4, 8] {
-        par::set_max_threads(threads);
-        let fused = probes::fused_answers(backend, masks);
-        par::set_max_threads(0);
-        assert_eq!(fused, sequential, "fused batch @ {threads} threads");
-    }
-}
-
-/// The marginal cache is answer-neutral: a point probe served from the
-/// cache returns exactly the bits of an uncached masked evaluation, and
-/// repeated probes are stable.
-#[test]
-fn marginal_cache_is_bitwise_neutral() {
-    let mut g = StdRng::seed_from_u64(74);
-    for _ in 0..12 {
-        let table = random_table(&mut g);
-        let sizes = table.schema().domain_sizes();
-        let stats = vec![random_stat(&mut g, &sizes)];
-        let summary = build_summary(&table, stats);
-        let poly = summary.polynomial();
-        let mut s = poly.make_scratch();
-        for (attr, &n) in sizes.iter().enumerate() {
-            for v in 0..n as u32 {
-                let pred = Predicate::new().eq(a(attr), v);
-                let mask = Mask::from_predicate(&pred, &sizes).unwrap();
-                // The uncached reference: a direct masked evaluation.
-                let expected = (poly.eval_masked_with(summary.assignment(), &mask, &mut s)
-                    / summary.p_full())
-                .clamp(0.0, 1.0);
-                let first = summary.probability(&pred).unwrap();
-                let second = summary.probability(&pred).unwrap();
-                assert_eq!(first.to_bits(), expected.to_bits(), "attr {attr} v {v}");
-                assert_eq!(second.to_bits(), expected.to_bits(), "attr {attr} v {v}");
+            if shards > 1 {
+                let config = IngestConfig {
+                    background: false,
+                    ..IngestConfig::default()
+                };
+                let live =
+                    LiveSummary::new(sharded, stats.clone(), SolverConfig::default(), config)
+                        .unwrap();
+                check_backend(&live, &masks);
             }
         }
     }
 }
 
-/// `execute_batch` partitions mask-level requests onto the fused path and
+/// Asserts the batch probes (`ProbabilityMany` / `CountMany`) equal the
+/// sequential per-mask loop bitwise on `backend`, at every thread count.
+fn check_backend<B: SummaryBackend>(backend: &B, masks: &[Mask]) {
+    let sequential = probes::per_mask_answers(backend, masks);
+    for threads in [1usize, 2, 4, 8] {
+        par::set_max_threads(threads);
+        let batched = probes::batched_answers(backend, masks);
+        par::set_max_threads(0);
+        assert_eq!(batched, sequential, "batch @ {threads} threads");
+    }
+}
+
+/// `execute_batch` partitions mask-level requests onto the batch probes and
 /// everything else onto the per-request path — element `i` stays exactly
 /// `execute(&requests[i])`, with per-request errors in place.
 #[test]
@@ -269,7 +184,7 @@ fn execute_batch_matches_execute_with_errors_in_place() {
             _ => QueryRequest::Sum { pred, attr: a(1) },
         });
     }
-    // Invalid requests of both fused kinds, in the middle of the batch.
+    // Invalid requests of both batched kinds, in the middle of the batch.
     requests.insert(
         5,
         QueryRequest::Probability {

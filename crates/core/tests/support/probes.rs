@@ -24,8 +24,8 @@ const DRAW: (usize, u64) = (40, 99);
 
 /// Forty masks over a schema of at least three attributes with at least
 /// three values each — more than one remote batch frame (32): the identity,
-/// a multi-attribute mask (the kernel), a single-attribute point mask (the
-/// marginal cache), an unsatisfiable one, and the last code of attribute 2
+/// a multi-attribute mask, a single-attribute point mask, an unsatisfiable
+/// one, and the last code of attribute 2
 /// and of attribute 1, in rotation. On the [`range_fixture`] those last two
 /// reach one shard and none.
 pub fn batch_masks(sizes: &[usize]) -> Vec<Mask> {
@@ -67,7 +67,8 @@ pub fn range_fixture() -> (Table, Partitioning, Vec<MultiDimStatistic>) {
 
 /// All seven variants: scalar probes over each kind of [`batch_masks`]
 /// mask, the batches whole and empty, and a sparse out-of-order draw
-/// beside the full one.
+/// beside the full one and the empty one (whose rows still carry the
+/// model's arity).
 pub fn probe_table(sizes: &[usize]) -> Vec<ProbeRequest> {
     let a = AttrId;
     let many = batch_masks(sizes);
@@ -124,6 +125,11 @@ pub fn probe_table(sizes: &[usize]) -> Vec<ProbeRequest> {
             k,
             seed,
             indices: (0..k as u64).collect(),
+        },
+        ProbeRequest::SampleAt {
+            k,
+            seed,
+            indices: vec![],
         },
     ]
 }
@@ -285,9 +291,9 @@ pub fn per_mask_answers<B: SummaryBackend>(backend: &B, masks: &[Mask]) -> Vec<S
 }
 
 /// What [`per_mask_answers`] returns, asked as one `ProbabilityMany` and
-/// one `CountMany` probe — bitwise equal when the fused path keeps its
+/// one `CountMany` probe — bitwise equal when the batch path keeps its
 /// promise.
-pub fn fused_answers<B: SummaryBackend>(backend: &B, masks: &[Mask]) -> Vec<String> {
+pub fn batched_answers<B: SummaryBackend>(backend: &B, masks: &[Mask]) -> Vec<String> {
     let masks = masks.to_vec();
     let ps = probe(
         backend,

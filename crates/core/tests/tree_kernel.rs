@@ -23,7 +23,7 @@
 
 use entropydb_core::assignment::{Mask, VarAssignment};
 use entropydb_core::naive::NaivePolynomial;
-use entropydb_core::polynomial::{CompressedPolynomial, Var, MAX_FUSED_LANES};
+use entropydb_core::polynomial::{CompressedPolynomial, Var};
 use entropydb_core::prelude::*;
 use entropydb_storage::{AttrId, Predicate};
 use rand::rngs::StdRng;
@@ -239,15 +239,13 @@ fn check_model(g: &mut StdRng, model: &Model) -> usize {
         }
     }
 
-    // Fused-many == scalar, bit for bit, across the lane boundary.
-    let many: Vec<Mask> = (0..MAX_FUSED_LANES + 3)
-        .map(|i| masks[i % masks.len()].clone())
-        .collect();
+    // A batch == its masks one at a time, bit for bit.
+    let many: Vec<Mask> = (0..19).map(|i| masks[i % masks.len()].clone()).collect();
     let mut out = vec![0.0; many.len()];
     fact.eval_masked_many_with(a, &many, &mut fs, &mut out);
-    for (mask, &fused) in many.iter().zip(&out) {
+    for (mask, &batched) in many.iter().zip(&out) {
         let scalar = fact.eval_masked_with(a, mask, &mut fs);
-        assert_eq!(fused.to_bits(), scalar.to_bits());
+        assert_eq!(batched.to_bits(), scalar.to_bits());
     }
     kernels.tree_components
 }
@@ -305,9 +303,12 @@ fn assert_closure_fallback(sizes: &[usize], stats: &[MultiDimStatistic]) {
             assert_eq!(derivs, d_flat);
         }
     }
-    let (mut out, mut out_flat) = (vec![0.0; masks.len()], vec![0.0; masks.len()]);
+    let mut out = vec![0.0; masks.len()];
     fact.eval_masked_many_with(&a, &masks, &mut fs, &mut out);
-    flat.eval_masked_many_with(&a, &masks, &mut cs, &mut out_flat);
+    let out_flat: Vec<f64> = masks
+        .iter()
+        .map(|mask| flat.eval_masked_with(&a, mask, &mut cs))
+        .collect();
     assert_eq!(out, out_flat);
 }
 

@@ -41,7 +41,6 @@ fn random_forests_fit_their_statistics() {
         max_sweeps: 2000,
         tolerance: 1e-9,
         track_dual: true,
-        ..SolverConfig::default()
     };
     let (mut on_tree, mut converged) = (0, 0);
     for shape in [Shape::Star, Shape::Chain, Shape::Forest] {

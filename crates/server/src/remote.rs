@@ -797,20 +797,20 @@ const PROBE_INDEX_CHUNK: usize = 8192;
 /// Masks per `ProbabilityMany`/`CountMany` frame. A mask is the heavy
 /// token (it spells out every bucket weight of every constrained
 /// attribute), so the chunk is small: 32 masks keep a batch line under the
-/// line cap even for domains in the thousands of buckets per attribute,
-/// while still amortizing the per-chunk fused slab traversal shard-side
-/// (2 × `MAX_FUSED_LANES`).
+/// serving layer's line cap (`MAX_LINE_BYTES`) even for domains in the
+/// thousands of buckets per attribute.
 const PROBE_MASK_CHUNK: usize = 32;
 
 /// Concatenates the replies to the frames of a batch or draw `request`, in
-/// order. A reply of the wrong variant is returned as it is — the caller's
-/// shape test rejects it.
-fn join(request: &ProbeRequest, replies: Vec<ProbeResponse>) -> ProbeResponse {
+/// order; a draw of no rows (no frame sent) has width `arity`. A reply of
+/// the wrong variant is returned as it is — the caller's shape test
+/// rejects it.
+fn join(request: &ProbeRequest, replies: Vec<ProbeResponse>, arity: usize) -> ProbeResponse {
     let mut joined = match request {
         ProbeRequest::ProbabilityMany { .. } => ProbeResponse::Probabilities(Vec::new()),
         ProbeRequest::CountMany { .. } => ProbeResponse::Estimates(Vec::new()),
         _ => ProbeResponse::Rows {
-            arity: 0,
+            arity,
             rows: Vec::new(),
         },
     };
@@ -914,7 +914,11 @@ impl ShardProbe for RemoteShard {
                 shard.receive(&lines, sent)?
             };
             let reply = match request.slots() {
-                Some(_) => join(request, replies),
+                // An empty draw is as wide as the cluster schema.
+                Some(_) => {
+                    let arity = shard.expected_schema.get().map_or(0, Schema::arity);
+                    join(request, replies, arity)
+                }
                 None => replies.pop().expect("one reply per frame"),
             };
             if !ask.answered_by(request, &reply) {

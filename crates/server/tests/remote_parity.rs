@@ -113,7 +113,7 @@ fn probe_table_is_bitwise_on_sharded_live_and_remote() {
 
         let masks = probes::batch_masks(local.domain_sizes());
         assert_eq!(
-            probes::fused_answers(&remote, &masks),
+            probes::batched_answers(&remote, &masks),
             probes::per_mask_answers(&remote, &masks)
         );
         probes::assert_sparse_sample_matches_full_draw(&QueryEngine::new(remote));
@@ -157,7 +157,7 @@ fn range_partitioned_cluster_prunes_and_stays_bitwise() {
     probes::assert_probe_parity(&local, &cached);
     let masks = probes::batch_masks(local.domain_sizes());
     assert_eq!(
-        probes::fused_answers(&remote, &masks),
+        probes::batched_answers(&remote, &masks),
         probes::per_mask_answers(&remote, &masks)
     );
     for handle in handles {
