@@ -12,22 +12,31 @@
 //! latency (≈ 40 µs of a 48 µs unconfined `ping` on the 2-vCPU development
 //! box). *Float codec*: one `QueryResponse::encode` of 54 flights-like
 //! group estimates (108 float tokens), the reply a group-by pays for.
+//! *Probe codec*: the `b1` lines a gateway sends its shards over a
+//! flights-shaped schema (domains 54/54/62/81) — the bytes of a point
+//! count, and one encode and one decode of a 16-mask `countm` batch
+//! (points and ranges alternating, a dashboard refresh).
 //!
 //! `BENCH_server.json` records group `server_soak`: round latency
 //! (median/p50/p99) of the served path at 256 clients x 8 pipelined
 //! requests, the throughput side-channel (`reactor_req_per_s`), and the
 //! soak shape; group `server_round_trip`: `ping_ns` / `point_ns` /
-//! `groupby_ns` per depth-1 round trip; and group `float_codec`:
-//! `encode_groups54_ns`. `bench_schema.json` gates the throughput with an
-//! absolute floor (`metric_floors`) and the round trips and the encode
-//! with absolute ceilings (`metric_ceilings`) — the encode's below what
-//! formatting the floats with `Display` costs.
+//! `groupby_ns` per depth-1 round trip; group `float_codec`:
+//! `encode_groups54_ns`; and group `probe_codec`: `point_count_bytes`,
+//! `countm16_encode_ns` and `countm16_decode_ns`. `bench_schema.json` gates
+//! the throughput with an absolute floor (`metric_floors`) and the round
+//! trips, the encodes, the decode and the point's bytes with absolute
+//! ceilings (`metric_ceilings`) — the float encode's below what formatting
+//! the floats with `Display` costs, the probe codec's below what spelling
+//! every mask weight out cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::report::mean_call_ns;
+use entropydb_core::assignment::Mask;
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::model::MaxEntSummary;
 use entropydb_core::plan::{QueryRequest, QueryResponse};
+use entropydb_core::probe::ProbeRequest;
 use entropydb_core::query::Estimate;
 use entropydb_core::solver::SolverConfig;
 use entropydb_server::{demo, serve, Client};
@@ -230,9 +239,65 @@ fn bench_float_codec(c: &mut Criterion) {
     c.record_metric("float_codec", "encode_groups54_ns", encode_ns);
 }
 
+/// Domain sizes of the flights attributes a point query pins: origin,
+/// dest, fl_time, distance.
+const FLIGHTS_DOMAINS: [usize; 4] = [54, 54, 62, 81];
+
+/// The point count mask `i` of the probe codec: every attribute pinned.
+fn point_mask(i: u32) -> Mask {
+    let pred = (0..4).fold(Predicate::new(), |pred, attr| {
+        let code = (i * 7 + 13 * attr as u32 + 20) % FLIGHTS_DOMAINS[attr] as u32;
+        pred.eq(AttrId(attr), code)
+    });
+    Mask::from_predicate(&pred, &FLIGHTS_DOMAINS).expect("point mask")
+}
+
+/// The range count mask `i`: fl_time and distance between two codes.
+fn range_mask(i: u32) -> Mask {
+    let pred = Predicate::new()
+        .between(AttrId(2), 3 + i, 30 + 2 * i)
+        .between(AttrId(3), 10 + i, 50 + i);
+    Mask::from_predicate(&pred, &FLIGHTS_DOMAINS).expect("range mask")
+}
+
+fn bench_probe_codec(c: &mut Criterion) {
+    let point = ProbeRequest::Count {
+        mask: point_mask(0),
+    };
+    let batch = ProbeRequest::CountMany {
+        masks: (0..16)
+            .map(|i| match i % 2 {
+                0 => point_mask(i),
+                _ => range_mask(i),
+            })
+            .collect(),
+    };
+    let line = batch.encode();
+    assert_eq!(ProbeRequest::decode(&line).expect("decode"), batch);
+
+    let mut g = c.benchmark_group("probe_codec");
+    g.bench_function("countm16_encode", |b| b.iter(|| black_box(&batch).encode()));
+    g.bench_function("countm16_decode", |b| {
+        b.iter(|| ProbeRequest::decode(black_box(&line)))
+    });
+    g.finish();
+
+    let calls = if fast_mode() { 2_000 } else { 200_000 };
+    let encode_ns = mean_call_ns(calls, || {
+        black_box(black_box(&batch).encode());
+    });
+    let decode_ns = mean_call_ns(calls, || {
+        black_box(ProbeRequest::decode(black_box(&line)).expect("decode"));
+    });
+    let point_bytes = point.encode().len();
+    c.record_metric("probe_codec", "point_count_bytes", point_bytes as f64);
+    c.record_metric("probe_codec", "countm16_encode_ns", encode_ns);
+    c.record_metric("probe_codec", "countm16_decode_ns", decode_ns);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(4)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_server_soak, bench_server_round_trip, bench_float_codec
+    targets = bench_server_soak, bench_server_round_trip, bench_float_codec, bench_probe_codec
 }
 criterion_main!(benches);

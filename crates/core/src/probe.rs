@@ -31,7 +31,7 @@
 //!           | "sum" attr nvalues value* mask
 //!           | "group" attr mask
 //!           | "sample" k seed n index*
-//! mask     := "m" arity ( "i" | "w" len weight* )*
+//! mask     := "m" arity ( "i" | "w" len weight* | "r" len nruns (lo hi)* )*
 //!
 //! response := "c1" payload
 //! payload  := "prob" f               | "est" expectation variance
@@ -55,16 +55,35 @@
 //! the rows the gatherer's stratification assigned to it, and a full draw
 //! is the same probe over `0..k`.
 //!
+//! A mask item is `i` for an unconstrained attribute, or one weight vector
+//! in either of two spellings. `w` lists every weight. `r` lists the runs
+//! of ones of a vector whose every weight is bitwise `0.0` or `1.0` — the
+//! only kind a predicate builds (Sec. 4.2) — as inclusive code ranges,
+//! strictly ascending and maximal (at least one zero between two runs),
+//! with `len ≤` [`WIRE_PREALLOC_CAP`]. The encoder writes `r` whenever it
+//! is no longer than `w` for the same weights and `len` is within that
+//! cap, so `r 81 1 40 40` stands for an 81-bucket point where `w` would
+//! spend 166 bytes; the decoder reads both, and refuses a non-canonical run
+//! list before allocating.
+//!
 //! Every probe is one wire line, so a single probe's encoding must fit the
-//! serving layer's line cap (`MAX_LINE_BYTES`, 1 MiB): one mask costs a
-//! few bytes per constrained-attribute bucket, comfortably within the cap
-//! for domains into the tens of thousands of buckets per attribute.
+//! serving layer's line cap ([`MAX_LINE_BYTES`], 1 MiB). A predicate mask
+//! costs a few bytes per run; the longest a mask ever gets is its `w` form,
+//! a few bytes per constrained-attribute bucket, comfortably within the cap
+//! for domains into the tens of thousands of buckets per attribute. The
+//! `r` items of one line together expand to at most `MAX_LINE_BYTES / 2`
+//! weights — what a `w` line under the cap can carry, two bytes a weight —
+//! so a few bytes of runs never allocate more than listing the weights
+//! would, and every line whose `w` form fits the cap decodes as `r` too.
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::plan::{push_estimate, read_estimate};
 use crate::query::Estimate;
-use crate::wire::{decode_refusal, encode_refusal, push_f64, wire_error, TokenReader};
+use crate::wire::{
+    decode_refusal, encode_refusal, push_f64, wire_error, TokenReader, MAX_LINE_BYTES,
+    WIRE_PREALLOC_CAP,
+};
 use entropydb_storage::AttrId;
 use std::cell::OnceCell;
 use std::fmt::Write as _;
@@ -147,20 +166,33 @@ pub enum ProbeResponse {
 impl ProbeRequest {
     /// Checks the request's shapes against a backend's active-domain
     /// sizes: mask arity and weight-vector lengths, attribute bounds, the
-    /// SUM value-vector length, and sample indices `< k`. Probes bypass the
-    /// engine's predicate validation by design, so this runs wherever
-    /// outside bytes enter ([`QueryEngine::probe`](crate::engine::QueryEngine::probe))
-    /// and in the leaf that indexes by these shapes
+    /// SUM value-vector length, and sample indices `< k` — and that every
+    /// mask weight is finite and non-negative (a `NaN`, infinite or
+    /// negative weight has no meaning as a mask and would be answered as a
+    /// silent `0` or `n`). Probes bypass the engine's predicate validation
+    /// by design, so this runs wherever outside bytes enter
+    /// ([`QueryEngine::probe`](crate::engine::QueryEngine::probe)) and in
+    /// the leaf that indexes by these shapes
     /// ([`MaxEntSummary`](crate::model::MaxEntSummary)'s `probe`).
     pub fn validate(&self, sizes: &[usize]) -> Result<()> {
         let shape = |ok: bool| ok.then_some(()).ok_or(ModelError::ShapeMismatch);
+        // Counted, not `all`-ed: the count vectorizes, and every probe
+        // pays this scan.
+        let bad_weights = |w: &[f64]| w.iter().filter(|x| !(0.0..=f64::MAX).contains(*x)).count();
         let check_mask = |mask: &Mask| {
-            shape(
-                mask.arity() == sizes.len()
-                    && sizes.iter().enumerate().all(|(attr, &size)| {
-                        mask.attr_weights(attr).is_none_or(|w| w.len() == size)
-                    }),
-            )
+            shape(mask.arity() == sizes.len())?;
+            for (attr, &size) in sizes.iter().enumerate() {
+                let Some(w) = mask.attr_weights(attr) else {
+                    continue;
+                };
+                shape(w.len() == size)?;
+                if bad_weights(w) > 0 {
+                    return Err(ModelError::NumericalFailure(
+                        "mask weights must be finite and non-negative",
+                    ));
+                }
+            }
+            Ok(())
         };
         match self {
             ProbeRequest::Probability { mask } | ProbeRequest::Count { mask } => check_mask(mask),
@@ -291,15 +323,17 @@ impl ProbeRequest {
         let mut r = TokenReader::new(line);
         r.expect("b1")?;
         let op = r.next("probe op")?;
+        let mut budget = RUN_WEIGHT_BUDGET;
+        let mut mask = |r: &mut TokenReader<'_>| decode_mask(r, &mut budget);
         let req = match op {
             "prob" => ProbeRequest::Probability {
-                mask: decode_mask(&mut r)?,
+                mask: mask(&mut r)?,
             },
             "count" => ProbeRequest::Count {
-                mask: decode_mask(&mut r)?,
+                mask: mask(&mut r)?,
             },
             "probm" | "countm" => {
-                let masks = r.list("mask count", decode_mask)?;
+                let masks = r.list("mask count", mask)?;
                 if op == "probm" {
                     ProbeRequest::ProbabilityMany { masks }
                 } else {
@@ -310,14 +344,14 @@ impl ProbeRequest {
                 let attr = AttrId(r.parse("attr")?);
                 let values = r.list("value count", |r| r.f64("value"))?;
                 ProbeRequest::Sum {
-                    mask: decode_mask(&mut r)?,
+                    mask: mask(&mut r)?,
                     attr,
                     values,
                 }
             }
             "group" => ProbeRequest::GroupBy {
                 attr: AttrId(r.parse("attr")?),
-                mask: decode_mask(&mut r)?,
+                mask: mask(&mut r)?,
             },
             "sample" => {
                 let k: usize = r.parse("k")?;
@@ -488,30 +522,179 @@ impl<'a> SharedEncoding<'a> {
     }
 }
 
+/// The runs of ones of a weight vector whose every weight is bitwise `0.0`
+/// or `1.0` — what every predicate mask is made of — as inclusive `(lo,
+/// hi)` code ranges, ascending and maximal. The `r` mask item and the
+/// gather cache's key ([`crate::scatter`]) both spell such a vector by its
+/// runs, so the one test of "0/1, and these are its runs" is this.
+pub(crate) struct UnitRuns<'a> {
+    weights: &'a [f64],
+    /// Where the scan for the next run starts.
+    at: usize,
+    /// Runs not yet yielded.
+    left: usize,
+}
+
+impl<'a> UnitRuns<'a> {
+    /// `None` unless every weight is bitwise `0.0` or `1.0` (`-0.0` is not:
+    /// it must travel, and be keyed, as the bits it is).
+    pub(crate) fn of(weights: &'a [f64]) -> Option<Self> {
+        const ONE: u64 = 1.0f64.to_bits();
+        // Branch-free: this scan runs on every probe encode and cache claim.
+        let (mut unit, mut left, mut prev) = (true, 0, false);
+        for &w in weights {
+            let bits = w.to_bits();
+            let one = bits == ONE;
+            unit &= one | (bits == 0);
+            // A one after a zero, or first, opens a run.
+            left += usize::from(one & !prev);
+            prev = one;
+        }
+        unit.then_some(UnitRuns {
+            weights,
+            at: 0,
+            left,
+        })
+    }
+}
+
+impl Iterator for UnitRuns<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.left == 0 {
+            return None;
+        }
+        let zeros = self.weights[self.at..]
+            .iter()
+            .take_while(|w| w.to_bits() == 0);
+        let lo = self.at + zeros.count();
+        let ones = self.weights[lo..].iter().take_while(|w| w.to_bits() != 0);
+        let hi = lo + ones.count() - 1;
+        self.at = hi + 1;
+        self.left -= 1;
+        Some((lo, hi))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for UnitRuns<'_> {}
+
+/// Appends a space and `x` in decimal, the bytes `write!(out, " {x}")`
+/// appends. A mask's integer tokens are the bulk of an `r` line, and
+/// `write!` made the 16-mask `countm` encode of `benches/server.rs` cost
+/// 7 900–9 400 ns against 4 300–7 000 with this (three alternating pairs,
+/// same build otherwise, on a shared 2-vCPU host).
+fn push_count(out: &mut String, x: usize) {
+    fn digits(out: &mut String, x: usize) {
+        if x >= 10 {
+            digits(out, x / 10);
+        }
+        out.push(char::from(b'0' + (x % 10) as u8));
+    }
+    out.push(' ');
+    digits(out, x);
+}
+
 fn encode_mask(out: &mut String, mask: &Mask) {
-    let _ = write!(out, "m {}", mask.arity());
+    out.push('m');
+    push_count(out, mask.arity());
     for attr in 0..mask.arity() {
         match mask.attr_weights(attr) {
             None => out.push_str(" i"),
-            Some(w) => {
-                let _ = write!(out, " w {}", w.len());
-                for &x in w {
-                    out.push(' ');
-                    push_f64(out, x);
-                }
-            }
+            Some(w) => encode_weights(out, w),
         }
     }
 }
 
-fn decode_mask(r: &mut TokenReader<'_>) -> Result<Mask> {
+/// One weight vector as `r` when that is no longer than `w` and its length
+/// is one the decoder reads as `r`, else as `w`.
+fn encode_weights(out: &mut String, w: &[f64]) {
+    let start = out.len();
+    let runs = (w.len() <= WIRE_PREALLOC_CAP)
+        .then(|| UnitRuns::of(w))
+        .flatten();
+    if let Some(runs) = runs {
+        out.push_str(" r");
+        push_count(out, w.len());
+        // `w` spends the same head, then two bytes a 0/1 weight.
+        let w_form = out.len() - start + 2 * w.len();
+        push_count(out, runs.len());
+        for (lo, hi) in runs {
+            push_count(out, lo);
+            push_count(out, hi);
+        }
+        if out.len() - start <= w_form {
+            return;
+        }
+        out.truncate(start);
+    }
+    out.push_str(" w");
+    push_count(out, w.len());
+    for &x in w {
+        out.push(' ');
+        push_f64(out, x);
+    }
+}
+
+/// The most weights the `r` items of one line may expand to together: what
+/// a `w` line under [`MAX_LINE_BYTES`] can carry, a `0`/`1` weight and its
+/// space being two bytes.
+const RUN_WEIGHT_BUDGET: usize = MAX_LINE_BYTES as usize / 2;
+
+/// One mask; its `r` items draw on `budget`, the weights the line's `r`
+/// items may still expand to.
+fn decode_mask(r: &mut TokenReader<'_>, budget: &mut usize) -> Result<Mask> {
     r.expect("m")?;
     let weights = r.list("mask arity", |r| match r.next("mask item")? {
         "i" => Ok(None),
         "w" => Ok(Some(r.list("weight count", |r| r.f64("weight"))?)),
+        "r" => decode_runs(r, budget).map(Some),
         other => Err(wire_error(format!("unknown mask item {other:?}"))),
     })?;
     Ok(Mask::from_weights(weights))
+}
+
+/// The weights of an `r len nruns (lo hi)*` item. The length and the whole
+/// run list are checked before the vector is allocated: `len` at most
+/// [`WIRE_PREALLOC_CAP`] and within what is left of `budget`, runs in
+/// `0..len`, strictly ascending and maximal.
+fn decode_runs(r: &mut TokenReader<'_>, budget: &mut usize) -> Result<Vec<f64>> {
+    let len: usize = r.parse("run mask length")?;
+    if len > WIRE_PREALLOC_CAP {
+        return Err(r.error(format!("run mask length {len} exceeds {WIRE_PREALLOC_CAP}")));
+    }
+    *budget = budget.checked_sub(len).ok_or_else(|| {
+        r.error(format!(
+            "run masks of one line expand to more than {RUN_WEIGHT_BUDGET} weights"
+        ))
+    })?;
+    let nruns: usize = r.parse("run count")?;
+    let run = |r: &mut TokenReader<'_>| -> Result<(usize, usize)> {
+        Ok((r.parse("run lo")?, r.parse("run hi")?))
+    };
+    // The runs are read twice: checked, then (all of them good) filled in.
+    let mut fill = r.clone();
+    // The lowest code the next run may start at: one past a zero.
+    let mut next = 0;
+    for _ in 0..nruns {
+        let (lo, hi) = run(r)?;
+        if lo < next || hi < lo || hi >= len {
+            return Err(r.error(format!(
+                "run {lo} {hi} of a {len}-code mask is not in range, ascending and maximal"
+            )));
+        }
+        next = hi + 2;
+    }
+    let mut weights = vec![0.0; len];
+    for _ in 0..nruns {
+        let (lo, hi) = run(&mut fill)?;
+        weights[lo..=hi].fill(1.0);
+    }
+    Ok(weights)
 }
 
 fn unexpected_shape() -> ModelError {

@@ -57,7 +57,7 @@ use crate::assignment::Mask;
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::metrics::{CacheCounters, CacheStatsSnapshot};
 use crate::par;
-use crate::probe::{ProbeRequest, ProbeResponse};
+use crate::probe::{ProbeRequest, ProbeResponse, UnitRuns};
 use crate::query::Estimate;
 use entropydb_storage::{AttrId, Schema};
 use std::borrow::{Borrow, Cow};
@@ -291,12 +291,21 @@ const TAG_COUNT: u8 = 2;
 const TAG_SUM: u8 = 3;
 const TAG_GROUP_BY: u8 = 4;
 
+// Per-attribute mask tags of the key: unconstrained, a weight vector as
+// bits, a 0/1 weight vector as its runs of ones.
+const KEY_IDENTITY: u8 = 0;
+const KEY_BITS: u8 = 1;
+const KEY_RUNS: u8 = 2;
+
 /// The shard-independent part of a cache key: a compact binary form of
-/// the canonical `b1` probe encoding (op tag, arguments, then the mask as
-/// per-attribute identity flags or `f64::to_bits` weight vectors). Floats
-/// round-trip the wire bit-exactly, so two probes get the same body
-/// exactly when their wire lines are identical — the key *is* the
-/// canonical wire form, just pre-hashed and byte-packed.
+/// the canonical `b1` probe encoding (op tag, arguments, then the mask per
+/// attribute: unconstrained, a 0/1 vector as its length and runs of ones —
+/// the runs the `r` item sends — or any other vector as `f64::to_bits`
+/// words). Floats round-trip the wire bit-exactly and a 0/1 vector is
+/// exactly its runs, so two probes get the same body exactly when their
+/// masks and arguments are bitwise equal — the key *is* the canonical
+/// wire form, just pre-hashed and byte-packed, and a point mask keys in
+/// tens of bytes, not 8 a bucket.
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeKeyBody {
     bytes: Arc<Vec<u8>>,
@@ -336,13 +345,28 @@ impl ProbeKeyBody {
 
     /// Appends the mask to the op tag + arguments and hashes the body.
     fn finish(mut bytes: Vec<u8>, mask: &Mask) -> ProbeKeyBody {
-        bytes.extend_from_slice(&(mask.arity() as u32).to_le_bytes());
+        let push = |bytes: &mut Vec<u8>, x: usize| {
+            bytes.extend_from_slice(&(x as u32).to_le_bytes());
+        };
+        push(&mut bytes, mask.arity());
         for attr in 0..mask.arity() {
-            match mask.attr_weights(attr) {
-                None => bytes.push(0),
-                Some(weights) => {
-                    bytes.push(1);
-                    bytes.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+            let Some(weights) = mask.attr_weights(attr) else {
+                bytes.push(KEY_IDENTITY);
+                continue;
+            };
+            match UnitRuns::of(weights) {
+                Some(runs) => {
+                    bytes.push(KEY_RUNS);
+                    push(&mut bytes, weights.len());
+                    push(&mut bytes, runs.len());
+                    for (lo, hi) in runs {
+                        push(&mut bytes, lo);
+                        push(&mut bytes, hi);
+                    }
+                }
+                None => {
+                    bytes.push(KEY_BITS);
+                    push(&mut bytes, weights.len());
                     for &w in weights {
                         bytes.extend_from_slice(&w.to_bits().to_le_bytes());
                     }

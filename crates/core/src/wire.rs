@@ -37,6 +37,11 @@ mod d2s;
 /// are still exact (a short line fails with "unexpected end of line").
 pub const WIRE_PREALLOC_CAP: usize = 1 << 16;
 
+/// Largest request line (bytes, newline included) a session will buffer.
+/// Bounds the per-session read buffer against newline-free streams; any
+/// legitimate request is far smaller (predicates over coded domains).
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
+
 /// An empty vector for `n` announced items, `n` being untrusted: a few
 /// bytes from a peer or a disk must not be able to reserve terabytes.
 pub fn counted<T>(n: usize) -> Vec<T> {

@@ -119,9 +119,18 @@ fn check_served<B: SummaryBackend>(backend: B) {
     probes::assert_sparse_sample_matches_full_draw(&engine);
 
     // Malformed shapes are rejected, not misanswered — where outside bytes
-    // enter, and again by the backend itself.
+    // enter, and again by the backend itself. A mask weight must be finite
+    // and non-negative: a NaN used to answer 0, an infinity n.
     let mask = Mask::identity(sizes.len());
-    for bad in [
+    let weighing = |x: f64| {
+        let mut weights = vec![None; sizes.len()];
+        weights[0] = Some(vec![x, 1.0, 0.0]);
+        ProbeRequest::Count {
+            mask: Mask::from_weights(weights),
+        }
+    };
+    let bad_weights = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0, -1e-300];
+    for bad in bad_weights.map(weighing).into_iter().chain([
         ProbeRequest::Probability {
             mask: Mask::identity(sizes.len() + 1),
         },
@@ -139,8 +148,10 @@ fn check_served<B: SummaryBackend>(backend: B) {
             seed: 1,
             indices: vec![5],
         },
-    ] {
+    ]) {
         assert!(engine.probe(&bad).is_err(), "{bad:?}");
+        let wire = ProbeRequest::decode(&bad.encode()).unwrap();
+        assert!(engine.probe(&wire).is_err(), "{}", bad.encode());
         let backend = engine.backend();
         let direct = backend.probe(&bad, &mut backend.make_scratch());
         assert!(direct.is_err(), "{bad:?}");

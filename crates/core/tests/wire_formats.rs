@@ -219,7 +219,8 @@ fn sync_ingest() -> IngestConfig {
 
 type Decoder = fn(&str) -> bool;
 
-/// The encoded five-clause predicate and two-attribute mask of `wire_lines`.
+/// The encoded five-clause predicate and two-attribute mask of `wire_lines`
+/// (a predicate mask: each attribute's runs of ones).
 macro_rules! p5 {
     () => {
         "p 5 0 pt 3 1 rng 2 5 2 set 2 1 7 3 n 4 a"
@@ -227,7 +228,7 @@ macro_rules! p5 {
 }
 macro_rules! m {
     () => {
-        "m 2 w 3 0 1 0 w 4 0 1 1 0"
+        "m 2 r 3 1 1 1 r 4 1 1 2"
     };
 }
 
@@ -247,6 +248,11 @@ fn wire_lines() -> Vec<(String, &'static str, Decoder, &'static [usize])> {
     let mask = Mask::from_predicate(&Predicate::new().eq(a(0), 1).between(a(1), 1, 2), &[3, 4]);
     let mask = mask.unwrap();
     let half = Mask::from_predicate(&Predicate::new().eq(a(0), 1), &[3, 4]).unwrap();
+    // Weights that are not all 0/1, and 0/1 weights whose runs cost more.
+    let weighted = Mask::from_weights(vec![
+        Some(vec![1.0, 0.0, 1.0, 0.0, 1.0]),
+        Some(vec![0.5, -0.0, 2.0]),
+    ]);
     let q: Decoder = |l| QueryRequest::decode(l).is_ok();
     let r: Decoder = |l| QueryResponse::decode(l).is_ok();
     let b: Decoder = |l| ProbeRequest::decode(l).is_ok();
@@ -350,15 +356,21 @@ fn wire_lines() -> Vec<(String, &'static str, Decoder, &'static [usize])> {
         ),
         (
             ProbeRequest::Probability { mask: half }.encode(),
-            "b1 prob m 2 w 3 0 1 0 i",
+            "b1 prob m 2 r 3 1 1 1 i",
             b,
-            &[3, 5],
+            &[3, 5, 6],
         ),
         (
             ProbeRequest::Count { mask: mask.clone() }.encode(),
             concat!("b1 count ", m!()),
             b,
-            &[3, 5, 10],
+            &[3, 5, 6, 10, 11],
+        ),
+        (
+            ProbeRequest::Count { mask: weighted }.encode(),
+            "b1 count m 2 w 5 1 0 1 0 1 w 3 0.5 -0 2",
+            b,
+            &[3, 5, 12],
         ),
         (
             ProbeRequest::ProbabilityMany {
@@ -463,6 +475,33 @@ fn golden_bytes_for_every_wire_line() {
         ProbeResponse::encode_error(&ModelError::Busy("queue full".into())),
         "c1 busy queue full"
     );
+}
+
+/// Predicate masks were written as `w` items before the `r` item existed;
+/// those lines still decode, to the masks that now travel as runs.
+#[test]
+fn weight_spelled_predicate_masks_still_decode() {
+    let lines = wire_lines();
+    let current = |prefix: &str| {
+        let (_, line, ..) = lines
+            .iter()
+            .find(|(_, l, ..)| l.starts_with(prefix))
+            .unwrap();
+        ProbeRequest::decode(line).unwrap()
+    };
+    for (old, now) in [
+        ("b1 prob m 2 w 3 0 1 0 i", "b1 prob "),
+        ("b1 count m 2 w 3 0 1 0 w 4 0 1 1 0", "b1 count m 2 r"),
+        (
+            "b1 sum 1 4 1.5 2.5 3.5 4.5 m 2 w 3 0 1 0 w 4 0 1 1 0",
+            "b1 sum ",
+        ),
+        ("b1 group 0 m 2 w 3 0 1 0 w 4 0 1 1 0", "b1 group "),
+    ] {
+        let decoded = ProbeRequest::decode(old).unwrap();
+        assert_eq!(decoded, current(now), "{old}");
+        assert!(decoded.encode().starts_with(now), "{old}");
+    }
 }
 
 #[test]

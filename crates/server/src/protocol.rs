@@ -44,10 +44,7 @@ pub const MAX_BATCH: usize = 1 << 16;
 /// oversized ones on the error channel instead of attempting them.
 pub const MAX_SAMPLE_ROWS: usize = 1 << 20;
 
-/// Largest request line (bytes, newline included) a session will buffer.
-/// Bounds the per-session read buffer against newline-free streams; any
-/// legitimate request is far smaller (predicates over coded domains).
-pub const MAX_LINE_BYTES: u64 = 1 << 20;
+pub use entropydb_core::wire::MAX_LINE_BYTES;
 
 /// Largest row count a single `a1` append line may carry. Bounds the
 /// staging work one wire line can demand, mirroring [`MAX_BATCH`] for

@@ -794,11 +794,13 @@ type Attempt<R> = (Client, ClientResultAlias<R>);
 /// bytes per index) against the serving layer's `MAX_LINE_BYTES` (1 MiB).
 const PROBE_INDEX_CHUNK: usize = 8192;
 
-/// Masks per `ProbabilityMany`/`CountMany` frame. A mask is the heavy
-/// token (it spells out every bucket weight of every constrained
-/// attribute), so the chunk is small: 32 masks keep a batch line under the
-/// serving layer's line cap (`MAX_LINE_BYTES`) even for domains in the
-/// thousands of buckets per attribute.
+/// Masks per `ProbabilityMany`/`CountMany` frame. A predicate mask travels
+/// as its runs of ones (the `r` item), tens of bytes; the bound is set by
+/// the `w` item, which spells out every bucket weight of every constrained
+/// attribute and is the longest a mask is ever encoded: 32 such masks keep
+/// a batch line under the serving layer's line cap (`MAX_LINE_BYTES`) even
+/// for domains in the thousands of buckets per attribute, and so within
+/// the weights the decoder lets one line's `r` items expand to.
 const PROBE_MASK_CHUNK: usize = 32;
 
 /// Concatenates the replies to the frames of a batch or draw `request`, in
