@@ -5,14 +5,14 @@
 //! faster than sampling on the large dataset. Here we measure, on the
 //! Ent1&2&3 flights summary (a star of pairs, answered by the tree
 //! message-passing kernel): point queries, range queries, batched group-by
-//! and a 16-query batch, gated as absolute nanosecond ceilings — and two
-//! ablations: answering a range query by masked evaluation (Sec. 4.2)
-//! versus expanding it into point queries (Eq. 20), and EntropyDB versus a
-//! uniform sample scan. The `cyclic_closure` group guards the closure
-//! kernel the same way, with absolute ceilings: on a *cyclic* three-pair
-//! summary (which no tree pass can answer) it times one point query and
-//! the 16-mask batch — the dashboard-refresh shape, one masked evaluation
-//! per mask.
+//! and a 16-query batch (two 8-lane tree walks), gated as absolute
+//! nanosecond ceilings — and two ablations: answering a range query by
+//! masked evaluation (Sec. 4.2) versus expanding it into point queries
+//! (Eq. 20), and EntropyDB versus a uniform sample scan. The
+//! `cyclic_closure` group guards the closure kernel the same way, with
+//! absolute ceilings: on a *cyclic* three-pair summary (which no tree pass
+//! can answer) it times one point query and the 16-mask batch — the
+//! dashboard-refresh shape, one closure walk per mask.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::common;
@@ -180,8 +180,8 @@ fn bench_point_expansion(c: &mut Criterion) {
 }
 
 /// The closure kernel on the cyclic summary: one point query and the
-/// 16-mask `CountMany` batch, answered mask by mask, as probes against one
-/// scratch. A change that slows the closure's one pass fails their
+/// 16-mask `CountMany` batch, one closure walk per mask, as probes against
+/// one scratch. A change that slows the closure's one pass fails their
 /// ceilings.
 fn bench_cyclic_closure(c: &mut Criterion) {
     let (d, summary, _) = setup(true);

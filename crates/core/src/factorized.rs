@@ -23,8 +23,9 @@
 //! ## One kernel per component, chosen at build
 //!
 //! A component holds exactly one `Kernel`, and the two query passes
-//! ([`FactorizedPolynomial::eval_masked_with`] — once per mask of a batch —
-//! and [`FactorizedPolynomial::eval_with_attr_derivatives_with`]) and
+//! ([`FactorizedPolynomial::eval_masked_many_with`], of which a single
+//! mask is a batch of one, and
+//! [`FactorizedPolynomial::eval_with_attr_derivatives_with`]) and
 //! [`crate::solver`]'s sweeps all run on it:
 //!
 //! * **tree** (`crate::tree`) — a leaf-to-root sum-product pass costing
@@ -32,10 +33,11 @@
 //!   pair plus one multiply-add per rectangle. A component qualifies when
 //!   all its statistics are 2-D, its attribute-pair graph is acyclic, its
 //!   same-pair rectangles are pairwise disjoint, and the pass touches
-//!   fewer cells than the closure has terms and slab cells.
+//!   fewer cells than the closure has terms and slab cells. A batch of
+//!   masks shares the walk in lanes of up to eight masks.
 //! * **closure** ([`CompressedPolynomial`]) — the Theorem 4.1 term walk,
-//!   `O(#terms · factors)`, for everything else: a cycle of pairs, a
-//!   statistic on three or more attributes, overlapping same-pair
+//!   `O(#terms · factors)` once per mask, for everything else: a cycle of
+//!   pairs, a statistic on three or more attributes, overlapping same-pair
 //!   rectangles, no statistics at all, or a closure so small (a wide star
 //!   with one rectangle per pair) that walking it is the cheaper pass.
 //!
@@ -132,6 +134,15 @@ struct CompScratch {
     local_multi: Vec<f64>,
     /// The component's value from the last evaluation pass.
     val: f64,
+}
+
+impl CompScratch {
+    /// Gathers the component's multi values from the global assignment.
+    fn gather_multi(&mut self, c: &Component, a: &VarAssignment) {
+        for (slot, &g) in self.local_multi.iter_mut().zip(&c.multis) {
+            *slot = a.multi[g];
+        }
+    }
 }
 
 /// Reusable workspace for evaluating a [`FactorizedPolynomial`]: one set of
@@ -356,16 +367,18 @@ impl FactorizedPolynomial {
         derivs_of: Option<usize>,
         cs: &mut CompScratch,
     ) -> f64 {
-        for (slot, &g) in cs.local_multi.iter_mut().zip(&c.multis) {
-            *slot = a.multi[g];
-        }
+        cs.gather_multi(c, a);
         let get = |li: usize| {
             let g = c.attrs[li];
             (a.one_dim[g].as_slice(), mask.attr_weights(g))
         };
         match (&c.kernel, &mut cs.kernel) {
             (Kernel::Tree(tree), KernelScratch::Tree(ts)) => {
-                tree.pass(derivs_of.unwrap_or(0), &cs.local_multi, get, ts)
+                let get = |li: usize| {
+                    let (vals, weights) = get(li);
+                    (vals, [weights])
+                };
+                tree.pass(derivs_of.unwrap_or(0), &cs.local_multi, get, ts)[0]
             }
             (Kernel::Closure(poly), KernelScratch::Closure(eval)) => {
                 poly.fill_scratch_with(eval, get);
@@ -396,24 +409,25 @@ impl FactorizedPolynomial {
         self.eval_masked_with(a, mask, &mut self.make_scratch())
     }
 
-    /// Allocation-free masked evaluation.
+    /// Allocation-free masked evaluation: a batch of one mask.
     pub fn eval_masked_with(
         &self,
         a: &VarAssignment,
         mask: &Mask,
         fs: &mut FactorizedScratch,
     ) -> f64 {
-        debug_assert!(self.check_shape(a).is_ok());
-        debug_assert_eq!(fs.comps.len(), self.components.len());
-        for (c, cs) in self.components.iter().zip(&mut fs.comps) {
-            cs.val = Self::eval_component(c, a, mask, None, cs);
-        }
-        fs.comps.iter().map(|cs| cs.val).product()
+        let mut out = [0.0];
+        self.eval_masked_many_with(a, std::slice::from_ref(mask), fs, &mut out);
+        out[0]
     }
 
-    /// Masked evaluation of a batch: `out[i] = P[masked by masks[i]]`, one
-    /// [`FactorizedPolynomial::eval_masked_with`] per mask on the one
-    /// scratch, so each answer is bitwise that call's.
+    /// Masked evaluation of a batch: `out[i] = P[masked by masks[i]]`. A
+    /// tree component answers the batch in lane groups of 8, 4, 2 and 1
+    /// masks, one message-passing walk per group (`crate::tree`, "Lanes");
+    /// a closure component walks its terms once per mask. Each lane is
+    /// bitwise its one-mask pass and the components multiply in order, so
+    /// every answer is bitwise [`FactorizedPolynomial::eval_masked_with`]'s
+    /// for that mask alone.
     pub fn eval_masked_many_with(
         &self,
         a: &VarAssignment,
@@ -422,9 +436,61 @@ impl FactorizedPolynomial {
         out: &mut [f64],
     ) {
         assert_eq!(masks.len(), out.len());
-        for (mask, slot) in masks.iter().zip(out) {
-            *slot = self.eval_masked_with(a, mask, fs);
+        debug_assert!(self.check_shape(a).is_ok());
+        debug_assert_eq!(fs.comps.len(), self.components.len());
+        out.fill(1.0);
+        for (c, cs) in self.components.iter().zip(&mut fs.comps) {
+            let Kernel::Tree(tree) = &c.kernel else {
+                for (mask, slot) in masks.iter().zip(out.iter_mut()) {
+                    *slot *= Self::eval_component(c, a, mask, None, cs);
+                }
+                continue;
+            };
+            cs.gather_multi(c, a);
+            let CompScratch {
+                kernel: KernelScratch::Tree(ts),
+                local_multi,
+                ..
+            } = cs
+            else {
+                unreachable!("scratch was made for another polynomial")
+            };
+            let mut done = 0;
+            while done < masks.len() {
+                let (group, slots) = (&masks[done..], &mut out[done..]);
+                let multi = local_multi.as_slice();
+                done += match group.len() {
+                    8.. => Self::tree_lanes::<8>(tree, c, a, multi, group, slots, ts),
+                    4.. => Self::tree_lanes::<4>(tree, c, a, multi, group, slots, ts),
+                    2.. => Self::tree_lanes::<2>(tree, c, a, multi, group, slots, ts),
+                    _ => Self::tree_lanes::<1>(tree, c, a, multi, group, slots, ts),
+                };
+            }
         }
+    }
+
+    /// One `L`-lane tree pass over the first `L` masks, multiplied into
+    /// their output slots; returns `L`.
+    fn tree_lanes<const L: usize>(
+        tree: &TreeKernel,
+        c: &Component,
+        a: &VarAssignment,
+        multi: &[f64],
+        masks: &[Mask],
+        out: &mut [f64],
+        ts: &mut TreeScratch,
+    ) -> usize {
+        let masks: &[Mask; L] = masks[..L].try_into().expect("a group of L masks");
+        let get = |li: usize| {
+            let g = c.attrs[li];
+            let weights = masks.each_ref().map(|m| m.attr_weights(g));
+            (a.one_dim[g].as_slice(), weights)
+        };
+        let p = tree.pass(0, multi, get, ts);
+        for (slot, pl) in out.iter_mut().zip(p) {
+            *slot *= pl;
+        }
+        L
     }
 
     /// Fused pass: `(P, dP/dα_{attr,v} for all v)` under `mask` (convenience

@@ -173,7 +173,7 @@ impl MaxEntSummary {
     }
 
     /// [`MaxEntSummary::masked_probability`] of every mask of a batch, in
-    /// order: one masked evaluation per mask on the one scratch.
+    /// order: one batched evaluation, bitwise each mask's own.
     fn masked_probabilities(&self, masks: &[Mask], s: &mut FactorizedScratch) -> Vec<f64> {
         let mut raw = vec![0.0; masks.len()];
         self.poly
@@ -186,7 +186,8 @@ impl MaxEntSummary {
 
     /// `SELECT SUM(values[code(attr)])` under the `base` COUNT mask:
     /// `values` holds the per-code numeric weight of `attr`, and the two
-    /// weighted masks give the first and second moments.
+    /// weighted masks give the first and second moments — one two-mask
+    /// batch, so a tree component answers both in one walk.
     fn masked_sum(
         &self,
         base: &Mask,
@@ -194,11 +195,15 @@ impl MaxEntSummary {
         values: &[f64],
         s: &mut FactorizedScratch,
     ) -> Result<Estimate> {
-        let sum_mask = base.clone().scale_attr(attr, values)?;
         let squares: Vec<f64> = values.iter().map(|v| v * v).collect();
-        let sq_mask = base.clone().scale_attr(attr, &squares)?;
-        let mean_w = self.poly.eval_masked_with(&self.assignment, &sum_mask, s) / self.p_full;
-        let mean_w2 = self.poly.eval_masked_with(&self.assignment, &sq_mask, s) / self.p_full;
+        let moments = [
+            base.clone().scale_attr(attr, values)?,
+            base.clone().scale_attr(attr, &squares)?,
+        ];
+        let mut raw = [0.0; 2];
+        self.poly
+            .eval_masked_many_with(&self.assignment, &moments, s, &mut raw);
+        let [mean_w, mean_w2] = raw.map(|p| p / self.p_full);
         Ok(weighted_estimate(self.n(), mean_w, mean_w2))
     }
 

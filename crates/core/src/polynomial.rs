@@ -554,9 +554,9 @@ impl CompressedPolynomial {
     }
 
     /// Computes one prefix row from values and optional weights; returns the
-    /// row total. Shared by the slab fill and the tree kernel's leaves.
+    /// row total.
     #[inline]
-    pub(crate) fn fill_row(row: &mut [f64], vals: &[f64], weights: Option<&[f64]>) -> f64 {
+    fn fill_row(row: &mut [f64], vals: &[f64], weights: Option<&[f64]>) -> f64 {
         let mut acc = 0.0;
         row[0] = 0.0;
         match weights {

@@ -43,11 +43,13 @@
 //!           | "busy" message...
 //! ```
 //!
-//! `probm` / `countm` are the batch probes: one line per batch, answered
-//! mask by mask. The shard model evaluates each mask as its own masked
-//! evaluation, and the answers come back in mask order — bitwise-identical
-//! to sending the masks one probe at a time, at one line and one gather
-//! round for the whole batch.
+//! `probm` / `countm` are the batch probes: one line per batch. The shard
+//! model evaluates the whole batch in one call: a tree component shares
+//! one message-passing walk among up to eight masks (lanes, each bitwise
+//! its one-mask pass), a closure component walks its terms once per mask.
+//! The answers come back in mask order — bitwise-identical to sending the
+//! masks one probe at a time, at one line and one gather round for the
+//! whole batch.
 //!
 //! `sample k seed n index*` draws the tuples at the given *global* indices
 //! of a `sample_rows(k, seed)` call: every backend derives a tuple's
@@ -101,8 +103,8 @@ pub enum ProbeRequest {
         /// The query mask.
         mask: Mask,
     },
-    /// One tuple-draw probability per mask, answered mask by mask — one
-    /// wire line per mask batch.
+    /// One tuple-draw probability per mask, each bitwise its own
+    /// `Probability` — one wire line per mask batch.
     ProbabilityMany {
         /// The query masks, answered in order.
         masks: Vec<Mask>,

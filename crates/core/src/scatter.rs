@@ -929,14 +929,21 @@ fn unexpected_shape() -> ModelError {
 
 /// One shard's answer to the batch `request`, put back together from its
 /// per-mask parts; a pruned slot (`None`) is the exact zero it stands for.
+/// That zero is `-0.0`, the additive identity: [`merge`] then sums a
+/// pruned slot exactly as it leaves a pruned shard of a scalar request
+/// out, even where the other shards answer `-0.0` (a mask of `-0.0`
+/// weights).
 fn join(
     request: &ProbeRequest,
     parts: impl Iterator<Item = Option<Arc<ProbeResponse>>>,
 ) -> Result<ProbeResponse> {
     let count = matches!(request, ProbeRequest::CountMany { .. });
     let zero = match count {
-        true => ProbeResponse::Estimate(Estimate::new(0.0, 0.0)),
-        false => ProbeResponse::Probability(0.0),
+        true => ProbeResponse::Estimate(Estimate {
+            expectation: -0.0,
+            variance: -0.0,
+        }),
+        false => ProbeResponse::Probability(-0.0),
     };
     let parts = parts.map(|part| part.map_or_else(|| zero.clone(), |p| ProbeResponse::clone(&p)));
     if count {

@@ -328,7 +328,7 @@ impl<'t> TreeSweep<'t> {
     /// Recomputes the cavity of `edge` at the current variables; returns `P`.
     fn cavity(&mut self, edge: usize, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
         self.cavity_edge = edge;
-        let get = |i: usize| (one_dim[i].as_slice(), None);
+        let get = |i: usize| (one_dim[i].as_slice(), [None]);
         self.tree.cavity(edge, multi, get, &mut self.scratch)
     }
 }
@@ -340,8 +340,8 @@ impl SweepKernel for TreeSweep<'_> {
         one_dim: &[Vec<f64>],
         multi: &[f64],
     ) -> (f64, &[f64]) {
-        let get = |i: usize| (one_dim[i].as_slice(), None);
-        let p = self.tree.pass(li, multi, get, &mut self.scratch);
+        let get = |i: usize| (one_dim[i].as_slice(), [None]);
+        let [p] = self.tree.pass(li, multi, get, &mut self.scratch);
         (p, self.scratch.derivs_slice(one_dim[li].len()))
     }
 
@@ -361,8 +361,8 @@ impl SweepKernel for TreeSweep<'_> {
     }
 
     fn value(&mut self, one_dim: &[Vec<f64>], multi: &[f64]) -> f64 {
-        let get = |i: usize| (one_dim[i].as_slice(), None);
-        self.tree.pass(0, multi, get, &mut self.scratch)
+        let get = |i: usize| (one_dim[i].as_slice(), [None]);
+        self.tree.pass(0, multi, get, &mut self.scratch)[0]
     }
 }
 

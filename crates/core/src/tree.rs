@@ -50,8 +50,27 @@
 //! [`TreeKernel::pass_cells`] against the closure's size — enumerating the
 //! closure only until it is proven the larger — and a component holds the
 //! smaller of the two, never both.
+//!
+//! ## Lanes
+//!
+//! The schedule, the rectangle list and the variables do not depend on the
+//! mask, so [`TreeKernel::pass`] is generic over a compile-time lane count
+//! `L` and answers `L` masks in one walk. Messages, prefix sums,
+//! difference arrays and root derivatives are stored lane-major — cell `v`
+//! of a row is `[f64; L]`, one value per mask — so each step streams the
+//! same cells once and its prefix sums carry `L` independent accumulators
+//! instead of one serial chain. [`crate::factorized`] runs a batch in
+//! groups of 8, 4, 2 and 1 lanes; single-mask queries, group-by and the
+//! solver run the one-lane instance of the same body.
+//!
+//! Each lane is bitwise the one-mask answer. Every lane performs exactly
+//! the one-lane pass's float operations in the same order, and lanes never
+//! mix. The only per-lane difference is an attribute that one mask of the
+//! group constrains and another leaves free: the free lane reads weight
+//! `1.0`, and `1.0 · x` is exactly `x`, so `(1.0 · x) · m` and `1.0 · m`
+//! round as the unweighted `x · m` and `m` do. An attribute no lane
+//! constrains takes the unweighted loops, as the one-mask pass does.
 
-use crate::polynomial::CompressedPolynomial;
 use crate::statistics::MultiDimStatistic;
 
 /// One message `child → parent` of a rooted pass.
@@ -106,7 +125,12 @@ pub(crate) struct TreeKernel {
     pass_cells: usize,
 }
 
-/// Reusable buffers for [`TreeKernel::pass`]; steady-state passes allocate
+/// The widest lane group [`TreeKernel::pass`] is instantiated for; every
+/// [`TreeScratch`] holds this many lanes.
+pub(crate) const MAX_LANES: usize = 8;
+
+/// Reusable buffers for [`TreeKernel::pass`], sized for [`MAX_LANES`]
+/// lanes (module docs) and stored lane-major; steady-state passes allocate
 /// nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct TreeScratch {
@@ -118,17 +142,62 @@ pub(crate) struct TreeScratch {
     diff: Vec<f64>,
     /// `∂P/∂α_{root,v}` of the last pass.
     derivs: Vec<f64>,
+    /// One attribute's mask weights, gathered lane-major.
+    weights: Vec<f64>,
     /// Prefix sums `F_A`, `F_B` of the last [`TreeKernel::cavity`]'s two
-    /// endpoint beliefs.
+    /// endpoint beliefs (one lane).
     cavity_u: Vec<f64>,
     cavity_v: Vec<f64>,
 }
 
 impl TreeScratch {
-    /// The first `n` root derivatives of the last pass.
+    /// The first `n` root derivatives of the last one-lane pass.
     pub(crate) fn derivs_slice(&self, n: usize) -> &[f64] {
         &self.derivs[..n]
     }
+}
+
+/// `L` masks' weights for one attribute, `None` where a mask leaves it
+/// unconstrained.
+pub(crate) type LaneWeights<'a, const L: usize> = [Option<&'a [f64]>; L];
+
+/// `buf` as lane-major cells of `L` lanes.
+fn cells<const L: usize>(buf: &[f64]) -> &[[f64; L]] {
+    buf.as_chunks().0
+}
+
+fn cells_mut<const L: usize>(buf: &mut [f64]) -> &mut [[f64; L]] {
+    buf.as_chunks_mut().0
+}
+
+/// Gathers an attribute's `n` weights lane-major into `buf`, with `1.0`
+/// for a lane that leaves it unconstrained (exact: module docs); `None`
+/// when every lane does, so the pass takes its unweighted loops. One lane
+/// is already lane-major and is read in place.
+fn gather_weights<'b, const L: usize>(
+    weights: &LaneWeights<'b, L>,
+    n: usize,
+    buf: &'b mut [f64],
+) -> Option<&'b [[f64; L]]> {
+    if weights.iter().all(Option::is_none) {
+        return None;
+    }
+    if let [Some(w)] = weights.as_slice() {
+        return Some(cells::<L>(w));
+    }
+    let cells = &mut cells_mut::<L>(buf)[..n];
+    for (l, w) in weights.iter().enumerate() {
+        match w {
+            Some(w) => {
+                debug_assert_eq!(w.len(), n);
+                for (cell, &wv) in cells.iter_mut().zip(*w) {
+                    cell[l] = wv;
+                }
+            }
+            None => cells.iter_mut().for_each(|cell| cell[l] = 1.0),
+        }
+    }
+    Some(cells)
 }
 
 impl TreeKernel {
@@ -298,46 +367,64 @@ impl TreeKernel {
         self.pass_cells
     }
 
-    /// Allocates the buffers [`TreeKernel::pass`] needs for this kernel.
+    /// Allocates the buffers [`TreeKernel::pass`] needs for this kernel, for
+    /// passes of up to [`MAX_LANES`] lanes.
     pub(crate) fn make_scratch(&self) -> TreeScratch {
         let max_domain = self.domain_sizes.iter().copied().max().unwrap_or(0);
         TreeScratch {
-            mprod: vec![0.0; *self.row_starts.last().expect("non-empty")],
-            prefix: vec![0.0; max_domain + 1],
-            diff: vec![0.0; max_domain + 1],
-            derivs: vec![0.0; max_domain],
+            mprod: vec![0.0; *self.row_starts.last().expect("non-empty") * MAX_LANES],
+            prefix: vec![0.0; (max_domain + 1) * MAX_LANES],
+            diff: vec![0.0; (max_domain + 1) * MAX_LANES],
+            derivs: vec![0.0; max_domain * MAX_LANES],
+            weights: vec![0.0; max_domain * MAX_LANES],
             cavity_u: vec![0.0; max_domain + 1],
             cavity_v: vec![0.0; max_domain + 1],
         }
     }
 
     /// Prefix sum of attribute `x`'s belief `α·w·∏(messages received)` into
-    /// `prefix[..=N_x]`; returns the total. With `bare`, `x` has received no
-    /// message and its belief is `α·w` alone.
-    fn belief_prefix(
-        prefix: &mut [f64],
+    /// `prefix[..=N_x]`, per lane; returns the totals. With `bare`, `x` has
+    /// received no message and its belief is `α·w` alone.
+    fn belief_prefix<const L: usize>(
+        prefix: &mut [[f64; L]],
         vals: &[f64],
-        weights: Option<&[f64]>,
-        received: &[f64],
+        weights: Option<&[[f64; L]]>,
+        received: &[[f64; L]],
         bare: bool,
-    ) -> f64 {
-        if bare {
-            return CompressedPolynomial::fill_row(prefix, vals, weights);
-        }
-        let mut acc = 0.0;
-        prefix[0] = 0.0;
-        match weights {
-            Some(w) => {
-                for ((slot, &mv), (&wv, &xv)) in
-                    prefix[1..].iter_mut().zip(received).zip(w.iter().zip(vals))
-                {
-                    acc += wv * xv * mv;
+    ) -> [f64; L] {
+        let mut acc = [0.0; L];
+        prefix[0] = [0.0; L];
+        let slots = prefix[1..].iter_mut();
+        match (weights, bare) {
+            (Some(w), false) => {
+                for ((slot, m), (w, &xv)) in slots.zip(received).zip(w.iter().zip(vals)) {
+                    for ((a, &wv), &mv) in acc.iter_mut().zip(w).zip(m) {
+                        *a += wv * xv * mv;
+                    }
                     *slot = acc;
                 }
             }
-            None => {
-                for ((slot, &mv), &xv) in prefix[1..].iter_mut().zip(received).zip(vals) {
-                    acc += xv * mv;
+            (None, false) => {
+                for ((slot, m), &xv) in slots.zip(received).zip(vals) {
+                    for (a, &mv) in acc.iter_mut().zip(m) {
+                        *a += xv * mv;
+                    }
+                    *slot = acc;
+                }
+            }
+            (Some(w), true) => {
+                for (slot, (w, &xv)) in slots.zip(w.iter().zip(vals)) {
+                    for (a, &wv) in acc.iter_mut().zip(w) {
+                        *a += wv * xv;
+                    }
+                    *slot = acc;
+                }
+            }
+            (None, true) => {
+                for (slot, &xv) in slots.zip(vals) {
+                    for a in &mut acc {
+                        *a += xv;
+                    }
                     *slot = acc;
                 }
             }
@@ -345,32 +432,34 @@ impl TreeKernel {
         acc
     }
 
-    /// Attribute `x`'s row of the message-product slab.
+    /// Attribute `x`'s row of the message-product slab, in cells.
     fn row(&self, x: usize) -> std::ops::Range<usize> {
         self.row_starts[x]..self.row_starts[x] + self.domain_sizes[x]
     }
 
-    /// Sends one message `child → parent` (module docs), multiplying it
-    /// into the parent's message product.
-    fn send<'a>(
+    /// Sends one message `child → parent` (module docs) in every lane,
+    /// multiplying it into the parent's message product.
+    fn send<'a, const L: usize>(
         &self,
         step: &Step,
         multi: &[f64],
-        get: &impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
+        get: &impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
         s: &mut TreeScratch,
     ) {
         let (x, y) = (step.child as usize, step.parent as usize);
         let (nx, ny) = (self.domain_sizes[x], self.domain_sizes[y]);
         let (vals, weights) = get(x);
         debug_assert_eq!(vals.len(), nx);
+        let mprod = cells_mut::<L>(&mut s.mprod);
 
         // F_X: prefix sum of the child's belief α·w·∏(messages into X).
-        let prefix = &mut s.prefix[..nx + 1];
-        let total = Self::belief_prefix(prefix, vals, weights, &s.mprod[self.row(x)], self.leaf[x]);
+        let weights = gather_weights(&weights, nx, &mut s.weights);
+        let prefix = &mut cells_mut::<L>(&mut s.prefix)[..nx + 1];
+        let total = Self::belief_prefix(prefix, vals, weights, &mprod[self.row(x)], self.leaf[x]);
 
         // Every rectangle adds (δ − 1)·F_X[its x-range] over its y-range.
-        let diff = &mut s.diff[..ny + 1];
-        diff.fill(0.0);
+        let diff = &mut cells_mut::<L>(&mut s.diff)[..ny + 1];
+        diff.fill([0.0; L]);
         let r = self.rect_offsets[step.edge as usize]..self.rect_offsets[step.edge as usize + 1];
         let (x_lo, x_end, y_lo, y_end) = if step.child_is_u {
             (&self.u_lo, &self.u_end, &self.v_lo, &self.v_end)
@@ -384,39 +473,57 @@ impl TreeKernel {
             .zip(&y_end[r.clone()])
             .zip(&self.rect_multi[r])
         {
-            let c = (multi[j as usize] - 1.0) * (prefix[xe as usize] - prefix[xl as usize]);
-            diff[yl as usize] += c;
-            diff[ye as usize] -= c;
+            let dm = multi[j as usize] - 1.0;
+            let (hi, lo) = (&prefix[xe as usize], &prefix[xl as usize]);
+            let c: [f64; L] = std::array::from_fn(|l| dm * (hi[l] - lo[l]));
+            for (d, &cl) in diff[yl as usize].iter_mut().zip(&c) {
+                *d += cl;
+            }
+            for (d, &cl) in diff[ye as usize].iter_mut().zip(&c) {
+                *d -= cl;
+            }
         }
 
-        let into = &mut s.mprod[self.row(y)];
-        let mut acc = 0.0;
+        let into = mprod[self.row(y)].iter_mut().zip(diff.iter());
+        let mut acc = [0.0; L];
+        let mut advance = |d: &[f64; L]| {
+            for (a, &dl) in acc.iter_mut().zip(d) {
+                *a += dl;
+            }
+            acc
+        };
         if step.first {
-            for (slot, &d) in into.iter_mut().zip(diff.iter()) {
-                acc += d;
-                *slot = total + acc;
+            for (slot, d) in into {
+                let acc = advance(d);
+                *slot = std::array::from_fn(|l| total[l] + acc[l]);
             }
         } else {
-            for (slot, &d) in into.iter_mut().zip(diff.iter()) {
-                acc += d;
-                *slot *= total + acc;
+            for (slot, d) in into {
+                let acc = advance(d);
+                for ((m, &t), &a) in slot.iter_mut().zip(&total).zip(&acc) {
+                    *m *= t + a;
+                }
             }
         }
     }
 
-    /// One leaf-to-root pass rooted at attribute `root`: returns `P[mask]`
+    /// One leaf-to-root pass rooted at attribute `root`, answering `L`
+    /// masks at once (module docs, "Lanes"): returns `P[mask_l]` per lane
     /// and leaves `∂P/∂α_{root,v}` (raw variable, mask weight multiplied
     /// in — the contract of
     /// [`crate::polynomial::CompressedPolynomial::derivs_prefilled`]) in the
-    /// scratch. `get(i)` returns attribute `i`'s variable values and
-    /// optional mask weights; `multi` holds the component's `δ` values.
-    pub(crate) fn pass<'a>(
+    /// scratch, which [`TreeScratch::derivs_slice`] reads after a one-lane
+    /// pass. `get(i)` returns attribute `i`'s variable values and each
+    /// lane's optional mask weights; `multi` holds the component's `δ`
+    /// values. `L` is at most [`MAX_LANES`].
+    pub(crate) fn pass<'a, const L: usize>(
         &self,
         root: usize,
         multi: &[f64],
-        get: impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
+        get: impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
         s: &mut TreeScratch,
-    ) -> f64 {
+    ) -> [f64; L] {
+        const { assert!(L >= 1 && L <= MAX_LANES) };
         let per_root = self.domain_sizes.len() - 1;
         for step in &self.steps[root * per_root..(root + 1) * per_root] {
             self.send(step, multi, &get, s);
@@ -424,17 +531,25 @@ impl TreeKernel {
 
         let n = self.domain_sizes[root];
         let (vals, weights) = get(root);
-        let received = &s.mprod[self.row(root)];
-        let derivs = &mut s.derivs[..n];
-        match weights {
+        let received = &cells::<L>(&s.mprod)[self.row(root)];
+        let derivs = &mut cells_mut::<L>(&mut s.derivs)[..n];
+        match gather_weights(&weights, n, &mut s.weights) {
             Some(w) => {
-                for ((d, &mv), &wv) in derivs.iter_mut().zip(received).zip(w) {
-                    *d = wv * mv;
+                for ((d, m), w) in derivs.iter_mut().zip(received).zip(w) {
+                    *d = std::array::from_fn(|l| w[l] * m[l]);
                 }
             }
             None => derivs.copy_from_slice(received),
         }
-        derivs.iter().zip(vals).map(|(&d, &xv)| xv * d).sum()
+        // `-0.0` is `Sum for f64`'s starting value, which the one-lane
+        // answer has always been summed with.
+        let mut p = [-0.0; L];
+        for (d, &xv) in derivs.iter().zip(vals) {
+            for (pl, &dl) in p.iter_mut().zip(d) {
+                *pl += xv * dl;
+            }
+        }
+        p
     }
 
     /// The edge carrying statistic `j`.
@@ -454,11 +569,12 @@ impl TreeKernel {
     /// [`TreeKernel::cavity_delta_derivative`] reads every
     /// `∂P/∂δ_j = F_A[j's x-range]·F_B[j's y-range]` of this edge from them
     /// in O(1), and the values stay exact while only this edge's `δ` move.
+    /// A cavity is a one-lane pass.
     pub(crate) fn cavity<'a>(
         &self,
         edge: usize,
         multi: &[f64],
-        get: impl Fn(usize) -> (&'a [f64], Option<&'a [f64]>),
+        get: impl Fn(usize) -> (&'a [f64], LaneWeights<'a, 1>),
         s: &mut TreeScratch,
     ) -> f64 {
         let per_edge = self.domain_sizes.len() - 2;
@@ -466,12 +582,22 @@ impl TreeKernel {
             self.send(step, multi, &get, s);
         }
         let (u, v) = (self.edges[edge].0 as usize, self.edges[edge].1 as usize);
-        let side = |x: usize, prefix: &mut [f64]| {
+        let TreeScratch {
+            mprod,
+            weights: buf,
+            cavity_u,
+            cavity_v,
+            ..
+        } = s;
+        let mut side = |x: usize, prefix: &mut [f64]| {
             let (vals, weights) = get(x);
-            let prefix = &mut prefix[..vals.len() + 1];
-            Self::belief_prefix(prefix, vals, weights, &s.mprod[self.row(x)], self.leaf[x])
+            let n = vals.len();
+            let weights = gather_weights(&weights, n, buf);
+            let prefix = &mut cells_mut::<1>(prefix)[..n + 1];
+            let received = &cells::<1>(mprod)[self.row(x)];
+            Self::belief_prefix(prefix, vals, weights, received, self.leaf[x])[0]
         };
-        let total = side(u, &mut s.cavity_u) * side(v, &mut s.cavity_v);
+        let total = side(u, cavity_u) * side(v, cavity_v);
         let correction: f64 = (self.rect_offsets[edge]..self.rect_offsets[edge + 1])
             .map(|slot| {
                 let j = self.rect_multi[slot] as usize;
@@ -536,10 +662,10 @@ mod tests {
             let expected = naive.eval_masked(&asn, &mask);
             let mut s = tree.make_scratch();
             for (root, &n) in sizes.iter().enumerate() {
-                let p = tree.pass(
+                let [p] = tree.pass(
                     root,
                     &asn.multi,
-                    |i| (asn.one_dim[i].as_slice(), mask.attr_weights(i)),
+                    |i| (asn.one_dim[i].as_slice(), [mask.attr_weights(i)]),
                     &mut s,
                 );
                 assert!((p - expected).abs() < 1e-12 * expected.abs(), "root {root}");
@@ -573,7 +699,7 @@ mod tests {
             // Statistic order interleaves the three edges, so consecutive
             // cavities overwrite each other's message products.
             for j in 0..stats.len() {
-                let get = |i: usize| (asn.one_dim[i].as_slice(), mask.attr_weights(i));
+                let get = |i: usize| (asn.one_dim[i].as_slice(), [mask.attr_weights(i)]);
                 let p = tree.cavity(tree.edge_of(j), &asn.multi, get, &mut s);
                 assert!((p - expected).abs() < 1e-12 * expected.abs(), "stat {j}");
                 let d = tree.cavity_delta_derivative(j, &s);

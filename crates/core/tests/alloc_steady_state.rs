@@ -52,6 +52,20 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// An assignment over `sizes` with distinct, non-trivial 1-D values.
+fn assignment(sizes: &[usize], multi: Vec<f64>) -> VarAssignment {
+    let mut a = VarAssignment::ones(sizes, multi.len());
+    for (i, vs) in a.one_dim.iter_mut().enumerate() {
+        for (v, x) in vs.iter_mut().enumerate() {
+            *x = 0.05 + ((i + 2) * (v + 1) % 11) as f64 / 11.0;
+        }
+    }
+    a.multi = multi;
+    a
+}
+
+/// Two overlapping rectangles on each of two attribute pairs: two closure
+/// components and no tree.
 fn model() -> (Vec<usize>, Vec<MultiDimStatistic>, VarAssignment, Mask) {
     let sizes = vec![12usize, 9, 7, 5];
     let mk = |a1: usize, r1: (u32, u32), a2: usize, r2: (u32, u32)| {
@@ -75,13 +89,7 @@ fn model() -> (Vec<usize>, Vec<MultiDimStatistic>, VarAssignment, Mask) {
         mk(2, (0, 3), 3, (1, 3)),
         mk(2, (2, 5), 3, (0, 2)),
     ];
-    let mut a = VarAssignment::ones(&sizes, stats.len());
-    for (i, vs) in a.one_dim.iter_mut().enumerate() {
-        for (v, x) in vs.iter_mut().enumerate() {
-            *x = 0.05 + ((i + 2) * (v + 1) % 11) as f64 / 11.0;
-        }
-    }
-    a.multi = vec![0.7, 1.4, 2.1, 0.4];
+    let a = assignment(&sizes, vec![0.7, 1.4, 2.1, 0.4]);
     let pred = Predicate::new()
         .between(AttrId(1), 1, 6)
         .between(AttrId(3), 0, 3);
@@ -142,12 +150,19 @@ fn warmed_kernels_allocate_nothing() {
 }
 
 /// A warmed `FactorizedPolynomial::eval_masked_many_with` — the batch
-/// probes' one call — allocates nothing: it is the scalar pass once per
-/// mask on the one scratch.
+/// probes' one call — allocates nothing on a closure-only model: each
+/// closure component walks its terms once per mask on the one scratch.
+/// Tree lanes beside a closure are
+/// `warmed_tree_kernel_allocates_nothing`'s.
 #[test]
 fn warmed_batch_allocates_nothing() {
     let (sizes, stats, a, mask) = model();
     let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
+    let kernels = fact.size_stats();
+    assert_eq!(
+        (kernels.tree_components, kernels.closure_components),
+        (0, 2)
+    );
     let mut fscratch = fact.make_scratch();
     let identity = Mask::identity(sizes.len());
     let masks: Vec<Mask> = (0..19).map(|i| [&identity, &mask][i % 2].clone()).collect();
@@ -209,13 +224,23 @@ fn a_large_closure_allocates_nothing_under_a_thread_budget() {
     );
 }
 
-/// A star of two rectangle grids around attribute 0 over domains
-/// `[12, 9, 7, 5]`: one tree component plus a free attribute.
+/// Domains of the star below: attributes 0–3 form the star, attribute 4 is
+/// free.
+const TREE_STAR_SIZES: [usize; 5] = [12, 9, 7, 5, 4];
+
+/// The flights shape beside a free attribute: a star of three rectangle
+/// grids around attribute 0, one tree component, and attribute 4 with no
+/// 2-D statistic, a one-term closure component.
 fn tree_star_stats() -> Vec<MultiDimStatistic> {
     let mut stats = Vec::new();
     for (leaf, xs, ys) in [
-        (1, vec![(0, 3), (4, 7), (8, 11)], [(0, 2), (3, 5), (6, 8)]),
-        (2, vec![(0, 5), (6, 11)], [(0, 1), (2, 4), (5, 6)]),
+        (
+            1,
+            vec![(0, 3), (4, 7), (8, 11)],
+            vec![(0, 2), (3, 5), (6, 8)],
+        ),
+        (2, vec![(0, 5), (6, 11)], vec![(0, 1), (2, 4), (5, 6)]),
+        (3, vec![(0, 3), (4, 11)], vec![(0, 1), (2, 4)]),
     ] {
         for &x in &xs {
             for &y in &ys {
@@ -228,14 +253,22 @@ fn tree_star_stats() -> Vec<MultiDimStatistic> {
 
 /// The tree message-passing kernel keeps the same contract: the star
 /// above, warmed once, then every query entry point — scalar, rooted
-/// derivative pass on hub, leaves and the free attribute, a batch —
-/// allocates nothing.
+/// derivative pass on hub, leaves and the free attribute, a 16-mask batch
+/// (two 8-lane walks beside 16 closure walks) and a 5-mask tail (a 4-lane
+/// and a 1-lane walk) — allocates nothing.
 #[test]
 fn warmed_tree_kernel_allocates_nothing() {
-    let sizes = vec![12usize, 9, 7, 5];
+    let sizes = TREE_STAR_SIZES.to_vec();
     let stats = tree_star_stats();
-    let (_, _, mut a, mask) = model();
-    a.multi = (0..stats.len()).map(|j| (j % 4) as f64 * 0.7).collect();
+    let a = assignment(
+        &sizes,
+        (0..stats.len()).map(|j| (j % 4) as f64 * 0.7).collect(),
+    );
+    let pred = Predicate::new()
+        .between(AttrId(1), 1, 6)
+        .between(AttrId(3), 0, 3)
+        .between(AttrId(4), 1, 2);
+    let mask = Mask::from_predicate(&pred, &sizes).unwrap();
     let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
     let kernels = fact.size_stats();
     assert_eq!(
@@ -244,11 +277,16 @@ fn warmed_tree_kernel_allocates_nothing() {
     );
     let mut fscratch = fact.make_scratch();
     let identity = Mask::identity(sizes.len());
-    let masks: Vec<Mask> = (0..19).map(|i| [&identity, &mask][i % 2].clone()).collect();
-    let mut out = vec![0.0; masks.len()];
+    let batch = |len: usize| -> Vec<Mask> {
+        (0..len)
+            .map(|i| [&identity, &mask][i % 2].clone())
+            .collect()
+    };
+    let (batch16, tail5) = (batch(16), batch(5));
+    let (mut out16, mut out5) = (vec![0.0; 16], vec![0.0; 5]);
 
     // Warm-up: one batch.
-    fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
+    fact.eval_masked_many_with(&a, &batch16, &mut fscratch, &mut out16);
 
     let mut sink = 0.0;
     let allocs = allocations_during(|| {
@@ -261,8 +299,9 @@ fn warmed_tree_kernel_allocates_nothing() {
                         .0;
                 }
             }
-            fact.eval_masked_many_with(&a, &masks, &mut fscratch, &mut out);
-            sink += out.iter().sum::<f64>();
+            fact.eval_masked_many_with(&a, &batch16, &mut fscratch, &mut out16);
+            fact.eval_masked_many_with(&a, &tail5, &mut fscratch, &mut out5);
+            sink += out16.iter().chain(&out5).sum::<f64>();
         }
     });
     assert!(sink.is_finite());
@@ -282,16 +321,23 @@ fn tree_sweeps_allocate_nothing() {
     use entropydb_core::solver::solve;
     use entropydb_storage::{Attribute, Schema, Table};
 
-    let sizes = [12usize, 9, 7, 5];
     let schema = Schema::new(
-        (0..4)
-            .map(|i| Attribute::categorical(format!("a{i}"), sizes[i]).unwrap())
+        TREE_STAR_SIZES
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| Attribute::categorical(format!("a{i}"), n).unwrap())
             .collect(),
     );
     let mut table = Table::new(schema);
     for i in 0..600u32 {
         table
-            .push_row(&[i % 12, (i / 2 + i % 12) % 9, (i * i / 3) % 7, i % 5])
+            .push_row(&[
+                i % 12,
+                (i / 2 + i % 12) % 9,
+                (i * i / 3) % 7,
+                i % 5,
+                (i / 5 + i) % 4,
+            ])
             .unwrap();
     }
     let stats = Statistics::observe(&table, tree_star_stats()).unwrap();

@@ -14,6 +14,10 @@
 //! answered and that the tree kernel answered most of them; the selection
 //! rule itself is pinned on hand-built models.
 //!
+//! A batch runs the tree pass in lane groups of up to eight masks; every
+//! model also checks that each lane is bitwise its one-mask pass, over
+//! batch lengths that split into lane groups differently.
+//!
 //! Tolerances: against the naive oracle, the `1e-9` bound the other
 //! property suites use. Against the closure, `1e-12` relative to the sum of
 //! the closure's term magnitudes under the same mask (`P` with every
@@ -140,7 +144,9 @@ fn random_model(g: &mut StdRng, shape: Shape) -> Model {
     }
 }
 
-/// COUNT masks, a SUM-weighted mask, a fully masked attribute, identity.
+/// COUNT masks (runs of ones, every other attribute unconstrained), a
+/// SUM-weighted mask (fractional weights), a fully masked attribute (an
+/// all-zero weight row), identity.
 fn random_masks(g: &mut StdRng, sizes: &[usize]) -> Vec<Mask> {
     let m = sizes.len();
     let mut masks = vec![Mask::identity(m)];
@@ -239,15 +245,54 @@ fn check_model(g: &mut StdRng, model: &Model) -> usize {
         }
     }
 
-    // A batch == its masks one at a time, bit for bit.
-    let many: Vec<Mask> = (0..19).map(|i| masks[i % masks.len()].clone()).collect();
-    let mut out = vec![0.0; many.len()];
-    fact.eval_masked_many_with(a, &many, &mut fs, &mut out);
-    for (mask, &batched) in many.iter().zip(&out) {
-        let scalar = fact.eval_masked_with(a, mask, &mut fs);
-        assert_eq!(batched.to_bits(), scalar.to_bits());
-    }
+    assert_lanes_match_single_masks(g, &fact, a, &masks);
     kernels.tree_components
+}
+
+/// Batch lengths that split into lane groups differently (`L` = 8 lanes):
+/// none, 1, 2, 3, `L − 1`, `L`, `L + 1`, `2L + 1`, a dashboard's 16, and 33.
+const BATCH_LENGTHS: [usize; 10] = [0, 1, 2, 3, 7, 8, 9, 17, 16, 33];
+
+/// `mask` with every `0.0` weight spelled `-0.0`.
+fn negative_zeros(mask: &Mask) -> Mask {
+    let flip = |w: &[f64]| w.iter().map(|&x| if x == 0.0 { -0.0 } else { x }).collect();
+    Mask::from_weights(
+        (0..mask.arity())
+            .map(|i| mask.attr_weights(i).map(flip))
+            .collect(),
+    )
+}
+
+/// A batch of every length in [`BATCH_LENGTHS`], drawn with repeats from
+/// `pool` and its `-0.0` twins, equals one `eval_masked_with` per mask bit
+/// for bit: each lane of a group is its one-mask pass, whatever its
+/// neighbours constrain.
+fn assert_lanes_match_single_masks(
+    g: &mut StdRng,
+    fact: &FactorizedPolynomial,
+    a: &VarAssignment,
+    pool: &[Mask],
+) {
+    let pool: Vec<Mask> = pool
+        .iter()
+        .flat_map(|m| [m.clone(), negative_zeros(m)])
+        .collect();
+    let mut fs = fact.make_scratch();
+    for len in BATCH_LENGTHS {
+        let batch: Vec<Mask> = (0..len)
+            .map(|_| pool[g.gen_range(0..pool.len())].clone())
+            .collect();
+        let mut out = vec![f64::NAN; len];
+        fact.eval_masked_many_with(a, &batch, &mut fs, &mut out);
+        for (i, (mask, &batched)) in batch.iter().zip(&out).enumerate() {
+            let single = fact.eval_masked_with(a, mask, &mut fs);
+            assert_eq!(
+                batched.to_bits(),
+                single.to_bits(),
+                "batch of {len}, mask {i}: {batched} vs {single}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -353,7 +398,8 @@ fn triangle_three_d_overlap_and_sparse_star_fall_back_to_the_closure() {
 }
 
 /// A tree component and a cyclic component side by side: each takes its own
-/// kernel and the product still matches the oracle.
+/// kernel, the product still matches the oracle, and a batch (tree lanes
+/// beside per-mask closure walks) equals its masks one at a time.
 #[test]
 fn mixed_model_uses_both_kernels() {
     let rect = |x: usize, xr: (u32, u32), y: usize, yr: (u32, u32)| {
@@ -382,7 +428,9 @@ fn mixed_model_uses_both_kernels() {
             .collect(),
         multi: vec![0.3, 2.2, 0.0, 1.7, 2.9],
     };
-    for mask in random_masks(&mut g, &sizes) {
+    let masks = random_masks(&mut g, &sizes);
+    assert_lanes_match_single_masks(&mut g, &fact, &a, &masks);
+    for mask in masks {
         assert!(close_naive(
             fact.eval_masked(&a, &mask),
             naive.eval_masked(&a, &mask)
