@@ -9,7 +9,7 @@
 //! * [`CacheCounters`] / [`CacheStatsSnapshot`]: hit / miss / coalesced /
 //!   evicted counts for [`crate::scatter::ProbeCache`], surfaced through
 //!   the server's `stats` session command and the gateway's `status`
-//!   control line so a soak run can prove the cache is working.
+//!   control line so a load run can prove the cache is working.
 //! * [`ServerCounters`] / [`ServerStatsSnapshot`]: the serving side's
 //!   operational counters (live sessions, accepted / shed connections,
 //!   wire bytes, requests in flight), maintained by both I/O drivers

@@ -385,9 +385,17 @@ pub fn cluster_manifest_from_str(text: &str) -> Result<Vec<ClusterShard>> {
     Ok(shards)
 }
 
-/// Writes a cluster manifest file.
+/// Writes a cluster manifest file: the text goes to a sibling temp file
+/// that is then renamed over `path`, so a reader racing a rewrite (a
+/// rolling restart's) sees the old manifest or the new one, never a
+/// truncated one.
 pub fn save_cluster_manifest(shards: &[ClusterShard], path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, cluster_manifest_to_string(shards))
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp-{}", std::process::id()));
+    std::fs::write(&tmp, cluster_manifest_to_string(shards))?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// Reads a cluster manifest file.
@@ -796,6 +804,32 @@ mod tests {
         assert!(cluster_manifest_from_str(&text.replace("shard 1 ", "shard 9 ")).is_err());
         // Zero shards rejected.
         assert!(cluster_manifest_from_str("entropydb-cluster-manifest v2\nshards 0\nend").is_err());
+    }
+
+    /// Saving over an existing manifest replaces it whole (temp file, then
+    /// rename) and leaves no temp file behind.
+    #[test]
+    fn cluster_manifest_save_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!(
+            "entropydb-manifest-save-test-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cluster.manifest");
+        let before = vec![ClusterShard::single(0, 40, "127.0.0.1:4151")];
+        let after = vec![
+            ClusterShard::single(0, 40, "127.0.0.1:39001"),
+            ClusterShard::single(1, 20, "127.0.0.1:39002"),
+        ];
+        save_cluster_manifest(&before, &path).unwrap();
+        save_cluster_manifest(&after, &path).unwrap();
+        assert_eq!(load_cluster_manifest(&path).unwrap(), after);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["cluster.manifest"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The v2 manifest carries replica lists: round-trip identity, replica

@@ -105,64 +105,6 @@ impl Default for SolverConfig {
     }
 }
 
-impl SolverConfig {
-    /// Fluent validated constructor (see [`SolverConfigBuilder`]). Plain
-    /// struct literals over `..Default::default()` keep working; the
-    /// builder's `build()` additionally rejects zero sweep budgets and
-    /// non-positive or non-finite tolerances.
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder::default()
-    }
-
-    /// Checks the invariants [`SolverConfigBuilder::build`] enforces.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        if self.max_sweeps == 0 {
-            return Err(crate::error::ModelError::InvalidConfig(
-                "solver max_sweeps must be positive".to_string(),
-            ));
-        }
-        if !self.tolerance.is_finite() || self.tolerance <= 0.0 {
-            return Err(crate::error::ModelError::InvalidConfig(format!(
-                "solver tolerance must be finite and positive, got {}",
-                self.tolerance
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Builder for [`SolverConfig`]; `build()` validates the assembled config.
-#[derive(Debug, Clone, Default)]
-pub struct SolverConfigBuilder {
-    config: SolverConfig,
-}
-
-impl SolverConfigBuilder {
-    /// Sets the full-sweep budget.
-    pub fn max_sweeps(mut self, sweeps: usize) -> Self {
-        self.config.max_sweeps = sweeps;
-        self
-    }
-
-    /// Sets the convergence threshold on the relative residual.
-    pub fn tolerance(mut self, tolerance: f64) -> Self {
-        self.config.tolerance = tolerance;
-        self
-    }
-
-    /// Enables or disables per-sweep dual-objective tracking.
-    pub fn track_dual(mut self, track: bool) -> Self {
-        self.config.track_dual = track;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> crate::error::Result<SolverConfig> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 /// Outcome of a solver run.
 #[derive(Debug, Clone)]
 pub struct SolverReport {

@@ -108,10 +108,5 @@ pub use protocol::{
     encode_append_outcome, encode_ingest_stats, encode_server_stats, MAX_APPEND_ROWS, MAX_BATCH,
     MAX_SAMPLE_ROWS,
 };
-pub use remote::{
-    FailoverConfig, FailoverConfigBuilder, RemoteShard, RemoteShardedSummary, Replica,
-};
-pub use server::{
-    serve, serve_tuned, serve_with, ReactorConfig, ReactorConfigBuilder, ServerConfig,
-    ServerConfigBuilder, ServerHandle,
-};
+pub use remote::{FailoverConfig, RemoteShard, RemoteShardedSummary, Replica};
+pub use server::{serve, serve_tuned, serve_with, ReactorConfig, ServerConfig, ServerHandle};

@@ -140,12 +140,8 @@ impl Default for FailoverConfig {
 }
 
 impl FailoverConfig {
-    /// Fluent validated constructor (see [`FailoverConfigBuilder`]).
-    pub fn builder() -> FailoverConfigBuilder {
-        FailoverConfigBuilder::default()
-    }
-
-    /// Checks the invariants [`FailoverConfigBuilder::build`] enforces.
+    /// Checks the invariants [`RemoteShardedSummary::connect_with`]
+    /// enforces: positive budgets, caps not below their bases.
     pub fn validate(&self) -> Result<()> {
         if self.attempts_per_replica == 0 {
             return Err(ModelError::InvalidConfig(
@@ -182,69 +178,6 @@ impl FailoverConfig {
 
     fn max_attempts(&self, replicas: usize) -> usize {
         self.attempts_per_replica.max(1) * replicas.max(1)
-    }
-}
-
-/// Builder for [`FailoverConfig`]; `build()` rejects zero budgets and
-/// inverted backoff/cooldown bounds.
-#[derive(Debug, Clone, Default)]
-pub struct FailoverConfigBuilder {
-    config: FailoverConfig,
-}
-
-impl FailoverConfigBuilder {
-    /// Sets the per-dial TCP connect deadline (`None` = unbounded).
-    pub fn connect_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.config.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the probe-traffic read/write deadline (`None` = unbounded).
-    pub fn probe_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.config.probe_timeout = timeout;
-        self
-    }
-
-    /// Sets the attempt budget per call, as a multiple of replica count.
-    pub fn attempts_per_replica(mut self, attempts: usize) -> Self {
-        self.config.attempts_per_replica = attempts;
-        self
-    }
-
-    /// Sets the first backoff sleep.
-    pub fn backoff_base(mut self, base: Duration) -> Self {
-        self.config.backoff_base = base;
-        self
-    }
-
-    /// Sets the backoff ceiling.
-    pub fn backoff_cap(mut self, cap: Duration) -> Self {
-        self.config.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the consecutive-failure breaker threshold.
-    pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.config.breaker_threshold = threshold;
-        self
-    }
-
-    /// Sets the initial breaker cooldown.
-    pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.breaker_cooldown = cooldown;
-        self
-    }
-
-    /// Sets the breaker cooldown ceiling.
-    pub fn breaker_cooldown_cap(mut self, cap: Duration) -> Self {
-        self.config.breaker_cooldown_cap = cap;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<FailoverConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -990,8 +923,11 @@ impl RemoteShardedSummary {
     /// blob is evicted; an unreachable replica is merely marked failing —
     /// the cluster connects as long as **some** replica of every shard
     /// verifies. A shard whose whole replica set fails surfaces as
-    /// [`ModelError::Degraded`].
+    /// [`ModelError::Degraded`]; a config that fails
+    /// [`FailoverConfig::validate`] as [`ModelError::InvalidConfig`],
+    /// before any dial.
     pub fn connect_with(manifest: &[ClusterShard], config: FailoverConfig) -> Result<Self> {
+        config.validate()?;
         if manifest.is_empty() {
             return Err(ModelError::Remote(RemoteDetail::message(
                 "cluster manifest has no shards",

@@ -63,15 +63,9 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Fluent validated constructor (see [`ServerConfigBuilder`]).
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder::default()
-    }
-
-    /// Checks the invariants [`ServerConfigBuilder::build`] enforces: a
-    /// configured cap of zero is a misconfiguration (it would reject every
-    /// session / close every connection instantly) — disabling a knob is
-    /// spelled `None`.
+    /// Checks the invariants [`serve_tuned`] enforces: a configured cap of
+    /// zero is a misconfiguration (it would reject every session / close
+    /// every connection instantly) — disabling a knob is spelled `None`.
     pub fn validate(&self) -> entropydb_core::error::Result<()> {
         if self.max_sessions == Some(0) {
             return Err(ModelError::InvalidConfig(
@@ -86,32 +80,6 @@ impl ServerConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`ServerConfig`]; `build()` rejects zero caps.
-#[derive(Debug, Clone, Default)]
-pub struct ServerConfigBuilder {
-    config: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Sets the session idle deadline.
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.config.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the live-session cap.
-    pub fn max_sessions(mut self, cap: usize) -> Self {
-        self.config.max_sessions = Some(cap);
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> entropydb_core::error::Result<ServerConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -153,13 +121,8 @@ impl Default for ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// Fluent validated constructor (see [`ReactorConfigBuilder`]).
-    pub fn builder() -> ReactorConfigBuilder {
-        ReactorConfigBuilder::default()
-    }
-
-    /// Checks the invariants [`ReactorConfigBuilder::build`] enforces.
-    /// Zeros are legal everywhere here (0 = auto-size or cap disabled);
+    /// Checks the invariants [`serve_tuned`] enforces. Zeros are legal
+    /// everywhere here (0 = auto-size or cap disabled);
     /// what is rejected is an *inverted* pair of caps — a per-connection
     /// in-flight budget above the global queue depth can never be reached
     /// and indicates swapped values.
@@ -201,44 +164,6 @@ impl ReactorConfig {
             threads,
             policy: self.policy(),
         }
-    }
-}
-
-/// Builder for [`ReactorConfig`]; `build()` rejects inverted cap pairs.
-#[derive(Debug, Clone, Default)]
-pub struct ReactorConfigBuilder {
-    config: ReactorConfig,
-}
-
-impl ReactorConfigBuilder {
-    /// Sets the serving-thread count (0 = auto).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Sets the global decoded-request queue cap (0 = uncapped).
-    pub fn max_queue_depth(mut self, depth: usize) -> Self {
-        self.config.max_queue_depth = depth;
-        self
-    }
-
-    /// Sets the per-connection in-flight cap (0 = uncapped).
-    pub fn max_in_flight_per_conn(mut self, cap: usize) -> Self {
-        self.config.max_in_flight_per_conn = cap;
-        self
-    }
-
-    /// Sets the write-buffer backpressure threshold (0 = unbounded).
-    pub fn max_write_buffer(mut self, bytes: usize) -> Self {
-        self.config.max_write_buffer = bytes;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> entropydb_core::error::Result<ReactorConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -351,7 +276,8 @@ where
 /// (`max_queue_depth`, `max_in_flight_per_conn`) apply on every target;
 /// `threads` and `max_write_buffer` only shape the epoll driver —
 /// the blocking driver runs one thread per connection and writes each
-/// reply before reading on.
+/// reply before reading on. A config that fails its `validate` is refused
+/// with [`io::ErrorKind::InvalidInput`] before anything binds.
 pub fn serve_tuned<B>(
     engine: QueryEngine<B>,
     addr: impl ToSocketAddrs,
@@ -361,6 +287,10 @@ pub fn serve_tuned<B>(
 where
     B: SummaryBackend + 'static,
 {
+    config
+        .validate()
+        .and_then(|()| tuning.validate())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let counters = Arc::new(ServerCounters::default());

@@ -218,9 +218,32 @@ fn oversized_line_ends_only_the_offending_session() {
 
 /// A connection over the session cap reads one typed `busy` line and then
 /// EOF, while the admitted session keeps working; the shed shows up in
-/// the server counters.
+/// the server counters. A cap of zero, or a per-connection in-flight cap
+/// above the global queue depth, is refused before a server starts.
 #[test]
 fn capacity_shed_answers_typed_busy_line() {
+    let refused = |config, tuning| {
+        let engine = QueryEngine::new(common::sharded(1));
+        match serve_tuned(engine, "127.0.0.1:0", config, tuning) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            Ok(handle) => panic!(
+                "served on {} despite an invalid config",
+                handle.local_addr()
+            ),
+        }
+    };
+    let zero_cap = ServerConfig {
+        idle_timeout: None,
+        max_sessions: Some(0),
+    };
+    refused(zero_cap, ReactorConfig::default());
+    let inverted = ReactorConfig {
+        max_queue_depth: 8,
+        max_in_flight_per_conn: 64,
+        ..ReactorConfig::default()
+    };
+    refused(ServerConfig::default(), inverted);
+
     let engine = QueryEngine::new(common::sharded(3));
     let handle = serve_with(
         engine,

@@ -14,7 +14,7 @@ use entropydb_core::ingest::{IngestConfig, LiveSummary};
 use entropydb_core::plan::QueryRequest;
 use entropydb_core::serialize::ClusterShard;
 use entropydb_core::solver::SolverConfig;
-use entropydb_server::{serve, Client, RemoteShardedSummary};
+use entropydb_server::{serve, Client, FailoverConfig, RemoteShardedSummary};
 use entropydb_storage::Predicate;
 
 /// Remote scatter/gather answers every request variant bitwise-identically
@@ -68,7 +68,10 @@ fn remote_top_k_finds_a_winner_that_is_below_k_on_every_shard() {
 }
 
 /// A gateway node — the remote backend served over the ordinary protocol —
-/// still answers bitwise-identically (two wire hops, one merge).
+/// still answers bitwise-identically (two wire hops, one merge), and under
+/// load: 32 concurrent sessions, half pipelined and half dribbled
+/// byte-at-a-time, each read back the very reply stream the local sharded
+/// backend served directly gives.
 #[test]
 fn gateway_round_trip_stays_bitwise() {
     let local = sharded(3);
@@ -76,14 +79,27 @@ fn gateway_round_trip_stays_bitwise() {
     let remote = RemoteShardedSummary::connect(&manifest).unwrap();
     let gateway = serve(QueryEngine::new(remote), "127.0.0.1:0").unwrap();
 
-    let local_engine = QueryEngine::new(local);
     let mut client = Client::connect(gateway.local_addr()).unwrap();
+    let direct = serve(QueryEngine::new(local.clone()), "127.0.0.1:0").unwrap();
+    let local_engine = QueryEngine::new(local);
     for req in requests() {
         let expected = local_engine.execute(&req).unwrap();
         let got = client.execute(&req).unwrap();
         assert_eq!(got.encode(), expected.encode(), "{}", req.encode());
     }
     client.quit();
+
+    let expected = common::transcript(direct.local_addr(), false);
+    assert!(expected.starts_with(b"pong\n") && expected.ends_with(b"pong\n"));
+    let sessions = common::concurrent_transcripts(gateway.local_addr(), 32);
+    for (conn, got) in sessions.iter().enumerate() {
+        assert!(
+            *got == expected,
+            "gateway connection {conn} (dribbled: {}) differs from the direct reply stream",
+            conn % 2 == 1
+        );
+    }
+    direct.shutdown();
     gateway.shutdown();
     for handle in handles {
         handle.shutdown();
@@ -266,6 +282,16 @@ fn handshake_rejects_wrong_cardinality_and_dead_nodes() {
         other => panic!("expected named handshake failure, got {other:?}"),
     }
     manifest[1].n -= 5;
+
+    // An invalid failover policy is refused before any dial.
+    let zero_budget = FailoverConfig {
+        attempts_per_replica: 0,
+        ..fast_failover()
+    };
+    match RemoteShardedSummary::connect_with(&manifest, zero_budget) {
+        Err(ModelError::InvalidConfig(_)) => {}
+        other => panic!("expected an invalid-config error, got {other:?}"),
+    }
 
     // A dead node fails the connect with its shard named.
     let dead = vec![ClusterShard::single(0, 1, "127.0.0.1:1")];
