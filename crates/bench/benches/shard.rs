@@ -136,9 +136,9 @@ fn bench_shard_query(c: &mut Criterion) {
     let config = SolverConfig::default();
     let mono = MaxEntSummary::build(&table, stats.clone(), &config).expect("build");
     let four = sharded_build(&table, &stats, 4);
-    // The gather-side answer cache closes the fan-out gap on repeated
-    // probes: warm entries skip the fan-out pool entirely.
-    let four_cached = sharded_build(&table, &stats, 4).with_probe_cache(1 << 16);
+    // The engine's answer cache closes the fan-out gap on repeated
+    // requests: a warm entry skips mask building, the fan-out and the merge.
+    let four_cached = QueryEngine::new(sharded_build(&table, &stats, 4)).with_answer_cache(1 << 16);
 
     let point = Predicate::new().eq(AttrId(0), 5).eq(AttrId(6), 10);
     let range = Predicate::new()

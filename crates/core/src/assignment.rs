@@ -176,14 +176,6 @@ impl Mask {
         }
     }
 
-    /// Resets every attribute to unconstrained, keeping the allocated
-    /// weight buffers for reuse. The mask arity is unchanged.
-    pub fn clear(&mut self) {
-        for w in &mut self.weights {
-            *w = None;
-        }
-    }
-
     /// The weight applied to the 1D variable (attr `i`, code `v`).
     #[inline]
     pub fn weight(&self, attr: usize, v: u32) -> f64 {
@@ -248,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn restrict_in_place_and_clear() {
+    fn restrict_in_place() {
         let pred = Predicate::new().between(AttrId(0), 2, 3);
         let mut mask = Mask::from_predicate(&pred, &[4]).unwrap();
         mask.restrict_in_place(AttrId(0), 3, 4);
@@ -256,8 +248,6 @@ mod tests {
         mask.restrict_in_place(AttrId(0), 1, 4);
         // Code 1 was already masked out, so nothing survives.
         assert_eq!(mask.attr_weights(0), Some(&[0.0, 0.0, 0.0, 0.0][..]));
-        mask.clear();
-        assert!(mask.is_identity());
         assert_eq!(mask.arity(), 1);
     }
 

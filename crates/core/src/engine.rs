@@ -15,7 +15,7 @@
 //!   [`LiveSummary`](crate::ingest::LiveSummary), a remote cluster) forwards
 //!   it to [`scatter::gather`](crate::scatter::gather). [`SummaryBackend`]
 //!   adds only what the engine needs around that: the schema, the domain
-//!   sizes, and the cache / ingest hooks.
+//!   sizes, the answer generation and the ingest hooks.
 //!
 //! Backends answer under a *mask* rather than a predicate so the engine can
 //! derive many masked evaluations from one validated predicate (group-by
@@ -23,16 +23,28 @@
 //! is the group-by answer ranked once ([`rank_top_k`]) on every backend —
 //! sharded ones rank the *merged* group-by, so the answer is the full
 //! ranking's, exactly.
+//!
+//! Caching happens here, above every backend, and per request: an engine
+//! [with an answer cache](QueryEngine::with_answer_cache) files each answer
+//! under its canonical request line ([`QueryRequest::encode`] /
+//! [`ProbeRequest::encode`]) and the backend's
+//! [generation](SummaryBackend::generation), so a repeat skips mask
+//! building, pruning, the fan-out and the merge. See [`AnswerCache`].
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, Result};
+use crate::metrics::{CacheCounters, CacheStatsSnapshot};
 use crate::par;
 use crate::plan::{QueryRequest, QueryResponse};
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
 use crate::scatter::ShardProbe;
 use entropydb_storage::{AttrId, Predicate, Schema, Table};
-use std::sync::Mutex;
+use std::borrow::{Borrow, Cow};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A pool of evaluation workspaces shared across query calls. Queries pop a
 /// scratch (or build one on first use), run allocation-free, and return it;
@@ -93,12 +105,182 @@ impl<S> Clone for ScratchPool<S> {
     }
 }
 
+/// One filed answer: a query answer under its `q1` line, or a probe answer
+/// under its `b1` line.
+#[derive(Debug)]
+enum Answer {
+    Query(QueryResponse),
+    Probe(ProbeResponse),
+}
+
+impl Answer {
+    /// `request`'s answer, read from the answer filed for it
+    /// ([`filed_as`]): a top-k ranks the group-by it was filed as.
+    fn read(&self, request: &QueryRequest) -> QueryResponse {
+        match (self, request) {
+            (Answer::Query(QueryResponse::Groups(groups)), QueryRequest::TopK { k, .. }) => {
+                QueryResponse::Ranked(rank_top_k(groups.clone(), *k))
+            }
+            (Answer::Query(answer), _) => answer.clone(),
+            (Answer::Probe(_), _) => unreachable!("a q1 line files a query answer"),
+        }
+    }
+}
+
+/// The request whose answer `request` is read from — a top-k reads the
+/// group-by it ranks, so the two share one entry — or `None` for a draw,
+/// which is never cached.
+fn filed_as(request: &QueryRequest) -> Option<Cow<'_, QueryRequest>> {
+    match request {
+        QueryRequest::SampleRows { .. } => None,
+        QueryRequest::TopK { pred, attr, .. } => {
+            Some(Cow::Owned(QueryRequest::group_by(pred.clone(), *attr)))
+        }
+        _ => Some(Cow::Borrowed(request)),
+    }
+}
+
+/// The key an answer is filed under: its canonical request line, then the
+/// backend generation it was computed at (no wire line holds an `@`).
+fn cache_key(mut line: String, generation: u64) -> String {
+    let _ = write!(line, " @{generation}");
+    line
+}
+
+/// Read entries an insert into a full cache passes over, at most, before
+/// it evicts the oldest anyway: the bound that keeps an insert O(1).
+const SECOND_CHANCES: usize = 4;
+
+/// A [`QueryEngine`]'s bounded answer cache: one entry per request, keyed
+/// by the canonical request line and the backend's
+/// [generation](SummaryBackend::generation).
+///
+/// * A hit is one lookup: no mask is built, no shard is asked, nothing is
+///   merged. A miss computes the answer and files it, unless the
+///   generation moved while it was computed — then the answer may mix two
+///   models, and is handed back unfiled.
+/// * Draws (`sample`) and errors are never filed. A top-k is filed as the
+///   group-by it ranks, so the two share one entry.
+/// * Duplicate lines of one batch are computed once and counted as
+///   coalesced. Concurrent identical requests on different connections are
+///   each computed: a repeat, not a collision, is what interactive use
+///   sends.
+/// * At capacity an insert evicts the oldest entry, passing over at most
+///   four entries read since they were filed (each moves to the back,
+///   unread again): O(1) per insert, and the entries a dashboard keeps
+///   reading stay.
+/// * Cached answers are clones of computed ones, so a hit is bitwise the
+///   answer the backend gives.
+#[derive(Debug)]
+pub struct AnswerCache {
+    capacity: usize,
+    table: Mutex<AnswerTable>,
+    counters: CacheCounters,
+}
+
+#[derive(Debug, Default)]
+struct AnswerTable {
+    entries: HashMap<Arc<str>, Filed>,
+    /// Every filed key, oldest first.
+    queue: VecDeque<Arc<str>>,
+}
+
+#[derive(Debug)]
+struct Filed {
+    answer: Arc<Answer>,
+    /// Read since it was filed or last passed over.
+    read: bool,
+}
+
+impl AnswerCache {
+    /// A cache holding at most `entries` answers (at least one).
+    pub fn new(entries: usize) -> AnswerCache {
+        AnswerCache {
+            capacity: entries.max(1),
+            table: Mutex::default(),
+            counters: CacheCounters::default(),
+        }
+    }
+
+    /// A point-in-time copy of the counters: hits and misses count
+    /// requests, coalesced the duplicate lines of a batch.
+    pub fn snapshot(&self) -> CacheStatsSnapshot {
+        self.counters.snapshot()
+    }
+
+    /// Number of answers currently filed.
+    pub fn len(&self) -> usize {
+        self.table().entries.len()
+    }
+
+    /// True when nothing is filed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every step of an update keeps each queued key filed (a key is filed
+    /// before it is queued, and unqueued before it is dropped), so a holder
+    /// that panicked left at worst an entry that is never evicted, and a
+    /// poisoned lock is taken as it is.
+    fn table(&self) -> MutexGuard<'_, AnswerTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The answer filed under `key`, counted as a hit or a miss.
+    fn get(&self, key: &str) -> Option<Arc<Answer>> {
+        let hit = self.table().entries.get_mut(key).map(|filed| {
+            filed.read = true;
+            Arc::clone(&filed.answer)
+        });
+        match hit {
+            Some(_) => self.counters.add_hits(1),
+            None => self.counters.add_misses(1),
+        }
+        hit
+    }
+
+    /// Files `answer` under `key`, evicting one entry when full. A key
+    /// already filed keeps its answer: both were computed at one
+    /// generation from one request.
+    fn insert(&self, key: String, answer: Arc<Answer>) {
+        let mut table = self.table();
+        let AnswerTable { entries, queue } = &mut *table;
+        if entries.contains_key(key.as_str()) {
+            return;
+        }
+        if entries.len() >= self.capacity {
+            for _ in 0..SECOND_CHANCES {
+                let oldest = entries
+                    .get_mut(&queue[0])
+                    .expect("every queued key is filed");
+                if !std::mem::take(&mut oldest.read) {
+                    break;
+                }
+                queue.rotate_left(1);
+            }
+            let oldest = queue.pop_front().expect("a full cache queues its keys");
+            entries.remove(&oldest);
+            self.counters.add_evicted(1);
+        }
+        let key: Arc<str> = key.into();
+        entries.insert(
+            Arc::clone(&key),
+            Filed {
+                answer,
+                read: false,
+            },
+        );
+        queue.push_back(key);
+    }
+}
+
 /// A summary representation the [`QueryEngine`] can serve: something that
 /// answers [`ProbeRequest`]s ([`ShardProbe`] — `n`, `make_scratch`, `probe`)
-/// over a known schema, plus the cache and ingest hooks the serving layer
-/// surfaces. Evaluation has exactly one entry point, `probe`, taking a
-/// caller-supplied scratch so the engine can pool workspaces and keep
-/// steady-state querying allocation-free.
+/// over a known schema, plus the generation the engine's answer cache keys
+/// by and the ingest hooks the serving layer surfaces. Evaluation has
+/// exactly one entry point, `probe`, taking a caller-supplied scratch so
+/// the engine can pool workspaces and keep steady-state querying
+/// allocation-free.
 ///
 /// Purely local backends ([`MaxEntSummary`](crate::model::MaxEntSummary),
 /// [`ShardedSummary`](crate::sharded::ShardedSummary)) never fail outside
@@ -113,18 +295,24 @@ pub trait SummaryBackend: ShardProbe {
     /// Active-domain sizes per attribute.
     fn domain_sizes(&self) -> &[usize];
 
-    /// Counters of the gather-side probe cache fronting this backend, or
-    /// `None` when the backend runs uncached (the default). Surfaced
-    /// through the server's `stats` session command and the gateway's
-    /// `status` control line.
-    fn cache_stats(&self) -> Option<crate::metrics::CacheStatsSnapshot> {
-        None
+    /// The generation the engine's [`AnswerCache`] files answers under: a
+    /// counter that moves whenever this backend's answers may have changed,
+    /// so an answer filed under an older generation is never read again.
+    /// `0` (the default) for a model that never changes; a live summary's
+    /// served epoch; the sum of a remote cluster's per-shard blob
+    /// generations, which move on a swapped blob, an observed fold and a
+    /// grown live shard. It must never run ahead of the answers: a probe
+    /// that starts after the generation reads `g` is answered by a model of
+    /// generation `g` or later.
+    fn generation(&self) -> u64 {
+        0
     }
 
     /// The backend's ingest epoch: a monotonically increasing token bumped
     /// every time the served model mixture changes (delta fold, compaction,
-    /// retention). Immutable backends are forever at epoch 0. Callers that
-    /// cache derived answers must key them by epoch.
+    /// retention). Immutable backends are forever at epoch 0. It orders
+    /// ingest; it does not key cached answers — a remote blob swap changes
+    /// answers without moving it. Key by [`SummaryBackend::generation`].
     fn epoch(&self) -> u64 {
         0
     }
@@ -185,24 +373,40 @@ pub fn rank_top_k(groups: Vec<Estimate>, k: usize) -> Vec<(u32, Estimate)> {
     ranked
 }
 
-/// The generic query front-end: owns the backend, the scratch pool, and the
-/// batching/fan-out logic. [`QueryEngine::execute`] /
-/// [`QueryEngine::execute_batch`] over the query IR ([`QueryRequest`]) and
-/// [`QueryEngine::probe`] over the probe IR are the entry points; the typed
-/// convenience methods come from [`QueryApi`].
+/// The generic query front-end: owns the backend, the scratch pool, the
+/// batching/fan-out logic and, optionally, an [`AnswerCache`].
+/// [`QueryEngine::execute`] / [`QueryEngine::execute_batch`] over the query
+/// IR ([`QueryRequest`]) and [`QueryEngine::probe`] over the probe IR are
+/// the entry points; the typed convenience methods come from [`QueryApi`].
 #[derive(Debug)]
 pub struct QueryEngine<B: SummaryBackend> {
     backend: B,
     scratch: ScratchPool<B::Scratch>,
+    cache: Option<Arc<AnswerCache>>,
 }
 
 impl<B: SummaryBackend> QueryEngine<B> {
-    /// Wraps a backend with a fresh scratch pool.
+    /// Wraps a backend with a fresh scratch pool, uncached.
     pub fn new(backend: B) -> Self {
         QueryEngine {
             backend,
             scratch: ScratchPool::new(),
+            cache: None,
         }
+    }
+
+    /// Puts an [`AnswerCache`] of at most `entries` answers in front of the
+    /// backend (`0` leaves the engine uncached). Answers stay bitwise those
+    /// of the uncached engine.
+    pub fn with_answer_cache(mut self, entries: usize) -> Self {
+        self.cache = (entries > 0).then(|| Arc::new(AnswerCache::new(entries)));
+        self
+    }
+
+    /// The answer cache, when there is one — a handle that outlives a move
+    /// of the engine into a server.
+    pub fn answer_cache(&self) -> Option<&Arc<AnswerCache>> {
+        self.cache.as_ref()
     }
 
     /// The wrapped backend.
@@ -210,7 +414,7 @@ impl<B: SummaryBackend> QueryEngine<B> {
         &self.backend
     }
 
-    /// Unwraps the backend, dropping the pooled scratches.
+    /// Unwraps the backend, dropping the pooled scratches and the cache.
     pub fn into_backend(self) -> B {
         self.backend
     }
@@ -225,10 +429,11 @@ impl<B: SummaryBackend> QueryEngine<B> {
         self.backend.schema()
     }
 
-    /// Probe-cache counters of the backend, when it runs one (see
-    /// [`SummaryBackend::cache_stats`]).
-    pub fn cache_stats(&self) -> Option<crate::metrics::CacheStatsSnapshot> {
-        self.backend.cache_stats()
+    /// The answer cache's counters, or `None` for an uncached engine.
+    /// Surfaced through the server's `stats` session command and the
+    /// gateway's `status` control line.
+    pub fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
+        self.cache.as_ref().map(|cache| cache.snapshot())
     }
 
     /// The backend's ingest epoch (see [`SummaryBackend::epoch`]).
@@ -253,16 +458,81 @@ impl<B: SummaryBackend> QueryEngine<B> {
     /// method routes through. The response variant matches the request
     /// variant (see [`QueryRequest`]/[`QueryResponse`]).
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse> {
-        paths::execute(&self.backend, &self.scratch, request)
+        let uncached = || paths::execute(&self.backend, &self.scratch, request);
+        let Some(cache) = &self.cache else {
+            return uncached();
+        };
+        let Some(filed) = filed_as(request) else {
+            return uncached();
+        };
+        let answer = self.cached(cache, filed.encode(), || {
+            paths::execute(&self.backend, &self.scratch, &filed).map(Answer::Query)
+        })?;
+        Ok(answer.read(request))
     }
 
     /// Executes a batch of IR requests, fanning them out across the
     /// persistent worker pool. Element `i` is exactly
     /// `self.execute(&requests[i])` (bitwise; chunking never changes
     /// results), with per-request errors kept in place so one bad request
-    /// does not poison a pipelined batch.
+    /// does not poison a pipelined batch. Through the cache, the lines it
+    /// lacks are computed as one batch, each distinct line once.
     pub fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
-        paths::execute_batch(&self.backend, &self.scratch, requests)
+        let Some(cache) = &self.cache else {
+            return paths::execute_batch(&self.backend, &self.scratch, requests);
+        };
+        let generation = self.backend.generation();
+        let filed: Vec<_> = requests.iter().map(filed_as).collect();
+        let mut keys: Vec<Option<String>> = filed
+            .iter()
+            .map(|filed| Some(cache_key(filed.as_ref()?.encode(), generation)))
+            .collect();
+        // Slot `i` reads the answer of slot `source[i]`: its own, or that of
+        // the first slot holding the same line.
+        let mut source: Vec<usize> = (0..requests.len()).collect();
+        let mut answers: Vec<Option<Result<Arc<Answer>>>> = vec![None; requests.len()];
+        let mut missing = Vec::new();
+        let mut first: HashMap<&str, usize> = HashMap::with_capacity(requests.len());
+        for (slot, key) in keys.iter().enumerate() {
+            let Some(key) = key else {
+                missing.push(slot);
+                continue;
+            };
+            match first.entry(key) {
+                Entry::Occupied(earlier) => {
+                    source[slot] = *earlier.get();
+                    cache.counters.add_coalesced(1);
+                }
+                Entry::Vacant(vacant) => {
+                    vacant.insert(slot);
+                    match cache.get(key) {
+                        Some(answer) => answers[slot] = Some(Ok(answer)),
+                        None => missing.push(slot),
+                    }
+                }
+            }
+        }
+        let asked: Vec<&QueryRequest> = missing
+            .iter()
+            .map(|&slot| filed[slot].as_deref().unwrap_or(&requests[slot]))
+            .collect();
+        let computed = paths::execute_batch(&self.backend, &self.scratch, &asked);
+        let current = self.backend.generation() == generation;
+        for (&slot, result) in missing.iter().zip(computed) {
+            let result = result.map(|answer| Arc::new(Answer::Query(answer)));
+            if let (Ok(answer), Some(key), true) = (&result, keys[slot].take(), current) {
+                cache.insert(key, Arc::clone(answer));
+            }
+            answers[slot] = Some(result);
+        }
+        requests
+            .iter()
+            .zip(source)
+            .map(|(request, source)| {
+                let answer = answers[source].clone().expect("every slot is answered");
+                answer.map(|answer| answer.read(request))
+            })
+            .collect()
     }
 
     /// Executes one mask-level probe ([`crate::probe`]) — what a
@@ -270,11 +540,43 @@ impl<B: SummaryBackend> QueryEngine<B> {
     /// predicate translation (the gatherer already built the mask), so this
     /// is where outside shapes are validated against the backend's.
     pub fn probe(&self, request: &ProbeRequest) -> Result<ProbeResponse> {
-        request.validate(self.backend.domain_sizes())?;
-        self.scratch.with(
-            || self.backend.make_scratch(),
-            |s| self.backend.probe(request, s),
-        )
+        let ask = || {
+            request.validate(self.backend.domain_sizes())?;
+            self.scratch.with(
+                || self.backend.make_scratch(),
+                |s| self.backend.probe(request, s),
+            )
+        };
+        match &self.cache {
+            Some(cache) if !matches!(request, ProbeRequest::SampleAt { .. }) => {
+                match &*self.cached(cache, request.encode(), || ask().map(Answer::Probe))? {
+                    Answer::Probe(answer) => Ok(answer.clone()),
+                    Answer::Query(_) => unreachable!("a b1 line files a probe answer"),
+                }
+            }
+            _ => ask(),
+        }
+    }
+
+    /// The answer filed under `line` at the backend's current generation,
+    /// or `compute`'s, filed there when the generation has not moved by the
+    /// time it is done.
+    fn cached(
+        &self,
+        cache: &AnswerCache,
+        line: String,
+        compute: impl FnOnce() -> Result<Answer>,
+    ) -> Result<Arc<Answer>> {
+        let generation = self.backend.generation();
+        let key = cache_key(line, generation);
+        if let Some(answer) = cache.get(&key) {
+            return Ok(answer);
+        }
+        let answer = Arc::new(compute()?);
+        if self.backend.generation() == generation {
+            cache.insert(key, Arc::clone(&answer));
+        }
+        Ok(answer)
     }
 }
 
@@ -484,10 +786,10 @@ pub(crate) mod paths {
     /// shard) and the same for every slot: each gets a copy, nothing is
     /// re-run.
     /// All other request kinds fan out per-request across the worker pool.
-    pub fn execute_batch<B: SummaryBackend>(
+    pub fn execute_batch<B: SummaryBackend, R: Borrow<QueryRequest> + Sync>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
-        requests: &[QueryRequest],
+        requests: &[R],
     ) -> Vec<Result<QueryResponse>> {
         let mut results: Vec<Option<Result<QueryResponse>>> =
             (0..requests.len()).map(|_| None).collect();
@@ -496,7 +798,7 @@ pub(crate) mod paths {
         let mut count_idx = Vec::new();
         let mut count_masks = Vec::new();
         for (i, request) in requests.iter().enumerate() {
-            let (idx, masks, pred) = match request {
+            let (idx, masks, pred) = match request.borrow() {
                 QueryRequest::Probability { pred } => (&mut prob_idx, &mut prob_masks, pred),
                 QueryRequest::Count { pred } => (&mut count_idx, &mut count_masks, pred),
                 _ => continue,
@@ -526,7 +828,9 @@ pub(crate) mod paths {
             .map(|(i, _)| i)
             .collect();
         if !pending.is_empty() {
-            let executed = par::map(&pending, 1, |_, &i| execute(backend, pool, &requests[i]));
+            let executed = par::map(&pending, 1, |_, &i| {
+                execute(backend, pool, requests[i].borrow())
+            });
             for (&i, r) in pending.iter().zip(executed) {
                 results[i] = Some(r);
             }
@@ -672,32 +976,75 @@ mod tests {
     use super::*;
     use crate::error::RemoteDetail;
     use entropydb_storage::Attribute;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    /// A backend whose every probe fails the way a degraded shard does,
-    /// counting the attempts.
-    struct DeadBackend {
+    /// A backend over one attribute of 8 codes whose COUNT under a mask is
+    /// the mask's total weight, counting the probes and masks it is asked.
+    /// A `dead` one fails every probe the way a degraded shard does; a
+    /// `moving` one is of a new generation after every probe.
+    #[derive(Default)]
+    struct Tally {
         schema: Schema,
         sizes: Vec<usize>,
+        dead: bool,
+        moving: bool,
         probes: AtomicUsize,
+        masks: AtomicUsize,
+        generation: AtomicU64,
     }
 
-    impl ShardProbe for DeadBackend {
+    impl Tally {
+        fn new() -> Tally {
+            let schema = Schema::new(vec![Attribute::categorical("x", 8).unwrap()]);
+            Tally {
+                sizes: schema.domain_sizes(),
+                schema,
+                ..Tally::default()
+            }
+        }
+
+        fn probes(&self) -> usize {
+            self.probes.load(Ordering::SeqCst)
+        }
+    }
+
+    impl ShardProbe for Tally {
         type Scratch = ();
 
         fn n(&self) -> u64 {
-            1
+            8
         }
 
         fn make_scratch(&self) {}
 
-        fn probe(&self, _request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
+        fn probe(&self, request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
             self.probes.fetch_add(1, Ordering::SeqCst);
-            Err(ModelError::Remote(RemoteDetail::message("shard is down")))
+            if self.moving {
+                self.generation.fetch_add(1, Ordering::SeqCst);
+            }
+            if self.dead {
+                return Err(ModelError::Remote(RemoteDetail::message("shard is down")));
+            }
+            let count = |mask: &Mask| {
+                self.masks.fetch_add(1, Ordering::SeqCst);
+                Estimate::new((0..8).map(|v| mask.weight(0, v)).sum(), 0.0)
+            };
+            Ok(match request {
+                ProbeRequest::Count { mask } => ProbeResponse::Estimate(count(mask)),
+                ProbeRequest::CountMany { masks } => {
+                    ProbeResponse::Estimates(masks.iter().map(count).collect())
+                }
+                ProbeRequest::GroupBy { mask, .. } => ProbeResponse::Groups(
+                    (0..8)
+                        .map(|v| Estimate::new(mask.weight(0, v), 0.0))
+                        .collect(),
+                ),
+                other => unimplemented!("{other:?}"),
+            })
         }
     }
 
-    impl SummaryBackend for DeadBackend {
+    impl SummaryBackend for Tally {
         fn schema(&self) -> &Schema {
             &self.schema
         }
@@ -705,24 +1052,130 @@ mod tests {
         fn domain_sizes(&self) -> &[usize] {
             &self.sizes
         }
+
+        fn generation(&self) -> u64 {
+            self.generation.load(Ordering::SeqCst)
+        }
+    }
+
+    fn point(v: u32) -> QueryRequest {
+        QueryRequest::count(Predicate::new().eq(AttrId(0), v))
+    }
+
+    fn stats<B: SummaryBackend>(engine: &QueryEngine<B>) -> CacheStatsSnapshot {
+        engine.cache_stats().expect("the engine is cached")
     }
 
     /// A fused batch that fails is the backend's failure, the same for
     /// every slot: it is answered once, not retried request by request.
     #[test]
     fn a_failed_fused_batch_is_answered_once() {
-        let schema = Schema::new(vec![Attribute::categorical("x", 4).unwrap()]);
-        let engine = QueryEngine::new(DeadBackend {
-            sizes: schema.domain_sizes(),
-            schema,
-            probes: AtomicUsize::new(0),
-        });
-        let requests: Vec<QueryRequest> = (0..16)
-            .map(|v| QueryRequest::count(Predicate::new().eq(AttrId(0), v % 4)))
-            .collect();
+        let dead = Tally {
+            dead: true,
+            ..Tally::new()
+        };
+        let engine = QueryEngine::new(dead);
+        let requests: Vec<QueryRequest> = (0..16).map(|v| point(v % 4)).collect();
         let answers = engine.execute_batch(&requests);
-        assert_eq!(engine.backend().probes.load(Ordering::SeqCst), 1);
+        assert_eq!(engine.backend().probes(), 1);
         let down = ModelError::Remote(RemoteDetail::message("shard is down"));
         assert_eq!(answers, vec![Err(down); 16]);
+    }
+
+    /// An error is handed back, never filed: asking again asks again.
+    #[test]
+    fn an_error_is_never_cached() {
+        let dead = Tally {
+            dead: true,
+            ..Tally::new()
+        };
+        let engine = QueryEngine::new(dead).with_answer_cache(16);
+        assert!(engine.execute(&point(1)).is_err());
+        assert!(engine.execute(&point(1)).is_err());
+        assert!(engine
+            .execute_batch(&[point(1), point(2)])
+            .iter()
+            .all(Result::is_err));
+        assert_eq!(engine.backend().probes(), 3);
+        assert!(engine.answer_cache().unwrap().is_empty());
+        assert_eq!(stats(&engine).misses, 4);
+    }
+
+    /// An answer computed while the generation moved may mix two models:
+    /// it is handed back, and the next ask computes again.
+    #[test]
+    fn an_answer_across_a_generation_change_is_not_filed() {
+        let moving = Tally {
+            moving: true,
+            ..Tally::new()
+        };
+        let engine = QueryEngine::new(moving).with_answer_cache(16);
+        let first = engine.execute(&point(3)).unwrap();
+        assert_eq!(engine.execute(&point(3)).unwrap(), first);
+        assert_eq!(engine.execute_batch(&[point(3)]), vec![Ok(first)]);
+        assert_eq!(engine.backend().probes(), 3);
+        assert!(engine.answer_cache().unwrap().is_empty());
+    }
+
+    /// Filing `capacity + k` distinct answers keeps `capacity` of them and
+    /// counts exactly `k` evictions.
+    #[test]
+    fn the_cache_holds_its_bound_and_counts_each_eviction() {
+        let (capacity, k) = (4, 3);
+        let engine = QueryEngine::new(Tally::new()).with_answer_cache(capacity);
+        for v in 0..(capacity + k) as u32 {
+            engine.execute(&point(v)).unwrap();
+        }
+        assert_eq!(engine.answer_cache().unwrap().len(), capacity);
+        assert_eq!(stats(&engine).evicted, k as u64);
+    }
+
+    /// An entry read since it was filed is passed over once: the oldest
+    /// unread entry is evicted in its place.
+    #[test]
+    fn a_read_entry_gets_a_second_chance() {
+        let engine = QueryEngine::new(Tally::new()).with_answer_cache(2);
+        for v in [0, 1, 0, 2] {
+            engine.execute(&point(v)).unwrap();
+        }
+        assert_eq!(engine.backend().probes(), 3);
+        engine.execute(&point(0)).unwrap();
+        assert_eq!(engine.backend().probes(), 3, "0 was read, so 1 went");
+        engine.execute(&point(1)).unwrap();
+        assert_eq!(engine.backend().probes(), 4);
+    }
+
+    /// A top-k is filed as the group-by it ranks: one computes, the other
+    /// hits, whichever comes first.
+    #[test]
+    fn a_top_k_and_its_group_by_share_one_entry() {
+        let engine = QueryEngine::new(Tally::new()).with_answer_cache(16);
+        let pred = Predicate::new().between(AttrId(0), 2, 5);
+        let top = QueryRequest::top_k(pred.clone(), AttrId(0), 3);
+        let group = QueryRequest::group_by(pred, AttrId(0));
+        let ranked = engine.execute(&top).unwrap();
+        let groups = engine.execute(&group).unwrap();
+        assert_eq!(
+            ranked,
+            QueryResponse::Ranked(rank_top_k(groups.groups().unwrap(), 3))
+        );
+        assert_eq!(engine.backend().probes(), 1);
+        assert_eq!((stats(&engine).hits, stats(&engine).misses), (1, 1));
+    }
+
+    /// A batch holding a line twice computes it once, in the one fused
+    /// probe of its distinct masks, and counts the repeat as coalesced.
+    #[test]
+    fn a_batch_computes_a_repeated_line_once() {
+        let engine = QueryEngine::new(Tally::new()).with_answer_cache(16);
+        let answers = engine.execute_batch(&[point(1), point(2), point(1)]);
+        assert_eq!(answers[0], answers[2]);
+        let backend = engine.backend();
+        assert_eq!(
+            (backend.probes(), backend.masks.load(Ordering::SeqCst)),
+            (1, 2)
+        );
+        let stats = stats(&engine);
+        assert_eq!((stats.hits, stats.misses, stats.coalesced), (0, 2, 1));
     }
 }

@@ -26,12 +26,11 @@
 //! unchanged, because each published snapshot *is* a `ShardedSummary`.
 //!
 //! **Epochs.** The summary carries a monotonically increasing epoch,
-//! bumped once per published mixture (fold, seal, retention). The same
-//! atomic doubles as the generation counter inside every snapshot's
-//! gather-cache identity
-//! ([`crate::scatter::ShardCacheId::with_generation`]), so a fold instantly
-//! orphans cached probe answers. Anything caching derived answers above
-//! this layer must key them by [`LiveSummary::epoch`].
+//! bumped once per published mixture (fold, seal, retention) — after the
+//! mixture is served, never before, so whoever reads epoch `e` is answered
+//! by `e`'s mixture or a newer one. The epoch is also the summary's
+//! [generation](crate::engine::SummaryBackend::generation): a fold orphans
+//! every answer an engine's answer cache filed under the previous one.
 //!
 //! **Idempotent appends.** A batch may carry an opaque idempotency token;
 //! replaying a token (a client retry after a transport error) reports
@@ -47,7 +46,7 @@
 
 use crate::engine::{AppendOutcome, SummaryBackend};
 use crate::error::{ModelError, Result};
-use crate::metrics::{CacheStatsSnapshot, IngestCounters, IngestStatsSnapshot};
+use crate::metrics::{IngestCounters, IngestStatsSnapshot};
 use crate::model::MaxEntSummary;
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::scatter::ShardProbe;
@@ -82,10 +81,6 @@ pub struct IngestConfig {
     /// when the fold publishes); `false` folds synchronously inside the
     /// triggering [`LiveSummary::append_rows`] call.
     pub background: bool,
-    /// Entries in the gather-side probe cache fronting each published
-    /// mixture (0 = uncached). Cache identities share the summary's epoch
-    /// counter, so every fold orphans all cached answers.
-    pub probe_cache_entries: usize,
     /// Bound on remembered idempotency tokens (FIFO eviction). Must be > 0.
     pub token_capacity: usize,
 }
@@ -97,7 +92,6 @@ impl Default for IngestConfig {
             seal_rows: 16384,
             max_segments: None,
             background: true,
-            probe_cache_entries: 0,
             token_capacity: 4096,
         }
     }
@@ -167,12 +161,6 @@ impl IngestConfigBuilder {
     /// Chooses background (true) or synchronous (false) folding.
     pub fn background(mut self, background: bool) -> Self {
         self.config.background = background;
-        self
-    }
-
-    /// Sets the gather-cache entry budget (0 disables the cache).
-    pub fn probe_cache_entries(mut self, entries: usize) -> Self {
-        self.config.probe_cache_entries = entries;
         self
     }
 
@@ -249,10 +237,9 @@ struct Inner {
     multi: Vec<MultiDimStatistic>,
     solver: SolverConfig,
     config: IngestConfig,
-    /// The ingest epoch *and* the generation counter inside every
-    /// snapshot's probe-cache identity — one atomic, two jobs, so cache
-    /// invalidation can never lag the epoch.
-    epoch: Arc<AtomicU64>,
+    /// The epoch of the served snapshot, stored only once that snapshot
+    /// is served.
+    epoch: AtomicU64,
     state: Mutex<LiveState>,
     /// Serializes folds so concurrent triggers cannot interleave solve /
     /// publish; the `state` lock is *released* during the solve itself, so
@@ -274,29 +261,18 @@ impl Inner {
         Arc::clone(&self.served.lock().unwrap())
     }
 
-    /// Builds the mixture a publish will serve: sealed segments plus the
-    /// fitted delta, in that order, fronted by an epoch-generation probe
-    /// cache when configured.
-    fn compose(&self, state: &LiveState) -> Result<ShardedSummary> {
-        let mut models: Vec<MaxEntSummary> = state.segments.clone();
-        if let Some(delta) = &state.delta_model {
-            models.push(delta.clone());
-        }
-        let mut mixture = ShardedSummary::from_shards(models)?;
-        if self.config.probe_cache_entries > 0 {
-            mixture = mixture.with_probe_cache_generation(
-                self.config.probe_cache_entries,
-                Arc::clone(&self.epoch),
-            );
-        }
-        Ok(mixture)
-    }
-
-    /// Publishes `state` as the served snapshot under a fresh epoch.
+    /// Publishes `state` — sealed segments plus the fitted delta, in that
+    /// order — as the served snapshot under a fresh epoch. Folds are
+    /// serialized (`fold_lock`), so the epoch is ours to advance: the
+    /// snapshot is installed first and the epoch stored after, so the epoch
+    /// never runs ahead of the mixture that answers.
     fn publish(&self, state: &LiveState) -> Result<u64> {
-        let mixture = self.compose(state)?;
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        let mut models: Vec<MaxEntSummary> = state.segments.clone();
+        models.extend(state.delta_model.clone());
+        let mixture = ShardedSummary::from_shards(models)?;
+        let epoch = self.current_epoch() + 1;
         *self.served.lock().unwrap() = Arc::new(Served { mixture, epoch });
+        self.epoch.store(epoch, Ordering::Release);
         Ok(epoch)
     }
 
@@ -493,24 +469,14 @@ impl LiveSummary {
             token_order: VecDeque::new(),
         };
         let background = config.background;
-        let epoch_counter = Arc::new(AtomicU64::new(epoch));
-        // The initial snapshot is composed by hand (`Inner::compose` needs
-        // an `Inner`): base segments only, cache identity on the shared
-        // epoch counter.
-        let mut mixture = ShardedSummary::from_shards(state.segments.clone())?;
-        if config.probe_cache_entries > 0 {
-            mixture = mixture.with_probe_cache_generation(
-                config.probe_cache_entries,
-                Arc::clone(&epoch_counter),
-            );
-        }
+        let mixture = ShardedSummary::from_shards(state.segments.clone())?;
         let inner = Arc::new(Inner {
             schema,
             domain_sizes,
             multi,
             solver,
             config,
-            epoch: epoch_counter,
+            epoch: AtomicU64::new(epoch),
             state: Mutex::new(state),
             fold_lock: Mutex::new(()),
             served: Mutex::new(Arc::new(Served { mixture, epoch })),
@@ -711,8 +677,10 @@ impl SummaryBackend for LiveSummary {
         &self.inner.domain_sizes
     }
 
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.inner.snapshot().mixture.cache_stats()
+    /// The epoch: it moves with every published mixture, and never
+    /// before that mixture is served.
+    fn generation(&self) -> u64 {
+        self.inner.current_epoch()
     }
 
     fn epoch(&self) -> u64 {

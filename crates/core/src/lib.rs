@@ -53,10 +53,10 @@
 //! | [`model`] / [`query`] | §3.2, §4.2 | `MaxEntSummary`, estimates with variance |
 //! | [`plan`] | — | query IR (`QueryRequest`/`QueryResponse`, predicates) + wire encoding; executed by `execute` |
 //! | [`probe`] | — | probe IR (`ProbeRequest`/`ProbeResponse`, masks) + wire encoding; executed by `probe` |
-//! | [`engine`] | — | generic `QueryEngine` (`execute`, `execute_batch`, `probe`, scratch pool), the `SummaryBackend` trait, and the typed surface `QueryApi` |
+//! | [`engine`] | — | generic `QueryEngine` (`execute`, `execute_batch`, `probe`, scratch pool, `AnswerCache`), the `SummaryBackend` trait, and the typed surface `QueryApi` |
 //! | [`sharded`] | — | `ShardedSummary`: per-partition models with merged estimates |
 //! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, compaction, epochs) |
-//! | [`scatter`] | §4.3 | `ShardProbe::probe` (the one evaluating method of every backend), `Support` (the codes a shard's ZERO statistics leave), `gather` (prune, claim, ask together, the one merge; the sample stratification), gather cache |
+//! | [`scatter`] | §4.3 | `ShardProbe::probe` (the one evaluating method of every backend), `Support` (the codes a shard's ZERO statistics leave), `gather` (prune, ask together, the one merge; the sample stratification) |
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |
 //! | [`serialize`] | §5 | text-format persistence |

@@ -1,5 +1,5 @@
 //! Accuracy metrics used by the paper's evaluation (Sec. 6.2), plus the
-//! operational counters of the gather-side probe cache.
+//! operational counters of the serving stack.
 //!
 //! * Relative error `|true − est| / (true + est)` for heavy/light hitters.
 //! * The F-measure over light hitters vs. nonexistent values, with
@@ -7,7 +7,7 @@
 //!   `recall = |{est > 0 : light}| / |light|`, where "est > 0" uses the
 //!   paper's rounding convention (expectations below 0.5 round to 0).
 //! * [`CacheCounters`] / [`CacheStatsSnapshot`]: hit / miss / coalesced /
-//!   evicted counts for [`crate::scatter::ProbeCache`], surfaced through
+//!   evicted counts for [`crate::engine::AnswerCache`], surfaced through
 //!   the server's `stats` session command and the gateway's `status`
 //!   control line so a load run can prove the cache is working.
 //! * [`ServerCounters`] / [`ServerStatsSnapshot`]: the serving side's
@@ -116,7 +116,7 @@ pub struct ServerStatsSnapshot {
     pub dispatch_depth: u64,
 }
 
-/// Lock-free operational counters of a gather-side probe cache. All
+/// Lock-free operational counters of an engine's answer cache. All
 /// updates are `Relaxed`: the counters are observability, never control
 /// flow, so cross-counter consistency is not required.
 #[derive(Debug, Default)]
@@ -128,19 +128,18 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Records `n` cache hits (answers served without touching a shard).
+    /// Records `n` cache hits (requests answered from the cache).
     pub fn add_hits(&self, n: u64) {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` cache misses (probes that had to reach a shard).
+    /// Records `n` cache misses (requests the backend had to answer).
     pub fn add_misses(&self, n: u64) {
         self.misses.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` coalesced probes: duplicates that shared another
-    /// probe's shard round trip (single-flight waiters and within-round
-    /// duplicates alike).
+    /// Records `n` coalesced requests: duplicate lines of one batch, each
+    /// answered by its first occurrence.
     pub fn add_coalesced(&self, n: u64) {
         self.coalesced.fetch_add(n, Ordering::Relaxed);
     }
@@ -164,11 +163,11 @@ impl CacheCounters {
 /// A point-in-time copy of [`CacheCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStatsSnapshot {
-    /// Answers served straight from the cache.
+    /// Requests answered straight from the cache.
     pub hits: u64,
-    /// Probes that had to reach a shard.
+    /// Requests the backend had to answer.
     pub misses: u64,
-    /// Duplicate probes that shared another probe's round trip.
+    /// Duplicate lines of a batch answered by their first occurrence.
     pub coalesced: u64,
     /// Entries discarded to keep the cache bounded.
     pub evicted: u64,
@@ -246,8 +245,8 @@ impl IngestCounters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestStatsSnapshot {
     /// Generation token of the served mixture: bumped on every delta fold
-    /// and compaction. Probe caches key off it, so observing the
-    /// same epoch twice guarantees bitwise-identical answers in between.
+    /// and compaction, once the new mixture is served. Observing the same
+    /// epoch twice guarantees bitwise-identical answers in between.
     pub epoch: u64,
     /// Rows accepted but not yet covered by the served delta model.
     pub staged_rows: u64,

@@ -526,9 +526,7 @@ impl<'a> SharedEncoding<'a> {
 
 /// The runs of ones of a weight vector whose every weight is bitwise `0.0`
 /// or `1.0` — what every predicate mask is made of — as inclusive `(lo,
-/// hi)` code ranges, ascending and maximal. The `r` mask item and the
-/// gather cache's key ([`crate::scatter`]) both spell such a vector by its
-/// runs, so the one test of "0/1, and these are its runs" is this.
+/// hi)` code ranges, ascending and maximal: what the `r` mask item spells.
 pub(crate) struct UnitRuns<'a> {
     weights: &'a [f64],
     /// Where the scan for the next run starts.
@@ -539,10 +537,10 @@ pub(crate) struct UnitRuns<'a> {
 
 impl<'a> UnitRuns<'a> {
     /// `None` unless every weight is bitwise `0.0` or `1.0` (`-0.0` is not:
-    /// it must travel, and be keyed, as the bits it is).
+    /// it must travel as the bits it is).
     pub(crate) fn of(weights: &'a [f64]) -> Option<Self> {
         const ONE: u64 = 1.0f64.to_bits();
-        // Branch-free: this scan runs on every probe encode and cache claim.
+        // Branch-free: this scan runs on every probe encode.
         let (mut unit, mut left, mut prev) = (true, 0, false);
         for &w in weights {
             let bits = w.to_bits();

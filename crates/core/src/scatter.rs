@@ -11,20 +11,17 @@
 //! 1. **prune** — a shard that knows its [`Support`] (the codes its
 //!    complete 1-D statistics leave non-zero) is not asked a mask the
 //!    support annihilates: that answer is an exact `0.0`;
-//! 2. **claim** — with a gather cache ([`GatherCache`]), every remaining
-//!    (shard, mask) pair claims its entry: cached, in flight, or to fetch;
-//! 3. **ask** — the shards that must be asked are asked *together*,
-//!    through the one fan-out seam [`ShardProbe::probe_each`] (in-process
-//!    shards: the worker pool; remote shards: write every frame, then read
-//!    every reply);
-//! 4. **merge** — the answers, pruned ones as the zeros they are, meet the
+//! 2. **ask** — the shards left are asked *together*, through the one
+//!    fan-out seam [`ShardProbe::probe_each`] (in-process shards: the
+//!    worker pool; remote shards: write every frame, then read every
+//!    reply);
+//! 3. **merge** — the answers, pruned ones as the zeros they are, meet the
 //!    one `merge`.
 //!
 //! The local sharded backend and a remote scatter/gather backend therefore
 //! share every floating-point operation, which is what makes remote answers
-//! bitwise-identical to local ones — a fully-cached answer is folded by
-//! the very code a fanned-out one is, and a pruned round by the code an
-//! unpruned one is.
+//! bitwise-identical to local ones — and a pruned round is folded by the
+//! code an unpruned one is.
 //!
 //! The merge rules (see the module docs of [`crate::sharded`] for the
 //! statistical argument):
@@ -44,26 +41,17 @@
 //! A single shard bypasses every merge fold (the sole result is returned
 //! unchanged), preserving the bitwise 1-shard == monolithic guarantee.
 //!
-//! The module also hosts the gather-side answer cache ([`ProbeCache`], a
-//! bounded two-segment LRU with single-flight coalescing) and
-//! [`GatherCache`], the per-backend bundle of cache + shard identity
-//! tokens. Cache keys are the canonical probe encoding (1:1 with the `b1`
-//! wire form) combined with a per-shard blob-identity token, so swapping a
-//! shard's blob invalidates every cached answer for it. Cached answers are
-//! the shards' own decoded responses, so going through the cache is
-//! bitwise-invisible.
+//! Nothing here caches: a gather always asks. Repeated requests are
+//! answered above this layer, whole, by the engine's answer cache
+//! ([`QueryEngine::with_answer_cache`](crate::engine::QueryEngine::with_answer_cache)).
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, RemoteDetail, Result};
-use crate::metrics::{CacheCounters, CacheStatsSnapshot};
 use crate::par;
-use crate::probe::{ProbeRequest, ProbeResponse, UnitRuns};
+use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
-use entropydb_storage::{AttrId, Schema};
-use std::borrow::{Borrow, Cow};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use entropydb_storage::AttrId;
+use std::borrow::Cow;
 
 /// Anything that answers mask-level [`ProbeRequest`]s: a fitted model, a
 /// remote node, or a mixture of them. `probe` is the only evaluating method
@@ -250,522 +238,28 @@ impl std::fmt::Display for Support {
     }
 }
 
-// ======================= gather-side probe cache =======================
-
-/// Recovers from a poisoned lock: the cache holds plain data, never
-/// invariants that a panicking holder could half-update into nonsense
-/// (worst case a stale or missing entry, both safe).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over 8-byte chunks (plus a byte-wise tail) — fast enough to
-/// hash a full probe encoding in the cached point-query hot path.
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h = (h ^ word).wrapping_mul(FNV_PRIME);
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// SplitMix64 finalizer, used to diffuse token/hash combinations.
-fn mix(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-// Op tags of the canonical probe key encoding, 1:1 with the cached `b1`
-// wire ops (`prob`, `count`, `sum`, `group`).
-const TAG_PROBABILITY: u8 = 1;
-const TAG_COUNT: u8 = 2;
-const TAG_SUM: u8 = 3;
-const TAG_GROUP_BY: u8 = 4;
-
-// Per-attribute mask tags of the key: unconstrained, a weight vector as
-// bits, a 0/1 weight vector as its runs of ones.
-const KEY_IDENTITY: u8 = 0;
-const KEY_BITS: u8 = 1;
-const KEY_RUNS: u8 = 2;
-
-/// The shard-independent part of a cache key: a compact binary form of
-/// the canonical `b1` probe encoding (op tag, arguments, then the mask per
-/// attribute: unconstrained, a 0/1 vector as its length and runs of ones —
-/// the runs the `r` item sends — or any other vector as `f64::to_bits`
-/// words). Floats round-trip the wire bit-exactly and a 0/1 vector is
-/// exactly its runs, so two probes get the same body exactly when their
-/// masks and arguments are bitwise equal — the key *is* the canonical
-/// wire form, just pre-hashed and byte-packed, and a point mask keys in
-/// tens of bytes, not 8 a bucket.
-#[derive(Debug, Clone)]
-pub(crate) struct ProbeKeyBody {
-    bytes: Arc<Vec<u8>>,
-    hash: u64,
-}
-
-impl ProbeKeyBody {
-    /// The key body of a single-answer request. `None` for the batch
-    /// requests — [`gather`] keys those per mask, as the `prob` /
-    /// `count` probe of that mask, so a batch and a single probe share
-    /// entries — and for `sample`, which is never cached.
-    pub(crate) fn of(request: &ProbeRequest) -> Option<ProbeKeyBody> {
-        match request {
-            ProbeRequest::Probability { mask } => Some(Self::finish(vec![TAG_PROBABILITY], mask)),
-            ProbeRequest::Count { mask } => Some(Self::finish(vec![TAG_COUNT], mask)),
-            ProbeRequest::Sum { mask, attr, values } => {
-                // The weight vector is part of the key, bit for bit, like
-                // on the wire.
-                let mut bytes = vec![TAG_SUM];
-                bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
-                bytes.extend_from_slice(&(values.len() as u32).to_le_bytes());
-                for &v in values {
-                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                Some(Self::finish(bytes, mask))
-            }
-            ProbeRequest::GroupBy { mask, attr } => {
-                let mut bytes = vec![TAG_GROUP_BY];
-                bytes.extend_from_slice(&(attr.0 as u32).to_le_bytes());
-                Some(Self::finish(bytes, mask))
-            }
-            ProbeRequest::ProbabilityMany { .. }
-            | ProbeRequest::CountMany { .. }
-            | ProbeRequest::SampleAt { .. } => None,
-        }
-    }
-
-    /// Appends the mask to the op tag + arguments and hashes the body.
-    fn finish(mut bytes: Vec<u8>, mask: &Mask) -> ProbeKeyBody {
-        let push = |bytes: &mut Vec<u8>, x: usize| {
-            bytes.extend_from_slice(&(x as u32).to_le_bytes());
-        };
-        push(&mut bytes, mask.arity());
-        for attr in 0..mask.arity() {
-            let Some(weights) = mask.attr_weights(attr) else {
-                bytes.push(KEY_IDENTITY);
-                continue;
-            };
-            match UnitRuns::of(weights) {
-                Some(runs) => {
-                    bytes.push(KEY_RUNS);
-                    push(&mut bytes, weights.len());
-                    push(&mut bytes, runs.len());
-                    for (lo, hi) in runs {
-                        push(&mut bytes, lo);
-                        push(&mut bytes, hi);
-                    }
-                }
-                None => {
-                    bytes.push(KEY_BITS);
-                    push(&mut bytes, weights.len());
-                    for &w in weights {
-                        bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-                    }
-                }
-            }
-        }
-        let hash = hash_bytes(&bytes);
-        ProbeKeyBody {
-            bytes: Arc::new(bytes),
-            hash,
-        }
-    }
-
-    /// Binds the body to one shard's identity token, yielding a full key.
-    pub(crate) fn key(&self, token: u64) -> ProbeKey {
-        ProbeKey {
-            token,
-            hash: mix(self.hash ^ token),
-            bytes: Arc::clone(&self.bytes),
-        }
-    }
-}
-
-impl PartialEq for ProbeKeyBody {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.bytes == other.bytes
-    }
-}
-
-impl Eq for ProbeKeyBody {}
-
-impl std::hash::Hash for ProbeKeyBody {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// A full cache key: canonical probe body + shard identity token. The
-/// hash is precomputed (body hash diffused with the token); equality
-/// compares the full bytes, so a hash collision can never alias two
-/// different probes.
-#[derive(Debug, Clone)]
-pub(crate) struct ProbeKey {
-    token: u64,
-    hash: u64,
-    bytes: Arc<Vec<u8>>,
-}
-
-impl PartialEq for ProbeKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.token == other.token && self.hash == other.hash && self.bytes == other.bytes
-    }
-}
-
-impl Eq for ProbeKey {}
-
-impl std::hash::Hash for ProbeKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// One in-flight probe: the single-flight rendezvous between the leader
-/// (who runs the shard round trip) and coalesced waiters.
-#[derive(Debug)]
-pub(crate) struct Flight {
-    slot: Mutex<Option<Result<Arc<ProbeResponse>>>>,
-    done: Condvar,
-}
-
-/// Leadership of one in-flight probe. The holder must call
-/// [`FlightGuard::complete`] with the shard's real outcome; if it unwinds
-/// first (a panic mid-probe), dropping the guard completes the flight
-/// with an error so coalesced waiters never hang.
-pub(crate) struct FlightGuard<'c> {
-    cache: &'c ProbeCache,
-    key: ProbeKey,
-    flight: Arc<Flight>,
-    armed: bool,
-}
-
-impl FlightGuard<'_> {
-    /// Publishes the leader's outcome: a success is cached and handed to
-    /// every waiter as one shared decoded response; an error is handed to
-    /// the waiters *as-is* (cloned — never fabricated, so PR 7 failure
-    /// classification stays truthful) and deliberately not cached.
-    pub(crate) fn complete(mut self, result: Result<ProbeResponse>) -> Result<Arc<ProbeResponse>> {
-        let outcome = result.map(Arc::new);
-        self.finish(outcome.clone());
-        self.armed = false;
-        outcome
-    }
-
-    fn finish(&self, outcome: Result<Arc<ProbeResponse>>) {
-        {
-            let mut segments = lock(&self.cache.segments);
-            segments.inflight.remove(&self.key);
-            if let Ok(value) = &outcome {
-                segments.insert(
-                    self.key.clone(),
-                    Arc::clone(value),
-                    self.cache.capacity,
-                    &self.cache.counters,
-                );
-            }
-        }
-        *lock(&self.flight.slot) = Some(outcome);
-        self.flight.done.notify_all();
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.finish(Err(ModelError::Remote(RemoteDetail::message(
-                "probe leader abandoned its flight",
-            ))));
-        }
-    }
-}
-
-/// Outcome of a non-blocking [`ProbeCache::claim`].
-pub(crate) enum Claim<'c> {
-    /// The answer was cached (shared, already decoded).
-    Hit(Arc<ProbeResponse>),
-    /// Another probe is already fetching this key — wait on its flight
-    /// (only after completing any flights *you* lead, or two leaders
-    /// waiting on each other could deadlock).
-    Foreign(Arc<Flight>),
-    /// This caller leads: fetch from the shard and complete the guard.
-    Lead(FlightGuard<'c>),
-}
-
-#[derive(Debug, Default)]
-struct Segments {
-    hot: HashMap<ProbeKey, Arc<ProbeResponse>>,
-    cold: HashMap<ProbeKey, Arc<ProbeResponse>>,
-    inflight: HashMap<ProbeKey, Arc<Flight>>,
-}
-
-impl Segments {
-    fn get(
-        &mut self,
-        key: &ProbeKey,
-        capacity: usize,
-        counters: &CacheCounters,
-    ) -> Option<Arc<ProbeResponse>> {
-        if let Some(value) = self.hot.get(key) {
-            return Some(Arc::clone(value));
-        }
-        // A cold hit promotes: entries touched since the last segment
-        // flip survive the next one.
-        let value = self.cold.remove(key)?;
-        self.insert(key.clone(), Arc::clone(&value), capacity, counters);
-        Some(value)
-    }
-
-    fn insert(
-        &mut self,
-        key: ProbeKey,
-        value: Arc<ProbeResponse>,
-        capacity: usize,
-        counters: &CacheCounters,
-    ) {
-        if self.hot.len() >= capacity.div_ceil(2) && !self.hot.contains_key(&key) {
-            // Segment flip: everything not touched since the previous
-            // flip (the cold segment) is discarded in O(1).
-            let dropped = std::mem::replace(&mut self.cold, std::mem::take(&mut self.hot));
-            counters.add_evicted(dropped.len() as u64);
-        }
-        self.cold.remove(&key);
-        self.hot.insert(key, value);
-    }
-}
-
-/// A bounded gather-side answer cache with single-flight coalescing.
-///
-/// Entries are shared decoded [`ProbeResponse`] values keyed by
-/// `ProbeKey` (canonical probe encoding + shard identity token).
-/// Eviction is a two-segment LRU approximation: insertions and touched
-/// entries live in a *hot* segment; when it reaches half the capacity the
-/// segments flip and the untouched half is dropped wholesale — bounded
-/// memory with O(1) operations and no per-entry bookkeeping.
-///
-/// Concurrent identical probes coalesce: the first caller leads the one
-/// shard round trip, later callers wait on its `Flight` and share the
-/// decoded response. A leader's *error* is propagated to waiters verbatim
-/// (cloned) and never cached.
-#[derive(Debug)]
-pub struct ProbeCache {
-    capacity: usize,
-    segments: Mutex<Segments>,
-    counters: CacheCounters,
-}
-
-impl ProbeCache {
-    /// A cache bounded to at most `entries` cached responses (clamped to
-    /// a minimum of 2 — one per segment).
-    pub fn new(entries: usize) -> ProbeCache {
-        ProbeCache {
-            capacity: entries.max(2),
-            segments: Mutex::new(Segments::default()),
-            counters: CacheCounters::default(),
-        }
-    }
-
-    /// The operational counters (hits / misses / coalesced / evicted).
-    pub fn counters(&self) -> &CacheCounters {
-        &self.counters
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> CacheStatsSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Number of cached responses currently held.
-    pub fn len(&self) -> usize {
-        let segments = lock(&self.segments);
-        segments.hot.len() + segments.cold.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking claim: a cached answer, an in-flight foreign probe to
-    /// wait on, or leadership of a new flight. Counts one hit, coalesced
-    /// probe, or miss respectively.
-    pub(crate) fn claim(&self, key: &ProbeKey) -> Claim<'_> {
-        let mut segments = lock(&self.segments);
-        if let Some(value) = segments.get(key, self.capacity, &self.counters) {
-            drop(segments);
-            self.counters.add_hits(1);
-            return Claim::Hit(value);
-        }
-        if let Some(flight) = segments.inflight.get(key) {
-            let flight = Arc::clone(flight);
-            drop(segments);
-            self.counters.add_coalesced(1);
-            return Claim::Foreign(flight);
-        }
-        let flight = Arc::new(Flight {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        segments.inflight.insert(key.clone(), Arc::clone(&flight));
-        drop(segments);
-        self.counters.add_misses(1);
-        Claim::Lead(FlightGuard {
-            cache: self,
-            key: key.clone(),
-            flight,
-            armed: true,
-        })
-    }
-
-    /// Blocks until a foreign flight completes, returning the leader's
-    /// outcome (shared response, or its error cloned).
-    pub(crate) fn wait(&self, flight: &Flight) -> Result<Arc<ProbeResponse>> {
-        let mut slot = lock(&flight.slot);
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return outcome.clone();
-            }
-            slot = flight
-                .done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// One shard's cache identity: a stable base token derived from the blob
-/// served at handshake time ([`shard_identity_token`]) plus a generation
-/// counter the owner bumps whenever that blob is found replaced
-/// (wrong-blob eviction). Bumping the generation changes every future
-/// key, so stale entries become unreachable instantly and age out with
-/// the next segment flips.
-#[derive(Debug, Clone)]
-pub struct ShardCacheId {
-    base: u64,
-    generation: Arc<AtomicU64>,
-}
-
-impl ShardCacheId {
-    /// An identity with its own private generation counter (local shards,
-    /// whose blob never changes underneath the gatherer).
-    pub fn new(base: u64) -> ShardCacheId {
-        ShardCacheId::with_generation(base, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// An identity sharing the owner's generation counter (remote shards
-    /// bump it at every wrong-blob eviction).
-    pub fn with_generation(base: u64, generation: Arc<AtomicU64>) -> ShardCacheId {
-        ShardCacheId { base, generation }
-    }
-
-    /// The current per-shard key token.
-    pub fn token(&self) -> u64 {
-        let generation = self.generation.load(Ordering::Acquire);
-        mix(self.base ^ generation.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-}
-
-/// A stable base token for one shard's served blob: shard index,
-/// cardinality, and schema — exactly the identity the PR 7 handshake
-/// verifies, so two shards answer under the same token only when the
-/// handshake would accept them interchangeably.
-pub fn shard_identity_token(index: usize, n: u64, schema: &Schema) -> u64 {
-    let mut bytes = Vec::with_capacity(64);
-    bytes.extend_from_slice(&(index as u64).to_le_bytes());
-    bytes.extend_from_slice(&n.to_le_bytes());
-    bytes.extend_from_slice(format!("{schema:?}").as_bytes());
-    mix(hash_bytes(&bytes))
-}
-
-/// The per-backend cache bundle: one [`ProbeCache`] plus one
-/// [`ShardCacheId`] per shard. [`gather`] claims every entry a request
-/// needs before it asks anybody: a single-answer request is one entry per
-/// shard under that shard's identity token, a batch one entry *per mask*
-/// (keyed as the single probe of that mask, so they share entries). When
-/// all are cached the answer is folded right there and no shard is asked,
-/// which is what closes the cached point-query gap.
-#[derive(Debug)]
-pub struct GatherCache {
-    cache: Arc<ProbeCache>,
-    shards: Vec<ShardCacheId>,
-}
-
-impl GatherCache {
-    /// A cache bounded to `entries` responses over the given shard
-    /// identities.
-    pub fn new(entries: usize, shards: Vec<ShardCacheId>) -> GatherCache {
-        GatherCache {
-            cache: Arc::new(ProbeCache::new(entries)),
-            shards,
-        }
-    }
-
-    /// The underlying answer cache.
-    pub fn cache(&self) -> &ProbeCache {
-        &self.cache
-    }
-
-    /// A point-in-time copy of the cache counters.
-    pub fn snapshot(&self) -> CacheStatsSnapshot {
-        self.cache.snapshot()
-    }
-}
-
 /// Sums two independent estimates (expectations add, variances add).
 pub fn add_estimates(a: Estimate, b: Estimate) -> Estimate {
     Estimate::new(a.expectation + b.expectation, a.variance + b.variance)
-}
-
-/// Where one (shard, slot) pair of a gather round stands. A scalar request
-/// is one slot; a batch is one slot per mask.
-enum Cell<'c> {
-    /// The shard's support annihilates the mask: the answer is an exact
-    /// zero, nobody is asked, and the cache neither holds nor counts it.
-    Pruned,
-    /// The same mask as an earlier slot of this batch, whose cell it shares.
-    Same(usize),
-    /// Answered: cached, fetched this round, or handed over by a foreign
-    /// flight.
-    Ready(Arc<ProbeResponse>),
-    /// Another round is already fetching this entry.
-    Foreign(Arc<Flight>),
-    /// This round asks the shard — leading the entry's flight when there
-    /// is a cache.
-    Asked(Option<FlightGuard<'c>>),
 }
 
 /// Asks the shards `request` and merges the answers — the one gather path
 /// of every sharded backend, in one round:
 ///
 /// 1. **Prune.** A (shard, mask) pair whose mask the shard's
-///    [`Support`] does not admit is an exact zero and is dropped — per mask
-///    for a batch. A mask no shard admits stays on shard 0, so an
+///    [`Support`] does not admit is an exact zero and is not asked — per
+///    mask for a batch. A mask no shard admits stays on shard 0, so an
 ///    all-disjoint (or malformed) request still gets an answer, or an
 ///    error, of a shard's own making.
-/// 2. **Claim.** With a `cache`, every remaining pair claims its entry:
-///    cached, in flight elsewhere, or led by this round. Duplicate masks of
-///    one batch share a slot (counted as coalesced).
-/// 3. **Ask.** All leading shards are asked together through
-///    [`ShardProbe::probe_each`] — each only the slots it leads — and every
-///    flight this round leads is completed, with the answer or the error
-///    unchanged, before a foreign flight is waited on, so concurrent rounds
-///    over overlapping keys cannot deadlock. When everything was cached,
-///    nobody is asked and the worker pool is never entered.
-/// 4. **Merge.** The per-shard answers, pruned cells as zeros, meet the one
+/// 2. **Ask.** Every shard left is asked together through
+///    [`ShardProbe::probe_each`], each only the slots it admits; the first
+///    failed ask, in shard order, fails the round.
+/// 3. **Merge.** The per-shard answers, pruned slots as zeros, meet the one
 ///    `merge` under the unchanged mixture weights.
 ///
 /// A sample draw is not merged but stratified (`gather_sample`).
 pub fn gather<P: ShardProbe>(
     probes: &[P],
-    cache: Option<&GatherCache>,
     request: &ProbeRequest,
     scratches: &mut [P::Scratch],
 ) -> Result<ProbeResponse> {
@@ -796,128 +290,66 @@ pub fn gather<P: ShardProbe>(
             live[0][slot] = true;
         }
     }
-
-    // One key body per slot, and each slot's first occurrence in the batch.
-    let keyed = cache.map(|cache| {
-        assert_eq!(probes.len(), cache.shards.len(), "one cache id per shard");
-        let bodies: Vec<ProbeKeyBody> = match ProbeKeyBody::of(request) {
-            Some(body) => vec![body],
-            None => {
-                let count = matches!(request, ProbeRequest::CountMany { .. });
-                let tag = if count { TAG_COUNT } else { TAG_PROBABILITY };
-                let body = |mask| ProbeKeyBody::finish(vec![tag], mask);
-                masks.iter().map(body).collect()
-            }
-        };
-        (&*cache.cache, &cache.shards, bodies)
-    });
-    let mut first_of: Vec<usize> = (0..masks.len()).collect();
-    if let Some((.., bodies)) = &keyed {
-        let mut seen: HashMap<&ProbeKeyBody, usize> = HashMap::with_capacity(bodies.len());
-        for (slot, body) in bodies.iter().enumerate() {
-            first_of[slot] = *seen.entry(body).or_insert(slot);
-        }
-    }
-
-    let mut asks: Vec<Ask> = Vec::new();
-    let mut cells: Vec<Vec<Cell<'_>>> = Vec::with_capacity(probes.len());
-    for (shard, live) in live.iter().enumerate() {
-        let mut asked = Vec::new();
-        let row = (0..masks.len()).map(|slot| {
-            if !live[slot] {
-                return Cell::Pruned;
-            }
-            let Some((cache, ids, bodies)) = &keyed else {
-                asked.push(slot);
-                return Cell::Asked(None);
-            };
-            if first_of[slot] != slot {
-                cache.counters().add_coalesced(1);
-                return Cell::Same(first_of[slot]);
-            }
-            match cache.claim(&bodies[slot].key(ids[shard].token())) {
-                Claim::Hit(answer) => Cell::Ready(answer),
-                Claim::Foreign(flight) => Cell::Foreign(flight),
-                Claim::Lead(guard) => {
-                    asked.push(slot);
-                    Cell::Asked(Some(guard))
-                }
-            }
+    let mut asks: Vec<Ask> = live
+        .iter()
+        .enumerate()
+        .filter_map(|(shard, live)| {
+            let slots: Vec<usize> = (0..masks.len()).filter(|&slot| live[slot]).collect();
+            let partial = batch && slots.len() < masks.len();
+            (!slots.is_empty()).then(|| Ask {
+                shard,
+                slots: partial.then_some(slots),
+            })
+        })
+        .collect();
+    // A batch of no masks is shard 0's to answer, as an empty draw is.
+    if asks.is_empty() {
+        asks.push(Ask {
+            shard: 0,
+            slots: None,
         });
-        cells.push(row.collect());
-        if !asked.is_empty() {
-            let slots = (batch && asked.len() < masks.len()).then_some(asked);
-            asks.push(Ask { shard, slots });
-        }
     }
 
-    // Every flight this round leads gets its shard's outcome — an error
-    // unchanged — before the round fails or waits on anybody else's.
-    let mut failed = None;
-    if !asks.is_empty() {
-        let replies = P::probe_each(probes, request, &asks, scratches);
-        for (ask, reply) in asks.iter().zip(replies) {
-            let asked = cells[ask.shard]
-                .iter_mut()
-                .filter(|cell| matches!(cell, Cell::Asked(_)));
-            let mut parts = reply.and_then(|reply| {
-                if !ask.answered_by(request, &reply) {
-                    return Err(unexpected_shape());
-                }
-                Ok(split(reply).into_iter())
-            });
-            for cell in asked {
-                let outcome = match &mut parts {
-                    Ok(parts) => Ok(parts.next().expect("one part per asked slot")),
-                    Err(err) => Err(err.clone()),
-                };
-                let outcome = match std::mem::replace(cell, Cell::Pruned) {
-                    Cell::Asked(Some(guard)) => guard.complete(outcome),
-                    _ => outcome.map(Arc::new),
-                };
-                match outcome {
-                    Ok(answer) => *cell = Cell::Ready(answer),
-                    Err(err) => failed = failed.or(Some(err)),
-                }
-            }
+    let mut answers: Vec<Option<ProbeResponse>> = vec![None; probes.len()];
+    let replies = P::probe_each(probes, request, &asks, scratches);
+    for (ask, reply) in asks.iter().zip(replies) {
+        let reply = reply?;
+        if !ask.answered_by(request, &reply) {
+            return Err(unexpected_shape());
         }
-    }
-    if let Some(err) = failed {
-        return Err(err);
-    }
-    let answers = cells.iter_mut().map(|row| {
-        for cell in row.iter_mut() {
-            if let (Cell::Foreign(flight), Some((cache, ..))) = (&*cell, &keyed) {
-                *cell = Cell::Ready(cache.wait(flight)?);
-            }
-        }
-        let answer = |cell: &Cell<'_>| match cell {
-            Cell::Ready(answer) => Some(Arc::clone(answer)),
-            _ => None,
-        };
-        if !batch {
-            return Ok(answer(&row[0]));
-        }
-        let parts = row.iter().map(|cell| match cell {
-            Cell::Same(first) => answer(&row[*first]),
-            cell => answer(cell),
+        answers[ask.shard] = Some(match &ask.slots {
+            Some(slots) => widen(reply, slots, masks.len()),
+            None => reply,
         });
-        join(request, parts).map(|joined| Some(Arc::new(joined)))
-    });
-    merge(probes, request, &answers.collect::<Result<Vec<_>>>()?)
+    }
+    merge(probes, request, &answers)
 }
 
-/// The per-slot parts of a shard's reply: the reply itself for a scalar
-/// request, one `Probability` / `Estimate` per mask for a batch —
-/// the shape a batch slot is cached in, so a slot and the single probe of
-/// its mask share an entry.
-fn split(reply: ProbeResponse) -> Vec<ProbeResponse> {
+/// One shard's answer to a whole batch, from its reply to the asked `slots`
+/// of it: every pruned slot is the exact zero it stands for. That zero is
+/// `-0.0`, the additive identity: [`merge`] then sums a pruned slot exactly
+/// as it leaves a pruned shard of a scalar request out, even where the
+/// other shards answer `-0.0` (a mask of `-0.0` weights).
+fn widen(reply: ProbeResponse, slots: &[usize], len: usize) -> ProbeResponse {
+    fn spread<T: Copy>(cells: Vec<T>, slots: &[usize], len: usize, zero: T) -> Vec<T> {
+        let mut all = vec![zero; len];
+        for (&slot, cell) in slots.iter().zip(cells) {
+            all[slot] = cell;
+        }
+        all
+    }
     match reply {
         ProbeResponse::Probabilities(ps) => {
-            ps.into_iter().map(ProbeResponse::Probability).collect()
+            ProbeResponse::Probabilities(spread(ps, slots, len, -0.0))
         }
-        ProbeResponse::Estimates(es) => es.into_iter().map(ProbeResponse::Estimate).collect(),
-        scalar => vec![scalar],
+        ProbeResponse::Estimates(es) => {
+            let zero = Estimate {
+                expectation: -0.0,
+                variance: -0.0,
+            };
+            ProbeResponse::Estimates(spread(es, slots, len, zero))
+        }
+        other => other,
     }
 }
 
@@ -927,34 +359,6 @@ fn unexpected_shape() -> ModelError {
     ))
 }
 
-/// One shard's answer to the batch `request`, put back together from its
-/// per-mask parts; a pruned slot (`None`) is the exact zero it stands for.
-/// That zero is `-0.0`, the additive identity: [`merge`] then sums a
-/// pruned slot exactly as it leaves a pruned shard of a scalar request
-/// out, even where the other shards answer `-0.0` (a mask of `-0.0`
-/// weights).
-fn join(
-    request: &ProbeRequest,
-    parts: impl Iterator<Item = Option<Arc<ProbeResponse>>>,
-) -> Result<ProbeResponse> {
-    let count = matches!(request, ProbeRequest::CountMany { .. });
-    let zero = match count {
-        true => ProbeResponse::Estimate(Estimate {
-            expectation: -0.0,
-            variance: -0.0,
-        }),
-        false => ProbeResponse::Probability(-0.0),
-    };
-    let parts = parts.map(|part| part.map_or_else(|| zero.clone(), |p| ProbeResponse::clone(&p)));
-    if count {
-        let cells = parts.map(Estimate::try_from).collect::<Result<_>>();
-        cells.map(ProbeResponse::Estimates)
-    } else {
-        let cells = parts.map(f64::try_from).collect::<Result<_>>();
-        cells.map(ProbeResponse::Probabilities)
-    }
-}
-
 /// The `SampleAt` arm of [`gather`]: the draws `0..k` are stratified across
 /// the shards (contiguous by shard, sized by [`proportional_quota`] of the
 /// cardinalities read from the shards now), each shard is sent the
@@ -962,9 +366,7 @@ fn join(
 /// asked, so it cannot fail or slow the draw — and the rows are put back
 /// in request order. When no shard is owed an index, shard 0 is asked the
 /// empty selection, as a mask no shard admits stays on shard 0: the empty
-/// answer carries the model's arity. Draws bypass the cache: they are
-/// deterministic in `(seed, index)` and cheap relative to their payload,
-/// and caching rows would only crowd out estimator entries.
+/// answer carries the model's arity.
 fn gather_sample<P: ShardProbe>(
     probes: &[P],
     request: &ProbeRequest,
@@ -1043,19 +445,19 @@ fn estimates(resp: &ProbeResponse) -> &[Estimate] {
 }
 
 /// Merges the shards' answers to `request`, in shard order; `None` is a
-/// shard pruned from a scalar request, whose exact zero adds nothing to
-/// any fold below. A single shard's answer is returned untouched (the
-/// bitwise 1-shard guarantee). Probability cells mix as `Σ (n_s / n) · p_s`
+/// shard pruned from every slot, whose exact zeros add nothing to any fold
+/// below. A single shard's answer is returned untouched (the bitwise
+/// 1-shard guarantee). Probability cells mix as `Σ (n_s / n) · p_s`
 /// clamped into `[0, 1]`, with the cardinalities of *all* shards read now —
 /// a live shard's `n_s` grows, and a pruned shard still weighs in `n` — and
 /// estimate cells add (expectations and variances).
-fn merge<P: ShardProbe, R: Borrow<ProbeResponse>>(
+fn merge<P: ShardProbe>(
     probes: &[P],
     request: &ProbeRequest,
-    answers: &[Option<R>],
+    answers: &[Option<ProbeResponse>],
 ) -> Result<ProbeResponse> {
     let mismatch = |what: &str| ModelError::Remote(RemoteDetail::message(what));
-    let mut given = answers.iter().flatten().map(R::borrow);
+    let mut given = answers.iter().flatten();
     if given.clone().any(|answer| !answer.answers(request)) {
         return Err(unexpected_shape());
     }
@@ -1070,7 +472,7 @@ fn merge<P: ShardProbe, R: Borrow<ProbeResponse>>(
             let weighted: Vec<(f64, &ProbeResponse)> = answers
                 .iter()
                 .zip(&ns)
-                .filter_map(|(answer, &n_s)| Some((n_s as f64 / n, answer.as_ref()?.borrow())))
+                .filter_map(|(answer, &n_s)| Some((n_s as f64 / n, answer.as_ref()?)))
                 .collect();
             let mut mixed = (0..probabilities(first).len()).map(|cell| {
                 weighted
@@ -1138,16 +540,14 @@ pub fn proportional_quota(weights: &[u64], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    /// A synthetic shard probe that counts inner calls, optionally
-    /// sleeps (to widen coalescing windows), optionally fails, and
-    /// optionally declares the codes of attribute 0 it supports.
+    /// A synthetic shard probe that counts inner calls, optionally fails,
+    /// and optionally declares the codes of attribute 0 it supports.
     struct CountingProbe {
         n: u64,
         calls: AtomicUsize,
-        delay: Duration,
         fail: bool,
         support: Option<Support>,
         /// Every sample index this shard was asked to draw, in arrival order.
@@ -1159,7 +559,6 @@ mod tests {
             CountingProbe {
                 n,
                 calls: AtomicUsize::new(0),
-                delay: Duration::ZERO,
                 fail: false,
                 support: None,
                 sampled: Mutex::new(Vec::new()),
@@ -1177,6 +576,10 @@ mod tests {
 
         fn calls(&self) -> usize {
             self.calls.load(Ordering::SeqCst)
+        }
+
+        fn sampled(&self) -> Vec<u64> {
+            self.sampled.lock().unwrap().clone()
         }
 
         /// A value derived from the mask so distinct probes get distinct
@@ -1204,9 +607,6 @@ mod tests {
 
         fn probe(&self, request: &ProbeRequest, _scratch: &mut ()) -> Result<ProbeResponse> {
             self.calls.fetch_add(1, Ordering::SeqCst);
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
-            }
             if self.fail {
                 return Err(ModelError::Remote(RemoteDetail::message(
                     "injected probe failure",
@@ -1229,7 +629,7 @@ mod tests {
                 )),
                 ProbeRequest::GroupBy { mask, .. } => ProbeResponse::Groups(vec![e(mask)]),
                 ProbeRequest::SampleAt { indices, .. } => {
-                    lock(&self.sampled).extend(indices);
+                    self.sampled.lock().unwrap().extend(indices);
                     ProbeResponse::Rows {
                         arity: 1,
                         rows: indices.iter().map(|&i| vec![i as u32]).collect(),
@@ -1249,125 +649,31 @@ mod tests {
         }
     }
 
-    /// A one-shard cache under identity `id`, and one shard asked through it.
-    fn shard_cache(id: ShardCacheId) -> GatherCache {
-        GatherCache::new(64, vec![id])
-    }
-
-    fn cached(
-        probe: &CountingProbe,
-        cache: &GatherCache,
-        request: &ProbeRequest,
-    ) -> Result<ProbeResponse> {
-        gather(std::slice::from_ref(probe), Some(cache), request, &mut [()])
-    }
-
+    /// A shard that fails fails the round with its own error, scalar or
+    /// batched, while the healthy shard is still asked alongside it.
     #[test]
-    fn single_flight_coalesces_concurrent_identical_probes() {
-        let probe = CountingProbe {
-            delay: Duration::from_millis(30),
-            ..CountingProbe::new(100)
-        };
-        let cache = shard_cache(ShardCacheId::new(7));
-        let request = count(&[1.0, 0.0, 2.5]);
-        let results: Vec<ProbeResponse> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| cached(&probe, &cache, &request).expect("probe succeeds")))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(probe.calls(), 1, "eight identical probes, one inner call");
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
-        let snap = cache.snapshot();
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.hits + snap.coalesced, 7);
-    }
-
-    #[test]
-    fn leader_errors_propagate_and_are_not_cached() {
-        let probe = CountingProbe {
+    fn a_failed_shard_fails_the_round_with_its_own_error() {
+        let dead = CountingProbe {
             fail: true,
-            ..CountingProbe::new(100)
+            ..CountingProbe::new(40)
         };
-        let cache = shard_cache(ShardCacheId::new(1));
-        let first = cached(&probe, &cache, &count(&[1.0]));
-        let second = cached(&probe, &cache, &count(&[1.0]));
-        assert_eq!(
-            first.clone().unwrap_err(),
-            ModelError::Remote(RemoteDetail::message("injected probe failure"))
-        );
-        assert_eq!(first, second, "waiters and retries see the real error");
-        assert_eq!(probe.calls(), 2, "errors are never cached");
-        assert!(cache.cache().is_empty());
-        // A failed batch round completes its flights with the same error.
+        let probes = [CountingProbe::new(60), dead];
+        let injected = ModelError::Remote(RemoteDetail::message("injected probe failure"));
         let batch = ProbeRequest::CountMany {
             masks: vec![weighted_mask(&[1.0]), weighted_mask(&[2.0])],
         };
-        assert_eq!(cached(&probe, &cache, &batch), first);
-        assert!(cache.cache().is_empty());
-    }
-
-    #[test]
-    fn cache_is_bounded_and_counts_evictions() {
-        let probe = CountingProbe::new(100);
-        let cache = GatherCache::new(4, vec![ShardCacheId::new(1)]);
-        for i in 0..10 {
-            cached(&probe, &cache, &count(&[i as f64])).unwrap();
+        for request in [count(&[1.0]), batch] {
+            assert_eq!(
+                gather(&probes, &request, &mut [(), ()]),
+                Err(injected.clone())
+            );
         }
-        let len = cache.cache().len();
-        assert!(len <= 4, "cache stays bounded: {len}");
-        let snap = cache.snapshot();
-        assert_eq!(snap.misses, 10);
-        assert!(snap.evicted > 0);
-    }
-
-    #[test]
-    fn generation_bump_invalidates_cached_entries() {
-        let probe = CountingProbe::new(100);
-        let generation = Arc::new(AtomicU64::new(0));
-        let id = ShardCacheId::with_generation(9, Arc::clone(&generation));
-        let cache = shard_cache(id);
-        let request = count(&[2.0]);
-        let before = cached(&probe, &cache, &request).unwrap();
-        assert_eq!(probe.calls(), 1);
-        // Same generation: served from cache.
-        cached(&probe, &cache, &request).unwrap();
-        assert_eq!(probe.calls(), 1);
-        // Blob replaced: every cached answer becomes unreachable.
-        generation.fetch_add(1, Ordering::SeqCst);
-        let after = cached(&probe, &cache, &request).unwrap();
-        assert_eq!(probe.calls(), 2, "new generation misses the cache");
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn batched_round_coalesces_duplicates_and_fetches_misses_once() {
-        let probe = CountingProbe::new(100);
-        let cache = shard_cache(ShardCacheId::new(3));
-        let a = weighted_mask(&[1.0]);
-        let b = weighted_mask(&[2.0]);
-        let batch = ProbeRequest::CountMany {
-            masks: vec![a.clone(), b.clone(), a.clone(), a.clone()],
-        };
-        let round = cached(&probe, &cache, &batch).unwrap();
-        assert_eq!(probe.calls(), 1, "the two distinct masks ride one probe");
-        assert_eq!(cache.cache().len(), 2, "one entry per distinct mask");
-        assert_eq!(cache.snapshot().coalesced, 2);
-        // The cached round must agree with the uncached probe bitwise.
-        assert_eq!(round, probe.probe(&batch, &mut ()).unwrap());
-        // A batch slot and the single probe of its mask share one entry.
-        let single = cached(&probe, &cache, &ProbeRequest::Count { mask: b });
-        let ProbeResponse::Estimates(round) = round else {
-            panic!("a count batch answers estimates")
-        };
-        assert_eq!(single.unwrap(), ProbeResponse::Estimate(round[1]));
-        assert_eq!(probe.calls(), 2, "served from the batch's entry");
+        assert_eq!((probes[0].calls(), probes[1].calls()), (2, 2));
     }
 
     /// Shards with disjoint supports: a (shard, mask) pair the support
-    /// annihilates is never asked and touches no cache counter, a mask no
-    /// shard admits is still put to shard 0, and a shard without a declared
-    /// support is always asked.
+    /// annihilates is never asked, a mask no shard admits is still put to
+    /// shard 0, and a shard without a declared support is always asked.
     #[test]
     fn gather_asks_only_the_shards_whose_support_admits_the_mask() {
         let probes = [
@@ -1375,29 +681,21 @@ mod tests {
             CountingProbe::supporting(30, &[false, false, true, false]),
             CountingProbe::new(20),
         ];
-        let ids = (1..=3).map(ShardCacheId::new).collect();
-        let cache = GatherCache::new(256, ids);
         let calls = |probes: &[CountingProbe]| probes.iter().map(|p| p.calls()).collect::<Vec<_>>();
         let mut scratches = [(), (), ()];
-        let mut ask = |request: &ProbeRequest| {
-            gather(&probes, Some(&cache), request, &mut scratches).unwrap()
-        };
+        let mut ask = |request: &ProbeRequest| gather(&probes, request, &mut scratches).unwrap();
 
         // Only shard 0 supports code 1; shard 2 declares nothing.
         let low = count(&[0.0, 3.0, 0.0, 0.0]);
         assert_eq!(ask(&low), ProbeResponse::Estimate(Estimate::new(6.0, 2.0)));
         assert_eq!(calls(&probes), [1, 0, 1]);
-        assert_eq!(cache.snapshot().misses, 2, "a pruned pair is no miss");
-        ask(&low);
-        assert_eq!(calls(&probes), [1, 0, 1]);
-        assert_eq!(cache.snapshot().hits, 2, "all live pairs cached: no ask");
 
         // Code 3 is outside every declared support: among the declaring
         // shards alone, shard 0 is kept and answers for the mixture.
         let nowhere = count(&[0.0, 0.0, 0.0, 5.0]);
         ask(&nowhere);
         assert_eq!(calls(&probes), [1, 0, 2]);
-        let kept = gather(&probes[..2], None, &nowhere, &mut [(), ()]).unwrap();
+        let kept = gather(&probes[..2], &nowhere, &mut [(), ()]).unwrap();
         assert_eq!(kept, ProbeResponse::Estimate(Estimate::new(5.0, 1.0)));
         assert_eq!(calls(&probes), [2, 0, 2]);
 
@@ -1452,40 +750,12 @@ mod tests {
         assert!(Support::learn::<ModelError>(2, odd).is_err());
     }
 
+    /// Every mergeable request kind through [`gather`]: each shard is asked
+    /// it once and the answer has its shape; the merge rules, spelled out on
+    /// the scalar kinds.
     #[test]
-    fn probe_keys_distinguish_ops_tokens_and_arguments() {
-        let key = |request: &ProbeRequest, token| ProbeKeyBody::of(request).unwrap().key(token);
-        let mask = weighted_mask(&[1.0, 0.5]);
-        let count = ProbeRequest::Count { mask: mask.clone() };
-        let prob = ProbeRequest::Probability { mask: mask.clone() };
-        assert_ne!(key(&count, 1), key(&prob, 1), "op is part of the key");
-        assert_ne!(key(&count, 1), key(&count, 2), "token is part of the key");
-        assert_eq!(key(&count, 1), key(&count.clone(), 1));
-        assert_ne!(key(&count, 1), key(&self::count(&[1.0, 0.25]), 1));
-        let group = |attr| ProbeRequest::GroupBy {
-            mask: mask.clone(),
-            attr: AttrId(attr),
-        };
-        assert_ne!(key(&group(0), 1), key(&group(1), 1), "attr is keyed");
-        let sum = |values: &[f64]| ProbeRequest::Sum {
-            mask: mask.clone(),
-            attr: AttrId(0),
-            values: values.to_vec(),
-        };
-        assert_ne!(key(&sum(&[1.0]), 1), key(&sum(&[2.0]), 1), "weights too");
-        let batch = ProbeRequest::CountMany { masks: vec![mask] };
-        assert!(ProbeKeyBody::of(&batch).is_none(), "batches key per mask");
-    }
-
-    /// Every mergeable request kind, cold then warm through [`gather`]:
-    /// the cached answer is bitwise the fanned-out one (both run
-    /// [`merge`]), equals the uncached gather, and costs no second probe.
-    #[test]
-    fn gather_cache_paths_match_drivers_bitwise() {
+    fn gather_asks_every_shard_once_and_merges_by_the_rules() {
         let probes = [CountingProbe::new(60), CountingProbe::new(40)];
-        let uncached = [CountingProbe::new(60), CountingProbe::new(40)];
-        let ids = vec![ShardCacheId::new(1), ShardCacheId::new(2)];
-        let gather_cache = GatherCache::new(256, ids);
         let mask = weighted_mask(&[1.5, 0.5]);
         let batch = vec![weighted_mask(&[3.0]), weighted_mask(&[0.25, 4.0])];
         let requests = [
@@ -1507,18 +777,12 @@ mod tests {
         ];
         let mut scratches = [(), ()];
         for (kind, request) in requests.iter().enumerate() {
-            let cold = gather(&probes, Some(&gather_cache), request, &mut scratches).unwrap();
-            let warm = gather(&probes, Some(&gather_cache), request, &mut scratches).unwrap();
-            let plain = gather(&uncached, None, request, &mut scratches).unwrap();
-            assert!(cold.answers(request), "{request:?} -> {cold:?}");
-            assert_eq!(cold.encode(), warm.encode(), "{request:?}");
-            assert_eq!(cold.encode(), plain.encode(), "{request:?}");
-            // Every shard answered each kind exactly once.
+            let answer = gather(&probes, request, &mut scratches).unwrap();
+            assert!(answer.answers(request), "{request:?} -> {answer:?}");
             assert_eq!(probes[0].calls(), kind + 1, "{request:?}");
             assert_eq!(probes[1].calls(), kind + 1, "{request:?}");
         }
-        // The merge rules, spelled out on the scalar kinds.
-        let mut answer = |kind: usize| gather(&uncached, None, &requests[kind], &mut scratches);
+        let mut answer = |kind: usize| gather(&probes, &requests[kind], &mut scratches);
         let p = 0.6 * (2.0 / 60.0) + 0.4 * (2.0 / 40.0);
         assert_eq!(answer(0).unwrap(), ProbeResponse::Probability(p));
         let count = ProbeResponse::Estimate(Estimate::new(4.0, 2.0));
@@ -1532,13 +796,16 @@ mod tests {
         let probes = [CountingProbe::new(60), CountingProbe::new(40)];
         let request = count(&[1.0]);
         let e = ProbeResponse::Estimate(Estimate::new(0.1, 0.2));
-        let sole = merge(&probes[..1], &request, &[Some(&e)]).unwrap();
+        let sole = merge(&probes[..1], &request, &[Some(e.clone())]).unwrap();
         assert_eq!(sole, e);
         let mixed = [Some(e.clone()), Some(ProbeResponse::Probability(0.5))];
         assert!(merge(&probes, &request, &mixed).is_err());
         // A pruned shard adds nothing; nobody answering is a shape error.
-        assert_eq!(merge(&probes, &request, &[None, Some(&e)]).unwrap(), e);
-        assert!(merge::<_, ProbeResponse>(&probes, &request, &[None, None]).is_err());
+        assert_eq!(
+            merge(&probes, &request, &[None, Some(e.clone())]).unwrap(),
+            e
+        );
+        assert!(merge(&probes, &request, &[None, None]).is_err());
         let group = ProbeRequest::GroupBy {
             mask: weighted_mask(&[1.0]),
             attr: AttrId(0),
@@ -1589,12 +856,12 @@ mod tests {
             indices,
         };
         let mut scratches = [(), (), ()];
-        let answer = gather(&probes, None, &sample(vec![9, 0, 5, 3]), &mut scratches).unwrap();
+        let answer = gather(&probes, &sample(vec![9, 0, 5, 3]), &mut scratches).unwrap();
         let rows = Vec::<Vec<u32>>::try_from(answer).unwrap();
         assert_eq!(rows, [[9], [0], [5], [3]], "rows in request order");
-        assert_eq!(*lock(&probes[0].sampled), [0, 5, 3]);
+        assert_eq!(probes[0].sampled(), [0, 5, 3]);
         assert_eq!(probes[1].calls(), 0, "a shard owed no row is not probed");
-        assert_eq!(*lock(&probes[2].sampled), [9]);
+        assert_eq!(probes[2].sampled(), [9]);
         // A dead shard that owes nothing cannot fail the draw; one that
         // owes a row does, and an index past `k` is a shape error.
         let dead = CountingProbe {
@@ -1602,10 +869,10 @@ mod tests {
             ..CountingProbe::new(3)
         };
         let probes = [CountingProbe::new(6), dead, CountingProbe::new(1)];
-        assert!(gather(&probes, None, &sample(vec![2, 9]), &mut scratches).is_ok());
-        assert!(gather(&probes, None, &sample(vec![2, 7]), &mut scratches).is_err());
+        assert!(gather(&probes, &sample(vec![2, 9]), &mut scratches).is_ok());
+        assert!(gather(&probes, &sample(vec![2, 7]), &mut scratches).is_err());
         assert_eq!(
-            gather(&probes, None, &sample(vec![10]), &mut scratches),
+            gather(&probes, &sample(vec![10]), &mut scratches),
             Err(ModelError::ShapeMismatch)
         );
     }

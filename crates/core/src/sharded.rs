@@ -40,11 +40,10 @@ use crate::model::MaxEntSummary;
 use crate::par;
 use crate::plan::{QueryRequest, QueryResponse};
 use crate::probe::{ProbeRequest, ProbeResponse};
-use crate::scatter::{self, GatherCache, ShardCacheId, ShardProbe};
+use crate::scatter::{self, ShardProbe};
 use crate::solver::SolverConfig;
 use crate::statistics::MultiDimStatistic;
 use entropydb_storage::{Histogram1D, Partitioning, Schema, Table};
-use std::sync::Arc;
 
 /// How [`ShardedSummary::build`] fits the per-shard models.
 #[derive(Debug, Clone, Default)]
@@ -63,8 +62,6 @@ pub struct ShardedSummary {
     shards: Vec<MaxEntSummary>,
     n: u64,
     scratch: ScratchPool<ShardedScratch>,
-    /// Optional gather-side answer cache (see [`ShardedSummary::with_probe_cache`]).
-    cache: Option<Arc<GatherCache>>,
 }
 
 impl ShardedSummary {
@@ -124,55 +121,7 @@ impl ShardedSummary {
             shards,
             n,
             scratch: ScratchPool::new(),
-            cache: None,
         })
-    }
-
-    /// Puts a gather-side answer cache (bounded to `entries` responses)
-    /// in front of the shard models: repeated probes are answered from
-    /// the cache, concurrent identical probes coalesce, and fully-cached
-    /// queries ask no shard and never enter the worker pool. Answers stay
-    /// bitwise-identical to the uncached paths — cached entries are the
-    /// shards' own responses and [`scatter::gather`] merges both.
-    pub fn with_probe_cache(mut self, entries: usize) -> Self {
-        let ids = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardCacheId::new(scatter::shard_identity_token(i, s.n(), &self.schema)))
-            .collect();
-        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
-        self
-    }
-
-    /// Like [`ShardedSummary::with_probe_cache`], but every shard's cache
-    /// identity carries the shared `generation` counter: bumping it (as
-    /// [`LiveSummary`](crate::ingest::LiveSummary) does on every delta
-    /// fold) instantly orphans all cached entries, so a mutable mixture
-    /// can reuse the gather cache without ever serving stale answers.
-    pub fn with_probe_cache_generation(
-        mut self,
-        entries: usize,
-        generation: Arc<std::sync::atomic::AtomicU64>,
-    ) -> Self {
-        let ids = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                ShardCacheId::with_generation(
-                    scatter::shard_identity_token(i, s.n(), &self.schema),
-                    Arc::clone(&generation),
-                )
-            })
-            .collect();
-        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
-        self
-    }
-
-    /// The gather-side cache, when one is enabled.
-    pub fn probe_cache(&self) -> Option<&Arc<GatherCache>> {
-        self.cache.as_ref()
     }
 
     /// Decomposes the mixture back into its per-shard models, in shard
@@ -259,7 +208,7 @@ pub fn fit_segment(
 }
 
 /// A mixture answers a probe by asking each shard model the one borrowed
-/// request (through the gather cache, when enabled) and merging.
+/// request and merging.
 impl ShardProbe for ShardedSummary {
     type Scratch = ShardedScratch;
 
@@ -272,7 +221,7 @@ impl ShardProbe for ShardedSummary {
     }
 
     fn probe(&self, request: &ProbeRequest, scratch: &mut ShardedScratch) -> Result<ProbeResponse> {
-        scatter::gather(&self.shards, self.cache.as_deref(), request, scratch)
+        scatter::gather(&self.shards, request, scratch)
     }
 }
 
@@ -283,10 +232,6 @@ impl SummaryBackend for ShardedSummary {
 
     fn domain_sizes(&self) -> &[usize] {
         self.shards[0].statistics().domain_sizes()
-    }
-
-    fn cache_stats(&self) -> Option<crate::metrics::CacheStatsSnapshot> {
-        self.cache.as_ref().map(|cache| cache.snapshot())
     }
 }
 

@@ -9,16 +9,18 @@
 //! 2. **Compaction neutrality** — sealing the fitted delta into the base
 //!    segment list changes no answer bit (same models, same order), while
 //!    retention drops whole oldest segments.
-//! 3. **Zero-stale caches** — with the gather-side probe cache enabled, a
-//!    cached answer can never survive a fold: the epoch counter doubles as
-//!    the cache generation, so post-fold queries match a freshly-composed
-//!    uncached mixture bitwise.
+//! 3. **Zero-stale caches** — behind an engine's answer cache, a cached
+//!    answer can never survive a fold: the epoch is the cache generation,
+//!    so post-fold queries match a freshly-composed uncached mixture
+//!    bitwise — and the epoch is published only after its mixture, so a
+//!    reader that has seen epoch `e` is never answered by an older one.
 //! 4. **Idempotent appends** — replaying a token is absorbed (and reported)
 //!    instead of double-ingesting; the token window is FIFO-bounded.
 
 use entropydb_core::ingest::fit_segment;
 use entropydb_core::prelude::*;
 use entropydb_core::rng::SplitMix64;
+use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
 use entropydb_storage::{exec, AttrId, Attribute, Partitioning, Predicate, Schema, Table};
 use std::time::Duration;
@@ -482,26 +484,25 @@ fn token_replay_is_absorbed_and_window_is_fifo() {
     );
 }
 
-/// Contract 3: the zero-stale drill. With the gather-side probe cache
-/// enabled (its generation IS the ingest epoch), answers are served from
-/// cache between folds — and after a fold every query matches a
-/// freshly-composed uncached mixture bitwise. A stale cached answer would
-/// fail the COUNT(*) growth check immediately.
+/// Contract 3: the zero-stale drill. Behind an engine's answer cache (its
+/// generation IS the ingest epoch), answers are served from cache between
+/// folds — and after a fold every query matches a freshly-composed uncached
+/// mixture bitwise. A stale cached answer would fail the COUNT(*) growth
+/// check immediately.
 #[test]
-fn probe_cache_never_serves_stale_answers_across_folds() {
+fn answer_cache_never_serves_stale_answers_across_folds() {
     let t = fixture_table(0xACE, 350);
     let base = build_base(&t, 2);
     let base_shards = base.shards().to_vec();
     let n0 = base.n() as f64;
-    let config = IngestConfig::builder()
-        .delta_rows(1 << 20)
-        .seal_rows(1 << 20)
-        .background(false)
-        .probe_cache_entries(64)
-        .build()
-        .unwrap();
-    let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
-    let engine = QueryEngine::new(live);
+    let live = LiveSummary::new(
+        base,
+        fixture_stats(),
+        SolverConfig::default(),
+        sync_config(),
+    )
+    .unwrap();
+    let engine = QueryEngine::new(live).with_answer_cache(64);
     let preds = [
         Predicate::all(),
         Predicate::new().eq(a(0), 1),
@@ -520,9 +521,10 @@ fn probe_cache_never_serves_stale_answers_across_folds() {
             &engine.estimate_count(pred).unwrap(),
         );
     }
-    let stats = engine.cache_stats().expect("probe cache enabled");
-    assert!(
-        stats.hits >= preds.len() as u64,
+    let stats = engine.cache_stats().expect("answer cache enabled");
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (preds.len() as u64, preds.len() as u64),
         "repeats must hit the cache"
     );
 
@@ -558,6 +560,73 @@ fn probe_cache_never_serves_stale_answers_across_folds() {
             &reference.estimate_count(pred).unwrap(),
         );
     }
+}
+
+/// Contract 3 under load: 200 background folds, each of `M` rows, while a
+/// reader asks COUNT(*) — through an engine's answer cache and straight
+/// from the summary. The epoch is stored only once its mixture is served,
+/// so once the reader has seen epoch `e` every answer counts at least the
+/// rows folded by `e`; a publish that bumped the epoch first would let an
+/// answer of epoch `e - 1` through, and the cache would file it under `e`.
+#[test]
+fn a_reader_that_saw_an_epoch_is_never_answered_by_an_older_mixture() {
+    const FOLDS: u64 = 200;
+    const M: usize = 4;
+    let base = build_base(&fixture_table(0xE90C, 300), 2);
+    let n0 = base.n() as f64;
+    let config = IngestConfig::builder()
+        .delta_rows(M)
+        .seal_rows(16 * M)
+        .background(true)
+        .build()
+        .unwrap();
+    let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
+    let engine = QueryEngine::new(live).with_answer_cache(64);
+    let e0 = engine.epoch();
+    let folded_by = |epoch: u64| n0 + (M as u64 * (epoch - e0)) as f64;
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let everything = ProbeRequest::Count {
+        mask: Mask::identity(3),
+    };
+    let reads = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let live = engine.backend();
+            let mut scratch = live.make_scratch();
+            let mut reads = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let epoch = engine.epoch();
+                let direct = live.probe(&everything, &mut scratch).unwrap();
+                let cached = engine.estimate_count(&Predicate::all()).unwrap();
+                for (how, count) in [("direct", direct.try_into().unwrap()), ("cached", cached)] {
+                    let count: Estimate = count;
+                    assert!(
+                        count.expectation > folded_by(epoch) - 1e-6 * n0,
+                        "{how}: epoch {epoch} answered {} < {}",
+                        count.expectation,
+                        folded_by(epoch)
+                    );
+                }
+                reads += 1;
+            }
+            reads
+        });
+        for fold in 0..FOLDS {
+            engine
+                .append_rows(&delta_batch(0xF01D + fold, M), None)
+                .unwrap();
+            assert!(
+                engine.backend().wait_until_clean(Duration::from_secs(30)),
+                "fold {fold}: {:?}",
+                engine.backend().take_fold_error()
+            );
+        }
+        done.store(true, std::sync::atomic::Ordering::Release);
+        reader.join().unwrap()
+    });
+    assert!(reads > 0);
+    assert_eq!(engine.epoch(), e0 + FOLDS, "one publish per fold");
+    let count = engine.estimate_count(&Predicate::all()).unwrap();
+    assert!((count.expectation - folded_by(e0 + FOLDS)).abs() < 1e-6 * n0);
 }
 
 /// Manifest-v3 round trip: `save_live_dir` / `load_live_dir` preserve the
@@ -624,7 +693,6 @@ fn ingest_config_builder_validates() {
         .seal_rows(64)
         .max_segments(4)
         .background(false)
-        .probe_cache_entries(16)
         .token_capacity(32)
         .build()
         .unwrap();

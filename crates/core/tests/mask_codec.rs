@@ -1,18 +1,17 @@
 //! The mask codec's two spellings of a weight vector, `w` (every weight)
 //! and `r` (the runs of ones of a 0/1 vector), over random domain sizes
 //! 1–300 drawn with SplitMix64: a mask decodes to itself bit for bit, the
-//! encoder picks `r` exactly when it is no longer than `w`, and the gather
-//! cache treats two masks as one entry exactly when they are bitwise
-//! equal. Hostile `r` items are refused with a parse error and no
+//! encoder picks `r` exactly when it is no longer than `w`, and two masks
+//! encode to one line — the key an engine's answer cache files a probe
+//! under — exactly when they are bitwise equal. Hostile `r` items are
+//! refused with a parse error and no
 //! allocation sized by the input, and the `r` items of one line never
 //! expand to more weights than a `w` line under the line cap could carry.
 
 use entropydb_core::assignment::Mask;
-use entropydb_core::error::{ModelError, Result};
-use entropydb_core::probe::{ProbeRequest, ProbeResponse};
-use entropydb_core::query::Estimate;
+use entropydb_core::error::ModelError;
+use entropydb_core::probe::ProbeRequest;
 use entropydb_core::rng::SplitMix64;
-use entropydb_core::scatter::{gather, GatherCache, ShardCacheId, ShardProbe};
 use entropydb_core::wire::{push_f64, MAX_LINE_BYTES, WIRE_PREALLOC_CAP};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -222,35 +221,14 @@ fn alternating_ones_travel_as_weights_and_predicates_as_runs() {
     assert!(signed.starts_with("b1 count m 1 w 81 -0 -0 "), "{signed}");
 }
 
-/// One shard answering every count with the same estimate.
-struct Constant;
-
-impl ShardProbe for Constant {
-    type Scratch = ();
-
-    fn n(&self) -> u64 {
-        1
-    }
-
-    fn make_scratch(&self) {}
-
-    fn probe(&self, _: &ProbeRequest, _: &mut ()) -> Result<ProbeResponse> {
-        Ok(ProbeResponse::Estimate(Estimate::new(1.0, 0.0)))
-    }
-}
-
-/// Whether asking `second` after `first` hits the gather cache: their keys
-/// are equal.
+/// Whether the counts of `first` and `second` are one `b1` line, and so
+/// one answer-cache entry.
 fn share_an_entry(first: &Mask, second: &Mask) -> bool {
-    let cache = GatherCache::new(16, vec![ShardCacheId::new(1)]);
-    for mask in [first, second] {
-        gather(&[Constant], Some(&cache), &count(mask.clone()), &mut [()]).unwrap();
-    }
-    cache.snapshot().hits == 1
+    count(first.clone()).encode() == count(second.clone()).encode()
 }
 
 #[test]
-fn masks_share_a_cache_entry_exactly_when_bitwise_equal() {
+fn masks_share_a_line_exactly_when_bitwise_equal() {
     let mut rng = SplitMix64::new(0x6b65_7973);
     for _ in 0..1000 {
         let a = mask(&mut rng);
@@ -390,8 +368,8 @@ fn one_line_of_run_items_allocates_no_more_than_its_w_form_could() {
 }
 
 /// A 0/1 vector longer than [`WIRE_PREALLOC_CAP`] travels as `w`, which
-/// the decoder reads at any length, and keys the gather cache as any
-/// other mask does.
+/// the decoder reads at any length, and keys an answer cache as any other
+/// mask does.
 #[test]
 fn masks_longer_than_the_run_cap_travel_as_weights() {
     let len = WIRE_PREALLOC_CAP + 1;

@@ -406,12 +406,12 @@ fn two_shards_hiding_the_winner() -> ShardedSummary {
 
 #[test]
 fn top_k_finds_a_winner_that_is_below_k_on_every_shard() {
-    for summary in [
-        two_shards_hiding_the_winner(),
-        two_shards_hiding_the_winner().with_probe_cache(64),
+    for engine in [
+        QueryEngine::new(two_shards_hiding_the_winner()),
+        QueryEngine::new(two_shards_hiding_the_winner()).with_answer_cache(64),
     ] {
         for pass in ["cold", "warm"] {
-            let top = summary.top_k(&Predicate::all(), a(0), 1).unwrap();
+            let top = engine.top_k(&Predicate::all(), a(0), 1).unwrap();
             assert_eq!(top.len(), 1);
             let (value, estimate) = top[0];
             assert_eq!(value, 2, "{pass}: the overall winner is v");
@@ -420,21 +420,59 @@ fn top_k_finds_a_winner_that_is_below_k_on_every_shard() {
     }
 }
 
-/// A top-k and a group-by under the same mask and attribute are the same
-/// probe, so they share gather-cache entries: after the group-by, the
-/// top-k costs one hit per shard and no shard evaluation.
+/// A top-k is filed as the group-by it ranks: after the group-by, the
+/// top-k of the same predicate and attribute is one answer-cache hit.
 #[test]
-fn top_k_and_group_by_share_gather_cache_entries() {
-    let cached = build_sharded(&fixture_table(41, 500), 4).with_probe_cache(256);
+fn top_k_after_its_group_by_is_an_answer_cache_hit() {
+    let sharded = build_sharded(&fixture_table(41, 500), 4);
+    let cached = QueryEngine::new(sharded).with_answer_cache(256);
     let pred = Predicate::new().between(a(1), 0, 2);
     let groups = cached.estimate_group_by(&pred, a(0)).unwrap();
-    let cache = cached.probe_cache().unwrap();
-    let before = cache.snapshot();
-    assert_eq!((before.hits, before.misses), (0, 4));
+    let before = cached.cache_stats().unwrap();
+    assert_eq!((before.hits, before.misses), (0, 1));
     let top = cached.top_k(&pred, a(0), 3).unwrap();
-    let after = cache.snapshot();
-    assert_eq!((after.hits, after.misses), (4, 4), "4 hits, 0 new misses");
+    let after = cached.cache_stats().unwrap();
+    assert_eq!((after.hits, after.misses), (1, 1), "one hit, no new miss");
     assert_eq!(top, rank_top_k(groups, 3));
+}
+
+/// Every request kind, one by one and as one batch, through an engine with
+/// an answer cache over 1 and 4 shards: cold and warm answers are bitwise
+/// the uncached engine's, and only the cold pass computes — each distinct
+/// line once (the top-k reads its group-by's entry; draws are never
+/// filed).
+#[test]
+fn answer_cache_is_bitwise_invisible_cold_and_warm() {
+    let t = fixture_table(0xCAC4E, 400);
+    let pred = Predicate::new().between(a(0), 1, 3);
+    let requests = [
+        QueryRequest::probability(pred.clone()),
+        QueryRequest::count(pred.clone()),
+        QueryRequest::count(Predicate::new().eq(a(1), 2)),
+        QueryRequest::sum(pred.clone(), a(1)),
+        QueryRequest::avg(pred.clone(), a(1)),
+        QueryRequest::group_by(pred.clone(), a(2)),
+        QueryRequest::group_by2(pred.clone(), a(0), a(1)),
+        QueryRequest::top_k(pred, a(2), 2),
+        QueryRequest::sample_rows(20, 5),
+    ];
+    let lines = |outcomes: Vec<Result<QueryResponse>>| -> Vec<String> {
+        outcomes.into_iter().map(|o| o.unwrap().encode()).collect()
+    };
+    for k in [1usize, 4] {
+        let plain = QueryEngine::new(build_sharded(&t, k));
+        let cached = QueryEngine::new(build_sharded(&t, k)).with_answer_cache(1 << 10);
+        let expected = lines(requests.iter().map(|r| plain.execute(r)).collect());
+        for pass in ["cold", "warm"] {
+            let singles = lines(requests.iter().map(|r| cached.execute(r)).collect());
+            assert_eq!(singles, expected, "{pass}, {k} shards");
+            let batched = lines(cached.execute_batch(&requests));
+            assert_eq!(batched, expected, "{pass} batch, {k} shards");
+        }
+        let stats = cached.cache_stats().unwrap();
+        assert_eq!(stats.misses, 7, "{k} shards: {stats:?}");
+        assert_eq!(cached.answer_cache().unwrap().len(), 7);
+    }
 }
 
 /// Stratified sampling: deterministic per seed, schema-valid, with shard

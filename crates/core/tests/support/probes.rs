@@ -208,7 +208,7 @@ fn gathered<P: ShardProbe>(
     request: &ProbeRequest,
 ) -> (String, Vec<bool>) {
     let mut scratches: Vec<_> = shards.iter().map(ShardProbe::make_scratch).collect();
-    let answer = gather(shards, None, request, &mut scratches)
+    let answer = gather(shards, request, &mut scratches)
         .unwrap_or_else(|e| panic!("{}: {e}", request.encode()));
     let asked = shards.iter().map(|s| s.calls.swap(0, Ordering::SeqCst) > 0);
     (answer.encode(), asked.collect())

@@ -43,8 +43,8 @@
 //!   failing over between replicas per its `FailoverConfig` (deadlines
 //!   configurable via the flags above). `--rehandshake-secs` starts the
 //!   background re-handshake that evicts replicas caught serving a
-//!   changed blob. `--cache-entries N` bounds the gather-side probe
-//!   cache (default 65536; `0` disables caching), and `--control-file
+//!   changed blob. `--cache-entries N` bounds the gateway's answer cache
+//!   (default 65536; `0` disables caching), and `--control-file
 //!   FILE` opens the same localhost control channel as `spawn`, answering
 //!   `status` and `quit`: `status` reports each shard's learned support
 //!   (code ranges per attribute, or `any` for a dynamic shard),
@@ -57,8 +57,8 @@
 //!   sharded blob as the local parity reference, and a manifest listing
 //!   `--replicas` endpoints per shard.
 
-use entropydb_core::engine::QueryEngine;
-use entropydb_core::scatter::{GatherCache, ShardProbe, Support};
+use entropydb_core::engine::{AnswerCache, QueryEngine};
+use entropydb_core::scatter::{ShardProbe, Support};
 use entropydb_core::serialize::{self, ClusterShard};
 use entropydb_core::sharded::ShardedSummary;
 use entropydb_server::{
@@ -551,12 +551,12 @@ fn cmd_probe(args: &[String]) -> ExitCode {
 }
 
 /// The gateway control channel's `status` reply: every replica's health,
-/// the probe-cache counters, and the serving side's operational counters,
+/// the answer-cache counters, and the serving side's operational counters,
 /// so the e2e suite or an operator can watch hit rates, shed counts, and
 /// queue depth without instrumenting the query path.
 fn gateway_status(
     shards: &[RemoteShard],
-    cache: Option<&GatherCache>,
+    cache: Option<&AnswerCache>,
     server: &ServerCounters,
 ) -> String {
     let mut out = String::new();
@@ -652,10 +652,9 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
         eprintln!("background re-handshake every {interval:?}");
     }
     if cache_entries > 0 {
-        remote.enable_probe_cache(cache_entries);
-        eprintln!("gather-side probe cache: {cache_entries} entries");
+        eprintln!("answer cache: {cache_entries} entries");
     } else {
-        eprintln!("gather-side probe cache: disabled");
+        eprintln!("answer cache: disabled");
     }
     eprintln!(
         "connected {} shards, total n = {}",
@@ -663,9 +662,10 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
         remote.n()
     );
     // Handles for the control channel, taken before `serve_with` consumes
-    // the summary.
+    // the engine.
     let shards = remote.shard_set();
-    let cache = remote.probe_cache().cloned();
+    let engine = QueryEngine::new(remote).with_answer_cache(cache_entries);
+    let cache = engine.answer_cache().cloned();
     // Bind the control listener (and write its address) before serving so
     // a bad control file fails fast; its `status` reply reads the live
     // server counters off the handle once the server is up.
@@ -677,11 +677,7 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match serve_with(
-        QueryEngine::new(remote),
-        addr.as_str(),
-        ServerConfig::default(),
-    ) {
+    match serve_with(engine, addr.as_str(), ServerConfig::default()) {
         Ok(handle) => {
             println!("gateway listening on {}", handle.local_addr());
             eprintln!("type 'quit' (or close stdin) to stop");

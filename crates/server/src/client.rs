@@ -352,9 +352,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's gather-side probe-cache counters. `Ok(None)`
-    /// means the server runs without a cache (a plain shard has nothing
-    /// to cache; only gateways front a scatter/gather backend).
+    /// Fetches the server's answer-cache counters. `Ok(None)` means the
+    /// server runs without a cache (a plain shard server does; a gateway
+    /// caches by default).
     pub fn cache_stats(&mut self) -> ClientResult<Option<CacheStatsSnapshot>> {
         let reply = self.round_trip_with_retry("stats")?;
         decode_cache_stats(&reply).map_err(ClientError::Model)

@@ -58,12 +58,14 @@
 //! primitive of [`RemoteShardedSummary`], the scatter/gather backend that
 //! places each shard of a sharded summary on its own `entropydb-serve`
 //! node and merges wire responses with the same merge layer the local
-//! sharded backend uses (bitwise-identical answers). A gateway can put a
-//! gather-side answer cache in front of the fan-out
-//! ([`RemoteShardedSummary::enable_probe_cache`]): repeats skip the wire,
-//! concurrent identical probes coalesce into one round trip, and the
-//! `stats` session line / gateway control channel expose its
-//! [`CacheStatsSnapshot`] counters.
+//! sharded backend uses (bitwise-identical answers). A gateway serves its
+//! engine with an answer cache
+//! ([`QueryEngine::with_answer_cache`](entropydb_core::engine::QueryEngine::with_answer_cache)):
+//! a repeated `q1` or `b1` line is answered whole, before any mask is
+//! built or any shard is asked, filed under the cluster's generation (the
+//! sum of the shards' blob generations), so a swapped blob or an observed
+//! fold orphans every filed answer. The `stats` session line and the
+//! gateway control channel expose its [`CacheStatsSnapshot`] counters.
 //!
 //! The scatter/gather path is fault tolerant: a manifest shard may list
 //! several replica endpoints, and the gatherer applies per-probe socket

@@ -66,8 +66,8 @@ pub fn encode_schema(schema: &Schema, n: u64) -> String {
     out
 }
 
-/// Encodes the `stats` reply: the gather-side probe-cache counters, or
-/// `stats cache none` for a backend without a cache.
+/// Encodes the `stats` reply: the engine's answer-cache counters, or
+/// `stats cache none` for an engine without a cache.
 ///
 /// ```text
 /// stats cache <hits> <misses> <coalesced> <evicted>

@@ -5,8 +5,8 @@
 //! queries out across in-process shard models through the
 //! shard-source-agnostic merge layer (`entropydb_core::scatter`).
 //! [`RemoteShardedSummary`] keeps the *gather side of that layer unchanged*
-//! (`scatter::gather`: prune by support, claim the cache, ask the shards
-//! that are left together, then the one merge) and swaps what a shard is:
+//! (`scatter::gather`: prune by support, ask the shards that are left
+//! together, then the one merge) and swaps what a shard is:
 //! an `entropydb-serve` instance reached over TCP, addressed by a cluster
 //! manifest ([`ClusterShard`]). A sharded answer costs **one round trip,
 //! only to the shards that can answer**:
@@ -83,9 +83,9 @@ use crate::client::{
 };
 use entropydb_core::engine::{AppendOutcome, SummaryBackend};
 use entropydb_core::error::{ModelError, RemoteDetail, Result};
-use entropydb_core::metrics::{CacheStatsSnapshot, IngestStatsSnapshot};
+use entropydb_core::metrics::IngestStatsSnapshot;
 use entropydb_core::probe::{ProbeRequest, ProbeResponse, SharedEncoding};
-use entropydb_core::scatter::{self, Ask, GatherCache, ShardCacheId, ShardProbe, Support};
+use entropydb_core::scatter::{self, Ask, ShardProbe, Support};
 use entropydb_core::serialize::ClusterShard;
 use entropydb_storage::Schema;
 use std::borrow::Cow;
@@ -307,12 +307,13 @@ pub struct RemoteShard {
     /// dial verifies the replica still serves it.
     expected_schema: OnceLock<Schema>,
     /// Blob generation: bumped whenever a replica is caught serving a
-    /// changed blob (wrong-blob eviction) and whenever a live shard's
-    /// published **epoch** is observed to change (a delta fold). The
-    /// gather-side probe cache mixes this into its keys, so every cached
-    /// answer for the shard becomes unreachable the instant a swap or a
+    /// changed blob (wrong-blob eviction), whenever a live shard's
+    /// published **epoch** is observed to change (a delta fold), and
+    /// whenever a dynamic shard's cardinality is seen to grow. The cluster's
+    /// [generation](SummaryBackend::generation) sums these, so every answer
+    /// an engine's cache filed becomes unreachable the instant a swap or a
     /// fold is detected.
-    generation: Arc<AtomicU64>,
+    generation: AtomicU64,
     /// Last ingest epoch observed from this shard (append replies,
     /// `stats ingest` polls, dynamic handshakes). See
     /// [`RemoteShard::note_epoch`].
@@ -333,7 +334,7 @@ impl RemoteShard {
             preferred: AtomicUsize::new(0),
             config,
             expected_schema: OnceLock::new(),
-            generation: Arc::new(AtomicU64::new(0)),
+            generation: AtomicU64::new(0),
             last_seen_epoch: AtomicU64::new(0),
             support: OnceLock::new(),
         }
@@ -347,8 +348,9 @@ impl RemoteShard {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// How many wrong-blob evictions this shard has seen (the probe-cache
-    /// invalidation generation; introspection for tests and drills).
+    /// The shard's blob generation: how many swapped blobs, observed epoch
+    /// changes and grown cardinalities it has seen (introspection for tests
+    /// and drills).
     pub fn blob_generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -388,11 +390,11 @@ impl RemoteShard {
 
     /// Records an ingest epoch observed on an append reply, a
     /// `stats ingest` poll, or a dynamic handshake. A **change** bumps the
-    /// shard's blob generation, which orphans every gather-side cached
-    /// answer computed against the previous published mixture — the
-    /// remote arm of the zero-stale-answers invariant (locally the epoch
-    /// *is* the cache generation; over the wire the gateway invalidates
-    /// the moment a new epoch becomes visible to it).
+    /// shard's blob generation, which orphans every cached answer computed
+    /// against the previous published mixture — the remote arm of the
+    /// zero-stale-answers invariant (locally the epoch *is* the
+    /// generation; over the wire the gateway invalidates the moment a new
+    /// epoch becomes visible to it).
     pub fn note_epoch(&self, epoch: u64) {
         let prev = self.last_seen_epoch.swap(epoch, Ordering::AcqRel);
         if prev != epoch {
@@ -467,8 +469,8 @@ impl RemoteShard {
             })?;
         if self.dynamic {
             // A live node's cardinality grows as deltas fold: adopt the
-            // served value, and treat growth like a blob swap for the
-            // gather cache (answers merged under the old n are stale).
+            // served value, and treat growth like a blob swap for cached
+            // answers (answers merged under the old n are stale).
             let prev = self.n.swap(served_n, Ordering::AcqRel);
             if prev != 0 && prev != served_n {
                 self.generation.fetch_add(1, Ordering::Release);
@@ -903,9 +905,6 @@ pub struct RemoteShardedSummary {
     domain_sizes: Vec<usize>,
     shards: Arc<Vec<RemoteShard>>,
     rehandshake: Option<Rehandshake>,
-    /// Optional gather-side answer cache (see
-    /// [`RemoteShardedSummary::enable_probe_cache`]).
-    cache: Option<Arc<GatherCache>>,
 }
 
 impl RemoteShardedSummary {
@@ -997,7 +996,6 @@ impl RemoteShardedSummary {
             domain_sizes,
             shards: Arc::new(shards),
             rehandshake: None,
-            cache: None,
         })
     }
 
@@ -1055,34 +1053,6 @@ impl RemoteShardedSummary {
         &self.schema
     }
 
-    /// Puts a gather-side answer cache (bounded to `entries` responses)
-    /// in front of the remote shards: repeated probes are answered
-    /// without a wire round trip, concurrent identical probes coalesce
-    /// into one round trip, and fully-cached queries ask no shard at all.
-    /// Keys mix in each shard's blob generation, so the
-    /// wrong-blob eviction that follows a shard swap (detected by the
-    /// re-handshake or by any probe) instantly orphans every cached
-    /// answer from the old blob — a stale answer can never be served.
-    /// Answers stay bitwise-identical to the uncached wire paths.
-    pub fn enable_probe_cache(&mut self, entries: usize) {
-        let ids = self
-            .shards
-            .iter()
-            .map(|s| {
-                ShardCacheId::with_generation(
-                    scatter::shard_identity_token(s.index, s.n(), &self.schema),
-                    Arc::clone(&s.generation),
-                )
-            })
-            .collect();
-        self.cache = Some(Arc::new(GatherCache::new(entries, ids)));
-    }
-
-    /// The gather-side cache, when one is enabled.
-    pub fn probe_cache(&self) -> Option<&Arc<GatherCache>> {
-        self.cache.as_ref()
-    }
-
     /// The remote shards, in shard order.
     pub fn shards(&self) -> &[RemoteShard] {
         &self.shards
@@ -1112,11 +1082,11 @@ impl RemoteShardedSummary {
 }
 
 /// The cluster answers a probe the way the local mixture does: ask the
-/// shards that can contribute the one borrowed request (through the gather
-/// cache, when enabled) and merge — the local backend's code path, so
-/// answers match it bit for bit. Only the masks a shard supports and nobody
-/// cached cross the wire to it; a sample draw reaches only the shards that
-/// owe rows. Either way it is one write pass and one read pass.
+/// shards that can contribute the one borrowed request and merge — the
+/// local backend's code path, so answers match it bit for bit. Only the
+/// masks a shard supports cross the wire to it; a sample draw reaches only
+/// the shards that owe rows. Either way it is one write pass and one read
+/// pass.
 impl ShardProbe for RemoteShardedSummary {
     /// One (empty) probe scratch per shard — remote probe state is the
     /// connection pool, but the scatter fan-out still wants a slot each.
@@ -1131,7 +1101,7 @@ impl ShardProbe for RemoteShardedSummary {
     }
 
     fn probe(&self, request: &ProbeRequest, scratch: &mut Vec<()>) -> Result<ProbeResponse> {
-        scatter::gather(&self.shards, self.cache.as_deref(), request, scratch)
+        scatter::gather(&self.shards, request, scratch)
     }
 }
 
@@ -1144,8 +1114,10 @@ impl SummaryBackend for RemoteShardedSummary {
         &self.domain_sizes
     }
 
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.cache.as_ref().map(|cache| cache.snapshot())
+    /// The sum of the shards' blob generations: every counter only grows,
+    /// so the sum moves exactly when one of them does.
+    fn generation(&self) -> u64 {
+        self.shards.iter().map(RemoteShard::blob_generation).sum()
     }
 
     /// The delta owner's last *observed* epoch. `0` until an append or
@@ -1162,8 +1134,8 @@ impl SummaryBackend for RemoteShardedSummary {
     /// fresh connection), the retry carries the same token and the
     /// owner's token window absorbs the replay — ambiguous transport
     /// failures cannot double-ingest. The reply's epoch feeds
-    /// [`RemoteShard::note_epoch`], invalidating gather-side cached
-    /// answers the moment a fold becomes visible.
+    /// [`RemoteShard::note_epoch`], invalidating cached answers the moment
+    /// a fold becomes visible.
     fn append_rows(&self, rows: &[Vec<u32>], token: Option<&str>) -> Result<AppendOutcome> {
         let owner = self.delta_owner();
         let pinned = match token {
@@ -1178,7 +1150,7 @@ impl SummaryBackend for RemoteShardedSummary {
     /// Fetches the delta owner's ingest counters over the wire (`None`
     /// when the owner is unreachable or serves an immutable summary).
     /// Observing the epoch doubles as cache invalidation — a poll after a
-    /// background fold orphans stale gather-side answers.
+    /// background fold orphans stale cached answers.
     fn ingest_stats(&self) -> Option<IngestStatsSnapshot> {
         let owner = self.delta_owner();
         let stats = owner

@@ -14,7 +14,6 @@ use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::error::ModelError;
 use entropydb_core::plan::QueryRequest;
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
-use entropydb_core::query::Estimate;
 use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
 use entropydb_server::fault::{FaultMode, FaultProxy};
@@ -327,48 +326,38 @@ fn rehandshake_evicts_replica_serving_a_changed_blob() {
     }
 }
 
-/// The gather-side probe cache can never serve a stale answer across a
-/// blob swap: cache keys mix in the shard's blob generation, and the
-/// wrong-blob eviction (here triggered by the background re-handshake
-/// catching an impostor on the preferred replica's address) bumps the
-/// generation — every answer cached from the old blob becomes
-/// unreachable the instant the swap is detected, and re-probes route to
-/// the surviving true replica with bitwise-identical results.
+/// An answer cache can never serve a stale answer across a blob swap: it
+/// files answers under the cluster's generation, and the wrong-blob
+/// eviction (here triggered by the background re-handshake catching an
+/// impostor on the preferred replica's address) bumps it — every answer
+/// filed from the old blob becomes unreachable the instant the swap is
+/// detected, and the repeat routes to the surviving true replica with a
+/// bitwise-identical result.
 #[test]
 fn blob_swap_orphans_cached_answers_before_they_can_go_stale() {
     let local = sharded(1);
     let (mut handles, manifest) = serve_replicated(&local, 2);
     let addr0: std::net::SocketAddr = manifest[0].addrs[0].parse().unwrap();
     let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
-    remote.enable_probe_cache(1 << 12);
-    let cache = std::sync::Arc::clone(remote.probe_cache().unwrap());
-    let generation_before = remote.shards()[0].blob_generation();
+    remote.start_rehandshake(Duration::from_millis(30));
+    let engine = QueryEngine::new(remote).with_answer_cache(1 << 12);
+    let generation_before = engine.backend().generation();
 
     // Warm the cache through the preferred replica, then prove the
     // repeat is a hit.
-    let sizes = local.domain_sizes().to_vec();
-    let mask = Mask::from_predicate(&Predicate::new().eq(a(0), 1), &sizes).unwrap();
-    let count = ProbeRequest::Count { mask };
-    let mut scratch = remote.make_scratch();
-    let mut probe = |remote: &RemoteShardedSummary| {
-        Estimate::try_from(remote.probe(&count, &mut scratch).unwrap()).unwrap()
-    };
-    let healthy = probe(&remote);
-    let cold = cache.snapshot();
-    assert!(cold.misses > 0);
-    let repeat = probe(&remote);
-    assert_eq!(repeat.expectation.to_bits(), healthy.expectation.to_bits());
-    let warm = cache.snapshot();
-    assert!(warm.hits > cold.hits, "repeat must be served by the cache");
+    let count = QueryRequest::count(Predicate::new().eq(a(0), 1));
+    let healthy = engine.execute(&count).unwrap().encode();
+    assert_eq!(engine.execute(&count).unwrap().encode(), healthy);
+    let warm = engine.cache_stats().unwrap();
+    assert_eq!((warm.hits, warm.misses), (1, 1), "the repeat is a hit");
 
     // Swap the preferred replica's blob: kill it and start an impostor
     // serving a different summary on the same address.
     handles[0].remove(0).shutdown();
     let wrong = demo::demo_summary(100, 1).unwrap().shards()[0].clone();
     let impostor = serve(QueryEngine::new(wrong), addr0).unwrap();
-    remote.start_rehandshake(Duration::from_millis(30));
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !remote.shards()[0].replicas()[0].is_evicted() {
+    while !engine.backend().shards()[0].replicas()[0].is_evicted() {
         assert!(
             Instant::now() < deadline,
             "re-handshake never evicted the changed blob"
@@ -376,29 +365,23 @@ fn blob_swap_orphans_cached_answers_before_they_can_go_stale() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(
-        remote.shards()[0].blob_generation() > generation_before,
-        "wrong-blob eviction must bump the blob generation"
+        engine.backend().generation() > generation_before,
+        "wrong-blob eviction must move the cluster's generation"
     );
 
-    // Every answer cached from before the swap is orphaned: the same
-    // probe misses again and is re-fetched through the surviving true
-    // replica — still bitwise the healthy answer, never the impostor's.
-    let evicted = cache.snapshot();
-    let refetched = probe(&remote);
+    // Every answer filed before the swap is orphaned: the same request
+    // misses again and is re-fetched through the surviving true replica —
+    // still bitwise the healthy answer, never the impostor's.
+    assert_eq!(engine.execute(&count).unwrap().encode(), healthy);
+    let after = engine.cache_stats().unwrap();
     assert_eq!(
-        refetched.expectation.to_bits(),
-        healthy.expectation.to_bits()
-    );
-    assert_eq!(refetched.variance.to_bits(), healthy.variance.to_bits());
-    let after = cache.snapshot();
-    assert!(
-        after.misses > evicted.misses,
-        "a pre-swap cache entry must not answer after the generation bump"
+        (after.hits, after.misses),
+        (1, 2),
+        "a pre-swap entry must not answer after the generation moved"
     );
 
     // Full-workload parity with the cache still enabled.
     let local_engine = QueryEngine::new(local);
-    let engine = QueryEngine::new(remote);
     common::assert_bitwise_parity(&local_engine, &engine);
 
     impostor.shutdown();
@@ -419,9 +402,8 @@ fn a_dead_pooled_connection_is_retried_through_the_handshake() {
     let local = sharded(1);
     let (mut handles, manifest) = serve_replicated(&local, 2);
     let addr0: std::net::SocketAddr = manifest[0].addrs[0].parse().unwrap();
-    let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
-    remote.enable_probe_cache(1 << 12);
-    let engine = QueryEngine::new(remote);
+    let remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    let engine = QueryEngine::new(remote).with_answer_cache(1 << 12);
     let local_engine = QueryEngine::new(local);
 
     // Warm replica 0's pool (it is preferred and answers).
@@ -438,7 +420,7 @@ fn a_dead_pooled_connection_is_retried_through_the_handshake() {
     let wrong = demo::demo_summary(100, 1).unwrap().shards()[0].clone();
     let impostor = serve(QueryEngine::new(wrong), addr0).unwrap();
 
-    // A query the gather cache has not seen: it must cross the wire.
+    // A query the answer cache has not seen: it must cross the wire.
     let req = QueryRequest::count(Predicate::new().eq(a(0), 2));
     let expected = local_engine.execute(&req).unwrap().encode();
     assert_eq!(engine.execute(&req).unwrap().encode(), expected);

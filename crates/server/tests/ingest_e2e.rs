@@ -9,7 +9,7 @@
 //! * replaying an idempotency token over the wire is absorbed (client
 //!   retries can never double-ingest);
 //! * a cluster with a dynamic (`n = 0`) live shard routes appends to the
-//!   delta owner and keeps the gather-side cache fresh — every post-fold
+//!   delta owner and keeps its answer cache fresh — every post-fold
 //!   answer reflects the grown relation, never a cached stale one;
 //! * rows carrying a code the delta owner never held are counted after the
 //!   fold: pruning by support never hides a live shard's new rows.
@@ -178,10 +178,10 @@ fn oversized_wire_append_is_rejected_atomically() {
 /// The cluster drill: shard 0 is a live node declared dynamic (`n = 0`)
 /// in the manifest, shard 1 a static base segment. The remote backend
 /// routes appends to the delta owner, the fold shows up in merged
-/// answers, and the gather-side probe cache never serves a pre-fold
+/// answers, and the gateway engine's answer cache never serves a pre-fold
 /// count — the zero-stale contract over the wire.
 #[test]
-fn remote_backend_routes_appends_and_gather_cache_stays_fresh() {
+fn remote_backend_routes_appends_and_answer_cache_stays_fresh() {
     let summary = demo::demo_summary(240, 2).unwrap();
     let n_total = summary.n();
     let (live_handle, _n0) = serve_live_shard0(&summary, 32);
@@ -204,19 +204,18 @@ fn remote_backend_routes_appends_and_gather_cache_stays_fresh() {
         },
     ];
     let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
-    remote.enable_probe_cache(64);
     remote.start_rehandshake(Duration::from_millis(30));
     assert!(remote.shards()[0].is_dynamic());
     assert_eq!(remote.n(), n_total, "dynamic shard adopts the served n");
-    let engine = QueryEngine::new(remote);
+    let engine = QueryEngine::new(remote).with_answer_cache(64);
 
-    // Warm the gather cache and verify repeats are served from it.
+    // Warm the answer cache and verify repeats are served from it.
     let before = engine.estimate_count(&Predicate::all()).unwrap();
     let repeat = engine.estimate_count(&Predicate::all()).unwrap();
     assert_eq!(before.expectation.to_bits(), repeat.expectation.to_bits());
     assert!((before.expectation - n_total as f64).abs() < 1e-6 * n_total as f64);
-    let warm_stats = engine.cache_stats().expect("probe cache enabled");
-    assert!(warm_stats.hits >= 1, "repeat must hit the gather cache");
+    let warm_stats = engine.cache_stats().expect("answer cache enabled");
+    assert!(warm_stats.hits >= 1, "repeat must hit the answer cache");
 
     // Append through the remote backend: routed to the delta owner with a
     // pinned idempotency token.
@@ -309,8 +308,7 @@ fn appended_codes_outside_the_owners_support_are_counted() {
         });
         static_handles.push(handle);
     }
-    let mut remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
-    remote.enable_probe_cache(64);
+    let remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
     {
         use entropydb_core::scatter::ShardProbe;
         let supports: Vec<bool> = remote
@@ -324,7 +322,7 @@ fn appended_codes_outside_the_owners_support_are_counted() {
             "only static shards declare a support"
         );
     }
-    let engine = QueryEngine::new(remote);
+    let engine = QueryEngine::new(remote).with_answer_cache(64);
     let count = |pred: &Predicate| engine.estimate_count(pred).unwrap().expectation;
     assert!((count(&far) - far_before).abs() < 1e-6 * far_before);
     assert_eq!(count(&nowhere), 0.0);

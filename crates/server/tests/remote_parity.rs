@@ -47,13 +47,10 @@ fn remote_cluster_matches_local_sharded_bitwise() {
 fn remote_top_k_finds_a_winner_that_is_below_k_on_every_shard() {
     let local = common::two_shards_hiding_the_winner();
     let (handles, manifest) = serve_shards(&local);
-    let plain = RemoteShardedSummary::connect(&manifest).unwrap();
-    let mut cached = RemoteShardedSummary::connect(&manifest).unwrap();
-    cached.enable_probe_cache(64);
+    let connect = || QueryEngine::new(RemoteShardedSummary::connect(&manifest).unwrap());
     let req = QueryRequest::top_k(Predicate::all(), a(0), 1);
     let expected = QueryEngine::new(local).execute(&req).unwrap();
-    for remote in [plain, cached] {
-        let engine = QueryEngine::new(remote);
+    for engine in [connect(), connect().with_answer_cache(64)] {
         for pass in ["cold", "warm"] {
             let got = engine.execute(&req).unwrap();
             assert_eq!(got.encode(), expected.encode(), "{pass}");
@@ -145,7 +142,7 @@ fn probe_table_is_bitwise_on_sharded_live_and_remote() {
 /// that are not all zeros — and nobody can tell (see
 /// `probes::assert_pruning_is_invisible`); the cluster still equals the
 /// local mixture and a live summary over the same shards on the whole probe
-/// table, uncached and through a cold and a warm gather cache.
+/// table, uncached and through a cold and a warm answer cache.
 #[test]
 fn range_partitioned_cluster_prunes_and_stays_bitwise() {
     use entropydb_core::sharded::ShardedSummary;
@@ -165,12 +162,20 @@ fn range_partitioned_cluster_prunes_and_stays_bitwise() {
         ..IngestConfig::default()
     };
     let live = LiveSummary::new(local.clone(), multi, SolverConfig::default(), config).unwrap();
-    let mut cached = RemoteShardedSummary::connect(&manifest).unwrap();
-    cached.enable_probe_cache(1 << 12);
     probes::assert_probe_parity(&local, &remote);
     probes::assert_probe_parity(&live, &remote);
-    probes::assert_probe_parity(&local, &cached);
-    probes::assert_probe_parity(&local, &cached);
+    let cached = RemoteShardedSummary::connect(&manifest).unwrap();
+    let cached = QueryEngine::new(cached).with_answer_cache(1 << 12);
+    for pass in ["cold", "warm"] {
+        for request in probes::probe_table(local.domain_sizes()) {
+            assert_eq!(
+                cached.probe(&request).unwrap().encode(),
+                probes::probe(&local, &request).encode(),
+                "{pass}: {}",
+                request.encode()
+            );
+        }
+    }
     let masks = probes::batch_masks(local.domain_sizes());
     assert_eq!(
         probes::batched_answers(&remote, &masks),
@@ -181,33 +186,31 @@ fn range_partitioned_cluster_prunes_and_stays_bitwise() {
     }
 }
 
-/// With the gather-side probe cache enabled, the remote backend answers
-/// every request variant bitwise-identically to the local sharded backend
-/// — on a cold cache, and again on a warm cache where repeats are served
-/// without touching the wire. At 1 shard the no-merge bypass runs under
-/// the cache; at 4 the merge and the batched paths do.
+/// Behind an answer cache, the remote backend answers every request
+/// variant bitwise-identically to the local sharded backend — on a cold
+/// cache, and again on a warm cache where repeats are answered without
+/// touching the wire. At 1 shard the no-merge bypass runs under the cache;
+/// at 4 the merge and the batched paths do.
 #[test]
 fn cached_remote_cluster_stays_bitwise_cold_and_warm() {
     for shards in [1usize, 4] {
         let local = sharded(shards);
         let (handles, manifest) = serve_shards(&local);
-        let mut remote = RemoteShardedSummary::connect(&manifest).unwrap();
-        remote.enable_probe_cache(1 << 12);
-        let cache = std::sync::Arc::clone(remote.probe_cache().unwrap());
+        let remote = RemoteShardedSummary::connect(&manifest).unwrap();
 
         let local_engine = QueryEngine::new(local);
-        let remote_engine = QueryEngine::new(remote);
+        let remote_engine = QueryEngine::new(remote).with_answer_cache(1 << 12);
         common::assert_bitwise_parity(&local_engine, &remote_engine);
-        let cold = cache.snapshot();
+        let cold = remote_engine.cache_stats().unwrap();
         assert!(cold.misses > 0, "cold pass must populate the cache");
 
         common::assert_bitwise_parity(&local_engine, &remote_engine);
-        let warm = cache.snapshot();
+        let warm = remote_engine.cache_stats().unwrap();
+        assert_eq!(warm.misses, cold.misses, "the warm pass computes nothing");
         assert!(
             warm.hits > cold.hits,
             "warm pass must hit the cache ({warm:?} after {cold:?})"
         );
-        assert_eq!(remote_engine.cache_stats(), Some(warm));
 
         for handle in handles {
             handle.shutdown();
@@ -215,14 +218,13 @@ fn cached_remote_cluster_stays_bitwise_cold_and_warm() {
     }
 }
 
-/// The local sharded backend with a probe cache stays bitwise-identical
-/// to its uncached self on every request variant, cold and warm — the
-/// all-cached fast path and the fan-out run the one merge.
+/// The local sharded backend behind an answer cache stays bitwise-identical
+/// to its uncached self on every request variant, cold and warm.
 #[test]
 fn cached_local_sharded_stays_bitwise_cold_and_warm() {
     for shards in [1usize, 4] {
         let plain_engine = QueryEngine::new(sharded(shards));
-        let cached_engine = QueryEngine::new(sharded(shards).with_probe_cache(1 << 12));
+        let cached_engine = QueryEngine::new(sharded(shards)).with_answer_cache(1 << 12);
         common::assert_bitwise_parity(&plain_engine, &cached_engine);
         let cold = cached_engine.cache_stats().unwrap();
         assert!(cold.misses > 0, "cold pass must populate the cache");
@@ -233,16 +235,16 @@ fn cached_local_sharded_stays_bitwise_cold_and_warm() {
     }
 }
 
-/// The `stats` session line: a gateway over a cached remote backend
-/// reports live cache counters to any client; a plain shard server (no
-/// cache to speak of) answers `stats cache none`.
+/// The `stats` session line: a gateway serving an engine with an answer
+/// cache reports live cache counters — one per request — to any client; a
+/// plain shard server (no cache to speak of) answers `stats cache none`.
 #[test]
 fn stats_line_reports_gateway_cache_counters() {
     let local = sharded(2);
     let (handles, manifest) = serve_shards(&local);
-    let mut remote = RemoteShardedSummary::connect(&manifest).unwrap();
-    remote.enable_probe_cache(1 << 10);
-    let gateway = serve(QueryEngine::new(remote), "127.0.0.1:0").unwrap();
+    let remote = RemoteShardedSummary::connect(&manifest).unwrap();
+    let engine = QueryEngine::new(remote).with_answer_cache(1 << 10);
+    let gateway = serve(engine, "127.0.0.1:0").unwrap();
 
     let mut client = Client::connect(gateway.local_addr()).unwrap();
     let idle = client.cache_stats().unwrap().expect("gateway has a cache");
@@ -252,12 +254,11 @@ fn stats_line_reports_gateway_cache_counters() {
     client.execute(&req).unwrap();
     client.execute(&req).unwrap();
     let warm = client.cache_stats().unwrap().expect("gateway has a cache");
-    assert!(warm.misses > 0, "first execution misses");
-    assert!(warm.hits > 0, "repeat execution hits");
+    assert_eq!((warm.hits, warm.misses), (1, 1), "a miss, then a hit");
     client.quit();
     gateway.shutdown();
 
-    // A plain shard node has no gather-side cache.
+    // A plain shard node has no answer cache.
     let mut shard_client = Client::connect(manifest[0].addrs[0].as_str()).unwrap();
     assert_eq!(shard_client.cache_stats().unwrap(), None);
     shard_client.quit();

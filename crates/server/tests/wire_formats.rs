@@ -167,10 +167,12 @@ fn golden_bytes_for_every_serving_line() {
     assert_eq!(ask(&stream, "schema\n", 5), SCHEMA_BLOCK);
     assert_eq!(ask(&stream, "stats\n", 1), "stats cache none\n");
     plain.shutdown();
-    let cached = ShardedSummary::from_shards(vec![summary()])
-        .unwrap()
-        .with_probe_cache(64);
-    let cached = serve(QueryEngine::new(cached), "127.0.0.1:0").unwrap();
+    let cached = ShardedSummary::from_shards(vec![summary()]).unwrap();
+    let cached = serve(
+        QueryEngine::new(cached).with_answer_cache(64),
+        "127.0.0.1:0",
+    )
+    .unwrap();
     let stream = TcpStream::connect(cached.local_addr()).unwrap();
     assert_eq!(ask(&stream, "stats\n", 1), "stats cache 0 0 0 0\n");
     cached.shutdown();
