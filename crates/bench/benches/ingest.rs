@@ -140,13 +140,13 @@ fn bench_ingest_fold(c: &mut Criterion) {
         &ShardedBuildConfig::default(),
     )
     .expect("base build");
-    let ingest = IngestConfig::builder()
-        .delta_rows(DELTA_ROWS)
-        .seal_rows(DELTA_ROWS)
-        .max_segments(8)
-        .background(false)
-        .build()
-        .expect("ingest config");
+    let ingest = IngestConfig {
+        delta_rows: DELTA_ROWS,
+        seal_rows: DELTA_ROWS,
+        max_segments: Some(8),
+        background: false,
+        ..IngestConfig::default()
+    };
     let live = LiveSummary::new(base, stats, config, ingest).expect("live summary");
     let fast = std::env::var_os("ENTROPYDB_BENCH_FAST").is_some_and(|v| v != *"0");
     let cycles = if fast { 4 } else { 24 };

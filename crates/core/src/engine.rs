@@ -34,7 +34,6 @@
 use crate::assignment::Mask;
 use crate::error::{ModelError, Result};
 use crate::metrics::{CacheCounters, CacheStatsSnapshot};
-use crate::par;
 use crate::plan::{QueryRequest, QueryResponse};
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
@@ -471,12 +470,11 @@ impl<B: SummaryBackend> QueryEngine<B> {
         Ok(answer.read(request))
     }
 
-    /// Executes a batch of IR requests, fanning them out across the
-    /// persistent worker pool. Element `i` is exactly
-    /// `self.execute(&requests[i])` (bitwise; chunking never changes
-    /// results), with per-request errors kept in place so one bad request
-    /// does not poison a pipelined batch. Through the cache, the lines it
-    /// lacks are computed as one batch, each distinct line once.
+    /// Executes a batch of IR requests on the calling thread. Element `i` is
+    /// exactly `self.execute(&requests[i])` (bitwise), with per-request
+    /// errors kept in place so one bad request does not poison a pipelined
+    /// batch. Through the cache, the lines it lacks are computed as one
+    /// batch, each distinct line once.
     pub fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
         let Some(cache) = &self.cache else {
             return paths::execute_batch(&self.backend, &self.scratch, requests);
@@ -705,8 +703,8 @@ pub trait QueryApi {
 
     /// Draws `k` synthetic tuples from the summarized distribution
     /// (stratified across shards proportionally to shard cardinality on
-    /// sharded backends), deterministic in `seed` and independent of thread
-    /// fan-out.
+    /// sharded backends), deterministic in `seed` and independent of how a
+    /// backend cuts the draw.
     fn sample_rows(&self, k: usize, seed: u64) -> Result<Table> {
         let resp = self.execute(&QueryRequest::sample_rows(k, seed))?;
         let (_, rows) = resp.rows().expect(SHAPE);
@@ -785,8 +783,9 @@ pub(crate) mod paths {
     /// if the probe itself fails the failure is the backend's (a degraded
     /// shard) and the same for every slot: each gets a copy, nothing is
     /// re-run.
-    /// All other request kinds fan out per-request across the worker pool.
-    pub fn execute_batch<B: SummaryBackend, R: Borrow<QueryRequest> + Sync>(
+    /// All other request kinds run one after another, each through
+    /// [`execute`].
+    pub fn execute_batch<B: SummaryBackend, R: Borrow<QueryRequest>>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         requests: &[R],
@@ -821,23 +820,10 @@ pub(crate) mod paths {
             let answers = ask::<_, Vec<Estimate>>(backend, pool, batch);
             fill(&mut results, &count_idx, answers, QueryResponse::Estimate);
         }
-        let pending: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if !pending.is_empty() {
-            let executed = par::map(&pending, 1, |_, &i| {
-                execute(backend, pool, requests[i].borrow())
-            });
-            for (&i, r) in pending.iter().zip(executed) {
-                results[i] = Some(r);
-            }
-        }
         results
             .into_iter()
-            .map(|slot| slot.expect("every batch slot is filled"))
+            .zip(requests)
+            .map(|(slot, request)| slot.unwrap_or_else(|| execute(backend, pool, request.borrow())))
             .collect()
     }
 
@@ -927,37 +913,26 @@ pub(crate) mod paths {
         }
         let base = query_mask(backend, pred)?;
         let n_b = sizes[attr_b.0];
-        par::map_indexed(n_b, 2, |v_b| {
-            let mut mask = base.clone();
-            mask.restrict_in_place(attr_b, v_b as u32, n_b);
-            ask(backend, pool, ProbeRequest::GroupBy { mask, attr: attr_a })
-        })
-        .into_iter()
-        .collect()
+        (0..n_b)
+            .map(|v_b| {
+                let mut mask = base.clone();
+                mask.restrict_in_place(attr_b, v_b as u32, n_b);
+                ask(backend, pool, ProbeRequest::GroupBy { mask, attr: attr_a })
+            })
+            .collect()
     }
 
     /// Draws the raw dense-coded sample tuples (the IR-transportable form):
-    /// `SampleAt` over `0..k`, cut into at most [`par::max_threads`]
-    /// contiguous runs of at least 16 indices, each run one probe on a
-    /// pooled scratch — so a monolithic draw keeps its fan-out and a remote
-    /// one costs one pipelined round per shard per run.
+    /// one `SampleAt` over `0..k` on a pooled scratch. A draw depends only on
+    /// `(seed, index)`, so how a backend cuts the indices never changes it.
     fn sample_rows<B: SummaryBackend>(
         backend: &B,
         pool: &ScratchPool<B::Scratch>,
         k: usize,
         seed: u64,
     ) -> Result<Vec<Vec<u32>>> {
-        let run = k.div_ceil(par::max_threads()).max(16);
-        let starts: Vec<usize> = (0..k).step_by(run).collect();
-        let runs = par::map(&starts, 1, |_, &start| {
-            let indices = (start as u64..k.min(start + run) as u64).collect();
-            ask::<_, Vec<Vec<u32>>>(backend, pool, ProbeRequest::SampleAt { k, seed, indices })
-        });
-        let mut rows = Vec::with_capacity(k);
-        for run in runs {
-            rows.extend(run?);
-        }
-        Ok(rows)
+        let indices = (0..k as u64).collect();
+        ask(backend, pool, ProbeRequest::SampleAt { k, seed, indices })
     }
 
     /// Per-value numeric weights of an attribute: bucket midpoints for

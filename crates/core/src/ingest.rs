@@ -62,8 +62,8 @@ use std::time::{Duration, Instant};
 
 /// How a [`LiveSummary`] stages, folds, and compacts its delta shard.
 ///
-/// Plain struct literals over `..Default::default()` keep working; the
-/// validated construction path is [`IngestConfig::builder`].
+/// Build one as a struct literal over `..IngestConfig::default()`; the
+/// constructors of [`LiveSummary`] run [`IngestConfig::validate`] on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestConfig {
     /// Staged rows that trigger a delta re-solve (fold). Must be > 0.
@@ -98,14 +98,9 @@ impl Default for IngestConfig {
 }
 
 impl IngestConfig {
-    /// Fluent validated constructor (see [`IngestConfigBuilder`]).
-    pub fn builder() -> IngestConfigBuilder {
-        IngestConfigBuilder::default()
-    }
-
-    /// Checks the invariants [`IngestConfigBuilder::build`] enforces; the
-    /// constructors of [`LiveSummary`] run this so hand-written struct
-    /// literals get the same validation.
+    /// Rejects zero caps and inverted bounds instead of letting them
+    /// surface as runtime misbehavior; the constructors of [`LiveSummary`]
+    /// run this.
     pub fn validate(&self) -> Result<()> {
         if self.delta_rows == 0 {
             return Err(ModelError::InvalidConfig(
@@ -129,51 +124,6 @@ impl IngestConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`IngestConfig`]; `build()` rejects zero caps and inverted
-/// bounds instead of letting them surface as runtime misbehavior.
-#[derive(Debug, Clone, Default)]
-pub struct IngestConfigBuilder {
-    config: IngestConfig,
-}
-
-impl IngestConfigBuilder {
-    /// Sets the staged-row fold trigger.
-    pub fn delta_rows(mut self, rows: usize) -> Self {
-        self.config.delta_rows = rows;
-        self
-    }
-
-    /// Sets the fitted-delta compaction threshold.
-    pub fn seal_rows(mut self, rows: usize) -> Self {
-        self.config.seal_rows = rows;
-        self
-    }
-
-    /// Sets the sealed-segment retention cap.
-    pub fn max_segments(mut self, cap: usize) -> Self {
-        self.config.max_segments = Some(cap);
-        self
-    }
-
-    /// Chooses background (true) or synchronous (false) folding.
-    pub fn background(mut self, background: bool) -> Self {
-        self.config.background = background;
-        self
-    }
-
-    /// Sets the idempotency-token memory bound.
-    pub fn token_capacity(mut self, cap: usize) -> Self {
-        self.config.token_capacity = cap;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<IngestConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -589,8 +539,7 @@ impl LiveSummary {
 
 /// Body of the persistent background-fold worker: sleep until an append
 /// crosses the fold threshold (or shutdown), fold, repeat. The solve inside
-/// [`Inner::fold`] fans out on the `crate::par` persistent pool like any
-/// other model build. Errors park in `fold_error` (see
+/// [`Inner::fold`] runs on this one thread. Errors park in `fold_error` (see
 /// [`LiveSummary::take_fold_error`]); the worker keeps serving later folds.
 fn worker_loop(inner: Arc<Inner>) {
     loop {

@@ -1,295 +1,61 @@
-//! Data parallelism on a persistent worker pool.
+//! Scoped data parallelism for offline work.
 //!
-//! crates.io is unreachable from the build environment, so this module is a
-//! small stand-in for the rayon idioms the kernel needs: chunked
-//! `for_each`/`map` over slices. Earlier revisions spawned scoped threads on
-//! every call, which priced parallelism out of everything but very coarse
-//! work; the pool below keeps a set of lazily-spawned persistent workers
-//! behind a job queue, so dispatch costs a queue push and a condvar signal
-//! instead of a thread spawn. That lets fan-out pay off at much finer
-//! granularity (see the lowered thresholds in `factorized.rs`/`model.rs`
-//! and the per-term loops in `polynomial.rs`).
-//!
-//! Work is split into at most [`max_threads`] contiguous chunks, each at
-//! least `min_chunk` items, so results are bitwise identical to the serial
-//! order regardless of thread count — every item is processed independently
-//! and written to its own slot. The calling thread executes the first chunk
-//! itself and then blocks on a per-call latch until the workers drain the
-//! rest.
-//!
-//! Nested parallel calls (a worker's job itself calling into this module)
-//! run serially on the worker: a worker blocked on a latch while the queue
-//! holds the jobs it is waiting for would deadlock the pool.
+//! A request never fans out: a server already runs each request on the io
+//! thread that owns it, so every request path is a plain loop on the
+//! calling thread. What is left here is [`map`], which an offline build
+//! ([`ShardedSummary::build`](crate::sharded::ShardedSummary::build)) uses
+//! to fit its shards side by side on scoped threads.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::panic::resume_unwind;
 
-/// 0 = uninitialized; any other value = cached thread budget.
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// The thread budget: `ENTROPYDB_THREADS` env var when set, otherwise the
-/// machine's available parallelism. Always at least 1.
+/// The machine's available parallelism, which already respects CPU
+/// affinity. Always at least 1.
 pub fn max_threads() -> usize {
-    let cached = MAX_THREADS.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
-    }
-    let detected = std::env::var("ENTROPYDB_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    MAX_THREADS.store(detected, Ordering::Relaxed);
-    detected
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Overrides the thread budget (`0` restores auto-detection). Used by tests
-/// to compare serial and parallel execution. Workers already spawned for a
-/// larger budget stay alive but idle; the pool never shrinks.
-pub fn set_max_threads(n: usize) {
-    if n == 0 {
-        MAX_THREADS.store(0, Ordering::Relaxed);
-        let _ = max_threads();
-    } else {
-        MAX_THREADS.store(n, Ordering::Relaxed);
-    }
-}
-
-/// A unit of queued work: one chunk of one parallel call, type-erased and
-/// lifetime-erased. Sound because the submitting call blocks on its latch
-/// until every one of its jobs has completed, so the borrowed closure,
-/// latch, and item chunks outlive the job (see `for_each_chunk_mut`).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The process-wide persistent worker pool.
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    work_ready: Condvar,
-    /// Names of the workers spawned so far, in spawn order. The pool grows
-    /// lazily up to the largest `threads − 1` any call has needed and then
-    /// stays fixed — repeated calls reuse the same workers.
-    worker_names: Mutex<Vec<String>>,
-    spawned_total: AtomicUsize,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        queue: Mutex::new(VecDeque::new()),
-        work_ready: Condvar::new(),
-        worker_names: Mutex::new(Vec::new()),
-        spawned_total: AtomicUsize::new(0),
-    })
-}
-
-thread_local! {
-    /// True inside pool workers; nested parallel calls run serially.
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-impl Pool {
-    /// Spawns workers until at least `want` exist. Workers are daemon
-    /// threads that live for the process; they block on the queue condvar
-    /// while idle.
-    fn ensure_workers(&self, want: usize) {
-        let mut names = self.worker_names.lock().expect("pool worker registry");
-        while names.len() < want {
-            let name = format!("entropydb-par-{}", names.len());
-            std::thread::Builder::new()
-                .name(name.clone())
-                .spawn(|| {
-                    IS_POOL_WORKER.with(|w| w.set(true));
-                    worker_loop();
-                })
-                .expect("spawn pool worker");
-            names.push(name);
-            self.spawned_total.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        self.queue.lock().expect("pool queue").push_back(job);
-        self.work_ready.notify_one();
-    }
-}
-
-fn worker_loop() -> ! {
-    let pool = pool();
-    loop {
-        let job = {
-            let mut queue = pool.queue.lock().expect("pool queue");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                queue = pool.work_ready.wait(queue).expect("pool queue");
-            }
-        };
-        job();
-    }
-}
-
-/// Per-call countdown latch; also records whether any job panicked (the
-/// panic is caught on the worker so the worker survives, and re-raised on
-/// the calling thread).
-struct Latch {
-    state: Mutex<(usize, bool)>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(count: usize) -> Self {
-        Latch {
-            state: Mutex::new((count, false)),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, panicked: bool) {
-        let mut st = self.state.lock().expect("latch");
-        st.0 -= 1;
-        st.1 |= panicked;
-        if st.0 == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every job completed; returns whether any panicked.
-    fn wait(&self) -> bool {
-        let mut st = self.state.lock().expect("latch");
-        while st.0 > 0 {
-            st = self.done.wait(st).expect("latch");
-        }
-        st.1
-    }
-}
-
-/// Names of the persistent workers spawned so far (test introspection: the
-/// set must stay stable across repeated parallel calls).
-pub fn worker_names() -> Vec<String> {
-    pool()
-        .worker_names
-        .lock()
-        .expect("pool worker registry")
-        .clone()
-}
-
-/// Total pool threads ever spawned (test introspection: equals the live
-/// worker count — workers are reused, never respawned).
-pub fn threads_spawned_total() -> usize {
-    pool().spawned_total.load(Ordering::Relaxed)
-}
-
-/// Splits `items` into contiguous chunks of at least `min_chunk` items and
-/// runs `f(base_index, chunk)` on each, fanning out across the worker pool
-/// when more than one chunk results. `f` sees every item exactly once, in
-/// order within a chunk; chunk boundaries depend only on `max_threads()`
-/// and the input length, never on scheduling.
-pub fn for_each_chunk_mut<U, F>(items: &mut [U], min_chunk: usize, f: F)
-where
-    U: Send,
-    F: Fn(usize, &mut [U]) + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    // Floor division keeps every chunk at least `min_chunk` items. Nested
-    // calls from inside a pool worker stay serial (deadlock avoidance).
-    let nested = IS_POOL_WORKER.with(|w| w.get());
-    let threads = if nested {
-        1
-    } else {
-        max_threads().min(len / min_chunk.max(1)).max(1)
-    };
-    if threads == 1 {
-        f(0, items);
-        return;
-    }
-    let chunk_size = len.div_ceil(threads);
-    let pool = pool();
-
-    let mut chunks = items.chunks_mut(chunk_size);
-    let first = chunks.next().expect("non-empty input");
-    let rest: Vec<(usize, &mut [U])> = {
-        let mut base = first.len();
-        chunks
-            .map(|chunk| {
-                let start = base;
-                base += chunk.len();
-                (start, chunk)
-            })
-            .collect()
-    };
-    pool.ensure_workers(rest.len());
-
-    let latch = Latch::new(rest.len());
-    let latch_ref: &Latch = &latch;
-    let f_ref: &(dyn Fn(usize, &mut [U]) + Sync) = &f;
-    for (start, chunk) in rest {
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| f_ref(start, chunk)));
-            latch_ref.complete(result.is_err());
-        });
-        // SAFETY: lifetime erasure only. This call always blocks on `latch`
-        // below until every submitted job has run to completion — including
-        // when the locally-executed chunk panics — so the borrows of `f`,
-        // `latch`, and the item chunks strictly outlive the jobs.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send + 'static>>(
-                job,
-            )
-        };
-        pool.submit(job);
-    }
-
-    let local = catch_unwind(AssertUnwindSafe(|| f(0, first)));
-    let worker_panicked = latch.wait();
-    if let Err(payload) = local {
-        resume_unwind(payload);
-    }
-    if worker_panicked {
-        panic!("parallel worker task panicked");
-    }
-}
-
-/// Parallel indexed map: `out[i] = f(i, &items[i])`, chunked as in
-/// [`for_each_chunk_mut`]. The output order is the input order.
+/// Indexed map: `out[i] = f(i, &items[i])`, in input order. The items are
+/// cut into at most [`max_threads`] contiguous chunks of at least
+/// `min_chunk` items, one scoped thread per chunk (the first runs on the
+/// caller). Every item is computed on its own, so the result is bitwise
+/// the serial loop's; a panic in any chunk is re-raised on the caller.
 pub fn map<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for_each_chunk_mut(&mut out, min_chunk, |base, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let i = base + off;
-            *slot = Some(f(i, &items[i]));
-        }
-    });
-    out.into_iter().map(|r| r.expect("slot filled")).collect()
+    map_in(max_threads(), items, min_chunk, f)
 }
 
-/// Parallel indexed map over `0..len` without a source slice.
-pub fn map_indexed<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
+/// [`map`] with an explicit thread budget.
+fn map_in<T, R, F>(threads: usize, items: &[T], min_chunk: usize, f: F) -> Vec<R>
 where
+    T: Sync,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    for_each_chunk_mut(&mut out, min_chunk, |base, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(f(base + off));
+    let run = |base: usize, chunk: &[T]| -> Vec<R> {
+        (base..).zip(chunk).map(|(i, item)| f(i, item)).collect()
+    };
+    let threads = threads.min(items.len() / min_chunk.max(1)).max(1);
+    if threads == 1 {
+        return run(0, items);
+    }
+    let size = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let run = &run;
+        let rest: Vec<_> = (size..)
+            .step_by(size)
+            .zip(items[size..].chunks(size))
+            .map(|(base, chunk)| scope.spawn(move || run(base, chunk)))
+            .collect();
+        let mut out = run(0, &items[..size]);
+        for handle in rest {
+            out.extend(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
         }
-    });
-    out.into_iter().map(|r| r.expect("slot filled")).collect()
+        out
+    })
 }
 
 #[cfg(test)]
@@ -297,45 +63,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunked_for_each_covers_all_items_once() {
-        let mut items: Vec<u64> = vec![0; 1000];
-        for_each_chunk_mut(&mut items, 8, |base, chunk| {
-            for (off, x) in chunk.iter_mut().enumerate() {
-                *x += (base + off) as u64 + 1;
-            }
-        });
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn map_preserves_order() {
+    fn map_preserves_order_at_every_budget() {
         let items: Vec<usize> = (0..517).collect();
-        let out = map(&items, 4, |i, &x| {
-            assert_eq!(i, x);
-            x * 3
-        });
-        assert_eq!(out, (0..517).map(|x| x * 3).collect::<Vec<_>>());
-        let out2 = map_indexed(37, 1, |i| i + 1);
-        assert_eq!(out2, (1..=37).collect::<Vec<_>>());
+        let expected: Vec<usize> = items.iter().map(|x| x * 3).collect();
+        for threads in [1, 2, 3, 8] {
+            let out = map_in(threads, &items, 4, |i, &x| {
+                assert_eq!(i, x);
+                x * 3
+            });
+            assert_eq!(out, expected, "{threads} threads");
+        }
+        assert!(map(&[] as &[u8], 1, |_, _| -> u8 { panic!("no items") }).is_empty());
     }
 
     #[test]
-    fn respects_min_chunk_when_serial() {
-        // With min_chunk larger than the input, exactly one chunk runs.
-        let mut calls = std::sync::atomic::AtomicUsize::new(0);
-        let mut items = vec![(); 10];
-        for_each_chunk_mut(&mut items, 100, |_, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(*calls.get_mut(), 1);
+    fn small_inputs_stay_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ids = map_in(8, &[(); 10], 100, |_, _| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]
-    fn empty_input_is_noop() {
-        let mut items: Vec<u8> = Vec::new();
-        for_each_chunk_mut(&mut items, 1, |_, _| panic!("no chunks expected"));
-        assert!(map_indexed(0, 1, |_| 0u8).is_empty());
+    fn a_panicking_chunk_panics_the_caller() {
+        let items: Vec<usize> = (0..64).collect();
+        let result = std::panic::catch_unwind(|| {
+            map_in(4, &items, 1, |i, _| assert!(i != 50, "chunk panic"))
+        });
+        assert!(result.is_err());
     }
 }

@@ -12,9 +12,9 @@
 //!    complete 1-D statistics leave non-zero) is not asked a mask the
 //!    support annihilates: that answer is an exact `0.0`;
 //! 2. **ask** — the shards left are asked *together*, through the one
-//!    fan-out seam [`ShardProbe::probe_each`] (in-process shards: the
-//!    worker pool; remote shards: write every frame, then read every
-//!    reply);
+//!    fan-out seam [`ShardProbe::probe_each`] (in-process shards: one
+//!    after another on the calling thread; remote shards: write every
+//!    frame, then read every reply);
 //! 3. **merge** — the answers, pruned ones as the zeros they are, meet the
 //!    one `merge`.
 //!
@@ -47,7 +47,6 @@
 
 use crate::assignment::Mask;
 use crate::error::{ModelError, RemoteDetail, Result};
-use crate::par;
 use crate::probe::{ProbeRequest, ProbeResponse};
 use crate::query::Estimate;
 use entropydb_storage::AttrId;
@@ -87,8 +86,7 @@ pub trait ShardProbe: Send + Sync {
     /// The fan-out seam of [`gather`]: puts each of `asks` (ascending shard
     /// index, at most one per shard) to its shard and returns the answers in
     /// `asks` order. By default each asked shard's [`probe`](Self::probe)
-    /// runs on the worker pool, on its own scratch slot — deterministic and
-    /// identical to serial execution; one ask runs on the calling thread. A
+    /// runs in turn on the calling thread, on its own scratch slot. A
     /// backend whose probes are round trips overrides it to overlap them.
     fn probe_each(
         probes: &[Self],
@@ -101,28 +99,21 @@ pub trait ShardProbe: Send + Sync {
     {
         assert_eq!(probes.len(), scratches.len(), "one scratch per shard");
         let mut pending = asks.iter().peekable();
-        let mut work: Vec<_> = probes
+        let answers: Vec<_> = probes
             .iter()
             .zip(scratches.iter_mut())
             .enumerate()
             .filter_map(|(shard, (probe, scratch))| {
                 let ask = pending.next_if(|ask| ask.shard == shard)?;
-                Some((ask, probe, scratch, None))
+                Some(probe.probe(&ask.of(request), scratch))
             })
             .collect();
         assert_eq!(
-            work.len(),
+            answers.len(),
             asks.len(),
             "asks name shards in ascending order"
         );
-        par::for_each_chunk_mut(&mut work, 1, |_, chunk| {
-            for (ask, probe, scratch, answer) in chunk.iter_mut() {
-                *answer = Some(probe.probe(&ask.of(request), scratch));
-            }
-        });
-        work.into_iter()
-            .map(|(.., answer)| answer.expect("fan-out slot filled"))
-            .collect()
+        answers
     }
 }
 

@@ -1,10 +1,9 @@
 //! Horizontally sharded summaries: one MaxEnt model per row partition.
 //!
-//! Summary build time is dominated by solving one monolithic max-ent
-//! program. [`ShardedSummary`] sidesteps that: the relation is split into
-//! horizontal shards ([`Table::partition`]), one [`MaxEntSummary`] is fitted
-//! per shard (in parallel on the persistent worker pool), and queries are
-//! answered by fanning out over the shard models and merging:
+//! A [`ShardedSummary`] splits the relation into horizontal shards
+//! ([`Table::partition`]) and fits one [`MaxEntSummary`] per shard (side by
+//! side on scoped threads, [`par::map`]). Queries ask the shard models in
+//! turn and merge the answers:
 //!
 //! * COUNT / SUM expectations add, and — because the shard models are
 //!   independent distributions over disjoint row sets — their variances add
@@ -16,7 +15,7 @@
 //! * `sample_rows` stratifies the draw across shards proportionally to
 //!   shard cardinality (largest-remainder apportionment), with every tuple's
 //!   SplitMix64 stream derived only from `(seed, global tuple index)` —
-//!   output is deterministic and never depends on thread fan-out.
+//!   output is deterministic and never depends on how the draw is cut.
 //!
 //! Sharding also *bounds per-shard closures*: with range sharding, a shard
 //! only sees rows in its code range, so any multi statistic whose range on

@@ -107,12 +107,12 @@ fn build_base(t: &Table, k: usize) -> ShardedSummary {
 /// Synchronous config with thresholds far above the test batches, so folds
 /// only happen where a test calls `flush`/`compact_now` explicitly.
 fn sync_config() -> IngestConfig {
-    IngestConfig::builder()
-        .delta_rows(1 << 20)
-        .seal_rows(1 << 20)
-        .background(false)
-        .build()
-        .unwrap()
+    IngestConfig {
+        delta_rows: 1 << 20,
+        seal_rows: 1 << 20,
+        background: false,
+        ..IngestConfig::default()
+    }
 }
 
 fn assert_estimates_bitwise(tag: &str, e0: &Estimate, e1: &Estimate) {
@@ -330,12 +330,12 @@ fn background_fold_publishes_appended_rows() {
     let t = fixture_table(0x5EED, 300);
     let base = build_base(&t, 2);
     let n0 = base.n() as f64;
-    let config = IngestConfig::builder()
-        .delta_rows(32)
-        .seal_rows(1 << 20)
-        .background(true)
-        .build()
-        .unwrap();
+    let config = IngestConfig {
+        delta_rows: 32,
+        seal_rows: 1 << 20,
+        background: true,
+        ..IngestConfig::default()
+    };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let engine = QueryEngine::new(live);
 
@@ -407,13 +407,13 @@ fn compaction_is_bitwise_neutral_and_retention_drops_oldest() {
 
     // Retention: cap at 2 segments; a further append + compaction seals a
     // third segment and must retire the oldest one wholesale.
-    let config = IngestConfig::builder()
-        .delta_rows(1 << 20)
-        .seal_rows(1 << 20)
-        .max_segments(2)
-        .background(false)
-        .build()
-        .unwrap();
+    let config = IngestConfig {
+        delta_rows: 1 << 20,
+        seal_rows: 1 << 20,
+        max_segments: Some(2),
+        background: false,
+        ..IngestConfig::default()
+    };
     let base = build_base(&t, 2);
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     live.append_rows(&delta_batch(0xEE, 80), None).unwrap();
@@ -437,13 +437,13 @@ fn token_replay_is_absorbed_and_window_is_fifo() {
     let t = fixture_table(0x70C, 300);
     let base = build_base(&t, 1);
     let n0 = base.n() as f64;
-    let config = IngestConfig::builder()
-        .delta_rows(1 << 20)
-        .seal_rows(1 << 20)
-        .background(false)
-        .token_capacity(2)
-        .build()
-        .unwrap();
+    let config = IngestConfig {
+        delta_rows: 1 << 20,
+        seal_rows: 1 << 20,
+        background: false,
+        token_capacity: 2,
+        ..IngestConfig::default()
+    };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let batch = delta_batch(0x11, 40);
 
@@ -574,12 +574,12 @@ fn a_reader_that_saw_an_epoch_is_never_answered_by_an_older_mixture() {
     const M: usize = 4;
     let base = build_base(&fixture_table(0xE90C, 300), 2);
     let n0 = base.n() as f64;
-    let config = IngestConfig::builder()
-        .delta_rows(M)
-        .seal_rows(16 * M)
-        .background(true)
-        .build()
-        .unwrap();
+    let config = IngestConfig {
+        delta_rows: M,
+        seal_rows: 16 * M,
+        background: true,
+        ..IngestConfig::default()
+    };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let engine = QueryEngine::new(live).with_answer_cache(64);
     let e0 = engine.epoch();
@@ -671,45 +671,44 @@ fn live_dir_round_trip_preserves_epoch_and_answers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The builder rejects configurations that would misbehave at runtime, and
-/// the same validation guards hand-written struct literals at construction.
+/// `validate` rejects configurations that would misbehave at runtime; the
+/// constructors of `LiveSummary` run it on every struct literal.
 #[test]
-fn ingest_config_builder_validates() {
-    assert!(IngestConfig::builder().delta_rows(0).build().is_err());
-    assert!(IngestConfig::builder()
-        .delta_rows(100)
-        .seal_rows(50)
-        .build()
-        .is_err());
-    assert!(IngestConfig::builder()
-        .delta_rows(8)
-        .seal_rows(8)
-        .max_segments(0)
-        .build()
-        .is_err());
-    assert!(IngestConfig::builder().token_capacity(0).build().is_err());
-    let ok = IngestConfig::builder()
-        .delta_rows(8)
-        .seal_rows(64)
-        .max_segments(4)
-        .background(false)
-        .token_capacity(32)
-        .build()
-        .unwrap();
-    assert_eq!(ok.delta_rows, 8);
-    assert_eq!(ok.max_segments, Some(4));
-
-    // Constructing a LiveSummary re-runs the same validation on literals.
-    let t = fixture_table(1, 60);
-    let base = build_base(&t, 1);
-    let bad = IngestConfig {
-        delta_rows: 0,
-        ..IngestConfig::default()
-    };
-    assert!(matches!(
-        LiveSummary::new(base, fixture_stats(), SolverConfig::default(), bad),
-        Err(ModelError::InvalidConfig(_))
-    ));
+fn ingest_config_validates() {
+    let default = IngestConfig::default;
+    let invalid = [
+        IngestConfig {
+            delta_rows: 0,
+            ..default()
+        },
+        IngestConfig {
+            delta_rows: 100,
+            seal_rows: 50,
+            ..default()
+        },
+        IngestConfig {
+            delta_rows: 8,
+            seal_rows: 8,
+            max_segments: Some(0),
+            ..default()
+        },
+        IngestConfig {
+            token_capacity: 0,
+            ..default()
+        },
+    ];
+    for config in invalid {
+        assert!(config.validate().is_err(), "{config:?}");
+    }
+    IngestConfig {
+        delta_rows: 8,
+        seal_rows: 64,
+        max_segments: Some(4),
+        background: false,
+        token_capacity: 32,
+    }
+    .validate()
+    .unwrap();
 }
 
 /// An immutable backend refuses appends with the typed error, so callers

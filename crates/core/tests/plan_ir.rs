@@ -1,10 +1,12 @@
 //! The query-IR contract: wire round-trips are the identity on randomized
 //! requests, and `QueryEngine::execute` answers bit-identically to every
-//! typed surface on both backends.
+//! typed surface on the monolithic, sharded and live backends.
 
 use entropydb_core::engine::{QueryApi, QueryEngine};
+use entropydb_core::ingest::{IngestConfig, LiveSummary};
 use entropydb_core::model::MaxEntSummary;
 use entropydb_core::plan::{QueryRequest, QueryResponse};
+use entropydb_core::probe::{ProbeRequest, ProbeResponse};
 use entropydb_core::rng::SplitMix64;
 use entropydb_core::sharded::{ShardedBuildConfig, ShardedSummary};
 use entropydb_core::solver::SolverConfig;
@@ -180,6 +182,23 @@ fn sharded(k: usize) -> ShardedSummary {
     .unwrap()
 }
 
+/// A live backend over two base shards whose one append has been folded
+/// synchronously into its delta model.
+fn live() -> LiveSummary {
+    let stat = MultiDimStatistic::cell2d(a(0), 0, a(1), 0).unwrap();
+    let config = IngestConfig {
+        delta_rows: 8,
+        seal_rows: 1 << 20,
+        background: false,
+        ..IngestConfig::default()
+    };
+    let live = LiveSummary::new(sharded(2), vec![stat], SolverConfig::default(), config).unwrap();
+    let rows: Vec<Vec<u32>> = (0..8u32).map(|i| vec![i % 3, i % 4, i / 2 % 4]).collect();
+    live.append_rows(&rows, None).unwrap();
+    assert_eq!(live.staged_rows(), 0, "the append folded");
+    live
+}
+
 fn assert_estimates_bitwise(
     l: &entropydb_core::query::Estimate,
     r: &entropydb_core::query::Estimate,
@@ -274,6 +293,24 @@ fn check_engine_parity<B: entropydb_core::engine::SummaryBackend>(engine: &Query
         assert_eq!(row.as_slice(), typed.row(i).unwrap(), "sampled row {i}");
     }
 
+    // How a draw is cut never changes it: the same indices asked whole or
+    // in pieces draw the same rows, and the rows `sample_rows` returned.
+    let draw = |indices: std::ops::Range<u64>| {
+        let request = ProbeRequest::SampleAt {
+            k: 40,
+            seed: 11,
+            indices: indices.collect(),
+        };
+        match engine.probe(&request).unwrap() {
+            ProbeResponse::Rows { rows, .. } => rows,
+            other => panic!("a draw answered {other:?}"),
+        }
+    };
+    let whole = draw(0..40);
+    assert_eq!(whole, rows);
+    let pieces: Vec<Vec<u32>> = [0..1, 1..17, 17..40].into_iter().flat_map(draw).collect();
+    assert_eq!(pieces, whole);
+
     // Batches equal element-wise singles.
     let requests = vec![
         QueryRequest::count(pred.clone()),
@@ -302,6 +339,11 @@ fn engine_parity_on_sharded_backend() {
     check_engine_parity(&QueryEngine::new(sharded(3)));
     // One shard is the bitwise-monolithic case.
     check_engine_parity(&QueryEngine::new(sharded(1)));
+}
+
+#[test]
+fn engine_parity_on_live_backend() {
+    check_engine_parity(&QueryEngine::new(live()));
 }
 
 /// The backends' inherent typed APIs agree bitwise with the engine's IR

@@ -209,12 +209,12 @@ fn read(path: &Path, file: &str) -> String {
 }
 
 fn sync_ingest() -> IngestConfig {
-    IngestConfig::builder()
-        .delta_rows(1 << 20)
-        .seal_rows(1 << 20)
-        .background(false)
-        .build()
-        .unwrap()
+    IngestConfig {
+        delta_rows: 1 << 20,
+        seal_rows: 1 << 20,
+        background: false,
+        ..IngestConfig::default()
+    }
 }
 
 type Decoder = fn(&str) -> bool;

@@ -24,8 +24,8 @@
 //! IR's wire encoding (`entropydb_core::plan`): a client sends one encoded
 //! [`QueryRequest`](entropydb_core::plan::QueryRequest) per line and reads
 //! one encoded [`QueryResponse`](entropydb_core::plan::QueryResponse) line
-//! back. Batches pipeline through the engine's `execute_batch`, which fans
-//! requests out across the persistent worker pool.
+//! back. Batches pipeline through the engine's `execute_batch`, which runs
+//! on the io thread that owns the session.
 //!
 //! ```text
 //! client → server                 server → client

@@ -64,12 +64,12 @@ fn serve_live(
 ) -> (ServerHandle, u64) {
     let shard0 = summary.shards()[0].clone();
     let n0 = shard0.n();
-    let config = IngestConfig::builder()
-        .delta_rows(delta_rows)
-        .seal_rows(1 << 20)
-        .background(true)
-        .build()
-        .unwrap();
+    let config = IngestConfig {
+        delta_rows,
+        seal_rows: 1 << 20,
+        background: true,
+        ..IngestConfig::default()
+    };
     let base = ShardedSummary::from_shards(vec![shard0]).unwrap();
     let live = LiveSummary::new(base, multi, SolverConfig::default(), config).unwrap();
     let handle = serve(QueryEngine::new(live), "127.0.0.1:0").unwrap();
