@@ -150,17 +150,10 @@ impl Mask {
         Ok(self)
     }
 
-    /// Restricts attribute `attr` to the single code `v` (used by batched
-    /// group-by estimation).
-    pub fn restrict_to_value(mut self, attr: AttrId, v: u32, domain_size: usize) -> Self {
-        self.restrict_in_place(attr, v, domain_size);
-        self
-    }
-
-    /// In-place form of [`Mask::restrict_to_value`]: reuses the attribute's
-    /// existing weight buffer when present (the sequential-conditional
-    /// sampler tightens one mask attribute per step and would otherwise
-    /// reallocate per attribute).
+    /// Restricts attribute `attr` to the single code `v`, in place: reuses
+    /// the attribute's existing weight buffer when present (the
+    /// sequential-conditional sampler tightens one mask attribute per step
+    /// and would otherwise reallocate per attribute).
     pub fn restrict_in_place(&mut self, attr: AttrId, v: u32, domain_size: usize) {
         match &mut self.weights[attr.0] {
             Some(w) => {
@@ -252,14 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn restrict_to_value_respects_existing_mask() {
+    fn restrict_in_place_respects_existing_mask() {
         let pred = Predicate::new().between(AttrId(0), 2, 3);
-        let mask = Mask::from_predicate(&pred, &[4])
-            .unwrap()
-            .restrict_to_value(AttrId(0), 1, 4);
+        let mut mask = Mask::from_predicate(&pred, &[4]).unwrap();
+        mask.restrict_in_place(AttrId(0), 1, 4);
         // Code 1 was excluded by the predicate, so it stays 0.
         assert_eq!(mask.attr_weights(0), Some(&[0.0, 0.0, 0.0, 0.0][..]));
-        let mask2 = Mask::identity(1).restrict_to_value(AttrId(0), 1, 4);
+        let mut mask2 = Mask::identity(1);
+        mask2.restrict_in_place(AttrId(0), 1, 4);
         assert_eq!(mask2.attr_weights(0), Some(&[0.0, 1.0, 0.0, 0.0][..]));
     }
 

@@ -413,11 +413,6 @@ impl<B: SummaryBackend> QueryEngine<B> {
         &self.backend
     }
 
-    /// Unwraps the backend, dropping the pooled scratches and the cache.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
     /// Relation cardinality `n`.
     pub fn n(&self) -> u64 {
         self.backend.n()
@@ -664,7 +659,7 @@ pub trait QueryApi {
     }
 
     /// Estimates the two-attribute group-by; returns `rows[v_b][v_a]`, one
-    /// batched pass per `attr_b` cell, the cells fanned out across threads.
+    /// batched pass per `attr_b` cell, on the calling thread.
     fn estimate_group_by2(
         &self,
         pred: &Predicate,
@@ -684,7 +679,7 @@ pub trait QueryApi {
 
     /// Top-k per attribute for several candidate attributes at once — the
     /// "top values of every column" dashboard sweep. Candidates are scored
-    /// in parallel; element `i` is `top_k(pred, attrs[i], k)`.
+    /// as one batch; element `i` is `top_k(pred, attrs[i], k)`.
     fn top_k_multi(
         &self,
         pred: &Predicate,

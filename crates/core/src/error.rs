@@ -39,11 +39,6 @@ impl RemoteDetail {
             kind: kind.into(),
         }
     }
-
-    /// True when the detail names a specific shard.
-    pub fn is_shard_attributed(&self) -> bool {
-        self.shard.is_some()
-    }
 }
 
 impl fmt::Display for RemoteDetail {

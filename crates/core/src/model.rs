@@ -13,8 +13,8 @@
 //! [`FactorizedScratch`] workspaces, so steady-state estimation allocates
 //! only the query mask, and the typed convenience methods
 //! (`estimate_count`, `top_k`, `sample_rows`, …) are the provided methods
-//! of [`QueryApi`]. Parallel and serial execution return identical
-//! estimates.
+//! of [`QueryApi`]. A batch returns bitwise the estimates of its
+//! requests executed one at a time.
 
 use crate::assignment::{Mask, VarAssignment};
 use crate::engine::{paths, QueryApi, ScratchPool, SummaryBackend};

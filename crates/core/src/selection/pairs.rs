@@ -11,8 +11,7 @@
 //!   paper's example: ranked pairs BC, AB, CD, AD with `Ba = 2` give
 //!   {BC, AB} under correlation-only but {AB, CD} under cover.)
 //!
-//! The evaluation concludes cover wins; both are exposed so the Fig. 6/8
-//! experiments can compare them.
+//! The evaluation concludes cover wins, so cover is the one implemented.
 
 use entropydb_storage::correlation::PairScore;
 use entropydb_storage::AttrId;
@@ -21,8 +20,6 @@ use std::collections::HashSet;
 /// How to pick which attribute pairs receive 2D statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairStrategy {
-    /// Highest combined correlation with a mild novelty constraint.
-    CorrelationOnly,
     /// Maximize attribute coverage first, then correlation.
     AttributeCover,
 }
@@ -31,26 +28,8 @@ pub enum PairStrategy {
 /// first, as produced by [`entropydb_storage::correlation::rank_pairs`]).
 pub fn choose_pairs(scores: &[PairScore], ba: usize, strategy: PairStrategy) -> Vec<PairScore> {
     match strategy {
-        PairStrategy::CorrelationOnly => correlation_only(scores, ba),
         PairStrategy::AttributeCover => attribute_cover(scores, ba),
     }
-}
-
-fn correlation_only(scores: &[PairScore], ba: usize) -> Vec<PairScore> {
-    let mut chosen: Vec<PairScore> = Vec::new();
-    let mut used: HashSet<AttrId> = HashSet::new();
-    for s in scores {
-        if chosen.len() == ba {
-            break;
-        }
-        // Keep if at least one attribute is new.
-        if !used.contains(&s.x) || !used.contains(&s.y) {
-            used.insert(s.x);
-            used.insert(s.y);
-            chosen.push(s.clone());
-        }
-    }
-    chosen
 }
 
 fn attribute_cover(scores: &[PairScore], ba: usize) -> Vec<PairScore> {
@@ -176,13 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn correlation_only_matches_paper_example() {
-        let chosen = choose_pairs(&paper_example(), 2, PairStrategy::CorrelationOnly);
-        // BC first; AB kept because A is new.
-        assert_eq!(pair_names(&chosen), vec![(1, 2), (0, 1)]);
-    }
-
-    #[test]
     fn attribute_cover_matches_paper_example() {
         let chosen = choose_pairs(&paper_example(), 2, PairStrategy::AttributeCover);
         // {AB, CD} covers all four attributes with total 1.5, beating
@@ -191,34 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn correlation_only_skips_fully_covered_pairs() {
-        // AB, then AC covers C; BC adds nothing new and must be skipped in
-        // favor of CD.
-        let scores = vec![
-            score(0, 1, 0.9),
-            score(0, 2, 0.8),
-            score(1, 2, 0.7),
-            score(2, 3, 0.6),
-        ];
-        let chosen = choose_pairs(&scores, 3, PairStrategy::CorrelationOnly);
-        assert_eq!(pair_names(&chosen), vec![(0, 1), (0, 2), (2, 3)]);
-    }
-
-    #[test]
     fn budget_larger_than_pairs_takes_all() {
         let chosen = choose_pairs(&paper_example(), 10, PairStrategy::AttributeCover);
         assert_eq!(chosen.len(), 4);
-        let chosen = choose_pairs(&paper_example(), 10, PairStrategy::CorrelationOnly);
-        // AD is skipped: both A and D are covered by then? A in AB, D... AD
-        // brings D. So all 4 kept except... BC(B,C), AB adds A, CD adds D,
-        // AD adds nothing new → 3 pairs.
-        assert_eq!(chosen.len(), 3);
     }
 
     #[test]
     fn zero_budget_returns_empty() {
         assert!(choose_pairs(&paper_example(), 0, PairStrategy::AttributeCover).is_empty());
-        assert!(choose_pairs(&paper_example(), 0, PairStrategy::CorrelationOnly).is_empty());
     }
 
     #[test]

@@ -56,6 +56,10 @@
 //!   job) needs: per-shard blobs for `entropydb-serve`, the combined
 //!   sharded blob as the local parity reference, and a manifest listing
 //!   `--replicas` endpoints per shard.
+//!
+//! A flag the command does not define, or a value that does not parse
+//! (a duration too large for `Duration` included), exits 2 with the usage
+//! text before anything is loaded or bound.
 
 use entropydb_core::engine::{AnswerCache, QueryEngine};
 use entropydb_core::scatter::{ShardProbe, Support};
@@ -71,6 +75,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
+
+#[path = "common/flags.rs"]
+mod flags;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -89,12 +96,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Checks that the highest assigned port stays valid (`base_port` 0 means
 /// ephemeral and is always fine).
 fn check_port_range(base_port: u16, count: usize) -> Result<(), String> {
@@ -104,29 +105,6 @@ fn check_port_range(base_port: u16, count: usize) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Parses an optional numeric flag, erroring (instead of silently falling
-/// back to the default) when the operator passed something unparseable.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("cannot parse {name} value {raw:?}")),
-    }
-}
-
-/// Parses an optional duration flag given in (possibly fractional)
-/// seconds; `None` when the flag is absent.
-fn duration_flag(args: &[String], name: &str) -> Result<Option<Duration>, String> {
-    match flag(args, name) {
-        None => Ok(None),
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(secs) if secs > 0.0 && secs.is_finite() => Ok(Some(Duration::from_secs_f64(secs))),
-            _ => Err(format!("cannot parse {name} value {raw:?}")),
-        },
-    }
 }
 
 fn load_sharded(path: &Path) -> Result<ShardedSummary, String> {
@@ -318,9 +296,9 @@ fn cmd_spawn(args: &[String]) -> ExitCode {
     };
     let parsed = (|| -> Result<(u16, usize, Option<Duration>), String> {
         Ok((
-            parsed_flag(args, "--base-port", 4151)?,
-            parsed_flag(args, "--replicas", 1)?,
-            duration_flag(args, "--idle-timeout")?,
+            flags::value(args, "--base-port")?.unwrap_or(4151),
+            flags::value(args, "--replicas")?.unwrap_or(1),
+            flags::duration(args, "--idle-timeout")?,
         ))
     })();
     let (base_port, replicas, idle_timeout) = match parsed {
@@ -384,7 +362,7 @@ fn cmd_spawn(args: &[String]) -> ExitCode {
     let state = ClusterState {
         sharded,
         slots,
-        manifest_path: flag(args, "--manifest").map(PathBuf::from),
+        manifest_path: flags::flag(args, "--manifest").map(PathBuf::from),
         server_config,
     };
     let manifest = state.manifest();
@@ -396,7 +374,7 @@ fn cmd_spawn(args: &[String]) -> ExitCode {
         }
         eprintln!("manifest written to {}", file.display());
     }
-    let control = match flag(args, "--control-file").map(|file| bind_control(&file)) {
+    let control = match flags::flag(args, "--control-file").map(|file| bind_control(&file)) {
         None => None,
         Some(Ok(listener)) => Some(listener),
         Some(Err(e)) => {
@@ -610,14 +588,14 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:4141".to_string());
+    let addr = flags::flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:4141".to_string());
     type GatewayFlags = (Option<Duration>, Option<Duration>, Option<Duration>, usize);
     let parsed = (|| -> Result<GatewayFlags, String> {
         Ok((
-            duration_flag(args, "--connect-timeout")?,
-            duration_flag(args, "--probe-timeout")?,
-            duration_flag(args, "--rehandshake-secs")?,
-            parsed_flag(args, "--cache-entries", 1 << 16)?,
+            flags::duration(args, "--connect-timeout")?,
+            flags::duration(args, "--probe-timeout")?,
+            flags::duration(args, "--rehandshake-secs")?,
+            flags::value(args, "--cache-entries")?.unwrap_or(1 << 16),
         ))
     })();
     let (connect_timeout, probe_timeout, rehandshake, cache_entries) = match parsed {
@@ -669,7 +647,7 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
     // Bind the control listener (and write its address) before serving so
     // a bad control file fails fast; its `status` reply reads the live
     // server counters off the handle once the server is up.
-    let control = match flag(args, "--control-file").map(|file| bind_control(&file)) {
+    let control = match flags::flag(args, "--control-file").map(|file| bind_control(&file)) {
         None => None,
         Some(Ok(listener)) => Some(listener),
         Some(Err(e)) => {
@@ -704,10 +682,10 @@ fn cmd_make_demo(args: &[String]) -> ExitCode {
     };
     let parsed = (|| -> Result<(usize, usize, u16, usize), String> {
         Ok((
-            parsed_flag(args, "--shards", 4)?,
-            parsed_flag(args, "--rows", 240)?,
-            parsed_flag(args, "--base-port", 4151)?,
-            parsed_flag(args, "--replicas", 1)?,
+            flags::value(args, "--shards")?.unwrap_or(4),
+            flags::value(args, "--rows")?.unwrap_or(240),
+            flags::value(args, "--base-port")?.unwrap_or(4151),
+            flags::value(args, "--replicas")?.unwrap_or(1),
         ))
     })();
     let (shards, rows, base_port, replicas) = match parsed {
@@ -772,18 +750,49 @@ fn cmd_make_demo(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// A command's entry point, given the arguments after its name.
+type Command = fn(&[String]) -> ExitCode;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         return usage();
     };
     let rest = &args[1..];
-    match command.as_str() {
-        "spawn" => cmd_spawn(rest),
-        "restart" => cmd_restart(rest),
-        "probe" => cmd_probe(rest),
-        "gateway" => cmd_gateway(rest),
-        "make-demo" => cmd_make_demo(rest),
-        _ => usage(),
+    // Each command, with the flags it defines (every one takes a value).
+    let (run, known): (Command, &[&str]) = match command.as_str() {
+        "spawn" => (
+            cmd_spawn,
+            &[
+                "--base-port",
+                "--manifest",
+                "--replicas",
+                "--control-file",
+                "--idle-timeout",
+            ],
+        ),
+        "restart" => (cmd_restart, &[]),
+        "probe" => (cmd_probe, &[]),
+        "gateway" => (
+            cmd_gateway,
+            &[
+                "--addr",
+                "--connect-timeout",
+                "--probe-timeout",
+                "--rehandshake-secs",
+                "--cache-entries",
+                "--control-file",
+            ],
+        ),
+        "make-demo" => (
+            cmd_make_demo,
+            &["--shards", "--rows", "--base-port", "--replicas"],
+        ),
+        _ => return usage(),
+    };
+    if let Err(e) = flags::check_known(rest, known, &[]) {
+        eprintln!("error: {e}");
+        return usage();
     }
+    run(rest)
 }

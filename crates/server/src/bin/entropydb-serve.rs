@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! entropydb-serve <summary> [--addr HOST:PORT] [--idle-timeout SECS]
-//!                 [--max-sessions N] [--threads N] [--max-queue-depth N]
-//!                 [--max-in-flight N] [--live] [--delta-threshold ROWS]
+//!                 [--max-sessions N] [--live] [--delta-threshold ROWS]
 //! ```
 //!
 //! `<summary>` is any of the persistence layouts of
@@ -16,12 +15,10 @@
 //! `--idle-timeout SECS` closes sessions whose client stays silent longer
 //! than the deadline (default: sessions may idle forever);
 //! `--max-sessions N` sheds connections over the cap with a typed `busy`
-//! line instead of admitting them. See `ServerConfig`.
-//!
-//! `--threads` sizes the epoll driver's serving pool (Linux; 0 = auto,
-//! `max(2, cores)`) and `--max-queue-depth` / `--max-in-flight` set the
-//! admission caps (every target; 0 = unbounded); see `ReactorConfig`. Any
-//! other `--flag` is rejected with the usage text and exit code 2.
+//! line instead of admitting them. See `ServerConfig`. The serving pool
+//! (`max(2, cores)` threads) and the admission caps are fixed; see
+//! `serve_with`. An unknown `--flag`, or a value that does not parse, is
+//! rejected with the usage text and exit code 2.
 //!
 //! `--live` serves a sharded directory as a **mutable** live summary:
 //! `a1` wire appends stage rows into a delta shard that a background
@@ -38,20 +35,21 @@
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
-use entropydb_server::{serve_tuned, ReactorConfig, ServerConfig, ServerHandle};
+use entropydb_server::{serve_with, ServerConfig, ServerHandle};
+use flags::flag;
 use std::io::BufRead;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
+
+#[path = "common/flags.rs"]
+mod flags;
 
 /// The flags that take a value; `--live` is the only switch.
-const VALUE_FLAGS: [&str; 7] = [
+const VALUE_FLAGS: [&str; 4] = [
     "--addr",
     "--idle-timeout",
     "--max-sessions",
-    "--threads",
-    "--max-queue-depth",
-    "--max-in-flight",
     "--delta-threshold",
 ];
 
@@ -59,30 +57,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: entropydb-serve <summary file or sharded dir> [--addr HOST:PORT]\n\
          \x20                    [--idle-timeout SECS] [--max-sessions N]\n\
-         \x20                    [--threads N] [--max-queue-depth N] [--max-in-flight N]\n\
          \x20                    [--live] [--delta-threshold ROWS]"
     );
     ExitCode::from(2)
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The first `--flag` this binary does not define (values of known flags
-/// are skipped, so `--addr --x` names no unknown flag).
-fn unknown_flag(args: &[String]) -> Option<&str> {
-    let mut rest = args.iter().map(String::as_str);
-    while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg) {
-            rest.next();
-        } else if arg.starts_with("--") && arg != "--live" {
-            return Some(arg);
-        }
-    }
-    None
 }
 
 fn wait_for_quit() {
@@ -116,12 +93,12 @@ fn sharded_banner(s: &entropydb_core::sharded::ShardedSummary) -> String {
 fn start<B: SummaryBackend + 'static>(
     loaded: entropydb_core::error::Result<B>,
     banner: impl FnOnce(&B) -> String,
-    (addr, config, tuning): (&str, ServerConfig, ReactorConfig),
+    (addr, config): (&str, ServerConfig),
 ) -> Option<std::io::Result<ServerHandle>> {
     match loaded {
         Ok(backend) => {
             eprintln!("loaded {}", banner(&backend));
-            Some(serve_tuned(QueryEngine::new(backend), addr, config, tuning))
+            Some(serve_with(QueryEngine::new(backend), addr, config))
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -135,64 +112,32 @@ fn main() -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    if let Some(flag) = unknown_flag(&args) {
-        eprintln!("error: unknown flag {flag}");
-        return usage();
-    }
+    let parsed = (|| -> Result<(ServerConfig, Option<NonZeroUsize>), String> {
+        flags::check_known(&args, &VALUE_FLAGS, &["--live"])?;
+        let config = ServerConfig {
+            idle_timeout: flags::duration(&args, "--idle-timeout")?,
+            max_sessions: flags::value(&args, "--max-sessions")?.map(NonZeroUsize::get),
+        };
+        Ok((config, flags::value(&args, "--delta-threshold")?))
+    })();
+    let (config, delta_threshold) = match parsed {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4141".to_string());
-    let mut config = ServerConfig::default();
-    if let Some(raw) = flag(&args, "--idle-timeout") {
-        match raw.parse::<f64>() {
-            Ok(secs) if secs > 0.0 => config.idle_timeout = Some(Duration::from_secs_f64(secs)),
-            _ => {
-                eprintln!("error: cannot parse --idle-timeout value {raw:?}");
-                return usage();
-            }
-        }
-    }
-    if let Some(raw) = flag(&args, "--max-sessions") {
-        match raw.parse::<usize>() {
-            Ok(cap) if cap > 0 => config.max_sessions = Some(cap),
-            _ => {
-                eprintln!("error: cannot parse --max-sessions value {raw:?}");
-                return usage();
-            }
-        }
-    }
-    let mut tuning = ReactorConfig::default();
-    for (name, slot) in [
-        ("--threads", &mut tuning.threads),
-        ("--max-queue-depth", &mut tuning.max_queue_depth),
-        ("--max-in-flight", &mut tuning.max_in_flight_per_conn),
-    ] {
-        if let Some(raw) = flag(&args, name) {
-            match raw.parse::<usize>() {
-                Ok(v) => *slot = v,
-                Err(_) => {
-                    eprintln!("error: cannot parse {name} value {raw:?}");
-                    return usage();
-                }
-            }
-        }
-    }
     let live = args.iter().any(|a| a == "--live");
     let mut ingest = entropydb_core::ingest::IngestConfig::default();
-    if let Some(raw) = flag(&args, "--delta-threshold") {
-        match raw.parse::<usize>() {
-            Ok(rows) if rows > 0 => {
-                ingest.delta_rows = rows;
-                ingest.seal_rows = ingest.seal_rows.max(rows);
-            }
-            _ => {
-                eprintln!("error: cannot parse --delta-threshold value {raw:?}");
-                return usage();
-            }
-        }
+    if let Some(rows) = delta_threshold {
+        ingest.delta_rows = rows.get();
+        ingest.seal_rows = ingest.seal_rows.max(rows.get());
     }
     let path = Path::new(path);
 
     // Sniff the persistence layout and start the matching backend.
-    let how = (addr.as_str(), config, tuning);
+    let how = (addr.as_str(), config);
     let handle = if live {
         if !path.is_dir() {
             eprintln!("error: --live requires a sharded directory (manifest.txt + shard blobs)");

@@ -42,17 +42,6 @@ impl Default for ClientConfig {
     }
 }
 
-impl ClientConfig {
-    /// No deadlines at all (block forever) — the pre-timeout behavior.
-    pub fn blocking() -> Self {
-        ClientConfig {
-            connect_timeout: None,
-            read_timeout: None,
-            write_timeout: None,
-        }
-    }
-}
-
 /// Errors a client call can produce: transport failures or query/protocol
 /// errors (including errors the server reported on the wire error channel,
 /// surfaced as [`ModelError::Remote`]).

@@ -15,10 +15,11 @@
 //! take turns one work unit at a time, and responses flush via
 //! interest-driven writes — a slow reader or a slow request never parks
 //! the other sessions. Elsewhere a **blocking driver** runs the same
-//! decoder and executor on one thread per connection. The pool size and
-//! admission control (global in-flight caps, per-connection in-flight
-//! limits, typed `busy` shedding) are tunable via [`ReactorConfig`] /
-//! [`serve_tuned`].
+//! decoder and executor on one thread per connection. The pool is sized
+//! from the CPUs (`max(2, cores)`) and admission control (a global
+//! in-flight cap answered with typed `busy` lines, a per-connection
+//! in-flight limit) runs under fixed caps; the only serving knobs are the
+//! two fields of [`ServerConfig`], passed to [`serve_with`].
 //!
 //! The protocol is line-oriented text over TCP, built directly on the query
 //! IR's wire encoding (`entropydb_core::plan`): a client sends one encoded
@@ -73,9 +74,9 @@
 //! deterministic), fails over between replicas with capped exponential
 //! backoff, keeps per-node circuit breakers, and evicts replicas caught
 //! serving a changed blob — see `remote` ([`FailoverConfig`]) for the
-//! policy and [`fault`] for the fault-injection proxy the e2e suites use
-//! to drill it. The serving side shares the vocabulary: overloaded or
-//! deliberately capped servers answer a typed `busy` line
+//! policy; the e2e suites drill it through a fault-injection proxy
+//! (`tests/common/fault.rs`). The serving side shares the vocabulary:
+//! overloaded or deliberately capped servers answer a typed `busy` line
 //! ([`ServerConfig::max_sessions`]) and idle sessions are reaped
 //! ([`ServerConfig::idle_timeout`]).
 //!
@@ -93,7 +94,6 @@ extern crate self as entropydb_server;
 
 mod client;
 pub mod demo;
-pub mod fault;
 mod protocol;
 #[cfg(target_os = "linux")]
 mod reactor;
@@ -111,4 +111,4 @@ pub use protocol::{
     MAX_SAMPLE_ROWS,
 };
 pub use remote::{FailoverConfig, RemoteShard, RemoteShardedSummary, Replica};
-pub use server::{serve, serve_tuned, serve_with, ReactorConfig, ServerConfig, ServerHandle};
+pub use server::{serve, serve_with, ServerConfig, ServerHandle};

@@ -181,18 +181,14 @@ impl ReactorHandle {
     }
 }
 
-/// Resolved pool size and caps for the epoll driver (see `ReactorConfig`).
-pub(crate) struct ReactorTuning {
-    pub threads: usize,
-    pub policy: DecodePolicy,
-}
-
-/// Starts the epoll driver on an already-bound listener.
+/// Starts the epoll driver on an already-bound listener: `threads` io
+/// threads (at least one), admitting work under `policy`.
 pub(crate) fn spawn<B>(
     engine: Arc<QueryEngine<B>>,
     listener: TcpListener,
     config: &ServerConfig,
-    tuning: ReactorTuning,
+    threads: usize,
+    policy: DecodePolicy,
     counters: Arc<ServerCounters>,
 ) -> io::Result<ReactorHandle>
 where
@@ -221,7 +217,7 @@ where
         wake,
         listener,
         counters,
-        policy: tuning.policy,
+        policy,
         idle_timeout: config.idle_timeout,
         max_sessions: config.max_sessions,
         sessions: Mutex::new(HashMap::new()),
@@ -233,7 +229,7 @@ where
         inner,
         threads: Vec::new(),
     };
-    for n in 0..tuning.threads.max(1) {
+    for n in 0..threads.max(1) {
         let inner = Arc::clone(&handle.inner);
         let engine = Arc::clone(&engine);
         let spawned = std::thread::Builder::new()

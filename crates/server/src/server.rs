@@ -17,7 +17,7 @@
 //!
 //! Both honor the same [`ServerConfig`] semantics (idle-timeout reaping,
 //! `max_sessions` busy shedding), the same decoder admission caps
-//! ([`ReactorConfig`]), and maintain the same [`ServerCounters`]
+//! (`DecodePolicy::SERVED`), and maintain the same [`ServerCounters`]
 //! observability surface (`stats server` line, [`ServerHandle::stats`]).
 
 use crate::protocol::{
@@ -63,7 +63,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Checks the invariants [`serve_tuned`] enforces: a configured cap of
+    /// Checks the invariants [`serve_with`] enforces: a configured cap of
     /// zero is a misconfiguration (it would reject every session / close
     /// every connection instantly) — disabling a knob is spelled `None`.
     pub fn validate(&self) -> entropydb_core::error::Result<()> {
@@ -80,90 +80,6 @@ impl ServerConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Tuning knobs of the serving path (see [`serve_tuned`]): the epoll
-/// driver's pool size and the decoder's admission caps. Separate
-/// from [`ServerConfig`] so the serving-policy surface — and every
-/// exhaustive `ServerConfig` literal in existing code — stays unchanged.
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Serving threads of the epoll driver: each takes one readiness
-    /// event at a time and reads, executes and answers that session's
-    /// next request itself, so this is also how many requests execute at
-    /// once. `0` (default) auto-sizes to `max(2, cores)` — at least two,
-    /// so one slow request never stalls every other session.
-    pub threads: usize,
-    /// Global cap on decoded-but-unanswered requests across all sessions.
-    /// Beyond it new compute lines are answered with typed `busy` lines
-    /// instead of queueing without bound. `0` disables the cap.
-    pub max_queue_depth: usize,
-    /// Per-connection cap on decoded-but-unanswered requests; past it the
-    /// driver stops *reading* that connection (pipelining backpressure)
-    /// until earlier work completes. `0` disables the cap.
-    pub max_in_flight_per_conn: usize,
-    /// Unflushed-response bytes past which a connection's reads pause: a
-    /// slow reader stops generating new work instead of growing its write
-    /// buffer without bound. `0` disables the threshold.
-    pub max_write_buffer: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            threads: 0,
-            max_queue_depth: 1 << 16,
-            max_in_flight_per_conn: 256,
-            max_write_buffer: 1 << 20,
-        }
-    }
-}
-
-impl ReactorConfig {
-    /// Checks the invariants [`serve_tuned`] enforces. Zeros are legal
-    /// everywhere here (0 = auto-size or cap disabled);
-    /// what is rejected is an *inverted* pair of caps — a per-connection
-    /// in-flight budget above the global queue depth can never be reached
-    /// and indicates swapped values.
-    pub fn validate(&self) -> entropydb_core::error::Result<()> {
-        if self.max_queue_depth != 0
-            && self.max_in_flight_per_conn != 0
-            && self.max_in_flight_per_conn > self.max_queue_depth
-        {
-            return Err(ModelError::InvalidConfig(format!(
-                "reactor max_in_flight_per_conn ({}) above max_queue_depth ({})",
-                self.max_in_flight_per_conn, self.max_queue_depth
-            )));
-        }
-        Ok(())
-    }
-
-    /// The decoder admission caps (`0` = cap disabled) — the part of the
-    /// tuning both I/O drivers honor.
-    fn policy(&self) -> DecodePolicy {
-        let nz = |v: usize| if v == 0 { usize::MAX } else { v };
-        DecodePolicy {
-            max_queue_depth: if self.max_queue_depth == 0 {
-                u64::MAX
-            } else {
-                self.max_queue_depth as u64
-            },
-            max_in_flight: nz(self.max_in_flight_per_conn),
-            max_write_buffer: nz(self.max_write_buffer),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn resolve(&self) -> crate::reactor::ReactorTuning {
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
-            n => n,
-        };
-        crate::reactor::ReactorTuning {
-            threads,
-            policy: self.policy(),
-        }
     }
 }
 
@@ -259,7 +175,17 @@ where
 }
 
 /// [`serve`] with explicit serving policy (session idle deadline,
-/// session-capacity cap). See [`ServerConfig`].
+/// session-capacity cap). See [`ServerConfig`]; a config that fails
+/// [`ServerConfig::validate`] is refused with
+/// [`io::ErrorKind::InvalidInput`] before anything binds.
+///
+/// The epoll driver runs `max(2, cores)` threads — at least two, so one
+/// slow request never stalls every other session. Both drivers admit
+/// requests under the same fixed caps: 65 536 decoded-but-unanswered
+/// requests across the server (past it new compute lines answer a typed
+/// `busy` line) and 256 per connection (past it the connection is not read
+/// until earlier work completes); the epoll driver also stops reading a
+/// connection with 1 MiB of replies unflushed.
 pub fn serve_with<B>(
     engine: QueryEngine<B>,
     addr: impl ToSocketAddrs,
@@ -268,28 +194,25 @@ pub fn serve_with<B>(
 where
     B: SummaryBackend + 'static,
 {
-    serve_tuned(engine, addr, config, ReactorConfig::default())
+    let threads = entropydb_core::par::max_threads().max(2);
+    start(engine, addr, config, threads, DecodePolicy::SERVED)
 }
 
-/// [`serve_with`] with explicit tuning (pool size, admission control,
-/// backpressure thresholds). See [`ReactorConfig`]. The admission caps
-/// (`max_queue_depth`, `max_in_flight_per_conn`) apply on every target;
-/// `threads` and `max_write_buffer` only shape the epoll driver —
-/// the blocking driver runs one thread per connection and writes each
-/// reply before reading on. A config that fails its `validate` is refused
-/// with [`io::ErrorKind::InvalidInput`] before anything binds.
-pub fn serve_tuned<B>(
+/// [`serve_with`] with the pool size and admission caps spelled out;
+/// `threads` only sizes the epoll driver (the blocking driver runs one
+/// thread per connection).
+fn start<B>(
     engine: QueryEngine<B>,
     addr: impl ToSocketAddrs,
     config: ServerConfig,
-    tuning: ReactorConfig,
+    threads: usize,
+    policy: DecodePolicy,
 ) -> io::Result<ServerHandle>
 where
     B: SummaryBackend + 'static,
 {
     config
         .validate()
-        .and_then(|()| tuning.validate())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
@@ -300,17 +223,15 @@ where
         engine,
         listener,
         &config,
-        tuning.resolve(),
+        threads,
+        policy,
         Arc::clone(&counters),
     )?;
     #[cfg(not(target_os = "linux"))]
-    let driver = spawn_blocking(
-        engine,
-        listener,
-        config,
-        tuning.policy(),
-        Arc::clone(&counters),
-    )?;
+    let driver = {
+        let _ = threads;
+        spawn_blocking(engine, listener, config, policy, Arc::clone(&counters))?
+    };
     Ok(ServerHandle {
         addr,
         counters,
@@ -652,7 +573,7 @@ pub(crate) fn encode_outcome(outcome: &Result<QueryResponse>) -> String {
 /// Executes a contiguous run of pipelined compute lines (`q1 ...`,
 /// `b1 ...`, `a1 ...`, or garbage), concatenating the responses in
 /// request order: the decodable query requests go through the engine as
-/// **one** parallel batch (`execute_batch` is bitwise-identical to
+/// **one** batch (`execute_batch` is bitwise-identical to
 /// per-request `execute`), probes, appends, and decode errors answer in
 /// place.
 fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> String {
@@ -712,7 +633,7 @@ fn execute_batch_lines<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[Stri
             Err(e) => *slot = Some(Err(e)),
         }
     }
-    // Decodable requests executed as one parallel engine batch; results
+    // Decodable requests executed as one engine batch; results
     // refill the still-empty slots in order.
     let mut results = engine.execute_batch(&requests).into_iter();
     for slot in slots.iter_mut() {
@@ -757,11 +678,11 @@ mod tests {
     use super::common::{concurrent_transcripts, requests, sharded};
     use super::*;
 
-    /// Starts the blocking driver the way `serve_tuned` does off Linux.
-    fn spawn(config: ServerConfig, tuning: ReactorConfig) -> BlockingHandle {
+    /// Starts the blocking driver the way `start` does off Linux.
+    fn spawn(config: ServerConfig, policy: DecodePolicy) -> BlockingHandle {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let engine = Arc::new(QueryEngine::new(sharded(3)));
-        spawn_blocking(engine, listener, config, tuning.policy(), Arc::default()).unwrap()
+        spawn_blocking(engine, listener, config, policy, Arc::default()).unwrap()
     }
 
     /// The reply stream `script()` must provoke, assembled from in-process
@@ -789,28 +710,25 @@ mod tests {
     /// mid-buffer — and leave nothing in flight.
     #[test]
     fn golden_transcript_on_both_drivers() {
-        let pool = |threads, max_in_flight_per_conn| ReactorConfig {
-            threads,
-            max_in_flight_per_conn,
-            ..ReactorConfig::default()
+        let served_policy = DecodePolicy::SERVED;
+        let capped_policy = DecodePolicy {
+            max_in_flight: 2,
+            ..DecodePolicy::SERVED
         };
-        let uncapped = ReactorConfig::default().max_in_flight_per_conn;
         let served = [
-            ("serve(), 1 thread", pool(1, uncapped)),
-            ("serve(), 2 threads", pool(2, uncapped)),
-            ("serve(), 8 threads", pool(8, uncapped)),
-            ("serve(), 2 threads, in-flight cap 2", pool(2, 2)),
+            ("start(), 1 thread", 1, served_policy),
+            ("start(), 2 threads", 2, served_policy),
+            ("start(), 8 threads", 8, served_policy),
+            ("start(), 2 threads, in-flight cap 2", 2, capped_policy),
         ]
-        .map(|(driver, tuning)| {
+        .map(|(driver, threads, policy)| {
             let engine = QueryEngine::new(sharded(3));
             let config = ServerConfig::default();
-            (
-                driver,
-                serve_tuned(engine, "127.0.0.1:0", config, tuning).unwrap(),
-            )
+            let handle = start(engine, "127.0.0.1:0", config, threads, policy).unwrap();
+            (driver, handle)
         });
-        let mut blocking = spawn(ServerConfig::default(), ReactorConfig::default());
-        let mut capped = spawn(ServerConfig::default(), pool(0, 2));
+        let mut blocking = spawn(ServerConfig::default(), served_policy);
+        let mut capped = spawn(ServerConfig::default(), capped_policy);
         let expected = golden();
         let drivers = served
             .iter()
@@ -845,7 +763,7 @@ mod tests {
             idle_timeout: None,
             max_sessions: Some(1),
         };
-        let mut capped = spawn(cap_one, ReactorConfig::default());
+        let mut capped = spawn(cap_one, DecodePolicy::SERVED);
         let mut admitted = TcpStream::connect(capped.addr).unwrap();
         admitted.write_all(b"ping\n").unwrap();
         let mut pong = [0u8; 5];
@@ -864,7 +782,7 @@ mod tests {
             idle_timeout: Some(Duration::from_millis(50)),
             max_sessions: None,
         };
-        let mut reaping = spawn(idle_50ms, ReactorConfig::default());
+        let mut reaping = spawn(idle_50ms, DecodePolicy::SERVED);
         let mut silent = TcpStream::connect(reaping.addr).unwrap();
         silent
             .set_read_timeout(Some(Duration::from_secs(30)))

@@ -71,8 +71,9 @@ impl Work {
     }
 }
 
-/// Admission-control knobs the decoder applies while turning bytes into
-/// work (see `ReactorConfig` for the user-facing surface).
+/// Admission-control caps the decoder applies while turning bytes into
+/// work. A served session runs under [`DecodePolicy::SERVED`]; the unit
+/// tests tighten a cap to drive the paths that pause decoding.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodePolicy {
     /// Global cap on decoded-but-unanswered requests; beyond it new
@@ -87,6 +88,16 @@ pub(crate) struct DecodePolicy {
     /// reader stops generating new work instead of growing the write
     /// buffer without bound.
     pub max_write_buffer: usize,
+}
+
+impl DecodePolicy {
+    /// The caps of every served session: 65 536 requests in flight across
+    /// the server, 256 per connection, 1 MiB of unflushed replies.
+    pub(crate) const SERVED: DecodePolicy = DecodePolicy {
+        max_queue_depth: 1 << 16,
+        max_in_flight: 256,
+        max_write_buffer: 1 << 20,
+    };
 }
 
 /// The mutable half of a session, guarded by [`Session::state`].

@@ -29,9 +29,7 @@
 //!   deterministic error line, which must *not* trigger failover.
 //!
 //! This is test infrastructure, not a production component: it trades
-//! throughput for determinism (small chunks, short poll deadlines) and
-//! lives in the library only so integration tests and the CI cluster
-//! drill can share it.
+//! throughput for determinism (small chunks, short poll deadlines).
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

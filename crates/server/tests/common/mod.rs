@@ -6,6 +6,8 @@
 // different subset of the fixtures.
 #![allow(dead_code)]
 
+pub mod fault;
+
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
 use entropydb_core::plan::QueryRequest;
 use entropydb_core::serialize::ClusterShard;

@@ -8,6 +8,7 @@
 
 mod common;
 
+use common::fault::{FaultMode, FaultProxy};
 use common::{a, fast_failover, requests, serve_replicated, sharded};
 use entropydb_core::assignment::Mask;
 use entropydb_core::engine::{QueryEngine, SummaryBackend};
@@ -16,7 +17,6 @@ use entropydb_core::plan::QueryRequest;
 use entropydb_core::probe::{ProbeRequest, ProbeResponse};
 use entropydb_core::scatter::ShardProbe;
 use entropydb_core::serialize;
-use entropydb_server::fault::{FaultMode, FaultProxy};
 use entropydb_server::{
     demo, serve, serve_with, Client, ClientConfig, ClientError, FailoverConfig, RemoteShard,
     RemoteShardedSummary, ServerConfig,

@@ -300,9 +300,11 @@ fn shutdown_loop_spawn_stress_leaks_no_sessions() {
     let _alone = SERVING.write().unwrap_or_else(PoisonError::into_inner);
     let model = summary();
     if cfg!(target_os = "linux") {
-        // The count below is not vacuous: a running server shows up in it.
+        // The count below is not vacuous: a running server shows up in it,
+        // with the pool `serve` derives from the CPUs.
         let handle = serve(QueryEngine::new(model.clone()), "127.0.0.1:0").unwrap();
-        assert!(settles(|alive| alive >= 2), "no named pool");
+        let pool = entropydb_core::par::max_threads().max(2);
+        assert!(settles(|alive| alive == pool), "no named pool of {pool}");
         handle.shutdown();
     }
     for round in 0..24u64 {

@@ -3,21 +3,20 @@
 //! bitwise-identical reply streams, a `MAX_LINE_BYTES` flood must end only
 //! the offending session, capacity shedding must answer a readable typed
 //! `busy` line, and the `stats server` counters must track real traffic.
-//! And what the shared-epoll pool must guarantee at every size: order
-//! within a session, no session starved or blocked by another's slow
-//! request, a half-closed client answered before EOF.
+//! And what the shared-epoll pool must guarantee: order within a session,
+//! no session starved or blocked by another's slow request, a half-closed
+//! client answered before EOF.
 //! (The golden transcript — expected bytes built from in-process
 //! execution, checked on both I/O drivers — is a unit test in
 //! `src/server.rs`, where the private blocking driver is reachable.)
 
 mod common;
 
+use common::fault::{FaultMode, FaultProxy};
 use entropydb_core::engine::QueryEngine;
 use entropydb_core::plan::QueryRequest;
-use entropydb_server::fault::{FaultMode, FaultProxy};
 use entropydb_server::{
-    serve, serve_tuned, serve_with, Client, ReactorConfig, RemoteShardedSummary, ServerConfig,
-    ServerHandle,
+    serve, serve_with, Client, RemoteShardedSummary, ServerConfig, ServerHandle,
 };
 use entropydb_storage::Predicate;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -26,13 +25,6 @@ use std::time::{Duration, Instant};
 
 fn spawn_reactor() -> ServerHandle {
     serve(QueryEngine::new(common::sharded(3)), "127.0.0.1:0").unwrap()
-}
-
-fn pool_of(threads: usize) -> ReactorConfig {
-    ReactorConfig {
-        threads,
-        ..ReactorConfig::default()
-    }
 }
 
 /// Polls `condition` (a server-side counter catching up with a client) for
@@ -47,37 +39,23 @@ fn wait_until(what: &str, condition: impl Fn() -> bool) {
 
 /// Byte-at-a-time delivery and one coalesced pipelined write provoke
 /// bitwise-identical reply streams — alone and on 8 concurrent
-/// connections, whether the pool has fewer threads than sessions, as many,
-/// or more — and nothing is left in flight.
+/// connections, more sessions than the pool has threads — and nothing is
+/// left in flight. (The golden transcript in `src/server.rs` runs the
+/// same script at pool sizes 1, 2 and 8.)
 #[test]
 fn dribbled_bytes_and_coalesced_frames_answer_identically() {
-    let mut reference = None;
-    for threads in [1usize, 2, 8] {
-        let engine = QueryEngine::new(common::sharded(3));
-        let handle = serve_tuned(
-            engine,
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            pool_of(threads),
-        )
-        .unwrap();
-        let coalesced = common::transcript(handle.local_addr(), false);
-        assert!(!coalesced.is_empty());
-        let reference = reference.get_or_insert(coalesced.clone());
+    let handle = spawn_reactor();
+    let reference = common::transcript(handle.local_addr(), false);
+    assert!(!reference.is_empty());
+    let concurrent = common::concurrent_transcripts(handle.local_addr(), 8);
+    for (conn, got) in concurrent.iter().enumerate() {
         assert_eq!(
-            &coalesced, reference,
-            "{threads} threads changed the reply stream"
+            got, &reference,
+            "connection {conn}: partial reads or contention changed the reply stream"
         );
-        let concurrent = common::concurrent_transcripts(handle.local_addr(), 8);
-        for (conn, got) in concurrent.iter().enumerate() {
-            assert_eq!(
-                got, reference,
-                "{threads} threads, connection {conn}: partial reads or contention changed the reply stream"
-            );
-        }
-        assert_eq!(handle.stats().dispatch_depth, 0, "{threads} threads");
-        handle.shutdown();
     }
+    assert_eq!(handle.stats().dispatch_depth, 0);
+    handle.shutdown();
 }
 
 /// A client that half-closes after a final unterminated line still gets
@@ -111,8 +89,8 @@ fn half_closed_client_is_answered_before_eof() {
 }
 
 /// No head-of-line blocking: while one session's request waits 400 ms on a
-/// slow shard, another session of the same 2-thread gateway is answered at
-/// once; the waiting session is not idle (the reaper leaves it alone); and
+/// slow shard, another session of the same gateway (whose pool has at
+/// least two threads) is answered at once; the waiting session is not idle (the reaper leaves it alone); and
 /// `shutdown` during such a request returns.
 #[test]
 fn a_slow_request_holds_up_nobody_else() {
@@ -125,13 +103,7 @@ fn a_slow_request_holds_up_nobody_else() {
         idle_timeout: Some(Duration::from_millis(250)),
         max_sessions: None,
     };
-    let gateway = serve_tuned(
-        QueryEngine::new(remote),
-        "127.0.0.1:0",
-        idle_250ms,
-        pool_of(2),
-    )
-    .unwrap();
+    let gateway = serve_with(QueryEngine::new(remote), "127.0.0.1:0", idle_250ms).unwrap();
     let request = |code| QueryRequest::count(Predicate::new().eq(common::a(0), code));
     let local = QueryEngine::new(local);
     let expected = local.execute(&request(1)).unwrap().encode();
@@ -218,31 +190,21 @@ fn oversized_line_ends_only_the_offending_session() {
 
 /// A connection over the session cap reads one typed `busy` line and then
 /// EOF, while the admitted session keeps working; the shed shows up in
-/// the server counters. A cap of zero, or a per-connection in-flight cap
-/// above the global queue depth, is refused before a server starts.
+/// the server counters. A cap of zero is refused before a server starts.
 #[test]
 fn capacity_shed_answers_typed_busy_line() {
-    let refused = |config, tuning| {
-        let engine = QueryEngine::new(common::sharded(1));
-        match serve_tuned(engine, "127.0.0.1:0", config, tuning) {
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
-            Ok(handle) => panic!(
-                "served on {} despite an invalid config",
-                handle.local_addr()
-            ),
-        }
-    };
     let zero_cap = ServerConfig {
         idle_timeout: None,
         max_sessions: Some(0),
     };
-    refused(zero_cap, ReactorConfig::default());
-    let inverted = ReactorConfig {
-        max_queue_depth: 8,
-        max_in_flight_per_conn: 64,
-        ..ReactorConfig::default()
-    };
-    refused(ServerConfig::default(), inverted);
+    let engine = QueryEngine::new(common::sharded(1));
+    match serve_with(engine, "127.0.0.1:0", zero_cap) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(handle) => panic!(
+            "served on {} despite an invalid config",
+            handle.local_addr()
+        ),
+    }
 
     let engine = QueryEngine::new(common::sharded(3));
     let handle = serve_with(
