@@ -29,27 +29,10 @@
 //! end
 //! ```
 //!
-//! The v2 bump records each attribute's *kind*: v1 (`attr <index>
-//! <domain_size> <name>`) collapsed binned numeric attributes into
-//! categorical ones on load, losing bucket midpoints (and with them
-//! `SUM`/`AVG` semantics). v1 blobs still load with the old collapsing
-//! behavior (backward compatibility is covered by tests).
-//!
-//! **Sharded summary**, v2 ([`sharded_to_string`] / [`sharded_from_str`]):
-//! one document, each shard line followed by its embedded blob.
-//!
-//! ```text
-//! entropydb-sharded-summary v2
-//! shards <k>
-//! shard <index> <cardinality>
-//! <embedded single-summary blob>
-//! ...
-//! endshards
-//! ```
-//!
 //! **Directory manifest**, v2 ([`save_sharded_dir`]) and v3
 //! ([`save_live_dir`]); both load through [`load_sharded_dir`] and
-//! [`load_live_dir`]. `manifest.txt` sits next to one blob file per shard;
+//! [`load_live_dir`]. A sharded summary is always such a directory:
+//! `manifest.txt` sits next to one blob file per shard;
 //! v3 adds the lines marked `v3` — the ingest epoch, the fitted delta
 //! (only when one exists) and the statistic set delta folds fit with:
 //!
@@ -67,8 +50,7 @@
 //! **Cluster manifest**, v2 ([`cluster_manifest_to_string`] /
 //! [`cluster_manifest_from_str`]): which `entropydb-serve` addresses hold
 //! which shard. Every address on a `shard` line is a replica of the same
-//! blob; v1 lines carry exactly one address. `n = 0` marks a dynamic
-//! (live-ingest) placement.
+//! blob. `n = 0` marks a dynamic (live-ingest) placement.
 //!
 //! ```text
 //! entropydb-cluster-manifest v2
@@ -132,9 +114,23 @@ pub fn to_string(summary: &MaxEntSummary) -> String {
     out
 }
 
-/// Writes a summary to a file.
+/// Writes a summary to a file, replacing it whole.
 pub fn save_file(summary: &MaxEntSummary, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, to_string(summary))
+    write_replacing(path, to_string(summary))
+}
+
+/// Replaces the file at `path` whole: the bytes go to a sibling temp file
+/// that is then renamed over `path`, so a reader racing the write (or a
+/// process killed mid-save) sees the old file or the new one, never a
+/// truncated one. Nothing is fsynced, so a power loss may still lose it.
+fn write_replacing(path: &Path, bytes: String) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp-{}", std::process::id()));
+    std::fs::write(&tmp, bytes)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 /// Reads a summary from a file.
@@ -162,23 +158,18 @@ fn header(lines: &mut Lines<'_>, name: &str, versions: &[&str]) -> Result<usize>
     version.ok_or_else(|| r.error(format!("unrecognized {name} header {found:?}")))
 }
 
-/// Parses a summary from the text format (v1 or v2), rebuilding the
-/// compressed polynomial and validating shapes.
+/// Parses a summary from the text format (v2), rebuilding the compressed
+/// polynomial and validating shapes.
 pub fn from_str(text: &str) -> Result<MaxEntSummary> {
-    parse_single(&mut Lines::new(text))
-}
-
-/// Parses one single-summary blob starting at the next line (used for
-/// standalone blobs and for the embedded shard blobs of a manifest).
-fn parse_single(p: &mut Lines<'_>) -> Result<MaxEntSummary> {
-    let kinded = header(p, "entropydb-summary", &["v1", "v2"])? == 1;
+    let p = &mut Lines::new(text);
+    header(p, "entropydb-summary", &["v2"])?;
 
     let n: u64 = p.scalar("n", "n")?;
     let m: usize = p.scalar("attrs", "attr count")?;
 
     let mut attributes = counted(m);
     for expected in 0..m {
-        attributes.push(decode_attr(&mut p.next_line()?, expected, kinded)?);
+        attributes.push(decode_attr(&mut p.next_line()?, expected)?);
     }
     let schema = Schema::new(attributes);
     let domain_sizes = schema.domain_sizes();
@@ -230,20 +221,6 @@ fn parse_single(p: &mut Lines<'_>) -> Result<MaxEntSummary> {
     MaxEntSummary::from_solved_parts(schema, stats, assignment, report)
 }
 
-/// Serializes a sharded summary: a manifest followed by one embedded
-/// per-shard blob each (the single-summary format, verbatim).
-pub fn sharded_to_string(summary: &ShardedSummary) -> String {
-    let mut out = String::new();
-    out.push_str("entropydb-sharded-summary v2\n");
-    let _ = writeln!(out, "shards {}", summary.num_shards());
-    for (i, shard) in summary.shards().iter().enumerate() {
-        let _ = writeln!(out, "shard {} {}", i, shard.n());
-        out.push_str(&to_string(shard));
-    }
-    out.push_str("endshards\n");
-    out
-}
-
 /// Fails unless `model` holds the cardinality its manifest line declared.
 fn check_declared(
     model: MaxEntSummary,
@@ -261,28 +238,6 @@ fn check_declared(
     }
 }
 
-/// Parses a sharded summary from the manifest format.
-pub fn sharded_from_str(text: &str) -> Result<ShardedSummary> {
-    let mut p = Lines::new(text);
-    header(&mut p, "entropydb-sharded-summary", &["v2"])?;
-    let shards = decode_shard_table(&mut p, |p, idx, n, r| {
-        r.finish()?;
-        check_declared(parse_single(p)?, n, &format!("shard {idx}"), r)
-    })?;
-    p.tagged("endshards")?.finish()?;
-    ShardedSummary::from_shards(shards)
-}
-
-/// Writes a sharded summary to one file (manifest + embedded blobs).
-pub fn save_sharded_file(summary: &ShardedSummary, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, sharded_to_string(summary))
-}
-
-/// Reads a sharded summary from one file.
-pub fn load_sharded_file(path: &Path) -> Result<ShardedSummary> {
-    sharded_from_str(&read(path)?)
-}
-
 /// Writes one `shard-<i>.summary` blob per shard into `dir` and appends the
 /// manifest's shard table naming them.
 fn write_shard_table(
@@ -295,7 +250,7 @@ fn write_shard_table(
     for (i, shard) in shards.iter().enumerate() {
         let file = format!("shard-{i}.summary");
         let _ = writeln!(manifest, "shard {} {} {}", i, shard.n(), file);
-        std::fs::write(dir.join(&file), to_string(shard))?;
+        write_replacing(&dir.join(&file), to_string(shard))?;
     }
     Ok(())
 }
@@ -307,7 +262,7 @@ pub fn save_sharded_dir(summary: &ShardedSummary, dir: &Path) -> std::io::Result
     let mut manifest = String::from("entropydb-sharded-manifest v2\n");
     write_shard_table(&mut manifest, summary.shards(), dir)?;
     manifest.push_str("end\n");
-    std::fs::write(dir.join("manifest.txt"), manifest)
+    write_replacing(&dir.join("manifest.txt"), manifest)
 }
 
 /// One shard placement of a cluster manifest: which addresses serve which
@@ -335,7 +290,7 @@ pub struct ClusterShard {
 }
 
 impl ClusterShard {
-    /// A single-replica placement (the v1 manifest shape).
+    /// A single-replica placement.
     pub fn single(index: usize, n: u64, addr: impl Into<String>) -> ClusterShard {
         ClusterShard {
             index,
@@ -367,16 +322,14 @@ pub fn cluster_manifest_to_string(shards: &[ClusterShard]) -> String {
     out
 }
 
-/// Parses a cluster manifest (v2 replica lists, or the single-address v1
-/// format); shard indices must be dense and in order, and every shard must
-/// list at least one replica address.
+/// Parses a cluster manifest (v2); shard indices must be dense and in
+/// order, and every shard must list at least one replica address.
 pub fn cluster_manifest_from_str(text: &str) -> Result<Vec<ClusterShard>> {
     let mut p = Lines::new(text);
-    let v1 = header(&mut p, "entropydb-cluster-manifest", &["v1", "v2"])? == 0;
-    let shards = decode_shard_table(&mut p, |_, index, n, r| {
+    header(&mut p, "entropydb-cluster-manifest", &["v2"])?;
+    let shards = decode_shard_table(&mut p, |index, n, r| {
         let addrs: Vec<String> = r.remaining().map(str::to_string).collect();
-        // v1 lines carry exactly one address; v2 lines one or more.
-        if addrs.is_empty() || (v1 && addrs.len() != 1) {
+        if addrs.is_empty() {
             return Err(r.error("cluster shard needs: index n addr [addr ...]".to_string()));
         }
         Ok(ClusterShard { index, n, addrs })
@@ -385,17 +338,10 @@ pub fn cluster_manifest_from_str(text: &str) -> Result<Vec<ClusterShard>> {
     Ok(shards)
 }
 
-/// Writes a cluster manifest file: the text goes to a sibling temp file
-/// that is then renamed over `path`, so a reader racing a rewrite (a
-/// rolling restart's) sees the old manifest or the new one, never a
-/// truncated one.
+/// Writes a cluster manifest file, replacing it whole: a reader racing a
+/// rewrite (a rolling restart's) sees the old manifest or the new one.
 pub fn save_cluster_manifest(shards: &[ClusterShard], path: &Path) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
-    std::fs::write(&tmp, cluster_manifest_to_string(shards))?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+    write_replacing(path, cluster_manifest_to_string(shards))
 }
 
 /// Reads a cluster manifest file.
@@ -425,7 +371,7 @@ fn parse_dir_manifest(dir: &Path) -> Result<DirManifest> {
         r.finish()?;
         check_declared(load_file(&dir.join(file))?, n, what, r)
     };
-    let mut segments = decode_shard_table(&mut p, |_, idx, n, r| {
+    let mut segments = decode_shard_table(&mut p, |idx, n, r| {
         load_declared(n, &format!("shard {idx}"), r)
     })?;
     // v3 trailer: an optional fitted-delta entry and the fold statistic
@@ -505,7 +451,7 @@ pub fn save_live_dir(live: &LiveSummary, dir: &Path) -> Result<()> {
     write_shard_table(&mut manifest, &segments, dir).map_err(io_err)?;
     if let Some(delta) = &delta {
         let _ = writeln!(manifest, "delta {} delta.summary", delta.n());
-        std::fs::write(dir.join("delta.summary"), to_string(delta)).map_err(io_err)?;
+        write_replacing(&dir.join("delta.summary"), to_string(delta)).map_err(io_err)?;
     }
     let multi = live.fold_statistics();
     let _ = writeln!(manifest, "stats {}", multi.len());
@@ -515,7 +461,7 @@ pub fn save_live_dir(live: &LiveSummary, dir: &Path) -> Result<()> {
         manifest.push('\n');
     }
     manifest.push_str("end\n");
-    std::fs::write(dir.join("manifest.txt"), manifest).map_err(io_err)
+    write_replacing(&dir.join("manifest.txt"), manifest).map_err(io_err)
 }
 
 /// Restores a [`LiveSummary`] from a [`save_live_dir`] directory (or a
@@ -640,39 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_blobs_still_load() {
-        let original = build_summary();
-        // Reconstruct the v1 rendering of this summary: old header, attr
-        // lines without a kind token.
-        let v2 = to_string(&original);
-        let v1: String = v2
-            .lines()
-            .map(|l| {
-                let line = if l == "entropydb-summary v2" {
-                    "entropydb-summary v1".to_string()
-                } else if l.starts_with("attr ") {
-                    l.replace(" cat ", " ")
-                } else {
-                    l.to_string()
-                };
-                line + "\n"
-            })
-            .collect();
-        let loaded = from_str(&v1).unwrap();
-        assert_eq!(loaded.n(), original.n());
-        assert_eq!(loaded.assignment(), original.assignment());
-        let pred = Predicate::new().eq(a(0), 1).eq(a(1), 1);
-        assert_eq!(
-            loaded.estimate_count(&pred).unwrap().expectation.to_bits(),
-            original
-                .estimate_count(&pred)
-                .unwrap()
-                .expectation
-                .to_bits()
-        );
-    }
-
-    #[test]
     fn v2_preserves_binned_attributes() {
         use entropydb_storage::Binner;
         let schema = Schema::new(vec![
@@ -692,7 +605,7 @@ mod tests {
             .attr(a(1))
             .unwrap()
             .binner()
-            .expect("v2 round trip must keep the binner (v1 collapsed it to categorical)");
+            .expect("a round trip must keep the binner");
         assert_eq!(binner.lo(), -5.0);
         assert_eq!(binner.hi(), 95.0);
         assert_eq!(binner.num_bins(), 4);
@@ -725,11 +638,22 @@ mod tests {
         .unwrap()
     }
 
+    /// A fresh scratch directory under the system temp dir.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("entropydb-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
-    fn sharded_round_trip_preserves_estimates_exactly() {
+    fn sharded_dir_round_trip_preserves_estimates_exactly() {
         let original = build_sharded();
-        let text = sharded_to_string(&original);
-        let loaded = sharded_from_str(&text).unwrap();
+        let dir = scratch("sharded-dir-round-trip");
+        save_sharded_dir(&original, &dir).unwrap();
+        assert!(dir.join("manifest.txt").exists());
+        assert!(dir.join("shard-0.summary").exists());
+        let loaded = load_sharded_dir(&dir).unwrap();
         assert_eq!(loaded.num_shards(), original.num_shards());
         assert_eq!(loaded.n(), original.n());
         for x in 0..3u32 {
@@ -741,53 +665,26 @@ mod tests {
                 assert_eq!(e0.variance.to_bits(), e1.variance.to_bits());
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn sharded_file_and_dir_round_trips() {
-        let original = build_sharded();
-        let base = std::env::temp_dir().join("entropydb-sharded-serialize-test");
-        std::fs::create_dir_all(&base).unwrap();
-
-        let file = base.join("sharded.summary");
-        save_sharded_file(&original, &file).unwrap();
-        let loaded = load_sharded_file(&file).unwrap();
-        assert_eq!(loaded.num_shards(), original.num_shards());
-
-        let dir = base.join("sharded-dir");
-        save_sharded_dir(&original, &dir).unwrap();
-        assert!(dir.join("manifest.txt").exists());
-        assert!(dir.join("shard-0.summary").exists());
-        let loaded = load_sharded_dir(&dir).unwrap();
-        assert_eq!(loaded.num_shards(), original.num_shards());
-        let pred = Predicate::new().eq(a(0), 0);
-        assert_eq!(
-            loaded.estimate_count(&pred).unwrap().expectation.to_bits(),
-            original
-                .estimate_count(&pred)
-                .unwrap()
-                .expectation
-                .to_bits()
-        );
-        std::fs::remove_dir_all(&base).ok();
-    }
-
-    #[test]
-    fn corrupted_sharded_inputs_rejected() {
-        let original = build_sharded();
-        let text = sharded_to_string(&original);
-        assert!(matches!(
-            sharded_from_str("bogus"),
-            Err(ModelError::Parse { .. })
-        ));
-        // Truncated: drop the trailing endshards.
-        let truncated = text.replace("endshards", "");
-        assert!(sharded_from_str(&truncated).is_err());
+    fn corrupted_sharded_dirs_rejected() {
+        let dir = scratch("sharded-dir-corrupt");
+        save_sharded_dir(&build_sharded(), &dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        let load = |text: &str| {
+            std::fs::write(dir.join("manifest.txt"), text).unwrap();
+            load_sharded_dir(&dir)
+        };
+        load(&manifest).unwrap();
+        // Truncated: drop the trailing end.
+        assert!(load(&manifest.replace("end", "")).is_err());
         // Manifest/blob cardinality mismatch.
-        let lied = text.replacen("shard 0 ", "shard 0 99", 1);
-        assert!(sharded_from_str(&lied).is_err());
-        // A single-summary blob is not a sharded document.
-        assert!(sharded_from_str(&to_string(&build_summary())).is_err());
+        assert!(load(&manifest.replacen("shard 0 ", "shard 0 99", 1)).is_err());
+        // A single-summary blob is not a manifest.
+        assert!(load(&to_string(&build_summary())).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -806,15 +703,12 @@ mod tests {
         assert!(cluster_manifest_from_str("entropydb-cluster-manifest v2\nshards 0\nend").is_err());
     }
 
-    /// Saving over an existing manifest replaces it whole (temp file, then
-    /// rename) and leaves no temp file behind.
+    /// Saving over existing files replaces each one whole (temp file, then
+    /// rename) and leaves no temp file behind, whichever saver wrote it.
     #[test]
     fn cluster_manifest_save_replaces_the_file_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join(format!(
-            "entropydb-manifest-save-test-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        use crate::ingest::IngestConfig;
+        let dir = scratch("save-replaces");
         let path = dir.join("cluster.manifest");
         let before = vec![ClusterShard::single(0, 40, "127.0.0.1:4151")];
         let after = vec![
@@ -824,11 +718,49 @@ mod tests {
         save_cluster_manifest(&before, &path).unwrap();
         save_cluster_manifest(&after, &path).unwrap();
         assert_eq!(load_cluster_manifest(&path).unwrap(), after);
-        let names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(names, ["cluster.manifest"]);
+
+        let sharded = build_sharded();
+        let blob = dir.join("summary.txt");
+        save_file(&build_summary(), &blob).unwrap();
+        save_file(&sharded.shards()[0], &blob).unwrap();
+        let text = std::fs::read_to_string(&blob).unwrap();
+        assert_eq!(text, to_string(&sharded.shards()[0]));
+
+        // A v2 directory over a smaller one, then a v3 (live) one over it.
+        let shards = dir.join("shards");
+        let one = ShardedSummary::from_shards(vec![build_summary()]).unwrap();
+        save_sharded_dir(&one, &shards).unwrap();
+        save_sharded_dir(&sharded, &shards).unwrap();
+        assert_eq!(load_sharded_dir(&shards).unwrap().num_shards(), 3);
+        let config = IngestConfig {
+            background: false,
+            ..IngestConfig::default()
+        };
+        let multi = sharded.shards()[0].statistics().multi().to_vec();
+        let solver = SolverConfig::default();
+        let live = LiveSummary::new(sharded, multi, solver.clone(), config.clone()).unwrap();
+        live.append_rows(&[vec![0, 0], vec![1, 2]], None).unwrap();
+        save_live_dir(&live, &shards).unwrap();
+        assert_eq!(load_live_dir(&shards, solver, config).unwrap().epoch(), 1);
+
+        let mut names: Vec<String> = Vec::new();
+        for sub in [&dir, &shards] {
+            for entry in std::fs::read_dir(sub).unwrap() {
+                names.push(entry.unwrap().file_name().to_string_lossy().into_owned());
+            }
+        }
+        names.sort();
+        let want = [
+            "cluster.manifest",
+            "delta.summary",
+            "manifest.txt",
+            "shard-0.summary",
+            "shard-1.summary",
+            "shard-2.summary",
+            "shards",
+            "summary.txt",
+        ];
+        assert_eq!(names, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -855,28 +787,6 @@ mod tests {
         assert_eq!(parsed[0].primary(), "127.0.0.1:4151");
         // Encode → decode → encode is the identity.
         assert_eq!(cluster_manifest_to_string(&parsed), text);
-    }
-
-    /// v1 manifests (exactly one address per shard) still load, and the v1
-    /// header rejects replica lists it could never have produced.
-    #[test]
-    fn cluster_manifest_v1_back_compat() {
-        let v1 = "entropydb-cluster-manifest v1\n\
-                  shards 2\n\
-                  shard 0 40 127.0.0.1:4151\n\
-                  shard 1 20 10.0.0.7:4141\n\
-                  end\n";
-        let parsed = cluster_manifest_from_str(v1).unwrap();
-        assert_eq!(
-            parsed,
-            vec![
-                ClusterShard::single(0, 40, "127.0.0.1:4151"),
-                ClusterShard::single(1, 20, "10.0.0.7:4141"),
-            ]
-        );
-        // A v1 header with a v2-style replica list is malformed.
-        let bad = v1.replace("shard 0 40 127.0.0.1:4151", "shard 0 40 a:1 b:2");
-        assert!(cluster_manifest_from_str(&bad).is_err());
     }
 
     /// Truncation and field corruption anywhere in a v2 manifest fail the

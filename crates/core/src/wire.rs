@@ -277,19 +277,12 @@ pub fn encode_attr(out: &mut String, index: usize, attr: &Attribute) {
     out.push('\n');
 }
 
-/// Reads one attribute line whose index must be `expected`. `kinded:
-/// false` reads the v1 blob form, which recorded no kind (every attribute
-/// is categorical).
-pub fn decode_attr(r: &mut TokenReader<'_>, expected: usize, kinded: bool) -> Result<Attribute> {
+/// Reads one attribute line whose index must be `expected`.
+pub fn decode_attr(r: &mut TokenReader<'_>, expected: usize) -> Result<Attribute> {
     r.expect("attr")?;
     r.index("attr index", expected)?;
     let size: usize = r.parse("domain size")?;
-    let kind = if kinded {
-        r.next("attribute kind")?
-    } else {
-        "cat"
-    };
-    match kind {
+    match r.next("attribute kind")? {
         "cat" => Attribute::categorical(r.rest(), size).map_err(ModelError::Storage),
         "bin" => {
             let (lo, hi) = (r.f64("bin lo")?, r.f64("bin hi")?);
@@ -322,11 +315,10 @@ pub fn decode_statistic(r: &mut TokenReader<'_>) -> Result<MultiDimStatistic> {
 
 /// Reads a `shards <k>` line and its `k >= 1` dense-indexed `shard <i> <n>
 /// ...` lines. `entry` gets the shard's index, its cardinality and the
-/// reader positioned at the line's tail, plus the document — an embedded
-/// blob follows its shard line.
+/// reader positioned at the line's tail.
 pub fn decode_shard_table<'a, T>(
     lines: &mut Lines<'a>,
-    mut entry: impl FnMut(&mut Lines<'a>, usize, u64, &mut TokenReader<'a>) -> Result<T>,
+    mut entry: impl FnMut(usize, u64, &mut TokenReader<'a>) -> Result<T>,
 ) -> Result<Vec<T>> {
     let mut r = lines.tagged("shards")?;
     let k: usize = r.parse("shard count")?;
@@ -339,7 +331,7 @@ pub fn decode_shard_table<'a, T>(
         let mut r = lines.tagged("shard")?;
         r.index("shard index", index)?;
         let n = r.parse("shard n")?;
-        shards.push(entry(lines, index, n, &mut r)?);
+        shards.push(entry(index, n, &mut r)?);
     }
     Ok(shards)
 }

@@ -1,15 +1,17 @@
 //! Golden bytes and hostile bytes for every line format the core crate
 //! reads or writes: the `q1`/`r1`/`b1`/`c1` wire lines, the summary blob
-//! (v1, v2), the sharded summary, the directory manifest (v2, v3) and the
-//! cluster manifest (v1, v2).
+//! (v2), the directory manifest (v2, v3) and the cluster manifest (v2).
 //!
 //! The golden half pins each encoder's output byte for byte (a round trip
 //! cannot see a symmetric change; the expected strings were recorded at
 //! the commit before the formats moved onto `entropydb_core::wire`) and
-//! parses checked-in documents of every older version. The hostile half
-//! feeds each decoder every token-boundary truncation of a golden input,
-//! an oversized count in every count position and a trailing junk token:
-//! always an `Err`, never a panic or an allocation sized by the input.
+//! parses checked-in documents of every version still read. The hostile
+//! half feeds each decoder every token-boundary truncation of a golden
+//! input, an oversized count in every count position and a trailing junk
+//! token: always an `Err`, never a panic or an allocation sized by the
+//! input. Documents of the formats no longer read (the v1 blob, the v1
+//! cluster manifest, the single-file sharded summary) are refused at their
+//! header line.
 
 use entropydb_core::assignment::{Mask, VarAssignment};
 use entropydb_core::error::ModelError;
@@ -61,7 +63,7 @@ report 12 0.0000000015 true
 end
 ";
 
-/// `BLOB` as v1 wrote it: no attribute kinds.
+/// `BLOB` as v1 wrote it (no attribute kinds): no longer read.
 const BLOB_V1: &str = "\
 entropydb-summary v1
 n 20
@@ -106,6 +108,7 @@ shard 1 0 shard-1.internal:4141
 end
 ";
 
+/// A v1 cluster manifest (one address per shard): no longer read.
 const CLUSTER_V1: &str = "\
 entropydb-cluster-manifest v1
 shards 2
@@ -114,6 +117,7 @@ shard 1 20 10.0.0.7:4141
 end
 ";
 
+/// The single-file sharded summary (blobs embedded): no longer read.
 fn sharded_doc() -> String {
     format!("entropydb-sharded-summary v2\nshards 2\nshard 0 20\n{BLOB}shard 1 40\n{BLOB_X2}endshards\n")
 }
@@ -508,7 +512,6 @@ fn weight_spelled_predicate_masks_still_decode() {
 fn golden_bytes_for_every_persisted_format() {
     assert_eq!(serialize::to_string(&summary(1)), BLOB);
     assert_eq!(serialize::to_string(&summary(2)), BLOB_X2);
-    assert_eq!(serialize::sharded_to_string(&sharded()), sharded_doc());
     assert_eq!(
         serialize::cluster_manifest_to_string(&cluster()),
         CLUSTER_V2
@@ -539,33 +542,15 @@ fn golden_bytes_for_every_persisted_format() {
     );
 }
 
-/// Documents written by every older version (and by this one) still load.
+/// Every version still read loads its checked-in document.
 #[test]
 fn checked_in_documents_of_every_version_parse() {
     let current = serialize::from_str(BLOB).unwrap();
     assert_eq!(serialize::to_string(&current), BLOB);
-    let v1 = serialize::from_str(BLOB_V1).unwrap();
-    assert_eq!(v1.assignment(), current.assignment());
-    assert_eq!(v1.schema().attr_by_name("origin airport").unwrap(), a(0));
-    // v1 recorded no kinds: the binned attribute comes back categorical.
-    assert!(v1.schema().attributes()[1].binner().is_none());
-
-    let doc = sharded_doc();
-    assert_eq!(
-        serialize::sharded_to_string(&serialize::sharded_from_str(&doc).unwrap()),
-        doc
-    );
 
     assert_eq!(
         serialize::cluster_manifest_from_str(CLUSTER_V2).unwrap(),
         cluster()
-    );
-    assert_eq!(
-        serialize::cluster_manifest_from_str(CLUSTER_V1).unwrap(),
-        vec![
-            ClusterShard::single(0, 40, "127.0.0.1:4151"),
-            ClusterShard::single(1, 20, "10.0.0.7:4141"),
-        ]
     );
 
     let v2 = TempDir::with_manifest("load-v2", MANIFEST_V2);
@@ -650,26 +635,32 @@ fn hostile_wire_lines_are_rejected() {
 fn hostile_blobs_and_manifests_are_rejected_with_line_numbers() {
     let blob = hostile_documents(BLOB, &BLOB_COUNTS, &["attr"]);
     assert_all_rejected("blob", blob, serialize::from_str);
-    let v1 = hostile_documents(BLOB_V1, &BLOB_COUNTS, &["attr"]);
-    assert_all_rejected("v1 blob", v1, serialize::from_str);
 
-    let mut counts = vec![("shards", 1)];
-    counts.extend(BLOB_COUNTS);
-    let doc = hostile_documents(&sharded_doc(), &counts, &["attr"]);
-    assert_all_rejected("sharded summary", doc, serialize::sharded_from_str);
-
-    for text in [CLUSTER_V2, CLUSTER_V1] {
-        let variants = hostile_documents(text, &[("shards", 1)], &["shard"]);
-        assert_all_rejected(
-            "cluster manifest",
-            variants,
-            serialize::cluster_manifest_from_str,
-        );
-    }
-    // The v1 header rejects the replica list a trailing token would make.
-    assert!(
-        serialize::cluster_manifest_from_str(&with_token(CLUSTER_V1, 2, 3, "a:1 b:2")).is_err()
+    let variants = hostile_documents(CLUSTER_V2, &[("shards", 1)], &["shard"]);
+    assert_all_rejected(
+        "cluster manifest",
+        variants,
+        serialize::cluster_manifest_from_str,
     );
+
+    // Formats no longer read fail at their header, line 1.
+    let refused = [
+        ("summary", serialize::from_str(BLOB_V1).err()),
+        ("summary", serialize::from_str(&sharded_doc()).err()),
+        (
+            "cluster-manifest",
+            serialize::cluster_manifest_from_str(CLUSTER_V1).err(),
+        ),
+    ];
+    for (format, error) in refused {
+        match error {
+            Some(ModelError::Parse { line: 1, message }) => assert!(
+                message.starts_with(&format!("unrecognized entropydb-{format} header")),
+                "{message}"
+            ),
+            other => panic!("{format}: {other:?}"),
+        }
+    }
 
     let dir = TempDir::with_manifest("hostile", MANIFEST_V3);
     let load = |manifest: &str| {

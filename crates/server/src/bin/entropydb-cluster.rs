@@ -1,7 +1,7 @@
 //! `entropydb-cluster` — shard-per-node cluster tooling.
 //!
 //! ```text
-//! entropydb-cluster spawn <sharded summary> [--base-port P] [--manifest FILE]
+//! entropydb-cluster spawn <sharded dir> [--base-port P] [--manifest FILE]
 //!                         [--replicas R] [--control-file FILE]
 //!                         [--idle-timeout SECS]
 //! entropydb-cluster restart <control file or HOST:PORT>
@@ -14,8 +14,8 @@
 //!                             [--replicas R]
 //! ```
 //!
-//! * `spawn` loads a sharded summary (single-file manifest or
-//!   `save_sharded_dir` directory) and serves **each shard on its own
+//! * `spawn` loads a sharded summary (a `save_sharded_dir` directory:
+//!   `manifest.txt` + per-shard blobs) and serves **each shard on its own
 //!   port** — `--replicas R` serves each shard from `R` independent
 //!   server instances (ports `base-port + shard*R + replica`;
 //!   `--base-port 0` picks ephemeral ports) and the written manifest
@@ -53,9 +53,10 @@
 //!   sessions, bytes in/out, requests in flight).
 //! * `make-demo` builds a small deterministic sharded summary and writes
 //!   everything a localhost cluster walkthrough (or the `cluster-e2e` CI
-//!   job) needs: per-shard blobs for `entropydb-serve`, the combined
-//!   sharded blob as the local parity reference, and a manifest listing
-//!   `--replicas` endpoints per shard.
+//!   job) needs: the sharded directory, whose per-shard blobs
+//!   `entropydb-serve` serves and which loads whole as the local parity
+//!   reference, and a cluster manifest listing `--replicas` endpoints per
+//!   shard.
 //!
 //! A flag the command does not define, or a value that does not parse
 //! (a duration too large for `Duration` included), exits 2 with the usage
@@ -84,7 +85,7 @@ fn usage() -> ExitCode {
         "usage: entropydb-cluster <command>\n\
          \n\
          commands:\n\
-         \x20 spawn <sharded summary> [--base-port P] [--manifest FILE]\n\
+         \x20 spawn <sharded dir> [--base-port P] [--manifest FILE]\n\
          \x20       [--replicas R] [--control-file FILE] [--idle-timeout SECS]\n\
          \x20 restart <control file or HOST:PORT>\n\
          \x20 probe <manifest>\n\
@@ -105,14 +106,6 @@ fn check_port_range(base_port: u16, count: usize) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-fn load_sharded(path: &Path) -> Result<ShardedSummary, String> {
-    if path.is_dir() {
-        serialize::load_sharded_dir(path).map_err(|e| e.to_string())
-    } else {
-        serialize::load_sharded_file(path).map_err(|e| e.to_string())
-    }
 }
 
 /// One serving replica of one shard.
@@ -312,7 +305,15 @@ fn cmd_spawn(args: &[String]) -> ExitCode {
         eprintln!("error: --replicas must be at least 1");
         return ExitCode::FAILURE;
     }
-    let sharded = match load_sharded(Path::new(path)) {
+    let path = Path::new(path);
+    if !path.is_dir() {
+        eprintln!(
+            "error: {} is not a sharded directory (manifest.txt + shard-<i>.summary blobs)",
+            path.display()
+        );
+        return ExitCode::FAILURE;
+    }
+    let sharded = match serialize::load_sharded_dir(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -673,9 +674,9 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
     }
 }
 
-/// Write the demo cluster workspace: per-shard blobs, the combined sharded
-/// blob (local parity reference), and a localhost manifest (optionally
-/// with several replica endpoints per shard).
+/// Write the demo cluster workspace: the sharded directory (its per-shard
+/// blobs are what the shard servers serve) and a localhost manifest
+/// (optionally with several replica endpoints per shard).
 fn cmd_make_demo(args: &[String]) -> ExitCode {
     let Some(dir) = args.first() else {
         return usage();
@@ -704,10 +705,6 @@ fn cmd_make_demo(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let dir = Path::new(dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
     let sharded = match entropydb_server::demo::demo_summary(rows, shards) {
         Ok(s) => s,
         Err(e) => {
@@ -715,17 +712,12 @@ fn cmd_make_demo(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = serialize::save_sharded_file(&sharded, &dir.join("sharded.summary")) {
-        eprintln!("cannot write sharded.summary: {e}");
+    if let Err(e) = serialize::save_sharded_dir(&sharded, dir) {
+        eprintln!("cannot write {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
     let mut manifest = Vec::new();
     for (i, shard) in sharded.shards().iter().enumerate() {
-        let file = dir.join(format!("shard-{i}.summary"));
-        if let Err(e) = serialize::save_file(shard, &file) {
-            eprintln!("cannot write {}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
         let addrs = (0..replicas)
             .map(|j| format!("127.0.0.1:{}", base_port + (i * replicas + j) as u16))
             .collect();

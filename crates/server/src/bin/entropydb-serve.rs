@@ -5,12 +5,11 @@
 //!                 [--max-sessions N] [--live] [--delta-threshold ROWS]
 //! ```
 //!
-//! `<summary>` is any of the persistence layouts of
-//! `entropydb_core::serialize`: a single-summary text file, a sharded
-//! manifest-with-embedded-blobs file, or a `save_sharded_dir` directory
-//! (`manifest.txt` + per-shard blobs). The backend is picked by sniffing
-//! the header, and the server is generic over it — a monolithic and a
-//! sharded summary serve the identical protocol.
+//! `<summary>` is one of the two persistence layouts of
+//! `entropydb_core::serialize`: a file is one `entropydb-summary` blob, and
+//! a directory is a `save_sharded_dir` sharded summary (`manifest.txt` +
+//! per-shard blobs). The server is generic over the backend — a monolithic
+//! and a sharded summary serve the identical protocol.
 //!
 //! `--idle-timeout SECS` closes sessions whose client stays silent longer
 //! than the deadline (default: sessions may idle forever);
@@ -73,21 +72,6 @@ fn wait_for_quit() {
     }
 }
 
-/// The first line of a summary file ("" when it cannot be read — the
-/// loader then reports why).
-fn first_line(path: &Path) -> String {
-    let mut line = String::new();
-    if let Ok(file) = std::fs::File::open(path) {
-        let _ = std::io::BufReader::new(file).read_line(&mut line);
-    }
-    line
-}
-
-fn sharded_banner(s: &entropydb_core::sharded::ShardedSummary) -> String {
-    let (shards, n) = (s.num_shards(), s.n());
-    format!("sharded summary: {shards} shards, n = {n}")
-}
-
 /// Announces a loaded backend and serves it; a load error is reported and
 /// yields `None`.
 fn start<B: SummaryBackend + 'static>(
@@ -136,7 +120,7 @@ fn main() -> ExitCode {
     }
     let path = Path::new(path);
 
-    // Sniff the persistence layout and start the matching backend.
+    // A directory is sharded (or live), a file one summary blob.
     let how = (addr.as_str(), config);
     let handle = if live {
         if !path.is_dir() {
@@ -150,9 +134,11 @@ fn main() -> ExitCode {
         };
         start(serialize::load_live_dir(path, solver, ingest), banner, how)
     } else if path.is_dir() {
-        start(serialize::load_sharded_dir(path), sharded_banner, how)
-    } else if first_line(path).starts_with("entropydb-sharded-summary") {
-        start(serialize::load_sharded_file(path), sharded_banner, how)
+        let banner = |s: &entropydb_core::sharded::ShardedSummary| {
+            let (shards, n) = (s.num_shards(), s.n());
+            format!("sharded summary: {shards} shards, n = {n}")
+        };
+        start(serialize::load_sharded_dir(path), banner, how)
     } else {
         let banner = |s: &entropydb_core::model::MaxEntSummary| format!("summary: n = {}", s.n());
         start(serialize::load_file(path), banner, how)

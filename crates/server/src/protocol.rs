@@ -261,7 +261,7 @@ pub fn decode_schema(
     let mut attributes = counted(arity);
     for expected in 0..arity {
         let line = next_line()?;
-        attributes.push(decode_attr(&mut TokenReader::new(&line), expected, true)?);
+        attributes.push(decode_attr(&mut TokenReader::new(&line), expected)?);
     }
     let mut n = None;
     loop {

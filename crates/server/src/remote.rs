@@ -314,10 +314,13 @@ pub struct RemoteShard {
     /// an engine's cache filed becomes unreachable the instant a swap or a
     /// fold is detected.
     generation: AtomicU64,
-    /// Last ingest epoch observed from this shard (append replies,
-    /// `stats ingest` polls, dynamic handshakes). See
-    /// [`RemoteShard::note_epoch`].
+    /// Last ingest epoch observed from this shard (append replies and
+    /// `stats ingest` polls). See [`RemoteShard::note_epoch`].
     last_seen_epoch: AtomicU64,
+    /// Set when a dynamic shard is seen at a new epoch, whose fold changed
+    /// the node's `n`: until a handshake adopts that `n`, a checkout drops
+    /// the idle connections instead, so the next probe dials.
+    redial: AtomicBool,
     /// The blob's [`Support`], learned by the first handshake and verified
     /// by every later one. Never set for a dynamic placement, whose support
     /// grows with every fold: such a shard is always asked.
@@ -336,6 +339,7 @@ impl RemoteShard {
             expected_schema: OnceLock::new(),
             generation: AtomicU64::new(0),
             last_seen_epoch: AtomicU64::new(0),
+            redial: AtomicBool::new(false),
             support: OnceLock::new(),
         }
     }
@@ -388,18 +392,35 @@ impl RemoteShard {
         self.last_seen_epoch.load(Ordering::Acquire)
     }
 
-    /// Records an ingest epoch observed on an append reply, a
-    /// `stats ingest` poll, or a dynamic handshake. A **change** bumps the
-    /// shard's blob generation, which orphans every cached answer computed
-    /// against the previous published mixture — the remote arm of the
-    /// zero-stale-answers invariant (locally the epoch *is* the
-    /// generation; over the wire the gateway invalidates the moment a new
-    /// epoch becomes visible to it).
+    /// Records an ingest epoch observed on an append reply or a
+    /// `stats ingest` poll. A **change** bumps the shard's blob generation,
+    /// which orphans every cached answer computed against the previous
+    /// published mixture — the remote arm of the zero-stale-answers
+    /// invariant (locally the epoch *is* the generation; over the wire the
+    /// gateway invalidates the moment a new epoch becomes visible to it).
+    /// On a dynamic shard the fold also grew the node's `n`, which only a
+    /// handshake reads: the next probe drops the pooled connections, dials
+    /// fresh and adopts it before the mixture is weighted again.
     pub fn note_epoch(&self, epoch: u64) {
-        let prev = self.last_seen_epoch.swap(epoch, Ordering::AcqRel);
+        let prev = self.last_seen_epoch.swap(epoch, Ordering::SeqCst);
         if prev != epoch {
             self.generation.fetch_add(1, Ordering::Release);
+            if self.dynamic {
+                self.redial.store(true, Ordering::SeqCst);
+            }
         }
+    }
+
+    /// An idle verified connection of replica `idx`, unless a redial is
+    /// pending (see [`RemoteShard::note_epoch`]): then the replica's idle
+    /// connections are dropped and the caller dials fresh.
+    fn pooled(&self, idx: usize) -> Option<Client> {
+        let mut conns = self.replicas[idx].conns.lock().expect("conn pool");
+        if self.redial.load(Ordering::SeqCst) {
+            conns.clear();
+            return None;
+        }
+        conns.pop()
     }
 
     /// Number of idle pooled connections across all replicas
@@ -447,6 +468,7 @@ impl RemoteShard {
         idx: usize,
         reverify: bool,
     ) -> std::result::Result<(Client, Schema), DialFailure> {
+        let seen = self.last_seen_epoch.load(Ordering::SeqCst);
         let replica = &self.replicas[idx];
         let addr = replica.addr.as_str();
         let mut client = Client::connect_with(addr, self.config.client_config())
@@ -474,6 +496,14 @@ impl RemoteShard {
             let prev = self.n.swap(served_n, Ordering::AcqRel);
             if prev != 0 && prev != served_n {
                 self.generation.fetch_add(1, Ordering::Release);
+            }
+            // Adopted — unless an epoch was observed since the handshake
+            // began: its fold may be missing from `served_n`, or a racing
+            // dial stored a newer `n` before this one. Cleared first, so a
+            // mark `note_epoch` sets meanwhile is never lost.
+            self.redial.store(false, Ordering::SeqCst);
+            if self.last_seen_epoch.load(Ordering::SeqCst) != seen {
+                self.redial.store(true, Ordering::SeqCst);
             }
         } else if served_n != self.n() {
             return Err(DialFailure::WrongBlob(format!(
@@ -572,8 +602,7 @@ impl RemoteShard {
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2).min(self.config.backoff_cap);
                     }
-                    let pooled = self.replicas[idx].conns.lock().expect("conn pool").pop();
-                    (idx, pooled.map(&run))
+                    (idx, self.pooled(idx).map(&run))
                 }
             };
             tried[idx] = true;
@@ -658,7 +687,7 @@ impl RemoteShard {
     fn send(&self, lines: &[Cow<'_, str>]) -> Option<(usize, Attempt<()>)> {
         let start = self.preferred.load(Ordering::Relaxed) % self.replicas.len().max(1);
         let idx = self.choose(start, Instant::now())?;
-        let mut client = self.replicas[idx].conns.lock().expect("conn pool").pop()?;
+        let mut client = self.pooled(idx)?;
         let written = client.send_probes(lines);
         Some((idx, (client, written)))
     }

@@ -29,15 +29,11 @@ use std::time::{Duration, Instant};
 const SHARDS: usize = 4;
 
 /// Builds the on-disk cluster workspace the same way `entropydb-cluster
-/// make-demo` does: per-shard blobs, the combined sharded blob, and a
-/// manifest (here with port 0 placeholders — the spawner fills real ports).
+/// make-demo` does: the sharded directory, whose per-shard blobs the shard
+/// processes serve.
 fn write_workspace(dir: &Path) -> entropydb_core::sharded::ShardedSummary {
-    std::fs::create_dir_all(dir).unwrap();
     let sharded = common::sharded(SHARDS);
-    serialize::save_sharded_file(&sharded, &dir.join("sharded.summary")).unwrap();
-    for (i, shard) in sharded.shards().iter().enumerate() {
-        serialize::save_file(shard, &dir.join(format!("shard-{i}.summary"))).unwrap();
-    }
+    serialize::save_sharded_dir(&sharded, dir).unwrap();
     sharded
 }
 
@@ -151,7 +147,7 @@ fn cluster_of_serve_processes_matches_local_sharded_bitwise() {
 /// and run the identical parity suite against the same blobs.
 fn attach_mode(dir: &Path) {
     let manifest = serialize::load_cluster_manifest(&dir.join("cluster.manifest")).unwrap();
-    let local = serialize::load_sharded_file(&dir.join("sharded.summary")).unwrap();
+    let local = serialize::load_sharded_dir(dir).unwrap();
     assert_eq!(manifest.len(), local.num_shards());
     let remote = RemoteShardedSummary::connect(&manifest).unwrap();
     common::assert_bitwise_parity(&QueryEngine::new(local), &QueryEngine::new(remote));

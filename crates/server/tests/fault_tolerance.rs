@@ -688,8 +688,8 @@ fn rolling_restart_over_the_control_channel() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let local = sharded(2);
-    let blob = dir.join("sharded.summary");
-    serialize::save_sharded_file(&local, &blob).unwrap();
+    let blob = dir.join("sharded");
+    serialize::save_sharded_dir(&local, &blob).unwrap();
     let manifest_path = dir.join("cluster.manifest");
     let control_path = dir.join("control.addr");
 

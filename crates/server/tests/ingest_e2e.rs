@@ -11,6 +11,8 @@
 //! * a cluster with a dynamic (`n = 0`) live shard routes appends to the
 //!   delta owner and keeps its answer cache fresh — every post-fold
 //!   answer reflects the grown relation, never a cached stale one;
+//! * a fold the gateway observes re-dials the dynamic shard, so its `n` and
+//!   mixture weights follow the fold without a background re-handshake;
 //! * rows carrying a code the delta owner never held are counted after the
 //!   fold: pruning by support never hides a live shard's new rows.
 
@@ -268,6 +270,68 @@ fn remote_backend_routes_appends_and_answer_cache_stays_fresh() {
         .unwrap();
     assert!(replay.duplicate);
     assert_eq!(replay.accepted, 0);
+
+    live_handle.shutdown();
+    static_handle.shutdown();
+}
+
+/// The cluster drill without a background re-handshake, over several
+/// folds: each is seen only through the `stats ingest` poll, which marks the
+/// dynamic shard for a redial, so the first query after it drops the pooled
+/// connections, dials fresh and adopts the grown `n` before the mixture is
+/// weighted. The pool stays at one idle connection throughout, also after
+/// an observed epoch goes down (a node restarted from an older directory).
+#[test]
+fn an_observed_fold_re_adopts_the_dynamic_shards_n() {
+    let summary = demo::demo_summary(240, 2).unwrap();
+    let n_total = summary.n();
+    let (live_handle, _n0) = serve_live_shard0(&summary, 32);
+    let shard1 = summary.shards()[1].clone();
+    let n1 = shard1.n();
+    let static_handle = serve(QueryEngine::new(shard1), "127.0.0.1:0").unwrap();
+    let manifest = vec![
+        ClusterShard::single(0, 0, live_handle.local_addr().to_string()),
+        ClusterShard::single(1, n1, static_handle.local_addr().to_string()),
+    ];
+    let remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    let engine = QueryEngine::new(remote).with_answer_cache(64);
+    assert_eq!(engine.n(), n_total);
+    let live = &engine.backend().shards()[0];
+    let pred = Predicate::new().eq(a(0), 1);
+    let check = |want: u64| {
+        let grown = engine
+            .estimate_count(&Predicate::all())
+            .unwrap()
+            .expectation;
+        assert_eq!(engine.n(), want, "n frozen at connect time");
+        let want = want as f64;
+        assert!(
+            (grown - want).abs() < 1e-6 * want,
+            "COUNT(*) {grown} vs {want}"
+        );
+        let count = engine.estimate_count(&pred).unwrap().expectation;
+        let scaled = engine.probability(&pred).unwrap() * engine.n() as f64;
+        assert!(
+            (scaled - count).abs() <= 1e-9 * count,
+            "probability · n = {scaled} vs COUNT = {count} (connect-time weights?)"
+        );
+        assert_eq!(live.idle_conns(), 1, "redials pile up in the pool");
+    };
+
+    for fold in 1..=4u64 {
+        let epoch0 = engine.epoch();
+        let outcome = engine.append_rows(&append_batch(48), None).unwrap();
+        assert_eq!(outcome.accepted, 48);
+        assert!(
+            wait_for_fold(&engine, epoch0),
+            "fold {fold} did not publish"
+        );
+        check(n_total + 48 * fold);
+    }
+    // A lower epoch than the last one seen redials once, not every probe.
+    live.note_epoch(1);
+    check(n_total + 4 * 48);
+    check(n_total + 4 * 48);
 
     live_handle.shutdown();
     static_handle.shutdown();

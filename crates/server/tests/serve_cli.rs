@@ -1,7 +1,8 @@
 //! `entropydb-serve` and `entropydb-cluster` command lines: unknown flags
 //! and unparseable values are rejected with the usage text and exit code 2
-//! before anything is loaded, and every flag that CI, the cluster tooling
-//! and `benchmark/` pass still parses and serves.
+//! before anything is loaded, every flag that CI, the cluster tooling
+//! and `benchmark/` pass still parses and serves, and a path is read by
+//! what it is — a file is one summary blob, a directory a sharded summary.
 
 use entropydb_core::serialize;
 use entropydb_server::{demo, Client};
@@ -93,4 +94,49 @@ fn cluster_rejects_unknown_flags_and_oversized_durations() {
             "{bad}: {stderr}"
         );
     }
+}
+
+/// A file is one summary blob and nothing else: `spawn` given a file
+/// names the directory layout it needs, and `entropydb-serve` refuses a
+/// single-file sharded summary at its header instead of serving it.
+#[test]
+fn a_file_is_never_read_as_a_sharded_summary() {
+    let dir = std::env::temp_dir().join(format!("entropydb-serve-cli-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sharded = demo::demo_summary(240, 2).unwrap();
+    let blob = dir.join("shard-0.summary");
+    serialize::save_file(&sharded.shards()[0], &blob).unwrap();
+    let mut doc = String::from("entropydb-sharded-summary v2\nshards 2\n");
+    for (i, shard) in sharded.shards().iter().enumerate() {
+        doc += &format!("shard {i} {}\n{}", shard.n(), serialize::to_string(shard));
+    }
+    let single_file = dir.join("single-file.summary");
+    std::fs::write(&single_file, doc + "endshards\n").unwrap();
+
+    let run = |command: &mut Command| {
+        let out = command.stdin(Stdio::null()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.stdout.is_empty(), "started serving: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        (out.status.code(), stderr)
+    };
+    let (code, stderr) = run(Command::new(env!("CARGO_BIN_EXE_entropydb-cluster"))
+        .arg("spawn")
+        .arg(&blob)
+        .args(["--base-port", "0"]));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("not a sharded directory (manifest.txt + shard-<i>.summary blobs)"),
+        "{stderr}"
+    );
+    let (code, stderr) = run(Command::new(env!("CARGO_BIN_EXE_entropydb-serve"))
+        .arg(&single_file)
+        .args(["--addr", "127.0.0.1:0"]));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unrecognized entropydb-summary header \"entropydb-sharded-summary v2\""),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

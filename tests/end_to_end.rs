@@ -179,7 +179,7 @@ fn particles_pipeline_with_automatic_pair_selection() {
 /// Sharded end-to-end through the facade: partition a real-shaped dataset,
 /// build a sharded summary, and check the merged engine against exact
 /// ground truth and the monolithic model, then round-trip it through the
-/// manifest serializer.
+/// sharded directory layout.
 #[test]
 fn sharded_pipeline_matches_monolithic_and_round_trips() {
     let d = generate(&FlightsConfig {
@@ -235,11 +235,11 @@ fn sharded_pipeline_matches_monolithic_and_round_trips() {
         .expect("non-empty");
     assert_eq!(top[0].0, best.0 as u32);
 
-    // Manifest round trip preserves the merged estimates bit for bit.
-    let loaded = entropydb::core::serialize::sharded_from_str(
-        &entropydb::core::serialize::sharded_to_string(&sharded),
-    )
-    .expect("round trip");
+    // Directory round trip preserves the merged estimates bit for bit.
+    let dir = std::env::temp_dir().join(format!("entropydb-e2e-sharded-{}", std::process::id()));
+    entropydb::core::serialize::save_sharded_dir(&sharded, &dir).expect("save");
+    let loaded = entropydb::core::serialize::load_sharded_dir(&dir).expect("round trip");
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         loaded
             .estimate_count(&pred)
