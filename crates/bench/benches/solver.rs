@@ -7,9 +7,10 @@
 //! multi-attribute star on the closure sweep, where the per-pass slab fill
 //! is a large share of the sweep, and (d) the tree sweep on the
 //! query-latency flights model (Ent1&2&3, a star of pairs fitted by message
-//! passing). (c) and (d) are gated as absolute ceilings — (d) on the cost
-//! of one sweep, of the whole solve and of building the polynomial (which
-//! must not materialise the star's closure).
+//! passing), and (e) a live fold's solve of a 768-row flights delta. (c),
+//! (d) and (e) are gated as absolute ceilings — (d) on the cost of one
+//! sweep, of the whole solve and of building the polynomial (which must
+//! not materialise the star's closure), (e) on the fold's time and sweeps.
 //!
 //! Besides ns/op, the emitted `BENCH_solver.json` carries convergence
 //! side-channels for (c) (`sweeps_to_converge`, final dual `Ψ`), so a perf
@@ -18,12 +19,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use entropydb_bench::common;
 use entropydb_bench::report::mean_call_ns;
+use entropydb_core::ingest::fit_segment;
 use entropydb_core::prelude::*;
 use entropydb_core::rng::SplitMix64;
 use entropydb_core::selection::heuristics::select_pair_statistics;
 use entropydb_core::solver::{solve, SolverConfig};
 use entropydb_core::statistics::Statistics;
-use entropydb_data::flights::restrict_to_time_distance;
+use entropydb_data::flights::{restrict_to_time_distance, FlightsDataset};
 use entropydb_storage::{AttrId, Attribute, Schema, Table};
 use std::hint::black_box;
 
@@ -98,11 +100,9 @@ fn star_setup() -> (Statistics, FactorizedPolynomial) {
     (stats, poly)
 }
 
-/// The query-latency bench's flights model (100 k rows, 300 COMPOSITE
-/// statistics on each of origin/dest/fl_time × distance): one tree
-/// component, whose closure would be 150 k terms, beside the free
-/// `fl_date`'s one-term closure.
-fn flights_star_setup() -> (Statistics, FactorizedPolynomial) {
+/// The query-latency bench's flights table (100 k rows) and its Ent1&2&3
+/// statistics (300 COMPOSITE on each of origin/dest/fl_time × distance).
+fn flights_star() -> (FlightsDataset, Vec<MultiDimStatistic>) {
     let mut scale = common::Scale::quick();
     scale.flights_rows = 100_000;
     let d = common::flights_coarse(&scale);
@@ -113,6 +113,13 @@ fn flights_star_setup() -> (Statistics, FactorizedPolynomial) {
                 .expect("selection"),
         );
     }
+    (d, stats_spec)
+}
+
+/// The flights model: one tree component, whose closure would be 150 k
+/// terms, beside the free `fl_date`'s one-term closure.
+fn flights_star_setup() -> (Statistics, FactorizedPolynomial) {
+    let (d, stats_spec) = flights_star();
     let stats = Statistics::observe(&d.table, stats_spec).expect("observe");
     let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).expect("build");
     let size = poly.size_stats();
@@ -226,9 +233,45 @@ fn bench_flights_solve(c: &mut Criterion) {
     );
 }
 
+/// A live fold's solve: `fit_segment` at the default config over 768
+/// flights rows whose distance code lies in `20..23`, the window the
+/// end-to-end `flights_live` workload appends from. A fold re-fits every
+/// staged row from scratch, so this is what one append waits for before
+/// it is queryable. Gated by absolute ceilings on the time and on the
+/// sweeps: a solve that ran to the 400-sweep cap would break both.
+fn bench_fold_solve(c: &mut Criterion) {
+    const DELTA_ROWS: usize = 768;
+    let (d, multi) = flights_star();
+    let distance = d.distance.index();
+    let rows = (0..d.table.num_rows())
+        .filter_map(|r| d.table.row(r))
+        .filter(|row| (20..23).contains(&row[distance]))
+        .take(DELTA_ROWS);
+    let delta = Table::from_rows(d.table.schema().clone(), rows).expect("delta");
+    assert_eq!(delta.num_rows(), DELTA_ROWS, "table has enough window rows");
+    let config = SolverConfig::default();
+
+    let mut g = c.benchmark_group("fold_solve");
+    g.bench_function("delta_768", |b| {
+        b.iter(|| fit_segment(black_box(&delta), black_box(&multi), &config).unwrap())
+    });
+    g.finish();
+
+    c.record_metric(
+        "fold_solve",
+        "fold_solve_ms",
+        mean_call_ns(20, || {
+            black_box(fit_segment(black_box(&delta), black_box(&multi), &config).unwrap());
+        }) / 1e6,
+    );
+    let model = fit_segment(&delta, &multi, &config).unwrap();
+    let sweeps = model.solver_report().sweeps as f64;
+    c.record_metric("fold_solve", "fold_sweeps", sweeps);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_solver, bench_star_closure, bench_flights_solve
+    targets = bench_solver, bench_star_closure, bench_flights_solve, bench_fold_solve
 }
 criterion_main!(benches);

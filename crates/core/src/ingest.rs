@@ -301,8 +301,10 @@ impl Inner {
             (state.delta_table.clone(), total)
         };
 
-        let model = fit_segment(&part, &self.multi, &self.solver)?;
-        self.counters.add_fold();
+        let model = fit_segment(&part, &self.multi, &self.solver).inspect_err(|_| {
+            self.counters.add_fold_error();
+        })?;
+        self.counters.add_fold(model.solver_report().sweeps as u64);
 
         let mut state = self.state.lock().unwrap();
         state.delta_model = Some(model);

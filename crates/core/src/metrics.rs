@@ -195,6 +195,8 @@ pub struct IngestCounters {
     folds: AtomicU64,
     seals: AtomicU64,
     retired_segments: AtomicU64,
+    fold_errors: AtomicU64,
+    fold_sweeps: AtomicU64,
 }
 
 impl IngestCounters {
@@ -208,10 +210,16 @@ impl IngestCounters {
         self.duplicate_appends.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one delta fold (a background re-solve that published a new
-    /// mixture and bumped the epoch).
-    pub fn add_fold(&self) {
+    /// Records one delta fold (a re-solve that published a new mixture and
+    /// bumped the epoch) and the sweeps its solve took.
+    pub fn add_fold(&self, sweeps: u64) {
         self.folds.fetch_add(1, Ordering::Relaxed);
+        self.fold_sweeps.store(sweeps, Ordering::Relaxed);
+    }
+
+    /// Records one fold whose solve failed (nothing was published).
+    pub fn add_fold_error(&self) {
+        self.fold_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one compaction (the fitted delta sealed into a base
@@ -236,6 +244,8 @@ impl IngestCounters {
             folds: self.folds.load(Ordering::Relaxed),
             seals: self.seals.load(Ordering::Relaxed),
             retired_segments: self.retired_segments.load(Ordering::Relaxed),
+            fold_errors: self.fold_errors.load(Ordering::Relaxed),
+            fold_sweeps: self.fold_sweeps.load(Ordering::Relaxed),
         }
     }
 }
@@ -260,6 +270,10 @@ pub struct IngestStatsSnapshot {
     pub seals: u64,
     /// Sealed segments dropped by the retention policy.
     pub retired_segments: u64,
+    /// Folds whose solve failed since startup; their rows stay staged.
+    pub fold_errors: u64,
+    /// Sweeps the last successful fold's solve took (0 before the first).
+    pub fold_sweeps: u64,
 }
 
 /// The paper's symmetric relative error: `|t − e| / (t + e)`, with the

@@ -220,6 +220,52 @@ fn fold_matches_from_shards_at_1_2_4_base_shards() {
     }
 }
 
+/// A background fold is `fit_segment` of the staged rows, bit for bit: the
+/// persisted delta blob (every α, the sweep count and the residual) equals
+/// the standalone fit's, the fit stopped by the default stopping rule well
+/// before the sweep cap, and `stats ingest` reports its sweeps and no
+/// failed fold.
+#[test]
+fn a_fold_is_fit_segment_of_the_same_rows_bit_for_bit() {
+    let dir = std::env::temp_dir().join(format!("entropydb-fold-fit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let t = fixture_table(0xF01D, 400);
+    let batch = delta_batch(0xD0D0, 160);
+    let config = IngestConfig {
+        delta_rows: batch.len(),
+        seal_rows: 1 << 20,
+        ..IngestConfig::default()
+    };
+    let solver = SolverConfig::default();
+    let live =
+        LiveSummary::new(build_base(&t, 2), fixture_stats(), solver.clone(), config).unwrap();
+    live.append_rows(&batch, None).unwrap();
+    assert!(
+        live.wait_until_clean(Duration::from_secs(30)),
+        "fold never published"
+    );
+
+    let mut delta_table = Table::new(t.schema().clone());
+    for row in &batch {
+        delta_table.push_row(row).unwrap();
+    }
+    let fit = fit_segment(&delta_table, &fixture_stats(), &solver).unwrap();
+    let report = fit.solver_report();
+    assert!(
+        report.converged && report.sweeps < solver.max_sweeps,
+        "{report}"
+    );
+
+    let stats = live.ingest_stats();
+    assert_eq!((stats.folds, stats.fold_errors), (1, 0));
+    assert_eq!(stats.fold_sweeps, report.sweeps as u64);
+    assert!(live.take_fold_error().is_none());
+    serialize::save_live_dir(&live, &dir).unwrap();
+    let folded = std::fs::read_to_string(dir.join("delta.summary")).unwrap();
+    assert_eq!(folded, serialize::to_string(&fit));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One probe, one epoch: with a fold forced between two `SampleAt` probes
 /// of the same draw (on one reused scratch), the first probe's rows are the
 /// pre-fold mixture's and the second's the post-fold mixture's — a probe
@@ -271,19 +317,26 @@ fn each_sample_probe_draws_from_one_epoch() {
 
 /// Append-then-query tracks a monolithic rebuild over the grown relation:
 /// COUNT(*) is exact, and every 1D count stays within solver tolerance of
-/// the rebuilt model (both are exact on 1D statistics).
+/// the rebuilt model (both are exact on 1D statistics). Every model is
+/// fitted to a tolerance far below the default's, so the bounds are in rows.
 #[test]
 fn append_then_query_matches_monolithic_rebuild() {
     let t = fixture_table(0xB0B, 400);
     let batch = delta_batch(0xCAFE, 200);
-    let base = build_base(&t, 2);
-    let live = LiveSummary::new(
-        base,
+    let tight = SolverConfig {
+        tolerance: 1e-7,
+        ..SolverConfig::default()
+    };
+    let base = ShardedSummary::build(
+        &t,
+        &Partitioning::hash(2),
         fixture_stats(),
-        SolverConfig::default(),
-        sync_config(),
+        &ShardedBuildConfig {
+            solver: tight.clone(),
+        },
     )
     .unwrap();
+    let live = LiveSummary::new(base, fixture_stats(), tight.clone(), sync_config()).unwrap();
     let engine = QueryEngine::new(live);
     engine.append_rows(&batch, None).unwrap();
     engine.backend().flush().unwrap();
@@ -292,7 +345,7 @@ fn append_then_query_matches_monolithic_rebuild() {
     for row in &batch {
         grown.push_row(row).unwrap();
     }
-    let mono = MaxEntSummary::build(&grown, fixture_stats(), &SolverConfig::default()).unwrap();
+    let mono = MaxEntSummary::build(&grown, fixture_stats(), &tight).unwrap();
 
     let total = grown.num_rows() as f64;
     let live_count = engine

@@ -12,6 +12,9 @@
 //!   other pairs' — the dual never decreases along the solve, and at
 //!   convergence every `n·α·P_α/P` and `n·δ·P_δ/P`, evaluated by the
 //!   tuple-enumerating `NaivePolynomial`, equals its statistic;
+//! * at the default configuration a fit that reports `converged` holds
+//!   every statistic within twice the stopping rule's
+//!   `tolerance · √max(s, 1)`;
 //! * components that do not qualify (a cycle of pairs, a 3-D statistic, a
 //!   wide star too sparse to beat its closure) are still solved by the
 //!   closure sweep, to the bit: their assignments are compared with values
@@ -109,6 +112,76 @@ fn random_forests_fit_their_statistics() {
     );
 }
 
+/// How far past `tolerance · √max(s, 1)` a converged fit may end. The rule
+/// is checked inside the last sweep, each statistic just before its own
+/// update, and the updates after it in that sweep still move its fit.
+const SLACK: f64 = 2.0;
+
+/// The stopping rule through the public API: on seeded random stars,
+/// chains and forests, a fit at the default configuration that reports
+/// `converged` holds every statistic — `n·α·P_α/P` and `n·δ·P_δ/P` at the
+/// returned variables, evaluated by the tuple-enumerating
+/// `NaivePolynomial` — within `SLACK · tolerance · √max(s, 1)` of its count.
+#[test]
+fn a_converged_default_fit_is_within_its_stated_bound() {
+    let config = SolverConfig::default();
+    let mut g = StdRng::seed_from_u64(0x5707);
+    let (mut fits, mut converged) = (0, 0);
+    for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+        for _ in 0..96 {
+            let (table, rects) = random_forest(&mut g, shape);
+            let specs: Vec<_> = rects
+                .iter()
+                .map(|&(x, xr, y, yr)| {
+                    MultiDimStatistic::rect2d(AttrId(x), xr, AttrId(y), yr).unwrap()
+                })
+                .collect();
+            // A rectangle holding every row is rejected as degenerate.
+            let Ok(stats) = Statistics::observe(&table, specs) else {
+                continue;
+            };
+            let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+            let (asn, report) = solve(&poly, &stats, &config).unwrap();
+            fits += 1;
+            if !report.converged {
+                continue;
+            }
+            converged += 1;
+            assert!(report.sweeps < config.max_sweeps, "{report}");
+
+            let n = stats.n() as f64;
+            let naive = NaivePolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
+            let mask = Mask::identity(stats.domain_sizes().len());
+            let p = naive.eval(&asn);
+            let check = |var: Var, x: f64, s: u64| {
+                let e = n * x * naive.derivative(&asn, &mask, var) / p;
+                let bound = config.tolerance * (s as f64).max(1.0).sqrt();
+                assert!(
+                    (e - s as f64).abs() <= SLACK * bound,
+                    "{var:?}: E = {e}, s = {s}: {shape:?} {rects:?}"
+                );
+            };
+            for (attr, counts) in stats.one_dim().iter().enumerate() {
+                for (code, &s) in counts.iter().enumerate() {
+                    let x = asn.one_dim[attr][code];
+                    check(
+                        Var::OneDim {
+                            attr,
+                            code: code as u32,
+                        },
+                        x,
+                        s,
+                    );
+                }
+            }
+            for (j, &s) in stats.multi_counts().iter().enumerate() {
+                check(Var::Multi(j), asn.multi[j], s);
+            }
+        }
+    }
+    assert!(2 * converged > fits, "{converged} of {fits} converged");
+}
+
 /// Every cell of three `G × G` grids around one hub as its own statistic
 /// (10 000 per pair): `G·(G + 1)³ − G` ≈ 10⁸ compatible subsets, far over
 /// the closure's 5 M term cap — `CompressionTooLarge` while a tree
@@ -146,7 +219,6 @@ fn a_star_over_the_closure_term_cap_builds_solves_and_answers() {
     let report = summary.solver_report();
     assert!(report.converged, "{report}");
     let stats = summary.statistics();
-    let n = stats.n() as f64;
     let (mut nonzero, mut zero) = (0, 0);
     for _ in 0..50 {
         let j = g.gen_range(0..stats.multi().len());
@@ -156,8 +228,9 @@ fn a_star_over_the_closure_term_cap_builds_solves_and_answers() {
             .eq(c[1].attr, c[1].lo);
         let estimate = summary.estimate_count(&pred).unwrap().expectation;
         let s = stats.multi_counts()[j];
+        let bound = SLACK * SolverConfig::default().tolerance * (s as f64).max(1.0).sqrt();
         assert!(
-            (estimate - s as f64).abs() <= SolverConfig::default().tolerance * n,
+            (estimate - s as f64).abs() <= bound,
             "statistic {j}: estimated {estimate}, observed {s}"
         );
         if s == 0 {
@@ -169,12 +242,19 @@ fn a_star_over_the_closure_term_cap_builds_solves_and_answers() {
     assert!(nonzero >= 5 && zero >= 5, "{nonzero} / {zero}");
 }
 
-/// Solves with the default configuration and returns every variable's bits.
-fn solved_bits(specs: Vec<MultiDimStatistic>) -> Vec<u64> {
+/// Runs exactly `sweeps` sweeps and returns every variable's bits. The
+/// recorded values were solved to a residual of `1e-6·n`, which the three
+/// shapes reached after 30, 82 and 15 sweeps.
+fn solved_bits(specs: Vec<MultiDimStatistic>, sweeps: usize) -> Vec<u64> {
     let stats = Statistics::observe(&fixed_table(), specs).unwrap();
     let poly = FactorizedPolynomial::build(stats.domain_sizes(), stats.multi()).unwrap();
     assert_eq!(poly.size_stats().tree_components, 0);
-    let (asn, _) = solve(&poly, &stats, &SolverConfig::default()).unwrap();
+    let config = SolverConfig {
+        max_sweeps: sweeps,
+        tolerance: 0.0,
+        ..SolverConfig::default()
+    };
+    let (asn, _) = solve(&poly, &stats, &config).unwrap();
     let vars = asn.one_dim.iter().flatten().chain(&asn.multi);
     vars.map(|x| x.to_bits()).collect()
 }
@@ -191,9 +271,9 @@ fn closure_components_keep_their_assignment_bitwise() {
     };
     let [triangle, three_d, sparse_star] =
         closure_shapes().map(|shape| shape.iter().map(statistic).collect());
-    assert_eq!(solved_bits(triangle), TRIANGLE);
-    assert_eq!(solved_bits(three_d), THREE_D);
-    assert_eq!(solved_bits(sparse_star), SPARSE_STAR);
+    assert_eq!(solved_bits(triangle, 30), TRIANGLE);
+    assert_eq!(solved_bits(three_d, 82), THREE_D);
+    assert_eq!(solved_bits(sparse_star, 15), SPARSE_STAR);
 }
 
 const TRIANGLE: [u64; 20] = [

@@ -209,7 +209,7 @@ pub fn decode_append_outcome(line: &str) -> Result<AppendOutcome> {
 /// Encodes the `stats ingest` reply: the live backend's ingest counters.
 ///
 /// ```text
-/// stats ingest <epoch> <staged> <appended> <duplicates> <folds> <seals> <retired>
+/// stats ingest <epoch> <staged> <appended> <duplicates> <folds> <seals> <retired> <fold_errors> <fold_sweeps>
 /// ```
 ///
 /// A backend without a live delta shard answers `stats ingest none`.
@@ -223,6 +223,8 @@ pub fn encode_ingest_stats(s: Option<&IngestStatsSnapshot>) -> String {
             s.folds,
             s.seals,
             s.retired_segments,
+            s.fold_errors,
+            s.fold_sweeps,
         ]
     });
     encode_counters("ingest", fields)
@@ -232,7 +234,7 @@ pub fn encode_ingest_stats(s: Option<&IngestStatsSnapshot>) -> String {
 pub fn decode_ingest_stats(line: &str) -> Result<Option<IngestStatsSnapshot>> {
     let fields = decode_counters(line, "ingest")?;
     Ok(fields.map(
-        |[epoch, staged_rows, appended_rows, duplicate_appends, folds, seals, retired_segments]| {
+        |[epoch, staged_rows, appended_rows, duplicate_appends, folds, seals, retired_segments, fold_errors, fold_sweeps]| {
             IngestStatsSnapshot {
                 epoch,
                 staged_rows,
@@ -241,6 +243,8 @@ pub fn decode_ingest_stats(line: &str) -> Result<Option<IngestStatsSnapshot>> {
                 folds,
                 seals,
                 retired_segments,
+                fold_errors,
+                fold_sweeps,
             }
         },
     ))
@@ -445,9 +449,11 @@ mod tests {
             folds: 5,
             seals: 2,
             retired_segments: 1,
+            fold_errors: 3,
+            fold_sweeps: 12,
         };
         let line = encode_ingest_stats(Some(&snap));
-        assert_eq!(line, "stats ingest 4 10 200 1 5 2 1\n");
+        assert_eq!(line, "stats ingest 4 10 200 1 5 2 1 3 12\n");
         assert_eq!(decode_ingest_stats(line.trim()).unwrap(), Some(snap));
         let none = encode_ingest_stats(None);
         assert_eq!(none, "stats ingest none\n");

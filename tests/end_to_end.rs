@@ -1,6 +1,7 @@
 //! End-to-end scenarios across all crates: datasets → statistics selection →
 //! summaries → queries vs exact ground truth vs sampling baselines.
 
+use entropydb::core::ingest::fit_segment;
 use entropydb::core::metrics::{mean_relative_error, relative_error};
 use entropydb::core::selection::heuristics::select_pair_statistics;
 use entropydb::core::selection::{choose_pairs, PairStrategy};
@@ -295,4 +296,35 @@ fn section_2_walkthrough() {
         informed_est > 2.0 * uniform_est,
         "{uniform_est} -> {informed_est}"
     );
+}
+
+/// A live fold stops when it is done: a 768-row delta of flights rows whose
+/// distance code lies in `20..23` (3 values of the star's centre attribute,
+/// the window the `flights_live` benchmark appends from) fits the
+/// Ent1&2&3 statistics at the default configuration in at most 50 sweeps,
+/// not at the 400-sweep cap.
+#[test]
+fn a_narrow_delta_fold_converges_in_few_sweeps() {
+    let d = generate(&FlightsConfig {
+        rows: 30_000,
+        fine: false,
+        seed: 0xF11D,
+    });
+    let mut stats = Vec::new();
+    for x in [d.origin, d.dest, d.fl_time] {
+        stats.extend(
+            select_pair_statistics(&d.table, x, d.distance, 300, Heuristic::Composite)
+                .expect("selection"),
+        );
+    }
+    let distance = d.distance.index();
+    let rows = (0..d.table.num_rows())
+        .filter_map(|r| d.table.row(r))
+        .filter(|row| (20..23).contains(&row[distance]))
+        .take(768);
+    let delta = Table::from_rows(d.table.schema().clone(), rows).expect("delta");
+    assert_eq!(delta.num_rows(), 768, "table has enough window rows");
+    let model = fit_segment(&delta, &stats, &SolverConfig::default()).expect("fits");
+    let report = model.solver_report();
+    assert!(report.converged && report.sweeps <= 50, "{report}");
 }
