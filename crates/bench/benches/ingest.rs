@@ -145,7 +145,6 @@ fn bench_ingest_fold(c: &mut Criterion) {
         seal_rows: DELTA_ROWS,
         max_segments: Some(8),
         background: false,
-        ..IngestConfig::default()
     };
     let live = LiveSummary::new(base, stats, config, ingest).expect("live summary");
     let fast = std::env::var_os("ENTROPYDB_BENCH_FAST").is_some_and(|v| v != *"0");

@@ -34,8 +34,8 @@
 //!
 //! **Idempotent appends.** A batch may carry an opaque idempotency token;
 //! replaying a token (a client retry after a transport error) reports
-//! `duplicate` instead of double-ingesting. Tokens live in a bounded FIFO
-//! set sized by [`IngestConfig::token_capacity`].
+//! `duplicate` instead of double-ingesting. Tokens live in a FIFO set of
+//! the last 4096 (`TOKEN_WINDOW`).
 //!
 //! **Consistency.** Queries always see a complete published snapshot:
 //! staged rows are invisible until their fold publishes, and a probe that
@@ -81,9 +81,11 @@ pub struct IngestConfig {
     /// when the fold publishes); `false` folds synchronously inside the
     /// triggering [`LiveSummary::append_rows`] call.
     pub background: bool,
-    /// Bound on remembered idempotency tokens (FIFO eviction). Must be > 0.
-    pub token_capacity: usize,
 }
+
+/// Idempotency tokens a [`LiveSummary`] remembers; older ones are evicted
+/// first in, first out.
+const TOKEN_WINDOW: usize = 4096;
 
 impl Default for IngestConfig {
     fn default() -> Self {
@@ -92,7 +94,6 @@ impl Default for IngestConfig {
             seal_rows: 16384,
             max_segments: None,
             background: true,
-            token_capacity: 4096,
         }
     }
 }
@@ -116,11 +117,6 @@ impl IngestConfig {
         if self.max_segments == Some(0) {
             return Err(ModelError::InvalidConfig(
                 "ingest max_segments must be at least 1 when set".to_string(),
-            ));
-        }
-        if self.token_capacity == 0 {
-            return Err(ModelError::InvalidConfig(
-                "ingest token_capacity must be positive".to_string(),
             ));
         }
         Ok(())
@@ -155,15 +151,15 @@ impl LiveState {
         (self.delta_table.num_rows() - self.covered_rows) as u64
     }
 
-    /// Records `token`, evicting the oldest past `cap`. Returns `false`
-    /// when the token was already present (a replay).
-    fn admit_token(&mut self, token: &str, cap: usize) -> bool {
+    /// Records `token`, evicting the oldest past [`TOKEN_WINDOW`]. Returns
+    /// `false` when the token was already present (a replay).
+    fn admit_token(&mut self, token: &str) -> bool {
         if self.tokens.contains(token) {
             return false;
         }
         self.tokens.insert(token.to_string());
         self.token_order.push_back(token.to_string());
-        while self.token_order.len() > cap {
+        while self.token_order.len() > TOKEN_WINDOW {
             if let Some(old) = self.token_order.pop_front() {
                 self.tokens.remove(&old);
             }
@@ -251,7 +247,7 @@ impl Inner {
                 .append_rows(rows)
                 .map_err(ModelError::Storage)?;
             if let Some(tok) = token {
-                state.admit_token(tok, self.config.token_capacity);
+                state.admit_token(tok);
             }
             self.counters.add_appended_rows(rows.len() as u64);
             state.staged()

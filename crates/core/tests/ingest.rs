@@ -465,7 +465,6 @@ fn compaction_is_bitwise_neutral_and_retention_drops_oldest() {
         seal_rows: 1 << 20,
         max_segments: Some(2),
         background: false,
-        ..IngestConfig::default()
     };
     let base = build_base(&t, 2);
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
@@ -482,9 +481,9 @@ fn compaction_is_bitwise_neutral_and_retention_drops_oldest() {
 }
 
 /// Contract 4: a replayed idempotency token is absorbed and reported; the
-/// token window is FIFO-bounded, so capacity-evicted tokens are accepted
-/// again; and the final cardinality accounts for exactly the accepted
-/// batches.
+/// token window holds the last 4096 tokens, first in first out, so an
+/// evicted token is accepted again; and the final cardinality accounts for
+/// exactly the accepted batches.
 #[test]
 fn token_replay_is_absorbed_and_window_is_fifo() {
     let t = fixture_table(0x70C, 300);
@@ -494,11 +493,12 @@ fn token_replay_is_absorbed_and_window_is_fifo() {
         delta_rows: 1 << 20,
         seal_rows: 1 << 20,
         background: false,
-        token_capacity: 2,
         ..IngestConfig::default()
     };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let batch = delta_batch(0x11, 40);
+    const WINDOW: usize = 4096;
+    let filler = delta_batch(0x12, WINDOW);
 
     let first = live.append_rows(&batch, Some("tok-a")).unwrap();
     assert_eq!(first.accepted, 40);
@@ -508,12 +508,14 @@ fn token_replay_is_absorbed_and_window_is_fifo() {
     assert!(replay.duplicate, "replaying tok-a must be absorbed");
     assert_eq!(replay.accepted, 0);
 
-    // Two fresh tokens evict tok-a from the 2-entry window …
-    live.append_rows(&delta_batch(0x12, 10), Some("tok-b"))
+    // 4095 fresh one-row batches leave tok-a the oldest token remembered …
+    for (i, row) in filler[..WINDOW - 1].chunks(1).enumerate() {
+        live.append_rows(row, Some(&format!("fill-{i}"))).unwrap();
+    }
+    assert!(live.append_rows(&batch, Some("tok-a")).unwrap().duplicate);
+    // … and the 4096th evicts it, so tok-a lands again.
+    live.append_rows(&filler[WINDOW - 1..], Some("fill-last"))
         .unwrap();
-    live.append_rows(&delta_batch(0x13, 10), Some("tok-c"))
-        .unwrap();
-    // … so tok-a is no longer remembered and lands again.
     let after_eviction = live.append_rows(&batch, Some("tok-a")).unwrap();
     assert!(
         !after_eviction.duplicate,
@@ -523,14 +525,14 @@ fn token_replay_is_absorbed_and_window_is_fifo() {
 
     live.flush().unwrap();
     let stats = live.ingest_stats();
-    assert_eq!(stats.appended_rows, 100);
-    assert_eq!(stats.duplicate_appends, 1);
+    assert_eq!(stats.appended_rows, 80 + WINDOW as u64);
+    assert_eq!(stats.duplicate_appends, 2);
     let engine = QueryEngine::new(live);
     let count = engine
         .estimate_count(&Predicate::all())
         .unwrap()
         .expectation;
-    let want = n0 + 100.0;
+    let want = n0 + 80.0 + WINDOW as f64;
     assert!(
         (count - want).abs() < 1e-6 * want,
         "COUNT(*): {count} vs {want}"
@@ -745,10 +747,6 @@ fn ingest_config_validates() {
             max_segments: Some(0),
             ..default()
         },
-        IngestConfig {
-            token_capacity: 0,
-            ..default()
-        },
     ];
     for config in invalid {
         assert!(config.validate().is_err(), "{config:?}");
@@ -758,7 +756,6 @@ fn ingest_config_validates() {
         seal_rows: 64,
         max_segments: Some(4),
         background: false,
-        token_capacity: 32,
     }
     .validate()
     .unwrap();

@@ -1,8 +1,10 @@
-//! A small synchronous client for the line protocol.
+//! A small synchronous client for the line protocol. A batch
+//! ([`Client::execute_batch`]) travels as pipelined `q1` lines, written in
+//! chunks no longer than the server's per-connection in-flight cap.
 
 use crate::protocol::{
     decode_append_outcome, decode_cache_stats, decode_ingest_stats, decode_schema,
-    decode_server_stats, encode_append, MAX_APPEND_ROWS,
+    decode_server_stats, encode_append, MAX_APPEND_ROWS, MAX_IN_FLIGHT,
 };
 use entropydb_core::engine::AppendOutcome;
 use entropydb_core::error::{ModelError, RemoteDetail, Result as ModelResult};
@@ -181,6 +183,18 @@ pub(crate) fn transport_is_retryable(e: &io::Error) -> bool {
     )
 }
 
+/// The error for a reply that is not the one a command expects: the query
+/// error channel (`r1 err ...`, `r1 busy ...`) decodes to its typed error,
+/// anything else is a protocol violation.
+fn unexpected_reply(command: &str, reply: &str) -> ClientError {
+    ClientError::Model(match QueryResponse::decode(reply) {
+        Err(e) => e,
+        Ok(_) => ModelError::Remote(RemoteDetail::message(format!(
+            "unexpected {command} reply {reply:?}"
+        ))),
+    })
+}
+
 impl Client {
     /// Connects to a server with the default deadlines
     /// ([`ClientConfig::default`]).
@@ -271,16 +285,15 @@ impl Client {
         Ok(line.trim_end_matches(['\n', '\r']).to_string())
     }
 
-    /// Health check.
+    /// Health check. A server at its session cap answers the typed
+    /// [`ModelError::Busy`] line instead of `pong`.
     pub fn ping(&mut self) -> ClientResult<()> {
         self.send_line("ping")?;
         let reply = self.read_reply()?;
         if reply == "pong" {
             Ok(())
         } else {
-            Err(ClientError::Model(ModelError::Remote(
-                RemoteDetail::message(format!("unexpected ping reply {reply:?}")),
-            )))
+            Err(unexpected_reply("ping", &reply))
         }
     }
 
@@ -409,9 +422,12 @@ impl Client {
         Ok(responses)
     }
 
-    /// Executes a batch of IR requests as pipelined frames (split at the
-    /// server's [`MAX_BATCH`](crate::MAX_BATCH) frame limit, so any batch
-    /// size is accepted). The outer result is transport-level; each
+    /// Executes a batch of IR requests as pipelined `q1` lines, any batch
+    /// size accepted. Each chunk of at most the server's per-connection
+    /// in-flight cap goes out as one write, which the server answers as
+    /// one engine batch, and its replies are read before the next chunk is
+    /// written, so the server never stops reading a connection whose client
+    /// is blocked writing. The outer result is transport-level; each
     /// element is that request's outcome (server-side failures decode to
     /// [`ModelError::Remote`]).
     pub fn execute_batch(
@@ -419,8 +435,8 @@ impl Client {
         requests: &[QueryRequest],
     ) -> ClientResult<Vec<ModelResult<QueryResponse>>> {
         let mut responses = Vec::with_capacity(requests.len());
-        for chunk in requests.chunks(crate::protocol::MAX_BATCH) {
-            let mut frame = format!("batch {}\n", chunk.len());
+        for chunk in requests.chunks(MAX_IN_FLIGHT) {
+            let mut frame = String::new();
             for request in chunk {
                 frame.push_str(&request.encode());
                 frame.push('\n');
@@ -482,18 +498,10 @@ impl Client {
             };
             let line = encode_append(Some(&chunk_token), chunk);
             let reply = self.round_trip_with_retry(line.trim_end())?;
-            let outcome = if reply.starts_with("ai1") {
-                decode_append_outcome(&reply)?
-            } else {
-                // Anything else is the query error channel (`r1 err ...`,
-                // `r1 busy ...`) or a protocol violation.
-                return Err(match QueryResponse::decode(&reply) {
-                    Err(e) => ClientError::Model(e),
-                    Ok(_) => ClientError::Model(ModelError::Remote(RemoteDetail::message(
-                        format!("unexpected append reply {reply:?}"),
-                    ))),
-                });
-            };
+            if !reply.starts_with("ai1") {
+                return Err(unexpected_reply("append", &reply));
+            }
+            let outcome = decode_append_outcome(&reply)?;
             total.accepted += outcome.accepted;
             total.duplicate &= outcome.duplicate;
             total.staged = outcome.staged;

@@ -25,8 +25,9 @@
 //! IR's wire encoding (`entropydb_core::plan`): a client sends one encoded
 //! [`QueryRequest`](entropydb_core::plan::QueryRequest) per line and reads
 //! one encoded [`QueryResponse`](entropydb_core::plan::QueryResponse) line
-//! back. Batches pipeline through the engine's `execute_batch`, which runs
-//! on the io thread that owns the session.
+//! back. A batch is pipelined `q1` lines: lines that arrive together run
+//! through the engine's `execute_batch` as one batch, on the io thread
+//! that owns the session, and are answered in order.
 //!
 //! ```text
 //! client → server                 server → client
@@ -38,7 +39,6 @@
 //! stats ingest                    stats ingest ...
 //! q1 <request>                    r1 <response>
 //! a1 <append>                     ai1 <outcome>
-//! batch <n>  (then n q1 lines)    n r1 lines, in order
 //! quit                            (connection closed)
 //! ```
 //!

@@ -5,8 +5,8 @@
 //! Requests and responses themselves are encoded by
 //! `entropydb_core::plan` (`q1 ...` / `r1 ...` lines) and shard probes by
 //! `entropydb_core::probe` (`b1 ...` / `c1 ...` lines); this module adds
-//! the session-level commands (`ping`, `schema`, `batch <n>`, `quit`) and
-//! a multi-line schema block so clients can resolve attribute names and
+//! the session-level commands (`ping`, `schema`, `stats`, `quit`) and a
+//! multi-line schema block so clients can resolve attribute names and
 //! bin values without access to the base data:
 //!
 //! ```text
@@ -33,10 +33,18 @@ use entropydb_core::wire::{
 use entropydb_storage::Schema;
 use std::fmt::Write as _;
 
-/// Largest accepted `batch <n>`; guards the session loop against absurd
-/// frame counts on a garbled line. [`Client`](crate::Client) transparently
-/// splits larger batches into multiple frames.
+/// Largest batch one wire line may carry: the masks of one `probm` /
+/// `countm` shard probe, and (as [`MAX_APPEND_ROWS`]) the rows of one `a1`
+/// append. Guards the server against absurd counts on a garbled line.
 pub const MAX_BATCH: usize = 1 << 16;
+
+/// Per-connection cap on decoded-but-unanswered requests: past it the
+/// server stops decoding a connection's bytes until earlier work is
+/// answered. [`Client::execute_batch`](crate::Client::execute_batch)
+/// writes at most this many lines before it reads their replies, so a
+/// chunk decodes as one run and the client never writes into a paused
+/// connection.
+pub(crate) const MAX_IN_FLIGHT: usize = 256;
 
 /// Largest `SAMPLE k` a served request may ask for. A sample request is
 /// the one wire line whose cost is decoupled from its length (a few bytes
@@ -47,8 +55,8 @@ pub const MAX_SAMPLE_ROWS: usize = 1 << 20;
 pub use entropydb_core::wire::MAX_LINE_BYTES;
 
 /// Largest row count a single `a1` append line may carry. Bounds the
-/// staging work one wire line can demand, mirroring [`MAX_BATCH`] for
-/// query frames; [`Client::append`](crate::Client::append) transparently
+/// staging work one wire line can demand, like [`MAX_BATCH`] for mask
+/// probes; [`Client::append`](crate::Client::append) transparently
 /// chunks larger batches into multiple lines.
 pub const MAX_APPEND_ROWS: usize = MAX_BATCH;
 

@@ -47,7 +47,8 @@
 //!   deadline expiry) and **protocol** garbage (an undecodable response
 //!   frame) fail over to the next replica with capped exponential backoff.
 //!   A **busy** line ([`ModelError::Busy`], the serving layer shedding
-//!   load) backs off and retries. A **deterministic** server error line
+//!   load, on a query or on a fresh dial's handshake) backs off and
+//!   retries without a breaker count. A **deterministic** server error line
 //!   ([`ModelError::Remote`]) fails the call immediately — re-sending it
 //!   anywhere would just re-compute the same error.
 //! * Each replica keeps per-node health: a consecutive-failure circuit
@@ -280,10 +281,12 @@ impl Replica {
 }
 
 /// How a fresh dial-plus-handshake failed: a dead/hung/garbled node (fail
-/// over, count toward the breaker) versus a live node serving the wrong
+/// over, count toward the breaker), a live node shedding the session at
+/// its cap (retry, no breaker count), or a live node serving the wrong
 /// blob (evict permanently).
 enum DialFailure {
     Transport(String),
+    Busy(String),
     WrongBlob(String),
 }
 
@@ -475,6 +478,7 @@ impl RemoteShard {
             .map_err(|e| DialFailure::Transport(format!("cannot connect: {e}")))?;
         client.ping().map_err(|e| match e {
             ClientError::Io(io) => DialFailure::Transport(format!("transport failure: {io}")),
+            ClientError::Model(ModelError::Busy(msg)) => DialFailure::Busy(msg),
             ClientError::Model(m) => DialFailure::Transport(format!("handshake failure: {m}")),
         })?;
         let served_schema = client
@@ -634,6 +638,10 @@ impl RemoteShard {
                         attempts.push(format!("{}: {detail}", replica.addr));
                         continue;
                     }
+                    Err(DialFailure::Busy(msg)) => {
+                        attempts.push(format!("{}: busy: {msg}", replica.addr));
+                        continue;
+                    }
                 },
             };
             match outcome {
@@ -714,7 +722,7 @@ impl RemoteShard {
     /// Background re-verification of replica `idx`: a fresh dial plus
     /// handshake. Success warms the pool and (probation) closes the
     /// breaker; a changed blob evicts; a dead node counts toward the
-    /// breaker so query-path probes skip it sooner.
+    /// breaker so query-path probes skip it sooner, a busy one does not.
     fn rehandshake_replica(&self, idx: usize) {
         if self.replicas[idx].is_evicted() {
             return;
@@ -730,6 +738,7 @@ impl RemoteShard {
                 replica.put_back(client);
             }
             Err(DialFailure::WrongBlob(_)) => self.evict_replica(idx),
+            Err(DialFailure::Busy(_)) => {}
             Err(DialFailure::Transport(_)) => self.replicas[idx]
                 .health
                 .lock()
@@ -1000,6 +1009,9 @@ impl RemoteShardedSummary {
                             .expect("replica health")
                             .record_failure(&config);
                         attempts.push(format!("{}: {detail}", shard.replicas[idx].addr));
+                    }
+                    Err(DialFailure::Busy(msg)) => {
+                        attempts.push(format!("{}: busy: {msg}", shard.replicas[idx].addr));
                     }
                 }
             }

@@ -3,8 +3,10 @@
 //! blocking I/O driver.
 //!
 //! The line protocol has exactly one implementation: `session.rs` decodes
-//! bytes into `Work` units and [`execute_work`] answers them. Two I/O
-//! drivers feed that pair, chosen by target alone:
+//! bytes into `Work` units and [`execute_work`] answers them. Compute lines
+//! have one executor, `execute_run`: a single request and a client's
+//! pipelined batch are both a run of lines. Two I/O drivers feed that
+//! pair, chosen by target alone:
 //!
 //! * the **epoll driver** (`reactor.rs`, Linux): one pool of peer threads
 //!   on one shared epoll instance multiplexing thousands of connections —
@@ -572,10 +574,11 @@ pub(crate) fn encode_outcome(outcome: &Result<QueryResponse>) -> String {
 
 /// Executes a contiguous run of pipelined compute lines (`q1 ...`,
 /// `b1 ...`, `a1 ...`, or garbage), concatenating the responses in
-/// request order: the decodable query requests go through the engine as
-/// **one** batch (`execute_batch` is bitwise-identical to
-/// per-request `execute`), probes, appends, and decode errors answer in
-/// place.
+/// request order. The decodable query requests go through the engine as
+/// **one** batch (`execute_batch` is bitwise-identical to per-request
+/// `execute`), cut only at an append: the queries before an `a1` line are
+/// answered before it lands, so no query sees rows sent after it. Probes,
+/// appends and decode errors answer in place.
 fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> String {
     if let [line] = lines {
         // Single-request fast path: skip the slot machinery.
@@ -595,9 +598,7 @@ fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> 
         if line.starts_with("b1") {
             slots[i] = Some(respond_probe(engine, line));
         } else if line.starts_with("a1") {
-            // Appends answer in place, like probes: staging is cheap and
-            // ordering against the batched queries is not observable (a
-            // fold publishes asynchronously either way).
+            answer_queries(engine, &mut requests, &mut request_slots, &mut slots);
             slots[i] = Some(respond_append(engine, line));
         } else {
             match QueryRequest::decode(line).and_then(admit) {
@@ -609,10 +610,7 @@ fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> 
             }
         }
     }
-    let results = engine.execute_batch(&requests);
-    for (slot, result) in request_slots.into_iter().zip(results) {
-        slots[slot] = Some(encode_outcome(&result));
-    }
+    answer_queries(engine, &mut requests, &mut request_slots, &mut slots);
     let mut reply = String::new();
     for slot in slots {
         reply.push_str(&slot.expect("every run slot filled"));
@@ -620,34 +618,19 @@ fn execute_run<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> 
     reply
 }
 
-/// Executes the payload lines of one complete `batch <n>` frame:
-/// decodable requests as one engine batch, one response line per payload
-/// line (every line answers on the query channel), in order.
-fn execute_batch_lines<B: SummaryBackend>(engine: &QueryEngine<B>, lines: &[String]) -> String {
-    let mut slots: Vec<Option<Result<QueryResponse>>> = Vec::with_capacity(lines.len());
-    slots.resize_with(lines.len(), || None);
-    let mut requests = Vec::new();
-    for (line, slot) in lines.iter().zip(slots.iter_mut()) {
-        match QueryRequest::decode(line.trim()).and_then(admit) {
-            Ok(req) => requests.push(req),
-            Err(e) => *slot = Some(Err(e)),
-        }
+/// Answers the queued query `requests` as one engine batch into their
+/// `request_slots` and empties both queues.
+fn answer_queries<B: SummaryBackend>(
+    engine: &QueryEngine<B>,
+    requests: &mut Vec<QueryRequest>,
+    request_slots: &mut Vec<usize>,
+    slots: &mut [Option<String>],
+) {
+    let results = engine.execute_batch(requests);
+    for (slot, result) in request_slots.drain(..).zip(results) {
+        slots[slot] = Some(encode_outcome(&result));
     }
-    // Decodable requests executed as one engine batch; results
-    // refill the still-empty slots in order.
-    let mut results = engine.execute_batch(&requests).into_iter();
-    for slot in slots.iter_mut() {
-        if slot.is_none() {
-            *slot = results.next();
-        }
-    }
-    let mut reply = String::new();
-    for slot in &slots {
-        reply.push_str(&encode_outcome(
-            slot.as_ref().expect("every batch slot filled"),
-        ));
-    }
-    reply
+    requests.clear();
 }
 
 /// Executes one decoded work unit into its encoded reply — the single
@@ -659,7 +642,6 @@ pub(crate) fn execute_work<B: SummaryBackend>(
 ) -> String {
     match work {
         Work::Run(lines) => execute_run(engine, lines),
-        Work::Batch(lines) => execute_batch_lines(engine, lines),
         Work::Reply(ReplyKind::Ping) => "pong\n".to_string(),
         Work::Reply(ReplyKind::Schema) => encode_schema(engine.schema(), engine.n()),
         Work::Reply(ReplyKind::CacheStats) => encode_cache_stats(engine.cache_stats().as_ref()),

@@ -3,12 +3,12 @@
 //! (`server.rs`) turns `Work` into reply bytes. Both I/O drivers — epoll
 //! (`reactor.rs`) and blocking (`server.rs`) — feed bytes to
 //! [`SessionState::pump`] and answer what it queues, so every wire rule
-//! lives here: the command classification, the `batch <n>` framing (a
-//! final unterminated line at EOF still counts), and the
-//! [`MAX_LINE_BYTES`] violation semantics (the offending session ends, no
-//! reply for the oversized line). Contiguous compute lines coalesce into
-//! one [`Work::Run`] so a pipelined burst is answered with one engine
-//! batch and one socket write. The write buffer and the close / linger
+//! lives here: the command classification, the final unterminated line at
+//! EOF (it still counts), and the [`MAX_LINE_BYTES`] violation semantics
+//! (the offending session ends, no reply for the oversized line).
+//! Contiguous compute lines coalesce into one [`Work::Run`] so a pipelined
+//! burst — a client's batch — is answered with one engine batch and one
+//! socket write. The write buffer and the close / linger
 //! bookkeeping serve the epoll driver only; the blocking driver writes
 //! each reply synchronously.
 
@@ -16,12 +16,11 @@
 // the close bookkeeping have no user there.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
-use crate::protocol::{MAX_BATCH, MAX_LINE_BYTES};
+use crate::protocol::{MAX_IN_FLIGHT, MAX_LINE_BYTES};
 use entropydb_core::error::ModelError;
 use entropydb_core::metrics::ServerCounters;
 use entropydb_core::plan::QueryResponse;
 use entropydb_core::probe::ProbeResponse;
-use entropydb_core::wire::wire_error;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -41,19 +40,18 @@ pub(crate) enum ReplyKind {
     ServerStats,
     /// `stats ingest` → one `stats ingest ...` line.
     IngestStats,
-    /// A pre-encoded response (bad batch headers, overload shedding).
+    /// A pre-encoded response (overload shedding).
     Raw(String),
 }
 
 /// One unit of decoded work, executed in order, one at a time per session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Work {
-    /// Contiguous compute lines (`q1 ...`, `b1 ...`, or garbage): decodable
-    /// query requests execute as one engine batch, probes and decode errors
-    /// answer in place, responses concatenate in request order.
+    /// Contiguous compute lines (`q1 ...`, `b1 ...`, `a1 ...`, or garbage):
+    /// decodable query requests execute as engine batches, probes, appends
+    /// and decode errors answer in place, responses concatenate in request
+    /// order.
     Run(Vec<String>),
-    /// The payload lines of one complete `batch <n>` frame.
-    Batch(Vec<String>),
     /// A session-level reply.
     Reply(ReplyKind),
 }
@@ -65,7 +63,6 @@ impl Work {
     pub(crate) fn weight(&self) -> usize {
         match self {
             Work::Run(lines) => lines.len(),
-            Work::Batch(lines) => lines.len().max(1),
             Work::Reply(_) => 1,
         }
     }
@@ -92,10 +89,11 @@ pub(crate) struct DecodePolicy {
 
 impl DecodePolicy {
     /// The caps of every served session: 65 536 requests in flight across
-    /// the server, 256 per connection, 1 MiB of unflushed replies.
+    /// the server, [`MAX_IN_FLIGHT`] per connection, 1 MiB of unflushed
+    /// replies.
     pub(crate) const SERVED: DecodePolicy = DecodePolicy {
         max_queue_depth: 1 << 16,
-        max_in_flight: 256,
+        max_in_flight: MAX_IN_FLIGHT,
         max_write_buffer: 1 << 20,
     };
 }
@@ -108,8 +106,6 @@ pub(crate) struct SessionState {
     /// Offset into `read_buf` where the newline scan resumes (everything
     /// before it has already been scanned without finding a newline).
     pub scan_from: usize,
-    /// An in-progress `batch <n>` frame: payload lines collected so far.
-    pub batch: Option<BatchAccum>,
     /// Decoded work not yet executed. A driver takes the front unit, one
     /// at a time: strict response order within the session.
     pub pending: VecDeque<Work>,
@@ -145,13 +141,6 @@ pub(crate) struct SessionState {
     pub counted_active: bool,
 }
 
-/// Payload collection for one `batch <n>` frame.
-#[derive(Debug)]
-pub(crate) struct BatchAccum {
-    pub want: usize,
-    pub lines: Vec<String>,
-}
-
 /// One connection of the epoll driver. The stream stays alive for as long
 /// as any clone of the `Arc<Session>` does (a thread mid-turn or a sweep
 /// may briefly outlive deregistration), so the fd cannot be reused while
@@ -169,7 +158,6 @@ impl SessionState {
         SessionState {
             read_buf: Vec::new(),
             scan_from: 0,
-            batch: None,
             pending: VecDeque::new(),
             in_flight: 0,
             write_buf: Vec::new(),
@@ -197,11 +185,9 @@ impl SessionState {
         if self.no_more_input {
             return false;
         }
-        // Backpressure: over the per-connection in-flight cap (unless a
-        // batch frame is mid-collection — frames always finish, so a large
-        // frame cannot deadlock against its own weight), or the client is
-        // reading responses too slowly to deserve more decoded work.
-        if self.batch.is_none() && self.in_flight >= policy.max_in_flight {
+        // Backpressure: over the per-connection in-flight cap, or the client
+        // is reading responses too slowly to deserve more decoded work.
+        if self.in_flight >= policy.max_in_flight {
             return false;
         }
         self.unflushed() < policy.max_write_buffer
@@ -233,7 +219,7 @@ impl SessionState {
         // Start of the current (not yet decoded) line, absolute.
         let mut consumed = 0usize;
         while !self.no_more_input {
-            if self.batch.is_none() && self.in_flight >= policy.max_in_flight {
+            if self.in_flight >= policy.max_in_flight {
                 break;
             }
             let Some(nl) = self.read_buf[self.scan_from..]
@@ -281,10 +267,9 @@ impl SessionState {
 
     /// Decodes whatever can make progress: buffered complete lines, and —
     /// once EOF has been seen and every complete line is consumed — the
-    /// final unterminated line, which counts as a line. An incomplete
-    /// batch frame at EOF is dropped without a reply (the connection died
-    /// mid-frame). Call after every read and after every completed work
-    /// unit (the in-flight cap may have paused decoding mid-buffer).
+    /// final unterminated line, which counts as a line. Call after every
+    /// read and after every completed work unit (the in-flight cap may have
+    /// paused decoding mid-buffer).
     pub(crate) fn pump(&mut self, counters: &ServerCounters, policy: &DecodePolicy) {
         self.drain_lines(counters, policy);
         if !self.eof || self.no_more_input {
@@ -296,10 +281,7 @@ impl SessionState {
         if self.scan_from < self.read_buf.len() {
             return;
         }
-        if self.batch.is_none()
-            && self.in_flight >= policy.max_in_flight
-            && !self.read_buf.is_empty()
-        {
+        if self.in_flight >= policy.max_in_flight && !self.read_buf.is_empty() {
             return;
         }
         if !self.read_buf.is_empty() {
@@ -313,7 +295,6 @@ impl SessionState {
         }
         self.no_more_input = true;
         self.close_after_flush = true;
-        self.batch = None;
         self.read_buf = Vec::new();
         self.scan_from = 0;
     }
@@ -324,33 +305,11 @@ impl SessionState {
     fn violation(&mut self) {
         self.no_more_input = true;
         self.close_after_flush = true;
-        self.batch = None;
     }
 
-    /// Classifies one complete (trimmed) line. The order of the checks is
-    /// wire behaviour: session commands are matched whole, `batch` by
-    /// literal prefix, and everything else is a compute line.
+    /// Classifies one complete (trimmed) line: session commands are
+    /// matched whole, and everything else is a compute line.
     fn accept_line(&mut self, line: String, counters: &ServerCounters, policy: &DecodePolicy) {
-        if let Some(accum) = &mut self.batch {
-            // Batch payload lines are consumed verbatim — even empty ones
-            // count toward the frame.
-            accum.lines.push(line);
-            if accum.lines.len() >= accum.want {
-                let accum = self.batch.take().expect("accumulator present");
-                if counters.dispatch_depth() >= policy.max_queue_depth {
-                    let busy = QueryResponse::encode_error(&overloaded(counters));
-                    let mut reply = String::with_capacity((busy.len() + 1) * accum.want);
-                    for _ in 0..accum.want {
-                        reply.push_str(&busy);
-                        reply.push('\n');
-                    }
-                    self.push_reply_raw(reply, counters);
-                } else {
-                    self.push_work(Work::Batch(accum.lines), counters);
-                }
-            }
-            return;
-        }
         if line.is_empty() {
             return;
         }
@@ -382,30 +341,8 @@ impl SessionState {
             self.push_work(Work::Reply(ReplyKind::IngestStats), counters);
             return;
         }
-        if let Some(count) = line.strip_prefix("batch") {
-            match count.trim().parse::<usize>() {
-                Ok(n) if n <= MAX_BATCH => {
-                    if n == 0 {
-                        self.push_work(Work::Batch(Vec::new()), counters);
-                    } else {
-                        self.batch = Some(BatchAccum {
-                            want: n,
-                            lines: Vec::new(),
-                        });
-                    }
-                }
-                _ => {
-                    let count = count.trim();
-                    let err = wire_error(format!("bad batch size {count:?} (max {MAX_BATCH})"));
-                    let mut reply = QueryResponse::encode_error(&err);
-                    reply.push('\n');
-                    self.push_reply_raw(reply, counters);
-                }
-            }
-            return;
-        }
-        // A compute line: `b1 ...`, `q1 ...`, or garbage (answered on the
-        // error channel by the executor). Over the global queue-depth cap
+        // A compute line: `b1 ...`, `q1 ...`, `a1 ...`, or garbage
+        // (answered on the error channel by the executor). Over the global queue-depth cap
         // it is shed with a typed busy line on the matching channel.
         if counters.dispatch_depth() >= policy.max_queue_depth {
             let busy = overloaded(counters);
@@ -535,52 +472,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_frames_collect_exactly_n_payload_lines() {
+    fn batch_lines_are_compute_lines() {
+        // `batch <n>` is no command: it joins the run like any unknown
+        // word (the executor answers it on the error channel), and the
+        // empty line is skipped.
         let (mut s, c) = state_with(b"batch 3\nq1 a\n\nq1 b\nping\n");
         s.drain_lines(&c, &policy());
-        // The empty line counts as payload (it decodes to an error slot);
-        // the trailing ping is a new command.
-        assert_eq!(s.pending.len(), 2);
+        let works: Vec<_> = s.pending.iter().cloned().collect();
         assert_eq!(
-            s.pending[0],
-            Work::Batch(vec!["q1 a".into(), "".into(), "q1 b".into()])
-        );
-        assert_eq!(s.pending[1], Work::Reply(ReplyKind::Ping));
-    }
-
-    #[test]
-    fn batch_zero_and_bad_headers_answer_without_payload() {
-        let (mut s, c) = state_with(b"batch 0\nbatch nope\nbatch 999999999\n");
-        s.drain_lines(&c, &policy());
-        assert_eq!(s.pending.len(), 2);
-        assert_eq!(s.pending[0], Work::Batch(Vec::new()));
-        match &s.pending[1] {
-            Work::Reply(ReplyKind::Raw(reply)) => {
-                // Two bad headers merged into one raw reply, one line each.
-                assert_eq!(reply.lines().count(), 2);
-                assert!(reply.contains("bad batch size \"nope\""));
-                assert!(reply.contains("bad batch size \"999999999\""));
-            }
-            other => panic!("expected merged raw reply, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batchless_prefix_quirk_is_preserved() {
-        // The header is matched by the literal prefix "batch", so "batch5"
-        // is a valid one-frame header.
-        let (mut s, c) = state_with(b"batch5\nq1 a\nq1 b\nq1 c\nq1 d\nq1 e\n");
-        s.drain_lines(&c, &policy());
-        assert_eq!(s.pending.len(), 1);
-        assert_eq!(
-            s.pending[0],
-            Work::Batch(vec![
-                "q1 a".into(),
-                "q1 b".into(),
-                "q1 c".into(),
-                "q1 d".into(),
-                "q1 e".into()
-            ])
+            works,
+            vec![
+                Work::Run(vec!["batch 3".into(), "q1 a".into(), "q1 b".into()]),
+                Work::Reply(ReplyKind::Ping),
+            ]
         );
     }
 
@@ -608,24 +512,13 @@ mod tests {
     }
 
     #[test]
-    fn eof_mid_batch_drops_the_frame_silently() {
-        let (mut s, c) = state_with(b"batch 3\nq1 a\n");
-        s.eof = true;
-        s.pump(&c, &policy());
-        assert!(s.pending.is_empty());
-        assert_eq!(c.dispatch_depth(), 0);
-    }
-
-    #[test]
     fn eof_final_line_can_complete_a_batch() {
-        let (mut s, c) = state_with(b"batch 2\nq1 a\nq1 b");
+        // The unterminated last line of a pipelined batch joins its run.
+        let (mut s, c) = state_with(b"q1 a\nq1 b");
         s.eof = true;
         s.pump(&c, &policy());
         assert_eq!(s.pending.len(), 1);
-        assert_eq!(
-            s.pending[0],
-            Work::Batch(vec!["q1 a".into(), "q1 b".into()])
-        );
+        assert_eq!(s.pending[0], Work::Run(vec!["q1 a".into(), "q1 b".into()]));
     }
 
     #[test]
@@ -665,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_cap_pauses_decoding_not_batch_frames() {
+    fn in_flight_cap_pauses_decoding() {
         let (mut s, c) = state_with(b"q1 a\nq1 b\nq1 c\n");
         let tight = DecodePolicy {
             max_queue_depth: u64::MAX,
@@ -685,12 +578,13 @@ mod tests {
         s.drain_lines(&c, &tight);
         assert_eq!(s.read_buf, b"");
 
-        // A batch frame mid-collection keeps decoding over the cap so the
-        // frame's own weight cannot deadlock the session.
-        let (mut s, c) = state_with(b"batch 4\nq1 a\nq1 b\nq1 c\nq1 d\n");
-        s.drain_lines(&c, &tight);
+        // A client batch chunk of the whole cap decodes as one run.
+        let chunk = "q1 x\n".repeat(MAX_IN_FLIGHT);
+        let (mut s, c) = state_with(chunk.as_bytes());
+        s.drain_lines(&c, &DecodePolicy::SERVED);
         assert_eq!(s.pending.len(), 1);
-        assert_eq!(c.dispatch_depth(), 4);
+        assert_eq!(s.pending[0].weight(), MAX_IN_FLIGHT);
+        assert!(s.read_buf.is_empty());
     }
 
     #[test]
@@ -714,25 +608,5 @@ mod tests {
             other => panic!("expected raw busy reply, got {other:?}"),
         }
         assert_eq!(s.pending[1], Work::Reply(ReplyKind::Ping));
-    }
-
-    #[test]
-    fn queue_depth_cap_sheds_whole_batch_frames() {
-        let tight = DecodePolicy {
-            max_queue_depth: 0,
-            max_in_flight: usize::MAX,
-            max_write_buffer: usize::MAX,
-        };
-        let (mut s, c) = state_with(b"batch 3\nq1 a\nq1 b\nq1 c\n");
-        s.drain_lines(&c, &tight);
-        assert_eq!(s.pending.len(), 1);
-        match &s.pending[0] {
-            Work::Reply(ReplyKind::Raw(reply)) => {
-                let lines: Vec<_> = reply.lines().collect();
-                assert_eq!(lines.len(), 3);
-                assert!(lines.iter().all(|l| l.starts_with("r1 busy")));
-            }
-            other => panic!("expected raw busy reply, got {other:?}"),
-        }
     }
 }

@@ -610,6 +610,46 @@ fn session_cap_sheds_load_with_a_typed_busy_line() {
     handle.shutdown();
 }
 
+/// A replica at its session cap answers the handshake's `ping` with a busy
+/// line: the gatherer connects through the other replica, and the shed
+/// replica gets no breaker count — it is alive, only full.
+#[test]
+fn a_busy_replica_at_the_handshake_does_not_count_toward_its_breaker() {
+    let local = sharded(1);
+    let shard = local.shards()[0].clone();
+    let config = ServerConfig {
+        idle_timeout: None,
+        max_sessions: Some(1),
+    };
+    let full = serve_with(QueryEngine::new(shard.clone()), "127.0.0.1:0", config).unwrap();
+    let spare = serve(QueryEngine::new(shard.clone()), "127.0.0.1:0").unwrap();
+    let mut holder = Client::connect(full.local_addr()).unwrap();
+    holder.ping().unwrap();
+
+    match Client::connect(full.local_addr()).unwrap().ping() {
+        Err(ClientError::Model(ModelError::Busy(msg))) => {
+            assert!(msg.contains("session capacity"), "{msg}")
+        }
+        other => panic!("expected a typed busy ping reply, got {other:?}"),
+    }
+
+    let manifest = vec![serialize::ClusterShard {
+        index: 0,
+        n: shard.n(),
+        addrs: vec![
+            full.local_addr().to_string(),
+            spare.local_addr().to_string(),
+        ],
+    }];
+    let remote = RemoteShardedSummary::connect_with(&manifest, fast_failover()).unwrap();
+    let replicas = remote.shards()[0].replicas();
+    assert_eq!(replicas[0].consecutive_failures(), 0);
+    assert_eq!(replicas[1].idle_conns(), 1, "the spare replica verified");
+    holder.quit();
+    full.shutdown();
+    spare.shutdown();
+}
+
 /// Satellite: a bare client's socket deadline cuts off a server that
 /// accepts but never answers, and the deadline expiry is *not* blindly
 /// retried (the error surfaces).

@@ -14,7 +14,9 @@
 //! * a fold the gateway observes re-dials the dynamic shard, so its `n` and
 //!   mixture weights follow the fold without a background re-handshake;
 //! * rows carrying a code the delta owner never held are counted after the
-//!   fold: pruning by support never hides a live shard's new rows.
+//!   fold: pruning by support never hides a live shard's new rows;
+//! * a pipelined run answers in request order across an `a1` line: a query
+//!   sent before the append never sees its rows.
 
 mod common;
 #[path = "../../core/tests/support/probes.rs"]
@@ -27,7 +29,7 @@ use entropydb_core::serialize::ClusterShard;
 use entropydb_core::sharded::ShardedSummary;
 use entropydb_core::solver::SolverConfig;
 use entropydb_core::statistics::MultiDimStatistic;
-use entropydb_server::{demo, serve, Client, RemoteShardedSummary, ServerHandle};
+use entropydb_server::{demo, encode_append, serve, Client, RemoteShardedSummary, ServerHandle};
 use entropydb_storage::{AttrId, Predicate};
 use std::time::{Duration, Instant};
 
@@ -154,6 +156,52 @@ fn wire_append_folds_and_token_replay_is_absorbed() {
     // they land exactly once too.
     let outcome = client.append(&append_batch(8), None).unwrap();
     assert_eq!(outcome.accepted, 8);
+    handle.shutdown();
+}
+
+/// One write carrying `q1 count`, `a1 <64 rows>`, `q1 count` to a live
+/// node that folds synchronously at 32 staged rows: the first count is the
+/// pre-append `COUNT(*)`, the second includes the 64 rows.
+#[test]
+fn a_pipelined_run_answers_in_request_order_across_appends() {
+    use entropydb_core::plan::{QueryRequest, QueryResponse};
+    use std::io::{BufRead, BufReader, Write};
+    let summary = demo::demo_summary(240, 1).unwrap();
+    let shard0 = summary.shards()[0].clone();
+    let n0 = shard0.n() as f64;
+    let config = IngestConfig {
+        delta_rows: 32,
+        seal_rows: 1 << 20,
+        background: false,
+        ..IngestConfig::default()
+    };
+    let base = ShardedSummary::from_shards(vec![shard0]).unwrap();
+    let live = LiveSummary::new(base, demo_stats(), SolverConfig::default(), config).unwrap();
+    let handle = serve(QueryEngine::new(live), "127.0.0.1:0").unwrap();
+
+    let count = QueryRequest::count(Predicate::all()).encode();
+    let append = encode_append(Some("run-tok"), &append_batch(64));
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .write_all(format!("{count}\n{append}{count}\n").as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    };
+    let expectation = |line: String| match QueryResponse::decode(&line) {
+        Ok(QueryResponse::Estimate(e)) => e.expectation,
+        other => panic!("unexpected COUNT(*) reply {line:?}: {other:?}"),
+    };
+    let before = expectation(next());
+    let appended = next();
+    let after = expectation(next());
+    assert!(appended.starts_with("ai1 0 64 "), "{appended}");
+    assert!((before - n0).abs() < 1e-6 * n0, "{before} vs {n0}");
+    let want = n0 + 64.0;
+    assert!((after - want).abs() < 1e-6 * want, "{after} vs {want}");
     handle.shutdown();
 }
 

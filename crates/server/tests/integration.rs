@@ -1,5 +1,5 @@
 //! End-to-end server tests: an ephemeral-port server over both backends,
-//! concurrent clients, batch pipelining, the error channel, and graceful
+//! concurrent clients, pipelined batches, the error channel, and graceful
 //! shutdown.
 
 use entropydb_core::engine::{QueryApi, QueryEngine};
@@ -179,9 +179,9 @@ fn concurrent_clients_get_consistent_answers() {
     handle.shutdown();
 }
 
-/// Batch frames pipeline: one frame, n in-order responses, identical to
+/// A batch pipelines: n `q1` lines, n in-order responses, identical to
 /// executing each request alone; undecodable lines answer on the error
-/// channel without poisoning the rest of the frame.
+/// channel without poisoning the rest of the batch.
 #[test]
 fn batch_pipelining_and_error_channel() {
     let _serving = serving();
@@ -225,6 +225,44 @@ fn batch_pipelining_and_error_channel() {
     assert!(outcomes[1].is_ok());
 
     // The connection survives all of the above.
+    client.ping().unwrap();
+    client.quit();
+    handle.shutdown();
+}
+
+/// A batch larger than the per-connection in-flight cap (256) travels as
+/// several pipelined chunks: its answers equal in-process `execute_batch`
+/// bit for bit, the error request fails in its own slot, and the
+/// connection is left in step.
+#[test]
+fn chunked_batch_matches_in_process_batch() {
+    let _serving = serving();
+    let local = QueryEngine::new(sharded());
+    let handle = serve(QueryEngine::new(sharded()), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let mut reqs: Vec<QueryRequest> = (0..600u32)
+        .map(|i| {
+            let pred = Predicate::new().eq(a(1), i % 4).between(a(2), i % 5, 4);
+            match i % 3 {
+                0 => QueryRequest::count(pred),
+                1 => QueryRequest::group_by(pred, a(0)),
+                _ => QueryRequest::top_k(pred, a(0), 2),
+            }
+        })
+        .collect();
+    reqs[300] = QueryRequest::count(Predicate::new().eq(a(9), 0));
+
+    let remote = client.execute_batch(&reqs).unwrap();
+    let expected = local.execute_batch(&reqs);
+    assert_eq!(remote.len(), reqs.len());
+    for (i, (got, want)) in remote.into_iter().zip(expected).enumerate() {
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_eq!(got.encode(), want.encode(), "request {i}"),
+            (Err(ModelError::Remote(_)), Err(_)) => assert_eq!(i, 300),
+            (got, want) => panic!("request {i}: {got:?} vs {want:?}"),
+        }
+    }
+    assert!(client.in_step());
     client.ping().unwrap();
     client.quit();
     handle.shutdown();
@@ -349,11 +387,15 @@ fn unknown_commands_answer_errors() {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(line.starts_with("r1 err "), "{line:?}");
-    // Oversized batch frames are rejected without hanging the session.
-    stream.write_all(b"batch 999999999\n").unwrap();
+    // `batch <n>` is no command: one error reply, and the session keeps
+    // answering.
+    stream.write_all(b"batch 999999999\nping\n").unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert!(line.starts_with("r1 err "), "{line:?}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "pong\n");
     handle.shutdown();
 }
 
