@@ -33,12 +33,6 @@ fn bench_failover() -> FailoverConfig {
     FailoverConfig {
         connect_timeout: Some(Duration::from_millis(500)),
         probe_timeout: Some(Duration::from_secs(2)),
-        attempts_per_replica: 2,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(20),
-        breaker_threshold: 3,
-        breaker_cooldown: Duration::from_millis(100),
-        breaker_cooldown_cap: Duration::from_millis(400),
     }
 }
 

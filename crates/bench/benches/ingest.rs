@@ -130,9 +130,8 @@ fn bench_ingest_fold(c: &mut Criterion) {
     g.finish();
 
     // The acceptance metrics, measured on a real LiveSummary: synchronous
-    // folding with seal-every-fold and bounded retention, so each cycle
-    // does the full steady-state append → re-solve → seal → publish work
-    // and the mixture never grows without bound.
+    // folding with seal-every-fold, so each cycle does the full
+    // steady-state append → re-solve → seal → publish work.
     let base = ShardedSummary::build(
         &table,
         &Partitioning::range(AttrId(0), 4, N_VALS).expect("partitioning"),
@@ -143,7 +142,6 @@ fn bench_ingest_fold(c: &mut Criterion) {
     let ingest = IngestConfig {
         delta_rows: DELTA_ROWS,
         seal_rows: DELTA_ROWS,
-        max_segments: Some(8),
         background: false,
     };
     let live = LiveSummary::new(base, stats, config, ingest).expect("live summary");

@@ -15,8 +15,8 @@
 use crate::common::{mean_error_on, Method, Scale};
 use crate::report::{f3, ms, Report};
 use entropydb_core::prelude::*;
+use entropydb_core::selection::choose_pairs;
 use entropydb_core::selection::heuristics::select_pair_statistics;
-use entropydb_core::selection::{choose_pairs, PairStrategy};
 use entropydb_data::particles::{self, ParticlesConfig, ParticlesDataset};
 use entropydb_data::workload::Workload;
 use entropydb_sampling::{stratified_sample, uniform_sample};
@@ -32,7 +32,7 @@ fn entall_stats(
 ) -> Vec<entropydb_core::statistics::MultiDimStatistic> {
     let candidates = [d.density, d.mass, d.x, d.y, d.z, d.grp, d.ptype];
     let scores = rank_pairs(&d.table, &candidates).expect("pair ranking");
-    let chosen = choose_pairs(&scores, 5, PairStrategy::AttributeCover);
+    let chosen = choose_pairs(&scores, 5);
     let mut stats = Vec::new();
     for pair in &chosen {
         stats.extend(

@@ -308,8 +308,8 @@ pub trait SummaryBackend: ShardProbe {
     }
 
     /// The backend's ingest epoch: a monotonically increasing token bumped
-    /// every time the served model mixture changes (delta fold, compaction,
-    /// retention). Immutable backends are forever at epoch 0. It orders
+    /// every time the served model mixture changes (a delta fold, sealing
+    /// or not). Immutable backends are forever at epoch 0. It orders
     /// ingest; it does not key cached answers — a remote blob swap changes
     /// answers without moving it. Key by [`SummaryBackend::generation`].
     fn epoch(&self) -> u64 {

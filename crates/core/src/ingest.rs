@@ -14,19 +14,18 @@
 //! * a served **mixture** — a [`ShardedSummary`] over
 //!   `segments + fitted delta`, republished atomically after every fold.
 //!
-//! The delta lifecycle is `stage → re-solve (fold) → serve → compact
-//! (seal)`: once the fitted delta reaches the seal threshold it is promoted
-//! into the sealed-segment list *without* refitting — the mixture holds the
-//! same models in the same order, so compaction is bitwise-neutral — and a
-//! fresh empty delta starts. A retention cap on sealed segments then gives
-//! TTL for free: the oldest segment (the oldest rows) is dropped wholesale.
+//! The delta lifecycle is `stage → re-solve (fold) → serve → seal`: once
+//! the fitted delta reaches the seal threshold it is promoted into the
+//! sealed-segment list *without* refitting — the mixture holds the same
+//! models in the same order, so sealing is bitwise-neutral — and a fresh
+//! empty delta starts.
 //!
 //! Everything the scatter/merge layer guarantees for static mixtures (exact
 //! COUNT/SUM merges, mixture probabilities, stratified sampling) holds here
 //! unchanged, because each published snapshot *is* a `ShardedSummary`.
 //!
 //! **Epochs.** The summary carries a monotonically increasing epoch,
-//! bumped once per published mixture (fold, seal, retention) — after the
+//! bumped once per published mixture (a fold, sealing or not) — after the
 //! mixture is served, never before, so whoever reads epoch `e` is answered
 //! by `e`'s mixture or a newer one. The epoch is also the summary's
 //! [generation](crate::engine::SummaryBackend::generation): a fold orphans
@@ -60,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How a [`LiveSummary`] stages, folds, and compacts its delta shard.
+/// How a [`LiveSummary`] stages, folds, and seals its delta shard.
 ///
 /// Build one as a struct literal over `..IngestConfig::default()`; the
 /// constructors of [`LiveSummary`] run [`IngestConfig::validate`] on it.
@@ -68,14 +67,10 @@ use std::time::{Duration, Instant};
 pub struct IngestConfig {
     /// Staged rows that trigger a delta re-solve (fold). Must be > 0.
     pub delta_rows: usize,
-    /// Fitted-delta rows that trigger compaction: once the served delta
-    /// model covers at least this many rows it is sealed into the base
-    /// segment list. Must be >= `delta_rows`.
+    /// Fitted-delta rows that trigger sealing: once the served delta model
+    /// covers at least this many rows it is sealed into the base segment
+    /// list. Must be >= `delta_rows`.
     pub seal_rows: usize,
-    /// Retention cap on sealed segments: after a seal, the oldest segments
-    /// are dropped until at most this many remain (`None` = keep all).
-    /// Must be >= 1 when set.
-    pub max_segments: Option<usize>,
     /// Re-solve trigger placement: `true` folds on a persistent background
     /// worker (appends return immediately, staged rows become queryable
     /// when the fold publishes); `false` folds synchronously inside the
@@ -92,7 +87,6 @@ impl Default for IngestConfig {
         IngestConfig {
             delta_rows: 1024,
             seal_rows: 16384,
-            max_segments: None,
             background: true,
         }
     }
@@ -113,11 +107,6 @@ impl IngestConfig {
                 "ingest seal_rows ({}) below delta_rows ({}): the delta would seal before it can fold",
                 self.seal_rows, self.delta_rows
             )));
-        }
-        if self.max_segments == Some(0) {
-            return Err(ModelError::InvalidConfig(
-                "ingest max_segments must be at least 1 when set".to_string(),
-            ));
         }
         Ok(())
     }
@@ -259,7 +248,7 @@ impl Inner {
                 sig.pending = true;
                 self.wake.notify_one();
             } else {
-                self.fold(false)?;
+                self.fold()?;
             }
         }
 
@@ -272,12 +261,10 @@ impl Inner {
         })
     }
 
-    /// Re-solves the delta over every staged row and publishes the new
-    /// mixture. With `force_seal` (compaction) the fitted delta is sealed
-    /// into the segment list even below the seal threshold. Returns the
-    /// epoch current after the call (unchanged when there was nothing to
-    /// do).
-    fn fold(&self, force_seal: bool) -> Result<u64> {
+    /// Re-solves the delta over every staged row, seals it once it covers
+    /// `seal_rows`, and publishes the new mixture. Returns the epoch current
+    /// after the call (unchanged when there was nothing to do).
+    fn fold(&self) -> Result<u64> {
         let _fold = self.fold_lock.lock().unwrap();
 
         // Snapshot the staged rows; the state lock is dropped during the
@@ -286,13 +273,7 @@ impl Inner {
             let state = self.state.lock().unwrap();
             let total = state.delta_table.num_rows();
             if total == state.covered_rows {
-                // Nothing new to fit. A forced compaction may still need to
-                // seal the already-fitted delta.
-                if !(force_seal && state.delta_model.is_some()) {
-                    return Ok(self.current_epoch());
-                }
-                drop(state);
-                return self.seal_and_publish();
+                return Ok(self.current_epoch());
             }
             (state.delta_table.clone(), total)
         };
@@ -305,16 +286,7 @@ impl Inner {
         let mut state = self.state.lock().unwrap();
         state.delta_model = Some(model);
         state.covered_rows = target;
-        if force_seal || state.covered_rows >= self.config.seal_rows {
-            self.seal_locked(&mut state);
-        }
-        self.publish(&state)
-    }
-
-    /// Seals the fitted delta when one exists, then publishes.
-    fn seal_and_publish(&self) -> Result<u64> {
-        let mut state = self.state.lock().unwrap();
-        if state.delta_model.is_some() {
+        if state.covered_rows >= self.config.seal_rows {
             self.seal_locked(&mut state);
         }
         self.publish(&state)
@@ -322,8 +294,8 @@ impl Inner {
 
     /// Promotes the fitted delta into the sealed-segment list (bitwise
     /// neutral: the published mixture holds the same models in the same
-    /// order) and applies the retention cap. Rows that arrived during the
-    /// last solve stay staged in a fresh delta table.
+    /// order). Rows that arrived during the last solve stay staged in a
+    /// fresh delta table.
     fn seal_locked(&self, state: &mut LiveState) {
         let Some(model) = state.delta_model.take() else {
             return;
@@ -338,13 +310,6 @@ impl Inner {
         }
         state.delta_table = rest;
         state.covered_rows = 0;
-
-        if let Some(cap) = self.config.max_segments {
-            while state.segments.len() > cap {
-                state.segments.remove(0);
-                self.counters.add_retired(1);
-            }
-        }
     }
 
     fn stats(&self) -> IngestStatsSnapshot {
@@ -354,7 +319,7 @@ impl Inner {
 }
 
 /// A mutable, queryable summary: immutable base shards plus a live delta
-/// shard absorbing appends, re-solved and compacted per [`IngestConfig`].
+/// shard absorbing appends, re-solved and sealed per [`IngestConfig`].
 /// Implements [`SummaryBackend`], so it drops into
 /// [`QueryEngine`](crate::engine::QueryEngine) and the serving stack
 /// wherever a fitted summary does — with [`SummaryBackend::append_rows`]
@@ -460,16 +425,7 @@ impl LiveSummary {
     /// below the fold threshold) and returns the resulting epoch. No-op on
     /// a clean summary.
     pub fn flush(&self) -> Result<u64> {
-        self.inner.fold(false)
-    }
-
-    /// Folds any staged rows, then seals the fitted delta into the base
-    /// segment list regardless of the seal threshold, applying retention.
-    /// Sealing is bitwise-neutral for queries: the published mixture holds
-    /// the same fitted models in the same order (unless retention drops a
-    /// segment). Returns the resulting epoch.
-    pub fn compact_now(&self) -> Result<u64> {
-        self.inner.fold(true)
+        self.inner.fold()
     }
 
     /// The current ingest epoch.
@@ -551,7 +507,7 @@ fn worker_loop(inner: Arc<Inner>) {
             }
             sig.pending = false;
         }
-        if let Err(e) = inner.fold(false) {
+        if let Err(e) = inner.fold() {
             *inner.fold_error.lock().unwrap() = Some(e);
         }
     }

@@ -55,7 +55,7 @@
 //! | [`probe`] | — | probe IR (`ProbeRequest`/`ProbeResponse`, masks) + wire encoding; executed by `probe` |
 //! | [`engine`] | — | generic `QueryEngine` (`execute`, `execute_batch`, `probe`, scratch pool, `AnswerCache`), the `SummaryBackend` trait, and the typed surface `QueryApi` |
 //! | [`sharded`] | — | `ShardedSummary`: per-partition models with merged estimates |
-//! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, compaction, epochs) |
+//! | [`ingest`] | — | `LiveSummary`: streaming ingest (delta shard, folds, seals, epochs) |
 //! | [`scatter`] | §4.3 | `ShardProbe::probe` (the one evaluating method of every backend), `Support` (the codes a shard's ZERO statistics leave), `gather` (prune, ask together, the one merge; the sample stratification) |
 //! | [`selection`] | §4.3 | LARGE / ZERO / COMPOSITE, KD-tree, pair choice |
 //! | [`metrics`] | §6.2 | relative error, F-measure |
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::probe::{ProbeRequest, ProbeResponse};
     pub use crate::query::Estimate;
     pub use crate::scatter::ShardProbe;
-    pub use crate::selection::{Heuristic, PairStrategy, SelectionPlan};
+    pub use crate::selection::{Heuristic, SelectionPlan};
     pub use crate::serialize::ClusterShard;
     pub use crate::sharded::{ShardedBuildConfig, ShardedSummary};
     pub use crate::solver::{SolverConfig, SolverReport};

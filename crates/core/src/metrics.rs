@@ -194,7 +194,6 @@ pub struct IngestCounters {
     duplicate_appends: AtomicU64,
     folds: AtomicU64,
     seals: AtomicU64,
-    retired_segments: AtomicU64,
     fold_errors: AtomicU64,
     fold_sweeps: AtomicU64,
 }
@@ -222,15 +221,9 @@ impl IngestCounters {
         self.fold_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one compaction (the fitted delta sealed into a base
-    /// segment).
+    /// Records one seal (the fitted delta promoted into a base segment).
     pub fn add_seal(&self) {
         self.seals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` sealed segments dropped by the retention policy.
-    pub fn add_retired(&self, n: u64) {
-        self.retired_segments.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the counters. The epoch and staged-row
@@ -243,7 +236,6 @@ impl IngestCounters {
             duplicate_appends: self.duplicate_appends.load(Ordering::Relaxed),
             folds: self.folds.load(Ordering::Relaxed),
             seals: self.seals.load(Ordering::Relaxed),
-            retired_segments: self.retired_segments.load(Ordering::Relaxed),
             fold_errors: self.fold_errors.load(Ordering::Relaxed),
             fold_sweeps: self.fold_sweeps.load(Ordering::Relaxed),
         }
@@ -254,8 +246,8 @@ impl IngestCounters {
 /// epoch and staging gauge (the `stats ingest` wire line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestStatsSnapshot {
-    /// Generation token of the served mixture: bumped on every delta fold
-    /// and compaction, once the new mixture is served. Observing the same
+    /// Generation token of the served mixture: bumped on every delta fold,
+    /// once the new mixture is served. Observing the same
     /// epoch twice guarantees bitwise-identical answers in between.
     pub epoch: u64,
     /// Rows accepted but not yet covered by the served delta model.
@@ -266,10 +258,8 @@ pub struct IngestStatsSnapshot {
     pub duplicate_appends: u64,
     /// Delta folds (background re-solves) since startup.
     pub folds: u64,
-    /// Compactions (delta sealed into a base segment) since startup.
+    /// Seals (delta promoted into a base segment) since startup.
     pub seals: u64,
-    /// Sealed segments dropped by the retention policy.
-    pub retired_segments: u64,
     /// Folds whose solve failed since startup; their rows stay staged.
     pub fold_errors: u64,
     /// Sweeps the last successful fold's solve took (0 before the first).

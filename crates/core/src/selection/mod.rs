@@ -3,7 +3,7 @@
 //! The summary always contains the complete 1D statistics; the
 //! precision/memory tradeoff is in the multi-dimensional statistics. A
 //! budget `B = Ba · Bs` is split between `Ba` attribute pairs (chosen by
-//! [`pairs::PairStrategy`] from correlation scores) and `Bs` statistics per
+//! [`pairs::choose_pairs`] from correlation scores) and `Bs` statistics per
 //! pair (chosen by a [`heuristics::Heuristic`]).
 
 pub mod heuristics;
@@ -11,7 +11,7 @@ pub mod kdtree;
 pub mod pairs;
 
 pub use heuristics::{select_pair_statistics, Heuristic};
-pub use pairs::{choose_pairs, PairStrategy};
+pub use pairs::choose_pairs;
 
 use crate::statistics::MultiDimStatistic;
 use entropydb_storage::{AttrId, Result as StorageResult, Table};

@@ -17,22 +17,11 @@ use entropydb_storage::correlation::PairScore;
 use entropydb_storage::AttrId;
 use std::collections::HashSet;
 
-/// How to pick which attribute pairs receive 2D statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PairStrategy {
-    /// Maximize attribute coverage first, then correlation.
-    AttributeCover,
-}
-
 /// Picks up to `ba` pairs from `scores` (already sorted most-correlated
-/// first, as produced by [`entropydb_storage::correlation::rank_pairs`]).
-pub fn choose_pairs(scores: &[PairScore], ba: usize, strategy: PairStrategy) -> Vec<PairScore> {
-    match strategy {
-        PairStrategy::AttributeCover => attribute_cover(scores, ba),
-    }
-}
-
-fn attribute_cover(scores: &[PairScore], ba: usize) -> Vec<PairScore> {
+/// first, as produced by [`entropydb_storage::correlation::rank_pairs`]) by
+/// attribute cover: maximize the distinct attributes covered, then total
+/// correlation.
+pub fn choose_pairs(scores: &[PairScore], ba: usize) -> Vec<PairScore> {
     let ba = ba.min(scores.len());
     if ba == 0 {
         return Vec::new();
@@ -156,7 +145,7 @@ mod tests {
 
     #[test]
     fn attribute_cover_matches_paper_example() {
-        let chosen = choose_pairs(&paper_example(), 2, PairStrategy::AttributeCover);
+        let chosen = choose_pairs(&paper_example(), 2);
         // {AB, CD} covers all four attributes with total 1.5, beating
         // {BC, AD} (also 4 attributes but total 1.0).
         assert_eq!(pair_names(&chosen), vec![(0, 1), (2, 3)]);
@@ -164,13 +153,13 @@ mod tests {
 
     #[test]
     fn budget_larger_than_pairs_takes_all() {
-        let chosen = choose_pairs(&paper_example(), 10, PairStrategy::AttributeCover);
+        let chosen = choose_pairs(&paper_example(), 10);
         assert_eq!(chosen.len(), 4);
     }
 
     #[test]
     fn zero_budget_returns_empty() {
-        assert!(choose_pairs(&paper_example(), 0, PairStrategy::AttributeCover).is_empty());
+        assert!(choose_pairs(&paper_example(), 0).is_empty());
     }
 
     #[test]

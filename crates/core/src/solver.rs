@@ -182,26 +182,6 @@ impl fmt::Display for SolverReport {
     }
 }
 
-/// The dual objective `Ψ = Σ_j s_j ln α_j − n ln P` (Eq. 11). Statistics
-/// with `s_j = 0` contribute `0 · ln 0 := 0`.
-pub fn dual_objective(poly: &FactorizedPolynomial, stats: &Statistics, a: &VarAssignment) -> f64 {
-    let n = stats.n() as f64;
-    let mut psi = 0.0;
-    for (i, counts) in stats.one_dim().iter().enumerate() {
-        for (v, &s) in counts.iter().enumerate() {
-            if s > 0 {
-                psi += s as f64 * a.one_dim[i][v].ln();
-            }
-        }
-    }
-    for (j, &s) in stats.multi_counts().iter().enumerate() {
-        if s > 0 {
-            psi += s as f64 * a.multi[j].ln();
-        }
-    }
-    psi - n * poly.eval(a).ln()
-}
-
 /// One component's solved state plus its convergence metadata.
 struct CompSolution {
     /// Local per-attribute 1D variables (local attribute order).

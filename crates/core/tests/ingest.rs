@@ -6,9 +6,8 @@
 //!    mixture *bitwise identical* to `ShardedSummary::from_shards` over the
 //!    same base shards plus an independently-fitted delta model, for 1, 2,
 //!    and 4 base shards, on every query path including sampling.
-//! 2. **Compaction neutrality** — sealing the fitted delta into the base
-//!    segment list changes no answer bit (same models, same order), while
-//!    retention drops whole oldest segments.
+//! 2. **Sealing neutrality** — sealing the fitted delta into the base
+//!    segment list changes no answer bit (same models, same order).
 //! 3. **Zero-stale caches** — behind an engine's answer cache, a cached
 //!    answer can never survive a fold: the epoch is the cache generation,
 //!    so post-fold queries match a freshly-composed uncached mixture
@@ -105,13 +104,12 @@ fn build_base(t: &Table, k: usize) -> ShardedSummary {
 }
 
 /// Synchronous config with thresholds far above the test batches, so folds
-/// only happen where a test calls `flush`/`compact_now` explicitly.
+/// only happen where a test calls `flush` explicitly.
 fn sync_config() -> IngestConfig {
     IngestConfig {
         delta_rows: 1 << 20,
         seal_rows: 1 << 20,
         background: false,
-        ..IngestConfig::default()
     }
 }
 
@@ -387,7 +385,6 @@ fn background_fold_publishes_appended_rows() {
         delta_rows: 32,
         seal_rows: 1 << 20,
         background: true,
-        ..IngestConfig::default()
     };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let engine = QueryEngine::new(live);
@@ -417,67 +414,44 @@ fn background_fold_publishes_appended_rows() {
     assert_eq!(stats.staged_rows, 0);
 }
 
-/// Contract 2: compaction (sealing the fitted delta) is bitwise-neutral —
-/// the mixture holds the same models in the same order — and retention
-/// drops whole oldest segments once the cap is exceeded.
+/// Contract 2: sealing (promoting the fitted delta into the base segment
+/// list) is bitwise-neutral — the mixture holds the same models in the
+/// same order. Two live summaries fold the same batch over the same base:
+/// one seals it (its seal threshold is the batch size), the other serves
+/// it as the delta, and every answer agrees bit for bit.
 #[test]
-fn compaction_is_bitwise_neutral_and_retention_drops_oldest() {
+fn sealing_is_bitwise_neutral() {
     let t = fixture_table(0xC0DE, 350);
-    let base = build_base(&t, 2);
-    let n_base = base.n();
-    let live = LiveSummary::new(
-        base,
-        fixture_stats(),
-        SolverConfig::default(),
-        sync_config(),
-    )
-    .unwrap();
-    let engine = QueryEngine::new(live);
     let batch = delta_batch(0xDD, 100);
-    engine.append_rows(&batch, None).unwrap();
-    engine.backend().flush().unwrap();
+    let fold_batch = |config: IngestConfig| {
+        let base = build_base(&t, 2);
+        let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config);
+        let engine = QueryEngine::new(live.unwrap());
+        engine.append_rows(&batch, None).unwrap();
+        engine.backend().flush().unwrap();
+        engine
+    };
+    let unsealed = fold_batch(sync_config());
+    let sealed = fold_batch(IngestConfig {
+        delta_rows: batch.len(),
+        seal_rows: batch.len(),
+        background: false,
+    });
 
-    let before: Vec<Estimate> = probe_predicates()
-        .iter()
-        .map(|p| engine.estimate_count(p).unwrap())
-        .collect();
-    let segments_before = engine.backend().num_segments();
-    let epoch_before = engine.epoch();
-
-    engine.backend().compact_now().unwrap();
-    assert_eq!(engine.backend().num_segments(), segments_before + 1);
-    assert!(engine.epoch() > epoch_before, "compaction must publish");
-    for (pred, b) in probe_predicates().iter().zip(&before) {
+    assert_eq!(
+        sealed.backend().num_segments(),
+        unsealed.backend().num_segments() + 1
+    );
+    assert_eq!(sealed.ingest_stats().unwrap().seals, 1);
+    assert_eq!(unsealed.ingest_stats().unwrap().seals, 0);
+    assert_eq!(sealed.epoch(), unsealed.epoch());
+    for pred in probe_predicates() {
         assert_estimates_bitwise(
-            &format!("compaction({pred:?})"),
-            b,
-            &engine.estimate_count(pred).unwrap(),
+            &format!("sealing({pred:?})"),
+            &unsealed.estimate_count(&pred).unwrap(),
+            &sealed.estimate_count(&pred).unwrap(),
         );
     }
-    let stats = engine.ingest_stats().unwrap();
-    assert_eq!(stats.seals, 1);
-    assert_eq!(stats.retired_segments, 0);
-
-    // Retention: cap at 2 segments; a further append + compaction seals a
-    // third segment and must retire the oldest one wholesale.
-    let config = IngestConfig {
-        delta_rows: 1 << 20,
-        seal_rows: 1 << 20,
-        max_segments: Some(2),
-        background: false,
-    };
-    let base = build_base(&t, 2);
-    let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
-    live.append_rows(&delta_batch(0xEE, 80), None).unwrap();
-    live.compact_now().unwrap();
-    assert_eq!(live.num_segments(), 2, "cap must hold after the seal");
-    let stats = live.ingest_stats();
-    assert_eq!(stats.seals, 1);
-    assert_eq!(stats.retired_segments, 1);
-    assert!(
-        live.n() < n_base + 80,
-        "retiring the oldest segment must drop its rows from n"
-    );
 }
 
 /// Contract 4: a replayed idempotency token is absorbed and reported; the
@@ -493,7 +467,6 @@ fn token_replay_is_absorbed_and_window_is_fifo() {
         delta_rows: 1 << 20,
         seal_rows: 1 << 20,
         background: false,
-        ..IngestConfig::default()
     };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let batch = delta_batch(0x11, 40);
@@ -633,7 +606,6 @@ fn a_reader_that_saw_an_epoch_is_never_answered_by_an_older_mixture() {
         delta_rows: M,
         seal_rows: 16 * M,
         background: true,
-        ..IngestConfig::default()
     };
     let live = LiveSummary::new(base, fixture_stats(), SolverConfig::default(), config).unwrap();
     let engine = QueryEngine::new(live).with_answer_cache(64);
@@ -741,12 +713,6 @@ fn ingest_config_validates() {
             seal_rows: 50,
             ..default()
         },
-        IngestConfig {
-            delta_rows: 8,
-            seal_rows: 8,
-            max_segments: Some(0),
-            ..default()
-        },
     ];
     for config in invalid {
         assert!(config.validate().is_err(), "{config:?}");
@@ -754,7 +720,6 @@ fn ingest_config_validates() {
     IngestConfig {
         delta_rows: 8,
         seal_rows: 64,
-        max_segments: Some(4),
         background: false,
     }
     .validate()

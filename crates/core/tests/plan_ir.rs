@@ -190,7 +190,6 @@ fn live() -> LiveSummary {
         delta_rows: 8,
         seal_rows: 1 << 20,
         background: false,
-        ..IngestConfig::default()
     };
     let live = LiveSummary::new(sharded(2), vec![stat], SolverConfig::default(), config).unwrap();
     let rows: Vec<Vec<u32>> = (0..8u32).map(|i| vec![i % 3, i % 4, i / 2 % 4]).collect();

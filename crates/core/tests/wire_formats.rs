@@ -217,7 +217,6 @@ fn sync_ingest() -> IngestConfig {
         delta_rows: 1 << 20,
         seal_rows: 1 << 20,
         background: false,
-        ..IngestConfig::default()
     }
 }
 

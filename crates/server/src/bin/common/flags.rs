@@ -1,5 +1,5 @@
-//! Command-line flags shared by `entropydb-serve` and `entropydb-cluster`,
-//! which each include this file with `#[path]`. A flag is `--name VALUE`
+//! Command-line flags shared by `entropydb-serve`, `entropydb-cluster` and
+//! the `entropydb` CLI, which each include this file with `#[path]`. A flag is `--name VALUE`
 //! or a bare switch; every error is a message the caller prints before its
 //! usage text and exit code 2.
 

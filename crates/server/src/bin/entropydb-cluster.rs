@@ -617,7 +617,6 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
     let failover = FailoverConfig {
         connect_timeout: connect_timeout.or(defaults.connect_timeout),
         probe_timeout: probe_timeout.or(defaults.probe_timeout),
-        ..defaults
     };
     let mut remote = match RemoteShardedSummary::connect_with(&manifest, failover) {
         Ok(r) => r,

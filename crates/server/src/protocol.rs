@@ -217,7 +217,7 @@ pub fn decode_append_outcome(line: &str) -> Result<AppendOutcome> {
 /// Encodes the `stats ingest` reply: the live backend's ingest counters.
 ///
 /// ```text
-/// stats ingest <epoch> <staged> <appended> <duplicates> <folds> <seals> <retired> <fold_errors> <fold_sweeps>
+/// stats ingest <epoch> <staged> <appended> <duplicates> <folds> <seals> <fold_errors> <fold_sweeps>
 /// ```
 ///
 /// A backend without a live delta shard answers `stats ingest none`.
@@ -230,7 +230,6 @@ pub fn encode_ingest_stats(s: Option<&IngestStatsSnapshot>) -> String {
             s.duplicate_appends,
             s.folds,
             s.seals,
-            s.retired_segments,
             s.fold_errors,
             s.fold_sweeps,
         ]
@@ -242,7 +241,7 @@ pub fn encode_ingest_stats(s: Option<&IngestStatsSnapshot>) -> String {
 pub fn decode_ingest_stats(line: &str) -> Result<Option<IngestStatsSnapshot>> {
     let fields = decode_counters(line, "ingest")?;
     Ok(fields.map(
-        |[epoch, staged_rows, appended_rows, duplicate_appends, folds, seals, retired_segments, fold_errors, fold_sweeps]| {
+        |[epoch, staged_rows, appended_rows, duplicate_appends, folds, seals, fold_errors, fold_sweeps]| {
             IngestStatsSnapshot {
                 epoch,
                 staged_rows,
@@ -250,7 +249,6 @@ pub fn decode_ingest_stats(line: &str) -> Result<Option<IngestStatsSnapshot>> {
                 duplicate_appends,
                 folds,
                 seals,
-                retired_segments,
                 fold_errors,
                 fold_sweeps,
             }
@@ -456,12 +454,11 @@ mod tests {
             duplicate_appends: 1,
             folds: 5,
             seals: 2,
-            retired_segments: 1,
             fold_errors: 3,
             fold_sweeps: 12,
         };
         let line = encode_ingest_stats(Some(&snap));
-        assert_eq!(line, "stats ingest 4 10 200 1 5 2 1 3 12\n");
+        assert_eq!(line, "stats ingest 4 10 200 1 5 2 3 12\n");
         assert_eq!(decode_ingest_stats(line.trim()).unwrap(), Some(snap));
         let none = encode_ingest_stats(None);
         assert_eq!(none, "stats ingest none\n");

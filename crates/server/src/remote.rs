@@ -52,9 +52,9 @@
 //!   ([`ModelError::Remote`]) fails the call immediately — re-sending it
 //!   anywhere would just re-compute the same error.
 //! * Each replica keeps per-node health: a consecutive-failure circuit
-//!   breaker opens after [`FailoverConfig::breaker_threshold`] straight
-//!   failures and the replica is skipped for a (capped, exponentially
-//!   growing) cooldown, after which one probation probe may re-close it.
+//!   breaker opens after three straight failures and the replica is
+//!   skipped for a (capped, exponentially growing) cooldown, after which
+//!   one probation probe may re-close it.
 //!   When *every* replica's breaker is open the gatherer still sends
 //!   probation probes (the least-recently-failed replica first) so an
 //!   outage heals without operator action.
@@ -95,8 +95,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Failover policy of the remote scatter/gather backend: socket deadlines,
-/// retry/backoff budget, and circuit-breaker thresholds.
+/// Failover policy of the remote scatter/gather backend: the two socket
+/// deadlines. The rest of the policy is fixed: two attempts per replica,
+/// a 10 ms backoff doubling to 500 ms, and a breaker that opens after
+/// three straight failures for 1 s, doubling to 30 s.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
     /// TCP connect deadline per dial attempt (default 2 s).
@@ -105,24 +107,6 @@ pub struct FailoverConfig {
     /// single wire read or write may block before the replica is treated
     /// as hung and the gatherer fails over.
     pub probe_timeout: Option<Duration>,
-    /// Attempt budget per call, as a multiple of the replica count
-    /// (default 2): a shard with `r` replicas gets at most
-    /// `max(1, attempts_per_replica) * r` attempts before surfacing
-    /// [`ModelError::Degraded`].
-    pub attempts_per_replica: usize,
-    /// First backoff sleep once every replica has been tried (default
-    /// 10 ms). The first failover to an untried replica is immediate.
-    pub backoff_base: Duration,
-    /// Backoff ceiling for the capped exponential (default 500 ms).
-    pub backoff_cap: Duration,
-    /// Consecutive failures that open a replica's circuit breaker
-    /// (default 3).
-    pub breaker_threshold: u32,
-    /// Cooldown of a freshly opened breaker (default 1 s); doubles with
-    /// each further consecutive failure.
-    pub breaker_cooldown: Duration,
-    /// Cooldown ceiling (default 30 s).
-    pub breaker_cooldown_cap: Duration,
 }
 
 impl Default for FailoverConfig {
@@ -130,41 +114,41 @@ impl Default for FailoverConfig {
         FailoverConfig {
             connect_timeout: Some(Duration::from_secs(2)),
             probe_timeout: Some(Duration::from_secs(5)),
-            attempts_per_replica: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(1),
-            breaker_cooldown_cap: Duration::from_secs(30),
         }
     }
 }
 
+/// Attempt budget per call, as a multiple of the replica count: a shard
+/// with `r` replicas gets at most `ATTEMPTS_PER_REPLICA * r` attempts
+/// before surfacing [`ModelError::Degraded`].
+const ATTEMPTS_PER_REPLICA: usize = 2;
+/// First backoff sleep once every replica has been tried; the first
+/// failover to an untried replica is immediate.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Ceiling of the capped exponential backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+/// Consecutive failures that open a replica's circuit breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Cooldown of a freshly opened breaker; doubles with each further
+/// consecutive failure.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
+/// Ceiling of the breaker cooldown.
+const BREAKER_COOLDOWN_CAP: Duration = Duration::from_secs(30);
+
 impl FailoverConfig {
-    /// Checks the invariants [`RemoteShardedSummary::connect_with`]
-    /// enforces: positive budgets, caps not below their bases.
+    /// Checks the invariant [`RemoteShardedSummary::connect_with`]
+    /// enforces: a set deadline is not zero (std refuses a zero socket
+    /// timeout, so every dial would fail).
     pub fn validate(&self) -> Result<()> {
-        if self.attempts_per_replica == 0 {
-            return Err(ModelError::InvalidConfig(
-                "failover attempts_per_replica must be positive".to_string(),
-            ));
-        }
-        if self.breaker_threshold == 0 {
-            return Err(ModelError::InvalidConfig(
-                "failover breaker_threshold must be positive".to_string(),
-            ));
-        }
-        if self.backoff_cap < self.backoff_base {
-            return Err(ModelError::InvalidConfig(format!(
-                "failover backoff_cap ({:?}) below backoff_base ({:?})",
-                self.backoff_cap, self.backoff_base
-            )));
-        }
-        if self.breaker_cooldown_cap < self.breaker_cooldown {
-            return Err(ModelError::InvalidConfig(format!(
-                "failover breaker_cooldown_cap ({:?}) below breaker_cooldown ({:?})",
-                self.breaker_cooldown_cap, self.breaker_cooldown
-            )));
+        for (name, deadline) in [
+            ("connect_timeout", self.connect_timeout),
+            ("probe_timeout", self.probe_timeout),
+        ] {
+            if deadline.is_some_and(|d| d.is_zero()) {
+                return Err(ModelError::InvalidConfig(format!(
+                    "failover {name} must be positive when set"
+                )));
+            }
         }
         Ok(())
     }
@@ -175,10 +159,6 @@ impl FailoverConfig {
             read_timeout: self.probe_timeout,
             write_timeout: self.probe_timeout,
         }
-    }
-
-    fn max_attempts(&self, replicas: usize) -> usize {
-        self.attempts_per_replica.max(1) * replicas.max(1)
     }
 }
 
@@ -195,14 +175,13 @@ struct Health {
 }
 
 impl Health {
-    fn record_failure(&mut self, config: &FailoverConfig) {
+    fn record_failure(&mut self) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        if self.consecutive_failures >= config.breaker_threshold {
-            let over = self.consecutive_failures - config.breaker_threshold;
-            let cooldown = config
-                .breaker_cooldown
+        if self.consecutive_failures >= BREAKER_THRESHOLD {
+            let over = self.consecutive_failures - BREAKER_THRESHOLD;
+            let cooldown = BREAKER_COOLDOWN
                 .saturating_mul(1u32 << over.min(16))
-                .min(config.breaker_cooldown_cap);
+                .min(BREAKER_COOLDOWN_CAP);
             self.open_until = Some(Instant::now() + cooldown);
         }
     }
@@ -589,9 +568,9 @@ impl RemoteShard {
         };
         let mut attempts: Vec<String> = Vec::new();
         let mut tried = vec![false; len];
-        let mut backoff = self.config.backoff_base;
+        let mut backoff = BACKOFF_BASE;
         let mut start = self.preferred.load(Ordering::Relaxed) % len;
-        for _ in 0..self.config.max_attempts(len) {
+        for _ in 0..ATTEMPTS_PER_REPLICA * len {
             let (idx, pooled) = match first.take() {
                 Some((idx, outcome)) => (idx, Some(outcome)),
                 None => {
@@ -602,9 +581,9 @@ impl RemoteShard {
                     // Failing over to an untried replica is immediate; once
                     // the rotation wraps, sleep the capped exponential
                     // backoff so a struggling cluster is not hammered.
-                    if tried[idx] && !backoff.is_zero() {
+                    if tried[idx] {
                         std::thread::sleep(backoff);
-                        backoff = backoff.saturating_mul(2).min(self.config.backoff_cap);
+                        backoff = backoff.saturating_mul(2).min(BACKOFF_CAP);
                     }
                     (idx, self.pooled(idx).map(&run))
                 }
@@ -614,7 +593,7 @@ impl RemoteShard {
             let replica = &self.replicas[idx];
             let record_failure = || {
                 let mut health = replica.health.lock().expect("replica health");
-                health.record_failure(&self.config);
+                health.record_failure();
             };
             let outcome = match pooled {
                 // A *pooled* transport found dead was idle-reaped, or its
@@ -743,7 +722,7 @@ impl RemoteShard {
                 .health
                 .lock()
                 .expect("replica health")
-                .record_failure(&self.config),
+                .record_failure(),
         }
     }
 
@@ -1007,7 +986,7 @@ impl RemoteShardedSummary {
                             .health
                             .lock()
                             .expect("replica health")
-                            .record_failure(&config);
+                            .record_failure();
                         attempts.push(format!("{}: {detail}", shard.replicas[idx].addr));
                     }
                     Err(DialFailure::Busy(msg)) => {

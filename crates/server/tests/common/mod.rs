@@ -22,19 +22,12 @@ pub fn a(i: usize) -> AttrId {
     AttrId(i)
 }
 
-/// A failover policy tightened for tests: short deadlines and cooldowns so
-/// dead-node paths resolve in milliseconds instead of seconds, with the
-/// same classification and budget structure as the default.
+/// A failover policy tightened for tests: short deadlines so dead-node
+/// paths resolve in a fraction of a second instead of seconds.
 pub fn fast_failover() -> FailoverConfig {
     FailoverConfig {
         connect_timeout: Some(Duration::from_millis(500)),
         probe_timeout: Some(Duration::from_secs(2)),
-        attempts_per_replica: 2,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(20),
-        breaker_threshold: 3,
-        breaker_cooldown: Duration::from_millis(100),
-        breaker_cooldown_cap: Duration::from_millis(400),
     }
 }
 

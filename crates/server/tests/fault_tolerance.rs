@@ -30,7 +30,6 @@ fn deadline_failover() -> FailoverConfig {
     FailoverConfig {
         connect_timeout: Some(Duration::from_millis(300)),
         probe_timeout: Some(Duration::from_millis(300)),
-        ..fast_failover()
     }
 }
 

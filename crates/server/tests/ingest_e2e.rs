@@ -72,7 +72,6 @@ fn serve_live(
         delta_rows,
         seal_rows: 1 << 20,
         background: true,
-        ..IngestConfig::default()
     };
     let base = ShardedSummary::from_shards(vec![shard0]).unwrap();
     let live = LiveSummary::new(base, multi, SolverConfig::default(), config).unwrap();
@@ -173,7 +172,6 @@ fn a_pipelined_run_answers_in_request_order_across_appends() {
         delta_rows: 32,
         seal_rows: 1 << 20,
         background: false,
-        ..IngestConfig::default()
     };
     let base = ShardedSummary::from_shards(vec![shard0]).unwrap();
     let live = LiveSummary::new(base, demo_stats(), SolverConfig::default(), config).unwrap();

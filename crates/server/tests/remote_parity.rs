@@ -16,6 +16,7 @@ use entropydb_core::serialize::ClusterShard;
 use entropydb_core::solver::SolverConfig;
 use entropydb_server::{serve, Client, FailoverConfig, RemoteShardedSummary};
 use entropydb_storage::Predicate;
+use std::time::Duration;
 
 /// Remote scatter/gather answers every request variant bitwise-identically
 /// to the local sharded backend over the same shard models — at 1, 3, and
@@ -284,14 +285,21 @@ fn handshake_rejects_wrong_cardinality_and_dead_nodes() {
     }
     manifest[1].n -= 5;
 
-    // An invalid failover policy is refused before any dial.
-    let zero_budget = FailoverConfig {
-        attempts_per_replica: 0,
+    // An invalid failover policy is refused before any dial: std rejects
+    // a zero socket deadline, so it would otherwise fail every dial.
+    let zero_probe = FailoverConfig {
+        probe_timeout: Some(Duration::ZERO),
         ..fast_failover()
     };
-    match RemoteShardedSummary::connect_with(&manifest, zero_budget) {
-        Err(ModelError::InvalidConfig(_)) => {}
-        other => panic!("expected an invalid-config error, got {other:?}"),
+    let zero_connect = FailoverConfig {
+        connect_timeout: Some(Duration::ZERO),
+        ..fast_failover()
+    };
+    for zero_deadline in [zero_probe, zero_connect] {
+        match RemoteShardedSummary::connect_with(&manifest, zero_deadline) {
+            Err(ModelError::InvalidConfig(_)) => {}
+            other => panic!("expected an invalid-config error, got {other:?}"),
+        }
     }
 
     // A dead node fails the connect with its shard named.

@@ -48,7 +48,7 @@ const APPEND: &str = "a1 tok-7 2 3 1 2 3 4 5 6\n";
 const APPEND_OUTCOME: &str = "ai1 1 12 40 3\n";
 const STATS_CACHE: &str = "stats cache 9 4 2 1\n";
 const STATS_SERVER: &str = "stats server 3 17 2 4096 8192 5\n";
-const STATS_INGEST: &str = "stats ingest 4 10 200 1 5 2 1 3 12\n";
+const STATS_INGEST: &str = "stats ingest 4 10 200 1 5 2 3 12\n";
 
 /// A hand-assembled two-attribute summary with no 2-D statistics.
 fn summary() -> MaxEntSummary {
@@ -101,7 +101,6 @@ fn ingest_stats() -> IngestStatsSnapshot {
         duplicate_appends: 1,
         folds: 5,
         seals: 2,
-        retired_segments: 1,
         fold_errors: 3,
         fold_sweeps: 12,
     }

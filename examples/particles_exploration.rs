@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example particles_exploration [-- rows]`
 
+use entropydb::core::selection::choose_pairs;
 use entropydb::core::selection::heuristics::select_pair_statistics;
-use entropydb::core::selection::{choose_pairs, PairStrategy};
 use entropydb::data::particles::{generate, ParticlesConfig};
 use entropydb::prelude::*;
 use entropydb::storage::correlation::rank_pairs;
@@ -48,7 +48,7 @@ fn main() -> Result<()> {
         let ny = table.schema().attr(s.y)?.name().to_string();
         println!("  ({nx}, {ny}): {:.3}", s.cramers_v);
     }
-    let chosen = choose_pairs(&scores, 4, PairStrategy::AttributeCover);
+    let chosen = choose_pairs(&scores, 4);
 
     let mut stats = Vec::new();
     for pair in &chosen {

@@ -13,8 +13,8 @@
 //! summary file stores only the model).
 
 use entropydb::core::polynomial::PolynomialSizeStats;
+use entropydb::core::selection::choose_pairs;
 use entropydb::core::selection::heuristics::select_pair_statistics;
-use entropydb::core::selection::{choose_pairs, PairStrategy};
 use entropydb::prelude::*;
 use entropydb::storage::correlation::rank_pairs;
 use entropydb::storage::csv::{load_file, CsvOptions};
@@ -22,6 +22,11 @@ use entropydb::storage::exec;
 use entropydb::storage::parser::parse_predicate;
 use std::path::Path;
 use std::process::ExitCode;
+
+// `flags::duration` parses the servers' deadlines; nothing here takes one.
+#[allow(dead_code)]
+#[path = "../../crates/server/src/bin/common/flags.rs"]
+mod flags;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -32,23 +37,28 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Prints a flag error before the usage text; exit code 2.
+fn bad_flags(error: String) -> ExitCode {
+    eprintln!("error: {error}");
+    usage()
 }
 
 fn summarize(args: &[String]) -> Result<ExitCode> {
     let Some(csv_path) = args.first() else {
         return Ok(usage());
     };
-    let pairs: usize = flag_value(args, "--pairs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let budget: usize = flag_value(args, "--budget")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let out = flag_value(args, "--out").unwrap_or_else(|| "summary.txt".to_string());
+    let parsed = (|| -> std::result::Result<(usize, usize), String> {
+        flags::check_known(args, &["--pairs", "--budget", "--out"], &[])?;
+        Ok((
+            flags::value(args, "--pairs")?.unwrap_or(2),
+            flags::value(args, "--budget")?.unwrap_or(200),
+        ))
+    })();
+    let (pairs, budget) = match parsed {
+        Ok(v) => v,
+        Err(e) => return Ok(bad_flags(e)),
+    };
+    let out = flags::flag(args, "--out").unwrap_or_else(|| "summary.txt".to_string());
 
     eprintln!("loading {csv_path}...");
     let dataset = load_file(Path::new(csv_path), &CsvOptions::default())?;
@@ -62,7 +72,7 @@ fn summarize(args: &[String]) -> Result<ExitCode> {
 
     let attrs: Vec<_> = table.schema().attr_ids().collect();
     let scores = rank_pairs(table, &attrs)?;
-    let chosen = choose_pairs(&scores, pairs, PairStrategy::AttributeCover);
+    let chosen = choose_pairs(&scores, pairs);
     eprintln!(
         "choosing {} attribute pairs (attribute-cover):",
         chosen.len()
@@ -109,6 +119,9 @@ fn query(args: &[String]) -> Result<ExitCode> {
     else {
         return Ok(usage());
     };
+    if let Err(e) = flags::check_known(args, &[], &["--exact"]) {
+        return Ok(bad_flags(e));
+    }
     let exact = args.iter().any(|a| a == "--exact");
 
     let dataset = load_file(Path::new(csv_path), &CsvOptions::default())?;
@@ -233,6 +246,9 @@ fn info(args: &[String]) -> Result<ExitCode> {
     let Some(summary_path) = args.first() else {
         return Ok(usage());
     };
+    if let Err(e) = flags::check_known(args, &[], &[]) {
+        return Ok(bad_flags(e));
+    }
     let summary = entropydb::core::serialize::load_file(Path::new(summary_path))?;
     let stats = summary.statistics();
     println!(

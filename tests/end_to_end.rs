@@ -3,8 +3,8 @@
 
 use entropydb::core::ingest::fit_segment;
 use entropydb::core::metrics::{mean_relative_error, relative_error};
+use entropydb::core::selection::choose_pairs;
 use entropydb::core::selection::heuristics::select_pair_statistics;
-use entropydb::core::selection::{choose_pairs, PairStrategy};
 use entropydb::data::flights::{generate, restrict_to_time_distance, FlightsConfig};
 use entropydb::data::particles::{self, ParticlesConfig};
 use entropydb::data::workload::Workload;
@@ -123,7 +123,7 @@ fn particles_pipeline_with_automatic_pair_selection() {
     });
     let candidates = [d.density, d.mass, d.grp, d.ptype];
     let scores = rank_pairs(&d.table, &candidates).expect("ranking");
-    let chosen = choose_pairs(&scores, 2, PairStrategy::AttributeCover);
+    let chosen = choose_pairs(&scores, 2);
     assert_eq!(chosen.len(), 2);
     let mut stats = Vec::new();
     for pair in &chosen {
