@@ -78,16 +78,46 @@ impl VarAssignment {
 
 /// Per-attribute multiplicative weights applied to 1D variables during
 /// evaluation. `None` leaves an attribute untouched (weight 1 everywhere).
+///
+/// Each attribute also records, when its weights are set, whether exactly
+/// one of them is non-zero: such an attribute is *pinned* to that code. The
+/// pin is found once, when the weights are built or changed, so a kernel
+/// answering a fully pinned point ([`crate::factorized`]) never scans them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Mask {
-    weights: Vec<Option<Vec<f64>>>,
+    attrs: Vec<AttrMask>,
+}
+
+/// One attribute of a [`Mask`]: its weights and, when exactly one of them
+/// is non-zero, that code.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct AttrMask {
+    weights: Option<Vec<f64>>,
+    pin: Option<u32>,
+}
+
+impl AttrMask {
+    /// Wraps one attribute's weights, finding its pin.
+    pub(crate) fn new(weights: Option<Vec<f64>>) -> Self {
+        let pin = weights.as_deref().and_then(pin_of);
+        AttrMask { weights, pin }
+    }
+}
+
+/// The one non-zero weight's code, or `None` when there are none or several.
+fn pin_of(w: &[f64]) -> Option<u32> {
+    let mut nonzero = w.iter().enumerate().filter(|(_, &x)| x != 0.0);
+    match (nonzero.next(), nonzero.next()) {
+        (Some((code, _)), None) => Some(code as u32),
+        _ => None,
+    }
 }
 
 impl Mask {
     /// The identity mask over `m` attributes.
     pub fn identity(m: usize) -> Self {
         Mask {
-            weights: vec![None; m],
+            attrs: vec![AttrMask::default(); m],
         }
     }
 
@@ -95,7 +125,13 @@ impl Mask {
     /// the wire-decoding counterpart of [`Mask::attr_weights`], used by the
     /// shard probe protocol to transport masks between nodes verbatim.
     pub fn from_weights(weights: Vec<Option<Vec<f64>>>) -> Self {
-        Mask { weights }
+        Self::from_attrs(weights.into_iter().map(AttrMask::new).collect())
+    }
+
+    /// A mask from attributes already wrapped (the probe decoder builds
+    /// them as it reads).
+    pub(crate) fn from_attrs(attrs: Vec<AttrMask>) -> Self {
+        Mask { attrs }
     }
 
     /// Builds the Sec. 4.2 query mask for a conjunctive predicate: for every
@@ -110,10 +146,17 @@ impl Mask {
                 continue;
             }
             let mut w = vec![0.0; size];
-            for v in eff.matching_codes(size) {
+            let codes = eff.matching_codes(size);
+            for &v in &codes {
                 w[v as usize] = 1.0;
             }
-            mask.weights[attr_idx] = Some(w);
+            mask.attrs[attr_idx] = AttrMask {
+                weights: Some(w),
+                pin: match codes.as_slice() {
+                    &[code] => Some(code),
+                    _ => None,
+                },
+            };
         }
         // Reject predicates on attributes outside the schema.
         for (attr, _) in pred.clauses() {
@@ -133,10 +176,10 @@ impl Mask {
     /// midpoints, turning a COUNT mask into a SUM mask).
     pub fn scale_attr(mut self, attr: AttrId, values: &[f64]) -> Result<Self> {
         let slot = self
-            .weights
+            .attrs
             .get_mut(attr.0)
             .ok_or(ModelError::ShapeMismatch)?;
-        match slot {
+        match &mut slot.weights {
             Some(w) => {
                 if w.len() != values.len() {
                     return Err(ModelError::ShapeMismatch);
@@ -144,8 +187,9 @@ impl Mask {
                 for (wi, &s) in w.iter_mut().zip(values) {
                     *wi *= s;
                 }
+                slot.pin = pin_of(w);
             }
-            None => *slot = Some(values.to_vec()),
+            None => *slot = AttrMask::new(Some(values.to_vec())),
         }
         Ok(self)
     }
@@ -155,16 +199,21 @@ impl Mask {
     /// sequential-conditional sampler tightens one mask attribute per step
     /// and would otherwise reallocate per attribute).
     pub fn restrict_in_place(&mut self, attr: AttrId, v: u32, domain_size: usize) {
-        match &mut self.weights[attr.0] {
+        let slot = &mut self.attrs[attr.0];
+        match &mut slot.weights {
             Some(w) => {
                 let keep = w[v as usize];
                 w.fill(0.0);
                 w[v as usize] = keep;
+                slot.pin = (keep != 0.0).then_some(v);
             }
             None => {
                 let mut w = vec![0.0; domain_size];
                 w[v as usize] = 1.0;
-                self.weights[attr.0] = Some(w);
+                *slot = AttrMask {
+                    weights: Some(w),
+                    pin: Some(v),
+                };
             }
         }
     }
@@ -172,25 +221,37 @@ impl Mask {
     /// The weight applied to the 1D variable (attr `i`, code `v`).
     #[inline]
     pub fn weight(&self, attr: usize, v: u32) -> f64 {
-        match &self.weights[attr] {
+        match &self.attrs[attr].weights {
             Some(w) => w[v as usize],
             None => 1.0,
         }
     }
 
     /// The weight vector for an attribute, if any is set.
+    #[inline]
     pub fn attr_weights(&self, attr: usize) -> Option<&[f64]> {
-        self.weights[attr].as_deref()
+        self.attrs[attr].weights.as_deref()
+    }
+
+    /// The code attribute `attr` is pinned to and its weight, when exactly
+    /// one of its weights is non-zero.
+    #[inline]
+    pub fn pin(&self, attr: usize) -> Option<(u32, f64)> {
+        let AttrMask { weights, pin } = &self.attrs[attr];
+        match (weights, *pin) {
+            (Some(w), Some(code)) => Some((code, w[code as usize])),
+            _ => None,
+        }
     }
 
     /// Number of attributes the mask spans.
     pub fn arity(&self) -> usize {
-        self.weights.len()
+        self.attrs.len()
     }
 
     /// Whether the mask is the identity.
     pub fn is_identity(&self) -> bool {
-        self.weights.iter().all(Option::is_none)
+        self.attrs.iter().all(|a| a.weights.is_none())
     }
 }
 
@@ -207,6 +268,33 @@ mod tests {
         assert_eq!(mask.attr_weights(2), Some(&[1.0, 0.0][..]));
         assert_eq!(mask.weight(1, 2), 1.0);
         assert!(!mask.is_identity());
+    }
+
+    /// A pin is the one non-zero weight, found wherever weights are built
+    /// or changed.
+    #[test]
+    fn pins_track_the_one_non_zero_weight() {
+        let sizes = [4, 3];
+        let point = Predicate::new().eq(AttrId(0), 2).between(AttrId(1), 0, 1);
+        let mask = Mask::from_predicate(&point, &sizes).unwrap();
+        assert_eq!((mask.pin(0), mask.pin(1)), (Some((2, 1.0)), None));
+        // SUM weights keep the pin unless they zero the pinned code.
+        let sum = mask.clone().scale_attr(AttrId(0), &[5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(sum.unwrap().pin(0), Some((2, 7.0)));
+        let zeroed = mask.clone().scale_attr(AttrId(0), &[1.0, 1.0, 0.0, 1.0]);
+        assert_eq!(zeroed.unwrap().pin(0), None);
+        let narrowed = mask.clone().scale_attr(AttrId(1), &[0.0, 3.0, 4.0]);
+        assert_eq!(narrowed.unwrap().pin(1), Some((1, 3.0)));
+        let mut sampled = mask;
+        sampled.restrict_in_place(AttrId(1), 1, 3);
+        assert_eq!(sampled.pin(1), Some((1, 1.0)));
+        sampled.restrict_in_place(AttrId(0), 1, 4);
+        assert_eq!(sampled.pin(0), None);
+        // Decoded weights: `-0.0` is zero, and an identity attribute is free.
+        let decoded = Mask::from_weights(vec![Some(vec![-0.0, 0.5, 0.0]), None]);
+        assert_eq!((decoded.pin(0), decoded.pin(1)), (Some((1, 0.5)), None));
+        assert_eq!(Mask::from_weights(vec![Some(vec![1.0, 1.0])]).pin(0), None);
+        assert_eq!(Mask::from_weights(vec![Some(vec![0.0, 0.0])]).pin(0), None);
     }
 
     #[test]

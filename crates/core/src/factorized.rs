@@ -50,6 +50,33 @@
 //! alone. [`FactorizedPolynomial::size_stats`] reports how many components
 //! landed on each kernel and the size of what each materialised.
 //!
+//! ## Three paths
+//!
+//! Each query picks, per component and per mask, the cheapest of three
+//! paths — a batch routes every mask on its own, so its answers stay
+//! bitwise each mask's single answer:
+//!
+//! 1. **Pinned point.** When the mask pins every attribute of the
+//!    component ([`Mask::pin`]: exactly one non-zero weight, recorded when
+//!    the mask is built), one tuple survives and `P_c` is its monomial,
+//!    `Π α_v·w_v · Π δ_j` over the statistics containing it. A tree finds
+//!    them with one stabbing lookup per edge (`crate::tree`, "Three
+//!    paths"), a closure scans its statistics, a single attribute has none
+//!    (`α_v·w_v`). This is the paper's heavy-hitter / light-hitter /
+//!    nonexistent-value probe (Sec. 6.2); it agrees with the naive
+//!    polynomial to ~1e-15 relative, not bitwise with the walk.
+//! 2. **Free part.** A component the mask leaves unconstrained is read
+//!    from [`FreeParts`], which a fitted model evaluates once, on first
+//!    use, with today's kernels and no mask: the component's value, each
+//!    attribute's rooted derivative pass, and every message of a tree.
+//!    A walk over a constrained tree reads the messages of its free
+//!    subtrees from it too. Reading it is bitwise the walk. The solver
+//!    never reads it — its assignment changes every sweep — and the plain
+//!    entry points ([`FactorizedPolynomial::eval_masked_many_with`],
+//!    [`FactorizedPolynomial::eval_with_attr_derivatives_with`]) do without
+//!    it; the `_cached` ones take it.
+//! 3. **Walk.** Everything else runs its kernel's pass.
+//!
 //! ## Scratch reuse
 //!
 //! Evaluation never materializes per-component assignments or masks: each
@@ -64,8 +91,8 @@
 use crate::assignment::{Mask, VarAssignment};
 use crate::error::{ModelError, Result};
 use crate::polynomial::{CompressedPolynomial, EvalScratch, PolynomialSizeStats};
-use crate::statistics::MultiDimStatistic;
-use crate::tree::{TreeKernel, TreeScratch};
+use crate::statistics::{MultiDimStatistic, RangeClause};
+use crate::tree::{TreeKernel, TreeScratch, MAX_LANES};
 
 /// The one representation of a component's polynomial (module docs):
 /// queries and the solver's sweeps both run on it.
@@ -105,6 +132,10 @@ pub(crate) struct Component {
     /// `j` is `multis[j]` globally.
     pub(crate) multis: Vec<usize>,
     pub(crate) kernel: Kernel,
+    /// A closure component's statistics over local attributes, which a
+    /// pinned point scans for the ones containing it; empty for a tree,
+    /// whose kernel finds them by stabbing.
+    point_stats: Vec<MultiDimStatistic>,
 }
 
 /// The product-of-components polynomial used by the solver and the summary.
@@ -142,6 +173,37 @@ impl CompScratch {
         for (slot, &g) in self.local_multi.iter_mut().zip(&c.multis) {
             *slot = a.multi[g];
         }
+    }
+}
+
+/// The parts of a fitted model no mask constrains, evaluated once: what a
+/// query reads instead of walking them (module docs, "Three paths"). Made
+/// by [`FactorizedPolynomial::free_parts`] from one assignment and valid
+/// only with it; every value is computed by the float operations the walk
+/// runs, so reading it is bitwise the walk.
+#[derive(Debug)]
+pub struct FreeParts {
+    comps: Vec<FreeComponent>,
+}
+
+/// One component's entry of [`FreeParts`].
+#[derive(Debug)]
+struct FreeComponent {
+    /// `P_c` as a query evaluates it.
+    value: f64,
+    /// Per local attribute: `P_c` and every `∂P_c/∂α` of the derivative
+    /// pass rooted there; `derivs[deriv_starts[i]..deriv_starts[i + 1]]`.
+    rooted: Vec<f64>,
+    derivs: Vec<f64>,
+    deriv_starts: Vec<usize>,
+    /// A tree component's messages ([`TreeKernel::free_messages`]); empty
+    /// for a closure.
+    messages: Vec<f64>,
+}
+
+impl FreeComponent {
+    fn derivs(&self, local: usize) -> &[f64] {
+        &self.derivs[self.deriv_starts[local]..self.deriv_starts[local + 1]]
     }
 }
 
@@ -229,10 +291,16 @@ impl FactorizedPolynomial {
             .zip(comp_multi_ids)
             .map(|((attrs, stats_c), multis)| {
                 let local_sizes: Vec<usize> = attrs.iter().map(|&a| domain_sizes[a]).collect();
+                let kernel = Kernel::build(&local_sizes, &stats_c)?;
+                let point_stats = match kernel {
+                    Kernel::Tree(_) => Vec::new(),
+                    Kernel::Closure(_) => stats_c,
+                };
                 Ok(Component {
-                    kernel: Kernel::build(&local_sizes, &stats_c)?,
+                    kernel,
                     attrs,
                     multis,
+                    point_stats,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -359,12 +427,14 @@ impl FactorizedPolynomial {
     /// and mask through the component's attribute mapping (no local
     /// assignment/mask materialization). With `derivs_of` naming a local
     /// attribute, the pass also leaves every `dP_c/dα` of that attribute in
-    /// the component's kernel buffers.
+    /// the component's kernel buffers. A tree reads the messages of its
+    /// unconstrained subtrees from `free` when given.
     fn eval_component(
         c: &Component,
         a: &VarAssignment,
         mask: &Mask,
         derivs_of: Option<usize>,
+        free: Option<&FreeComponent>,
         cs: &mut CompScratch,
     ) -> f64 {
         cs.gather_multi(c, a);
@@ -378,7 +448,11 @@ impl FactorizedPolynomial {
                     let (vals, weights) = get(li);
                     (vals, [weights])
                 };
-                tree.pass(derivs_of.unwrap_or(0), &cs.local_multi, get, ts)[0]
+                let (root, multi) = (derivs_of.unwrap_or(0), &cs.local_multi);
+                match free {
+                    Some(f) => tree.pass_cached(root, multi, get, &f.messages, ts)[0],
+                    None => tree.pass(root, multi, get, ts)[0],
+                }
             }
             (Kernel::Closure(poly), KernelScratch::Closure(eval)) => {
                 poly.fill_scratch_with(eval, get);
@@ -393,6 +467,98 @@ impl FactorizedPolynomial {
             }
             _ => unreachable!("scratch was made for another polynomial"),
         }
+    }
+
+    /// `P_c` under `mask` without a walk, when one of the first two paths
+    /// applies (module docs, "Three paths"): the product of a pinned point,
+    /// or the cached value of a component `mask` leaves free.
+    fn shortcut(
+        c: &Component,
+        a: &VarAssignment,
+        mask: &Mask,
+        free: Option<&FreeComponent>,
+    ) -> Option<f64> {
+        Self::pinned_product(c, a, mask).or_else(|| Self::untouched(c, mask, free).map(|f| f.value))
+    }
+
+    /// The component's free parts, when there are some and `mask` leaves
+    /// every attribute of the component unconstrained.
+    fn untouched<'f>(
+        c: &Component,
+        mask: &Mask,
+        free: Option<&'f FreeComponent>,
+    ) -> Option<&'f FreeComponent> {
+        free.filter(|_| c.attrs.iter().all(|&g| mask.attr_weights(g).is_none()))
+    }
+
+    /// The one monomial of the tuple `mask` pins, `Π α_v·w_v · Π δ_j` over
+    /// the statistics containing it, when `mask` pins every attribute of
+    /// the component; `None` otherwise. A tree finds the statistics with
+    /// one stabbing lookup per edge (`Π_edges ψ(v_u, v_v)`), a closure scans
+    /// its statistics, a single attribute has none.
+    fn pinned_product(c: &Component, a: &VarAssignment, mask: &Mask) -> Option<f64> {
+        let mut p = 1.0;
+        for &g in &c.attrs {
+            let (code, w) = mask.pin(g)?;
+            p *= a.one_dim[g][code as usize] * w;
+        }
+        let code = |li: usize| mask.pin(c.attrs[li]).map_or(0, |(code, _)| code);
+        let delta = |j: usize| a.multi[c.multis[j]];
+        match &c.kernel {
+            Kernel::Tree(tree) => p *= tree.point_potential(code, delta),
+            Kernel::Closure(_) => {
+                for (j, stat) in c.point_stats.iter().enumerate() {
+                    let contains = |cl: &RangeClause| (cl.lo..=cl.hi).contains(&code(cl.attr.0));
+                    if stat.clauses().iter().all(contains) {
+                        p *= delta(j);
+                    }
+                }
+            }
+        }
+        Some(p)
+    }
+
+    /// Evaluates every part of `a` that a mask can leave free: what
+    /// [`FactorizedPolynomial::eval_masked_many_cached`] and
+    /// [`FactorizedPolynomial::eval_with_attr_derivatives_cached`] read
+    /// instead of walking. One pass per component and per attribute, on the
+    /// kernels queries run, with no mask applied.
+    pub fn free_parts(&self, a: &VarAssignment) -> FreeParts {
+        let identity = Mask::identity(self.arity());
+        let mut fs = self.make_scratch();
+        let comps = self
+            .components
+            .iter()
+            .zip(&mut fs.comps)
+            .map(|(c, cs)| {
+                let value = Self::eval_component(c, a, &identity, None, None, cs);
+                let (mut rooted, mut derivs, mut deriv_starts) = (vec![], vec![], vec![0]);
+                for (li, &g) in c.attrs.iter().enumerate() {
+                    rooted.push(Self::eval_component(c, a, &identity, Some(li), None, cs));
+                    let n = self.domain_sizes[g];
+                    derivs.extend_from_slice(match &cs.kernel {
+                        KernelScratch::Closure(eval) => eval.derivs_slice(n),
+                        KernelScratch::Tree(ts) => ts.derivs_slice(n),
+                    });
+                    deriv_starts.push(derivs.len());
+                }
+                cs.gather_multi(c, a);
+                let messages = match (&c.kernel, &mut cs.kernel) {
+                    (Kernel::Tree(tree), KernelScratch::Tree(ts)) => {
+                        tree.free_messages(&cs.local_multi, |li| &a.one_dim[c.attrs[li]], ts)
+                    }
+                    _ => Vec::new(),
+                };
+                FreeComponent {
+                    value,
+                    rooted,
+                    derivs,
+                    deriv_starts,
+                    messages,
+                }
+            })
+            .collect();
+        FreeParts { comps }
     }
 
     /// Evaluates `P = ∏ P_c` (convenience wrapper; allocates a scratch).
@@ -421,16 +587,44 @@ impl FactorizedPolynomial {
         out[0]
     }
 
-    /// Masked evaluation of a batch: `out[i] = P[masked by masks[i]]`. A
-    /// tree component answers the batch in lane groups of 8, 4, 2 and 1
-    /// masks, one message-passing walk per group (`crate::tree`, "Lanes");
-    /// a closure component walks its terms once per mask. Each lane is
-    /// bitwise its one-mask pass and the components multiply in order, so
-    /// every answer is bitwise [`FactorizedPolynomial::eval_masked_with`]'s
-    /// for that mask alone.
+    /// Masked evaluation of a batch: `out[i] = P[masked by masks[i]]`. Each
+    /// component takes, per mask, the product of a pinned point or else a
+    /// walk (module docs, "Three paths"). A tree component walks its masks
+    /// in lane groups of 8, 4, 2 and 1, one message-passing walk per group
+    /// (`crate::tree`, "Lanes"); a closure component walks its terms once
+    /// per mask. The path is the mask's own, each lane is bitwise its
+    /// one-mask pass and the components multiply in order, so every answer
+    /// is bitwise [`FactorizedPolynomial::eval_masked_with`]'s for that mask
+    /// alone.
     pub fn eval_masked_many_with(
         &self,
         a: &VarAssignment,
+        masks: &[Mask],
+        fs: &mut FactorizedScratch,
+        out: &mut [f64],
+    ) {
+        self.eval_many(a, None, masks, fs, out);
+    }
+
+    /// [`FactorizedPolynomial::eval_masked_many_with`] for the assignment
+    /// `free` was made from: a component a mask leaves free is read from
+    /// it, and a walk reads the messages of its free subtrees from it.
+    /// Bitwise the answers without it.
+    pub fn eval_masked_many_cached(
+        &self,
+        a: &VarAssignment,
+        free: &FreeParts,
+        masks: &[Mask],
+        fs: &mut FactorizedScratch,
+        out: &mut [f64],
+    ) {
+        self.eval_many(a, Some(free), masks, fs, out);
+    }
+
+    fn eval_many(
+        &self,
+        a: &VarAssignment,
+        free: Option<&FreeParts>,
         masks: &[Mask],
         fs: &mut FactorizedScratch,
         out: &mut [f64],
@@ -439,56 +633,80 @@ impl FactorizedPolynomial {
         debug_assert!(self.check_shape(a).is_ok());
         debug_assert_eq!(fs.comps.len(), self.components.len());
         out.fill(1.0);
-        for (c, cs) in self.components.iter().zip(&mut fs.comps) {
+        for (ci, (c, cs)) in self.components.iter().zip(&mut fs.comps).enumerate() {
+            let free = free.map(|f| &f.comps[ci]);
             let Kernel::Tree(tree) = &c.kernel else {
                 for (mask, slot) in masks.iter().zip(out.iter_mut()) {
-                    *slot *= Self::eval_component(c, a, mask, None, cs);
+                    *slot *= Self::shortcut(c, a, mask, free)
+                        .unwrap_or_else(|| Self::eval_component(c, a, mask, None, free, cs));
                 }
                 continue;
             };
-            cs.gather_multi(c, a);
-            let CompScratch {
-                kernel: KernelScratch::Tree(ts),
-                local_multi,
-                ..
-            } = cs
-            else {
-                unreachable!("scratch was made for another polynomial")
-            };
+            // The masks that walk, gathered into lane groups as they come.
+            let mut lanes = [0usize; MAX_LANES];
+            let mut pending = 0;
+            let mut gathered = false;
+            for (i, mask) in masks.iter().enumerate() {
+                if let Some(p) = Self::shortcut(c, a, mask, free) {
+                    out[i] *= p;
+                    continue;
+                }
+                if !gathered {
+                    cs.gather_multi(c, a);
+                    gathered = true;
+                }
+                lanes[pending] = i;
+                pending += 1;
+                if pending == MAX_LANES {
+                    Self::tree_lanes::<MAX_LANES>(tree, c, a, free, masks, &lanes, out, cs);
+                    pending = 0;
+                }
+            }
             let mut done = 0;
-            while done < masks.len() {
-                let (group, slots) = (&masks[done..], &mut out[done..]);
-                let multi = local_multi.as_slice();
+            while done < pending {
+                let group = &lanes[done..pending];
                 done += match group.len() {
-                    8.. => Self::tree_lanes::<8>(tree, c, a, multi, group, slots, ts),
-                    4.. => Self::tree_lanes::<4>(tree, c, a, multi, group, slots, ts),
-                    2.. => Self::tree_lanes::<2>(tree, c, a, multi, group, slots, ts),
-                    _ => Self::tree_lanes::<1>(tree, c, a, multi, group, slots, ts),
+                    4.. => Self::tree_lanes::<4>(tree, c, a, free, masks, group, out, cs),
+                    2.. => Self::tree_lanes::<2>(tree, c, a, free, masks, group, out, cs),
+                    _ => Self::tree_lanes::<1>(tree, c, a, free, masks, group, out, cs),
                 };
             }
         }
     }
 
-    /// One `L`-lane tree pass over the first `L` masks, multiplied into
-    /// their output slots; returns `L`.
+    /// One `L`-lane tree walk over the masks `lanes[..L]` index, multiplied
+    /// into their output slots; returns `L`. The component's multi values
+    /// are already gathered.
+    #[allow(clippy::too_many_arguments)]
     fn tree_lanes<const L: usize>(
         tree: &TreeKernel,
         c: &Component,
         a: &VarAssignment,
-        multi: &[f64],
+        free: Option<&FreeComponent>,
         masks: &[Mask],
+        lanes: &[usize],
         out: &mut [f64],
-        ts: &mut TreeScratch,
+        cs: &mut CompScratch,
     ) -> usize {
-        let masks: &[Mask; L] = masks[..L].try_into().expect("a group of L masks");
+        let group: [&Mask; L] = std::array::from_fn(|l| &masks[lanes[l]]);
         let get = |li: usize| {
             let g = c.attrs[li];
-            let weights = masks.each_ref().map(|m| m.attr_weights(g));
-            (a.one_dim[g].as_slice(), weights)
+            (a.one_dim[g].as_slice(), group.map(|m| m.attr_weights(g)))
         };
-        let p = tree.pass(0, multi, get, ts);
-        for (slot, pl) in out.iter_mut().zip(p) {
-            *slot *= pl;
+        let CompScratch {
+            kernel: KernelScratch::Tree(ts),
+            local_multi,
+            ..
+        } = cs
+        else {
+            unreachable!("scratch was made for another polynomial")
+        };
+        let p = match free {
+            Some(f) => tree.pass_cached(0, local_multi, get, &f.messages, ts),
+            None => tree.pass(0, local_multi, get, ts),
+        };
+        for (&i, pl) in lanes.iter().zip(p) {
+            out[i] *= pl;
         }
         L
     }
@@ -509,8 +727,9 @@ impl FactorizedPolynomial {
     /// Allocation-free fused evaluation + derivative pass. The product rule
     /// lifts the component pass: `dP/dα = (∏_{c'≠c} P_{c'}) · dP_c/dα`. A
     /// tree component roots its pass at `attr`, so the derivatives cost the
-    /// same single pass as a plain evaluation. The derivative slice borrows
-    /// the scratch.
+    /// same single pass as a plain evaluation; every other component takes
+    /// its path as in [`FactorizedPolynomial::eval_masked_many_with`]. The
+    /// derivative slice borrows the scratch.
     pub fn eval_with_attr_derivatives_with<'s>(
         &self,
         a: &VarAssignment,
@@ -518,12 +737,47 @@ impl FactorizedPolynomial {
         attr: usize,
         fs: &'s mut FactorizedScratch,
     ) -> (f64, &'s [f64]) {
+        self.derivatives(a, None, mask, attr, fs)
+    }
+
+    /// [`FactorizedPolynomial::eval_with_attr_derivatives_with`] for the
+    /// assignment `free` was made from: free components and subtrees are
+    /// read from it, and so is the whole pass when `mask` leaves `attr`'s
+    /// component free. Bitwise the answer without it.
+    pub fn eval_with_attr_derivatives_cached<'s>(
+        &self,
+        a: &VarAssignment,
+        free: &FreeParts,
+        mask: &Mask,
+        attr: usize,
+        fs: &'s mut FactorizedScratch,
+    ) -> (f64, &'s [f64]) {
+        self.derivatives(a, Some(free), mask, attr, fs)
+    }
+
+    fn derivatives<'s>(
+        &self,
+        a: &VarAssignment,
+        free: Option<&FreeParts>,
+        mask: &Mask,
+        attr: usize,
+        fs: &'s mut FactorizedScratch,
+    ) -> (f64, &'s [f64]) {
         debug_assert!(attr < self.arity());
         debug_assert_eq!(fs.comps.len(), self.components.len());
         let (home, local_attr) = self.attr_home[attr];
+        let mut home_free = None;
         for (ci, (c, cs)) in self.components.iter().zip(&mut fs.comps).enumerate() {
-            let derivs_of = (ci == home).then_some(local_attr);
-            cs.val = Self::eval_component(c, a, mask, derivs_of, cs);
+            let free = free.map(|f| &f.comps[ci]);
+            cs.val = if ci != home {
+                Self::shortcut(c, a, mask, free)
+                    .unwrap_or_else(|| Self::eval_component(c, a, mask, None, free, cs))
+            } else if let Some(f) = Self::untouched(c, mask, free) {
+                home_free = Some(f);
+                f.rooted[local_attr]
+            } else {
+                Self::eval_component(c, a, mask, Some(local_attr), free, cs)
+            };
         }
 
         let FactorizedScratch { comps, derivs } = fs;
@@ -534,9 +788,10 @@ impl FactorizedPolynomial {
             }
         }
         let n_attr = self.domain_sizes[attr];
-        let home_derivs = match &comps[home].kernel {
-            KernelScratch::Closure(eval) => eval.derivs_slice(n_attr),
-            KernelScratch::Tree(ts) => ts.derivs_slice(n_attr),
+        let home_derivs = match (home_free, &comps[home].kernel) {
+            (Some(f), _) => f.derivs(local_attr),
+            (None, KernelScratch::Closure(eval)) => eval.derivs_slice(n_attr),
+            (None, KernelScratch::Tree(ts)) => ts.derivs_slice(n_attr),
         };
         for (out, &d) in derivs[..n_attr].iter_mut().zip(home_derivs) {
             *out = d * others;

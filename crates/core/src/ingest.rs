@@ -123,8 +123,10 @@ struct Served {
 /// delta staging table, how much of it the served delta model covers, and
 /// the idempotency-token window.
 struct LiveState {
-    /// Sealed per-segment models, oldest first (time-partitioned).
-    segments: Vec<MaxEntSummary>,
+    /// Sealed per-segment models, oldest first (time-partitioned). Shared
+    /// with the fold that reads them outside this lock; only a seal, under
+    /// it, changes them.
+    segments: Arc<Vec<MaxEntSummary>>,
     /// Every row appended since the last seal. The served delta model (when
     /// present) covers the prefix `[0, covered_rows)`.
     delta_table: Table,
@@ -196,19 +198,18 @@ impl Inner {
         Arc::clone(&self.served.lock().unwrap())
     }
 
-    /// Publishes `state` — sealed segments plus the fitted delta, in that
-    /// order — as the served snapshot under a fresh epoch. Folds are
-    /// serialized (`fold_lock`), so the epoch is ours to advance: the
-    /// snapshot is installed first and the epoch stored after, so the epoch
-    /// never runs ahead of the mixture that answers.
-    fn publish(&self, state: &LiveState) -> Result<u64> {
-        let mut models: Vec<MaxEntSummary> = state.segments.clone();
-        models.extend(state.delta_model.clone());
-        let mixture = ShardedSummary::from_shards(models)?;
+    /// Publishes `mixture` as the served snapshot under a fresh epoch and
+    /// returns the snapshot it replaces, for the caller to drop once its
+    /// locks are released (the last reference frees the old delta model).
+    /// Folds are serialized (`fold_lock`), so the epoch is ours to advance:
+    /// the snapshot is installed first and the epoch stored after, so the
+    /// epoch never runs ahead of the mixture that answers.
+    fn publish(&self, mixture: ShardedSummary) -> (u64, Arc<Served>) {
         let epoch = self.current_epoch() + 1;
-        *self.served.lock().unwrap() = Arc::new(Served { mixture, epoch });
+        let served = Arc::new(Served { mixture, epoch });
+        let old = std::mem::replace(&mut *self.served.lock().unwrap(), served);
         self.epoch.store(epoch, Ordering::Release);
-        Ok(epoch)
+        (epoch, old)
     }
 
     /// Stages `rows`, then runs or schedules a fold if the threshold was
@@ -269,13 +270,17 @@ impl Inner {
 
         // Snapshot the staged rows; the state lock is dropped during the
         // solve so ingest and queries keep flowing.
-        let (part, target) = {
+        let (part, target, segments) = {
             let state = self.state.lock().unwrap();
             let total = state.delta_table.num_rows();
             if total == state.covered_rows {
                 return Ok(self.current_epoch());
             }
-            (state.delta_table.clone(), total)
+            (
+                state.delta_table.clone(),
+                total,
+                Arc::clone(&state.segments),
+            )
         };
 
         let model = fit_segment(&part, &self.multi, &self.solver).inspect_err(|_| {
@@ -283,13 +288,26 @@ impl Inner {
         })?;
         self.counters.add_fold(model.solver_report().sweeps as u64);
 
+        // Sealed segments, then the fitted delta: the same list whether or
+        // not the delta seals below. Only a fold changes the segments and
+        // folds are serialized, so the list is assembled before the state
+        // lock is taken, and the lock guards pointer swaps alone.
+        let mut models = Vec::with_capacity(segments.len() + 1);
+        models.extend(segments.iter().cloned());
+        models.push(model.clone());
+        drop(segments);
+        let mixture = ShardedSummary::from_shards(models)?;
+
         let mut state = self.state.lock().unwrap();
         state.delta_model = Some(model);
         state.covered_rows = target;
         if state.covered_rows >= self.config.seal_rows {
             self.seal_locked(&mut state);
         }
-        self.publish(&state)
+        let (epoch, old) = self.publish(mixture);
+        drop(state);
+        drop(old);
+        Ok(epoch)
     }
 
     /// Promotes the fitted delta into the sealed-segment list (bitwise
@@ -300,7 +318,7 @@ impl Inner {
         let Some(model) = state.delta_model.take() else {
             return;
         };
-        state.segments.push(model);
+        Arc::make_mut(&mut state.segments).push(model);
         self.counters.add_seal();
 
         let mut rest = Table::new(self.schema.clone());
@@ -374,7 +392,7 @@ impl LiveSummary {
         let schema = first.schema().clone();
         let domain_sizes = first.statistics().domain_sizes().to_vec();
         let state = LiveState {
-            segments,
+            segments: Arc::new(segments),
             delta_table: Table::new(schema.clone()),
             covered_rows: 0,
             delta_model: None,
@@ -382,7 +400,7 @@ impl LiveSummary {
             token_order: VecDeque::new(),
         };
         let background = config.background;
-        let mixture = ShardedSummary::from_shards(state.segments.clone())?;
+        let mixture = ShardedSummary::from_shards(state.segments.to_vec())?;
         let inner = Arc::new(Inner {
             schema,
             domain_sizes,
@@ -484,7 +502,7 @@ impl LiveSummary {
     pub(crate) fn parts(&self) -> (Vec<MaxEntSummary>, Option<MaxEntSummary>, u64) {
         let state = self.inner.state.lock().unwrap();
         (
-            state.segments.clone(),
+            state.segments.to_vec(),
             state.delta_model.clone(),
             self.inner.current_epoch(),
         )

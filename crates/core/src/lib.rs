@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::assignment::{Mask, VarAssignment};
     pub use crate::engine::{AppendOutcome, QueryApi, QueryEngine, SummaryBackend};
     pub use crate::error::{ModelError, RemoteDetail, Result};
-    pub use crate::factorized::{FactorizedPolynomial, FactorizedScratch};
+    pub use crate::factorized::{FactorizedPolynomial, FactorizedScratch, FreeParts};
     pub use crate::ingest::{IngestConfig, LiveSummary};
     pub use crate::model::MaxEntSummary;
     pub use crate::plan::{parse_request, QueryRequest, QueryResponse};

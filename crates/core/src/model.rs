@@ -19,7 +19,7 @@
 use crate::assignment::{Mask, VarAssignment};
 use crate::engine::{paths, QueryApi, ScratchPool, SummaryBackend};
 use crate::error::{ModelError, Result};
-use crate::factorized::{FactorizedPolynomial, FactorizedScratch};
+use crate::factorized::{FactorizedPolynomial, FactorizedScratch, FreeParts};
 use crate::plan::{QueryRequest, QueryResponse};
 use crate::polynomial::PolynomialSizeStats;
 use crate::probe::{ProbeRequest, ProbeResponse};
@@ -29,21 +29,34 @@ use crate::scatter::{ShardProbe, Support};
 use crate::solver::{solve, SolverConfig, SolverReport};
 use crate::statistics::{MultiDimStatistic, Statistics};
 use entropydb_storage::{AttrId, Schema, Table};
+use std::sync::{Arc, OnceLock};
 
 /// A queryable maximum-entropy summary of one relation.
+///
+/// A clone shares the fitted model (it is immutable) and starts its own
+/// scratch pool, so cloning costs a pointer copy whatever the model's size.
 #[derive(Debug, Clone)]
 pub struct MaxEntSummary {
+    fitted: Arc<Fitted>,
+    scratch: ScratchPool<FactorizedScratch>,
+}
+
+/// Everything a summary is built into, never changed after construction.
+#[derive(Debug)]
+struct Fitted {
     schema: Schema,
     stats: Statistics,
     poly: FactorizedPolynomial,
     assignment: VarAssignment,
     p_full: f64,
     report: SolverReport,
-    scratch: ScratchPool<FactorizedScratch>,
     /// The codes the fitted distribution puts mass on, learned once per
     /// construction: a mixture does not ask this model a mask it
     /// annihilates (see [`Support`]).
     support: Support,
+    /// The parts of the model no mask constrains, evaluated on first use
+    /// ([`FreeParts`]).
+    free: OnceLock<FreeParts>,
 }
 
 impl MaxEntSummary {
@@ -107,14 +120,17 @@ impl MaxEntSummary {
         }
         let arity = stats.domain_sizes().len();
         let mut summary = MaxEntSummary {
-            schema,
-            stats,
-            poly,
-            assignment,
-            p_full,
-            report,
+            fitted: Arc::new(Fitted {
+                schema,
+                stats,
+                poly,
+                assignment,
+                p_full,
+                report,
+                support: Support::default(),
+                free: OnceLock::new(),
+            }),
             scratch: ScratchPool::default(),
-            support: Support::default(),
         };
         let mut scratch = summary.make_scratch();
         let ask = |asks: &[ProbeRequest]| {
@@ -122,64 +138,94 @@ impl MaxEntSummary {
                 .map(|r| summary.probe(r, &mut scratch))
                 .collect()
         };
-        summary.support = Support::learn::<ModelError>(arity, ask)?;
+        let support = Support::learn::<ModelError>(arity, ask)?;
+        Arc::get_mut(&mut summary.fitted)
+            .expect("not yet shared")
+            .support = support;
         Ok(summary)
+    }
+
+    /// The model's [`FreeParts`], evaluated by the first query that reads
+    /// them and shared by every clone.
+    fn free(&self) -> &FreeParts {
+        let f = &*self.fitted;
+        f.free.get_or_init(|| f.poly.free_parts(&f.assignment))
     }
 
     /// Relation cardinality `n`.
     pub fn n(&self) -> u64 {
-        self.stats.n()
+        self.fitted.stats.n()
     }
 
     /// The summarized relation's schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.fitted.schema
     }
 
     /// The statistics the model was fitted to.
     pub fn statistics(&self) -> &Statistics {
-        &self.stats
+        &self.fitted.stats
     }
 
     /// The compressed, component-factorized polynomial.
     pub fn polynomial(&self) -> &FactorizedPolynomial {
-        &self.poly
+        &self.fitted.poly
     }
 
     /// The solved variable assignment.
     pub fn assignment(&self) -> &VarAssignment {
-        &self.assignment
+        &self.fitted.assignment
     }
 
     /// How the solve went (sweeps, residual, time).
     pub fn solver_report(&self) -> &SolverReport {
-        &self.report
+        &self.fitted.report
     }
 
     /// `P` at the solved assignment (the query-time normalizing constant).
     pub fn p_full(&self) -> f64 {
-        self.p_full
+        self.fitted.p_full
     }
 
     /// Polynomial size accounting (for the compression experiments).
     pub fn size_stats(&self) -> PolynomialSizeStats {
-        self.poly.size_stats()
+        self.fitted.poly.size_stats()
+    }
+
+    /// `P` under each mask of a batch, into `out`: one batched evaluation
+    /// reading the model's [`FreeParts`], bitwise each mask's own.
+    fn eval_masked(&self, masks: &[Mask], s: &mut FactorizedScratch, out: &mut [f64]) {
+        let f = &*self.fitted;
+        f.poly
+            .eval_masked_many_cached(&f.assignment, self.free(), masks, s, out);
+    }
+
+    /// `(P, ∂P/∂α_{attr,v} for every v)` under `mask`.
+    fn eval_derivatives<'s>(
+        &self,
+        mask: &Mask,
+        attr: usize,
+        s: &'s mut FactorizedScratch,
+    ) -> (f64, &'s [f64]) {
+        let f = &*self.fitted;
+        f.poly
+            .eval_with_attr_derivatives_cached(&f.assignment, self.free(), mask, attr, s)
     }
 
     /// `P[masked] / P`, clamped into `[0, 1]` (Sec. 4.2).
     fn masked_probability(&self, mask: &Mask, s: &mut FactorizedScratch) -> f64 {
-        let raw = self.poly.eval_masked_with(&self.assignment, mask, s);
-        (raw / self.p_full).clamp(0.0, 1.0)
+        let mut raw = [0.0];
+        self.eval_masked(std::slice::from_ref(mask), s, &mut raw);
+        (raw[0] / self.fitted.p_full).clamp(0.0, 1.0)
     }
 
     /// [`MaxEntSummary::masked_probability`] of every mask of a batch, in
     /// order: one batched evaluation, bitwise each mask's own.
     fn masked_probabilities(&self, masks: &[Mask], s: &mut FactorizedScratch) -> Vec<f64> {
         let mut raw = vec![0.0; masks.len()];
-        self.poly
-            .eval_masked_many_with(&self.assignment, masks, s, &mut raw);
+        self.eval_masked(masks, s, &mut raw);
         for p in &mut raw {
-            *p = (*p / self.p_full).clamp(0.0, 1.0);
+            *p = (*p / self.fitted.p_full).clamp(0.0, 1.0);
         }
         raw
     }
@@ -201,9 +247,8 @@ impl MaxEntSummary {
             base.clone().scale_attr(attr, &squares)?,
         ];
         let mut raw = [0.0; 2];
-        self.poly
-            .eval_masked_many_with(&self.assignment, &moments, s, &mut raw);
-        let [mean_w, mean_w2] = raw.map(|p| p / self.p_full);
+        self.eval_masked(&moments, s, &mut raw);
+        let [mean_w, mean_w2] = raw.map(|p| p / self.fitted.p_full);
         Ok(weighted_estimate(self.n(), mean_w, mean_w2))
     }
 
@@ -216,14 +261,13 @@ impl MaxEntSummary {
         attr: AttrId,
         s: &mut FactorizedScratch,
     ) -> Vec<Estimate> {
-        let (_, derivs) =
-            self.poly
-                .eval_with_attr_derivatives_with(&self.assignment, mask, attr.0, s);
+        let (_, derivs) = self.eval_derivatives(mask, attr.0, s);
         derivs
             .iter()
             .enumerate()
             .map(|(v, &d)| {
-                let p = (self.assignment.one_dim[attr.0][v] * d / self.p_full).clamp(0.0, 1.0);
+                let p = (self.fitted.assignment.one_dim[attr.0][v] * d / self.fitted.p_full)
+                    .clamp(0.0, 1.0);
                 count_estimate(self.n(), p)
             })
             .collect()
@@ -237,16 +281,14 @@ impl MaxEntSummary {
     /// one batched derivative pass per attribute. The tuple draws from its
     /// own `(seed, index)`-derived SplitMix64 stream.
     fn draw_tuple(&self, index: u64, seed: u64, s: &mut FactorizedScratch) -> Result<Vec<u32>> {
-        let sizes = self.stats.domain_sizes();
+        let sizes = self.fitted.stats.domain_sizes();
         let mut rng = sample_stream(seed, index);
         let mut mask = Mask::identity(sizes.len());
         let mut row = vec![0u32; sizes.len()];
         for attr in 0..sizes.len() {
-            let (_, derivs) =
-                self.poly
-                    .eval_with_attr_derivatives_with(&self.assignment, &mask, attr, s);
+            let (_, derivs) = self.eval_derivatives(&mask, attr, s);
             let u = rng.next_f64();
-            let v = sample_weighted_scaled(derivs, &self.assignment.one_dim[attr], u)
+            let v = sample_weighted_scaled(derivs, &self.fitted.assignment.one_dim[attr], u)
                 .ok_or(ModelError::NumericalFailure("zero conditional mass"))?
                 as u32;
             row[attr] = v;
@@ -275,19 +317,19 @@ impl ShardProbe for MaxEntSummary {
     type Scratch = FactorizedScratch;
 
     fn n(&self) -> u64 {
-        self.stats.n()
+        self.fitted.stats.n()
     }
 
     fn make_scratch(&self) -> FactorizedScratch {
-        self.poly.make_scratch()
+        self.fitted.poly.make_scratch()
     }
 
     fn support(&self) -> Option<&Support> {
-        Some(&self.support)
+        Some(&self.fitted.support)
     }
 
     fn probe(&self, request: &ProbeRequest, s: &mut FactorizedScratch) -> Result<ProbeResponse> {
-        request.validate(self.stats.domain_sizes())?;
+        request.validate(self.fitted.stats.domain_sizes())?;
         let count = |p: f64| count_estimate(self.n(), p);
         Ok(match request {
             ProbeRequest::Probability { mask } => {
@@ -310,7 +352,7 @@ impl ShardProbe for MaxEntSummary {
                 ProbeResponse::Groups(self.masked_group_by(mask, *attr, s))
             }
             ProbeRequest::SampleAt { seed, indices, .. } => ProbeResponse::Rows {
-                arity: self.stats.domain_sizes().len(),
+                arity: self.fitted.stats.domain_sizes().len(),
                 rows: indices
                     .iter()
                     .map(|&i| self.draw_tuple(i, *seed, s))
@@ -322,17 +364,17 @@ impl ShardProbe for MaxEntSummary {
 
 impl SummaryBackend for MaxEntSummary {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.fitted.schema
     }
 
     fn domain_sizes(&self) -> &[usize] {
-        self.stats.domain_sizes()
+        self.fitted.stats.domain_sizes()
     }
 }
 
 impl QueryApi for MaxEntSummary {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.fitted.schema
     }
 
     fn execute(&self, request: &QueryRequest) -> Result<QueryResponse> {

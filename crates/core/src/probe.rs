@@ -78,7 +78,7 @@
 //! so a few bytes of runs never allocate more than listing the weights
 //! would, and every line whose `w` form fits the cap decodes as `r` too.
 
-use crate::assignment::Mask;
+use crate::assignment::{AttrMask, Mask};
 use crate::error::{ModelError, RemoteDetail, Result};
 use crate::plan::{push_estimate, read_estimate};
 use crate::query::Estimate;
@@ -649,13 +649,16 @@ const RUN_WEIGHT_BUDGET: usize = MAX_LINE_BYTES as usize / 2;
 /// items may still expand to.
 fn decode_mask(r: &mut TokenReader<'_>, budget: &mut usize) -> Result<Mask> {
     r.expect("m")?;
-    let weights = r.list("mask arity", |r| match r.next("mask item")? {
-        "i" => Ok(None),
-        "w" => Ok(Some(r.list("weight count", |r| r.f64("weight"))?)),
-        "r" => decode_runs(r, budget).map(Some),
-        other => Err(wire_error(format!("unknown mask item {other:?}"))),
+    let attrs = r.list("mask arity", |r| {
+        let weights = match r.next("mask item")? {
+            "i" => None,
+            "w" => Some(r.list("weight count", |r| r.f64("weight"))?),
+            "r" => Some(decode_runs(r, budget)?),
+            other => return Err(wire_error(format!("unknown mask item {other:?}"))),
+        };
+        Ok(AttrMask::new(weights))
     })?;
-    Ok(Mask::from_weights(weights))
+    Ok(Mask::from_attrs(attrs))
 }
 
 /// The weights of an `r len nruns (lo hi)*` item. The length and the whole

@@ -191,7 +191,10 @@ impl Support {
             || self.0.iter().enumerate().all(|(attr, codes)| {
                 mask.attr_weights(attr).is_none_or(|weights| {
                     weights.len() != codes.len()
-                        || weights.iter().zip(codes).any(|(&w, &on)| on && w != 0.0)
+                        || match mask.pin(attr) {
+                            Some((code, _)) => codes[code as usize],
+                            None => weights.iter().zip(codes).any(|(&w, &on)| on && w != 0.0),
+                        }
                 })
             })
     }

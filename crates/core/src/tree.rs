@@ -70,6 +70,30 @@
 //! `1.0`, and `1.0 · x` is exactly `x`, so `(1.0 · x) · m` and `1.0 · m`
 //! round as the unweighted `x · m` and `m` do. An attribute no lane
 //! constrains takes the unweighted loops, as the one-mask pass does.
+//!
+//! ## Three paths
+//!
+//! The pass above is the third of three ways [`crate::factorized`] answers
+//! a tree component, and the only one that walks it:
+//!
+//! 1. **A pinned point** — a mask leaving exactly one non-zero weight on
+//!    every attribute — has one surviving tuple, so `P[mask]` is its
+//!    monomial `∏ α_v·w_v · ∏_edges ψ(v_u, v_v)`.
+//!    [`TreeKernel::point_potential`] reads each `ψ` with one lookup: the
+//!    edge's rectangle boundaries cut both domains into slabs, and a grid
+//!    over slab pairs names the rectangle covering the cell (`δ`), or none
+//!    (`1`). The grid has at most `min(N, 2R + 1)` slabs a side and is
+//!    capped at a multiple of `N_u + N_v + R` cells; an edge past the cap
+//!    scans its `R` rectangles instead.
+//! 2. **A free subtree** — one whose attributes no lane constrains — sends
+//!    its parent the same message whatever the mask. A fitted model keeps
+//!    every message of the mask-free tree ([`TreeKernel::free_messages`],
+//!    both directions of every edge), and [`TreeKernel::pass_cached`]
+//!    delivers that message instead of walking the subtree. The cached
+//!    values come from the float operations [`TreeKernel::send`] runs on an
+//!    unconstrained subtree, and reach the parent's message product in the
+//!    same order, so the cached pass is bitwise the walk.
+//! 3. **Everything else** walks, reading what it can from (2).
 
 use crate::statistics::MultiDimStatistic;
 
@@ -123,6 +147,58 @@ pub(crate) struct TreeKernel {
     /// sender's prefix sum, the receiver's difference array and scan) plus
     /// one per rectangle.
     pass_cells: usize,
+    /// Edge → the index finding the rectangle that covers a cell.
+    stabs: Vec<Stab>,
+    /// Directed edge → its message's slice of a [`TreeKernel::free_messages`]
+    /// buffer: `u → v` of edge `e` is slot `2e`, `v → u` is `2e + 1`.
+    message_starts: Vec<usize>,
+}
+
+/// The largest stabbing grid an edge gets, in cells per domain code and
+/// rectangle of the edge; a larger one would scan the rectangles instead.
+const STAB_CELLS_PER_ITEM: usize = 32;
+
+/// Answers "which rectangle of this edge covers cell `(x, y)`?" for the
+/// pinned-point product (module docs, "Three paths"). The edge's rectangle
+/// boundaries cut each endpoint's domain into slabs; no rectangle starts or
+/// ends inside a slab, so one grid cell per slab pair names the covering
+/// rectangle. Its size is at most `min(N_u, 2R + 1) · min(N_v, 2R + 1)` and
+/// capped at [`STAB_CELLS_PER_ITEM`] `· (N_u + N_v + R)`; past the cap the
+/// lookup scans the edge's `R` rectangles.
+#[derive(Debug, Clone, PartialEq)]
+enum Stab {
+    Grid {
+        /// Code → slab, per endpoint.
+        u_slab: Vec<u32>,
+        v_slab: Vec<u32>,
+        /// Slabs of `v`: the grid's row length.
+        cols: usize,
+        /// Slab pair → the covering statistic, or [`Stab::NONE`].
+        cells: Vec<u32>,
+    },
+    Scan,
+}
+
+impl Stab {
+    const NONE: u32 = u32::MAX;
+
+    /// Code → slab over a domain of `n` codes cut at every `lo` and `end`;
+    /// returns the slabs too.
+    fn slabs(n: usize, lo: &[u32], end: &[u32]) -> (Vec<u32>, usize) {
+        let mut cut = vec![false; n + 1];
+        for (&l, &e) in lo.iter().zip(end) {
+            cut[l as usize] = true;
+            cut[e as usize] = true;
+        }
+        let mut slab = 0u32;
+        let map = (0..n)
+            .map(|x| {
+                slab += u32::from(x > 0 && cut[x]);
+                slab
+            })
+            .collect();
+        (map, slab as usize + 1)
+    }
 }
 
 /// The widest lane group [`TreeKernel::pass`] is instantiated for; every
@@ -148,6 +224,9 @@ pub(crate) struct TreeScratch {
     /// endpoint beliefs (one lane).
     cavity_u: Vec<f64>,
     cavity_v: Vec<f64>,
+    /// Per attribute, during a pass reading cached messages: no lane
+    /// constrains it or anything below it.
+    free: Vec<bool>,
 }
 
 impl TreeScratch {
@@ -267,11 +346,11 @@ impl TreeKernel {
         }
 
         let clause = |side: usize| move |&j: &usize| stats[j].clauses()[side];
-        let u_lo = order.iter().map(clause(0)).map(|c| c.lo).collect();
-        let u_end = order.iter().map(clause(0)).map(|c| c.hi + 1).collect();
-        let v_lo = order.iter().map(clause(1)).map(|c| c.lo).collect();
-        let v_end = order.iter().map(clause(1)).map(|c| c.hi + 1).collect();
-        let rect_multi = order.iter().map(|&j| j as u32).collect();
+        let u_lo: Vec<u32> = order.iter().map(clause(0)).map(|c| c.lo).collect();
+        let u_end: Vec<u32> = order.iter().map(clause(0)).map(|c| c.hi + 1).collect();
+        let v_lo: Vec<u32> = order.iter().map(clause(1)).map(|c| c.lo).collect();
+        let v_end: Vec<u32> = order.iter().map(clause(1)).map(|c| c.hi + 1).collect();
+        let rect_multi: Vec<u32> = order.iter().map(|&j| j as u32).collect();
 
         let mut adjacent: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
         for (e, &(u, v)) in edges.iter().enumerate() {
@@ -342,8 +421,43 @@ impl TreeKernel {
             .sum::<usize>()
             + stats.len();
 
+        let stabs = (0..edges.len())
+            .map(|e| {
+                let r = rect_offsets[e]..rect_offsets[e + 1];
+                let (nu, nv) = (domain_sizes[edges[e].0], domain_sizes[edges[e].1]);
+                let (u_slab, rows) = Stab::slabs(nu, &u_lo[r.clone()], &u_end[r.clone()]);
+                let (v_slab, cols) = Stab::slabs(nv, &v_lo[r.clone()], &v_end[r.clone()]);
+                if rows * cols > STAB_CELLS_PER_ITEM * (nu + nv + r.len()) {
+                    return Stab::Scan;
+                }
+                let mut cells = vec![Stab::NONE; rows * cols];
+                for slot in r {
+                    let su = u_slab[u_lo[slot] as usize]..=u_slab[u_end[slot] as usize - 1];
+                    let sv = v_slab[v_lo[slot] as usize] as usize
+                        ..=v_slab[v_end[slot] as usize - 1] as usize;
+                    for row in su {
+                        cells[row as usize * cols..][sv.clone()].fill(rect_multi[slot]);
+                    }
+                }
+                Stab::Grid {
+                    u_slab,
+                    v_slab,
+                    cols,
+                    cells,
+                }
+            })
+            .collect();
+        let mut message_starts = vec![0usize];
+        for &(u, v) in &edges {
+            for receiver in [v, u] {
+                message_starts.push(message_starts.last().unwrap() + domain_sizes[receiver]);
+            }
+        }
+
         Some(TreeKernel {
             pass_cells,
+            stabs,
+            message_starts,
             domain_sizes: domain_sizes.to_vec(),
             row_starts,
             rect_offsets,
@@ -379,6 +493,7 @@ impl TreeKernel {
             weights: vec![0.0; max_domain * MAX_LANES],
             cavity_u: vec![0.0; max_domain + 1],
             cavity_v: vec![0.0; max_domain + 1],
+            free: vec![false; self.domain_sizes.len()],
         }
     }
 
@@ -437,25 +552,28 @@ impl TreeKernel {
         self.row_starts[x]..self.row_starts[x] + self.domain_sizes[x]
     }
 
-    /// Sends one message `child → parent` (module docs) in every lane,
-    /// multiplying it into the parent's message product.
-    fn send<'a, const L: usize>(
+    /// Computes one message `child → parent` (module docs) in every lane up
+    /// to its last scan: leaves its difference array over the parent's
+    /// domain in the scratch and returns `F_X.total`. The message at parent
+    /// code `y` is `total + Σ_{y' ≤ y} diff[y']`.
+    #[inline(always)]
+    fn message<'a, const L: usize>(
         &self,
         step: &Step,
         multi: &[f64],
         get: &impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
         s: &mut TreeScratch,
-    ) {
+    ) -> [f64; L] {
         let (x, y) = (step.child as usize, step.parent as usize);
         let (nx, ny) = (self.domain_sizes[x], self.domain_sizes[y]);
         let (vals, weights) = get(x);
         debug_assert_eq!(vals.len(), nx);
-        let mprod = cells_mut::<L>(&mut s.mprod);
 
         // F_X: prefix sum of the child's belief α·w·∏(messages into X).
         let weights = gather_weights(&weights, nx, &mut s.weights);
         let prefix = &mut cells_mut::<L>(&mut s.prefix)[..nx + 1];
-        let total = Self::belief_prefix(prefix, vals, weights, &mprod[self.row(x)], self.leaf[x]);
+        let received = &cells::<L>(&s.mprod)[self.row(x)];
+        let total = Self::belief_prefix(prefix, vals, weights, received, self.leaf[x]);
 
         // Every rectangle adds (δ − 1)·F_X[its x-range] over its y-range.
         let diff = &mut cells_mut::<L>(&mut s.diff)[..ny + 1];
@@ -483,8 +601,22 @@ impl TreeKernel {
                 *d -= cl;
             }
         }
+        total
+    }
 
-        let into = mprod[self.row(y)].iter_mut().zip(diff.iter());
+    /// Sends one message `child → parent` (module docs) in every lane,
+    /// multiplying it into the parent's message product.
+    fn send<'a, const L: usize>(
+        &self,
+        step: &Step,
+        multi: &[f64],
+        get: &impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
+        s: &mut TreeScratch,
+    ) {
+        let total = self.message(step, multi, get, s);
+        let y = step.parent as usize;
+        let mprod = cells_mut::<L>(&mut s.mprod);
+        let into = mprod[self.row(y)].iter_mut().zip(cells::<L>(&s.diff));
         let mut acc = [0.0; L];
         let mut advance = |d: &[f64; L]| {
             for (a, &dl) in acc.iter_mut().zip(d) {
@@ -507,6 +639,95 @@ impl TreeKernel {
         }
     }
 
+    /// Delivers a message computed earlier — the same in every lane — to
+    /// the parent's message product, as [`TreeKernel::send`] would.
+    fn receive<const L: usize>(&self, step: &Step, message: &[f64], s: &mut TreeScratch) {
+        let row = &mut cells_mut::<L>(&mut s.mprod)[self.row(step.parent as usize)];
+        if step.first {
+            for (slot, &m) in row.iter_mut().zip(message) {
+                *slot = [m; L];
+            }
+        } else {
+            for (slot, &m) in row.iter_mut().zip(message) {
+                slot.iter_mut().for_each(|x| *x *= m);
+            }
+        }
+    }
+
+    /// Where `step`'s message sits in a [`TreeKernel::free_messages`] buffer.
+    fn message_range(&self, step: &Step) -> std::ops::Range<usize> {
+        let slot = 2 * step.edge as usize + usize::from(!step.child_is_u);
+        self.message_starts[slot]..self.message_starts[slot + 1]
+    }
+
+    /// Every message of the tree with no mask applied, in both directions
+    /// of every edge: the buffer [`TreeKernel::pass_cached`] reads. Each
+    /// message is computed by the float operations [`TreeKernel::send`]
+    /// runs for an unconstrained subtree (one pass per root, which between
+    /// them send every message), so a pass reading it is bitwise a pass
+    /// that does not.
+    pub(crate) fn free_messages<'a>(
+        &self,
+        multi: &[f64],
+        vals: impl Fn(usize) -> &'a [f64],
+        s: &mut TreeScratch,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; *self.message_starts.last().expect("non-empty")];
+        let get = |x: usize| (vals(x), [None]);
+        for step in &self.steps {
+            let [total] = self.message::<1>(step, multi, &get, s);
+            let range = self.message_range(step);
+            let mut acc = 0.0;
+            for (m, d) in out[range.clone()].iter_mut().zip(&s.diff) {
+                acc += d;
+                *m = total + acc;
+            }
+            self.receive::<1>(step, &out[range], s);
+        }
+        out
+    }
+
+    /// The rectangle statistic of edge `e` covering cell `(x, y)`, `x` on
+    /// the edge's lower-indexed attribute.
+    fn stab(&self, e: usize, x: u32, y: u32) -> Option<usize> {
+        let j = match &self.stabs[e] {
+            Stab::Grid {
+                u_slab,
+                v_slab,
+                cols,
+                cells,
+            } => cells[u_slab[x as usize] as usize * cols + v_slab[y as usize] as usize],
+            Stab::Scan => {
+                let r = self.rect_offsets[e]..self.rect_offsets[e + 1];
+                let covers = |&slot: &usize| {
+                    (self.u_lo[slot]..self.u_end[slot]).contains(&x)
+                        && (self.v_lo[slot]..self.v_end[slot]).contains(&y)
+                };
+                r.into_iter()
+                    .find(covers)
+                    .map_or(Stab::NONE, |slot| self.rect_multi[slot])
+            }
+        };
+        (j != Stab::NONE).then_some(j as usize)
+    }
+
+    /// `∏_edges ψ(x_u, x_v)` at the tuple whose attribute `i` holds
+    /// `code(i)`: per edge the `δ` of the one rectangle covering the cell
+    /// (`delta(j)` for statistic `j`), or 1 where none does.
+    pub(crate) fn point_potential(
+        &self,
+        code: impl Fn(usize) -> u32,
+        delta: impl Fn(usize) -> f64,
+    ) -> f64 {
+        let mut psi = 1.0;
+        for (e, &(u, v)) in self.edges.iter().enumerate() {
+            if let Some(j) = self.stab(e, code(u as usize), code(v as usize)) {
+                psi *= delta(j);
+            }
+        }
+        psi
+    }
+
     /// One leaf-to-root pass rooted at attribute `root`, answering `L`
     /// masks at once (module docs, "Lanes"): returns `P[mask_l]` per lane
     /// and leaves `∂P/∂α_{root,v}` (raw variable, mask weight multiplied
@@ -523,10 +744,59 @@ impl TreeKernel {
         get: impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
         s: &mut TreeScratch,
     ) -> [f64; L] {
+        self.walk(root, multi, get, None, s)
+    }
+
+    /// [`TreeKernel::pass`], reading every message whose sending subtree no
+    /// lane constrains from `free`, a [`TreeKernel::free_messages`] buffer
+    /// made with the same variables; bitwise the pass that computes them.
+    /// A subtree below such a message is not walked at all.
+    pub(crate) fn pass_cached<'a, const L: usize>(
+        &self,
+        root: usize,
+        multi: &[f64],
+        get: impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
+        free: &[f64],
+        s: &mut TreeScratch,
+    ) -> [f64; L] {
+        self.walk(root, multi, get, Some(free), s)
+    }
+
+    fn walk<'a, const L: usize>(
+        &self,
+        root: usize,
+        multi: &[f64],
+        get: impl Fn(usize) -> (&'a [f64], LaneWeights<'a, L>),
+        cached: Option<&[f64]>,
+        s: &mut TreeScratch,
+    ) -> [f64; L] {
         const { assert!(L >= 1 && L <= MAX_LANES) };
         let per_root = self.domain_sizes.len() - 1;
-        for step in &self.steps[root * per_root..(root + 1) * per_root] {
-            self.send(step, multi, &get, s);
+        let steps = &self.steps[root * per_root..(root + 1) * per_root];
+        match cached {
+            None => steps
+                .iter()
+                .for_each(|step| self.send(step, multi, &get, s)),
+            Some(messages) => {
+                // Children send before parents, so a child's flag is final
+                // by the time its own step clears its parent's.
+                for (x, free) in s.free.iter_mut().enumerate() {
+                    *free = get(x).1.iter().all(Option::is_none);
+                }
+                for step in steps {
+                    if !s.free[step.child as usize] {
+                        s.free[step.parent as usize] = false;
+                    }
+                }
+                for step in steps {
+                    let parent = step.parent as usize;
+                    if !s.free[step.child as usize] {
+                        self.send(step, multi, &get, s);
+                    } else if parent == root || !s.free[parent] {
+                        self.receive::<L>(step, &messages[self.message_range(step)], s);
+                    }
+                }
+            }
         }
 
         let n = self.domain_sizes[root];
@@ -708,6 +978,70 @@ mod tests {
                     (d - want).abs() < 1e-12 * want.abs().max(1e-12),
                     "stat {j}: {d} vs {want}"
                 );
+            }
+        }
+    }
+
+    /// `∏_edges ψ` of every cell against the statistics containing it, on
+    /// the grid index and on the scan that replaces it past its cap: a
+    /// 300 × 300 diagonal of unit squares cuts both domains into 300 slabs,
+    /// 90 000 grid cells against a cap of 32 · 900.
+    #[test]
+    fn point_potential_matches_the_statistics_containing_the_cell() {
+        let (sizes, stats, _) = setup();
+        let diagonal: Vec<MultiDimStatistic> =
+            (0..300).map(|i| rect(0, (i, i), 1, (i, i))).collect();
+        let wide = [300, 300];
+        for (sizes, stats, grid) in [(&sizes[..], &stats, true), (&wide[..], &diagonal, false)] {
+            let tree = TreeKernel::build(sizes, stats).expect("qualifies");
+            assert!(tree
+                .stabs
+                .iter()
+                .all(|s| matches!(s, Stab::Grid { .. }) == grid));
+            let delta = |j: usize| 0.5 + j as f64;
+            let mut codes = vec![0u32; sizes.len()];
+            for cell in 0..sizes.iter().product::<usize>() {
+                let mut rest = cell;
+                for (c, &n) in codes.iter_mut().zip(sizes) {
+                    *c = (rest % n) as u32;
+                    rest /= n;
+                }
+                let want: f64 = stats
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.matches(&codes))
+                    .map(|(j, _)| delta(j))
+                    .product();
+                let got = tree.point_potential(|i| codes[i], delta);
+                assert_eq!(got.to_bits(), want.to_bits(), "{codes:?}");
+            }
+        }
+    }
+
+    /// Every message of [`TreeKernel::free_messages`] is bitwise the one a
+    /// mask-free pass sends, so a pass reading them (all or some) is bitwise
+    /// the pass that computes them.
+    #[test]
+    fn cached_messages_are_bitwise_the_walk() {
+        let (sizes, stats, asn) = setup();
+        let tree = TreeKernel::build(&sizes, &stats).expect("qualifies");
+        // The cached passes run on their own scratch, so none can read a
+        // message product the walk left behind.
+        let (mut s, mut cached_s) = (tree.make_scratch(), tree.make_scratch());
+        let free = tree.free_messages(&asn.multi, |i| &asn.one_dim[i], &mut s);
+        let pred = Predicate::new().between(AttrId(1), 1, 3);
+        for mask in [
+            Mask::identity(sizes.len()),
+            Mask::from_predicate(&pred, &sizes).unwrap(),
+            Mask::from_predicate(&pred.clone().eq(AttrId(3), 0), &sizes).unwrap(),
+        ] {
+            let get = |i: usize| (asn.one_dim[i].as_slice(), [mask.attr_weights(i)]);
+            for (root, &n) in sizes.iter().enumerate() {
+                let walked = tree.pass(root, &asn.multi, get, &mut s);
+                let derivs = s.derivs_slice(n).to_vec();
+                let cached = tree.pass_cached(root, &asn.multi, get, &free, &mut cached_s);
+                assert_eq!(walked[0].to_bits(), cached[0].to_bits(), "root {root}");
+                assert_eq!(derivs, cached_s.derivs_slice(n), "root {root}");
             }
         }
     }

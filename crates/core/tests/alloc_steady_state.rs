@@ -308,6 +308,62 @@ fn warmed_tree_kernel_allocates_nothing() {
     );
 }
 
+/// The two paths that do not walk, on the same star: a fully pinned point
+/// (the product of its tree's stabbed potentials and the free attribute's
+/// `α·w`) and the cached free parts — a free component read whole, a free
+/// subtree's message read instead of sent, a group-by of a free component
+/// read from its rooted pass — allocate nothing, alone or mixed into a
+/// batch with walking masks.
+#[test]
+fn warmed_point_and_cached_paths_allocate_nothing() {
+    let sizes = TREE_STAR_SIZES.to_vec();
+    let stats = tree_star_stats();
+    let a = assignment(
+        &sizes,
+        (0..stats.len()).map(|j| (j % 4) as f64 * 0.7).collect(),
+    );
+    let fact = FactorizedPolynomial::build(&sizes, &stats).unwrap();
+    let free = fact.free_parts(&a);
+    let mask = |pred: Predicate| Mask::from_predicate(&pred, &sizes).unwrap();
+    let mut point = Predicate::new();
+    for (i, &n) in sizes.iter().enumerate() {
+        point = point.eq(AttrId(i), (i as u32 * 5) % n as u32);
+    }
+    let masks = [
+        mask(point),
+        mask(Predicate::new().between(AttrId(1), 1, 6)),
+        Mask::identity(sizes.len()),
+        mask(Predicate::new().eq(AttrId(4), 2)),
+    ];
+    let batch: Vec<Mask> = (0..11).map(|i| masks[i % masks.len()].clone()).collect();
+    let mut out = vec![0.0; batch.len()];
+    let mut fscratch = fact.make_scratch();
+    fact.eval_masked_many_cached(&a, &free, &batch, &mut fscratch, &mut out);
+
+    let mut sink = 0.0;
+    let allocs = allocations_during(|| {
+        for _ in 0..16 {
+            for m in &masks {
+                sink += fact.eval_masked_with(&a, m, &mut fscratch);
+                let single = std::slice::from_ref(m);
+                fact.eval_masked_many_cached(&a, &free, single, &mut fscratch, &mut out[..1]);
+                for attr in 0..sizes.len() {
+                    sink += fact
+                        .eval_with_attr_derivatives_cached(&a, &free, m, attr, &mut fscratch)
+                        .0;
+                }
+            }
+            fact.eval_masked_many_cached(&a, &free, &batch, &mut fscratch, &mut out);
+            sink += out.iter().sum::<f64>();
+        }
+    });
+    assert!(sink.is_finite());
+    assert_eq!(
+        allocs, 0,
+        "the point and cached paths must not allocate, saw {allocs} allocations"
+    );
+}
+
 /// The solver's tree sweeps (per-attribute passes, then the δ block on
 /// edge cavities) run on buffers made before the first sweep: a whole
 /// `solve()` allocates the same number of times whether it runs 1 sweep or

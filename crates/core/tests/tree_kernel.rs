@@ -18,6 +18,14 @@
 //! model also checks that each lane is bitwise its one-mask pass, over
 //! batch lengths that split into lane groups differently.
 //!
+//! The three query paths — a pinned point's product, a free component or
+//! subtree read from `FreeParts`, the walk — are checked last: every fully
+//! pinned point (weighted, on a zero `α`, on a cell no rectangle covers,
+//! across several components) against the naive oracle to `1e-12`
+//! relative, mixed batches of points and ranges bitwise against their
+//! single-mask answers, and the cached entry points bitwise against the
+//! uncached walk.
+//!
 //! Tolerances: against the naive oracle, the `1e-9` bound the other
 //! property suites use. Against the closure, `1e-12` relative to the sum of
 //! the closure's term magnitudes under the same mask (`P` with every
@@ -26,6 +34,7 @@
 //! times machine epsilon. With every `δ ≥ 1` it is plain relative error.
 
 use entropydb_core::assignment::{Mask, VarAssignment};
+use entropydb_core::factorized::FreeParts;
 use entropydb_core::naive::NaivePolynomial;
 use entropydb_core::polynomial::{CompressedPolynomial, Var};
 use entropydb_core::prelude::*;
@@ -444,6 +453,203 @@ fn mixed_model_uses_both_kernels() {
                 };
                 assert!(close_naive(d, naive.derivative(&a, &mask, var)));
             }
+        }
+    }
+}
+
+/// What the pinned points of [`pinned_points`] covered, so the suite can
+/// insist that every case the product path must get right was drawn.
+#[derive(Default, Debug)]
+struct PointCases {
+    points: usize,
+    weighted: usize,
+    zero_alpha: usize,
+    uncovered: usize,
+    several_components: usize,
+}
+
+/// Fully pinned points of `model`: random codes with weight 1, the same
+/// with one attribute's pinned weight scaled as a SUM mask scales it, and
+/// one pinned to a code whose `α` is exactly 0 when the model has one.
+fn pinned_points(g: &mut StdRng, model: &Model, cases: &mut PointCases) -> Vec<Mask> {
+    let sizes = &model.sizes;
+    let mut masks = Vec::new();
+    for _ in 0..6 {
+        let codes: Vec<u32> = sizes.iter().map(|&n| g.gen_range(0..n as u32)).collect();
+        let mut p = Predicate::new();
+        for (i, &c) in codes.iter().enumerate() {
+            p = p.eq(AttrId(i), c);
+        }
+        let point = Mask::from_predicate(&p, sizes).unwrap();
+        // Some 2-D statistic's attribute pair meets this cell in none of its
+        // rectangles: that edge's potential is 1.
+        let covered = |x: usize, y: usize| {
+            model.stats.iter().any(|s| {
+                let attrs = s.attrs();
+                attrs == [AttrId(x), AttrId(y)] && s.matches(&codes)
+            })
+        };
+        let pairs = model.stats.iter().map(|s| (s.attrs()[0].0, s.attrs()[1].0));
+        if pairs.clone().any(|(x, y)| !covered(x, y)) {
+            cases.uncovered += 1;
+        }
+        if codes
+            .iter()
+            .enumerate()
+            .any(|(i, &c)| model.assignment.one_dim[i][c as usize] == 0.0)
+        {
+            cases.zero_alpha += 1;
+        }
+        let attr = g.gen_range(0..sizes.len());
+        let values: Vec<f64> = (0..sizes[attr]).map(|_| g.gen_range(0.5..50.0)).collect();
+        masks.push(point.clone().scale_attr(AttrId(attr), &values).unwrap());
+        cases.weighted += 1;
+        masks.push(point);
+    }
+    let zero = model
+        .assignment
+        .one_dim
+        .iter()
+        .enumerate()
+        .find_map(|(i, vs)| {
+            let code = vs.iter().position(|&x| x == 0.0)?;
+            Some((i, code as u32))
+        });
+    if let Some((attr, code)) = zero {
+        let mut p = Predicate::new().eq(AttrId(attr), code);
+        for (i, &n) in sizes.iter().enumerate() {
+            if i != attr {
+                p = p.eq(AttrId(i), g.gen_range(0..n as u32));
+            }
+        }
+        masks.push(Mask::from_predicate(&p, sizes).unwrap());
+        cases.zero_alpha += 1;
+    }
+    for mask in &masks {
+        assert!(
+            (0..sizes.len()).all(|i| mask.pin(i).is_some()),
+            "a point pins every attribute"
+        );
+    }
+    cases.points += masks.len();
+    masks
+}
+
+fn close_relative(a: f64, b: f64, rel: f64) -> bool {
+    (a - b).abs() <= rel * b.abs()
+}
+
+/// Every fully pinned point — the product path — matches the naive oracle
+/// to `1e-12` relative, with and without the cached free parts, and so
+/// does its group-by on every attribute.
+#[test]
+fn pinned_points_match_naive() {
+    let mut g = StdRng::seed_from_u64(0x9017);
+    let mut cases = PointCases::default();
+    for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+        for _ in 0..64 {
+            let model = random_model(&mut g, shape);
+            let (sizes, a) = (&model.sizes, &model.assignment);
+            let fact = FactorizedPolynomial::build(sizes, &model.stats).unwrap();
+            if fact.num_components() > 1 {
+                cases.several_components += 1;
+            }
+            let naive = NaivePolynomial::build(sizes, &model.stats).unwrap();
+            let free = fact.free_parts(a);
+            let mut fs = fact.make_scratch();
+            for mask in pinned_points(&mut g, &model, &mut cases) {
+                let want = naive.eval_masked(a, &mask);
+                let got = fact.eval_masked_with(a, &mask, &mut fs);
+                assert!(close_relative(got, want, 1e-12), "{got} vs {want}");
+                let mut cached = [0.0];
+                fact.eval_masked_many_cached(
+                    a,
+                    &free,
+                    std::slice::from_ref(&mask),
+                    &mut fs,
+                    &mut cached,
+                );
+                assert_eq!(cached[0].to_bits(), got.to_bits());
+                for attr in 0..sizes.len() {
+                    let (_, derivs) = fact.eval_with_attr_derivatives_with(a, &mask, attr, &mut fs);
+                    for (code, &d) in derivs.iter().enumerate() {
+                        let var = Var::OneDim {
+                            attr,
+                            code: code as u32,
+                        };
+                        assert!(close_naive(d, naive.derivative(a, &mask, var)));
+                    }
+                }
+            }
+        }
+    }
+    eprintln!("{cases:?}");
+    assert!(cases.weighted > 0 && cases.zero_alpha > 0 && cases.uncovered > 0);
+    assert!(cases.several_components > 0);
+}
+
+/// Points, ranges and identity masks mixed in one batch, at every lane
+/// width: each answer is bitwise the mask's own, with and without the
+/// cached free parts, and the cached answers are bitwise the uncached.
+#[test]
+fn mixed_batches_of_points_and_ranges_match_single_masks() {
+    let mut g = StdRng::seed_from_u64(0xB47C);
+    let mut cases = PointCases::default();
+    for shape in [Shape::Star, Shape::Chain, Shape::Forest] {
+        for _ in 0..32 {
+            let model = random_model(&mut g, shape);
+            let (sizes, a) = (&model.sizes, &model.assignment);
+            let fact = FactorizedPolynomial::build(sizes, &model.stats).unwrap();
+            let mut pool = random_masks(&mut g, sizes);
+            pool.extend(pinned_points(&mut g, &model, &mut cases));
+            assert_lanes_match_single_masks(&mut g, &fact, a, &pool);
+            assert_cache_matches_walk(&mut g, &fact, a, &pool);
+        }
+    }
+}
+
+/// The cached entry points read free components and subtrees instead of
+/// walking them; every answer — batch or single, value or group-by — is
+/// bitwise the walk's.
+fn assert_cache_matches_walk(
+    g: &mut StdRng,
+    fact: &FactorizedPolynomial,
+    a: &VarAssignment,
+    pool: &[Mask],
+) {
+    let free: FreeParts = fact.free_parts(a);
+    let (mut fs, mut cs) = (fact.make_scratch(), fact.make_scratch());
+    for len in BATCH_LENGTHS {
+        let batch: Vec<Mask> = (0..len)
+            .map(|_| pool[g.gen_range(0..pool.len())].clone())
+            .collect();
+        let (mut walked, mut cached) = (vec![f64::NAN; len], vec![f64::NAN; len]);
+        fact.eval_masked_many_with(a, &batch, &mut fs, &mut walked);
+        fact.eval_masked_many_cached(a, &free, &batch, &mut cs, &mut cached);
+        for (i, mask) in batch.iter().enumerate() {
+            assert_eq!(
+                cached[i].to_bits(),
+                walked[i].to_bits(),
+                "batch of {len}, mask {i}"
+            );
+            let mut single = [0.0];
+            fact.eval_masked_many_cached(
+                a,
+                &free,
+                std::slice::from_ref(mask),
+                &mut cs,
+                &mut single,
+            );
+            assert_eq!(single[0].to_bits(), cached[i].to_bits());
+        }
+    }
+    for mask in pool {
+        for attr in 0..fact.arity() {
+            let (p, derivs) = fact.eval_with_attr_derivatives_with(a, mask, attr, &mut fs);
+            let (p_cached, d_cached) =
+                fact.eval_with_attr_derivatives_cached(a, &free, mask, attr, &mut cs);
+            assert_eq!(p_cached.to_bits(), p.to_bits(), "attr {attr}");
+            assert_eq!(d_cached, derivs, "attr {attr}");
         }
     }
 }

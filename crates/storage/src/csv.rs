@@ -219,8 +219,10 @@ pub fn load_str(text: &str, options: &CsvOptions) -> Result<CsvDataset> {
 
 /// Loads a CSV file from disk.
 pub fn load_file(path: &std::path::Path, options: &CsvOptions) -> Result<CsvDataset> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| StorageError::UnknownAttribute(format!("{}: {e}", path.display())))?;
+    let text = std::fs::read_to_string(path).map_err(|e| StorageError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    })?;
     load_str(&text, options)
 }
 

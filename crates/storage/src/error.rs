@@ -31,6 +31,8 @@ pub enum StorageError {
     InvalidPartition(String),
     /// Textual query input (predicate or statement) could not be parsed.
     Syntax(String),
+    /// A file could not be read; `message` is the operating system's reason.
+    Io { path: String, message: String },
 }
 
 impl fmt::Display for StorageError {
@@ -78,6 +80,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Syntax(reason) => {
                 write!(f, "syntax error: {reason}")
+            }
+            StorageError::Io { path, message } => {
+                write!(f, "cannot read {path}: {message}")
             }
         }
     }

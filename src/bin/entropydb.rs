@@ -43,10 +43,22 @@ fn bad_flags(error: String) -> ExitCode {
     usage()
 }
 
+/// Refuses a positional argument that is a flag: `summarize --pairs 1 …`
+/// would otherwise try to read a file named `--pairs`.
+fn check_positionals(positionals: &[&String]) -> std::result::Result<(), String> {
+    match positionals.iter().find(|arg| arg.starts_with("--")) {
+        Some(flag) => Err(format!("expected a file or predicate, found flag {flag}")),
+        None => Ok(()),
+    }
+}
+
 fn summarize(args: &[String]) -> Result<ExitCode> {
     let Some(csv_path) = args.first() else {
         return Ok(usage());
     };
+    if let Err(e) = check_positionals(&[csv_path]) {
+        return Ok(bad_flags(e));
+    }
     let parsed = (|| -> std::result::Result<(usize, usize), String> {
         flags::check_known(args, &["--pairs", "--budget", "--out"], &[])?;
         Ok((
@@ -119,7 +131,9 @@ fn query(args: &[String]) -> Result<ExitCode> {
     else {
         return Ok(usage());
     };
-    if let Err(e) = flags::check_known(args, &[], &["--exact"]) {
+    if let Err(e) = check_positionals(&[csv_path, summary_path, expr])
+        .and_then(|()| flags::check_known(args, &[], &["--exact"]))
+    {
         return Ok(bad_flags(e));
     }
     let exact = args.iter().any(|a| a == "--exact");
@@ -246,7 +260,9 @@ fn info(args: &[String]) -> Result<ExitCode> {
     let Some(summary_path) = args.first() else {
         return Ok(usage());
     };
-    if let Err(e) = flags::check_known(args, &[], &[]) {
+    if let Err(e) =
+        check_positionals(&[summary_path]).and_then(|()| flags::check_known(args, &[], &[]))
+    {
         return Ok(bad_flags(e));
     }
     let summary = entropydb::core::serialize::load_file(Path::new(summary_path))?;

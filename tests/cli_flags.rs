@@ -63,6 +63,43 @@ fn bad_flags_exit_2_before_any_work() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A flag where a file or the predicate belongs is a usage error, not a
+/// file named `--pairs` that cannot be read.
+#[test]
+fn a_flag_in_a_positional_slot_exits_2() {
+    let dir = fixture("positional");
+    for (args, why) in [
+        (
+            "summarize --pairs 1 data.csv --out s.txt",
+            "found flag --pairs",
+        ),
+        ("query --exact data.csv s.txt origin", "found flag --exact"),
+        ("query data.csv --exact s.txt origin", "found flag --exact"),
+        ("info --verbose", "found flag --verbose"),
+    ] {
+        let out = entropydb(&dir, args);
+        assert_usage_exit(&out, why, args);
+        assert!(!dir.join("s.txt").exists(), "{args} wrote a summary");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A data file that cannot be read is reported as an I/O error naming the
+/// file, not as an unknown attribute.
+#[test]
+fn an_unreadable_file_is_an_io_error_naming_it() {
+    let dir = fixture("missing");
+    let out = entropydb(&dir, "summarize nothing.csv --out s.txt");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot read nothing.csv") && !stderr.contains("unknown attribute"),
+        "{stderr}"
+    );
+    assert!(!dir.join("s.txt").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn known_flags_summarize_query_and_describe() {
     let dir = fixture("good");
